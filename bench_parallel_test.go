@@ -1,13 +1,13 @@
 package purity
 
 // Wall-clock (not simulated-time) benchmarks for the parallel write
-// pipeline: BenchmarkParallelWrite drives WriteAtConcurrent from
-// GOMAXPROCS goroutines, BenchmarkSerialWrite executes the identical
+// pipeline: BenchmarkParallelWrite drives WriteAt from GOMAXPROCS
+// goroutines, BenchmarkSerialWrite executes the identical
 // workload — the same (volume, offset, content) write sequence — from a
 // single goroutine. The ratio of their MB/s is the pipeline's real-time
 // scaling. Each writer lane owns a volume and a generator seed, so the
-// streams are disjoint compressible database pages: with CommitLanes = 1
-// the commit section still serializes every write, but compression and
+// streams are disjoint compressible database pages: with one commit lane
+// every write's placement queues on that lane's mutex, but compression and
 // dedup hashing run on the caller's core. On a single-core host the ratio
 // degenerates to ~1× (there is no second core to run the prepare stage
 // on); see BenchmarkWriteStages in internal/core for the serial-fraction
@@ -72,7 +72,7 @@ func newLaneWriter(a *core.Array, vol core.VolumeID, w int) *laneWriter {
 func (l *laneWriter) write(b *testing.B) {
 	off := (int64(l.i) * parallelWriteIO) % parallelVolBytes
 	l.gen.Fill(l.buf, l.i*(parallelWriteIO/512))
-	d, err := l.a.WriteAtConcurrent(l.now, l.vol, off, l.buf)
+	d, err := l.a.WriteAt(l.now, l.vol, off, l.buf)
 	if err != nil {
 		b.Fatal(err)
 	}

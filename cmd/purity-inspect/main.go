@@ -33,7 +33,7 @@ import (
 
 func main() {
 	drives := flag.Int("drives", 11, "SSDs in the shelf")
-	lanes := flag.Int("lanes", 4, "sharded commit lanes (1 = classic serial commit path)")
+	lanes := flag.Int("lanes", 4, "commit lanes writes shard across by volume (1 = every volume on one lane)")
 	health := flag.Bool("health", false, "run a drive-failure lifecycle and dump drive health, wear and repair counters")
 	frontend := flag.Bool("frontend", false, "serve the array over loopback TCP, drive pipelined + adversarial initiators, dump wire-health counters")
 	haTour := flag.Bool("ha", false, "tour end-to-end HA: two servers, heartbeat failover mid-workload, chaos-injected HA initiator, session/drain telemetry")
@@ -143,17 +143,16 @@ func main() {
 	fmt.Printf("write latency: %s\n", st.WriteLatency.Summary())
 	fmt.Printf("read latency:  %s\n", st.ReadLatency.Summary())
 
-	if lt := arr.LaneTelemetry(); len(lt.Lanes) > 0 {
-		fmt.Println("\n=== commit lanes ===")
-		fmt.Printf("%-6s %-8s %-12s %-14s %-12s %-13s %s\n",
-			"LANE", "commits", "batches led", "batch records", "queue waits", "interleaves", "rotations")
-		for _, ls := range lt.Lanes {
-			fmt.Printf("%-6d %-8d %-12d %-14d %-12d %-13d %d\n",
-				ls.Lane, ls.Commits, ls.BatchesLed, ls.BatchRecords,
-				ls.QueueWaits, ls.SeqInterleaves, ls.Rotations)
-		}
-		fmt.Printf("max committer queue depth: %d\n", lt.MaxQueueDepth)
+	lt := arr.LaneTelemetry()
+	fmt.Println("\n=== commit lanes ===")
+	fmt.Printf("%-6s %-8s %-12s %-14s %-12s %-13s %s\n",
+		"LANE", "commits", "batches led", "batch records", "queue waits", "interleaves", "rotations")
+	for _, ls := range lt.Lanes {
+		fmt.Printf("%-6d %-8d %-12d %-14d %-12d %-13d %d\n",
+			ls.Lane, ls.Commits, ls.BatchesLed, ls.BatchRecords,
+			ls.QueueWaits, ls.SeqInterleaves, ls.Rotations)
 	}
+	fmt.Printf("max committer queue depth: %d\n", lt.MaxQueueDepth)
 }
 
 // inspectHealth runs the drive-failure lifecycle — latent corruption,

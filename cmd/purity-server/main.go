@@ -33,7 +33,7 @@ func main() {
 	driveMiB := flag.Int64("drive-mib", 256, "capacity per drive, MiB")
 	noDedup := flag.Bool("no-dedup", false, "disable inline deduplication")
 	noCompress := flag.Bool("no-compress", false, "disable inline compression")
-	lanes := flag.Int("lanes", 4, "sharded commit lanes (1 = classic serial commit path)")
+	lanes := flag.Int("lanes", 4, "commit lanes writes shard across by volume (1 = every volume on one lane)")
 	workers := flag.Int("workers", 4, "per-connection dispatch workers (tagged protocol)")
 	queueDepth := flag.Int("queue-depth", 64, "per-connection dispatch queue bound")
 	tenantWindow := flag.Int("tenant-window", 32, "per-volume in-flight request window per connection")

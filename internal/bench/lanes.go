@@ -90,7 +90,7 @@ func runE13(o Options) error {
 				for j := 0; j < perWriter; j++ {
 					off := (int64(j) * ioSize) % volSize
 					gen.Fill(buf, uint64(j)*(ioSize/512))
-					d, err := arr.WriteAtConcurrent(now, vols[i], off, buf)
+					d, err := arr.WriteAt(now, vols[i], off, buf)
 					if err != nil {
 						errs[i] = fmt.Errorf("writer %d op %d: %w", i, j, err)
 						return
@@ -142,8 +142,8 @@ func runE13(o Options) error {
 	}
 	switch {
 	case runtime.NumCPU() < 2:
-		fmt.Fprintf(w, "\nSingle-core host: scaling gates skipped — commit lanes cannot beat a\n")
-		fmt.Fprintf(w, "serial path without parallel hardware. The numbers above are the record;\n")
+		fmt.Fprintf(w, "\nSingle-core host: scaling gates skipped — more lanes cannot beat one\n")
+		fmt.Fprintf(w, "lane without parallel hardware. The numbers above are the record;\n")
 		fmt.Fprintf(w, "re-run on a multi-core host for the scaling demonstration.\n")
 	case best.lanes == 1 || best.mbps <= base:
 		return fmt.Errorf("E13: %d cores but no lane count beat lanes=1 (%.1f MB/s): sharded commit is not scaling", runtime.NumCPU(), base)

@@ -202,7 +202,7 @@ func (p *Pair) WriteAt(at sim.Time, via Role, vol core.VolumeID, off int64, data
 	if err != nil {
 		return at, err
 	}
-	done, err := a.WriteAtConcurrent(at+fwd/2, vol, off, data)
+	done, err := a.WriteAt(at+fwd/2, vol, off, data)
 	return done + fwd/2, err
 }
 

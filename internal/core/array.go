@@ -42,7 +42,7 @@ const (
 // hashing, parity arithmetic) run before or outside the engine mutex on a
 // shared worker pool, and the mutex covers only what genuinely needs
 // ordering — sequence allocation, placement bookkeeping, NVRAM appends and
-// fact application (see DESIGN.md, "Concurrency model").
+// fact application (see DESIGN.md, "Write path").
 type Array struct {
 	cfg   Config
 	shelf *shelf.Shelf
@@ -53,15 +53,14 @@ type Array struct {
 
 	mu sync.Mutex
 
-	// world gates the sharded commit path (Config.CommitLanes > 1): lane
-	// commits hold it in read mode for their whole critical section, and
-	// every maintenance or mutating entry point (GC, scrub, rebuild,
-	// checkpoint, volume catalog changes) takes it in write mode first, so
-	// cross-volume invariants see a quiesced commit plane. Lock order:
-	// world → mu → lane.mu. In single-lane mode it is uncontended.
+	// world gates the commit path: write commits hold it in read mode for
+	// their whole critical section, and every maintenance or mutating entry
+	// point (GC, scrub, rebuild, checkpoint, volume catalog changes) takes
+	// it in write mode first, so cross-volume invariants see a quiesced
+	// commit plane. Lock order: world → mu → lane.mu.
 	world sync.RWMutex
-	// lanes are the commit shards (nil ⇒ single-lane mode); committer is
-	// their shared batching NVRAM commit point.
+	// lanes are the commit shards (Config.CommitLanes of them, at least
+	// one); committer is their shared batching NVRAM commit point.
 	lanes     []*commitLane
 	committer *nvCommitter
 	// laneInflight counts lane commits currently holding world in read
@@ -252,13 +251,11 @@ func newSkeleton(cfg Config, sh *shelf.Shelf) (*Array, error) {
 	}
 	a.boot.SetCrash(cfg.Crash)
 	a.reader.SetShardLost(a.shardLost)
-	if cfg.CommitLanes > 1 {
-		a.lanes = make([]*commitLane, cfg.CommitLanes)
-		for i := range a.lanes {
-			a.lanes[i] = newCommitLane(i)
-		}
-		a.committer = &nvCommitter{a: a}
+	a.lanes = make([]*commitLane, cfg.CommitLanes) // normalize: at least one
+	for i := range a.lanes {
+		a.lanes[i] = newCommitLane(i)
 	}
+	a.committer = &nvCommitter{a: a}
 	for _, id := range []uint32{
 		relation.IDMediums, relation.IDAddrs, relation.IDDedup,
 		relation.IDSegments, relation.IDSegmentAUs, relation.IDVolumes, relation.IDElide,
@@ -416,8 +413,16 @@ func (a *Array) newSegmentWriterLocked(at sim.Time) (*layout.Writer, sim.Time, e
 		a.stats.SpeculativePromotes++
 		aus, err = a.alloc.AllocateSegment(a.failedDrive)
 	}
-	if err == layout.ErrNeedFrontier {
+	// A refill draws from the drives with the most free AUs first, so after
+	// uneven frees one batch can land on fewer than K+M drives; each further
+	// batch levels the free pool, so refill until the segment fits or the
+	// pool is empty.
+	for err == layout.ErrNeedFrontier {
+		before := a.alloc.FrontierSize()
 		a.alloc.RefillFrontier(a.cfg.FrontierBatch)
+		if a.alloc.FrontierSize() == before {
+			break
+		}
 		// Persisting the frontier before using it is what bounds the
 		// recovery scan (§4.3). This is the "<1% of writes" path.
 		d, werr := a.writeFrontierLocked(done)

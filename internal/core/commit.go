@@ -107,20 +107,23 @@ func decodeWriteRecord(b []byte) ([]writeChunk, error) {
 	return chunks, nil
 }
 
-// nvramAppendLocked mirrors a record to every NVRAM device; the commit is
-// durable when the slowest device finishes (§4.1's redundant NVRAM). When
-// the log fills, the engine checkpoints to release it and retries once.
-// Caller holds mu.
+// nvramAppendLocked appends a record to the NVRAM mirrors from a
+// world-exclusive section (catalog mutations, GC, rebuild, and the lane
+// commit's log-full fallback). The append under mu IS the commit point
+// there: the record must be durable before the lock releases and the op
+// acks (§4.1). When the log fills, the engine checkpoints to release it
+// and retries once. Caller holds mu.
 func (a *Array) nvramAppendLocked(at sim.Time, rec []byte) (sim.Time, error) {
 	done, err := a.nvramAppendOnce(at, rec)
 	if err == nil {
 		return done, nil
 	}
-	// With lane commits in flight (we are under world.RLock via a lane's
-	// segment-metadata commit), checkpointing here would trim the whole
-	// NVRAM log while another lane's record may be durable but not yet
-	// applied — losing an acked write across a crash. Bubble the error;
-	// the lane path redoes the write under the exclusive world lock.
+	// Checkpointing trims the whole NVRAM log; with a lane commit in flight
+	// another write's record may be durable but not yet applied, and
+	// trimming it would lose an acked write across a crash. Every caller
+	// today holds world exclusively, so the count is zero here; the check
+	// keeps a future caller that appends under world.RLock from trimming —
+	// it gets the error instead.
 	if a.laneInflight.Load() > 0 {
 		return done, err
 	}
@@ -131,8 +134,12 @@ func (a *Array) nvramAppendLocked(at sim.Time, rec []byte) (sim.Time, error) {
 	return a.nvramAppendOnce(done, rec)
 }
 
-// nvramAppendOnce mirrors one record to the surviving NVRAM devices.
-// Caller holds mu.
+// nvramAppendOnce mirrors one record to the surviving NVRAM devices; the
+// record is durable when the slowest device finishes (§4.1's redundant
+// NVRAM). It is the one place a record reaches the mirrors: the group
+// committer calls it with no locks held (device I/O never blocks other
+// lanes' placement work) and nvramAppendLocked calls it under mu; either
+// way one caller at a time, so every mirror sees the same record order.
 func (a *Array) nvramAppendOnce(at sim.Time, rec []byte) (sim.Time, error) {
 	done := at
 	// A crash here loses the record entirely: the op was never acked.
@@ -146,7 +153,6 @@ func (a *Array) nvramAppendOnce(at sim.Time, rec []byte) (sim.Time, error) {
 			// surviving device.
 			continue
 		}
-		//lint:ignore lockflow the NVRAM append under mu IS the commit point: the record must be durable before the lock releases and the op acks (§4.1)
 		_, d, err := nv.Append(at, rec)
 		if err != nil {
 			if errors.Is(err, nvram.ErrFailed) {
@@ -223,7 +229,7 @@ func (a *Array) maybeBackgroundLocked(at sim.Time) (sim.Time, error) {
 
 // backgroundStepLocked is one background maintenance step: pyramid flushes
 // and merges, plus the periodic full checkpoint. Split from the cadence
-// counter so the lane path (which counts ops under brief mu sections and
+// counter so the write path (which counts ops under brief mu sections and
 // escalates to the exclusive world lock) can run the step without
 // double-counting. Caller holds mu.
 func (a *Array) backgroundStepLocked(at sim.Time) (sim.Time, error) {
@@ -256,15 +262,13 @@ func (a *Array) backgroundStepLocked(at sim.Time) (sim.Time, error) {
 // the whole NVRAM log is released (Figure 4's "trims the DRAM and NVRAM").
 // Caller holds mu.
 func (a *Array) checkpointLocked(at sim.Time) (sim.Time, error) {
-	// In lane mode the per-write apply does not move the flush watermark;
-	// it advances only here and at the other world-exclusive points, where
-	// no lane commit is in flight: every sequence number issued so far
-	// whose facts reached a pyramid is durable in NVRAM (append precedes
-	// apply), and abandoned numbers from failed writes are harmless holes.
-	if a.laneMode() {
-		//lint:ignore commitorder world-exclusive point with no lane commit in flight: every issued seq whose facts were applied had its record appended by the lane drain first, so the watermark claims nothing the log does not hold
-		a.persistedSeq = a.seqs.Current()
-	}
+	// A write's apply does not move the flush watermark; it advances only
+	// here and at the other world-exclusive points, where no lane commit is
+	// in flight: every sequence number issued so far whose facts reached a
+	// pyramid is durable in NVRAM (append precedes apply), and abandoned
+	// numbers from failed writes are harmless holes.
+	//lint:ignore commitorder world-exclusive point with no lane commit in flight: every issued seq whose facts were applied had its record appended by the lane drain first, so the watermark claims nothing the log does not hold
+	a.persistedSeq = a.seqs.Current()
 	a.crash.Hit("ckpt.begin")
 	// 1. Data durability: flush open segios of data-bearing classes.
 	done, err := a.flushOpenSegiosLocked(at)
@@ -322,30 +326,16 @@ func (a *Array) checkpointLocked(at sim.Time) (sim.Time, error) {
 // mu.
 func (a *Array) flushOpenSegiosLocked(at sim.Time) (sim.Time, error) {
 	done := at
-	for class := segClass(0); class < numClasses; class++ {
-		if w := a.open[class]; w != nil {
-			d, err := w.Flush(done)
-			if err != nil {
-				return d, err
-			}
-			done = d
+	var err error
+	a.eachOpenLocked(func(w *layout.Writer) {
+		if err != nil {
+			return
+		}
+		if done, err = w.Flush(done); err == nil {
 			a.segMap[w.Info().ID] = w.Info()
 		}
-	}
-	for _, ln := range a.lanes {
-		ln.mu.Lock()
-		if w := ln.open; w != nil {
-			d, err := w.Flush(done)
-			if err != nil {
-				ln.mu.Unlock()
-				return d, err
-			}
-			done = d
-			a.segMap[w.Info().ID] = w.Info()
-		}
-		ln.mu.Unlock()
-	}
-	return done, nil
+	})
+	return done, err
 }
 
 // writeFrontierLocked persists a lightweight checkpoint so a just-refilled

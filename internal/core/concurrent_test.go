@@ -10,8 +10,9 @@ import (
 )
 
 // The concurrent-writers tests exercise the parallel write path the way
-// internal/server drives it: N goroutines calling WriteAtConcurrent at
-// once, each with its own virtual clock. Afterwards the array crash-
+// internal/server drives it: N goroutines calling WriteAt at once (on the
+// default single commit lane), each with its own virtual clock. Afterwards
+// the array crash-
 // recovers (boot region + frontier scan + NVRAM replay) and every byte is
 // checked against a flat model. Run under -race (scripts/check.sh does) —
 // the monotonic-facts argument of §3.2 is only credible if the detector
@@ -31,7 +32,7 @@ func concurrentWriter(t *testing.T, a *Array, vol VolumeID, seed uint64, regionO
 			n = int(regionLen - off)
 		}
 		data := pattern(seed*100000+uint64(i), n)
-		d, err := a.WriteAtConcurrent(now, vol, regionOff+off, data)
+		d, err := a.WriteAt(now, vol, regionOff+off, data)
 		if err != nil {
 			t.Errorf("writer %d: write %d: %v", seed, i, err)
 			return

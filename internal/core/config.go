@@ -58,8 +58,8 @@ type Config struct {
 	// lanes sharing the single atomic SeqSource and a batching NVRAM
 	// committer (§3.2's logical monotonicity is what makes this safe —
 	// facts are commutative, so lanes only synchronize on sequence
-	// allocation and the durability commit point). ≤ 1 keeps the classic
-	// single-serial-section path.
+	// allocation and the durability commit point). ≤ 1 means one lane: the
+	// same path with every volume routed to it.
 	CommitLanes int
 
 	// GCLiveThreshold: sealed segments below this live fraction are GC

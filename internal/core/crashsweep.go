@@ -23,7 +23,7 @@ package core
 // Every acknowledged operation must survive exactly. Failures carry the
 // seed, point id and hit count needed to reproduce in one command:
 //
-//	go test -run 'TestCrashSweep/<point>/hit=N' ./internal/core/
+//	go test -run 'TestCrashSweep/lanes=L/<point>/hit=N' ./internal/core/
 
 import (
 	"bytes"
@@ -40,8 +40,9 @@ import (
 // SweepOptions configures a crash sweep. The zero value gets defaults from
 // withDefaults.
 type SweepOptions struct {
-	Seed uint64 // workload RNG seed
-	Ops  int    // workload steps per run
+	Seed  uint64 // workload RNG seed
+	Ops   int    // workload steps per run
+	Lanes int    // commit lanes the swept array runs with (default 1)
 
 	// MaxHitsPerPoint caps the enumerated hit counts per point: hits
 	// 1..cap plus the final hit are swept. 0 sweeps every hit.
@@ -66,6 +67,9 @@ func (o SweepOptions) withDefaults() SweepOptions {
 	if o.Ops <= 0 {
 		o.Ops = 80
 	}
+	if o.Lanes <= 0 {
+		o.Lanes = 1
+	}
 	return o
 }
 
@@ -86,18 +90,25 @@ type SweepFailure struct {
 // SweepReport summarizes a full sweep.
 type SweepReport struct {
 	Seed     uint64
+	Lanes    int
 	Census   map[string]int // point -> hits per workload run
 	Points   int            // distinct points
 	Cases    int            // (point, hit) cases executed
 	Failures []SweepFailure
 }
 
+// SweepLanes are the commit-lane counts every sweep runs at: the one-lane
+// case and the count purity-server, purity-inspect and the benchmark use.
+var SweepLanes = []int{1, 4}
+
 // SweepEngineConfig is the array configuration the sweep workload runs
 // under: small and aggressive, so every background mechanism (flush,
 // merge, checkpoint, frontier refill, GC evacuation) triggers within a
-// short workload.
-func SweepEngineConfig() Config {
+// short workload. lanes is the commit-lane count: the sweep runs the one
+// write path at one lane and at the count the server ships with.
+func SweepEngineConfig(lanes int) Config {
 	cfg := TestConfig()
+	cfg.CommitLanes = lanes
 	cfg.Shelf.DriveConfig.Capacity = 160 * cfg.Layout.AUSize()
 	cfg.BackgroundEvery = 6
 	cfg.MemtableFlushRows = 48
@@ -139,14 +150,19 @@ type sweepVol struct {
 
 // sweepPending describes the operation in flight when a crash fired. The
 // op never acknowledged, so verification accepts both its before and
-// after states; every other volume must match the model exactly.
+// after states — unless the crash fired past the op's commit point
+// (durable), when only the after state will do; every other volume must
+// match the model exactly.
 type sweepPending struct {
 	kind string // "", "write", "create", "snapshot", "clone", "delete"
-	vol  string // target volume name (write/snapshot source/delete)
-	name string // new volume name (create/snapshot/clone)
-	off  int64
-	data []byte // write payload
-	src  []byte // expected content of the new volume
+	// durable: the crash point sits after the NVRAM append (set by
+	// RunCrashCase), so replay must land the op.
+	durable bool
+	vol     string // target volume name (write/snapshot source/delete)
+	name    string // new volume name (create/snapshot/clone)
+	off     int64
+	data    []byte // write payload
+	src     []byte // expected content of the new volume
 }
 
 // sweepRun is one workload execution against one freshly formatted shelf.
@@ -465,18 +481,22 @@ func (run *sweepRun) verify(a *Array) error {
 			}
 			return fmt.Errorf("reading volume %q: %w", v.name, err)
 		}
-		if bytes.Equal(got, v.data) {
-			continue
-		}
+		want := v.data
 		if p.kind == "write" && p.vol == v.name {
-			alt := append([]byte(nil), v.data...)
-			copy(alt[p.off:], p.data)
-			if bytes.Equal(got, alt) {
+			post := append([]byte(nil), v.data...)
+			copy(post[p.off:], p.data)
+			if bytes.Equal(got, post) {
 				continue // in-flight write landed: post state
 			}
+			if p.durable {
+				want = post // its record was durable: replay is what the ack stands on
+			}
+		}
+		if bytes.Equal(got, want) {
+			continue
 		}
 		for i := range got {
-			if got[i] != v.data[i] {
+			if got[i] != want[i] {
 				return fmt.Errorf("volume %q diverges at byte %d (sector %d)", v.name, i, i/512)
 			}
 		}
@@ -586,7 +606,7 @@ func (run *sweepRun) openRecovered(fullScan bool) (a *Array, crashed bool, err e
 func CrashCensus(opts SweepOptions) (map[string]int, error) {
 	opts = opts.withDefaults()
 	reg := crashpoint.New()
-	cfg := SweepEngineConfig()
+	cfg := SweepEngineConfig(opts.Lanes)
 	cfg.Crash = reg
 	run, err := newSweepRun(cfg, opts.Seed)
 	if err != nil {
@@ -596,7 +616,13 @@ func CrashCensus(opts SweepOptions) (map[string]int, error) {
 	if err := run.workload(opts.Ops); err != nil {
 		return nil, fmt.Errorf("census workload (seed %d): %w", opts.Seed, err)
 	}
-	return reg.Counts(), nil
+	census := reg.Counts()
+	// The window between a write's group commit and its apply: every write
+	// passes it, at every lane count.
+	if census["lane.apply.before"] == 0 {
+		return nil, fmt.Errorf("census (seed %d, lanes %d): lane.apply.before never hit — the workload is not running the commit path", opts.Seed, opts.Lanes)
+	}
+	return census, nil
 }
 
 // RunCrashCase executes one (point, hit) case: identical workload, crash
@@ -605,11 +631,11 @@ func CrashCensus(opts SweepOptions) (map[string]int, error) {
 func RunCrashCase(opts SweepOptions, point string, hit int) error {
 	opts = opts.withDefaults()
 	fail := func(format string, args ...any) error {
-		return fmt.Errorf("crash case point=%s hit=%d seed=%d: %s",
-			point, hit, opts.Seed, fmt.Sprintf(format, args...))
+		return fmt.Errorf("crash case lanes=%d point=%s hit=%d seed=%d: %s",
+			opts.Lanes, point, hit, opts.Seed, fmt.Sprintf(format, args...))
 	}
 	reg := crashpoint.New()
-	cfg := SweepEngineConfig()
+	cfg := SweepEngineConfig(opts.Lanes)
 	cfg.Crash = reg
 	run, err := newSweepRun(cfg, opts.Seed)
 	if err != nil {
@@ -637,6 +663,9 @@ func RunCrashCase(opts SweepOptions, point string, hit int) error {
 	if !crashed {
 		return fail("armed point never fired (census drift?)")
 	}
+	// The one point between a write's group commit and its apply: the
+	// record is in NVRAM, so the write must survive although it never acked.
+	run.pending.durable = point == "lane.apply.before"
 
 	// The torn/corrupt points model damage to the record that was being
 	// appended when power failed: replay must drop it, not trust it.
@@ -714,7 +743,7 @@ func selectedPoint(opts SweepOptions, point string) bool {
 // one-command reproduction.
 func RunCrashSweep(opts SweepOptions) (SweepReport, error) {
 	opts = opts.withDefaults()
-	rep := SweepReport{Seed: opts.Seed}
+	rep := SweepReport{Seed: opts.Seed, Lanes: opts.Lanes}
 	census, err := CrashCensus(opts)
 	if err != nil {
 		return rep, err

@@ -9,8 +9,8 @@ import (
 	"purity/internal/crashpoint"
 )
 
-func sweepTestOptions() SweepOptions {
-	opts := SweepOptions{}.withDefaults()
+func sweepTestOptions(lanes int) SweepOptions {
+	opts := SweepOptions{Lanes: lanes}.withDefaults()
 	if testing.Short() {
 		opts.MaxHitsPerPoint = 1
 	} else {
@@ -19,52 +19,54 @@ func sweepTestOptions() SweepOptions {
 	return opts
 }
 
-// TestCrashSweep is the tier-1 crash-consistency sweep: census the
-// deterministic workload, assert the fault-point coverage the design
-// demands, then run every (point, hit) case as a subtest. A failing case
-// reproduces with:
+// TestCrashSweep is the tier-1 crash-consistency sweep, once per lane
+// count: census the deterministic workload, assert the fault-point
+// coverage the design demands, then run every (point, hit) case as a
+// subtest. A failing case reproduces with:
 //
-//	go test -run 'TestCrashSweep/<point>/hit=N' ./internal/core/
+//	go test -run 'TestCrashSweep/lanes=L/<point>/hit=N' ./internal/core/
 func TestCrashSweep(t *testing.T) {
-	opts := sweepTestOptions()
-	census, err := CrashCensus(opts)
-	if err != nil {
-		t.Fatalf("census: %v", err)
-	}
-
-	points := make([]string, 0, len(census))
-	for p := range census {
-		points = append(points, p)
-	}
-	sort.Strings(points)
-	t.Logf("census (seed %d, %d ops): %d distinct crash points", opts.Seed, opts.Ops, len(points))
-
-	if len(points) < 25 {
-		t.Errorf("only %d distinct crash points hit, want >= 25: %v", len(points), points)
-	}
-	for _, family := range []string{"nvram.", "layout.", "pyramid.", "frontier.", "ckpt.", "gc.", "recover.", "rebuild."} {
-		found := false
-		for _, p := range points {
-			if strings.HasPrefix(p, family) {
-				found = true
-				break
+	for _, lanes := range SweepLanes {
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			opts := sweepTestOptions(lanes)
+			census, err := CrashCensus(opts)
+			if err != nil {
+				t.Fatalf("census: %v", err)
 			}
-		}
-		if !found {
-			t.Errorf("no crash point in family %q was hit by the workload", family)
-		}
-	}
 
-	for _, point := range points {
-		point := point
-		for _, hit := range sweepHits(census[point], opts.MaxHitsPerPoint) {
-			hit := hit
-			t.Run(fmt.Sprintf("%s/hit=%d", point, hit), func(t *testing.T) {
-				if err := RunCrashCase(opts, point, hit); err != nil {
-					t.Fatal(err)
+			points := make([]string, 0, len(census))
+			for p := range census {
+				points = append(points, p)
+			}
+			sort.Strings(points)
+			t.Logf("census (seed %d, %d ops): %d distinct crash points", opts.Seed, opts.Ops, len(points))
+
+			if len(points) < 25 {
+				t.Errorf("only %d distinct crash points hit, want >= 25: %v", len(points), points)
+			}
+			for _, family := range []string{"nvram.", "layout.", "pyramid.", "frontier.", "ckpt.", "gc.", "recover.", "rebuild."} {
+				found := false
+				for _, p := range points {
+					if strings.HasPrefix(p, family) {
+						found = true
+						break
+					}
 				}
-			})
-		}
+				if !found {
+					t.Errorf("no crash point in family %q was hit by the workload", family)
+				}
+			}
+
+			for _, point := range points {
+				for _, hit := range sweepHits(census[point], opts.MaxHitsPerPoint) {
+					t.Run(fmt.Sprintf("%s/hit=%d", point, hit), func(t *testing.T) {
+						if err := RunCrashCase(opts, point, hit); err != nil {
+							t.Fatal(err)
+						}
+					})
+				}
+			}
+		})
 	}
 }
 
@@ -75,11 +77,15 @@ func TestCrashSweepFullScanAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scan agreement check skipped in short mode")
 	}
-	opts := SweepOptions{FullScanCheck: true}.withDefaults()
-	for _, point := range []string{"ckpt.data-flushed", "gc.evac.redirected", "layout.seal.begin"} {
-		if err := RunCrashCase(opts, point, 1); err != nil {
-			t.Errorf("%s: %v", point, err)
-		}
+	for _, lanes := range SweepLanes {
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			opts := SweepOptions{Lanes: lanes, FullScanCheck: true}.withDefaults()
+			for _, point := range []string{"ckpt.data-flushed", "gc.evac.redirected", "layout.seal.begin"} {
+				if err := RunCrashCase(opts, point, 1); err != nil {
+					t.Errorf("%s: %v", point, err)
+				}
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"purity/internal/relation"
@@ -260,39 +261,54 @@ func TestSnapshotChainReadsAfterManyGenerations(t *testing.T) {
 	}
 }
 
-// TestCheckpointSurvivesNVRAMPressure: tiny NVRAM forces inline
-// checkpoints; everything must stay correct.
+// TestCheckpointSurvivesNVRAMPressure: tiny NVRAM fills constantly, so
+// writes keep taking the log-full fallback (laneCommitExclusive: quiesce,
+// checkpoint, retry the append); everything must stay correct, live and
+// after a crash.
 func TestCheckpointSurvivesNVRAMPressure(t *testing.T) {
-	cfg := TestConfig()
-	cfg.Shelf.NVRAMConfig.Capacity = 1 << 20 // 1 MiB: fills constantly
-	a, err := Format(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vol, _, err := a.CreateVolume(0, "v", 4<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := make([]byte, 2<<20)
-	r := sim.NewRand(9)
-	for i := 0; i < 150; i++ {
-		off := int64(r.Intn(3500)) * 512
-		n := (r.Intn(32) + 1) * 512
-		if off+int64(n) > int64(len(model)) {
-			continue
-		}
-		data := pattern(uint64(i)+500, n)
-		copy(model[off:], data)
-		if _, err := a.WriteAt(0, vol, off, data); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	if a.Stats().Checkpoints == 0 {
-		t.Fatal("NVRAM pressure never forced a checkpoint")
-	}
-	got, _, err := a.ReadAt(0, vol, 0, len(model))
-	if err != nil || !bytes.Equal(got, model) {
-		t.Fatal("model mismatch under NVRAM pressure")
+	for _, lanes := range []int{1, 4} {
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			cfg := TestConfig()
+			cfg.CommitLanes = lanes
+			cfg.Shelf.NVRAMConfig.Capacity = 1 << 20
+			a, err := Format(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vol, _, err := a.CreateVolume(0, "v", 4<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model := make([]byte, 2<<20)
+			r := sim.NewRand(9)
+			for i := 0; i < 150; i++ {
+				off := int64(r.Intn(3500)) * 512
+				n := (r.Intn(32) + 1) * 512
+				if off+int64(n) > int64(len(model)) {
+					continue
+				}
+				data := pattern(uint64(i)+500, n)
+				copy(model[off:], data)
+				if _, err := a.WriteAt(0, vol, off, data); err != nil {
+					t.Fatalf("write %d: %v", i, err)
+				}
+			}
+			if a.Stats().Checkpoints == 0 {
+				t.Fatal("NVRAM pressure never forced a checkpoint")
+			}
+			got, _, err := a.ReadAt(0, vol, 0, len(model))
+			if err != nil || !bytes.Equal(got, model) {
+				t.Fatal("model mismatch under NVRAM pressure")
+			}
+			a2, _, err := OpenAt(cfg, a.Shelf(), 0, false)
+			if err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+			got, _, err = a2.ReadAt(0, vol, 0, len(model))
+			if err != nil || !bytes.Equal(got, model) {
+				t.Fatal("model mismatch after recovery under NVRAM pressure")
+			}
+		})
 	}
 }
 

@@ -107,18 +107,7 @@ func (a *Array) RunGC(at sim.Time) (GCReport, sim.Time, error) {
 	// Candidates: sealed, below threshold, not currently open, and holding
 	// no live metadata.
 	openIDs := map[layout.SegmentID]bool{}
-	for _, w := range a.open {
-		if w != nil {
-			openIDs[w.Info().ID] = true
-		}
-	}
-	for _, ln := range a.lanes {
-		ln.mu.Lock()
-		if ln.open != nil {
-			openIDs[ln.open.Info().ID] = true
-		}
-		ln.mu.Unlock()
-	}
+	a.eachOpenLocked(func(w *layout.Writer) { openIDs[w.Info().ID] = true })
 	var candidates []layout.SegmentID
 	for id, info := range a.segMap {
 		if openIDs[id] || !info.Sealed || metaLive[id] > 0 {

@@ -8,25 +8,25 @@ import (
 	"purity/internal/cblock"
 	"purity/internal/dedup"
 	"purity/internal/layout"
-	"purity/internal/nvram"
 	"purity/internal/relation"
 	"purity/internal/sim"
 	"purity/internal/telemetry"
 	"purity/internal/tuple"
 )
 
-// Sharded commit lanes (DESIGN.md, "Sharded commit").
+// Commit lanes (DESIGN.md, "Write path").
 //
-// With Config.CommitLanes > 1 the commit half of a write no longer runs
-// under the global engine mutex. Each write routes to a lane by volume;
-// the lane places literal cblocks into its own open data segment (under
-// the lane mutex only, on the fast path), allocates sequence numbers from
-// the shared atomic SeqSource, and funnels its NVRAM record through a
-// batching committer that preserves the append-before-apply durability
-// ordering the crash sweep checks. The paper's logical monotonicity is
-// what makes this safe: facts are immutable and commutative (§3.2), so
-// two lanes' facts interleave freely as long as each one's record is
-// durable before its pyramid apply, and replay remains a set union.
+// The commit half of a write does not run under the global engine mutex.
+// Each write routes to one of Config.CommitLanes lanes by volume; the lane
+// places literal cblocks into its own open data segment (under the lane
+// mutex only, on the fast path), allocates sequence numbers from the
+// shared atomic SeqSource, and funnels its NVRAM record through a batching
+// committer that preserves the append-before-apply durability ordering the
+// crash sweep checks. One lane is simply the case where every volume
+// routes to lane 0. The paper's logical monotonicity is what makes this
+// safe: facts are immutable and commutative (§3.2), so two writes' facts
+// interleave freely as long as each one's record is durable before its
+// pyramid apply, and replay remains a set union.
 //
 // Lock order: a.world (R or W) → a.mu → ln.mu. Lane commits hold the
 // world lock in read mode for their whole critical section; maintenance
@@ -51,9 +51,9 @@ type commitLane struct {
 	// batchRecords describe the NVRAM group commits this lane led;
 	// queueWaits counts commits that parked behind another lane's leader;
 	// seqInterleaves counts commits whose sequence-number span contained
-	// another lane's allocations (cross-lane allocator pressure — the
-	// shared SeqSource is wait-free, so interleaving, not stalling, is
-	// the observable); rotations counts segment seals due to fill.
+	// another commit's allocations (allocator pressure — the shared
+	// SeqSource is wait-free, so interleaving, not stalling, is the
+	// observable); rotations counts segment seals due to fill.
 	commits        *telemetry.Counter
 	batchesLed     *telemetry.Counter
 	batchRecords   *telemetry.Counter
@@ -95,13 +95,9 @@ func (ln *commitLane) readPending(id layout.SegmentID, off int64, n int) ([]byte
 	return nil, false
 }
 
-// laneMode reports whether the commit path is sharded.
-func (a *Array) laneMode() bool { return len(a.lanes) > 0 }
-
 // laneFor routes a volume to its lane. Volume IDs are dense and
 // monotonically assigned, so modulo spreads them evenly; one volume always
-// maps to one lane, which keeps per-volume commit order identical to the
-// serial path.
+// maps to one lane, so a volume's commits keep their issue order.
 func (a *Array) laneFor(vol VolumeID) *commitLane {
 	return a.lanes[uint64(vol)%uint64(len(a.lanes))]
 }
@@ -164,57 +160,20 @@ func (c *nvCommitter) commit(at sim.Time, ln *commitLane, rec []byte) (sim.Time,
 		ln.batchesLed.Inc()
 		ln.batchRecords.Add(int64(len(batch)))
 		for _, tk := range batch {
-			tk.when, tk.err = c.a.committerAppendOnce(tk.at, tk.rec)
+			tk.when, tk.err = c.a.nvramAppendOnce(tk.at, tk.rec)
 			close(tk.done)
 		}
 	}
 	return t.when, t.err
 }
 
-// committerAppendOnce mirrors one committed record to the surviving NVRAM
-// devices. It is nvramAppendOnce without the engine lock: the batching
-// committer calls it with no locks held, so device I/O never blocks other
-// lanes' placement work. The crash-ordering contract is unchanged — a
-// crash before any mirror loses the (never-acked) record; a crash between
-// mirrors leaves it on a prefix, and replay selects the longest log.
-func (a *Array) committerAppendOnce(at sim.Time, rec []byte) (sim.Time, error) {
-	done := at
-	a.crash.Hit("nvram.append.before")
-	landed := 0
-	for i := 0; i < a.shelf.NumNVRAM(); i++ {
-		nv := a.shelf.NVRAM(i)
-		if nv.Failed() {
-			continue
-		}
-		_, d, err := nv.Append(at, rec)
-		if err != nil {
-			if errors.Is(err, nvram.ErrFailed) {
-				continue
-			}
-			return done, err
-		}
-		landed++
-		if d > done {
-			done = d
-		}
-		a.crash.Hit("nvram.append.mirror")
-	}
-	if landed == 0 {
-		return done, nvram.ErrFailed
-	}
-	a.crash.Hit("nvram.append.torn")
-	a.crash.Hit("nvram.append.corrupt")
-	a.crash.Hit("nvram.append.after")
-	return done, nil
-}
-
 // --- Lane commit path ---------------------------------------------------
 
-// commitWriteLane is the sharded counterpart of commitWriteLocked. The
-// whole commit runs under the world lock in read mode; the engine mutex is
-// taken only for the brief sections that genuinely share state across
-// lanes (volume lookup, dedup candidate search, segment allocation, fact
-// application), and the lane mutex covers the lane's own open segment.
+// commitWriteLane is the commit half of a write. The whole commit runs
+// under the world lock in read mode; the engine mutex is taken only for the
+// brief sections that genuinely share state across lanes (volume lookup,
+// dedup candidate search, segment allocation, fact application), and the
+// lane mutex covers the lane's own open segment.
 func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byte, prep []preparedExtent) (sim.Time, error) {
 	ln := a.laneFor(vol)
 	a.world.RLock()
@@ -241,37 +200,27 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 
 	seqStart := a.seqs.Current()
 
-	var chunks []writeChunk
-	var physical, deduped int64
+	// Placement never appends to NVRAM (segment allocation and sealing
+	// insert their facts directly; recovery re-derives them from the
+	// frontier and AU trailers), so a full log can only surface at the
+	// commit point below.
+	w := laneWrite{at: at, size: int64(len(data)), live: map[layout.SegmentID]int64{}}
 	var allocated uint64
-	live := map[layout.SegmentID]int64{}
 	for _, pe := range prep {
-		sector := startSector + pe.sectorOff
-		cs, n, d, err := a.placeCBlockLane(done, ln, row.Medium, sector, pe, live)
+		cs, n, d, err := a.placeCBlockLane(done, ln, row.Medium, startSector+pe.sectorOff, pe, w.live)
 		done = d
 		allocated += n
 		if err != nil {
 			a.laneInflight.Add(-1)
 			a.world.RUnlock()
-			// Placement can hit a full NVRAM log while committing segment
-			// metadata (laneEnsureOpen/laneRotate → commitFactsLocked). The
-			// in-flight gate makes that bubble up instead of checkpointing
-			// under the read lock; redo the whole write serially under the
-			// exclusive world lock, where checkpointing is safe. Chunks this
-			// attempt already placed are abandoned garbage: no fact
-			// references them, and recent-index entries are byte-verified
-			// before any dedup use.
-			if errors.Is(err, nvram.ErrFull) {
-				return a.laneWriteSerialExclusive(at, vol, off, data, prep)
-			}
 			return done, err
 		}
 		for _, ch := range cs {
-			chunks = append(chunks, ch)
+			w.chunks = append(w.chunks, ch)
 			if ch.payload != nil {
-				physical += int64(relation.AddrFromFact(ch.addr).PhysLen)
+				w.physical += int64(relation.AddrFromFact(ch.addr).PhysLen)
 			} else {
-				deduped += int64(relation.AddrFromFact(ch.addr).Sectors) * cblock.SectorSize
+				w.deduped += int64(relation.AddrFromFact(ch.addr).Sectors) * cblock.SectorSize
 			}
 		}
 	}
@@ -282,30 +231,25 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 	// Commit point: the batched NVRAM append. Any error escalates to the
 	// exclusive path, which can checkpoint to free log space — safe to take
 	// the world lock there because we have fully released it here.
-	rec := encodeWriteRecord(chunks)
+	rec := encodeWriteRecord(w.chunks)
 	done2, err := a.committer.commit(done, ln, rec)
 	if err != nil {
 		a.laneInflight.Add(-1)
 		a.world.RUnlock()
-		return a.laneCommitExclusive(done, at, ln, data, rec, chunks, live, physical, deduped)
+		return a.laneCommitExclusive(done, ln, rec, w)
 	}
 	done = done2
 	ln.commits.Inc()
 
 	// The write is durable in NVRAM but not yet applied to the pyramids. A
-	// crash in this window must be recovered by replay — the lane crash
-	// sweep op arms exactly this point.
+	// crash in this window must be recovered by replay; the crash sweep arms
+	// this point at every lane count it runs.
 	a.crash.Hit("lane.apply.before")
 
 	a.mu.Lock()
-	cpuCost := sim.Time(a.cfg.CPUOverhead + a.cfg.CPUPerKiBWrite*int64(len(data))/1024)
-	ackAt := a.cpuLocked(done, cpuCost)
-	err = a.laneApplyLocked(chunks, live)
+	ackAt, err := a.laneApplyLocked(done, w)
 	needBG := false
 	if err == nil {
-		a.stats.Writes++
-		a.stats.WriteLatency.Record(ackAt - at)
-		a.stats.Reduction.AddWrite(int64(len(data)), physical, deduped)
 		a.opsSinceBG++
 		needBG = a.opsSinceBG >= a.cfg.BackgroundEvery
 	}
@@ -323,71 +267,64 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 	return ackAt, nil
 }
 
-// laneWriteSerialExclusive redoes a lane write on the serial commit path
-// under the exclusive world lock. Used when placement hit a full NVRAM
-// log: with every lane quiesced the watermark may advance and
-// nvramAppendLocked may checkpoint to free the log, exactly as in
-// single-lane mode. Called with NO locks held.
-func (a *Array) laneWriteSerialExclusive(at sim.Time, vol VolumeID, off int64, data []byte, prep []preparedExtent) (sim.Time, error) {
-	a.world.Lock()
-	defer a.world.Unlock()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	//lint:ignore commitorder world-exclusive with every lane quiesced: the watermark covers only facts lane drains already appended, and this write's own facts are appended by commitWriteLocked before they are applied
-	a.persistedSeq = a.seqs.Current()
-	return a.commitWriteLocked(at, vol, off, data, prep)
+// laneWrite is one write between placement and apply: its chunks, the
+// per-segment live-byte deltas its literal chunks added, and what the
+// stats need once it is acknowledged.
+type laneWrite struct {
+	at                sim.Time
+	size              int64
+	chunks            []writeChunk
+	live              map[layout.SegmentID]int64
+	physical, deduped int64
 }
 
-// laneApplyLocked applies a committed lane write's facts and folds its
-// per-segment live-byte deltas into the shared accounting. In lane mode
-// persistedSeq is NOT advanced here — only world-exclusive points move the
-// watermark, when no lane commit is in flight (see checkpointLocked).
-// Caller holds mu.
-func (a *Array) laneApplyLocked(chunks []writeChunk, live map[layout.SegmentID]int64) error {
-	for _, ch := range chunks {
+// laneApplyLocked acknowledges a committed write: it charges the op's CPU
+// cost, applies the facts, folds the per-segment live-byte deltas into the
+// shared accounting, and records the stats. done is when the write's
+// record became durable. persistedSeq is NOT advanced here — only
+// world-exclusive points move the watermark, when no lane commit is in
+// flight (see checkpointLocked). Caller holds mu.
+func (a *Array) laneApplyLocked(done sim.Time, w laneWrite) (sim.Time, error) {
+	cpuCost := sim.Time(a.cfg.CPUOverhead + a.cfg.CPUPerKiBWrite*w.size/1024)
+	ackAt := a.cpuLocked(done, cpuCost)
+	for _, ch := range w.chunks {
 		if err := a.applyFactsLocked(relation.IDAddrs, []tuple.Fact{ch.addr}); err != nil {
-			return err
+			return ackAt, err
 		}
 		if len(ch.dedup) > 0 {
 			if err := a.applyFactsLocked(relation.IDDedup, ch.dedup); err != nil {
-				return err
+				return ackAt, err
 			}
 		}
 	}
-	for seg, delta := range live {
+	for seg, delta := range w.live {
 		a.liveBytes[seg] += delta
 	}
-	return nil
+	a.stats.Writes++
+	a.stats.WriteLatency.Record(ackAt - w.at)
+	a.stats.Reduction.AddWrite(w.size, w.physical, w.deduped)
+	return ackAt, nil
 }
 
 // laneCommitExclusive finishes a lane write whose batched NVRAM append
 // failed (typically ErrFull). Called with NO locks held; it takes the
-// world lock exclusively — every lane commit is quiesced, so the serial
-// nvramAppendLocked (which may checkpoint to free the log, flushing lane
-// segios in the process) is safe, exactly as in single-lane mode.
-func (a *Array) laneCommitExclusive(done, at sim.Time, ln *commitLane, data []byte, rec []byte, chunks []writeChunk, live map[layout.SegmentID]int64, physical, deduped int64) (sim.Time, error) {
+// world lock exclusively — every lane commit is quiesced, so
+// nvramAppendLocked may checkpoint to free the log (flushing lane segios
+// in the process) without trimming a record another lane has yet to apply.
+func (a *Array) laneCommitExclusive(done sim.Time, ln *commitLane, rec []byte, w laneWrite) (sim.Time, error) {
 	a.world.Lock()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	defer a.world.Unlock()
-	// World-exclusive: no lane commit in flight, so every applied fact is
-	// durable and the watermark may advance (checkpoints flush through it).
-	//lint:ignore commitorder world-exclusive quiesce point: the watermark covers only already-appended facts, and this write's record is appended by nvramAppendLocked directly below, before laneApplyLocked runs
-	a.persistedSeq = a.seqs.Current()
-	d, err := a.nvramAppendLocked(done, rec)
+	done, err := a.nvramAppendLocked(done, rec)
 	if err != nil {
-		return d, err
+		return done, err
 	}
-	done = d
 	ln.commits.Inc()
-	cpuCost := sim.Time(a.cfg.CPUOverhead + a.cfg.CPUPerKiBWrite*int64(len(data))/1024)
-	ackAt := a.cpuLocked(done, cpuCost)
-	if err := a.laneApplyLocked(chunks, live); err != nil {
+	ackAt, err := a.laneApplyLocked(done, w)
+	if err != nil {
 		return ackAt, err
 	}
-	a.stats.Writes++
-	a.stats.WriteLatency.Record(ackAt - at)
-	a.stats.Reduction.AddWrite(int64(len(data)), physical, deduped)
 	if _, err := a.maybeBackgroundLocked(done); err != nil {
 		return ackAt, err
 	}
@@ -412,20 +349,39 @@ func (a *Array) laneBackground(at sim.Time) (sim.Time, error) {
 	return a.backgroundStepLocked(at)
 }
 
-// placeCBlockLane turns one prepared extent into chunks, the lane way:
-// the dedup candidate search runs under the engine mutex (it reads the
-// pyramids and sealed segments), literal placement under the lane mutex.
-// Live-byte deltas accumulate in live to be applied after the commit
-// point. Returns the chunks and how many sequence numbers were allocated.
+// placeCBlockLane turns one prepared extent of a write into chunks: a
+// deduplicated run referencing existing data, plus literal cblocks appended
+// to the lane's data segment. The dedup candidate search runs under the
+// engine mutex (it reads the pyramids and sealed segments), literal
+// placement under the lane mutex. Live-byte deltas accumulate in live to be
+// applied after the commit point. Returns the chunks and how many sequence
+// numbers were allocated.
 func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, sector uint64, pe preparedExtent, live map[layout.SegmentID]int64) ([]writeChunk, uint64, sim.Time, error) {
 	done := at
-	part := pe.part
+	sectors := len(pe.part) / cblock.SectorSize
+	var chunks []writeChunk
 	var allocated uint64
+	// literal places sectors [lo, hi) of the extent as new data. frame is
+	// the prepared whole-extent frame or nil: a dedup hit's remainder is
+	// smaller than the extent and is packed on placement, with no lock held.
+	literal := func(lo, hi int, frame []byte) error {
+		if lo == hi {
+			return nil
+		}
+		ch, n, err := a.laneLiteralChunk(done, ln, medium, sector+uint64(lo),
+			pe.part[lo*cblock.SectorSize:hi*cblock.SectorSize], frame, pe.hashes[lo:hi], live)
+		allocated += n
+		if err != nil {
+			return err
+		}
+		chunks = append(chunks, ch)
+		return nil
+	}
 	if a.cfg.DedupEnabled {
 		a.mu.Lock()
-		run, d, found := a.findDuplicateLocked(done, part, pe.hashes)
+		run, d, found := a.findDuplicateLocked(done, pe.part, pe.hashes)
 		done = d
-		hit := found && (run.Count >= a.cfg.DedupMinRunBlocks || run.Count == len(part)/cblock.SectorSize)
+		hit := found && (run.Count >= a.cfg.DedupMinRunBlocks || run.Count == sectors)
 		if hit {
 			a.stats.DedupHits++
 			a.stats.InlineDupBlocks += int64(run.Count)
@@ -434,17 +390,10 @@ func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, sector uint
 		}
 		a.mu.Unlock()
 		if hit {
-			var chunks []writeChunk
-			if run.Start > 0 {
-				cs, n, d, err := a.laneLiteralChunk(done, ln, medium, sector,
-					part[:run.Start*cblock.SectorSize], nil, pe.hashes[:run.Start], live)
-				done = d
-				allocated += n
-				if err != nil {
-					return nil, allocated, done, err
-				}
-				chunks = append(chunks, cs)
+			if err := literal(0, run.Start, nil); err != nil {
+				return nil, allocated, done, err
 			}
+			// The duplicate run: a mapping into existing data, no new bytes.
 			chunks = append(chunks, writeChunk{addr: relation.AddrRow{
 				Medium:  medium,
 				Sector:  sector + uint64(run.Start),
@@ -456,58 +405,51 @@ func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, sector uint
 				Flags:   relation.AddrFlagDedup,
 			}.Fact(a.seqs.Next())})
 			allocated++
-			if end := run.Start + run.Count; end < len(part)/cblock.SectorSize {
-				cs, n, d, err := a.laneLiteralChunk(done, ln, medium, sector+uint64(end),
-					part[end*cblock.SectorSize:], nil, pe.hashes[end:], live)
-				done = d
-				allocated += n
-				if err != nil {
-					return nil, allocated, done, err
-				}
-				chunks = append(chunks, cs)
+			if err := literal(run.Start+run.Count, sectors, nil); err != nil {
+				return nil, allocated, done, err
 			}
 			return chunks, allocated, done, nil
 		}
 	}
-	cs, n, d, err := a.laneLiteralChunk(done, ln, medium, sector, part, pe.frame, pe.hashes, live)
-	allocated += n
-	if err != nil {
-		return nil, allocated, d, err
+	if err := literal(0, sectors, pe.frame); err != nil {
+		return nil, allocated, done, err
 	}
-	return []writeChunk{cs}, allocated, d, nil
+	return chunks, allocated, done, nil
 }
 
-// laneLiteralChunk places new data into the lane's segment. Unlike the
-// serial literalChunkLocked, repacking a dedup remainder happens with no
-// lock held, and the recent-index inserts go through its own stripes.
-func (a *Array) laneLiteralChunk(at sim.Time, ln *commitLane, medium, sector uint64, part, frame []byte, hashes []uint64, live map[layout.SegmentID]int64) (writeChunk, uint64, sim.Time, error) {
+// laneLiteralChunk places new data into the lane's segment, producing its
+// address fact and sampled dedup facts. frame is the pre-packed cblock for
+// part (packed here when nil); hashes are part's per-block hashes, computed
+// exactly once per extent in prepareWrite and threaded through. Returns the
+// chunk and how many sequence numbers it allocated.
+func (a *Array) laneLiteralChunk(at sim.Time, ln *commitLane, medium, sector uint64, part, frame []byte, hashes []uint64, live map[layout.SegmentID]int64) (writeChunk, uint64, error) {
 	if frame == nil {
 		var err error
 		frame, err = cblock.Pack(part, a.cfg.CompressionEnabled)
 		if err != nil {
-			return writeChunk{}, 0, at, err
+			return writeChunk{}, 0, err
 		}
 	}
-	// As in the serial path, the segio append's completion time must not
-	// gate the ack — the commit path acks at NVRAM persistence (Figure 4).
+	// The segio append may trigger a flush; its completion time advances
+	// the drives' busy state but must not gate this write's acknowledgement
+	// — the commit path acks at NVRAM persistence (Figure 4), and the segio
+	// write-back is asynchronous.
 	seg, segOff, _, err := a.laneAppendData(at, ln, frame)
-	done := at
 	if err != nil {
-		return writeChunk{}, 0, done, err
+		return writeChunk{}, 0, err
 	}
-	sectors := uint64(len(part)) / cblock.SectorSize
-	var allocated uint64
 	ch := writeChunk{
 		addr: relation.AddrRow{
 			Medium: medium, Sector: sector,
 			Segment: uint64(seg), SegOff: uint64(segOff), PhysLen: uint64(len(frame)),
-			Sectors: sectors,
+			Sectors: uint64(len(part)) / cblock.SectorSize,
 		}.Fact(a.seqs.Next()),
 		payload: part,
 	}
-	allocated++
+	allocated := uint64(1)
 	live[seg] += int64(len(frame))
 
+	// Record a sample of the block hashes persistently, everything recently.
 	for i, h := range hashes {
 		cand := dedup.Candidate{Segment: uint64(seg), SegOff: uint64(segOff), PhysLen: uint64(len(frame)), SectorIdx: uint64(i)}
 		a.recent.Add(h, cand)
@@ -519,7 +461,7 @@ func (a *Array) laneLiteralChunk(at sim.Time, ln *commitLane, medium, sector uin
 			allocated++
 		}
 	}
-	return ch, allocated, done, nil
+	return ch, allocated, nil
 }
 
 // laneAppendData appends a blob to the lane's open segment, rotating as it
@@ -617,12 +559,38 @@ func (a *Array) laneRotate(at sim.Time, ln *commitLane, w *layout.Writer) (sim.T
 	return done, nil
 }
 
-// sealLanesLocked seals every lane's open segment — checkpoint-grade
-// quiesce for FlushAll, drive replacement, and shutdown. Caller holds mu
-// (and in lane mode the world lock exclusively, so no commit is in
-// flight).
-func (a *Array) sealLanesLocked(at sim.Time) (sim.Time, error) {
+// eachOpenLocked calls f on every open segment writer: the class writers
+// (metadata, GC, dedup, replayed data), then each lane's under its mutex —
+// a lane may be appending to its writer under the world read lock. Caller
+// holds mu, so no slot changes during the walk.
+func (a *Array) eachOpenLocked(f func(w *layout.Writer)) {
+	for _, w := range a.open {
+		if w != nil {
+			f(w)
+		}
+	}
+	for _, ln := range a.lanes {
+		ln.mu.Lock()
+		if ln.open != nil {
+			f(ln.open)
+		}
+		ln.mu.Unlock()
+	}
+}
+
+// sealOpenLocked seals every open segment, the class writers' and each
+// lane's — the checkpoint-grade quiesce of FlushAll and drive replacement.
+// Caller holds mu and the world lock exclusively, so no commit is in
+// flight.
+func (a *Array) sealOpenLocked(at sim.Time) (sim.Time, error) {
 	done := at
+	for class := segClass(0); class < numClasses; class++ {
+		d, err := a.sealLocked(done, class)
+		if err != nil {
+			return d, err
+		}
+		done = d
+	}
 	for _, ln := range a.lanes {
 		ln.mu.Lock()
 		w := ln.open
@@ -653,14 +621,14 @@ type LaneStat struct {
 	Rotations      int64
 }
 
-// LaneStats is the sharded-commit observability snapshot: per-lane
-// counters plus the committer's high-water queue depth.
+// LaneStats is the commit-lane observability snapshot: per-lane counters
+// plus the committer's high-water queue depth.
 type LaneStats struct {
 	Lanes         []LaneStat
 	MaxQueueDepth int64
 }
 
-// LaneTelemetry snapshots the lane counters. Empty in single-lane mode.
+// LaneTelemetry snapshots the lane counters.
 func (a *Array) LaneTelemetry() LaneStats {
 	var out LaneStats
 	for _, ln := range a.lanes {
@@ -674,10 +642,8 @@ func (a *Array) LaneTelemetry() LaneStats {
 			Rotations:      ln.rotations.Load(),
 		})
 	}
-	if a.committer != nil {
-		a.committer.mu.Lock()
-		out.MaxQueueDepth = a.committer.maxDepth
-		a.committer.mu.Unlock()
-	}
+	a.committer.mu.Lock()
+	out.MaxQueueDepth = a.committer.maxDepth
+	a.committer.mu.Unlock()
 	return out
 }

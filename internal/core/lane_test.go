@@ -6,14 +6,15 @@ import (
 	"sync"
 	"testing"
 
-	"purity/internal/crashpoint"
 	"purity/internal/sim"
 )
 
-// The lane tests exercise the sharded commit path (Config.CommitLanes > 1)
-// the same way the serial concurrent tests do: many goroutines, a flat
-// byte model, then crash-recovery and byte-for-byte verification. Run
-// under -race by scripts/check.sh.
+// The lane tests drive the commit path at several lanes from many
+// goroutines against a flat byte model, then crash-recover and verify
+// byte for byte. Run under -race by scripts/check.sh. (The crash window
+// between a write's group commit and its apply is swept by
+// TestCrashSweep/lanes=L/lane.apply.before, which requires the write to
+// survive.)
 
 func laneTestConfig(lanes int) Config {
 	cfg := TestConfig()
@@ -66,7 +67,7 @@ func TestLaneWritersSharedContent(t *testing.T) {
 					data = pattern(uint64(i)*1_000_000+uint64(j), (r.Intn(24)+1)*512)
 				}
 				off := int64(r.Intn(int(volSize/512)-len(data)/512)) * 512
-				d, err := a.WriteAtConcurrent(now, vols[i], off, data)
+				d, err := a.WriteAt(now, vols[i], off, data)
 				if err != nil {
 					t.Errorf("writer %d write %d: %v", i, j, err)
 					return
@@ -176,70 +177,6 @@ func TestLaneWritersOneVolumeWithGC(t *testing.T) {
 				t.Fatalf("after recovery: first mismatch at byte %d (sector %d)", j, j/512)
 			}
 		}
-	}
-}
-
-// TestLaneCrashBetweenCommitAndApply powers off in the lane path's unique
-// window: the batched NVRAM commit has completed but the facts have not
-// been applied to the pyramids. The write was durable at the commit
-// point, so after recovery it MUST be present — replay, not the apply,
-// is what the ack stands on.
-func TestLaneCrashBetweenCommitAndApply(t *testing.T) {
-	reg := crashpoint.New()
-	cfg := laneTestConfig(2)
-	cfg.Crash = reg
-	a, err := Format(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := a.Shelf()
-	vol, now, err := a.CreateVolume(0, "v", 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := pattern(11, 16*512)
-	if now, err = a.WriteAt(now, vol, 0, warm); err != nil {
-		t.Fatal(err)
-	}
-
-	inflight := pattern(12, 24*512)
-	reg.ResetCounts() // the warm write already passed the point once
-	reg.Arm("lane.apply.before", 1)
-	crashed := false
-	func() {
-		defer func() {
-			if v := recover(); v != nil {
-				if c, ok := crashpoint.AsCrash(v); ok && c.Point == "lane.apply.before" {
-					crashed = true
-					return
-				}
-				panic(v)
-			}
-		}()
-		_, err := a.WriteAt(now, vol, 64*512, inflight)
-		t.Errorf("write returned (err=%v) instead of crashing", err)
-	}()
-	if !crashed {
-		t.Fatal("lane.apply.before did not fire")
-	}
-
-	a2, _, err := OpenAt(cfg, sh, now, false)
-	if err != nil {
-		t.Fatalf("recovery: %v", err)
-	}
-	got, _, err := a2.ReadAt(now, vol, 0, 16*512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, warm) {
-		t.Fatal("acknowledged pre-crash write lost")
-	}
-	got, _, err = a2.ReadAt(now, vol, 64*512, 24*512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, inflight) {
-		t.Fatal("write durable in NVRAM before the crash was not replayed")
 	}
 }
 

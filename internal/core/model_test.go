@@ -308,8 +308,15 @@ func TestEngineAgainstModel(t *testing.T) {
 // into behavior is the classic way storage engines lose reproducibility;
 // this test pins it.)
 func TestDeterministicReplay(t *testing.T) {
+	for _, lanes := range []int{1, 4} {
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) { deterministicReplay(t, lanes) })
+	}
+}
+
+func deterministicReplay(t *testing.T, lanes int) {
 	run := func() []uint64 {
 		cfg := TestConfig()
+		cfg.CommitLanes = lanes
 		cfg.BackgroundEvery = 16
 		cfg.MemtableFlushRows = 64
 		cfg.CheckpointEvery = 2
@@ -370,5 +377,45 @@ func TestDeterministicReplay(t *testing.T) {
 		if h1[i] != h2[i] {
 			t.Fatalf("runs diverged at step %d: %x vs %x", i, h1[i], h2[i])
 		}
+	}
+}
+
+// TestChurnStepwise is the background-churn check at its finest grain: the
+// whole model is validated after every write, so a failure names the first
+// operation that broke, at each lane count.
+func TestChurnStepwise(t *testing.T) {
+	for _, lanes := range []int{1, 4} {
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			cfg := TestConfig()
+			cfg.CommitLanes = lanes
+			cfg.BackgroundEvery = 16
+			cfg.MemtableFlushRows = 64
+			cfg.CheckpointEvery = 2
+			a, err := Format(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vol := mustCreate(t, a, "busy", 4<<20)
+			model := make([]byte, 2<<20)
+			r := sim.NewRand(5)
+			for i := 0; i < 400; i++ {
+				off := int64(r.Intn(4000)) * 512
+				n := (r.Intn(32) + 1) * 512
+				if off+int64(n) > int64(len(model)) {
+					continue
+				}
+				data := pattern(uint64(i)+1000, n)
+				copy(model[off:], data)
+				mustWrite(t, a, vol, off, data)
+				got := mustRead(t, a, vol, 0, len(model))
+				if !bytes.Equal(got, model) {
+					for j := range model {
+						if got[j] != model[j] {
+							t.Fatalf("op %d (wrote [%d,+%d)): first mismatch at byte %d (sector %d)", i, off, n, j, j/512)
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -38,23 +38,9 @@ func (a *Array) ReplaceDrive(at sim.Time, drive int) (sim.Time, error) {
 	defer a.world.Unlock()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	done := at
-	for class := segClass(0); class < numClasses; class++ {
-		if a.open[class] == nil {
-			continue
-		}
-		d, err := a.sealLocked(done, class)
-		done = d
-		if err != nil {
-			return done, err
-		}
-	}
-	// Lane open segments lose shards to the pulled drive just like the
-	// class writers' — seal them too so rebuild sees pinned trailers.
-	if d, err := a.sealLanesLocked(done); err != nil {
-		return d, err
-	} else {
-		done = d
+	done, err := a.sealOpenLocked(at)
+	if err != nil {
+		return done, err
 	}
 	if _, err := a.shelf.Replace(drive); err != nil {
 		return done, err
@@ -97,8 +83,8 @@ func (a *Array) Rebuild(at sim.Time, drive int) (RebuildReport, sim.Time, error)
 	done := at
 
 	// Rebuild swaps segment placements (SegmentAUs facts); quiesce lane
-	// commits for the pass. Foreground ops that take only mu (reads, and
-	// single-lane writes) still interleave between segments.
+	// commits for the pass. Foreground reads take only mu and still
+	// interleave between segments.
 	a.world.Lock()
 	defer a.world.Unlock()
 

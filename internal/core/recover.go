@@ -587,18 +587,9 @@ func (a *Array) FlushAll(at sim.Time) (sim.Time, error) {
 	defer a.world.Unlock()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	done := at
-	for class := segClass(0); class < numClasses; class++ {
-		d, err := a.sealLocked(done, class)
-		if err != nil {
-			return d, err
-		}
-		done = d
-	}
-	d, err := a.sealLanesLocked(done)
+	done, err := a.sealOpenLocked(at)
 	if err != nil {
-		return d, err
+		return done, err
 	}
-	done = d
 	return a.checkpointLocked(done)
 }

@@ -8,7 +8,6 @@ import (
 	"purity/internal/layout"
 	"purity/internal/relation"
 	"purity/internal/sim"
-	"purity/internal/tuple"
 )
 
 // The write path is split into two halves so parallel clients only
@@ -18,14 +17,14 @@ import (
 //   1. prepareWrite — pure CPU, no locks: split into cblock extents,
 //      compress each extent (cblock.Pack) and hash its 512 B blocks
 //      (dedup.HashBlocks). Extents fan out across the shared worker pool.
-//   2. commitWriteLocked — under mu: volume lookup, dedup candidate search
-//      (it reads the index and segments), sequence allocation, segment
-//      placement, the NVRAM commit, and fact application.
+//   2. commitWriteLane (lane.go) — on the volume's commit lane: volume
+//      lookup and dedup candidate search under brief mu sections, segment
+//      placement under the lane mutex, sequence allocation from the shared
+//      atomic source, the group NVRAM commit, then fact application.
 //
-// Both halves are deterministic: stage 1 is a function of the data alone,
-// and stage 2 runs serially in commit order, so a sequential caller gets
-// bit-for-bit the behavior of the old single-lock path (DESIGN.md
-// invariant 8).
+// Both halves are deterministic for a sequential caller: stage 1 is a
+// function of the data alone, and one caller's commits run one at a time
+// in issue order (DESIGN.md invariant 8).
 
 // preparedExtent is one cblock-sized extent of a write after its pure-CPU
 // stages: the packed (compressed) frame for the whole extent and the hash
@@ -82,194 +81,15 @@ func (a *Array) prepareWrite(off int64, data []byte) ([]preparedExtent, error) {
 // The write is acknowledged when its facts and payloads are durable in
 // NVRAM; segment placement happens in the same call but does not gate the
 // returned completion time — this is the paper's commit path (Figure 4).
-// Safe for concurrent callers: compression and hashing run before the
-// engine lock is taken.
+// Safe for concurrent callers (each TCP connection in internal/server is
+// one): compression and hashing run before any lock is taken, and the
+// commit runs on the volume's lane.
 func (a *Array) WriteAt(at sim.Time, vol VolumeID, off int64, data []byte) (sim.Time, error) {
 	prep, err := a.prepareWrite(off, data)
 	if err != nil {
 		return at, err
 	}
-	if a.laneMode() {
-		return a.commitWriteLane(at, vol, off, data, prep)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.commitWriteLocked(at, vol, off, data, prep)
-}
-
-// WriteAtConcurrent is the concurrent entry point for parallel clients. It
-// is WriteAt by another name — the name documents that callers may invoke
-// it from many goroutines at once (each TCP connection in internal/server
-// does) and records the API contract independently of WriteAt's internals.
-func (a *Array) WriteAtConcurrent(at sim.Time, vol VolumeID, off int64, data []byte) (sim.Time, error) {
-	return a.WriteAt(at, vol, off, data)
-}
-
-// commitWriteLocked is the serial half of a write: everything that orders
-// state. Caller holds mu.
-func (a *Array) commitWriteLocked(at sim.Time, vol VolumeID, off int64, data []byte, prep []preparedExtent) (sim.Time, error) {
-	row, done, err := a.volumeLocked(at, vol)
-	if err != nil {
-		return done, err
-	}
-	if row.State == relation.VolumeSnapshot {
-		return done, fmt.Errorf("core: volume %d is a read-only snapshot", vol)
-	}
-	startSector := uint64(off) / cblock.SectorSize
-	if startSector+uint64(len(data))/cblock.SectorSize > row.SizeSectors {
-		return done, ErrOutOfRange
-	}
-
-	var chunks []writeChunk
-	var physical, deduped int64
-	for _, pe := range prep {
-		sector := startSector + pe.sectorOff
-		cs, d, err := a.placeCBlockLocked(done, row.Medium, sector, pe)
-		done = d
-		if err != nil {
-			return done, err
-		}
-		for _, ch := range cs {
-			chunks = append(chunks, ch)
-			if ch.payload != nil {
-				physical += int64(relation.AddrFromFact(ch.addr).PhysLen)
-			} else {
-				deduped += int64(relation.AddrFromFact(ch.addr).Sectors) * cblock.SectorSize
-			}
-		}
-	}
-
-	// Commit: one NVRAM record for the whole write.
-	done, err = a.nvramAppendLocked(done, encodeWriteRecord(chunks))
-	if err != nil {
-		return done, err
-	}
-	cpuCost := sim.Time(a.cfg.CPUOverhead + a.cfg.CPUPerKiBWrite*int64(len(data))/1024)
-	ackAt := a.cpuLocked(done, cpuCost)
-
-	for _, ch := range chunks {
-		if err := a.applyFactsLocked(relation.IDAddrs, []tuple.Fact{ch.addr}); err != nil {
-			return ackAt, err
-		}
-		if len(ch.dedup) > 0 {
-			if err := a.applyFactsLocked(relation.IDDedup, ch.dedup); err != nil {
-				return ackAt, err
-			}
-		}
-	}
-	a.persistedSeq = a.seqs.Current()
-
-	a.stats.Writes++
-	a.stats.WriteLatency.Record(ackAt - at)
-	a.stats.Reduction.AddWrite(int64(len(data)), physical, deduped)
-
-	if _, err := a.maybeBackgroundLocked(done); err != nil {
-		return ackAt, err
-	}
-	return ackAt, nil
-}
-
-// placeCBlockLocked turns one prepared extent of a write into chunks: a
-// deduplicated run referencing existing data, plus literal cblocks that are
-// appended to the data segment. Caller holds mu.
-func (a *Array) placeCBlockLocked(at sim.Time, medium, sector uint64, pe preparedExtent) ([]writeChunk, sim.Time, error) {
-	done := at
-	part := pe.part
-	if a.cfg.DedupEnabled {
-		run, d, found := a.findDuplicateLocked(done, part, pe.hashes)
-		done = d
-		if found && (run.Count >= a.cfg.DedupMinRunBlocks || run.Count == len(part)/cblock.SectorSize) {
-			a.stats.DedupHits++
-			a.stats.InlineDupBlocks += int64(run.Count)
-			var chunks []writeChunk
-			// Literal prefix. The whole-extent frame does not cover a
-			// sub-range, so the remainder is packed here (under mu — dedup
-			// hits are the already-cheap path) with its hash slice reused.
-			if run.Start > 0 {
-				cs, d, err := a.literalChunkLocked(done, medium, sector,
-					part[:run.Start*cblock.SectorSize], nil, pe.hashes[:run.Start])
-				done = d
-				if err != nil {
-					return nil, done, err
-				}
-				chunks = append(chunks, cs)
-			}
-			// The duplicate run: a mapping into existing data, no new bytes.
-			chunks = append(chunks, writeChunk{addr: relation.AddrRow{
-				Medium:  medium,
-				Sector:  sector + uint64(run.Start),
-				Segment: run.Cand.Segment,
-				SegOff:  run.Cand.SegOff,
-				PhysLen: run.Cand.PhysLen,
-				Inner:   uint64(run.CandStart),
-				Sectors: uint64(run.Count),
-				Flags:   relation.AddrFlagDedup,
-			}.Fact(a.seqs.Next())})
-			// Literal suffix.
-			if end := run.Start + run.Count; end < len(part)/cblock.SectorSize {
-				cs, d, err := a.literalChunkLocked(done, medium, sector+uint64(end),
-					part[end*cblock.SectorSize:], nil, pe.hashes[end:])
-				done = d
-				if err != nil {
-					return nil, done, err
-				}
-				chunks = append(chunks, cs)
-			}
-			return chunks, done, nil
-		}
-		a.stats.DedupMisses++
-	}
-	cs, d, err := a.literalChunkLocked(done, medium, sector, part, pe.frame, pe.hashes)
-	if err != nil {
-		return nil, d, err
-	}
-	return []writeChunk{cs}, d, nil
-}
-
-// literalChunkLocked places new data, producing its address fact and
-// sampled dedup facts. frame is the pre-packed cblock for part (packed here
-// when nil); hashes are part's per-block hashes, computed exactly once per
-// extent in prepareWrite and threaded through. Caller holds mu.
-func (a *Array) literalChunkLocked(at sim.Time, medium, sector uint64, part, frame []byte, hashes []uint64) (writeChunk, sim.Time, error) {
-	if frame == nil {
-		var err error
-		frame, err = cblock.Pack(part, a.cfg.CompressionEnabled)
-		if err != nil {
-			return writeChunk{}, at, err
-		}
-	}
-	// The segio append may trigger a background flush; its completion time
-	// advances the drives' busy state but must not gate this write's
-	// acknowledgement — the commit path acks at NVRAM persistence
-	// (Figure 4), and the segio write-back is asynchronous.
-	seg, segOff, _, err := a.appendDataLocked(at, classData, frame)
-	done := at
-	if err != nil {
-		return writeChunk{}, done, err
-	}
-	sectors := uint64(len(part)) / cblock.SectorSize
-	ch := writeChunk{
-		addr: relation.AddrRow{
-			Medium: medium, Sector: sector,
-			Segment: uint64(seg), SegOff: uint64(segOff), PhysLen: uint64(len(frame)),
-			Sectors: sectors,
-		}.Fact(a.seqs.Next()),
-		payload: part,
-	}
-	a.liveBytes[seg] += int64(len(frame))
-
-	// Record a sample of the block hashes persistently, everything recently.
-	for i, h := range hashes {
-		cand := dedup.Candidate{Segment: uint64(seg), SegOff: uint64(segOff), PhysLen: uint64(len(frame)), SectorIdx: uint64(i)}
-		a.recent.Add(h, cand)
-		if a.cfg.DedupEnabled && dedup.ShouldRecord(i, a.cfg.DedupSampling) {
-			ch.dedup = append(ch.dedup, relation.DedupRow{
-				Hash: h, Segment: cand.Segment, SegOff: cand.SegOff,
-				PhysLen: cand.PhysLen, SectorIdx: cand.SectorIdx,
-			}.Fact(a.seqs.Next()))
-		}
-	}
-	return ch, done, nil
+	return a.commitWriteLane(at, vol, off, data, prep)
 }
 
 // findDuplicateLocked looks every block hash up in the recent index and the

@@ -12,13 +12,13 @@ import (
 //
 //	prepare — the pure-CPU stage (compression + block hashing) that runs
 //	          before the engine lock and scales with cores;
-//	full    — a complete WriteAt (prepare + the serial commit section).
+//	full    — a complete WriteAt (prepare + the lane commit).
 //
 // commit cost = full − prepare, and the prepare/full ratio is the
 // parallelizable fraction p of a write. This locates where a single
 // write's CPU goes; for what concurrency actually buys, run E13 (the
-// sharded-commit scaling experiment, measured not projected) on a
-// multi-core host.
+// commit-lane scaling experiment, measured not projected) on a multi-core
+// host.
 
 // compressiblePayload builds n bytes that look like database pages:
 // random row headers with zeroed tails, ≈2-3× compressible, so the Pack

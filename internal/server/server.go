@@ -14,10 +14,10 @@
 // worker set that dispatches into the engine out of order, and a single
 // writer that serializes completions back onto the socket so response
 // frames can never interleave. The engine's write path runs compression and
-// dedup hashing before taking its lock (core.Array.WriteAtConcurrent), so N
-// in-flight requests use N cores for the CPU-heavy stages; with
-// Config.CommitLanes > 1 the commit section itself shards into per-volume
-// lanes (DESIGN.md, "Sharded commit").
+// dedup hashing before taking any lock (core.Array.WriteAt), so N
+// in-flight requests use N cores for the CPU-heavy stages, and the commit
+// itself shards into Config.CommitLanes per-volume lanes (DESIGN.md,
+// "Write path").
 //
 // Scheduling honours the paper's §4.4 tail SLO: while the engine's governor
 // reports the foreground read p99.9 over budget, workers drain the

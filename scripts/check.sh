@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the repo's one-command gate. Runs what CI would: formatting,
 # vet, the repo's own invariant checker (purity-lint), build, the full test
-# suite, and a short race pass over the packages that do real concurrency
+# suite (root module and the nested benchmark/ module), the crash sweep,
+# and a short race pass over the packages that do real concurrency
 # (the parallel write pipeline, its core entry points, the TCP server's
 # per-connection goroutines, and the allocator/shelf locking).
 #
@@ -66,7 +67,10 @@ go build ./...
 echo "== go test"
 go test ./...
 
-echo "== crash-consistency sweep (short, incl. rebuild fault points; full sweep: purity-bench -experiment CS)"
+echo "== go test (benchmark/ — a nested module the root ./... does not reach)"
+(cd benchmark && go test ./...)
+
+echo "== crash-consistency sweep (short, lanes 1 and 4, incl. rebuild fault points; full sweep: purity-bench -experiment CS)"
 go test -short -run 'TestCrashSweep|TestTornTailRecovery|TestCorruptTailRecovery|TestCrashDuringRecovery' ./internal/core/
 
 echo "== drive-failure lifecycle (scrub repair + online rebuild)"
@@ -76,8 +80,8 @@ echo "== go test -race (concurrency-bearing packages)"
 go test -race -short ./internal/pipeline/ ./internal/server/ ./internal/dedup/ ./internal/layout/ ./internal/shelf/
 go test -race -short -run 'TestConcurrentWriters|TestConcurrentScrubRebuildForeground' ./internal/core/
 
-echo "== sharded commit lanes (-race multi-lane writers + crash window)"
-go test -race -short -run 'TestLane' ./internal/core/
+echo "== commit lanes (-race: multi-lane writers + the short crash sweep at lanes 1 and 4)"
+go test -race -short -run 'TestLane|TestCrashSweep' ./internal/core/
 
 echo "== pipelined front end (-race: out-of-order completion, 64 in-flight on one conn, SLO scrub deferral)"
 go test -race -run 'TestPipelined|TestOutOfOrderCompletion|TestDuplicateTagKillsConnection|TestAdmissionWindowBackpressure|TestWireHealthCounters|TestServeSurvivesTransientAcceptErrors' ./internal/server/
