@@ -37,7 +37,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	c, err := client.Dial(*addr)
+	c, err := client.DialPipelined(*addr)
 	if err != nil {
 		log.Fatalf("connect: %v", err)
 	}

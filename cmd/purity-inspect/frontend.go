@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -37,7 +38,6 @@ func inspectFrontend(drives int) {
 	fmt.Println("=== phase 1: pipelined workload (1 connection, 16 in-flight goroutines) ===")
 	c, err := client.DialPipelined(addr)
 	check(err)
-	fmt.Printf("negotiated tagged v2 protocol: %v\n", c.Pipelined())
 	vol, err := c.CreateVolume("frontend-demo", 16<<20)
 	check(err)
 	const workers = 16
@@ -85,19 +85,19 @@ func inspectFrontend(drives int) {
 		time.Sleep(50 * time.Millisecond)
 		fmt.Printf("sent %-18s -> %s\n", name, srv.Frontend().Summary())
 	}
-	var e wire.Enc
-	hello := frame(wire.OpHello, e.U64(wire.ProtoTagged).B)
+	hello := taggedFrame(wire.OpHello, 0, wire.EncodeHello(wire.ProtoTagged, 0, false))
 	dup := append(append(append([]byte{}, hello...),
 		taggedFrame(wire.OpListVolumes, 7, nil)...),
 		taggedFrame(wire.OpListVolumes, 7, nil)...)
 	probe("duplicate tag", dup)
 	probe("oversized frame", []byte{0xff, 0xff, 0xff, 0xff})
 	probe("zero-length frame", []byte{0, 0, 0, 0})
+	probe("non-hello first", taggedFrame(wire.OpListVolumes, 1, nil))
 	probe("torn frame", []byte{64, 0, 0, 0, 5, 1, 2})
 
 	fmt.Println("\n=== front-end counters ===")
 	tel := srv.Frontend()
-	fmt.Printf("connections      legacy=%d pipelined=%d\n", tel.LegacyConns.Load(), tel.PipelinedConns.Load())
+	fmt.Printf("connections      %d\n", tel.Conns.Load())
 	fmt.Printf("frames           malformed=%d oversized=%d\n", tel.MalformedFrames.Load(), tel.OversizedFrames.Load())
 	fmt.Printf("disconnects      abnormal=%d\n", tel.AbnormalDisconnects.Load())
 	fmt.Printf("tags             duplicate=%d\n", tel.DuplicateTags.Load())
@@ -111,19 +111,9 @@ func inspectFrontend(drives int) {
 		gov.Budget(), gov.P999(), gov.Threatened(), gov.Deferrals())
 }
 
-// frame renders one legacy frame to bytes.
-func frame(op byte, payload []byte) []byte {
-	b := make([]byte, 0, len(payload)+5)
-	n := uint32(len(payload) + 1)
-	b = append(b, byte(n), byte(n>>8), byte(n>>16), byte(n>>24), op)
-	return append(b, payload...)
-}
-
-// taggedFrame renders one tagged frame to bytes.
+// taggedFrame renders one frame to bytes.
 func taggedFrame(op byte, tag uint32, payload []byte) []byte {
-	b := make([]byte, 0, len(payload)+9)
-	n := uint32(len(payload) + 5)
-	b = append(b, byte(n), byte(n>>8), byte(n>>16), byte(n>>24), op,
-		byte(tag), byte(tag>>8), byte(tag>>16), byte(tag>>24))
-	return append(b, payload...)
+	var b bytes.Buffer
+	check(wire.WriteTaggedFrame(&b, op, tag, payload))
+	return b.Bytes()
 }

@@ -56,8 +56,8 @@ func newFrontendRig(o Options, volSize int64) (*frontendRig, error) {
 		Workers:    8,
 		QueueDepth: 128,
 		// Pace responses to the device model's simulated service time:
-		// the latency a real array would show, which sync serializes and
-		// pipelining overlaps.
+		// the latency a real array would show, which one caller pays in
+		// series and queue depth overlaps.
 		Pace: true,
 	})
 	go srv.Serve(l)
@@ -66,7 +66,7 @@ func newFrontendRig(o Options, volSize int64) (*frontendRig, error) {
 	// server's wall epoch, so the first paced ops would absorb that offset
 	// as artificial latency. Drive a few unmeasured reads until wall time
 	// catches up.
-	c, err := client.Dial(rig.addr)
+	c, err := client.DialPipelined(rig.addr)
 	if err != nil {
 		rig.close()
 		return nil, err
@@ -84,32 +84,31 @@ func newFrontendRig(o Options, volSize int64) (*frontendRig, error) {
 	return rig, nil
 }
 
-// runE14 measures the tagged pipelined front end in wall-clock time (like
-// E13), end to end over real loopback TCP: an in-process controller pair
-// serves one port, and initiators drive it over the wire.
+// runE14 measures the pipelined front end in wall-clock time (like E13),
+// end to end over real loopback TCP: an in-process controller pair serves
+// one port, and initiators drive it over the wire.
 //
-// Phase A sweeps queue depth on a SINGLE connection — the dimension the
-// legacy lock-step protocol cannot use at all. At each depth, QD goroutines
-// share one client and issue a mixed ~80/20 read/write 4 KiB workload; the
-// sync run uses the v1 protocol (all QD callers serialize on the socket),
-// the pipelined run uses the tagged v2 protocol (QD requests genuinely in
-// flight, completed out of order). Every (depth, mode) measurement gets a
-// freshly formatted, freshly prefilled array so none inherits another's
+// Phase A sweeps queue depth on a SINGLE connection. At each depth, QD
+// goroutines share one client and issue a mixed ~80/20 read/write 4 KiB
+// workload, so QD requests are genuinely in flight and complete out of
+// order. QD 1 is the lock-step baseline: one caller, one request on the
+// wire at a time, every op paying a serial round trip plus service time —
+// what a protocol without tags would deliver at any depth. Every depth gets
+// a freshly formatted, freshly prefilled array so none inherits another's
 // flush/GC debt. HDR-style log-bucketed histograms record per-op wall
-// latency; the table reports IOPS with p50/p99/p99.9. The gate: pipelined
-// must strictly beat sync at every depth ≥ 8.
+// latency; the table reports IOPS with p50/p99/p99.9. The gate: every depth
+// ≥ 8 must strictly beat QD 1.
 //
 // Phase B is the fan-in stress: 1k+ concurrent client goroutines (quick:
-// 128) across a handful of pipelined connections and volumes, exercising
-// admission control (per-volume windows, global byte budget) under real
-// contention. The run reports the server's wire-health and admission
-// counters — and fails loudly if any corruption-class counter (malformed,
-// oversized, duplicate tags) is nonzero.
+// 128) across a handful of connections and volumes, exercising admission
+// control (per-volume windows, global byte budget) under real contention.
+// The run reports the server's wire-health and admission counters — and
+// fails loudly if any corruption-class counter (malformed, oversized,
+// duplicate tags) is nonzero.
 func runE14(o Options) error {
 	w := o.Out
 
 	// --- Phase A: queue-depth sweep on one connection -------------------
-	const ioSize = 4 << 10
 	const volSize = int64(32 << 20)
 	depths := []int{1, 4, 8, 16, 32}
 	if o.Quick {
@@ -120,67 +119,44 @@ func runE14(o Options) error {
 	fmt.Fprintf(w, "Phase A: one connection, %d × 4 KiB ops per depth (80%% read), host cores: %d\n",
 		opsPerDepth, runtime.NumCPU())
 	fmt.Fprintf(w, "(fresh array per measurement)\n\n")
-	fmt.Fprintf(w, "%-6s %-10s %10s %10s %10s %10s %10s %8s\n",
-		"depth", "mode", "wall", "IOPS", "p50", "p99", "p99.9", "vs sync")
+	fmt.Fprintf(w, "%-6s %10s %10s %10s %10s %10s %8s\n",
+		"depth", "wall", "IOPS", "p50", "p99", "p99.9", "vs QD 1")
 
-	type result struct {
-		depth int
-		sync  float64 // IOPS
-		piped float64
-	}
-	var results []result
+	var qd1 float64 // IOPS at depth 1, the first row
 	for _, depth := range depths {
-		r := result{depth: depth}
-		for _, mode := range []string{"sync", "pipelined"} {
-			rig, err := newFrontendRig(o, volSize)
-			if err != nil {
-				return err
-			}
-			var c *client.Client
-			if mode == "sync" {
-				c, err = client.Dial(rig.addr)
-			} else {
-				c, err = client.DialPipelined(rig.addr)
-				if err == nil && !c.Pipelined() {
-					rig.close()
-					return fmt.Errorf("E14: server refused the tagged protocol")
-				}
-			}
-			if err != nil {
-				rig.close()
-				return err
-			}
-			iops, hist, err := driveDepth(c, rig.vol, volSize, depth, opsPerDepth, o.Seed)
-			if cerr := c.Close(); err == nil && cerr != nil {
-				err = cerr
-			}
+		rig, err := newFrontendRig(o, volSize)
+		if err != nil {
+			return err
+		}
+		c, err := client.DialPipelined(rig.addr)
+		if err != nil {
 			rig.close()
-			if err != nil {
-				return err
-			}
-			speedup := ""
-			if mode == "sync" {
-				r.sync = iops
-			} else {
-				r.piped = iops
-				speedup = fmt.Sprintf("%.2fx", r.piped/r.sync)
-			}
-			fmt.Fprintf(w, "%-6d %-10s %10v %10.0f %10v %10v %10v %8s\n",
-				depth, mode, hist.wall.Round(time.Millisecond), iops,
-				hist.h.Percentile(50), hist.h.Percentile(99), hist.h.Percentile(99.9), speedup)
+			return err
 		}
-		results = append(results, r)
-	}
-
-	// The pipelined protocol's whole point: depth a single connection can
-	// actually use. At QD ≥ 8 it must strictly win.
-	for _, r := range results {
-		if r.depth >= 8 && r.piped <= r.sync {
-			return fmt.Errorf("E14: pipelined %.0f IOPS did not beat sync %.0f IOPS at depth %d",
-				r.piped, r.sync, r.depth)
+		perWorker := opsPerDepth / depth
+		wall, hist, err := driveMixed([]*client.Client{c}, []uint64{rig.vol}, volSize, depth, perWorker, o.Seed)
+		if cerr := c.Close(); err == nil && cerr != nil {
+			err = cerr
+		}
+		rig.close()
+		if err != nil {
+			return err
+		}
+		iops := float64(perWorker*depth) / wall.Seconds()
+		if depth == 1 {
+			qd1 = iops
+		}
+		fmt.Fprintf(w, "%-6d %10v %10.0f %10v %10v %10v %7.2fx\n",
+			depth, wall.Round(time.Millisecond), iops,
+			hist.Percentile(50), hist.Percentile(99), hist.Percentile(99.9), iops/qd1)
+		// The protocol's whole point: depth a single connection can
+		// actually use.
+		if depth >= 8 && iops <= qd1 {
+			return fmt.Errorf("E14: %.0f IOPS at depth %d did not beat %.0f IOPS at depth 1",
+				iops, depth, qd1)
 		}
 	}
-	fmt.Fprintf(w, "\npipelined > sync at every depth ≥ 8 ✓\n")
+	fmt.Fprintf(w, "\nevery depth ≥ 8 beats QD 1 ✓\n")
 
 	// --- Phase B: concurrent-initiator fan-in ---------------------------
 	clients := o.scale(1024, 128)
@@ -188,7 +164,7 @@ func runE14(o Options) error {
 	vols := 8
 	opsPer := o.scale(24, 8)
 
-	fmt.Fprintf(w, "\nPhase B: %d client goroutines over %d pipelined connections, %d volumes, %d ops each\n",
+	fmt.Fprintf(w, "\nPhase B: %d client goroutines over %d connections, %d volumes, %d ops each\n",
 		clients, conns, vols, opsPer)
 
 	rig, err := newFrontendRig(o, 8<<20)
@@ -212,44 +188,9 @@ func runE14(o Options) error {
 		}
 	}
 
-	hist := telemetry.NewHistogram()
-	errs := make([]error, clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < clients; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := cs[i%conns]
-			v := volIDs[i%vols]
-			g := workload.NewGen(o.Seed+uint64(i+100), workload.ClassDatabase)
-			data := make([]byte, ioSize)
-			r := sim.NewRand(o.Seed + uint64(i+1))
-			for j := 0; j < opsPer; j++ {
-				off := r.Int63n((1<<20)/ioSize) * ioSize
-				var opErr error
-				t0 := time.Now()
-				if r.Intn(5) == 0 {
-					g.Fill(data, uint64(j))
-					opErr = c.WriteAt(v, off, data)
-				} else {
-					_, opErr = c.ReadAt(v, off, ioSize)
-				}
-				hist.Record(sim.Time(time.Since(t0).Nanoseconds()))
-				if opErr != nil {
-					errs[i] = fmt.Errorf("client %d op %d: %w", i, j, opErr)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	wall, hist, err := driveMixed(cs, volIDs, 1<<20, clients, opsPer, o.Seed)
+	if err != nil {
+		return err
 	}
 	for _, c := range cs {
 		if err := c.Close(); err != nil {
@@ -271,31 +212,27 @@ func runE14(o Options) error {
 	return nil
 }
 
-// depthResult carries one driveDepth run's wall time and latency histogram.
-type depthResult struct {
-	wall time.Duration
-	h    *telemetry.Histogram
-}
-
-// driveDepth points `depth` goroutines at one client and runs totalOps mixed
-// 80/20 read/write 4 KiB ops, returning IOPS and per-op wall latencies.
-func driveDepth(c *client.Client, vol uint64, volSize int64, depth, totalOps int, seed uint64) (float64, depthResult, error) {
+// driveMixed runs `workers` goroutines of opsPer mixed 80/20 read/write
+// 4 KiB ops each — worker i on cs[i%len(cs)] and vols[i%len(vols)], offsets
+// uniform over each volume's first span bytes — and returns the wall time
+// and per-op wall latencies.
+func driveMixed(cs []*client.Client, vols []uint64, span int64, workers, opsPer int, seed uint64) (time.Duration, *telemetry.Histogram, error) {
 	const ioSize = 4 << 10
-	perWorker := totalOps / depth
-	errs := make([]error, depth)
+	errs := make([]error, workers)
 	h := telemetry.NewHistogram()
 	var wg sync.WaitGroup
 	start := time.Now()
-	for i := 0; i < depth; i++ {
+	for i := 0; i < workers; i++ {
 		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			c, vol := cs[i%len(cs)], vols[i%len(vols)]
 			r := sim.NewRand(seed + uint64(i+1))
 			gen := workload.NewGen(seed+uint64(i+1), workload.ClassDatabase)
 			data := make([]byte, ioSize)
-			for j := 0; j < perWorker; j++ {
-				off := r.Int63n(volSize/ioSize) * ioSize
+			for j := 0; j < opsPer; j++ {
+				off := r.Int63n(span/ioSize) * ioSize
 				var err error
 				t0 := time.Now()
 				if r.Intn(5) == 0 {
@@ -316,9 +253,8 @@ func driveDepth(c *client.Client, vol uint64, volSize int64, depth, totalOps int
 	wall := time.Since(start)
 	for _, err := range errs {
 		if err != nil {
-			return 0, depthResult{}, err
+			return 0, nil, err
 		}
 	}
-	ops := float64(perWorker) * float64(depth)
-	return ops / wall.Seconds(), depthResult{wall: wall, h: h}, nil
+	return wall, h, nil
 }

@@ -14,10 +14,9 @@ import (
 	"purity/internal/workload"
 )
 
-// runE13 measures — in wall-clock time, like E10's stage benchmarks and
-// unlike every simulated-time experiment — how write throughput scales
-// with the number of sharded commit lanes (Config.CommitLanes). Eight
-// writer goroutines stream unique database-class 32 KiB extents into
+// runE13 measures — in wall-clock time, unlike every simulated-time
+// experiment — how write throughput scales with the number of sharded
+// commit lanes (Config.CommitLanes). Eight writer goroutines stream unique database-class 32 KiB extents into
 // eight volumes; volumes route to lanes by ID, so every lane count
 // divides the writers evenly. The run also captures runtime mutex and
 // block profiles so the residual serial sections are named, not guessed.

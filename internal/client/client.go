@@ -1,16 +1,12 @@
 // Package client is the Go client for the wire protocol — what an
 // application host's initiator would be in a real deployment.
 //
-// Two modes share one API:
-//
-//   - Dial gives the legacy v1 initiator: requests serialize on the
-//     connection, one in flight at a time (call-and-response).
-//   - DialPipelined negotiates the tagged v2 protocol: every method call
-//     still blocks its caller, but any number of goroutines may have calls
-//     in flight on the SAME connection at once — each gets a tag, the
-//     server completes them out of order, and a background reader routes
-//     responses back by tag. Queue depth is simply how many goroutines you
-//     point at one client.
+// DialPipelined (or DialSession, for a replay session) opens a connection
+// with the protocol's hello. Every method call blocks its caller, but any
+// number of goroutines may have calls in flight on the SAME connection at
+// once — each gets a tag, the server completes them out of order, and a
+// background reader routes responses back by tag. Queue depth is simply how
+// many goroutines you point at one client; one goroutine is lock-step.
 package client
 
 import (
@@ -29,23 +25,17 @@ import (
 type DialFunc func(network, addr string) (net.Conn, error)
 
 // Client is a connection to one controller port. Methods are safe for
-// concurrent use (legacy mode serializes requests; pipelined mode
-// interleaves them).
+// concurrent use; concurrent calls interleave on the connection.
 type Client struct {
 	conn net.Conn
 
-	// Legacy (v1) mode: mu serializes whole request/response exchanges.
-	mu sync.Mutex
-
-	// Pipelined (v2) mode.
-	pipelined bool
-	session   uint64 // replay session negotiated at hello (0 = none)
-	timeout   time.Duration
-	wmu       sync.Mutex // serializes request frame writes
-	pmu       sync.Mutex // guards pending, nextTag, readErr
-	pending   map[uint32]chan taggedResp
-	nextTag   uint32
-	readErr   error // set once the reader goroutine dies; fails all calls
+	session uint64 // replay session negotiated at hello (0 = none)
+	timeout time.Duration
+	wmu     sync.Mutex // serializes request frame writes
+	pmu     sync.Mutex // guards pending, nextTag, readErr
+	pending map[uint32]chan taggedResp
+	nextTag uint32 // tags start at 1; 0 is the hello's
+	readErr error  // set once the reader goroutine dies; fails all calls
 }
 
 type taggedResp struct {
@@ -53,27 +43,17 @@ type taggedResp struct {
 	payload []byte
 }
 
-// Dial connects with the legacy lock-step protocol.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{conn: conn}, nil
-}
-
-// helloTimeout bounds the negotiation exchange when the caller gives no
+// helloTimeout bounds the hello exchange when the caller gives no
 // tighter bound: without one, a connection that eats the hello response
 // hangs the dial forever.
 const helloTimeout = 10 * time.Second
 
-// DialPipelined connects and negotiates the tagged v2 protocol. If the
-// server only speaks v1 the client transparently stays in legacy mode.
+// DialPipelined connects and completes the hello, without a replay session.
 func DialPipelined(addr string) (*Client, error) {
 	return dialPipelined(addr, net.Dial, 0, false, 0)
 }
 
-// DialSession connects pipelined AND negotiates a replay session: session 0
+// DialSession connects AND negotiates a replay session: session 0
 // asks the array to open a fresh one, a nonzero ID resumes an existing
 // session (after a reconnect, possibly to the peer controller's port). The
 // granted ID is available via Session. timeout bounds the negotiation
@@ -97,17 +77,17 @@ func dialPipelined(addr string, dial DialFunc, session uint64, wantSession bool,
 	}
 	//lint:ignore errdrop a conn that can't set deadlines fails the hello exchange below
 	conn.SetDeadline(time.Now().Add(timeout))
-	if err := wire.WriteFrame(conn, wire.OpHello, wire.EncodeHello(wire.ProtoTagged, session, wantSession)); err != nil {
+	if err := wire.WriteTaggedFrame(conn, wire.OpHello, 0, wire.EncodeHello(wire.ProtoTagged, session, wantSession)); err != nil {
 		return fail(err)
 	}
-	respOp, resp, err := wire.ReadFrame(conn)
+	respOp, respTag, resp, err := wire.ReadTaggedFrame(conn)
 	if err != nil {
 		return fail(err)
 	}
-	if respOp != wire.OpHello {
-		return fail(fmt.Errorf("client: hello answered with opcode %d", respOp))
+	if respOp != wire.OpHello || respTag != 0 {
+		return fail(fmt.Errorf("client: hello answered with opcode %d, tag %d", respOp, respTag))
 	}
-	body, err := wire.ParseResponse(resp)
+	body, err := wire.ParseTaggedResponse(resp)
 	if err != nil {
 		return fail(err)
 	}
@@ -115,22 +95,21 @@ func dialPipelined(addr string, dial DialFunc, session uint64, wantSession bool,
 	if err != nil {
 		return fail(err)
 	}
+	if h.Version != wire.ProtoTagged {
+		return fail(fmt.Errorf("client: server answered the hello with protocol version %d", h.Version))
+	}
 	if wantSession && !h.HasSession {
 		return fail(errors.New("client: server did not grant a replay session"))
 	}
 	//lint:ignore errdrop clearing the hello deadline is best-effort; per-op deadlines take over from here
 	conn.SetDeadline(time.Time{})
-	c := &Client{conn: conn, session: h.Session}
-	if h.Version >= wire.ProtoTagged {
-		c.pipelined = true
-		c.pending = make(map[uint32]chan taggedResp)
-		go c.readLoop()
-	}
+	c := &Client{conn: conn, session: h.Session, pending: make(map[uint32]chan taggedResp)}
+	go c.readLoop()
 	return c, nil
 }
 
-// Pipelined reports whether the connection negotiated the tagged protocol.
-func (c *Client) Pipelined() bool { return c.pipelined }
+// Pipelined is always true; benchmark/rig.go is its last caller.
+func (c *Client) Pipelined() bool { return true }
 
 // Session returns the replay session ID granted at hello (0 if none).
 func (c *Client) Session() uint64 { return c.session }
@@ -142,10 +121,10 @@ func (c *Client) Session() uint64 { return c.session }
 // sharing the client across goroutines.
 func (c *Client) SetOpTimeout(d time.Duration) { c.timeout = d }
 
-// Close closes the connection. In pipelined mode any in-flight calls fail.
+// Close closes the connection. Any in-flight calls fail.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// readLoop routes tagged responses to their waiting callers. A response
+// readLoop routes responses to their waiting callers. A response
 // carrying a tag with no waiter is a protocol violation: the stream can no
 // longer be trusted, so the connection fails as a whole.
 func (c *Client) readLoop() {
@@ -189,12 +168,25 @@ func (c *Client) failAll(err error) {
 	c.pmu.Unlock()
 }
 
-// call performs one request/response exchange (blocking in both modes; in
-// pipelined mode other goroutines' calls proceed concurrently).
+// forget retires a call that will get no response.
+func (c *Client) forget(tag uint32) {
+	c.pmu.Lock()
+	delete(c.pending, tag)
+	c.pmu.Unlock()
+}
+
+// abandon forgets a call whose request or response can no longer be trusted
+// to be whole and condemns the connection; the reader then fails every other
+// pending call.
+func (c *Client) abandon(tag uint32) {
+	c.forget(tag)
+	//lint:ignore errdrop the failure that led here is the root cause; this close is the condemnation, best-effort
+	c.conn.Close()
+}
+
+// call performs one request/response exchange. It blocks its caller; other
+// goroutines' calls proceed concurrently.
 func (c *Client) call(op byte, payload []byte) ([]byte, error) {
-	if !c.pipelined {
-		return c.callSync(op, payload)
-	}
 	c.pmu.Lock()
 	if c.readErr != nil {
 		err := c.readErr
@@ -212,31 +204,31 @@ func (c *Client) call(op byte, payload []byte) ([]byte, error) {
 	// every caller behind wmu via TCP backpressure.
 	//lint:ignore errdrop a conn that can't set deadlines fails the write below
 	c.conn.SetWriteDeadline(time.Now().Add(c.opTimeout()))
-	err := wire.WriteTaggedFrame(c.conn, op, tag, payload)
-	c.wmu.Unlock()
-	if err != nil {
-		c.pmu.Lock()
-		delete(c.pending, tag)
-		c.pmu.Unlock()
+	if err := wire.WriteTaggedFrame(c.conn, op, tag, payload); err != nil {
+		if errors.Is(err, wire.ErrFrameTooLarge) {
+			c.forget(tag) // refused before any byte was written
+		} else {
+			// Part of the frame may be on the wire. Condemn before releasing
+			// wmu: the next caller's frame must find a closed connection,
+			// never a half-frame for the server to splice it onto.
+			c.abandon(tag)
+		}
+		c.wmu.Unlock()
 		return nil, err
 	}
+	c.wmu.Unlock()
 	opT := c.opTimeout()
 	t := time.NewTimer(opT)
 	defer t.Stop()
-	deadline := t.C
 	var r taggedResp
 	var ok bool
 	select {
 	case r, ok = <-ch:
-	case <-deadline:
+	case <-t.C:
 		// The op may or may not have been applied (an ambiguous failure);
 		// the tag can no longer be trusted to come back, so the connection
 		// resets. An HA caller reconnects and replays idempotently.
-		c.pmu.Lock()
-		delete(c.pending, tag)
-		c.pmu.Unlock()
-		//lint:ignore errdrop the timeout is the root cause; this close is the condemnation, best-effort
-		c.conn.Close()
+		c.abandon(tag)
 		return nil, fmt.Errorf("client: op timed out after %v (tag %d): %w", opT, tag, os.ErrDeadlineExceeded)
 	}
 	if !ok {
@@ -268,25 +260,6 @@ func (c *Client) opTimeout() time.Duration {
 // mirroring a SCSI initiator's I/O timeout: generous enough for a loaded
 // array, finite so a dead server cannot wedge the caller forever.
 const defaultOpTimeout = 30 * time.Second
-
-// callSync is the legacy lock-step exchange.
-func (c *Client) callSync(op byte, payload []byte) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	//lint:ignore errdrop a conn that can't set deadlines fails the write below
-	c.conn.SetDeadline(time.Now().Add(c.opTimeout()))
-	if err := wire.WriteFrame(c.conn, op, payload); err != nil {
-		return nil, err
-	}
-	respOp, resp, err := wire.ReadFrame(c.conn)
-	if err != nil {
-		return nil, err
-	}
-	if respOp != op {
-		return nil, fmt.Errorf("client: response opcode %d for request %d", respOp, op)
-	}
-	return wire.ParseResponse(resp)
-}
 
 // CreateVolume provisions a volume and returns its ID.
 func (c *Client) CreateVolume(name string, sizeBytes int64) (uint64, error) {

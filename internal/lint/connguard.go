@@ -16,8 +16,9 @@ package lint
 //   - A use of a *parameter* (io.Reader/io.Writer/net.Conn-typed) with a
 //     missing bit is not reported locally: it floats into the function's
 //     summary and is checked at every call site, where the concrete
-//     argument is known. wire.ReadFrame(r io.Reader) therefore reports at
-//     the wedge-prone call that hands it a bare conn, not inside wire.
+//     argument is known. wire.ReadTaggedFrame(r io.Reader) therefore
+//     reports at the wedge-prone call that hands it a bare conn, not
+//     inside wire.
 //   - A call to a module function arms whatever its summary proves it
 //     arms on every return path (server.touchIdle arms the read bit), so
 //     helpers participate without annotations.

@@ -194,7 +194,7 @@ func TestAcceptBackoffResets(t *testing.T) {
 	}()
 
 	dialOK := func() {
-		c, err := client.Dial(inner.Addr().String())
+		c, err := client.DialPipelined(inner.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,7 @@ import (
 	"purity/internal/wire"
 )
 
-// request is one admitted tagged request.
+// request is one admitted request.
 type request struct {
 	op      byte
 	tag     uint32
@@ -25,11 +25,11 @@ type request struct {
 type outFrame struct {
 	op      byte
 	tag     uint32
-	resp    []byte // tagged-mode response payload (status byte first)
+	resp    []byte // response payload (status byte first)
 	release func()
 }
 
-// pconn is one pipelined (v2) connection: the reader goroutine (the
+// pconn is one connection past its hello: the reader goroutine (the
 // connection's accept goroutine) admits requests, Config.Workers goroutines
 // dispatch them out of order, and a single writer goroutine serializes
 // completions onto the socket — the only place response frames are written,
@@ -61,7 +61,7 @@ type pconn struct {
 	tenants map[uint64]chan struct{}
 }
 
-// servePipelined runs one v2 connection to completion.
+// servePipelined runs one connection to completion.
 func (s *Server) servePipelined(conn net.Conn, sess *controller.Session) {
 	c := &pconn{
 		s:       s,

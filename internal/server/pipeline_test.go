@@ -1,9 +1,9 @@
 package server
 
-// Tests for the tagged pipelined front end: out-of-order completion,
-// admission control, protocol-violation handling, and the wire-health
-// counters — including the adversarial cases (duplicate tags, oversized
-// reads, torn frames) that a public block front end must survive.
+// Tests for the pipelined front end: out-of-order completion, admission
+// control, the first-frame rule, protocol-violation handling, and the
+// wire-health counters — including the adversarial cases (duplicate tags,
+// oversized reads, torn frames) that a public block front end must survive.
 
 import (
 	"bytes"
@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -62,9 +63,6 @@ func TestPipelinedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.Pipelined() {
-		t.Fatal("pipelined dial fell back to legacy")
-	}
 
 	id, err := c.CreateVolume("pipe-vol", 4<<20)
 	if err != nil {
@@ -94,8 +92,8 @@ func TestPipelinedEndToEnd(t *testing.T) {
 	if err != nil || len(stats) == 0 {
 		t.Fatalf("Stats: %v", err)
 	}
-	if s.Frontend().PipelinedConns.Load() != 1 {
-		t.Fatalf("PipelinedConns = %d", s.Frontend().PipelinedConns.Load())
+	if s.Frontend().Conns.Load() != 1 {
+		t.Fatalf("Conns = %d", s.Frontend().Conns.Load())
 	}
 }
 
@@ -236,11 +234,10 @@ func TestDuplicateTagKillsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	var e wire.Enc
-	if err := wire.WriteFrame(conn, wire.OpHello, e.U64(wire.ProtoTagged).B); err != nil {
+	if err := wire.WriteTaggedFrame(conn, wire.OpHello, 0, wire.EncodeHello(wire.ProtoTagged, 0, false)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := wire.ReadFrame(conn); err != nil {
+	if _, _, _, err := wire.ReadTaggedFrame(conn); err != nil {
 		t.Fatal(err)
 	}
 	// First request parks in a worker on the gate; the second reuses its
@@ -278,7 +275,8 @@ func TestDuplicateTagKillsConnection(t *testing.T) {
 }
 
 // TestOversizedReadRejected: the client-supplied read length is clamped
-// before it can size an allocation; the connection survives.
+// before it can size an allocation; the connection survives that, and a
+// write the client itself refuses to frame.
 func TestOversizedReadRejected(t *testing.T) {
 	s, addr := startServer(t, Config{})
 	c, err := client.DialPipelined(addr)
@@ -298,27 +296,11 @@ func TestOversizedReadRejected(t *testing.T) {
 	if got := s.Frontend().RejectedReads.Load(); got != 1 {
 		t.Fatalf("RejectedReads = %d", got)
 	}
+	// A write too large to frame is refused before any byte is sent.
+	if err := c.WriteAt(id, 0, make([]byte, wire.MaxFrame)); !errors.Is(err, wire.ErrFrameTooLarge) {
+		t.Fatalf("oversized write: %v", err)
+	}
 	// The connection is still healthy.
-	if _, err := c.ListVolumes(); err != nil {
-		t.Fatalf("connection dead after rejected read: %v", err)
-	}
-}
-
-// TestLegacyOversizedReadRejected: the same clamp guards the v1 path.
-func TestLegacyOversizedReadRejected(t *testing.T) {
-	_, addr := startServer(t, Config{})
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	id, err := c.CreateVolume("v", 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.ReadAt(id, 0, wire.MaxReadLen+4096); err == nil {
-		t.Fatal("oversized legacy read accepted")
-	}
 	if _, err := c.ListVolumes(); err != nil {
 		t.Fatalf("connection dead after rejected read: %v", err)
 	}
@@ -427,7 +409,7 @@ func TestWireHealthCounters(t *testing.T) {
 	conn.Close()
 
 	// Clean EOF right after a complete exchange counts nothing.
-	c, err := client.Dial(addr)
+	c, err := client.DialPipelined(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,11 +417,138 @@ func TestWireHealthCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
-	waitFor(t, "legacy conn count", func() bool {
-		return s.Frontend().LegacyConns.Load() == 1
-	})
-	if got := s.Frontend().AbnormalDisconnects.Load(); got != 1 {
-		t.Fatalf("clean EOF counted as abnormal (%d)", got)
+	waitFor(t, "connection teardown", func() bool { return liveConns(s) == 0 })
+	tel := s.Frontend()
+	if a, o, m := tel.AbnormalDisconnects.Load(), tel.OversizedFrames.Load(), tel.MalformedFrames.Load(); a != 1 || o != 1 || m != 1 {
+		t.Fatalf("clean EOF moved a counter: abnormal=%d oversized=%d malformed=%d", a, o, m)
+	}
+	if got := tel.Conns.Load(); got != 1 {
+		t.Fatalf("Conns = %d: only the clean connection completed a hello", got)
+	}
+}
+
+// liveConns is how many connections the server is still tracking.
+func liveConns(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
+}
+
+// TestFirstFrameMustBeHello pins the first-frame rule: anything other than a
+// hello at version ProtoTagged or later closes the connection without a
+// reply, is counted in MalformedFrames, and reaches no worker.
+func TestFirstFrameMustBeHello(t *testing.T) {
+	frame := func(op byte, tag uint32, payload []byte) []byte {
+		var b bytes.Buffer
+		if err := wire.WriteTaggedFrame(&b, op, tag, payload); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	for _, tc := range []struct {
+		name  string
+		first []byte
+	}{
+		// What a v1 initiator would send: u32 length | op | payload, no tag.
+		{"untagged v1 ListVolumes", []byte{1, 0, 0, 0, wire.OpListVolumes}},
+		{"tagged non-hello", frame(wire.OpListVolumes, 1, nil)},
+		{"hello at version 1", frame(wire.OpHello, 0, wire.EncodeHello(1, 0, false))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, addr := startServer(t, Config{})
+			s.stall = func(op byte, payload []byte) {
+				t.Errorf("op %d dispatched from a connection with no hello", op)
+			}
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			// Follow with a well-formed request: it must not be served either.
+			if _, err := conn.Write(append(tc.first, frame(wire.OpListVolumes, 2, nil)...)); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if n, err := conn.Read(make([]byte, 1)); n != 0 || err == nil {
+				t.Fatalf("server replied (%d bytes, err=%v); want the connection closed", n, err)
+			}
+			waitFor(t, "connection teardown", func() bool { return liveConns(s) == 0 })
+			if got := s.Frontend().MalformedFrames.Load(); got != 1 {
+				t.Fatalf("MalformedFrames = %d", got)
+			}
+			if got := s.Frontend().Conns.Load(); got != 0 {
+				t.Fatalf("Conns = %d", got)
+			}
+		})
+	}
+}
+
+// halfWriteConn tears one request: when armed, the next Write puts half its
+// buffer on the wire and fails, leaving the connection open — what a write
+// deadline expiring mid-Write looks like.
+type halfWriteConn struct {
+	net.Conn
+	armed atomic.Bool
+}
+
+func (c *halfWriteConn) Write(p []byte) (int, error) {
+	if c.armed.CompareAndSwap(true, false) {
+		n, _ := c.Conn.Write(p[:len(p)/2])
+		return n, errors.New("injected: write failed mid-frame")
+	}
+	return c.Conn.Write(p)
+}
+
+// TestTornRequestCondemnsConnection: after a request write fails part-way,
+// the client must not send another frame on that connection — the server
+// would parse the half-frame plus the next frame as one request and apply
+// foreign bytes as write data.
+func TestTornRequestCondemnsConnection(t *testing.T) {
+	s, addr := startServer(t, Config{})
+	var writes atomic.Int64
+	s.stall = func(op byte, payload []byte) {
+		if op == wire.OpWrite {
+			writes.Add(1)
+		}
+	}
+	var hc *halfWriteConn
+	c, err := client.DialSession(addr, func(network, addr string) (net.Conn, error) {
+		conn, err := net.Dial(network, addr)
+		if err != nil {
+			return nil, err
+		}
+		hc = &halfWriteConn{Conn: conn}
+		return hc, nil
+	}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	vol, err := c.CreateVolume("v", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	hc.armed.Store(true)
+	if err := c.WriteAt(vol, 0, bytes.Repeat([]byte{0xaa}, 4096)); err == nil {
+		t.Fatal("torn write reported success")
+	}
+	if err := c.WriteAt(vol, 0, bytes.Repeat([]byte{0xbb}, 4096)); err == nil {
+		t.Fatal("write after a torn request succeeded on the same connection")
+	}
+	c.Close()
+	waitFor(t, "connection teardown", func() bool { return liveConns(s) == 0 })
+	if n := writes.Load(); n != 0 {
+		t.Fatalf("server dispatched %d writes from a torn request stream", n)
+	}
+	c2, err := client.DialPipelined(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	got, err := c2.ReadAt(vol, 0, 4096)
+	if err != nil || !bytes.Equal(got, make([]byte, 4096)) {
+		t.Fatalf("volume is not untouched after a torn request (err=%v)", err)
 	}
 }
 

@@ -5,15 +5,20 @@
 // port; the secondary forwards to the primary at an interconnect-latency
 // cost.
 //
-// Connections come in two flavours (negotiated by the first frame, see
-// package wire): legacy v1 lock-step request/reply, served exactly as
-// before, and the tagged v2 protocol, where one connection carries many
-// in-flight requests. A v2 connection is three kinds of goroutine — a
-// reader that admits requests (per-tenant in-flight windows plus a global
-// byte budget, both exerting backpressure rather than dropping), a bounded
-// worker set that dispatches into the engine out of order, and a single
-// writer that serializes completions back onto the socket so response
-// frames can never interleave. The engine's write path runs compression and
+// There is one protocol (see package wire): a connection opens with an
+// OpHello at version wire.ProtoTagged or later and then carries many tagged
+// requests in flight. A first frame that is anything else — a non-hello op,
+// a hello at an older version, or bytes that do not parse as a tagged frame,
+// which is what the retired untagged v1 framing looks like — is counted in
+// MalformedFrames and the connection closed, with no reply and nothing
+// dispatched.
+//
+// A connection is three kinds of goroutine — a reader that admits requests
+// (per-tenant in-flight windows plus a global byte budget, both exerting
+// backpressure rather than dropping), a bounded worker set that dispatches
+// into the engine out of order, and a single writer that serializes
+// completions back onto the socket so response frames can never
+// interleave. The engine's write path runs compression and
 // dedup hashing before taking any lock (core.Array.WriteAt), so N
 // in-flight requests use N cores for the CPU-heavy stages, and the commit
 // itself shards into Config.CommitLanes per-volume lanes (DESIGN.md,
@@ -57,9 +62,9 @@ type Config struct {
 	MaxInflightBytes int64
 	// Pace, when true, holds each response until the engine's simulated
 	// service time has elapsed in wall time, so the served array exhibits
-	// its device model's latency instead of raw loopback+CPU speed. The
-	// lock-step v1 protocol serializes these waits; the tagged v2 protocol
-	// overlaps them — which is the whole case for pipelining.
+	// its device model's latency instead of raw loopback+CPU speed.
+	// In-flight requests on one connection overlap these waits, so a paced
+	// server shows what queue depth buys (E14).
 	Pace bool
 	// IdleTimeout bounds how long a connection may sit between frames (and
 	// how long a torn frame may dribble). Without it a client that dies
@@ -79,16 +84,7 @@ type Config struct {
 
 // DefaultConfig sizes the front end for the scaled-down arrays in this
 // repository.
-func DefaultConfig() Config {
-	return Config{
-		Workers:          4,
-		QueueDepth:       64,
-		TenantWindow:     32,
-		MaxInflightBytes: 64 << 20,
-		IdleTimeout:      2 * time.Minute,
-		WriteTimeout:     30 * time.Second,
-	}
-}
+func DefaultConfig() Config { return Config{}.normalize() }
 
 func (c Config) normalize() Config {
 	if c.Workers <= 0 {
@@ -314,7 +310,7 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 		l.Close()
 	}
 	for c := range s.conns {
-		// Expire the read deadline: a reader blocked in ReadFrame wakes with
+		// Expire the read deadline: a reader blocked on a frame wakes with
 		// a timeout, stops admitting, and starts the connection's drain.
 		//lint:ignore errdrop a conn that can't set deadlines is torn down by the force-close below
 		c.SetReadDeadline(time.Now())
@@ -346,10 +342,9 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	return err
 }
 
-// handle classifies a new connection by its first frame: an OpHello
-// negotiates the protocol version (and usually upgrades to the tagged
-// pipelined mode) and, for HA initiators, binds a replay session; anything
-// else is a legacy v1 initiator and is served lock-step, unchanged.
+// handle opens a connection: the first frame must be an OpHello at version
+// wire.ProtoTagged or later (package comment), which for HA initiators also
+// binds a replay session; every frame after it is servePipelined's.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	if !s.trackConn(conn) {
@@ -357,79 +352,33 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	defer s.untrackConn(conn)
 	s.touchIdle(conn)
-	op, payload, err := wire.ReadFrame(conn)
+	op, tag, payload, err := wire.ReadTaggedFrame(conn)
 	if err != nil {
 		s.countReadErr(err)
 		return
 	}
-	if op == wire.OpHello {
-		h, err := wire.DecodeHello(payload)
-		if err != nil {
-			s.tel.MalformedFrames.Inc()
-			return
-		}
-		accepted := wire.ProtoSync
-		if h.Version >= wire.ProtoTagged {
-			accepted = wire.ProtoTagged
-		}
-		// Sessions ride the tagged protocol only: the session table lives on
-		// the Pair, so a session survives reconnecting to the peer port.
-		var sess *controller.Session
-		if accepted == wire.ProtoTagged && h.HasSession {
-			sess = s.pair.Sessions().Resume(h.Session)
-			s.tel.SessionsBound.Inc()
-		}
-		var sid uint64
-		if sess != nil {
-			sid = sess.ID
-		}
-		s.touchWrite(conn)
-		if wire.RespondOK(conn, wire.OpHello, wire.EncodeHello(accepted, sid, sess != nil)) != nil {
-			s.tel.AbnormalDisconnects.Inc()
-			return
-		}
-		if accepted == wire.ProtoTagged {
-			s.tel.PipelinedConns.Inc()
-			s.servePipelined(conn, sess)
-			return
-		}
-		s.tel.LegacyConns.Inc()
-		s.serveLegacy(conn, 0, nil, false)
+	h, err := wire.DecodeHello(payload)
+	if op != wire.OpHello || err != nil || h.Version < wire.ProtoTagged {
+		s.tel.MalformedFrames.Inc()
 		return
 	}
-	s.tel.LegacyConns.Inc()
-	s.serveLegacy(conn, op, payload, true)
-}
-
-// serveLegacy is the v1 lock-step loop. When pending is true the first
-// request was already read by handle during protocol sniffing.
-func (s *Server) serveLegacy(conn net.Conn, op byte, payload []byte, pending bool) {
-	for {
-		if !pending {
-			var err error
-			s.touchIdle(conn)
-			op, payload, err = wire.ReadFrame(conn)
-			if err != nil {
-				s.countReadErr(err)
-				return
-			}
-		}
-		pending = false
-		resp, err := s.dispatch(nil, op, payload)
-		s.touchWrite(conn)
-		if err != nil {
-			s.respCode(err) // count HA refusals even though v1 carries no codes
-			if wire.RespondErr(conn, op, err) != nil {
-				s.tel.AbnormalDisconnects.Inc()
-				return
-			}
-			continue
-		}
-		if wire.RespondOK(conn, op, resp) != nil {
-			s.tel.AbnormalDisconnects.Inc()
-			return
-		}
+	// The session table lives on the Pair, so a session survives
+	// reconnecting to the peer port.
+	var sess *controller.Session
+	var sid uint64
+	if h.HasSession {
+		sess = s.pair.Sessions().Resume(h.Session)
+		sid = sess.ID
+		s.tel.SessionsBound.Inc()
 	}
+	s.touchWrite(conn)
+	resp := wire.OKResponse(wire.EncodeHello(wire.ProtoTagged, sid, h.HasSession))
+	if wire.WriteTaggedFrame(conn, wire.OpHello, tag, resp) != nil {
+		s.tel.AbnormalDisconnects.Inc()
+		return
+	}
+	s.tel.Conns.Inc()
+	s.servePipelined(conn, sess)
 }
 
 // countReadErr attributes a connection-terminating read failure: clean EOFs
@@ -459,7 +408,7 @@ func (s *Server) countReadErr(err error) {
 	}
 }
 
-// Typed dispatch failures, so tagged responses can carry structured codes.
+// Typed dispatch failures, so responses can carry structured codes.
 var (
 	// ErrReadTooLarge rejects a client-supplied read length beyond
 	// wire.MaxReadLen. The length field is attacker controlled; before this
@@ -541,9 +490,9 @@ func (s *Server) badPayload(err error) error {
 }
 
 // dispatch runs one request against the engine. Called concurrently from
-// every connection goroutine and worker; the Pair and the engine
+// every connection's workers; the Pair and the engine
 // synchronize internally. sess is the connection's replay session (nil on
-// legacy and session-less connections).
+// session-less connections).
 func (s *Server) dispatch(sess *controller.Session, op byte, payload []byte) ([]byte, error) {
 	at := s.now()
 	// Resolve the engine through the fencing-aware view: a demoted

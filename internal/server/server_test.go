@@ -26,7 +26,7 @@ func startPair(t *testing.T) (*client.Client, *client.Client, *controller.Pair) 
 		}
 		t.Cleanup(func() { l.Close() })
 		go New(pair, via).Serve(l)
-		c, err := client.Dial(l.Addr().String())
+		c, err := client.DialPipelined(l.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,15 +39,13 @@ func (c *Counter) Load() int64 { return c.v.Load() }
 // separates clients that vanished mid-frame from clean EOFs. All fields are
 // lock-free Counters, safe for concurrent use from every connection.
 type Frontend struct {
-	// Connection census.
-	LegacyConns    Counter // connections served in v1 lock-step mode
-	PipelinedConns Counter // connections that negotiated the tagged protocol
+	Conns Counter // connections that completed the hello
 
 	// Wire-level failures.
 	MalformedFrames     Counter // structurally invalid frames / undecodable payloads
 	OversizedFrames     Counter // frames (or read requests) beyond MaxFrame bounds
 	AbnormalDisconnects Counter // connections that died mid-stream (not a clean EOF)
-	DuplicateTags       Counter // v2 tags reused while still in flight (connection killed)
+	DuplicateTags       Counter // tags reused while still in flight (connection killed)
 	RejectedReads       Counter // OpRead lengths clamped against wire.MaxReadLen
 
 	// Admission control.
@@ -73,12 +71,12 @@ type Frontend struct {
 // Summary renders the counters on one line, in a fixed order.
 func (f *Frontend) Summary() string {
 	return fmt.Sprintf(
-		"conns legacy=%d pipelined=%d; frames malformed=%d oversized=%d; "+
+		"conns=%d; frames malformed=%d oversized=%d; "+
 			"disconnects abnormal=%d; tags duplicate=%d; reads rejected=%d; "+
 			"admission waits=%d aborts=%d; accept retries=%d; "+
 			"timeouts idle=%d write=%d; sessions=%d; "+
 			"redirects notprimary=%d retryable=%d; failovers=%d (%v); drains=%d (%v)",
-		f.LegacyConns.Load(), f.PipelinedConns.Load(),
+		f.Conns.Load(),
 		f.MalformedFrames.Load(), f.OversizedFrames.Load(),
 		f.AbnormalDisconnects.Load(), f.DuplicateTags.Load(), f.RejectedReads.Load(),
 		f.AdmissionWaits.Load(), f.AdmissionAborts.Load(), f.AcceptRetries.Load(),

@@ -1,24 +1,27 @@
 // Package wire defines the block-device network protocol the repository
 // uses in place of iSCSI/FibreChannel (§3 of the paper: volumes are exposed
 // over standard networks; clients treat the two controllers' ports
-// interchangeably). Frames are length-prefixed; integers are little-endian;
-// strings and byte blobs are length-prefixed.
+// interchangeably). Integers are little-endian; strings and byte blobs are
+// length-prefixed.
 //
-// Two protocol versions share the framing:
+// There is one frame, in both directions:
 //
-//   - ProtoSync (v1, legacy): untagged lock-step request/reply. A frame is
-//     u32 length | op byte | payload; the client sends one request and
-//     waits for its response before sending the next.
-//   - ProtoTagged (v2): every frame additionally carries a u32 request tag
-//     after the opcode (u32 length | op | u32 tag | payload). A connection
-//     may have many requests in flight and responses complete out of
-//     order, matched to requests by tag — the shape of real block front
-//     ends (iSCSI task tags, NVMe-oF command IDs).
+//	u32 length | op byte | u32 tag | payload
 //
-// A v2 client announces itself with an OpHello frame (legacy framing, u64
-// version payload) as its first bytes; the server replies with the accepted
-// version and both sides switch to tagged framing. A client that skips the
-// hello is served in v1 lock-step mode, so old initiators keep working.
+// and one response payload: status byte, then the result on StatusOK or a
+// u32 error code and a message on StatusErr. A connection may have many
+// requests in flight and responses complete out of order, matched to
+// requests by tag — the shape of real block front ends (iSCSI task tags,
+// NVMe-oF command IDs).
+//
+// The first frame of a connection must be an OpHello at version ProtoTagged
+// or later, sent like any other request (by convention with tag 0) and
+// answered like any other request. A server closes a connection whose first
+// frame is anything else without replying or dispatching it. That includes
+// the untagged lock-step framing this protocol replaced ("v1": u32 length |
+// op | payload, one request in flight); no v1 initiator exists in or out of
+// this tree, and its frames either fail ReadTaggedFrame or fail the hello
+// check.
 package wire
 
 import (
@@ -41,21 +44,16 @@ const (
 	OpStats        byte = 9
 	OpFlush        byte = 10
 	OpGC           byte = 11
-	// OpHello negotiates the protocol version. Sent as the first frame of a
-	// connection in legacy framing with a u64 version payload; the server
-	// responds with the version it accepted and, when that is ProtoTagged,
-	// the connection switches to tagged framing for everything after.
+	// OpHello opens a connection: the mandatory first frame, with a u64
+	// version payload; the server responds with the version it accepted.
 	//
 	// An HA initiator appends a second u64 to the hello payload: a session
 	// ID to resume (0 asks the server to open a fresh session). The server
 	// mirrors the shape — accepted version, then the session ID it bound the
-	// connection to (absent or 0 on servers without session support). Both
-	// sides treat the second field as optional, so old clients and old
-	// servers interoperate with new ones.
+	// connection to. An initiator that wants no session omits the field.
 	OpHello byte = 12
-	// OpWriteIdem is an idempotent write (tagged mode only): the payload
-	// carries a session-scoped sequence number ahead of the usual
-	// vol/off/data. The server records each completed (session, seq) in a
+	// OpWriteIdem is an idempotent write: the payload carries a
+	// session-scoped sequence number ahead of the usual vol/off/data. The server records each completed (session, seq) in a
 	// bounded window; a replay of a completed seq returns the recorded
 	// outcome instead of applying the write twice. This is what lets a
 	// client resend a write after an ambiguous failure (connection died
@@ -63,11 +61,10 @@ const (
 	OpWriteIdem byte = 13
 )
 
-// Protocol versions carried in OpHello.
-const (
-	ProtoSync   uint64 = 1 // untagged lock-step request/reply
-	ProtoTagged uint64 = 2 // tagged, pipelined, out-of-order completion
-)
+// ProtoTagged is the protocol version carried in OpHello: tagged frames,
+// pipelined requests, out-of-order completion. Version 1 was the untagged
+// lock-step protocol; a hello below ProtoTagged is refused.
+const ProtoTagged uint64 = 2
 
 // Response status.
 const (
@@ -75,9 +72,8 @@ const (
 	StatusErr byte = 1
 )
 
-// Error codes carried in tagged-mode (v2) error responses, so initiators
-// can react structurally instead of parsing message text. v1 responses
-// carry only the message.
+// Error codes carried in error responses, so initiators can react
+// structurally instead of parsing message text.
 const (
 	CodeInternal     uint32 = 0 // engine/controller error; msg has detail
 	CodeBadPayload   uint32 = 1 // request payload failed to decode
@@ -119,47 +115,13 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
 // frame (no opcode), or a tagged frame too short to carry its tag.
 var ErrBadFrame = errors.New("wire: malformed frame")
 
-// WriteFrame sends one legacy (v1) frame: u32 length, opcode byte, payload.
-// The frame is assembled into a single buffer and issued as ONE Write so
-// that two goroutines sharing a serialized io.Writer can never interleave a
-// header with another frame's payload. (Callers still must not call
-// WriteFrame concurrently on the same writer unless the writer itself is
-// atomic per call — net.Conn is not — but a single Write keeps the failure
-// mode "torn between frames", never "torn inside a frame".)
-func WriteFrame(w io.Writer, op byte, payload []byte) error {
-	if len(payload)+1 > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	buf := make([]byte, 5+len(payload))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)+1))
-	buf[4] = op
-	copy(buf[5:], payload)
-	_, err := w.Write(buf)
-	return err
-}
-
-// ReadFrame receives one legacy (v1) frame.
-func ReadFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 {
-		return 0, nil, ErrBadFrame
-	}
-	if n > MaxFrame {
-		return 0, nil, ErrFrameTooLarge
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
-	}
-	return body[0], body[1:], nil
-}
-
-// WriteTaggedFrame sends one v2 frame: u32 length, opcode byte, u32 tag,
-// payload — assembled and written as a single Write (see WriteFrame).
+// WriteTaggedFrame sends one frame: u32 length, opcode byte, u32 tag,
+// payload. The frame is assembled into a single buffer and issued as ONE
+// Write so that two goroutines sharing a serialized io.Writer can never
+// interleave a header with another frame's payload. (Callers still must not
+// call it concurrently on the same writer unless the writer itself is atomic
+// per call — net.Conn is not — but a single Write keeps the failure mode
+// "torn between frames", never "torn inside a frame".)
 func WriteTaggedFrame(w io.Writer, op byte, tag uint32, payload []byte) error {
 	if len(payload)+5 > MaxFrame {
 		return ErrFrameTooLarge
@@ -173,7 +135,7 @@ func WriteTaggedFrame(w io.Writer, op byte, tag uint32, payload []byte) error {
 	return err
 }
 
-// ReadTaggedFrame receives one v2 frame.
+// ReadTaggedFrame receives one frame.
 func ReadTaggedFrame(r io.Reader) (byte, uint32, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -286,38 +248,8 @@ func (d *Dec) Str() string { return string(d.Bytes()) }
 // OK reports whether the payload decoded fully and cleanly.
 func (d *Dec) OK() bool { return d.Err == nil }
 
-// RespondErr frames a legacy (v1) error response.
-func RespondErr(w io.Writer, op byte, err error) error {
-	var e Enc
-	e.B = append(e.B, StatusErr)
-	e.Str(err.Error())
-	return WriteFrame(w, op, e.B)
-}
-
-// RespondOK frames a legacy (v1) success response with the given payload.
-func RespondOK(w io.Writer, op byte, payload []byte) error {
-	return WriteFrame(w, op, append([]byte{StatusOK}, payload...))
-}
-
-// ParseResponse splits a legacy (v1) response into payload or error.
-func ParseResponse(payload []byte) ([]byte, error) {
-	if len(payload) < 1 {
-		return nil, io.ErrUnexpectedEOF
-	}
-	switch payload[0] {
-	case StatusOK:
-		return payload[1:], nil
-	case StatusErr:
-		d := Dec{B: payload[1:]}
-		msg := d.Str()
-		return nil, fmt.Errorf("server: %s", msg)
-	default:
-		return nil, fmt.Errorf("wire: bad status %d", payload[0])
-	}
-}
-
-// RemoteError is a structured server-side failure from a tagged (v2)
-// response: a machine-readable code plus the human message.
+// RemoteError is a structured server-side failure from a response: a
+// machine-readable code plus the human message.
 type RemoteError struct {
 	Code uint32
 	Msg  string
@@ -327,13 +259,13 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("server: %s (code %d)", e.Msg, e.Code)
 }
 
-// OKResponse builds a tagged-mode success response payload.
+// OKResponse builds a success response payload.
 func OKResponse(payload []byte) []byte {
 	return append([]byte{StatusOK}, payload...)
 }
 
-// ErrResponse builds a tagged-mode error response payload: status byte,
-// u32 error code, length-prefixed message.
+// ErrResponse builds an error response payload: status byte, u32 error
+// code, length-prefixed message.
 func ErrResponse(code uint32, msg string) []byte {
 	var e Enc
 	e.B = append(e.B, StatusErr)
@@ -343,18 +275,17 @@ func ErrResponse(code uint32, msg string) []byte {
 
 // Hello is a decoded OpHello payload (either direction). Session is the
 // optional second u64: for requests, the session to resume (0 = open a new
-// one); for responses, the session the server bound (0 = no session
-// support). HasSession records whether the field was present at all, so a
-// new client can tell a legacy server (8-byte hello response) from a
-// session-capable one that declined (16-byte response with Session 0).
+// one); for responses, the session the server bound. HasSession records
+// whether the field was present at all: a session-less hello is 8 bytes, a
+// session-bearing one 16.
 type Hello struct {
 	Version    uint64
 	Session    uint64
 	HasSession bool
 }
 
-// EncodeHello renders a hello payload. Legacy form (8 bytes) when
-// hasSession is false; session-bearing form (16 bytes) otherwise.
+// EncodeHello renders a hello payload: 8 bytes when hasSession is false,
+// the session-bearing 16 otherwise.
 func EncodeHello(version uint64, session uint64, hasSession bool) []byte {
 	var e Enc
 	e.U64(version)
@@ -364,9 +295,8 @@ func EncodeHello(version uint64, session uint64, hasSession bool) []byte {
 	return e.B
 }
 
-// DecodeHello parses a hello payload of either generation. Trailing bytes
-// beyond the known fields are ignored (future extension room), matching how
-// pre-session servers already treated the payload.
+// DecodeHello parses a hello payload of either length. Trailing bytes
+// beyond the known fields are ignored (future extension room).
 func DecodeHello(payload []byte) (Hello, error) {
 	d := Dec{B: payload}
 	h := Hello{Version: d.U64()}
@@ -380,8 +310,8 @@ func DecodeHello(payload []byte) (Hello, error) {
 	return h, nil
 }
 
-// ParseTaggedResponse splits a tagged (v2) response into payload or a
-// *RemoteError carrying the structured code.
+// ParseTaggedResponse splits a response into payload or a *RemoteError
+// carrying the structured code.
 func ParseTaggedResponse(payload []byte) ([]byte, error) {
 	if len(payload) < 1 {
 		return nil, io.ErrUnexpectedEOF

@@ -6,15 +6,15 @@ import (
 )
 
 // The session field rides optionally on OpHello in both directions; both
-// generations of payload must round-trip, and a legacy peer's 8-byte hello
-// must decode as "no session field".
+// payload lengths must round-trip, and an 8-byte hello must decode as "no
+// session field".
 func TestHelloEncodeDecode(t *testing.T) {
 	cases := []struct {
 		name string
 		in   []byte
 		want Hello
 	}{
-		{"legacy", EncodeHello(ProtoTagged, 0, false), Hello{Version: ProtoTagged}},
+		{"no-session", EncodeHello(ProtoTagged, 0, false), Hello{Version: ProtoTagged}},
 		{"new-session", EncodeHello(ProtoTagged, 0, true), Hello{Version: ProtoTagged, Session: 0, HasSession: true}},
 		{"resume", EncodeHello(ProtoTagged, 42, true), Hello{Version: ProtoTagged, Session: 42, HasSession: true}},
 	}
@@ -27,10 +27,8 @@ func TestHelloEncodeDecode(t *testing.T) {
 			t.Fatalf("%s: got %+v want %+v", c.name, got, c.want)
 		}
 	}
-	// Legacy payload length is unchanged: 8 bytes, so pre-session servers
-	// keep decoding it as a bare u64.
-	if legacy := EncodeHello(ProtoTagged, 0, false); len(legacy) != 8 {
-		t.Fatalf("legacy hello = %d bytes", len(legacy))
+	if bare := EncodeHello(ProtoTagged, 0, false); len(bare) != 8 {
+		t.Fatalf("session-less hello = %d bytes", len(bare))
 	}
 	if withSess := EncodeHello(ProtoTagged, 7, true); len(withSess) != 16 {
 		t.Fatalf("session hello = %d bytes", len(withSess))
@@ -63,7 +61,7 @@ func TestRetryableCode(t *testing.T) {
 }
 
 // An idempotent-write payload is the plain write payload with the seq in
-// front; spot-check the framing survives the tagged round trip.
+// front; spot-check the framing survives the frame round trip.
 func TestWriteIdemFraming(t *testing.T) {
 	var e Enc
 	e.U64(9).U64(3).U64(4096).Bytes([]byte("abc"))

@@ -40,16 +40,12 @@ func TestTaggedFrameRoundTrip(t *testing.T) {
 func TestTruncatedHeader(t *testing.T) {
 	for _, n := range []int{1, 2, 3} {
 		r := bytes.NewReader([]byte{0xab, 0xcd, 0xef}[:n])
-		if _, _, err := ReadFrame(r); !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("%d-byte header: err = %v", n, err)
-		}
-		r = bytes.NewReader([]byte{0xab, 0xcd, 0xef}[:n])
 		if _, _, _, err := ReadTaggedFrame(r); !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("tagged %d-byte header: err = %v", n, err)
+			t.Fatalf("%d-byte header: err = %v", n, err)
 		}
 	}
 	// Zero bytes: clean EOF, distinguishable from a torn frame.
-	if _, _, err := ReadFrame(bytes.NewReader(nil)); err != io.EOF {
+	if _, _, _, err := ReadTaggedFrame(bytes.NewReader(nil)); err != io.EOF {
 		t.Fatalf("empty stream: err = %v", err)
 	}
 }
@@ -68,17 +64,13 @@ func TestTruncatedBody(t *testing.T) {
 }
 
 func TestZeroLengthFrame(t *testing.T) {
-	hdr := []byte{0, 0, 0, 0}
-	if _, _, err := ReadFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrBadFrame) {
-		t.Fatal("zero-length legacy frame accepted")
-	}
-	// A tagged frame needs at least op + tag (5 bytes).
+	// A frame needs at least op + tag (5 bytes).
 	for n := uint32(0); n < 5; n++ {
 		var b [4]byte
 		binary.LittleEndian.PutUint32(b[:], n)
 		frame := append(b[:], make([]byte, n)...)
 		if _, _, _, err := ReadTaggedFrame(bytes.NewReader(frame)); !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("%d-byte tagged frame: err = %v", n, err)
+			t.Fatalf("%d-byte frame: err = %v", n, err)
 		}
 	}
 }
@@ -87,15 +79,12 @@ func TestOversizedFrames(t *testing.T) {
 	// Forged headers beyond MaxFrame are rejected before any allocation.
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], MaxFrame+1)
-	if _, _, err := ReadFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatal("oversized legacy frame accepted")
-	}
 	if _, _, _, err := ReadTaggedFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatal("oversized tagged frame accepted")
+		t.Fatal("oversized frame accepted")
 	}
 	// Writers refuse to build them in the first place.
 	if err := WriteTaggedFrame(io.Discard, OpWrite, 1, make([]byte, MaxFrame)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatal("oversized tagged write accepted")
+		t.Fatal("oversized write accepted")
 	}
 }
 
@@ -103,17 +92,12 @@ func TestWriteFrameSingleWrite(t *testing.T) {
 	// Frames must land in exactly one Write call: the server's writer
 	// serializes per-frame, so a two-Write frame could interleave with a
 	// concurrent frame on the same connection.
-	for _, f := range []func(w io.Writer) error{
-		func(w io.Writer) error { return WriteFrame(w, OpRead, []byte("xyz")) },
-		func(w io.Writer) error { return WriteTaggedFrame(w, OpRead, 3, []byte("xyz")) },
-	} {
-		cw := &countingWriter{}
-		if err := f(cw); err != nil {
-			t.Fatal(err)
-		}
-		if cw.calls != 1 {
-			t.Fatalf("frame took %d Write calls, want 1", cw.calls)
-		}
+	cw := &countingWriter{}
+	if err := WriteTaggedFrame(cw, OpRead, 3, []byte("xyz")); err != nil {
+		t.Fatal(err)
+	}
+	if cw.calls != 1 {
+		t.Fatalf("frame took %d Write calls, want 1", cw.calls)
 	}
 }
 

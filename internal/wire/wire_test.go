@@ -2,58 +2,8 @@ package wire
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 )
-
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payload := []byte("hello wire")
-	if err := WriteFrame(&buf, OpRead, payload); err != nil {
-		t.Fatal(err)
-	}
-	op, got, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if op != OpRead || !bytes.Equal(got, payload) {
-		t.Fatalf("op=%d payload=%q", op, got)
-	}
-}
-
-func TestFrameEmptyPayload(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, OpStats, nil); err != nil {
-		t.Fatal(err)
-	}
-	op, got, err := ReadFrame(&buf)
-	if err != nil || op != OpStats || len(got) != 0 {
-		t.Fatalf("op=%d payload=%q err=%v", op, got, err)
-	}
-}
-
-func TestFrameTooLarge(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, OpWrite, make([]byte, MaxFrame)); err != ErrFrameTooLarge {
-		t.Fatalf("oversized write: %v", err)
-	}
-	// A forged oversized header is rejected on read.
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, _, err := ReadFrame(&buf); err != ErrFrameTooLarge {
-		t.Fatalf("oversized read: %v", err)
-	}
-}
-
-func TestFrameTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, OpRead, []byte("abcdef")); err != nil {
-		t.Fatal(err)
-	}
-	trunc := bytes.NewReader(buf.Bytes()[:buf.Len()-3])
-	if _, _, err := ReadFrame(trunc); err == nil {
-		t.Fatal("truncated frame accepted")
-	}
-}
 
 func TestEncDecRoundTrip(t *testing.T) {
 	var e Enc
@@ -80,35 +30,5 @@ func TestDecTruncatedBlob(t *testing.T) {
 	d := Dec{B: e.B[:50]}
 	if d.Bytes() != nil || d.OK() {
 		t.Fatal("truncated blob accepted")
-	}
-}
-
-func TestResponses(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RespondOK(&buf, OpRead, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	_, body, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseResponse(body)
-	if err != nil || string(got) != "payload" {
-		t.Fatalf("ok response: %q, %v", got, err)
-	}
-
-	buf.Reset()
-	if err := RespondErr(&buf, OpRead, errors.New("boom")); err != nil {
-		t.Fatal(err)
-	}
-	_, body, _ = ReadFrame(&buf)
-	if _, err := ParseResponse(body); err == nil {
-		t.Fatal("error response parsed as success")
-	}
-	if _, err := ParseResponse(nil); err == nil {
-		t.Fatal("empty response accepted")
-	}
-	if _, err := ParseResponse([]byte{9}); err == nil {
-		t.Fatal("bad status accepted")
 	}
 }

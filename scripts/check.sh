@@ -83,14 +83,17 @@ go test -race -short -run 'TestConcurrentWriters|TestConcurrentScrubRebuildForeg
 echo "== commit lanes (-race: multi-lane writers + the short crash sweep at lanes 1 and 4)"
 go test -race -short -run 'TestLane|TestCrashSweep' ./internal/core/
 
-echo "== pipelined front end (-race: out-of-order completion, 64 in-flight on one conn, SLO scrub deferral)"
-go test -race -run 'TestPipelined|TestOutOfOrderCompletion|TestDuplicateTagKillsConnection|TestAdmissionWindowBackpressure|TestWireHealthCounters|TestServeSurvivesTransientAcceptErrors' ./internal/server/
+echo "== pipelined front end (-race: out-of-order completion, 64 in-flight on one conn, first-frame rule, torn request, SLO scrub deferral)"
+go test -race -run 'TestPipelined|TestOutOfOrderCompletion|TestDuplicateTagKillsConnection|TestAdmissionWindowBackpressure|TestWireHealthCounters|TestServeSurvivesTransientAcceptErrors|TestFirstFrameMustBeHello|TestTornRequestCondemnsConnection' ./internal/server/
 go test -run 'TestScrubDefersUnderSLOPressure|TestScrubRunsWithSLODisabled' ./internal/core/
+
+echo "== wire codec fuzz (5 s; the seed corpus already ran as plain tests above)"
+go test -run '^$' -fuzz FuzzTaggedFrame -fuzztime 5s ./internal/wire/
 
 echo "== E13 smoke (2-lane scaling run; output not committed — see .gitignore)"
 go run ./cmd/purity-bench -experiment E13 -quick > /dev/null
 
-echo "== E14 smoke (pipelined vs sync queue-depth sweep over loopback TCP)"
+echo "== E14 smoke (one-connection queue-depth sweep over loopback TCP; every depth >= 8 must beat QD 1)"
 go run ./cmd/purity-bench -experiment E14 -quick > /dev/null
 
 echo "== HA (-race: chaos injector, session exactly-once, client reconnect/replay, server drain + failover)"
