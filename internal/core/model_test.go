@@ -380,42 +380,91 @@ func deterministicReplay(t *testing.T, lanes int) {
 	}
 }
 
-// TestChurnStepwise is the background-churn check at its finest grain: the
-// whole model is validated after every write, so a failure names the first
-// operation that broke, at each lane count.
+// TestChurnStepwise is the background-churn check at its finest grain, at
+// each lane count: overlapping 512 B–32 KiB overwrites of a volume and its
+// clones, with snapshots, checkpoints, pyramid merges, GC and crash
+// recovery in between. After every step the volume just written is compared
+// with a flat model byte for byte, and sampled sectors of every volume are
+// resolved both through the read path's lookups and through lookupOracle,
+// so a failure names the first operation that broke.
 func TestChurnStepwise(t *testing.T) {
 	for _, lanes := range []int{1, 4} {
-		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
-			cfg := TestConfig()
-			cfg.CommitLanes = lanes
-			cfg.BackgroundEvery = 16
-			cfg.MemtableFlushRows = 64
-			cfg.CheckpointEvery = 2
-			a, err := Format(cfg)
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) { churnStepwise(t, lanes, 5) })
+	}
+}
+
+func churnStepwise(t *testing.T, lanes int, seed uint64) {
+	const span = 2 << 20 // the part of each 4 MiB volume that is written
+	cfg := TestConfig()
+	cfg.CommitLanes = lanes
+	cfg.BackgroundEvery = 16
+	cfg.MemtableFlushRows = 64
+	cfg.CheckpointEvery = 2
+	cfg.MaxPatches = 3                                         // merge early and often
+	cfg.Shelf.DriveConfig.Capacity = 160 * cfg.Layout.AUSize() // room for the snapshots' share
+	a, err := Format(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type volume struct {
+		id    VolumeID
+		model []byte
+	}
+	vols := []*volume{{mustCreate(t, a, "busy", 4<<20), make([]byte, span)}}
+	r := sim.NewRand(seed)
+	for i := 0; i < 400; i++ {
+		where := fmt.Sprintf("seed %d lanes %d op %d", seed, lanes, i)
+		// Sectors the oracle is asked about: a few anywhere, and after a
+		// write both sides of each of its edges.
+		samples := []uint64{uint64(r.Intn(span / 512)), uint64(r.Intn(span / 512)), uint64(r.Intn(span / 512))}
+		switch op := r.Intn(100); {
+		case op < 6 && len(vols) < 5:
+			src := vols[r.Intn(len(vols))]
+			snap, _, err := a.Snapshot(0, src.id, fmt.Sprintf("snap-%d", i))
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: snapshot: %v", where, err)
 			}
-			vol := mustCreate(t, a, "busy", 4<<20)
-			model := make([]byte, 2<<20)
-			r := sim.NewRand(5)
-			for i := 0; i < 400; i++ {
-				off := int64(r.Intn(4000)) * 512
-				n := (r.Intn(32) + 1) * 512
-				if off+int64(n) > int64(len(model)) {
-					continue
-				}
-				data := pattern(uint64(i)+1000, n)
-				copy(model[off:], data)
-				mustWrite(t, a, vol, off, data)
-				got := mustRead(t, a, vol, 0, len(model))
-				if !bytes.Equal(got, model) {
-					for j := range model {
-						if got[j] != model[j] {
-							t.Fatalf("op %d (wrote [%d,+%d)): first mismatch at byte %d (sector %d)", i, off, n, j, j/512)
-						}
+			clone, _, err := a.Clone(0, snap, fmt.Sprintf("clone-%d", i))
+			if err != nil {
+				t.Fatalf("%s: clone: %v", where, err)
+			}
+			vols = append(vols, &volume{clone, append([]byte(nil), src.model...)})
+		case op < 12:
+			if _, err := a.FlushAll(0); err != nil {
+				t.Fatalf("%s: flush: %v", where, err)
+			}
+		case op < 18:
+			if _, _, err := a.RunGC(0); err != nil {
+				t.Fatalf("%s: gc: %v", where, err)
+			}
+		case op < 22:
+			if a, _, err = OpenAt(cfg, a.Shelf(), 0, false); err != nil {
+				t.Fatalf("%s: recovery: %v", where, err)
+			}
+		default:
+			v := vols[r.Intn(len(vols))]
+			off := int64(r.Intn(span/512-1)) * 512
+			n := min((r.Intn(64)+1)*512, span-int(off))
+			data := pattern(uint64(i)+1000, n)
+			copy(v.model[off:], data)
+			mustWrite(t, a, v.id, off, data)
+			got := mustRead(t, a, v.id, 0, span)
+			if !bytes.Equal(got, v.model) {
+				for j := range v.model {
+					if got[j] != v.model[j] {
+						t.Fatalf("%s (wrote [%d,+%d) of volume %d): first mismatch at byte %d (sector %d)", where, off, n, v.id, j, j/512)
 					}
 				}
 			}
-		})
+			first, end := uint64(off/512), uint64(off/512)+uint64(n/512)
+			samples = append(samples, first-min(first, 1), first, end-1, end)
+		}
+		o := newLookupOracle(t, a)
+		for _, v := range vols {
+			checkLookupOracle(t, a, o, v.id, samples, where)
+		}
+	}
+	if len(vols) < 3 {
+		t.Fatalf("seed %d: only %d volumes; the script never cloned", seed, len(vols))
 	}
 }

@@ -91,11 +91,11 @@ func (l *lookupAdapter) MediumFloor(at sim.Time, med, start uint64) (relation.Me
 // returned completion time covers metadata resolution plus the slowest
 // cblock read, with extents fetched in parallel, plus CPU overhead.
 func (a *Array) ReadAt(at sim.Time, vol VolumeID, off int64, n int) ([]byte, sim.Time, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if off%cblock.SectorSize != 0 || n%cblock.SectorSize != 0 || n <= 0 {
 		return nil, at, ErrUnaligned
 	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	row, done, err := a.volumeLocked(at, vol)
 	if err != nil {
 		return nil, done, err

@@ -7,7 +7,7 @@
 package iosched
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -16,13 +16,16 @@ import (
 
 // Tracker keeps a sliding window of recent request latencies and answers
 // percentile queries against it. Safe for concurrent use.
+//
+// The window is held twice: as a ring in arrival order, which says what to
+// evict, and sorted, which makes a percentile an index. Every read asks for
+// a percentile, so Record pays for the order (two binary searches and one
+// move of the elements between them) and Percentile pays nothing.
 type Tracker struct {
 	mu     sync.Mutex
-	window []sim.Time
-	pos    int
-	filled bool
-	sorted []sim.Time
-	dirty  bool
+	window []sim.Time // ring, arrival order; full once len(sorted) reaches it
+	pos    int        // next ring slot to overwrite
+	sorted []sim.Time // the window's observations, ascending
 }
 
 // NewTracker returns a tracker over a window of n observations.
@@ -30,41 +33,44 @@ func NewTracker(n int) *Tracker {
 	if n <= 0 {
 		n = 1024
 	}
-	return &Tracker{window: make([]sim.Time, n)}
+	return &Tracker{window: make([]sim.Time, n), sorted: make([]sim.Time, 0, n)}
 }
 
-// Record adds a request latency.
+// Record adds a request latency, evicting the oldest once the window is
+// full.
 func (t *Tracker) Record(d sim.Time) {
 	t.mu.Lock()
-	t.window[t.pos] = d
-	t.pos++
-	if t.pos == len(t.window) {
-		t.pos = 0
-		t.filled = true
+	defer t.mu.Unlock()
+	at, _ := slices.BinarySearch(t.sorted, d)
+	if len(t.sorted) < len(t.window) {
+		t.sorted = slices.Insert(t.sorted, at, d)
+	} else {
+		// Equal observations are interchangeable, so any copy of the evicted
+		// value will do. Close its gap towards the new value's place.
+		gap, _ := slices.BinarySearch(t.sorted, t.window[t.pos])
+		if at <= gap {
+			copy(t.sorted[at+1:gap+1], t.sorted[at:gap])
+		} else {
+			at--
+			copy(t.sorted[gap:at], t.sorted[gap+1:at+1])
+		}
+		t.sorted[at] = d
 	}
-	t.dirty = true
-	t.mu.Unlock()
+	t.window[t.pos] = d
+	t.pos = (t.pos + 1) % len(t.window)
 }
 
 // Percentile returns the p-th percentile of the window (0 when empty).
 func (t *Tracker) Percentile(p float64) sim.Time {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := t.pos
-	if t.filled {
-		n = len(t.window)
-	}
+	n := len(t.sorted)
 	if n == 0 {
 		return 0
 	}
-	if t.dirty {
-		t.sorted = append(t.sorted[:0], t.window[:n]...)
-		sort.Slice(t.sorted, func(i, j int) bool { return t.sorted[i] < t.sorted[j] })
-		t.dirty = false
-	}
-	idx := int(p / 100 * float64(len(t.sorted)))
-	if idx >= len(t.sorted) {
-		idx = len(t.sorted) - 1
+	idx := int(p / 100 * float64(n))
+	if idx >= n {
+		idx = n - 1
 	}
 	return t.sorted[idx]
 }
@@ -73,10 +79,7 @@ func (t *Tracker) Percentile(p float64) sim.Time {
 func (t *Tracker) Count() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.filled {
-		return len(t.window)
-	}
-	return t.pos
+	return len(t.sorted)
 }
 
 // Policy bundles the read-path scheduling decisions.

@@ -1,6 +1,8 @@
 package iosched
 
 import (
+	"sort"
+	"sync"
 	"testing"
 
 	"purity/internal/sim"
@@ -138,5 +140,102 @@ func TestGovernorDisabledAndNil(t *testing.T) {
 	nilGov.NoteDeferral()
 	if nilGov.Threatened() || nilGov.Deferrals() != 0 || nilGov.Budget() != 0 || nilGov.P999() != 0 {
 		t.Fatal("nil governor not inert")
+	}
+}
+
+// sortedWindow is the tracker's definition, as first written: copy the last
+// `window` observations and sort them; a percentile indexes the result.
+func sortedWindow(history []sim.Time, window int) []sim.Time {
+	if len(history) > window {
+		history = history[len(history)-window:]
+	}
+	s := append([]sim.Time(nil), history...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	return s
+}
+
+// TestTrackerMatchesSortedCopy: after every Record of random streams longer
+// than the window — few distinct values, so duplicates are evicted and
+// inserted all the time, and the ring wraps several times — every
+// percentile the engine asks for equals the copy-and-sort definition.
+func TestTrackerMatchesSortedCopy(t *testing.T) {
+	for _, tc := range []struct {
+		window, n int
+		distinct  int64
+		seed      uint64
+	}{
+		{1, 50, 3, 1}, {2, 50, 2, 2}, {7, 200, 4, 3}, {64, 1000, 1000, 4},
+		{64, 1000, 5, 5}, {100, 1234, 1 << 40, 6}, {1024, 2500, 300, 7},
+	} {
+		tr := NewTracker(tc.window)
+		r := sim.NewRand(tc.seed)
+		var history []sim.Time
+		for i := 0; i < tc.n; i++ {
+			d := sim.Time(r.Int63n(tc.distinct))
+			if r.Intn(8) == 0 && len(history) > 0 {
+				d = history[r.Intn(len(history))] // a value seen before, maybe evicted since
+			}
+			tr.Record(d)
+			history = append(history, d)
+			want := sortedWindow(history, tc.window)
+			if tr.Count() != len(want) {
+				t.Fatalf("window %d seed %d after %d records: Count = %d, want %d", tc.window, tc.seed, i+1, tr.Count(), len(want))
+			}
+			for _, p := range []float64{0, 50, 90, 95, 99.9, 100} {
+				idx := int(p / 100 * float64(len(want)))
+				if idx >= len(want) {
+					idx = len(want) - 1
+				}
+				if got := tr.Percentile(p); got != want[idx] {
+					t.Fatalf("window %d seed %d after %d records: p%v = %v, sorted copy says %v",
+						tc.window, tc.seed, i+1, p, got, want[idx])
+				}
+			}
+		}
+	}
+}
+
+// TestTrackerConcurrent is for the race detector: writers and percentile
+// readers share one tracker. Whatever the interleaving, the window ends
+// holding the last `window` observations of some order of the writes; all
+// writers record the same multiset, so the end state is checkable.
+func TestTrackerConcurrent(t *testing.T) {
+	const writers, perWriter, window = 4, 2000, 256
+	tr := NewTracker(window)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if lo, hi := tr.Percentile(50), tr.Percentile(99.9); lo > hi {
+				t.Errorf("p50 %v above p99.9 %v", lo, hi)
+				return
+			}
+			tr.Count()
+		}
+	}()
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				tr.Record(sim.Time(i % 7))
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-readerDone
+	if tr.Count() != window {
+		t.Fatalf("Count = %d, want %d", tr.Count(), window)
+	}
+	if lo, hi := tr.Percentile(0), tr.Percentile(100); lo < 0 || hi > 6 {
+		t.Fatalf("window holds values outside what was recorded: min %v max %v", lo, hi)
 	}
 }

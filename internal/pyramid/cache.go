@@ -7,9 +7,11 @@ import (
 	"purity/internal/pagecodec"
 )
 
-// pageCache is a small LRU of decoded pages. Metadata reads dominate the
-// lookup path (§3.1: extra reads in exchange for space), so keeping hot
-// index pages decoded in DRAM is what makes medium-chain resolution cheap.
+// pageCache is a small LRU of opened pages: checksum verified, dictionaries
+// parsed, key columns decoded once on first search, rows decoded on demand
+// (pagecodec.Page). Metadata reads dominate the lookup path (§3.1: extra
+// reads in exchange for space), so keeping hot index pages open in DRAM is
+// what makes medium-chain resolution cheap.
 type pageCache struct {
 	mu    sync.Mutex
 	cap   int

@@ -20,40 +20,34 @@ func (p *Pyramid) GetCeil(at sim.Time, prefix []uint64, col uint64) (tuple.Fact,
 		panic("pyramid: GetCeil prefix must cover all but the last key column")
 	}
 	done := at
+	keyCols := p.cfg.Schema.KeyCols
+	tk := append(append(make([]uint64, 0, keyCols), prefix...), col)
 
-	p.mu.Lock()
-	p.sortMemLocked()
-	mem := p.mem
-	patches := append([]*Patch(nil), p.patches...)
-	p.mu.Unlock()
-
-	target := col
 	for {
-		var best tuple.Fact
-		found := false
-		consider := func(f tuple.Fact) {
-			if !found {
-				best = f
-				found = true
-				return
-			}
-			c := tuple.CompareKeys(f.Cols, best.Cols, p.cfg.Schema.KeyCols)
-			if c < 0 || (c == 0 && f.Seq > best.Seq) {
-				best = f
-			}
-		}
-		if f, ok := ceilInMem(mem, prefix, target, p.cfg.Schema.KeyCols); ok {
-			consider(f)
-		}
+		// As in GetFloor: the memtable's candidate and the patch list are
+		// one snapshot; the global ceiling is the least candidate key, its
+		// newest version the max-seq fact among sources reporting it.
+		p.mu.Lock()
+		p.sortMemLocked()
+		best, found := ceilInMem(p.mem, tk, len(prefix))
+		patches := p.patches
+		p.mu.Unlock()
+
 		for _, patch := range patches {
-			f, ok, d, err := p.ceilInPatch(done, patch, prefix, target)
+			f, ok, d, err := p.ceilInPatch(done, patch, tk, len(prefix))
 			done = d
 			if err != nil {
 				return tuple.Fact{}, false, done, err
 			}
-			if ok {
-				consider(f)
+			if !ok {
+				continue
 			}
+			if found {
+				if c := tuple.CompareKeys(f.Cols, best.Cols, keyCols); c > 0 || (c == 0 && f.Seq <= best.Seq) {
+					continue
+				}
+			}
+			best, found = f, true
 		}
 		if !found {
 			return tuple.Fact{}, false, done, nil
@@ -61,16 +55,16 @@ func (p *Pyramid) GetCeil(at sim.Time, prefix []uint64, col uint64) (tuple.Fact,
 		if !p.elided(best) {
 			return best.Clone(), true, done, nil
 		}
-		c := best.Cols[p.cfg.Schema.KeyCols-1]
+		c := best.Cols[keyCols-1]
 		if c == ^uint64(0) {
 			return tuple.Fact{}, false, done, nil
 		}
-		target = c + 1
+		tk[keyCols-1] = c + 1
 	}
 }
 
-func ceilInMem(mem []tuple.Fact, prefix []uint64, col uint64, keyCols int) (tuple.Fact, bool) {
-	tk := append(append([]uint64(nil), prefix...), col)
+func ceilInMem(mem []tuple.Fact, tk []uint64, prefixLen int) (tuple.Fact, bool) {
+	keyCols := len(tk)
 	idx := sort.Search(len(mem), func(i int) bool {
 		return tuple.CompareKeys(mem[i].Cols, tk, keyCols) >= 0
 	})
@@ -78,16 +72,15 @@ func ceilInMem(mem []tuple.Fact, prefix []uint64, col uint64, keyCols int) (tupl
 		return tuple.Fact{}, false
 	}
 	cand := mem[idx]
-	if tuple.CompareKeys(cand.Cols, prefix, len(prefix)) != 0 {
+	if tuple.CompareKeys(cand.Cols, tk, prefixLen) != 0 {
 		return tuple.Fact{}, false
 	}
 	// idx is the run start of its key (key asc, seq desc): newest version.
 	return cand, true
 }
 
-func (p *Pyramid) ceilInPatch(at sim.Time, patch *Patch, prefix []uint64, col uint64) (tuple.Fact, bool, sim.Time, error) {
-	keyCols := p.cfg.Schema.KeyCols
-	tk := append(append([]uint64(nil), prefix...), col)
+func (p *Pyramid) ceilInPatch(at sim.Time, patch *Patch, tk []uint64, prefixLen int) (tuple.Fact, bool, sim.Time, error) {
+	keyCols := len(tk)
 	done := at
 	// Last page with KeyMin ≤ tk could contain the ceiling; if not, the
 	// next page's first row is it.
@@ -108,7 +101,7 @@ func (p *Pyramid) ceilInPatch(at sim.Time, patch *Patch, prefix []uint64, col ui
 			continue // ceiling is in a later page
 		}
 		cand := pg.Fact(ri)
-		if tuple.CompareKeys(cand.Cols, prefix, len(prefix)) != 0 {
+		if tuple.CompareKeys(cand.Cols, tk, prefixLen) != 0 {
 			return tuple.Fact{}, false, done, nil
 		}
 		return cand, true, done, nil

@@ -26,44 +26,38 @@ func (p *Pyramid) GetFloor(at sim.Time, prefix []uint64, col uint64) (tuple.Fact
 		panic("pyramid: GetFloor prefix must cover all but the last key column")
 	}
 	done := at
+	keyCols := p.cfg.Schema.KeyCols
+	// The target key, built once; a retry below a dead key only lowers its
+	// last column.
+	tk := append(append(make([]uint64, 0, keyCols), prefix...), col)
 
-	p.mu.Lock()
-	p.sortMemLocked()
-	mem := p.mem
-	patches := append([]*Patch(nil), p.patches...)
-	p.mu.Unlock()
-
-	target := col
 	for {
 		// Per-source floor candidates; the global floor key is their max,
 		// and its newest version is the max-seq fact among sources
-		// reporting that key.
-		var best tuple.Fact
-		found := false
-		consider := func(f tuple.Fact) {
-			if !found {
-				best = f
-				found = true
-				return
-			}
-			c := tuple.CompareKeys(f.Cols, best.Cols, p.cfg.Schema.KeyCols)
-			if c > 0 || (c == 0 && f.Seq > best.Seq) {
-				best = f
-			}
-		}
+		// reporting that key. The memtable's candidate is found under the
+		// lock (a later sort reuses the memtable's buffers) together with
+		// the patch list's header, which is copy-on-write: one snapshot.
+		p.mu.Lock()
+		p.sortMemLocked()
+		best, found := floorInMem(p.mem, tk, len(prefix))
+		patches := p.patches
+		p.mu.Unlock()
 
-		if f, ok := floorInMem(mem, prefix, target, p.cfg.Schema.KeyCols); ok {
-			consider(f)
-		}
 		for _, patch := range patches {
-			f, ok, d, err := p.floorInPatch(done, patch, prefix, target)
+			f, ok, d, err := p.floorInPatch(done, patch, tk, len(prefix))
 			done = d
 			if err != nil {
 				return tuple.Fact{}, false, done, err
 			}
-			if ok {
-				consider(f)
+			if !ok {
+				continue
 			}
+			if found {
+				if c := tuple.CompareKeys(f.Cols, best.Cols, keyCols); c < 0 || (c == 0 && f.Seq <= best.Seq) {
+					continue
+				}
+			}
+			best, found = f, true
 		}
 		if !found {
 			return tuple.Fact{}, false, done, nil
@@ -72,17 +66,17 @@ func (p *Pyramid) GetFloor(at sim.Time, prefix []uint64, col uint64) (tuple.Fact
 			return best.Clone(), true, done, nil
 		}
 		// Dead key: step below it and retry.
-		c := best.Cols[p.cfg.Schema.KeyCols-1]
+		c := best.Cols[keyCols-1]
 		if c == 0 {
 			return tuple.Fact{}, false, done, nil
 		}
-		target = c - 1
+		tk[keyCols-1] = c - 1
 	}
 }
 
 // floorInMem finds the per-source floor candidate in the sorted memtable.
-func floorInMem(mem []tuple.Fact, prefix []uint64, col uint64, keyCols int) (tuple.Fact, bool) {
-	tk := append(append([]uint64(nil), prefix...), col)
+func floorInMem(mem []tuple.Fact, tk []uint64, prefixLen int) (tuple.Fact, bool) {
+	keyCols := len(tk)
 	// First index with key > tk. Versions sort seq-desc after equal keys,
 	// so the run of key tk (if any) ends just before this index.
 	idx := sort.Search(len(mem), func(i int) bool {
@@ -92,7 +86,7 @@ func floorInMem(mem []tuple.Fact, prefix []uint64, col uint64, keyCols int) (tup
 		return tuple.Fact{}, false
 	}
 	cand := mem[idx-1]
-	if tuple.CompareKeys(cand.Cols, prefix, len(prefix)) != 0 {
+	if tuple.CompareKeys(cand.Cols, tk, prefixLen) != 0 {
 		return tuple.Fact{}, false
 	}
 	// Walk to the start of this key's run: the newest version.
@@ -104,9 +98,8 @@ func floorInMem(mem []tuple.Fact, prefix []uint64, col uint64, keyCols int) (tup
 }
 
 // floorInPatch finds the per-source floor candidate within one patch.
-func (p *Pyramid) floorInPatch(at sim.Time, patch *Patch, prefix []uint64, col uint64) (tuple.Fact, bool, sim.Time, error) {
-	keyCols := p.cfg.Schema.KeyCols
-	tk := append(append([]uint64(nil), prefix...), col)
+func (p *Pyramid) floorInPatch(at sim.Time, patch *Patch, tk []uint64, prefixLen int) (tuple.Fact, bool, sim.Time, error) {
+	keyCols := len(tk)
 	done := at
 	// Last page whose KeyMin ≤ tk; the floor row is there or at the tail
 	// of an earlier page (when that page starts above... it cannot: pages
@@ -132,7 +125,7 @@ func (p *Pyramid) floorInPatch(at sim.Time, patch *Patch, prefix []uint64, col u
 			continue
 		}
 		cand := pg.Fact(ri - 1)
-		if tuple.CompareKeys(cand.Cols, prefix, len(prefix)) != 0 {
+		if tuple.CompareKeys(cand.Cols, tk, prefixLen) != 0 {
 			return tuple.Fact{}, false, done, nil
 		}
 		// Newest version = run start; runs never span pages (writePatch

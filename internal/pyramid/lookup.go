@@ -3,99 +3,41 @@ package pyramid
 import (
 	"sort"
 
+	"purity/internal/pagecodec"
 	"purity/internal/sim"
 	"purity/internal/tuple"
 )
 
 func seqOf(v uint64) tuple.Seq { return tuple.Seq(v) }
 
-// Get returns the newest non-elided fact with exactly this key. Patches
-// hold disjoint, ordered sequence ranges, so the first source (memtable,
-// then patches newest-first) containing the key holds its newest version.
 // memSuffixMax bounds how many unsorted memtable facts Get will scan
 // linearly before forcing a (incremental) re-sort. Point lookups — the
 // dedup index is probed once per 512 B block of every write — would
 // otherwise pay a full memtable merge after every insert batch.
 const memSuffixMax = 64
 
+// Get returns the newest non-elided fact with exactly this key. Patches
+// hold disjoint, ordered sequence ranges, so the first source (memtable,
+// then patches newest-first) containing the key holds its newest version.
 func (p *Pyramid) Get(at sim.Time, key []uint64) (tuple.Fact, bool, sim.Time, error) {
 	k := p.cfg.Schema.KeyCols
 	done := at
 
+	// A reader's view is the memtable rows it needs, copied out under the
+	// lock (a later sort reuses the memtable's buffers), plus the patch
+	// list's header: the list is copy-on-write (installPatchLocked builds a
+	// fresh slice), so the header is the snapshot.
 	p.mu.Lock()
 	if len(p.mem)-p.sortedLen > memSuffixMax {
 		p.sortMemLocked()
 	}
-	mem := p.mem
-	sortedLen := p.sortedLen
-	// The patch list is copy-on-write (installPatchLocked builds a fresh
-	// slice), so the header snapshot needs no copy.
+	versions := p.memVersionsLocked(key)
 	patches := p.patches
 	p.mu.Unlock()
 
-	// Memtable: the sorted prefix is binary-searched; facts inserted since
-	// the last sort (a bounded suffix) are scanned linearly. The two match
-	// streams are merged in (seq desc, insertion asc) order — exactly the
-	// order a full stable sort would produce — and the first non-elided
-	// match is the newest version.
-	prefix := mem[:sortedLen]
-	var i int
-	if k == 1 {
-		// Single-column keys (the dedup index) take a hand-rolled search:
-		// no closure, no generic key compare.
-		key0 := key[0]
-		lo, hi := 0, len(prefix)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if prefix[mid].Cols[0] < key0 {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		i = lo
-	} else {
-		i = sort.Search(len(prefix), func(i int) bool {
-			return tuple.CompareKeys(prefix[i].Cols, key, k) >= 0
-		})
-	}
-	var sm []tuple.Fact // suffix matches, insertion order
-	if k == 1 {
-		key0 := key[0]
-		for _, f := range mem[sortedLen:] {
-			if f.Cols[0] == key0 {
-				sm = append(sm, f)
-			}
-		}
-	} else {
-		for _, f := range mem[sortedLen:] {
-			if tuple.CompareKeys(f.Cols, key, k) == 0 {
-				sm = append(sm, f)
-			}
-		}
-	}
-	if len(sm) > 1 {
-		sort.SliceStable(sm, func(a, b int) bool { return sm[a].Seq > sm[b].Seq })
-	}
-	si := 0
-	for {
-		havePre := i < len(prefix) && tuple.CompareKeys(prefix[i].Cols, key, k) == 0
-		haveSuf := si < len(sm)
-		if !havePre && !haveSuf {
-			break
-		}
-		// Ties take the prefix fact: it was inserted earlier, matching the
-		// stable-sort order.
-		if havePre && (!haveSuf || prefix[i].Seq >= sm[si].Seq) {
-			if !p.elided(prefix[i]) {
-				return prefix[i].Clone(), true, done, nil
-			}
-			i++
-		} else {
-			if !p.elided(sm[si]) {
-				return sm[si].Clone(), true, done, nil
-			}
-			si++
+	for _, f := range versions {
+		if !p.elided(f) {
+			return f.Clone(), true, done, nil
 		}
 	}
 
@@ -124,6 +66,56 @@ func (p *Pyramid) Get(at sim.Time, key []uint64) (tuple.Fact, bool, sim.Time, er
 		}
 	}
 	return tuple.Fact{}, false, done, nil
+}
+
+// memVersionsLocked returns the memtable's versions of key, newest first.
+// The sorted prefix is binary-searched; facts inserted since the last sort
+// (a bounded suffix) are scanned linearly. The result is in (seq desc,
+// insertion asc) order — exactly the order a full stable sort would
+// produce: prefix facts were inserted before suffix facts and come first,
+// and the sort below is stable. Caller holds mu.
+func (p *Pyramid) memVersionsLocked(key []uint64) []tuple.Fact {
+	k := p.cfg.Schema.KeyCols
+	prefix, suffix := p.mem[:p.sortedLen], p.mem[p.sortedLen:]
+	var out []tuple.Fact
+	if k == 1 {
+		// Single-column keys (the dedup index) take a hand-rolled search:
+		// no closure, no generic key compare.
+		key0 := key[0]
+		lo, hi := 0, len(prefix)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if prefix[mid].Cols[0] < key0 {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		for ; lo < len(prefix) && prefix[lo].Cols[0] == key0; lo++ {
+			out = append(out, prefix[lo])
+		}
+		for _, f := range suffix {
+			if f.Cols[0] == key0 {
+				out = append(out, f)
+			}
+		}
+	} else {
+		i := sort.Search(len(prefix), func(i int) bool {
+			return tuple.CompareKeys(prefix[i].Cols, key, k) >= 0
+		})
+		for ; i < len(prefix) && tuple.CompareKeys(prefix[i].Cols, key, k) == 0; i++ {
+			out = append(out, prefix[i])
+		}
+		for _, f := range suffix {
+			if tuple.CompareKeys(f.Cols, key, k) == 0 {
+				out = append(out, f)
+			}
+		}
+	}
+	if len(out) > 1 {
+		sort.SliceStable(out, func(a, b int) bool { return out[a].Seq > out[b].Seq })
+	}
+	return out
 }
 
 // getFromPatch1 is getFromPatch specialized for single-column keys — the
@@ -255,23 +247,39 @@ func (s *memSource) advance(at sim.Time) (sim.Time, error) {
 	return at, nil
 }
 
+// patchSource streams one patch. It opens pages through the cache, in order,
+// as the stream reaches them: the page-open sequence is all the device model
+// sees of a scan (DESIGN.md "Read path"), so a seek changes what is decoded,
+// never what is opened. A stream bounded by hi decodes one row at a time and
+// ends at the first key above hi; an unbounded one (hi nil: recovery, census
+// and listing scans, merges) will read every row and decodes pages whole.
 type patchSource struct {
-	p       *Pyramid
-	patch   *Patch
-	pageIdx int
-	rows    []tuple.Fact
-	pos     int
+	p     *Pyramid
+	patch *Patch
+	hi    []uint64 // inclusive upper bound; nil is open
+
+	pageIdx int // page of pg; -1 before the first open
+	pg      *pagecodec.Page
+	pos     int          // current row of pg
+	rows    []tuple.Fact // unbounded: pg decoded whole, on first peek
+	cur     tuple.Fact   // bounded: row pos decoded, on first peek
+	have    bool
+	eof     bool
 }
 
-// load decodes the current page's rows; it is called lazily.
-func (s *patchSource) load(at sim.Time) (sim.Time, error) {
-	for s.rows == nil || s.pos >= len(s.rows) {
-		if s.rows != nil {
-			s.pageIdx++
-		}
+func newPatchSource(p *Pyramid, patch *Patch, hi []uint64) patchSource {
+	return patchSource{p: p, patch: patch, hi: hi, pageIdx: -1}
+}
+
+// settle makes pos name a row: while it is past the current page's end (or
+// nothing is open yet) the next page is opened. The stream ends after the
+// last page, or at a row above hi.
+func (s *patchSource) settle(at sim.Time) (sim.Time, error) {
+	s.have = false
+	for s.pg == nil || s.pos >= s.pg.RowCount() {
+		s.pageIdx++
 		if s.pageIdx >= len(s.patch.Pages) {
-			s.rows = []tuple.Fact{}
-			s.pos = 0
+			s.eof = true
 			return at, nil
 		}
 		pg, d, err := s.p.openPage(at, s.patch.Pages[s.pageIdx].Ref)
@@ -279,22 +287,55 @@ func (s *patchSource) load(at sim.Time) (sim.Time, error) {
 		if err != nil {
 			return at, err
 		}
-		s.rows = pg.All()
-		s.pos = 0
+		s.pg, s.pos, s.rows = pg, 0, nil
+	}
+	if k := len(s.hi); k > 0 {
+		s.eof = tuple.CompareKeys(s.pg.Keys()[s.pos*k:], s.hi, k) > 0
+	}
+	return at, nil
+}
+
+// seek moves forward to the first row with key ≥ lo. It opens exactly the
+// pages a row-by-row skip would — every page up to the landing page — but
+// decodes none of them: rows ascend across pages, so a page whose successor
+// starts below lo lies wholly below lo, and the landing row is a binary
+// search of the page's key cache.
+func (s *patchSource) seek(at sim.Time, lo []uint64) (sim.Time, error) {
+	k := s.p.cfg.Schema.KeyCols
+	pages := s.patch.Pages
+	for !s.eof {
+		if next := s.pageIdx + 1; next < len(pages) && tuple.CompareKeys(pages[next].KeyMin, lo, k) < 0 {
+			s.pos = s.pg.RowCount()
+		} else if s.pos = s.pg.FirstGE(lo); s.pos < s.pg.RowCount() {
+			return s.settle(at)
+		}
+		var err error
+		if at, err = s.settle(at); err != nil {
+			return at, err
+		}
 	}
 	return at, nil
 }
 
 func (s *patchSource) peek() (tuple.Fact, bool) {
-	if s.rows == nil || s.pos >= len(s.rows) {
+	if s.eof {
 		return tuple.Fact{}, false
 	}
-	return s.rows[s.pos], true
+	if s.hi == nil {
+		if s.rows == nil {
+			s.rows = s.pg.All()
+		}
+		return s.rows[s.pos], true
+	}
+	if !s.have {
+		s.cur, s.have = s.pg.Fact(s.pos), true
+	}
+	return s.cur, true
 }
 
 func (s *patchSource) advance(at sim.Time) (sim.Time, error) {
 	s.pos++
-	return s.load(at)
+	return s.settle(at)
 }
 
 // Scan streams the newest non-elided version of every key in [loKey,
@@ -305,47 +346,56 @@ func (p *Pyramid) Scan(at sim.Time, loKey, hiKey []uint64, fn func(tuple.Fact) b
 }
 
 // ScanVersions streams every non-elided fact version in the key range,
-// newest first within each key. The garbage collector and debugging tools
-// use this; normal readers want Scan.
+// newest first within each key. It is for callers that must judge the
+// versions themselves: every read resolves a sector through it, because an
+// address-map entry is shadowed by extent overlap and segment validity
+// rather than by key alone, and so do GC's liveness census and recovery's
+// rebuild of derived state.
 func (p *Pyramid) ScanVersions(at sim.Time, loKey, hiKey []uint64, fn func(tuple.Fact) bool) (sim.Time, error) {
 	return p.scan(at, loKey, hiKey, true, fn)
 }
 
+// scan merges the memtable and every patch over [loKey, hiKey]. With both
+// bounds set it costs the memtable rows and patch rows inside the window,
+// O(log rows) to find them, and one cache touch per patch page at or below
+// the window's start (see patchSource.seek).
 func (p *Pyramid) scan(at sim.Time, loKey, hiKey []uint64, allVersions bool, fn func(tuple.Fact) bool) (sim.Time, error) {
 	k := p.cfg.Schema.KeyCols
 	done := at
 
 	p.mu.Lock()
 	p.sortMemLocked()
-	memCopy := append([]tuple.Fact(nil), p.mem...)
-	patches := append([]*Patch(nil), p.patches...)
+	lo, hi := 0, len(p.mem)
+	if loKey != nil {
+		lo = sort.Search(hi, func(i int) bool { return tuple.CompareKeys(p.mem[i].Cols, loKey, k) >= 0 })
+	}
+	if hiKey != nil {
+		hi = lo + sort.Search(hi-lo, func(i int) bool { return tuple.CompareKeys(p.mem[lo+i].Cols, hiKey, k) > 0 })
+	}
+	// A later sort reuses the memtable's buffers, so the window is copied.
+	mem := memSource{facts: append([]tuple.Fact(nil), p.mem[lo:hi]...)}
+	// The patch list is copy-on-write: the header is the snapshot.
+	patches := p.patches
 	p.mu.Unlock()
 
+	// Page 0 of every patch first, newest patch first; then each patch is
+	// taken forward to loKey in turn.
+	streams := make([]patchSource, len(patches))
 	sources := make([]factSource, 0, len(patches)+1)
-	sources = append(sources, &memSource{facts: memCopy})
-	for _, patch := range patches {
-		ps := &patchSource{p: p, patch: patch}
+	sources = append(sources, &mem)
+	for i, patch := range patches {
+		streams[i] = newPatchSource(p, patch, hiKey)
 		var err error
-		done, err = ps.load(done)
-		if err != nil {
+		if done, err = streams[i].settle(done); err != nil {
 			return done, err
 		}
-		sources = append(sources, ps)
+		sources = append(sources, &streams[i])
 	}
-
-	// Skip sources forward to loKey.
 	if loKey != nil {
-		for _, s := range sources {
-			for {
-				f, ok := s.peek()
-				if !ok || tuple.CompareKeys(f.Cols, loKey, k) >= 0 {
-					break
-				}
-				var err error
-				done, err = s.advance(done)
-				if err != nil {
-					return done, err
-				}
+		for i := range streams {
+			var err error
+			if done, err = streams[i].seek(done, loKey); err != nil {
+				return done, err
 			}
 		}
 	}
@@ -367,9 +417,6 @@ func (p *Pyramid) scan(at sim.Time, loKey, hiKey []uint64, allVersions bool, fn 
 			}
 		}
 		if best < 0 {
-			return done, nil
-		}
-		if hiKey != nil && tuple.CompareKeys(bestFact.Cols, hiKey, k) > 0 {
 			return done, nil
 		}
 		var err error

@@ -1,8 +1,6 @@
 package pyramid
 
 import (
-	"sort"
-
 	"purity/internal/sim"
 	"purity/internal/tuple"
 )
@@ -16,14 +14,14 @@ import (
 // output discoverable, recovery's AddPatch keeps exactly one of them.
 func (p *Pyramid) MergeStep(at sim.Time) (bool, sim.Time, error) {
 	p.mu.RLock()
-	patches := append([]*Patch(nil), p.patches...)
+	patches := p.patches // copy-on-write: the header is the snapshot
 	p.mu.RUnlock()
 	if len(patches) < 2 {
 		return false, at, nil
 	}
-	// patches is SeqHi-descending; the two oldest are at the tail.
-	sort.Slice(patches, func(i, j int) bool { return patches[i].SeqLo < patches[j].SeqLo })
-	older, newer := patches[0], patches[1]
+	// patches is SeqHi-descending and sequence ranges are disjoint, so the
+	// two oldest are the last two.
+	older, newer := patches[len(patches)-1], patches[len(patches)-2]
 	if older.SeqHi+1 != newer.SeqLo {
 		// Non-contiguous (should not happen in normal operation); merging
 		// would misdeclare coverage of the gap.
@@ -47,13 +45,13 @@ func (p *Pyramid) mergePatches(at sim.Time, a, b *Patch) (*Patch, sim.Time, erro
 	k := p.cfg.Schema.KeyCols
 	done := at
 
-	sa := &patchSource{p: p, patch: a}
-	sb := &patchSource{p: p, patch: b}
+	// Unbounded streams: a merge reads every row, so pages decode whole.
+	sa, sb := newPatchSource(p, a, nil), newPatchSource(p, b, nil)
 	var err error
-	if done, err = sa.load(done); err != nil {
+	if done, err = sa.settle(done); err != nil {
 		return nil, done, err
 	}
-	if done, err = sb.load(done); err != nil {
+	if done, err = sb.settle(done); err != nil {
 		return nil, done, err
 	}
 

@@ -19,7 +19,7 @@ type Config struct {
 	Name       string
 	Schema     tuple.Schema
 	PageRows   int // facts per encoded page (default 256)
-	CachePages int // decoded-page cache capacity (default 512)
+	CachePages int // page cache capacity, in pages (default 512)
 
 	// Shadowed decides, during merges, whether an older version of a key
 	// can be dropped given the newer versions of the same key already kept
@@ -59,10 +59,14 @@ type Patch struct {
 	Rows         int
 }
 
-// Pyramid is one LSM index. Methods are safe for concurrent use; merge and
-// flatten operate on immutable patches so readers never block on them
-// (§4.8: "everything below the top level... lock-free" — expressed here
-// with a short-held mutex around the patch list swap, the Go idiom).
+// Pyramid is one LSM index. Readers (Get, GetFloor, GetCeil, Scan,
+// ScanVersions) are safe to run concurrently with each other and with a
+// mutator; merge and flatten operate on immutable patches so readers never
+// block on them (§4.8: "everything below the top level... lock-free" —
+// expressed here with a short-held mutex around the patch list swap, the Go
+// idiom). Mutators (Insert, Flush, MergeStep, AddPatch) must not overlap
+// one another: Flush rebuilds the memtable from what it saw before writing
+// its patch. The engine runs them under Array.mu.
 type Pyramid struct {
 	cfg   Config
 	store PageStore
@@ -166,7 +170,7 @@ func (p *Pyramid) Patches() []*Patch {
 // present, checksummed, and decodable.
 func (p *Pyramid) VerifyPages(at sim.Time) (sim.Time, error) {
 	p.mu.RLock()
-	patches := append([]*Patch(nil), p.patches...)
+	patches := p.patches // copy-on-write: the header is the snapshot
 	p.mu.RUnlock()
 	done := at
 	for _, patch := range patches {

@@ -51,9 +51,13 @@ func TestGracefulDrainFinishesInflight(t *testing.T) {
 	second := make(chan error, 1)
 	go func() { _, err := c.ReadAt(vol, 0, 4096); first <- err }()
 	<-entered // first read holds the tenant window's only slot
+	// The first read may itself have waited (the write's slot is released
+	// after its response is sent), so count from here: Shutdown must not
+	// start before the second read's frame has reached admission.
+	waits := s.Frontend().AdmissionWaits.Load()
 	go func() { _, err := c.ReadAt(vol, 0, 4096); second <- err }()
 	waitFor(t, "second read parked in admission", func() bool {
-		return s.Frontend().AdmissionWaits.Load() >= 1
+		return s.Frontend().AdmissionWaits.Load() > waits
 	})
 
 	shutDone := make(chan error, 1)

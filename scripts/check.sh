@@ -4,7 +4,8 @@
 # suite (root module and the nested benchmark/ module), the crash sweep,
 # and a short race pass over the packages that do real concurrency
 # (the parallel write pipeline, its core entry points, the TCP server's
-# per-connection goroutines, and the allocator/shelf locking).
+# per-connection goroutines, the allocator/shelf locking, and the two
+# packages whose types promise concurrent readers: pyramid, iosched).
 #
 # Usage: scripts/check.sh            from the repo root
 set -eu
@@ -77,7 +78,7 @@ echo "== drive-failure lifecycle (scrub repair + online rebuild)"
 go test -run 'TestScrubRepairsAllInjectedCorruption|TestScrubStepPacedWalkerCoversEverything|TestRebuildRestoresRedundancyAndBootRegion|TestRebuildSurvivesSecondFailure|TestOpenAtWithOneNVRAMFailed' ./internal/core/
 
 echo "== go test -race (concurrency-bearing packages)"
-go test -race -short ./internal/pipeline/ ./internal/server/ ./internal/dedup/ ./internal/layout/ ./internal/shelf/
+go test -race -short ./internal/pipeline/ ./internal/server/ ./internal/dedup/ ./internal/layout/ ./internal/shelf/ ./internal/pyramid/ ./internal/iosched/
 go test -race -short -run 'TestConcurrentWriters|TestConcurrentScrubRebuildForeground' ./internal/core/
 
 echo "== commit lanes (-race: multi-lane writers + the short crash sweep at lanes 1 and 4)"
