@@ -54,7 +54,6 @@ func Experiments() []Experiment {
 		{"E8", "§5.1: write amplification, wear and scrub", runE8},
 		{"E9", "§2.3: one array vs disk-based key-value nodes", runE9},
 		{"E12", "§4.2/§5.1: drive-failure lifecycle — corruption, scrub, online rebuild", runE12},
-		{"E13", "§3.2: sharded commit lanes — measured multi-core write scaling", runE13},
 		{"E14", "§4.4: pipelined front end — queue depth scaling and tail latency", runE14},
 		{"E15", "§4.3: end-to-end failover — kill the primary mid-workload under chaos", runE15},
 		{"A1", "Ablations: sampling, compression, stagger, RS geometry", runA1},

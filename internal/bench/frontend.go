@@ -84,7 +84,7 @@ func newFrontendRig(o Options, volSize int64) (*frontendRig, error) {
 	return rig, nil
 }
 
-// runE14 measures the pipelined front end in wall-clock time (like E13),
+// runE14 measures the pipelined front end in wall-clock time,
 // end to end over real loopback TCP: an in-process controller pair serves
 // one port, and initiators drive it over the wire.
 //

@@ -74,19 +74,6 @@ func Unpack(frame []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Sectors returns the number of sectors a frame decodes to, without
-// decompressing.
-func Sectors(frame []byte) (int, error) {
-	n, err := compress.DecompressedLen(frame)
-	if err != nil {
-		return 0, ErrCorrupt
-	}
-	if n%SectorSize != 0 {
-		return 0, ErrUnaligned
-	}
-	return n / SectorSize, nil
-}
-
 // ExtractSectors unpacks the frame and returns sectors [idx, idx+count).
 func ExtractSectors(frame []byte, idx, count int) ([]byte, error) {
 	data, err := Unpack(frame)

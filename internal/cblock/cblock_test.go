@@ -24,10 +24,6 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 			if !bytes.Equal(got, data) {
 				t.Fatalf("sectors=%d comp=%v mismatch", sectors, comp)
 			}
-			n, err := Sectors(frame)
-			if err != nil || n != sectors {
-				t.Fatalf("Sectors = %d, %v", n, err)
-			}
 		}
 	}
 }
@@ -87,7 +83,7 @@ func TestUnpackCorrupt(t *testing.T) {
 	if _, err := Unpack([]byte{0xff, 0xff}); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := Sectors(nil); err == nil {
+	if _, err := Unpack(nil); err == nil {
 		t.Fatal("nil frame accepted")
 	}
 }

@@ -217,10 +217,10 @@ func (h *HAClient) backoff(cur time.Duration) time.Duration {
 }
 
 // do runs one logical op through the retry machinery. f runs against the
-// current connection; replay reports whether a retry means the request may
-// execute a second time (true only for ops that are idempotent by
-// construction — reads, or writes carrying a seq).
-func (h *HAClient) do(replayable bool, f func(*Client) error) error {
+// current connection and may run again after an ambiguous failure, so every
+// op routed through here must be idempotent by construction — a read, or a
+// write carrying a session seq.
+func (h *HAClient) do(f func(*Client) error) error {
 	var delay time.Duration
 	var lastErr error
 	for attempt := 0; attempt < h.cfg.MaxAttempts; attempt++ {
@@ -262,14 +262,11 @@ func (h *HAClient) do(replayable bool, f func(*Client) error) error {
 			continue
 		}
 		// Transport failure or deadline: ambiguous — the op may or may not
-		// have been applied. Only replayable ops may go around again.
+		// have been applied; replaying it is safe (see above).
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			h.stats.DeadlineAborts.Inc()
 		}
 		h.condemn(c, false)
-		if !replayable {
-			return fmt.Errorf("client: ambiguous failure on non-replayable op: %w", err)
-		}
 	}
 	return fmt.Errorf("client: gave up after %d attempts: %w", h.cfg.MaxAttempts, lastErr)
 }
@@ -280,7 +277,7 @@ func (h *HAClient) do(replayable bool, f func(*Client) error) error {
 func (h *HAClient) WriteAt(vol uint64, off int64, data []byte) error {
 	seq := h.seq.Add(1)
 	first := true
-	return h.do(true, func(c *Client) error {
+	return h.do(func(c *Client) error {
 		if !first {
 			h.stats.Replays.Inc()
 		}
@@ -292,47 +289,10 @@ func (h *HAClient) WriteAt(vol uint64, off int64, data []byte) error {
 // ReadAt reads; naturally idempotent, so retries are unrestricted.
 func (h *HAClient) ReadAt(vol uint64, off int64, n int) ([]byte, error) {
 	var out []byte
-	err := h.do(true, func(c *Client) error {
+	err := h.do(func(c *Client) error {
 		var e error
 		out, e = c.ReadAt(vol, off, n)
 		return e
 	})
 	return out, err
-}
-
-// CreateVolume provisions a volume. Control ops retry on clean rejections
-// (NotPrimary/Retryable, where the op was not applied) but surface
-// ambiguous transport failures to the caller rather than risk re-running a
-// non-idempotent op.
-func (h *HAClient) CreateVolume(name string, sizeBytes int64) (uint64, error) {
-	var id uint64
-	err := h.do(false, func(c *Client) error {
-		var e error
-		id, e = c.CreateVolume(name, sizeBytes)
-		return e
-	})
-	return id, err
-}
-
-// OpenVolume resolves a volume name to (id, size).
-func (h *HAClient) OpenVolume(name string) (uint64, int64, error) {
-	var id uint64
-	var size int64
-	err := h.do(true, func(c *Client) error {
-		var e error
-		id, size, e = c.OpenVolume(name)
-		return e
-	})
-	return id, size, err
-}
-
-// Stats returns the current server's formatted statistics.
-func (h *HAClient) ServerStats() (string, error) {
-	var text string
-	err := h.do(true, func(c *Client) error {
-		var e error
-		text, e = c.Stats()
-		return e
-	})
-	return text, err
 }

@@ -191,19 +191,6 @@ func Decompress(dst, src []byte) ([]byte, int, error) {
 	}
 }
 
-// DecompressedLen returns the original length recorded in the frame header
-// without decompressing.
-func DecompressedLen(src []byte) (int, error) {
-	if len(src) < 2 {
-		return 0, ErrCorrupt
-	}
-	origLen, n := binary.Uvarint(src[1:])
-	if n <= 0 || origLen > maxBlock {
-		return 0, ErrCorrupt
-	}
-	return int(origLen), nil
-}
-
 func decodeLZ(dst, src []byte, origLen int) ([]byte, int, error) {
 	base := len(dst)
 	i := 0

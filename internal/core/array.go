@@ -121,12 +121,12 @@ type Array struct {
 	cpus []sim.Time // per-core busyUntil (§4.4's pinned event cores)
 }
 
-// Stats aggregates engine counters. Histograms record simulated latencies.
-type Stats struct {
+// Counters are the engine counters that Stats accumulates and StatsSnapshot
+// reports unchanged. Histograms record simulated latencies.
+type Counters struct {
 	Writes, Reads       int64
 	WriteLatency        *telemetry.Histogram
 	ReadLatency         *telemetry.Histogram
-	Reduction           *telemetry.Reduction
 	SegRead             layout.ReadStats
 	DedupHits           int64
 	DedupMisses         int64
@@ -153,6 +153,12 @@ type Stats struct {
 	Rebuilds        int64
 	RebuildSegments int64
 	RebuildBytes    int64
+}
+
+// Stats aggregates engine counters.
+type Stats struct {
+	Counters
+	Reduction *telemetry.Reduction
 	// SegReadErrors / UnpackErrors / ExtentReadErrors count segment-read,
 	// cblock-unpack, and extent-read failures (formerly ad-hoc debug
 	// prints). The first two are survived — reads reconstruct, dedup
@@ -166,8 +172,10 @@ type Stats struct {
 
 func newStats() Stats {
 	return Stats{
-		WriteLatency:     telemetry.NewHistogram(),
-		ReadLatency:      telemetry.NewHistogram(),
+		Counters: Counters{
+			WriteLatency: telemetry.NewHistogram(),
+			ReadLatency:  telemetry.NewHistogram(),
+		},
 		Reduction:        &telemetry.Reduction{},
 		SegReadErrors:    telemetry.NewCounter(),
 		UnpackErrors:     telemetry.NewCounter(),

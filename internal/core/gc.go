@@ -43,14 +43,6 @@ type cblockRefs struct {
 //     class — and the old segment's AUs are erased and freed.
 //  4. Flatten medium chains deeper than two hops so reads never touch more
 //     than three cblocks (§4.6).
-//
-// Debug knobs for fault isolation in tests.
-var (
-	gcSkipElide    = false
-	gcSkipEvacuate = false
-	gcSkipFlatten  = false
-)
-
 func (a *Array) RunGC(at sim.Time) (GCReport, sim.Time, error) {
 	// GC recomputes cross-volume invariants (exact liveness, candidacy):
 	// quiesce the commit lanes for the whole cycle.
@@ -59,22 +51,16 @@ func (a *Array) RunGC(at sim.Time) (GCReport, sim.Time, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var rep GCReport
-	done := at
 
-	if !gcSkipElide {
-		d, err := a.elideUnreachableMediumsLocked(done, &rep)
-		if err != nil {
-			return rep, d, err
-		}
-		done = d
-	}
-
-	live, d2, err := a.computeLivenessLocked(done)
-	d := d2
+	done, err := a.elideUnreachableMediumsLocked(at, &rep)
 	if err != nil {
-		return rep, d, err
+		return rep, done, err
 	}
-	done = d
+
+	live, done, err := a.computeLivenessLocked(done)
+	if err != nil {
+		return rep, done, err
+	}
 	// Fix up the approximations with the recomputed truth.
 	for id := range a.liveBytes {
 		a.liveBytes[id] = 0
@@ -129,9 +115,6 @@ func (a *Array) RunGC(at sim.Time) (GCReport, sim.Time, error) {
 		return candidates[i] < candidates[j]
 	})
 
-	if gcSkipEvacuate {
-		candidates = nil
-	}
 	for _, id := range candidates {
 		d, err := a.evacuateSegmentLocked(done, id, live[id], &rep)
 		if err != nil {
@@ -140,12 +123,9 @@ func (a *Array) RunGC(at sim.Time) (GCReport, sim.Time, error) {
 		done = d
 	}
 
-	if !gcSkipFlatten {
-		d, err := a.flattenDeepMediumsLocked(done, &rep)
-		if err != nil {
-			return rep, d, err
-		}
-		done = d
+	done, err = a.flattenDeepMediumsLocked(done, &rep)
+	if err != nil {
+		return rep, done, err
 	}
 
 	a.stats.GCRuns++
@@ -513,16 +493,6 @@ type ScrubReport struct {
 	// Deferred marks a paced step that did no work because the SLO
 	// governor had foreground reads over their tail budget.
 	Deferred bool
-}
-
-// Add accumulates other into r, so paced ScrubStep results can be summed
-// into a whole-pass report.
-func (r *ScrubReport) Add(other ScrubReport) {
-	r.SegmentsScanned += other.SegmentsScanned
-	r.StripesVerified += other.StripesVerified
-	r.BadWriteUnits += other.BadWriteUnits
-	r.WriteUnitsRepaired += other.WriteUnitsRepaired
-	r.SegmentsRepaired += other.SegmentsRepaired
 }
 
 // Scrub verifies every sealed segment's write units against their trailer

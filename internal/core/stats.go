@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"purity/internal/elide"
-	"purity/internal/layout"
 	"purity/internal/relation"
 	"purity/internal/sim"
 	"purity/internal/ssd"
@@ -19,38 +18,12 @@ func elidePredicate(row relation.ElideRow) elide.Predicate {
 
 // StatsSnapshot is the engine's public counter view.
 type StatsSnapshot struct {
-	Writes, Reads       int64
-	WriteLatency        *telemetry.Histogram
-	ReadLatency         *telemetry.Histogram
-	Reduction           telemetry.ReductionSnapshot
-	ReductionRatio      float64
-	SegRead             layout.ReadStats
-	DedupHits           int64
-	DedupMisses         int64
-	InlineDupBlocks     int64
-	GCRuns              int64
-	GCBytesMoved        int64
-	GCSegsReclaimed     int64
-	Checkpoints         int64
-	FrontierWrites      int64
-	CacheHits           int64
-	CacheMisses         int64
-	Flattened           int64
-	HedgedReads         int64
-	SpeculativePromotes int64
-	SegReadErrors       int64
-	UnpackErrors        int64
+	Counters
+	Reduction      telemetry.ReductionSnapshot
+	ReductionRatio float64
+	SegReadErrors  int64
+	UnpackErrors   int64
 
-	// Drive-failure lifecycle (§4.2, §5.1): scrub progress and in-place
-	// repairs, drive replacements, and rebuild work.
-	ScrubPasses      int64
-	ScrubSegments    int64
-	ScrubWUsRepaired int64
-	ScrubDeferrals   int64
-	DriveReplaces    int64
-	Rebuilds         int64
-	RebuildSegments  int64
-	RebuildBytes     int64
 	// DriveStates mirrors the shelf's health state machine, indexed by
 	// drive; LostShards counts shards currently served from parity.
 	DriveStates []string
@@ -74,45 +47,20 @@ func (a *Array) Stats() StatsSnapshot {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return StatsSnapshot{
-		Writes:              a.stats.Writes,
-		Reads:               a.stats.Reads,
-		WriteLatency:        a.stats.WriteLatency,
-		ReadLatency:         a.stats.ReadLatency,
-		Reduction:           a.stats.Reduction.Snapshot(),
-		ReductionRatio:      a.stats.Reduction.Ratio(),
-		SegRead:             a.stats.SegRead,
-		DedupHits:           a.stats.DedupHits,
-		DedupMisses:         a.stats.DedupMisses,
-		InlineDupBlocks:     a.stats.InlineDupBlocks,
-		GCRuns:              a.stats.GCRuns,
-		GCBytesMoved:        a.stats.GCBytesMoved,
-		GCSegsReclaimed:     a.stats.GCSegsReclaimed,
-		Checkpoints:         a.stats.Checkpoints,
-		FrontierWrites:      a.stats.FrontierWrites,
-		CacheHits:           a.stats.CacheHits,
-		CacheMisses:         a.stats.CacheMisses,
-		Flattened:           a.stats.Flattened,
-		HedgedReads:         a.stats.HedgedReads,
-		SpeculativePromotes: a.stats.SpeculativePromotes,
-		SegReadErrors:       a.stats.SegReadErrors.Load(),
-		UnpackErrors:        a.stats.UnpackErrors.Load(),
-		ScrubPasses:         a.stats.ScrubPasses,
-		ScrubSegments:       a.stats.ScrubSegments,
-		ScrubWUsRepaired:    a.stats.ScrubWUsRepaired,
-		ScrubDeferrals:      a.stats.ScrubDeferrals,
-		DriveReplaces:       a.stats.DriveReplaces,
-		Rebuilds:            a.stats.Rebuilds,
-		RebuildSegments:     a.stats.RebuildSegments,
-		RebuildBytes:        a.stats.RebuildBytes,
-		DriveStates:         a.driveStates(),
-		LostShards:          a.lostShardCount(),
-		Segments:            len(a.segMap),
-		ProvisionedBytes:    a.provisionedLocked(),
-		FrontierAUs:         a.alloc.FrontierSize(),
-		FreeAUs:             a.alloc.FreeAUs(),
-		FlashStats:          a.shelf.AggregateStats(),
-		NVRAMUsed:           a.shelf.NVRAM(0).Used(),
-		NVRAMAppends:        a.shelf.NVRAM(0).Appends(),
+		Counters:         a.stats.Counters,
+		Reduction:        a.stats.Reduction.Snapshot(),
+		ReductionRatio:   a.stats.Reduction.Ratio(),
+		SegReadErrors:    a.stats.SegReadErrors.Load(),
+		UnpackErrors:     a.stats.UnpackErrors.Load(),
+		DriveStates:      a.driveStates(),
+		LostShards:       a.lostShardCount(),
+		Segments:         len(a.segMap),
+		ProvisionedBytes: a.provisionedLocked(),
+		FrontierAUs:      a.alloc.FrontierSize(),
+		FreeAUs:          a.alloc.FreeAUs(),
+		FlashStats:       a.shelf.AggregateStats(),
+		NVRAMUsed:        a.shelf.NVRAM(0).Used(),
+		NVRAMAppends:     a.shelf.NVRAM(0).Appends(),
 	}
 }
 
@@ -136,9 +84,6 @@ func (a *Array) lostShardCount() int {
 	}
 	return n
 }
-
-// PhysicalCapacity returns the shelf's raw capacity in bytes.
-func (a *Array) PhysicalCapacity() int64 { return a.shelf.TotalCapacity() }
 
 // ElideTableSize returns the number of collapsed elide ranges for a
 // relation — experiment E5's bound check.

@@ -157,7 +157,7 @@ func (a *Array) readCBlockLocked(at sim.Time, seg, segOff uint64, physLen int) (
 	if err != nil {
 		return nil, done, err
 	}
-	//lint:ignore taintverify sealed-segment reads are WU-CRC-verified inside ReadRange (VerifyReads), unsealed reads come from in-memory pending buffers, and Unpack fails closed with the error counted
+	//lint:ignore taintverify sealed-segment reads are WU-CRC-verified inside ReadRange, unsealed reads come from in-memory pending buffers, and Unpack fails closed with the error counted
 	sectors, err := cblock.Unpack(frame)
 	if err != nil {
 		a.stats.UnpackErrors.Inc()

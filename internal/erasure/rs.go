@@ -43,12 +43,6 @@ func New(k, m int) (*Coder, error) {
 	return &Coder{k: k, m: m, enc: v.mul(topInv)}, nil
 }
 
-// DataShards returns k.
-func (c *Coder) DataShards() int { return c.k }
-
-// ParityShards returns m.
-func (c *Coder) ParityShards() int { return c.m }
-
 // TotalShards returns k+m.
 func (c *Coder) TotalShards() int { return c.k + c.m }
 

@@ -14,7 +14,7 @@ func fillShards(t *testing.T, c *Coder, size int, seed uint64) [][]byte {
 	shards := make([][]byte, c.TotalShards())
 	for i := range shards {
 		shards[i] = make([]byte, size)
-		if i < c.DataShards() {
+		if i < c.k {
 			r.Bytes(shards[i])
 		}
 	}

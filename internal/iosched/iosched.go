@@ -106,13 +106,8 @@ func DefaultPolicy() Policy {
 	return Policy{AvoidBusy: true, HedgePercentile: 95, MinHedgeSamples: 64, SLOHedgePercentile: 90}
 }
 
-// ShouldHedge reports whether a read that took `latency` warrants a
-// reconstruction race, given recent history.
-func (p Policy) ShouldHedge(t *Tracker, latency sim.Time) bool {
-	return p.ShouldHedgeUnder(t, latency, false)
-}
-
-// ShouldHedgeUnder is ShouldHedge with the governor's view folded in: while
+// ShouldHedgeUnder reports whether a read that took `latency` warrants a
+// reconstruction race, given recent history and the governor's view: while
 // the tail SLO is threatened (and the policy opts in via
 // SLOHedgePercentile), hedging triggers at the lower percentile so
 // foreground reads outrank whatever is congesting the drives.

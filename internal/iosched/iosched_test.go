@@ -49,21 +49,21 @@ func TestPolicyShouldHedge(t *testing.T) {
 	tr := NewTracker(128)
 	// Not enough samples: never hedge.
 	tr.Record(100)
-	if p.ShouldHedge(tr, sim.Second) {
+	if p.ShouldHedgeUnder(tr, sim.Second, false) {
 		t.Fatal("hedged without history")
 	}
 	for i := 0; i < 128; i++ {
 		tr.Record(100 * sim.Microsecond)
 	}
-	if p.ShouldHedge(tr, 90*sim.Microsecond) {
+	if p.ShouldHedgeUnder(tr, 90*sim.Microsecond, false) {
 		t.Fatal("hedged a fast read")
 	}
-	if !p.ShouldHedge(tr, 5*sim.Millisecond) {
+	if !p.ShouldHedgeUnder(tr, 5*sim.Millisecond, false) {
 		t.Fatal("did not hedge a slow read")
 	}
 	// Hedging disabled.
 	off := Policy{HedgePercentile: 0}
-	if off.ShouldHedge(tr, sim.Second) {
+	if off.ShouldHedgeUnder(tr, sim.Second, false) {
 		t.Fatal("disabled policy hedged")
 	}
 }

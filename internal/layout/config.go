@@ -32,14 +32,6 @@ type Config struct {
 	// be served by reconstruction from idle drives (§4.4). Setting it to
 	// K+M disables staggering (the E1 ablation).
 	MaxConcurrentWrites int
-
-	// VerifyReads makes the reader check every write unit it serves from a
-	// sealed segment against the CRCs in the AU trailer, treating a
-	// mismatch as a missing shard: reconstruct from peers, serve the
-	// repaired data, and rewrite the damaged write unit in place (§5.1's
-	// end-to-end integrity discipline). Costs a full write-unit read per
-	// shard access.
-	VerifyReads bool
 }
 
 // DefaultConfig returns the scaled-down production geometry: 7+2, 128 KiB
@@ -53,7 +45,6 @@ func DefaultConfig() Config {
 		ParityShards:        2,
 		BootAUs:             1,
 		MaxConcurrentWrites: 2,
-		VerifyReads:         true,
 	}
 }
 
@@ -67,7 +58,6 @@ func TestConfig() Config {
 		ParityShards:        2,
 		BootAUs:             1,
 		MaxConcurrentWrites: 2,
-		VerifyReads:         true,
 	}
 }
 

@@ -263,9 +263,6 @@ func TestWriterSegmentFull(t *testing.T) {
 	if n < 8 || n > 12 {
 		t.Fatalf("segment held %d 30 KiB items", n)
 	}
-	if w.Remaining() != 0 {
-		t.Fatalf("Remaining = %d after full", w.Remaining())
-	}
 	// Oversized item rejected outright.
 	if _, _, err := w.AppendData(0, make([]byte, cfg.StripeCapacity()+1)); err != ErrItemTooLarge && err != ErrSegmentFull {
 		t.Fatalf("oversized append: %v", err)

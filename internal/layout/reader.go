@@ -44,10 +44,11 @@ func (s *ReadStats) Add(other ReadStats) {
 // Reader serves segment-logical reads, reconstructing from parity when a
 // drive is failed, corrupt, or — under the avoidBusy policy — busy
 // programming (§4.4: "treat SSDs that are in the process of writing data as
-// though they have failed"). With cfg.VerifyReads, every write unit served
-// from a sealed segment is additionally checked against the trailer CRCs,
-// so silently flipped bits are detected, reconstructed around, and repaired
-// in place.
+// though they have failed"). Every write unit served from a sealed segment
+// is additionally checked against the CRCs in the AU trailer (§5.1's
+// end-to-end integrity discipline, at the cost of a full write-unit read per
+// shard access), so silently flipped bits are detected, reconstructed
+// around, and repaired in place.
 type Reader struct {
 	cfg    Config
 	drives []*ssd.Device
@@ -184,11 +185,11 @@ func (r *Reader) readWithinStripe(at sim.Time, info SegmentInfo, s int, within i
 
 // readShardRange reads [shardOff, shardOff+len(dst)) of the write unit that
 // slot holds in stripe s, reconstructing if the home drive is unavailable.
-// Sealed segments take the verified path when cfg.VerifyReads is on and a
-// trailer is readable; everything else (unsealed segments, trailer loss)
-// uses the unverified fast path.
+// Sealed segments take the verified path when a trailer is readable;
+// everything else (unsealed segments, trailer loss) uses the unverified
+// range path.
 func (r *Reader) readShardRange(at sim.Time, info SegmentInfo, s, slot int, shardOff int64, dst []byte, avoidBusy bool, stats *ReadStats) (sim.Time, error) {
-	if r.cfg.VerifyReads && info.Sealed {
+	if info.Sealed {
 		crcs, tAt := r.segmentCRCs(at, info)
 		if s < len(crcs) && slot < len(crcs[s]) {
 			return r.readShardVerified(tAt, info, s, slot, shardOff, dst, avoidBusy, crcs[s][slot], stats)
@@ -452,11 +453,6 @@ func (r *Reader) ReadAUTrailer(at sim.Time, au AU) (AUTrailer, sim.Time, error) 
 type StripeLog struct {
 	Records [][]byte
 	Trailer segioTrailer
-}
-
-// SeqRange reports the sequence numbers covered by the stripe's records.
-func (l StripeLog) SeqRange() (lo, hi uint64) {
-	return uint64(l.Trailer.SeqMin), uint64(l.Trailer.SeqMax)
 }
 
 // ReadStripeLogs reads stripe s of the segment, validates its checksum and

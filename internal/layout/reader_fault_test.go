@@ -47,21 +47,33 @@ func TestVerifiedReadHealsBitRot(t *testing.T) {
 	}
 }
 
-// TestHomeReadErrorCountedNotSwallowed pins the legacy (unverified) path:
-// a read error from a live home drive must be counted in HomeReadErrors and
-// answered by reconstruction, never silently dropped.
+// flushedUnsealed programs the writer's open segio and returns the segment
+// as the array sees it before Seal: stripes on flash, no AU trailer yet, so
+// reads of it take the range path rather than the CRC-verified one.
+func flushedUnsealed(t *testing.T, w *Writer) SegmentInfo {
+	t.Helper()
+	if _, err := w.Flush(0); err != nil {
+		t.Fatal(err)
+	}
+	info := w.Info()
+	if info.Sealed || info.Stripes == 0 {
+		t.Fatalf("info = %+v, want a flushed, unsealed segment", info)
+	}
+	return info
+}
+
+// TestHomeReadErrorCountedNotSwallowed pins the range path (no AU trailer
+// to verify against, as for a flushed segio of a still-open segment): a read
+// error from a live home drive must be counted in HomeReadErrors and answered
+// by reconstruction, never silently dropped.
 func TestHomeReadErrorCountedNotSwallowed(t *testing.T) {
 	cfg, drives, coder := newTestRig(t, 6, 4)
-	cfg.VerifyReads = false
 	aus := segmentAUs(cfg, 6, 1)
 	w, _ := NewWriter(cfg, drives, coder, 1, aus)
 	item := make([]byte, 8000)
 	sim.NewRand(8).Bytes(item)
 	offs := writeItems(t, w, [][]byte{item})
-	info, _, err := w.Seal(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := flushedUnsealed(t, w)
 	reader := NewReader(cfg, drives, coder)
 
 	dataSlot, _ := stripeSlots(cfg, 0)
@@ -88,16 +100,12 @@ func TestHomeReadErrorCountedNotSwallowed(t *testing.T) {
 // giving up.
 func TestHomeRetryWhenReconstructionImpossible(t *testing.T) {
 	cfg, drives, coder := newTestRig(t, 6, 4)
-	cfg.VerifyReads = false
 	aus := segmentAUs(cfg, 6, 1)
 	w, _ := NewWriter(cfg, drives, coder, 1, aus)
 	item := make([]byte, 8000)
 	sim.NewRand(9).Bytes(item)
 	offs := writeItems(t, w, [][]byte{item})
-	info, _, err := w.Seal(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := flushedUnsealed(t, w)
 	reader := NewReader(cfg, drives, coder)
 
 	dataSlot, _ := stripeSlots(cfg, 0)

@@ -105,19 +105,6 @@ func (w *Writer) stripeFree() int {
 	return w.cfg.StripeCapacity() - w.dataOff - w.logBytes
 }
 
-// Remaining returns a lower bound on the data bytes this segment can still
-// accept (current segio free space plus untouched segios).
-func (w *Writer) Remaining() int64 {
-	if w.sealed {
-		return 0
-	}
-	untouched := int64(w.cfg.StripesPerAU-w.info.Stripes-1) * int64(w.cfg.StripeCapacity())
-	if w.info.Stripes == w.cfg.StripesPerAU {
-		return 0
-	}
-	return untouched + int64(w.stripeFree())
-}
-
 // AppendData adds a blob of user data (a compressed cblock) to the segment
 // and returns its segment-logical offset. Items never span segios. The
 // returned completion time is `at` unless the append triggered a segio

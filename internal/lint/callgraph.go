@@ -200,6 +200,52 @@ func (cg *callGraph) collectEdges(gf *graphFunc, modPath string) {
 	}
 }
 
+// unionFixpoint solves a monotone union problem over the graph — the shape
+// of every may-effect summary (lock effects, commit reachability, lock
+// acquisition sets). edges picks the edge set effects travel along;
+// absorb(n, callee) folds the callee's facts into n's and reports whether
+// n's grew, and the callers of a node that grew are revisited until nothing
+// changes. Facts only grow, so recursion converges exactly. The visit order
+// is deterministic (cg.order first, then first-in first-out), which
+// witness-keeping clients rely on; dangling callees (no body) are skipped.
+func (cg *callGraph) unionFixpoint(edges func(*graphFunc) []funcNode, absorb func(n, callee funcNode) bool) {
+	callersOf := map[funcNode][]funcNode{}
+	for _, n := range cg.order {
+		for _, callee := range edges(cg.funcs[n]) {
+			if cg.funcs[callee] != nil {
+				callersOf[callee] = append(callersOf[callee], n)
+			}
+		}
+	}
+	worklist := append([]funcNode(nil), cg.order...)
+	queued := map[funcNode]bool{}
+	for _, n := range worklist {
+		queued[n] = true
+	}
+	for len(worklist) > 0 {
+		n := worklist[0]
+		worklist = worklist[1:]
+		queued[n] = false
+		changed := false
+		for _, callee := range edges(cg.funcs[n]) {
+			if cg.funcs[callee] != nil && absorb(n, callee) {
+				changed = true
+			}
+		}
+		if changed {
+			for _, caller := range callersOf[n] {
+				if !queued[caller] {
+					queued[caller] = true
+					worklist = append(worklist, caller)
+				}
+			}
+		}
+	}
+}
+
+func ownCallEdges(gf *graphFunc) []funcNode  { return gf.ownCalls }
+func syncCallEdges(gf *graphFunc) []funcNode { return gf.syncCallees }
+
 // directLits lists the literals nested immediately in body (not inside a
 // deeper literal), each of which is its own graph node.
 func directLits(body *ast.BlockStmt) []*ast.FuncLit {

@@ -431,14 +431,6 @@ type funcBody struct {
 	body *ast.BlockStmt
 }
 
-// pos returns a position identifying the function, for diagnostics.
-func (fb funcBody) pos() token.Pos {
-	if fb.decl != nil {
-		return fb.decl.Name.Pos()
-	}
-	return fb.lit.Pos()
-}
-
 // packageBodies lists every function body in the package, declarations
 // first, then each function literal (however nested) as its own entry —
 // matching BuildCFG's decision not to descend into literals.

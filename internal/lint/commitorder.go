@@ -48,6 +48,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -93,37 +94,19 @@ func (s *summaries) commitSummaries() map[funcNode]*commitSummary {
 func commitIgnoreIndex(prog *Program) map[string]map[int]int {
 	idx := map[string]map[int]int{}
 	for _, pkg := range prog.Pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text, ok := strings.CutPrefix(c.Text, "//lint:ignore")
-					if !ok {
-						continue
-					}
-					fields := strings.Fields(text)
-					if len(fields) < 2 {
-						continue
-					}
-					named := false
-					for _, name := range strings.Split(fields[0], ",") {
-						if name == "commitorder" {
-							named = true
-						}
-					}
-					if !named {
-						continue
-					}
-					pos := prog.Fset.Position(c.Pos())
-					m := idx[pos.Filename]
-					if m == nil {
-						m = map[int]int{}
-						idx[pos.Filename] = m
-					}
-					m[pos.Line] = pos.Line
-					m[pos.Line+1] = pos.Line
-				}
+		eachIgnore(pkg, func(c *ast.Comment, names []string) {
+			if !slices.Contains(names, "commitorder") {
+				return
 			}
-		}
+			pos := prog.Fset.Position(c.Pos())
+			m := idx[pos.Filename]
+			if m == nil {
+				m = map[int]int{}
+				idx[pos.Filename] = m
+			}
+			m[pos.Line] = pos.Line
+			m[pos.Line+1] = pos.Line
+		})
 	}
 	return idx
 }
@@ -135,39 +118,13 @@ func computeCommitSummaries(s *summaries) map[funcNode]*commitSummary {
 		out[n] = &commitSummary{mayCommit: localMayCommit(s.cg.funcs[n])}
 	}
 	// mayCommit: monotone boolean union over syncCallees, exact fixpoint.
-	callersOf := map[funcNode][]funcNode{}
-	for _, n := range s.cg.order {
-		for _, c := range s.cg.funcs[n].syncCallees {
-			if out[c] != nil {
-				callersOf[c] = append(callersOf[c], n)
-			}
+	s.cg.unionFixpoint(syncCallEdges, func(n, callee funcNode) bool {
+		if out[n].mayCommit || !out[callee].mayCommit {
+			return false
 		}
-	}
-	worklist := append([]funcNode(nil), s.cg.order...)
-	queued := map[funcNode]bool{}
-	for _, n := range worklist {
-		queued[n] = true
-	}
-	for len(worklist) > 0 {
-		n := worklist[0]
-		worklist = worklist[1:]
-		queued[n] = false
-		if out[n].mayCommit {
-			continue
-		}
-		for _, c := range s.cg.funcs[n].syncCallees {
-			if cs := out[c]; cs != nil && cs.mayCommit {
-				out[n].mayCommit = true
-				for _, caller := range callersOf[n] {
-					if !queued[caller] {
-						queued[caller] = true
-						worklist = append(worklist, caller)
-					}
-				}
-				break
-			}
-		}
-	}
+		out[n].mayCommit = true
+		return true
+	})
 	// undominated: bottom-up DFS; a cycle collapses the in-progress callee
 	// to "no claims" (its mayCommit is already exact) — lossy toward
 	// silence, like every recursive summary here.

@@ -195,43 +195,56 @@ func collectSuppressions(prog *Program, rules []Rule, rep *Reporter) suppression
 		if !pkg.Requested {
 			continue
 		}
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text, ok := strings.CutPrefix(c.Text, "//lint:ignore")
-					if !ok {
-						continue
+		eachIgnore(pkg, func(c *ast.Comment, names []string) {
+			if names == nil {
+				rep.Reportf("ignore", c.Pos(), "malformed //lint:ignore: want \"//lint:ignore <rule> <reason>\"")
+				return
+			}
+			pos := prog.Fset.Position(c.Pos())
+			for _, name := range names {
+				if !known[name] {
+					rep.Reportf("ignore", c.Pos(), "//lint:ignore names unknown rule %q", name)
+					continue
+				}
+				entry := &supEntry{pos: c.Pos(), rule: name, active: running[name]}
+				sup.entries = append(sup.entries, entry)
+				file := sup.byLine[pos.Filename]
+				if file == nil {
+					file = map[int]map[string]*supEntry{}
+					sup.byLine[pos.Filename] = file
+				}
+				for _, line := range []int{pos.Line, pos.Line + 1} {
+					if file[line] == nil {
+						file[line] = map[string]*supEntry{}
 					}
-					fields := strings.Fields(text)
-					if len(fields) < 2 {
-						rep.Reportf("ignore", c.Pos(), "malformed //lint:ignore: want \"//lint:ignore <rule> <reason>\"")
-						continue
-					}
-					pos := prog.Fset.Position(c.Pos())
-					for _, name := range strings.Split(fields[0], ",") {
-						if !known[name] {
-							rep.Reportf("ignore", c.Pos(), "//lint:ignore names unknown rule %q", name)
-							continue
-						}
-						entry := &supEntry{pos: c.Pos(), rule: name, active: running[name]}
-						sup.entries = append(sup.entries, entry)
-						file := sup.byLine[pos.Filename]
-						if file == nil {
-							file = map[int]map[string]*supEntry{}
-							sup.byLine[pos.Filename] = file
-						}
-						for _, line := range []int{pos.Line, pos.Line + 1} {
-							if file[line] == nil {
-								file[line] = map[string]*supEntry{}
-							}
-							file[line][name] = entry
-						}
-					}
+					file[line][name] = entry
+				}
+			}
+		})
+	}
+	return sup
+}
+
+// eachIgnore calls fn for every //lint:ignore comment in pkg, in source
+// order, with the rule names it lists ("//lint:ignore a,b reason"). names
+// is nil for a malformed comment — one with no reason after the rules. A
+// comment covers its own line and the line below.
+func eachIgnore(pkg *Package, fn func(c *ast.Comment, names []string)) {
+	for _, f := range pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				text, ok := strings.CutPrefix(c.Text, "//lint:ignore")
+				if !ok {
+					continue
+				}
+				if fields := strings.Fields(text); len(fields) >= 2 {
+					fn(c, strings.Split(fields[0], ","))
+				} else {
+					fn(c, nil)
 				}
 			}
 		}
 	}
-	return sup
 }
 
 // auditStale reports every active suppression that matched nothing this

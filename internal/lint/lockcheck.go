@@ -92,21 +92,28 @@ func acquiresOwnMu(pkg *Package, fd *ast.FuncDecl, recvName string) bool {
 		if !ok || found {
 			return !found
 		}
-		fn := calleeFunc(pkg.Info, call)
-		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-			return true
-		}
-		if fn.Name() != "Lock" && fn.Name() != "RLock" {
-			return true
-		}
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if exprKey(pkg.pkgFset(), sel.X) == recvName+".mu" {
-				found = true
-			}
+		if op, recv := syncCall(pkg, call); (op == "Lock" || op == "RLock") &&
+			exprKey(pkg.pkgFset(), recv) == recvName+".mu" {
+			found = true
 		}
 		return !found
 	})
 	return found
+}
+
+// syncCall recognises a method call into package sync — mu.Lock(),
+// a.mu.RUnlock(), wg.Add(1) — and returns the method name and the receiver
+// expression, whose exprKey is the lock chain. op is "" for any other call.
+func syncCall(pkg *Package, call *ast.CallExpr) (op string, recv ast.Expr) {
+	fn := calleeFunc(pkg.Info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return "", nil
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return "", nil
+	}
+	return fn.Name(), sel.X
 }
 
 func isMutexType(t types.Type) bool {

@@ -230,15 +230,12 @@ func (p *lockProblem) Transfer(n ast.Node, s lockState) lockState {
 		if !ok {
 			return true
 		}
-		fn := calleeFunc(p.pkg.Info, call)
-		if fn == nil {
+		if op, recv := syncCall(p.pkg, call); op != "" {
+			s = p.applyLockOp(s, exprKey(p.pkg.pkgFset(), recv), op, call.Pos())
 			return true
 		}
-		if fn.Pkg() != nil && fn.Pkg().Path() == "sync" {
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				chain := exprKey(p.pkg.pkgFset(), sel.X)
-				s = p.applyLockOp(s, chain, fn.Name(), call.Pos())
-			}
+		fn := calleeFunc(p.pkg.Info, call)
+		if fn == nil {
 			return true
 		}
 		// Summary-based self-deadlock: the callee's computed lock effect
@@ -275,15 +272,8 @@ func (p *lockProblem) Transfer(n ast.Node, s lockState) lockState {
 func (p *lockProblem) deferredUnlocks(call *ast.CallExpr) []string {
 	var chains []string
 	record := func(c *ast.CallExpr) {
-		fn := calleeFunc(p.pkg.Info, c)
-		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-			return
-		}
-		if fn.Name() != "Unlock" && fn.Name() != "RUnlock" {
-			return
-		}
-		if sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr); ok {
-			chains = append(chains, exprKey(p.pkg.pkgFset(), sel.X))
+		if op, recv := syncCall(p.pkg, c); op == "Unlock" || op == "RUnlock" {
+			chains = append(chains, exprKey(p.pkg.pkgFset(), recv))
 		}
 	}
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {

@@ -182,17 +182,13 @@ func chainClasses(gf *graphFunc) map[string]string {
 		if !ok {
 			return true
 		}
-		fn := calleeFunc(gf.pkg.Info, call)
-		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		op, recv := syncCall(gf.pkg, call)
+		if op == "" {
 			return true
 		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		chain := exprKey(gf.pkg.pkgFset(), sel.X)
+		chain := exprKey(gf.pkg.pkgFset(), recv)
 		if _, seen := out[chain]; !seen {
-			if class := lockClassOf(gf.pkg, sel.X); class != "" {
+			if class := lockClassOf(gf.pkg, recv); class != "" {
 				out[chain] = class
 			}
 		}
@@ -222,22 +218,15 @@ func (g *lockGraph) localAcquires() {
 			case *ast.FuncLit, *ast.GoStmt:
 				return false
 			case *ast.CallExpr:
-				fn := calleeFunc(gf.pkg.Info, m)
-				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+				op, recv := syncCall(gf.pkg, m)
+				if op != "Lock" && op != "RLock" {
 					return true
 				}
-				if fn.Name() != "Lock" && fn.Name() != "RLock" {
-					return true
-				}
-				sel, ok := ast.Unparen(m.Fun).(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				class := lockClassOf(gf.pkg, sel.X)
+				class := lockClassOf(gf.pkg, recv)
 				if class == "" {
 					return true
 				}
-				key := lockAcqKey{class: class, read: fn.Name() == "RLock"}
+				key := lockAcqKey{class: class, read: op == "RLock"}
 				if _, seen := acq[key]; !seen {
 					acq[key] = lockAcqWit{pos: m.Pos()}
 				}
@@ -253,48 +242,19 @@ func (g *lockGraph) localAcquires() {
 // witnesses keep the first chain discovered (deterministic: the worklist
 // and merge both follow cg.order / sorted keys).
 func (g *lockGraph) fixpointAcquires() {
-	callersOf := map[funcNode][]funcNode{}
-	for _, n := range g.sums.cg.order {
-		for _, callee := range g.sums.cg.funcs[n].syncCallees {
-			if g.acquires[callee] != nil {
-				callersOf[callee] = append(callersOf[callee], n)
-			}
-		}
-	}
-	worklist := append([]funcNode(nil), g.sums.cg.order...)
-	queued := map[funcNode]bool{}
-	for _, n := range worklist {
-		queued[n] = true
-	}
-	for len(worklist) > 0 {
-		n := worklist[0]
-		worklist = worklist[1:]
-		queued[n] = false
-		acq := g.acquires[n]
+	g.sums.cg.unionFixpoint(syncCallEdges, func(n, callee funcNode) bool {
+		acq, sub := g.acquires[n], g.acquires[callee]
 		changed := false
-		for _, callee := range g.sums.cg.funcs[n].syncCallees {
-			sub := g.acquires[callee]
-			if sub == nil {
+		for _, key := range sortedAcqKeys(sub) {
+			if _, seen := acq[key]; seen {
 				continue
 			}
-			for _, key := range sortedAcqKeys(sub) {
-				if _, seen := acq[key]; seen {
-					continue
-				}
-				wit := sub[key]
-				acq[key] = lockAcqWit{via: append([]funcNode{callee}, wit.via...), pos: wit.pos}
-				changed = true
-			}
+			wit := sub[key]
+			acq[key] = lockAcqWit{via: append([]funcNode{callee}, wit.via...), pos: wit.pos}
+			changed = true
 		}
-		if changed {
-			for _, caller := range callersOf[n] {
-				if !queued[caller] {
-					queued[caller] = true
-					worklist = append(worklist, caller)
-				}
-			}
-		}
-	}
+		return changed
+	})
 }
 
 func sortedAcqKeys(m map[lockAcqKey]lockAcqWit) []lockAcqKey {
@@ -365,23 +325,19 @@ func (g *lockGraph) collectEdges() {
 						add(e)
 					}
 				}
-				fn := calleeFunc(gf.pkg.Info, call)
-				if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync" {
-					sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					chain := exprKey(gf.pkg.pkgFset(), sel.X)
-					if fn.Name() == "Lock" || fn.Name() == "RLock" {
+				if op, recv := syncCall(gf.pkg, call); op != "" {
+					chain := exprKey(gf.pkg.pkgFset(), recv)
+					if op == "Lock" || op == "RLock" {
 						if to := classes[chain]; to != "" {
-							heldEdges(to, fn.Name() == "RLock", chain, func() lockEdge {
+							heldEdges(to, op == "RLock", chain, func() lockEdge {
 								return lockEdge{pos: call.Pos(), fn: n}
 							})
 						}
 					}
-					s = p.applyLockOp(s, chain, fn.Name(), call.Pos())
+					s = p.applyLockOp(s, chain, op, call.Pos())
 					return true
 				}
+				fn := calleeFunc(gf.pkg.Info, call)
 				// Synchronous call into the module (or an immediately
 				// invoked literal): float the callee's acquisitions out.
 				var calleeNode funcNode

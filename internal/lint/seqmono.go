@@ -8,7 +8,7 @@ import (
 
 // SeqMono enforces the allocator discipline behind logical monotonicity:
 // every sequence number stamped into a constructed fact must come from
-// the allocator (tuple.SeqSource.Next / NextN), and each allocation
+// the allocator (tuple.SeqSource.Next), and each allocation
 // stamps at most one fact. Concretely, at every fact-construction sink —
 // a tuple.Fact composite literal with a Seq field, or a call to a
 // Fact(seq tuple.Seq) constructor such as the relation row builders — the
@@ -24,7 +24,7 @@ import (
 //     loop back edge, which is how "one seqno, many facts" bugs actually
 //     ship.
 //
-// Field reads (f.Seq), index expressions (seqs[i] from a NextN batch),
+// Field reads (f.Seq), index expressions (seqs[i] from a batch),
 // and other call results stay trusted: decoders and accessors hand back
 // seqnos that were allocated once upstream. The tuple package itself is
 // exempt — it defines the allocator and reconstructs existing facts when
@@ -178,7 +178,7 @@ func (p *seqProblem) checkSeqExpr(e ast.Expr, s seqState) seqState {
 	}
 	switch e := ast.Unparen(e).(type) {
 	case *ast.BinaryExpr, *ast.UnaryExpr:
-		p.reportf(e.Pos(), "seqno arithmetic in a fact construction: allocate with Next/NextN instead of computing seqnos")
+		p.reportf(e.Pos(), "seqno arithmetic in a fact construction: allocate with Next instead of computing seqnos")
 	case *ast.CallExpr:
 		if tv, ok := p.pkg.Info.Types[e.Fun]; ok && tv.IsType() {
 			p.reportf(e.Pos(), "seqno constructed by conversion, not by the allocator: use tuple.SeqSource.Next")
@@ -195,7 +195,7 @@ func (p *seqProblem) checkSeqExpr(e ast.Expr, s seqState) seqState {
 		f := s[obj]
 		switch {
 		case f&seqUntrusted != 0:
-			p.reportf(e.Pos(), "seqno %s may not originate from the allocator on this path: allocate with Next/NextN", e.Name)
+			p.reportf(e.Pos(), "seqno %s may not originate from the allocator on this path: allocate with Next", e.Name)
 		case f&seqUsed != 0:
 			p.reportf(e.Pos(), "seqno %s already stamped a fact on a path to here: seqnos are single-use, allocate a fresh one", e.Name)
 		}
@@ -219,7 +219,7 @@ func (p *seqProblem) evalSeqFlags(e ast.Expr, s seqState) seqFlags {
 		if fn := calleeFunc(p.pkg.Info, e); fn != nil && isMethod(fn, "purity/internal/tuple", "SeqSource", "Current") {
 			return seqUntrusted
 		}
-		return 0 // Next, NextN, decoders: fresh trusted allocations
+		return 0 // Next, decoders: fresh trusted allocations
 	case *ast.Ident:
 		if obj := p.pkg.Info.ObjectOf(e); obj != nil {
 			return s[obj] // copying a seqno copies its history

@@ -205,52 +205,20 @@ func runBeforeReturnLits(body *ast.BlockStmt) []*ast.FuncLit {
 // the "fixpoint to top" half the lattice-valued summaries approximate by
 // collapsing.
 func (s *summaries) fixpointBooleans() {
-	callersOf := map[funcNode][]funcNode{}
-	for _, n := range s.cg.order {
-		for _, callee := range s.cg.funcs[n].ownCalls {
-			if s.by[callee] != nil {
-				callersOf[callee] = append(callersOf[callee], n)
-			}
-		}
-	}
-	worklist := append([]funcNode(nil), s.cg.order...)
-	queued := map[funcNode]bool{}
-	for _, n := range worklist {
-		queued[n] = true
-	}
-	for len(worklist) > 0 {
-		n := worklist[0]
-		worklist = worklist[1:]
-		queued[n] = false
-		sum := s.by[n]
+	s.cg.unionFixpoint(ownCallEdges, func(n, callee funcNode) bool {
+		sum, cs := s.by[n], s.by[callee]
 		changed := false
-		for _, callee := range s.cg.funcs[n].ownCalls {
-			cs := s.by[callee]
-			if cs == nil {
-				continue
-			}
-			if cs.locksOwnMu && !sum.locksOwnMu {
-				sum.locksOwnMu = true
-				changed = true
-			}
-			if cs.releasesRecv && !sum.releasesRecv {
-				sum.releasesRecv = true
-				changed = true
-			}
-			if cs.acquiresRecv && !sum.acquiresRecv {
-				sum.acquiresRecv = true
+		grow := func(dst *bool, src bool) {
+			if src && !*dst {
+				*dst = true
 				changed = true
 			}
 		}
-		if changed {
-			for _, caller := range callersOf[n] {
-				if !queued[caller] {
-					queued[caller] = true
-					worklist = append(worklist, caller)
-				}
-			}
-		}
-	}
+		grow(&sum.locksOwnMu, cs.locksOwnMu)
+		grow(&sum.releasesRecv, cs.releasesRecv)
+		grow(&sum.acquiresRecv, cs.acquiresRecv)
+		return changed
+	})
 }
 
 // --- Slot-pair vocabulary ----------------------------------------------

@@ -27,7 +27,7 @@ import (
 // Sinks (report when a tainted buffer flows in):
 //   - tuple.Decode / tuple.DecodeBatch
 //   - pagecodec.Open
-//   - cblock.Unpack / Sectors / ExtractSectors
+//   - cblock.Unpack / ExtractSectors
 //   - pyramid.UnmarshalPatch
 //
 // Taint propagates through assignment, slicing, copy, append, and []byte
@@ -68,7 +68,6 @@ var (
 		{methodRef{"purity/internal/tuple", "", "DecodeBatch"}, 0},
 		{methodRef{"purity/internal/pagecodec", "", "Open"}, 1},
 		{methodRef{"purity/internal/cblock", "", "Unpack"}, 0},
-		{methodRef{"purity/internal/cblock", "", "Sectors"}, 0},
 		{methodRef{"purity/internal/cblock", "", "ExtractSectors"}, 0},
 		{methodRef{"purity/internal/pyramid", "", "UnmarshalPatch"}, 0},
 	}

@@ -53,13 +53,9 @@ type Extent struct {
 // chain this deep indicates a metadata cycle.
 const maxDepth = 32
 
-// ResolveExtent resolves sectors [sector, sector+maxSectors) of a medium
-// into the longest contiguous extent served one way. Callers loop, reading
-// extent by extent.
-func ResolveExtent(at sim.Time, lk Lookup, medium, sector, maxSectors uint64) (Extent, sim.Time, error) {
-	return resolve(at, lk, medium, sector, maxSectors, 0)
-}
-
+// resolve resolves sectors [sector, sector+maxSectors) of a medium into the
+// longest contiguous extent served one way; ResolveAll loops over it, extent
+// by extent. depth counts the chain hops taken so far.
 func resolve(at sim.Time, lk Lookup, medium, sector, maxSectors uint64, depth int) (Extent, sim.Time, error) {
 	if depth > maxDepth {
 		return Extent{}, at, fmt.Errorf("medium: chain deeper than %d at medium %d", maxDepth, medium)

@@ -102,7 +102,7 @@ func figure6() *memLookup {
 
 func resolveOne(t *testing.T, lk Lookup, medium, sector, max uint64) Extent {
 	t.Helper()
-	ext, _, err := ResolveExtent(0, lk, medium, sector, max)
+	ext, _, err := resolve(0, lk, medium, sector, max, 0)
 	if err != nil {
 		t.Fatalf("resolve %d@%d: %v", medium, sector, err)
 	}
@@ -228,7 +228,7 @@ func TestResolveCycleDetected(t *testing.T) {
 	lk := newMemLookup()
 	lk.addMedium(relation.MediumRow{Source: 1, Start: 0, End: 99, Target: 2, Status: relation.MediumRO})
 	lk.addMedium(relation.MediumRow{Source: 2, Start: 0, End: 99, Target: 1, Status: relation.MediumRO})
-	if _, _, err := ResolveExtent(0, lk, 1, 5, 1); err == nil {
+	if _, _, err := resolve(0, lk, 1, 5, 1, 0); err == nil {
 		t.Fatal("medium cycle resolved without error")
 	}
 }

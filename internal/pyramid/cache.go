@@ -76,21 +76,3 @@ func (c *pageCache) put(ref Ref, page *pagecodec.Page) {
 		delete(c.items, back.Value.(*cacheEntry).ref)
 	}
 }
-
-// refs returns cached refs, coldest first (so warming replays them in an
-// order that leaves the hottest most recently touched).
-func (c *pageCache) refs() []Ref {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Ref, 0, c.order.Len())
-	for el := c.order.Back(); el != nil; el = el.Prev() {
-		out = append(out, el.Value.(*cacheEntry).ref)
-	}
-	return out
-}
-
-func (c *pageCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}

@@ -100,12 +100,6 @@ func New(cfg Config, store PageStore, et *elide.Table) (*Pyramid, error) {
 	}, nil
 }
 
-// Config returns the pyramid's configuration.
-func (p *Pyramid) Config() Config { return p.cfg }
-
-// ElideTable returns the elide table wired to this pyramid (may be nil).
-func (p *Pyramid) ElideTable() *elide.Table { return p.elide }
-
 // SchemaError reports a fact whose column count disagrees with the relation
 // schema. This is an error rather than a panic because it is reachable from
 // replay of a corrupt or torn log record: recovery must be able to reject
@@ -389,16 +383,6 @@ func (p *Pyramid) openPage(at sim.Time, ref Ref) (*pagecodec.Page, sim.Time, err
 	}
 	p.cache.put(ref, pg)
 	return pg, done, nil
-}
-
-// CachedRefs returns the refs currently in the page cache, hottest last.
-// Controller cache warming ships these to the secondary (§4.3).
-func (p *Pyramid) CachedRefs() []Ref { return p.cache.refs() }
-
-// WarmPage pre-loads a page into the cache (secondary-side cache warming).
-func (p *Pyramid) WarmPage(at sim.Time, ref Ref) (sim.Time, error) {
-	_, done, err := p.openPage(at, ref)
-	return done, err
 }
 
 // elided reports whether the fact is deleted by the wired elide table.

@@ -384,9 +384,6 @@ func TestPageCacheAvoidsRereads(t *testing.T) {
 	if store.Reads != reads {
 		t.Fatalf("cache miss on repeat gets: %d -> %d", reads, store.Reads)
 	}
-	if len(p.CachedRefs()) == 0 {
-		t.Fatal("no cached refs reported")
-	}
 }
 
 func TestFlushFailureRetainsMemtable(t *testing.T) {

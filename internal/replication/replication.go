@@ -51,9 +51,6 @@ func NewPair(at sim.Time, src, dst *core.Array, srcVol core.VolumeID, link Link)
 	return &Pair{Src: src, Dst: dst, Link: link, srcVol: srcVol, dstVol: dstVol}, done2, nil
 }
 
-// DstVolume returns the replica volume on the target array.
-func (p *Pair) DstVolume() core.VolumeID { return p.dstVol }
-
 // Report describes one sync round.
 type Report struct {
 	Round        int

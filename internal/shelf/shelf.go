@@ -217,15 +217,6 @@ func (s *Shelf) FailedDrives() []int {
 	return out
 }
 
-// TotalCapacity returns the summed capacity of all drives, failed or not.
-func (s *Shelf) TotalCapacity() int64 {
-	var total int64
-	for _, d := range s.drives {
-		total += d.Capacity()
-	}
-	return total
-}
-
 // AggregateStats sums per-drive counters across the shelf.
 func (s *Shelf) AggregateStats() ssd.Stats {
 	var agg ssd.Stats

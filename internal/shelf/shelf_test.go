@@ -23,12 +23,12 @@ func TestNewShelf(t *testing.T) {
 	if s.NumNVRAM() != 2 {
 		t.Fatalf("NumNVRAM = %d, want 2", s.NumNVRAM())
 	}
-	if s.TotalCapacity() != 11*(16<<20) {
-		t.Fatalf("TotalCapacity = %d", s.TotalCapacity())
-	}
-	// Drive IDs are distinct.
+	// Every drive has the configured capacity and a distinct ID.
 	seen := map[string]bool{}
 	for _, d := range s.Drives() {
+		if d.Capacity() != 16<<20 {
+			t.Fatalf("drive %s capacity = %d", d.ID(), d.Capacity())
+		}
 		if seen[d.ID()] {
 			t.Fatalf("duplicate drive ID %s", d.ID())
 		}

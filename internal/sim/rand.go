@@ -61,13 +61,6 @@ func (r *Rand) Perm(n int) []int {
 	return p
 }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
-}
-
 // ExpFloat64 returns an exponentially distributed float64 with mean 1.
 func (r *Rand) ExpFloat64() float64 {
 	u := r.Float64()

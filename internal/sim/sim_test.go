@@ -30,9 +30,6 @@ func TestTimeConversions(t *testing.T) {
 	if d.Millis() != 1.5 {
 		t.Errorf("Millis = %v, want 1.5", d.Millis())
 	}
-	if d.Micros() != 1500 {
-		t.Errorf("Micros = %v, want 1500", d.Micros())
-	}
 	if d.Seconds() != 0.0015 {
 		t.Errorf("Seconds = %v, want 0.0015", d.Seconds())
 	}
@@ -42,114 +39,6 @@ func TestMaxMin(t *testing.T) {
 	if Max(1, 2) != 2 || Max(2, 1) != 2 {
 		t.Error("Max broken")
 	}
-	if Min(1, 2) != 1 || Min(2, 1) != 1 {
-		t.Error("Min broken")
-	}
-}
-
-func TestClockAdvance(t *testing.T) {
-	c := NewClock()
-	if c.Now() != 0 {
-		t.Fatalf("new clock at %v, want 0", c.Now())
-	}
-	c.Advance(5 * Microsecond)
-	if c.Now() != 5*Microsecond {
-		t.Fatalf("now = %v, want 5µs", c.Now())
-	}
-	c.AdvanceTo(3 * Microsecond) // past: no-op
-	if c.Now() != 5*Microsecond {
-		t.Fatalf("AdvanceTo past moved clock to %v", c.Now())
-	}
-	c.AdvanceTo(9 * Microsecond)
-	if c.Now() != 9*Microsecond {
-		t.Fatalf("now = %v, want 9µs", c.Now())
-	}
-}
-
-func TestClockNegativeAdvancePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative advance did not panic")
-		}
-	}()
-	NewClock().Advance(-1)
-}
-
-func TestLoopOrdering(t *testing.T) {
-	l := NewLoop()
-	var order []int
-	l.At(30, func(Time) { order = append(order, 3) })
-	l.At(10, func(Time) { order = append(order, 1) })
-	l.At(20, func(Time) { order = append(order, 2) })
-	// Equal-time events fire in scheduling order.
-	l.At(20, func(Time) { order = append(order, 4) })
-	if n := l.Run(); n != 4 {
-		t.Fatalf("ran %d events, want 4", n)
-	}
-	want := []int{1, 2, 4, 3}
-	for i, v := range want {
-		if order[i] != v {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-	if l.Now() != 30 {
-		t.Fatalf("clock at %v, want 30", l.Now())
-	}
-}
-
-func TestLoopRunUntil(t *testing.T) {
-	l := NewLoop()
-	fired := 0
-	for i := 1; i <= 10; i++ {
-		l.At(Time(i*10), func(Time) { fired++ })
-	}
-	if n := l.RunUntil(55); n != 5 {
-		t.Fatalf("RunUntil ran %d, want 5", n)
-	}
-	if l.Now() != 55 {
-		t.Fatalf("clock at %v, want 55", l.Now())
-	}
-	if l.Pending() != 5 {
-		t.Fatalf("pending = %d, want 5", l.Pending())
-	}
-	l.Run()
-	if fired != 10 {
-		t.Fatalf("fired = %d, want 10", fired)
-	}
-}
-
-func TestLoopCascade(t *testing.T) {
-	// Events scheduling further events, like a device completing and the
-	// scheduler immediately issuing the next request.
-	l := NewLoop()
-	count := 0
-	var tick func(now Time)
-	tick = func(now Time) {
-		count++
-		if count < 100 {
-			l.At(now+Microsecond, tick)
-		}
-	}
-	l.At(0, tick)
-	l.Run()
-	if count != 100 {
-		t.Fatalf("count = %d, want 100", count)
-	}
-	if l.Now() != 99*Microsecond {
-		t.Fatalf("clock at %v, want 99µs", l.Now())
-	}
-}
-
-func TestLoopPastSchedulingPanics(t *testing.T) {
-	l := NewLoop()
-	l.At(10, func(Time) {})
-	l.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
-		}
-	}()
-	l.At(5, func(Time) {})
 }
 
 func TestRandDeterminism(t *testing.T) {
@@ -325,16 +214,5 @@ func BenchmarkRandUint64(b *testing.B) {
 	r := NewRand(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Uint64()
-	}
-}
-
-func BenchmarkLoopStep(b *testing.B) {
-	l := NewLoop()
-	var tick func(now Time)
-	tick = func(now Time) { l.At(now+1, tick) }
-	l.At(0, tick)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Step()
 	}
 }

@@ -1,12 +1,13 @@
-// Package sim provides the deterministic discrete-event substrate used by
+// Package sim provides the deterministic virtual-time substrate used by
 // Purity's device models and latency experiments.
 //
 // The paper reports microsecond-scale tail latencies measured on hardware.
 // A Go reproduction cannot measure those faithfully on a wall clock (the
 // runtime's garbage collector alone perturbs tails at that scale), so every
 // latency-sensitive experiment in this repository runs on simulated time:
-// device models compute per-operation service times, an event queue orders
-// completions, and histograms record simulated durations. The engine's data
+// every call takes the virtual time it is issued at and returns the virtual
+// time it completes, device models compute per-operation service times, and
+// histograms record simulated durations. The engine's data
 // path operates on real bytes; only time is virtual.
 package sim
 
@@ -43,23 +44,12 @@ func (t Time) String() string {
 // Seconds returns the time as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Micros returns the time as a floating-point number of microseconds.
-func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
-
 // Millis returns the time as a floating-point number of milliseconds.
 func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 
 // Max returns the later of a and b.
 func Max(a, b Time) Time {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-// Min returns the earlier of a and b.
-func Min(a, b Time) Time {
-	if a < b {
 		return a
 	}
 	return b

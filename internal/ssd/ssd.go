@@ -91,10 +91,9 @@ func DefaultConfig() Config {
 
 // Errors returned by device operations.
 var (
-	ErrFailed    = errors.New("ssd: drive failed")
-	ErrCorrupt   = errors.New("ssd: uncorrectable page (drive-internal ECC)")
-	ErrBounds    = errors.New("ssd: access out of bounds")
-	ErrNotErased = errors.New("ssd: programming a page that was not erased")
+	ErrFailed  = errors.New("ssd: drive failed")
+	ErrCorrupt = errors.New("ssd: uncorrectable page (drive-internal ECC)")
+	ErrBounds  = errors.New("ssd: access out of bounds")
 )
 
 // Stats counts a drive's lifetime activity.
@@ -205,16 +204,6 @@ func (d *Device) dieShares(off int64, n int) map[int]int64 {
 		remaining -= chunk
 	}
 	return shares
-}
-
-// pages returns how many pages an [off, off+n) access touches.
-func (d *Device) pages(off int64, n int) int {
-	if n == 0 {
-		return 0
-	}
-	first := off / int64(d.cfg.PageSize)
-	last := (off + int64(n) - 1) / int64(d.cfg.PageSize)
-	return int(last-first) + 1
 }
 
 func (d *Device) transfer(n int) sim.Time {
@@ -552,22 +541,4 @@ func (d *Device) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.stats
-}
-
-// Wear returns the P/E count of the erase block containing off.
-func (d *Device) Wear(off int64) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.blocks[d.blockIndex(off)].wear
-}
-
-// WriteAmplification returns flash bytes written divided by host bytes
-// written, the endurance metric for experiment E8.
-func (d *Device) WriteAmplification() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.stats.HostBytesWritten == 0 {
-		return 0
-	}
-	return float64(d.stats.FlashBytesWritten) / float64(d.stats.HostBytesWritten)
 }

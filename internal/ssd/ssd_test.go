@@ -150,9 +150,6 @@ func TestRandomWritePenalty(t *testing.T) {
 	if s1.FlashBytesWritten <= s1.HostBytesWritten {
 		t.Fatalf("no write amplification: flash=%d host=%d", s1.FlashBytesWritten, s1.HostBytesWritten)
 	}
-	if d.WriteAmplification() <= 1 {
-		t.Fatalf("WriteAmplification = %v, want > 1", d.WriteAmplification())
-	}
 }
 
 func TestAppendAfterEraseIsSequential(t *testing.T) {
@@ -243,8 +240,8 @@ func TestEraseWearAndFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d.Wear(0) != cfg.PELimit {
-		t.Fatalf("wear = %d, want %d", d.Wear(0), cfg.PELimit)
+	if w := d.Stats().MaxWear; w != cfg.PELimit {
+		t.Fatalf("wear = %d, want %d", w, cfg.PELimit)
 	}
 	// One more erase pushes past the limit: block goes bad.
 	if _, err := d.Erase(0, 0); err != nil {

@@ -50,9 +50,6 @@ type Fact struct {
 	Blob []byte // nil unless the schema has a blob
 }
 
-// Key returns the key columns of the fact.
-func (f Fact) Key(s Schema) []uint64 { return f.Cols[:s.KeyCols] }
-
 // CompareKeys lexicographically compares two column prefixes of length
 // keyCols. It returns -1, 0, or +1.
 func CompareKeys(a, b []uint64, keyCols int) int {
@@ -188,12 +185,6 @@ func NewSeqSource(start Seq) *SeqSource {
 
 // Next returns the next sequence number.
 func (s *SeqSource) Next() Seq { return Seq(s.last.Add(1)) }
-
-// NextN reserves n consecutive sequence numbers and returns the first.
-func (s *SeqSource) NextN(n int) Seq {
-	end := s.last.Add(uint64(n))
-	return Seq(end - uint64(n) + 1)
-}
 
 // Current returns the most recently issued sequence number.
 func (s *SeqSource) Current() Seq { return Seq(s.last.Load()) }

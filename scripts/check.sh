@@ -1,8 +1,10 @@
 #!/bin/sh
 # check.sh — the repo's one-command gate. Runs what CI would: formatting,
 # vet, the repo's own invariant checker (purity-lint), build, the full test
-# suite (root module and the nested benchmark/ module), the crash sweep,
-# and a short race pass over the packages that do real concurrency
+# suite (root module and the nested benchmark/ module), the ledger gate
+# (one benchmark run against the newest committed BENCH_<PR>.json: model
+# clock exact, wall clock printed), the crash sweep, and a short race pass
+# over the packages that do real concurrency
 # (the parallel write pipeline, its core entry points, the TCP server's
 # per-connection goroutines, the allocator/shelf locking, and the two
 # packages whose types promise concurrent readers: pyramid, iosched).
@@ -31,29 +33,27 @@ echo "== purity-lint (repo invariants: lockcheck lockflow taintverify seqmono fa
 # for CI to archive as a build artifact; LINT_GRAPHS, when set, names a
 # directory that receives the inferred lock-order and call graphs as DOT,
 # archived next to the findings (DESIGN.md's lock hierarchy is this
-# output). LINT_RULES, when set, restricts the pass to a comma-separated
-# subset — CI uses it to run the syntactic and interprocedural shards in
-# parallel.
+# output).
 LINT_BUDGET="${LINT_BUDGET:-60}"
-lintdir=$(mktemp -d)
-trap 'rm -rf "$lintdir"' EXIT
-go build -o "$lintdir/purity-lint" ./cmd/purity-lint
+tmpdir=$(mktemp -d)
+trap 'rm -rf "$tmpdir"' EXIT
+go build -o "$tmpdir/purity-lint" ./cmd/purity-lint
 lint_start=$(date +%s)
 if [ -n "${LINT_FINDINGS:-}" ]; then
 	lint_status=0
-	"$lintdir/purity-lint" ${LINT_RULES:+-rules "$LINT_RULES"} -json ./... > "$LINT_FINDINGS" || lint_status=$?
+	"$tmpdir/purity-lint" -json ./... > "$LINT_FINDINGS" || lint_status=$?
 	if [ "$lint_status" -ne 0 ]; then
 		# Mirror the findings to stderr so the failure is readable in the log.
 		cat "$LINT_FINDINGS" >&2
 		exit "$lint_status"
 	fi
 else
-	"$lintdir/purity-lint" ${LINT_RULES:+-rules "$LINT_RULES"} ./...
+	"$tmpdir/purity-lint" ./...
 fi
 if [ -n "${LINT_GRAPHS:-}" ]; then
 	mkdir -p "$LINT_GRAPHS"
-	"$lintdir/purity-lint" -graph lock ./... > "$LINT_GRAPHS/lockorder.dot"
-	"$lintdir/purity-lint" -graph calls ./... > "$LINT_GRAPHS/callgraph.dot"
+	"$tmpdir/purity-lint" -graph lock ./... > "$LINT_GRAPHS/lockorder.dot"
+	"$tmpdir/purity-lint" -graph calls ./... > "$LINT_GRAPHS/callgraph.dot"
 fi
 lint_elapsed=$(( $(date +%s) - lint_start ))
 echo "purity-lint: clean in ${lint_elapsed}s (budget ${LINT_BUDGET}s)"
@@ -70,6 +70,69 @@ go test ./...
 
 echo "== go test (benchmark/ — a nested module the root ./... does not reach)"
 (cd benchmark && go test ./...)
+
+echo "== ledger gate (benchmark/run.sh -workload all -seed 1 against the newest BENCH_<PR>.json: model clock exact, wall clock printed)"
+# The benchmark runs every workload twice: on the wall clock, and on the
+# device model's virtual clock, which repeats exactly. The gate holds the
+# second kind to the committed ledger digit for digit — a change that moves
+# a model number must say so by committing a new BENCH_<PR>.json — and only
+# prints the first: the same commit measured in two sessions on a shared
+# host differs by up to 20 % in ops_per_s, so wall-clock metrics are judged
+# on paired, interleaved runs (benchmark/README.md), not here. The exact set
+# is what two runs of unchanged code never differ in: the three model
+# end-to-end metrics and every per-layer number the model run produces.
+model_metrics='^(sim_write_mean_us|reduction_ratio|flash_write_amp|ssd[.]|layout[.]|medium[.]|core[.](sim_|recover_|gc_runs|gc_bytes_moved|gc_segments_reclaimed|checkpoints|frontier_writes|hedged_reads|cache_hit_ratio|dedup_hit_ratio|inline_dup_blocks)|nvram[.](appends_per_write|used_bytes_peak)|pyramid[.]versions_per_lookup)'
+# ledger_at: the awk rules that keep w and m at the workload and metric a
+# "value" line of a -out file belongs to (the layout json.MarshalIndent
+# writes); the two readers below start from them.
+ledger_at='
+	/^    "[^"]+": \{$/ { w = $1; gsub(/[":]/, "", w) }
+	/^        "[^"]+": \{$/ { m = $1; gsub(/[":]/, "", m) }'
+# ledger_edit FILE WORKLOAD METRIC MUL ADD prints a -out file with that one
+# value replaced by value*MUL+ADD.
+ledger_edit() {
+	awk -v ew="$2" -v em="$3" -v mul="$4" -v add="$5" "$ledger_at"'
+		/^          "value": / && w == ew && m == em {
+			v = $2; sub(/,$/, "", v)
+			printf "          \"value\": %.17g,\n", v * mul + add
+			next
+		}
+		{ print }' "$1"
+}
+# ledger_model FILE lists "workload metric value" for the model-clock
+# metrics of a -out file.
+ledger_model() {
+	awk -v model="$model_metrics" "$ledger_at"'
+		/^          "value": / && m ~ model { v = $2; sub(/,$/, "", v); print w, m, v }' "$1"
+}
+# ledger_gate OLD NEW succeeds iff NEW has every model-clock number of OLD,
+# unchanged; it prints the ones that differ.
+ledger_gate() {
+	ledger_model "$1" > "$tmpdir/model.old"
+	ledger_model "$2" > "$tmpdir/model.new"
+	[ -s "$tmpdir/model.old" ] && diff "$tmpdir/model.old" "$tmpdir/model.new"
+}
+ledger=$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1)
+# The gate checks itself first, on doctored copies of the ledger: one model
+# count moved by one must fail it, a 10 % wall-clock change must not.
+ledger_edit "$ledger" ingest ssd.erases 1 1 > "$tmpdir/moved-model.json"
+ledger_edit "$ledger" ingest ops_per_s 0.9 0 > "$tmpdir/moved-wall.json"
+if ledger_gate "$ledger" "$tmpdir/moved-model.json" > /dev/null; then
+	echo "ledger gate: self-check failed: ssd.erases + 1 on ingest passed the gate" >&2
+	exit 1
+fi
+if cmp -s "$ledger" "$tmpdir/moved-wall.json" || ! ledger_gate "$ledger" "$tmpdir/moved-wall.json"; then
+	echo "ledger gate: self-check failed: ops_per_s x 0.9 on ingest was not applied or did not pass the gate" >&2
+	exit 1
+fi
+bash benchmark/run.sh -workload all -seed 1 -out "$tmpdir/run.json" > /dev/null
+bash benchmark/run.sh -compare "$ledger" "$tmpdir/run.json" ||
+	echo "ledger gate: a wall-clock metric is beyond its bound against $ledger (printed, not judged here)"
+if ! ledger_gate "$ledger" "$tmpdir/run.json"; then
+	echo "ledger gate: model-clock numbers differ from $ledger (< ledger, > this tree)" >&2
+	exit 1
+fi
+echo "ledger gate: $(wc -l < "$tmpdir/model.new") model-clock numbers identical to $ledger"
 
 echo "== crash-consistency sweep (short, lanes 1 and 4, incl. rebuild fault points; full sweep: purity-bench -experiment CS)"
 go test -short -run 'TestCrashSweep|TestTornTailRecovery|TestCorruptTailRecovery|TestCrashDuringRecovery' ./internal/core/
@@ -90,9 +153,6 @@ go test -run 'TestScrubDefersUnderSLOPressure|TestScrubRunsWithSLODisabled' ./in
 
 echo "== wire codec fuzz (5 s; the seed corpus already ran as plain tests above)"
 go test -run '^$' -fuzz FuzzTaggedFrame -fuzztime 5s ./internal/wire/
-
-echo "== E13 smoke (2-lane scaling run; output not committed — see .gitignore)"
-go run ./cmd/purity-bench -experiment E13 -quick > /dev/null
 
 echo "== E14 smoke (one-connection queue-depth sweep over loopback TCP; every depth >= 8 must beat QD 1)"
 go run ./cmd/purity-bench -experiment E14 -quick > /dev/null
