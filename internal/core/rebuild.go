@@ -205,14 +205,14 @@ func (a *Array) rebuildSegmentLocked(at sim.Time, id layout.SegmentID, drive int
 	var rstats layout.ReadStats
 	wus := make([][]byte, info.Stripes)
 	for s := 0; s < info.Stripes; s++ {
-		wu, d, err := a.reader.ReconstructWU(done, info, s, slot, &rstats)
+		wus[s] = make([]byte, a.cfg.Layout.WriteUnit)
+		d, err := a.reader.ReconstructWU(done, info, s, slot, wus[s], &rstats)
 		done = d
 		if err != nil {
 			a.stats.SegRead.Add(rstats)
 			rep.Unrecoverable++
 			return done, fmt.Errorf("core: rebuild segment %d shard %d stripe %d: %w", id, slot, s, err)
 		}
-		wus[s] = wu
 	}
 	a.stats.SegRead.Add(rstats)
 

@@ -14,9 +14,11 @@ const fieldPoly = 0x11d
 var (
 	expTable [512]byte // doubled so mul can skip a mod 255
 	logTable [256]byte
-	// mulTable[c][b] = c*b. 64 KiB buys the encode/reconstruct inner loops
-	// a single indexed load per byte with no per-call row construction —
-	// the kernels below are the engine's hottest pure-CPU arithmetic.
+	// mulTable[c][b] = c*b: one indexed load per byte for the byte-at-a-time
+	// loops below. Encoding and reconstruction run on dot's word-wide
+	// kernel (dot.go); these loops are what Verify checks parity with —
+	// the implementation the kernel's tests compare against — and what dot
+	// finishes the last few bytes of a shard with.
 	mulTable [256][256]byte
 )
 
@@ -83,8 +85,8 @@ func gfExp(a byte, n int) byte {
 	return expTable[l]
 }
 
-// mulAdd computes dst[i] ^= c * src[i] for all i. This is the inner loop of
-// both encoding and reconstruction; a row-times-shard accumulate.
+// mulAdd computes dst[i] ^= c * src[i] for all i: a row-times-shard
+// accumulate, one source at a time.
 func mulAdd(dst, src []byte, c byte) {
 	if c == 0 {
 		return

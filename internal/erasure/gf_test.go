@@ -201,9 +201,9 @@ func TestEncodeRangeMatchesEncode(t *testing.T) {
 	}
 }
 
-// BenchmarkMulAdd guards the GF kernel fast paths: the c==1 XOR path and
-// the table-lookup path are the inner loops of every parity encode and
-// reconstruction.
+// BenchmarkMulAdd times the byte-table loops' two paths, the c==1 XOR and
+// the table lookup: the reference Verify runs and BenchmarkDot7x128K's
+// baseline, no longer the loop parity encode and reconstruction run.
 func BenchmarkMulAdd(b *testing.B) {
 	src := make([]byte, 32<<10)
 	dst := make([]byte, 32<<10)

@@ -76,13 +76,13 @@ func (c *Coder) encodeRange(shards [][]byte, lo, hi int) {
 	if lo == hi {
 		return
 	}
-	for p := 0; p < c.m; p++ {
-		row := c.enc.row(c.k + p)
-		out := shards[c.k+p][lo:hi]
-		mulSet(out, shards[0][lo:hi], row[0])
-		for d := 1; d < c.k; d++ {
-			mulAdd(out, shards[d][lo:hi], row[d])
-		}
+	var backing [16][]byte // keeps the column list off the heap up to K = 16
+	data := backing[:0]
+	for _, s := range shards[:c.k] {
+		data = append(data, s[lo:hi])
+	}
+	for p := c.k; p < c.k+c.m; p++ {
+		dot(shards[p][lo:hi], c.enc.row(p), data)
 	}
 }
 
@@ -115,111 +115,75 @@ func (c *Coder) Reconstruct(shards [][]byte) error {
 	if err := c.checkShards(shards, true); err != nil {
 		return err
 	}
-	size := shardSize(shards)
-	present := make([]int, 0, c.k)
-	missing := make([]int, 0, c.m)
+	var missing []int
 	for i, s := range shards {
-		if s != nil {
-			present = append(present, i)
-		} else {
+		if s == nil {
 			missing = append(missing, i)
 		}
 	}
 	if len(missing) == 0 {
 		return nil
 	}
-	if len(present) < c.k {
-		return ErrTooFewShards
-	}
-	present = present[:c.k] // any k survivors suffice
-
-	// Invert the k×k matrix that maps data shards to the surviving shards;
-	// multiplying survivors by the inverse recovers the data shards.
-	subInv, err := c.enc.subRows(present).invert()
+	donors, rows, err := c.decodeRows(shards)
 	if err != nil {
 		return err
 	}
-
-	// Recover missing data shards directly.
-	data := make([][]byte, c.k)
-	for d := 0; d < c.k; d++ {
-		if shards[d] != nil {
-			data[d] = shards[d]
-		}
-	}
+	size := shardSize(shards)
 	for _, idx := range missing {
-		if idx >= c.k {
-			continue
-		}
 		out := make([]byte, size)
-		row := subInv.row(idx)
-		mulSet(out, shards[present[0]], row[0])
-		for j := 1; j < c.k; j++ {
-			mulAdd(out, shards[present[j]], row[j])
-		}
-		shards[idx] = out
-		data[idx] = out
-	}
-	// With all data shards in hand, recompute missing parity.
-	for _, idx := range missing {
-		if idx < c.k {
-			continue
-		}
-		out := make([]byte, size)
-		row := c.enc.row(idx)
-		mulSet(out, data[0], row[0])
-		for d := 1; d < c.k; d++ {
-			mulAdd(out, data[d], row[d])
-		}
+		dot(out, rows.row(idx), donors)
 		shards[idx] = out
 	}
 	return nil
 }
 
-// ReconstructData rebuilds only the missing data shards (parity left nil).
-// Purity's read path uses this to serve a read that lands on a busy or
-// failed drive without recomputing parity (§4.4).
-func (c *Coder) ReconstructData(shards [][]byte) error {
+// ReconstructShard computes shard idx alone into out, which must have the
+// shards' length, from the first k present (non-nil) shards. It is what a
+// read that lands on a busy or failed drive needs (§4.4): the wanted write
+// unit in one pass over k donors, whichever other shards are absent. shards
+// is not modified, idx may name a data or a parity shard, and nothing the
+// size of a shard is allocated.
+func (c *Coder) ReconstructShard(shards [][]byte, idx int, out []byte) error {
 	if err := c.checkShards(shards, true); err != nil {
 		return err
 	}
-	size := shardSize(shards)
-	present := make([]int, 0, c.k)
-	for i, s := range shards {
-		if s != nil {
-			present = append(present, i)
-		}
+	if idx < 0 || idx >= c.k+c.m {
+		return ErrInvalidShards
 	}
-	if len(present) < c.k {
-		return ErrTooFewShards
+	if len(out) != shardSize(shards) {
+		return ErrShardSize
 	}
-	present = present[:c.k]
-	needed := false
-	for d := 0; d < c.k; d++ {
-		if shards[d] == nil {
-			needed = true
-		}
-	}
-	if !needed {
-		return nil
-	}
-	subInv, err := c.enc.subRows(present).invert()
+	donors, rows, err := c.decodeRows(shards)
 	if err != nil {
 		return err
 	}
-	for d := 0; d < c.k; d++ {
-		if shards[d] != nil {
-			continue
-		}
-		out := make([]byte, size)
-		row := subInv.row(d)
-		mulSet(out, shards[present[0]], row[0])
-		for j := 1; j < c.k; j++ {
-			mulAdd(out, shards[present[j]], row[j])
-		}
-		shards[d] = out
-	}
+	dot(out, rows.row(idx), donors)
 	return nil
+}
+
+// decodeRows picks the first k present shards as donors (any k survivors
+// suffice) and returns the (k+m)×k matrix whose row i gives shard i as a
+// combination of them. Inverting the donors' rows of the encoding matrix
+// maps donors to data shards; composing the encoding matrix with that once
+// makes a parity shard one pass over the donors too, instead of a rebuild
+// of the data shards it is made of followed by a re-encode.
+func (c *Coder) decodeRows(shards [][]byte) (donors [][]byte, rows matrix, err error) {
+	present := make([]int, 0, c.k)
+	donors = make([][]byte, 0, c.k)
+	for i, s := range shards {
+		if s != nil && len(present) < c.k {
+			present = append(present, i)
+			donors = append(donors, s)
+		}
+	}
+	if len(present) < c.k {
+		return nil, matrix{}, ErrTooFewShards
+	}
+	inv, err := c.enc.subRows(present).invert()
+	if err != nil {
+		return nil, matrix{}, err
+	}
+	return donors, c.enc.mul(inv), nil
 }
 
 // Split slices data into k data shards plus m empty parity shards, padding

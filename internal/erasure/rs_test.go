@@ -100,14 +100,21 @@ func TestReconstructDataOnly(t *testing.T) {
 	shards := cloneShards(orig)
 	shards[2] = nil
 	shards[8] = nil // parity: must stay nil
-	if err := c.ReconstructData(shards); err != nil {
+	before := cloneShards(shards)
+	out := make([]byte, 256)
+	if err := c.ReconstructShard(shards, 2, out); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(shards[2], orig[2]) {
+	if !bytes.Equal(out, orig[2]) {
 		t.Fatal("data shard 2 not reconstructed")
 	}
-	if shards[8] != nil {
-		t.Fatal("ReconstructData rebuilt parity")
+	if shards[2] != nil || shards[8] != nil {
+		t.Fatal("ReconstructShard filled in an absent shard")
+	}
+	for i := range shards {
+		if !bytes.Equal(shards[i], before[i]) {
+			t.Fatalf("ReconstructShard modified shard %d", i)
+		}
 	}
 }
 
@@ -242,16 +249,17 @@ func BenchmarkReconstructOne7x2(b *testing.B) {
 		}
 	}
 	_ = c.Encode(shards)
-	saved := bytes.Clone(shards[3])
+	saved := shards[3]
+	shards[3] = nil
+	out := make([]byte, 128<<10)
 	b.SetBytes(128 << 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		shards[3] = nil
-		if err := c.ReconstructData(shards); err != nil {
+		if err := c.ReconstructShard(shards, 3, out); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if !bytes.Equal(shards[3], saved) {
+	if !bytes.Equal(out, saved) {
 		b.Fatal("bad reconstruction")
 	}
 }

@@ -131,22 +131,43 @@ type SegmentInfo struct {
 	SeqMax  tuple.Seq // highest
 }
 
-// stripeSlots returns, for stripe s, which shard slot holds data shard d
-// (dataSlot[d]) and which slots hold parity. Parity rotates across stripes
-// like RAID-6 so no drive becomes a parity hot spot (Figure 3 shows the
-// rotated D/P/Q columns).
-func stripeSlots(c Config, s int) (dataSlot []int, paritySlot []int) {
-	n := c.TotalShards()
-	isParity := make([]bool, n)
-	for j := 0; j < c.ParityShards; j++ {
-		slot := (s + j) % n
-		isParity[slot] = true
-		paritySlot = append(paritySlot, slot)
-	}
-	for slot := 0; slot < n; slot++ {
-		if !isParity[slot] {
-			dataSlot = append(dataSlot, slot)
-		}
-	}
-	return dataSlot, paritySlot
+// slotTable holds the parity rotation: which shard slot holds which shard
+// of a stripe. Parity rotates across stripes like RAID-6 so no drive becomes
+// a parity hot spot (Figure 3 shows the rotated D/P/Q columns), which leaves
+// only K+M distinct arrangements; a Reader or Writer computes them once and
+// every shard access indexes one.
+type slotTable []slotRow
+
+// slotRow is one arrangement, in both directions. Coder order is data
+// shards 0..K-1, then parity shards K..K+M-1.
+type slotRow struct {
+	data  []int // data[d] is the slot holding data shard d
+	coder []int // coder[slot] is the coder-order index of the shard in slot
 }
+
+func newSlotTable(c Config) slotTable {
+	k, m, n := c.DataShards, c.ParityShards, c.TotalShards()
+	t := make(slotTable, n)
+	backing := make([]int, (k+n)*n) // every row's two lists in one allocation
+	for r := range t {
+		row := backing[(k+n)*r : (k+n)*(r+1)]
+		at := slotRow{data: row[:k:k], coder: row[k:]}
+		d := 0
+		for slot := 0; slot < n; slot++ {
+			// Parity shard j of rotation r sits in slot (r+j) mod n; the
+			// data shards fill the other slots in ascending order.
+			if j := (slot - r + n) % n; j < m {
+				at.coder[slot] = k + j
+			} else {
+				at.data[d] = slot
+				at.coder[slot] = d
+				d++
+			}
+		}
+		t[r] = at
+	}
+	return t
+}
+
+// at returns the arrangement of stripe s.
+func (t slotTable) at(s int) slotRow { return t[s%len(t)] }

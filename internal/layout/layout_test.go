@@ -14,11 +14,19 @@ import (
 func newTestRig(t testing.TB, nDrives, ausPerDrive int) (Config, []*ssd.Device, *erasure.Coder) {
 	t.Helper()
 	cfg := TestConfig()
+	drives, coder := newRigFor(t, cfg, int(cfg.AUSize()), nDrives, ausPerDrive)
+	return cfg, drives, coder
+}
+
+// newRigFor builds drives with the given erase block size, sized for cfg,
+// plus a coder.
+func newRigFor(t testing.TB, cfg Config, eraseBlock, nDrives, ausPerDrive int) ([]*ssd.Device, *erasure.Coder) {
+	t.Helper()
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	dcfg := ssd.DefaultConfig()
-	dcfg.EraseBlockSize = int(cfg.AUSize())
+	dcfg.EraseBlockSize = eraseBlock
 	dcfg.Capacity = int64(ausPerDrive+cfg.BootAUs) * cfg.AUSize()
 	drives := make([]*ssd.Device, nDrives)
 	for i := range drives {
@@ -32,7 +40,7 @@ func newTestRig(t testing.TB, nDrives, ausPerDrive int) (Config, []*ssd.Device, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cfg, drives, coder
+	return drives, coder
 }
 
 func segmentAUs(cfg Config, nDrives int, auIndex int64) []AU {
@@ -64,6 +72,20 @@ func TestConfigGeometry(t *testing.T) {
 	}
 }
 
+// stripeSlots reads stripe s's row of the table a Reader or Writer indexes:
+// the slot of each data shard and, from the slot → coder index column, the
+// slot of each parity shard.
+func stripeSlots(c Config, s int) (dataSlot, paritySlot []int) {
+	row := newSlotTable(c).at(s)
+	paritySlot = make([]int, c.ParityShards)
+	for slot, idx := range row.coder {
+		if idx >= c.DataShards {
+			paritySlot[idx-c.DataShards] = slot
+		}
+	}
+	return row.data, paritySlot
+}
+
 func TestStripeSlotsRotation(t *testing.T) {
 	cfg := TestConfig()
 	n := cfg.TotalShards()
@@ -82,6 +104,19 @@ func TestStripeSlotsRotation(t *testing.T) {
 		}
 		if len(all) != n {
 			t.Fatalf("stripe %d: slots not a permutation", s)
+		}
+		// The two columns of the row agree, and parity shard j sits j slots
+		// on from the stripe's first parity slot.
+		coder := newSlotTable(cfg).at(s).coder
+		for d, sl := range data {
+			if coder[sl] != d {
+				t.Fatalf("stripe %d: slot %d holds data shard %d, coder index says %d", s, sl, d, coder[sl])
+			}
+		}
+		for j, sl := range parity {
+			if sl != (s+j)%n {
+				t.Fatalf("stripe %d: parity shard %d in slot %d, want %d", s, j, sl, (s+j)%n)
+			}
 		}
 		seen[parity[0]] = true
 	}

@@ -53,6 +53,16 @@ type Reader struct {
 	cfg    Config
 	drives []*ssd.Device
 	coder  *erasure.Coder
+	slots  slotTable
+
+	// wuPool holds write-unit-sized scratch buffers (*[]byte) for the whole
+	// write units that verification and reconstruction read. One rule keeps
+	// them safe to reuse: a pooled buffer never leaves the function that
+	// took it — it goes back on every return path, and bytes a caller wants
+	// are copied (or reconstructed) into memory the caller owns. Buffers
+	// come back dirty; ssd.Device.ReadAt overwrites all of one on success,
+	// and nothing reads one whose ReadAt failed.
+	wuPool sync.Pool
 
 	mu       sync.Mutex
 	crcCache map[SegmentID][][]uint32 // sealed segments' WUCRCs, from any shard's trailer
@@ -64,8 +74,19 @@ type Reader struct {
 
 // NewReader returns a reader over the drive set.
 func NewReader(cfg Config, drives []*ssd.Device, coder *erasure.Coder) *Reader {
-	return &Reader{cfg: cfg, drives: drives, coder: coder, crcCache: make(map[SegmentID][][]uint32)}
+	r := &Reader{cfg: cfg, drives: drives, coder: coder, slots: newSlotTable(cfg), crcCache: make(map[SegmentID][][]uint32)}
+	r.wuPool.New = func() any {
+		buf := make([]byte, cfg.WriteUnit)
+		return &buf
+	}
+	return r
 }
+
+// takeWU borrows a write-unit scratch buffer with arbitrary content; the
+// caller hands the same pointer to putWU before it returns.
+func (r *Reader) takeWU() *[]byte { return r.wuPool.Get().(*[]byte) }
+
+func (r *Reader) putWU(buf *[]byte) { r.wuPool.Put(buf) }
 
 // SetShardLost installs the engine's lost-shard oracle (nil disables it).
 func (r *Reader) SetShardLost(f func(id SegmentID, slot int) bool) {
@@ -157,7 +178,7 @@ func (r *Reader) ReadRange(at sim.Time, info SegmentInfo, off int64, n int, avoi
 // readWithinStripe fills dst from stripe s starting at logical offset
 // `within` the stripe.
 func (r *Reader) readWithinStripe(at sim.Time, info SegmentInfo, s int, within int64, dst []byte, avoidBusy bool, stats *ReadStats) (sim.Time, error) {
-	dataSlot, _ := stripeSlots(r.cfg, s)
+	dataSlot := r.slots.at(s).data
 	wu := int64(r.cfg.WriteUnit)
 	done := at
 	pos := within
@@ -242,11 +263,16 @@ func (r *Reader) readShardVerified(at sim.Time, info SegmentInfo, s, slot int, s
 	drive := r.drives[au.Drive]
 	wuOff := au.Offset(r.cfg) + int64(s)*int64(r.cfg.WriteUnit)
 
+	// One scratch unit serves in turn as the home read, the reconstruction
+	// and the home retry: each is done with the previous one's bytes.
+	scratch := r.takeWU()
+	defer r.putWU(scratch)
+	wu := *scratch
+
 	lost := r.isLost(info.ID, slot)
 	busy := avoidBusy && drive.BusyRangeAt(at, wuOff+shardOff, len(dst))
 	needRepair := false
 	if !lost && !busy && !drive.Failed() {
-		wu := make([]byte, r.cfg.WriteUnit)
 		done, err := drive.ReadAt(at, wu, wuOff)
 		if err == nil {
 			stats.ShardBytesRead += int64(len(wu))
@@ -265,19 +291,18 @@ func (r *Reader) readShardVerified(at sim.Time, info SegmentInfo, s, slot int, s
 	if busy {
 		stats.BusyAvoided++
 	}
-	wu, done, err := r.ReconstructWU(at, info, s, slot, stats)
+	done, err := r.ReconstructWU(at, info, s, slot, wu, stats)
 	if err != nil {
 		if busy && !drive.Failed() {
 			// Reconstruction impossible but the home drive is merely slow:
 			// queue behind its program and read (still verified).
 			stats.HomeRetries++
-			buf := make([]byte, r.cfg.WriteUnit)
-			d2, err2 := drive.ReadAt(at, buf, wuOff)
+			d2, err2 := drive.ReadAt(at, wu, wuOff)
 			if err2 == nil {
-				stats.ShardBytesRead += int64(len(buf))
-				if crcOf(buf) == wantCRC {
+				stats.ShardBytesRead += int64(len(wu))
+				if crcOf(wu) == wantCRC {
 					stats.DirectShardReads++
-					copy(dst, buf[shardOff:shardOff+int64(len(dst))])
+					copy(dst, wu[shardOff:shardOff+int64(len(dst))])
 					return d2, nil
 				}
 				stats.CRCMismatches++
@@ -303,27 +328,33 @@ func (r *Reader) readShardVerified(at sim.Time, info SegmentInfo, s, slot int, s
 }
 
 // ReconstructWU rebuilds the full write unit of shard `slot` in stripe s
-// from K surviving peers. When the segment's trailer CRCs are available,
-// each donor write unit is verified before use and the reconstruction is
+// from K surviving peers into dst, which the caller owns and which must be
+// one write unit long. When the segment's trailer CRCs are available, each
+// donor write unit is verified before use and the reconstruction is
 // verified after — a donor with silent damage is skipped like a failed
 // drive, and a reconstruction that cannot be proven correct is an error
-// rather than wrong data. Scrub and rebuild share this path with the
-// verified foreground read.
-func (r *Reader) ReconstructWU(at sim.Time, info SegmentInfo, s, slot int, stats *ReadStats) ([]byte, sim.Time, error) {
+// rather than wrong data (dst's content is then unspecified). Scrub and
+// rebuild share this path with the verified foreground read.
+//
+// The cost is K donor write units read and CRC-checked, one K-term pass of
+// the coder over them for the one wanted unit, and one CRC of the result.
+func (r *Reader) ReconstructWU(at sim.Time, info SegmentInfo, s, slot int, dst []byte, stats *ReadStats) (sim.Time, error) {
 	k, m := r.cfg.DataShards, r.cfg.ParityShards
-	dataSlot, paritySlot := stripeSlots(r.cfg, s)
-	coderIdx := make([]int, k+m)
-	for d, sl := range dataSlot {
-		coderIdx[sl] = d
-	}
-	for j, sl := range paritySlot {
-		coderIdx[sl] = k + j
-	}
+	coderIdx := r.slots.at(s).coder
 
 	var crcRow []uint32
 	if crcs, _ := r.segmentCRCs(at, info); s < len(crcs) {
 		crcRow = crcs[s]
 	}
+
+	// Donor units are pooled scratch. Every buffer taken, including one
+	// whose donor was then skipped, goes back when this function returns.
+	taken := make([]*[]byte, 0, k)
+	defer func() {
+		for _, buf := range taken {
+			r.putWU(buf)
+		}
+	}()
 
 	shards := make([][]byte, k+m)
 	done := at
@@ -337,7 +368,9 @@ func (r *Reader) ReconstructWU(at sim.Time, info SegmentInfo, s, slot int, stats
 		if drive.Failed() {
 			continue
 		}
-		buf := make([]byte, r.cfg.WriteUnit)
+		scratch := r.takeWU()
+		taken = append(taken, scratch)
+		buf := *scratch
 		t, err := drive.ReadAt(at, buf, au.Offset(r.cfg)+int64(s)*int64(r.cfg.WriteUnit))
 		if err != nil {
 			continue // corrupt or newly failed donor: try the next
@@ -354,31 +387,22 @@ func (r *Reader) ReconstructWU(at sim.Time, info SegmentInfo, s, slot int, stats
 		}
 	}
 	if got < k {
-		return nil, done, ErrUnrecoverable
+		return done, ErrUnrecoverable
 	}
-	if err := r.coder.Reconstruct(shards); err != nil {
-		return nil, done, err
+	if err := r.coder.ReconstructShard(shards, coderIdx[slot], dst); err != nil {
+		return done, err
 	}
-	wu := shards[coderIdx[slot]]
-	if slot < len(crcRow) && crcOf(wu) != crcRow[slot] {
-		return nil, done, ErrUnrecoverable
+	if slot < len(crcRow) && crcOf(dst) != crcRow[slot] {
+		return done, ErrUnrecoverable
 	}
-	return wu, done, nil
+	return done, nil
 }
 
 // reconstructShardRange rebuilds the wanted range of shard `slot` from K of
 // the other shards, preferring idle, healthy drives.
 func (r *Reader) reconstructShardRange(at sim.Time, info SegmentInfo, s, slot int, shardOff int64, dst []byte, stats *ReadStats) (sim.Time, error) {
 	k, m := r.cfg.DataShards, r.cfg.ParityShards
-	dataSlot, paritySlot := stripeSlots(r.cfg, s)
-	// coderIdx maps physical slot -> coder shard index.
-	coderIdx := make([]int, k+m)
-	for d, sl := range dataSlot {
-		coderIdx[sl] = d
-	}
-	for j, sl := range paritySlot {
-		coderIdx[sl] = k + j
-	}
+	coderIdx := r.slots.at(s).coder // physical slot -> coder shard index
 
 	// Choose donor slots: drives whose relevant dies are idle first, then
 	// busy ones.
@@ -428,10 +452,9 @@ func (r *Reader) reconstructShardRange(at sim.Time, info SegmentInfo, s, slot in
 	if got < k {
 		return done, ErrUnrecoverable
 	}
-	if err := r.coder.Reconstruct(shards); err != nil {
+	if err := r.coder.ReconstructShard(shards, coderIdx[slot], dst); err != nil {
 		return done, err
 	}
-	copy(dst, shards[coderIdx[slot]])
 	stats.ReconstructedReads++
 	return done, nil
 }
@@ -504,6 +527,11 @@ func (r *Reader) ScrubStripe(at sim.Time, info SegmentInfo, s int, stats *ReadSt
 	if s >= len(crcs) {
 		return 0, 0, done // no CRC row: nothing to verify against
 	}
+	// One scratch unit holds each slot's read in turn and, for a bad one,
+	// then its reconstruction on the way back to the drive.
+	scratch := r.takeWU()
+	defer r.putWU(scratch)
+	buf := *scratch
 	for slot := range info.AUs {
 		if slot >= len(crcs[s]) || r.isLost(info.ID, slot) {
 			continue
@@ -514,7 +542,6 @@ func (r *Reader) ScrubStripe(at sim.Time, info SegmentInfo, s int, stats *ReadSt
 			continue
 		}
 		wuOff := au.Offset(r.cfg) + int64(s)*int64(r.cfg.WriteUnit)
-		buf := make([]byte, r.cfg.WriteUnit)
 		d, err := drive.ReadAt(done, buf, wuOff)
 		if d > done {
 			done = d
@@ -529,7 +556,7 @@ func (r *Reader) ScrubStripe(at sim.Time, info SegmentInfo, s int, stats *ReadSt
 			stats.HomeReadErrors++
 		}
 		bad++
-		wu, d2, rerr := r.ReconstructWU(done, info, s, slot, stats)
+		d2, rerr := r.ReconstructWU(done, info, s, slot, buf, stats)
 		if d2 > done {
 			done = d2
 		}
@@ -537,7 +564,7 @@ func (r *Reader) ScrubStripe(at sim.Time, info SegmentInfo, s int, stats *ReadSt
 			continue // not recoverable right now; a later pass may succeed
 		}
 		//lint:ignore crashpointcheck scrub repair rewrites data reconstructable from parity; a crash mid-repair leaves the stale shard for the next pass
-		if _, werr := drive.WriteAt(done, wu, wuOff); werr == nil {
+		if _, werr := drive.WriteAt(done, buf, wuOff); werr == nil {
 			stats.InlineRepairs++
 			repaired++
 		}
@@ -559,7 +586,9 @@ func (r *Reader) VerifyShard(at sim.Time, info SegmentInfo, slot int) (bool, sim
 	if drive.Failed() {
 		return false, done
 	}
-	buf := make([]byte, r.cfg.WriteUnit)
+	scratch := r.takeWU()
+	defer r.putWU(scratch)
+	buf := *scratch
 	for s := 0; s < info.Stripes; s++ {
 		if slot >= len(crcs[s]) {
 			return false, done
@@ -615,8 +644,10 @@ func RewriteShard(at sim.Time, cfg Config, drive *ssd.Device, au AU, t AUTrailer
 // damage before a second failure makes it unrecoverable.
 func (r *Reader) VerifyStripe(at sim.Time, t AUTrailer, s int) (badSlots []int, done sim.Time) {
 	done = at
+	scratch := r.takeWU()
+	defer r.putWU(scratch)
+	buf := *scratch
 	for slot, au := range t.AUs {
-		buf := make([]byte, r.cfg.WriteUnit)
 		devOff := au.Offset(r.cfg) + int64(s)*int64(r.cfg.WriteUnit)
 		d, err := r.drives[au.Drive].ReadAt(at, buf, devOff)
 		if d > done {

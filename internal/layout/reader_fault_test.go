@@ -2,6 +2,7 @@ package layout
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"purity/internal/sim"
@@ -131,4 +132,117 @@ func TestHomeRetryWhenReconstructionImpossible(t *testing.T) {
 	if st.HomeReadErrors < 2 {
 		t.Fatalf("stats = %+v, want both home attempts counted", st)
 	}
+}
+
+// TestReconstructionScratchIsReused pins the pooled write-unit scratch:
+// donors that are skipped leave buffers behind in whatever state they were
+// in — one half-filled by a ReadAt that failed part-way, one holding a
+// silently damaged unit — and the reads that take those buffers next must
+// neither see that content nor count differently.
+func TestReconstructionScratchIsReused(t *testing.T) {
+	// 3+3 so that a read survives its home shard and two donors at once; 4 KiB
+	// erase blocks so that one bad block fails a write-unit read half-way.
+	cfg := TestConfig()
+	cfg.ParityShards = 3
+	drives, coder := newRigFor(t, cfg, cfg.PageSize, 6, 4)
+	aus := segmentAUs(cfg, 6, 1)
+	w, _ := NewWriter(cfg, drives, coder, 1, aus)
+	r := sim.NewRand(11)
+	items := make([][]byte, 6) // three per stripe: items 0 and 3 open stripes 0 and 1
+	for i := range items {
+		items[i] = make([]byte, 30000)
+		r.Bytes(items[i])
+	}
+	offs := writeItems(t, w, items)
+	info, _, err := w.Seal(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader := NewReader(cfg, drives, coder)
+	lost := -1
+	reader.SetShardLost(func(_ SegmentID, slot int) bool { return slot == lost })
+
+	// Stripe 0: parity in slots 0-2, item 0 in slot 3. Of its donors in slot
+	// order, slot 0 fails half-way through the unit and slot 1 has a flipped
+	// bit; slots 2, 4 and 5 are the three that serve.
+	wu := int64(cfg.WriteUnit)
+	dataSlot0, _ := stripeSlots(cfg, 0)
+	dataSlot1, _ := stripeSlots(cfg, 1)
+	if dataSlot0[0] != 3 || dataSlot1[0] != 0 {
+		t.Fatalf("data shard 0 in slots %d and %d of stripes 0 and 1, test assumes 3 and 0", dataSlot0[0], dataSlot1[0])
+	}
+	drives[aus[0].Drive].CorruptBlock(aus[0].Offset(cfg) + wu/2)
+	drives[aus[1].Drive].FlipBit(aus[1].Offset(cfg)+100, 5)
+	damaged := ReadStats{ReconstructedReads: 1, ShardBytesRead: 4 * wu, CRCMismatches: 1}
+	clean := ReadStats{ReconstructedReads: 1, ShardBytesRead: 3 * wu}
+
+	for i, rd := range []struct {
+		item, lostSlot int
+		want           ReadStats
+	}{
+		{0, 3, damaged}, // leaves the half-filled and the damaged buffer in the pool
+		{3, 0, clean},   // stripe 1, healthy donors, stale stripe-0 buffers
+		{0, 3, damaged}, // the same damage is met and counted the same way again
+	} {
+		lost = rd.lostSlot
+		got, _, st, err := reader.ReadRange(sim.Second, info, offs[rd.item], len(items[rd.item]), false)
+		if err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if !bytes.Equal(got, items[rd.item]) {
+			t.Fatalf("read %d: reconstruction returned wrong bytes", i)
+		}
+		if st != rd.want {
+			t.Fatalf("read %d: stats = %+v, want %+v", i, st, rd.want)
+		}
+	}
+}
+
+// TestConcurrentDegradedReads: the Reader is reachable from scrub, rebuild
+// and the foreground at once, and its scratch pool is state they share. Run
+// under -race (scripts/check.sh does).
+func TestConcurrentDegradedReads(t *testing.T) {
+	cfg, drives, coder := newTestRig(t, 6, 4)
+	w, _ := NewWriter(cfg, drives, coder, 1, segmentAUs(cfg, 6, 1))
+	r := sim.NewRand(12)
+	items := make([][]byte, 12)
+	for i := range items {
+		items[i] = make([]byte, 20000)
+		r.Bytes(items[i])
+	}
+	offs := writeItems(t, w, items)
+	info, _, err := w.Seal(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader := NewReader(cfg, drives, coder)
+	drives[2].Fail()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var recon int64
+			for round := 0; round < 8; round++ {
+				for i := range items {
+					i = (i + g*3) % len(items)
+					got, _, st, err := reader.ReadRange(sim.Second, info, offs[i], len(items[i]), false)
+					if err != nil {
+						t.Errorf("goroutine %d item %d: %v", g, i, err)
+						return
+					}
+					if !bytes.Equal(got, items[i]) {
+						t.Errorf("goroutine %d item %d: wrong bytes", g, i)
+						return
+					}
+					recon += st.ReconstructedReads
+				}
+			}
+			if recon == 0 {
+				t.Errorf("goroutine %d: no read was reconstructed with a drive failed", g)
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -28,6 +28,7 @@ type Writer struct {
 	cfg    Config
 	drives []*ssd.Device
 	coder  *erasure.Coder
+	slots  slotTable
 
 	info     SegmentInfo
 	stripe   []byte   // logical stripe under construction
@@ -86,6 +87,7 @@ func NewWriter(cfg Config, drives []*ssd.Device, coder *erasure.Coder, id Segmen
 		cfg:    cfg,
 		drives: drives,
 		coder:  coder,
+		slots:  newSlotTable(cfg),
 		info: SegmentInfo{
 			ID:     id,
 			AUs:    append([]AU(nil), aus...),
@@ -227,13 +229,9 @@ func (w *Writer) flushStripe(at sim.Time) (sim.Time, error) {
 
 	// Map coder order to physical slots for this stripe's parity rotation.
 	s := w.info.Stripes
-	dataSlot, paritySlot := stripeSlots(w.cfg, s)
 	bySlot := make([][]byte, k+m)
-	for d, slot := range dataSlot {
-		bySlot[slot] = ordered[d]
-	}
-	for j, slot := range paritySlot {
-		bySlot[slot] = ordered[k+j]
+	for slot, idx := range w.slots.at(s).coder {
+		bySlot[slot] = ordered[idx]
 	}
 
 	// Record CRCs for the AU trailer / scrub. Independent per shard, so

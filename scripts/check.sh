@@ -6,8 +6,9 @@
 # clock exact, wall clock printed), the crash sweep, and a short race pass
 # over the packages that do real concurrency
 # (the parallel write pipeline, its core entry points, the TCP server's
-# per-connection goroutines, the allocator/shelf locking, and the two
-# packages whose types promise concurrent readers: pyramid, iosched).
+# per-connection goroutines, the allocator/shelf locking, layout's Reader
+# and its pooled scratch, and the three packages whose types promise
+# concurrent use: pyramid, iosched, erasure).
 #
 # Usage: scripts/check.sh            from the repo root
 set -eu
@@ -141,7 +142,7 @@ echo "== drive-failure lifecycle (scrub repair + online rebuild)"
 go test -run 'TestScrubRepairsAllInjectedCorruption|TestScrubStepPacedWalkerCoversEverything|TestRebuildRestoresRedundancyAndBootRegion|TestRebuildSurvivesSecondFailure|TestOpenAtWithOneNVRAMFailed' ./internal/core/
 
 echo "== go test -race (concurrency-bearing packages)"
-go test -race -short ./internal/pipeline/ ./internal/server/ ./internal/dedup/ ./internal/layout/ ./internal/shelf/ ./internal/pyramid/ ./internal/iosched/
+go test -race -short ./internal/pipeline/ ./internal/server/ ./internal/dedup/ ./internal/layout/ ./internal/shelf/ ./internal/pyramid/ ./internal/iosched/ ./internal/erasure/
 go test -race -short -run 'TestConcurrentWriters|TestConcurrentScrubRebuildForeground' ./internal/core/
 
 echo "== commit lanes (-race: multi-lane writers + the short crash sweep at lanes 1 and 4)"
