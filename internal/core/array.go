@@ -37,6 +37,45 @@ const (
 	numClasses
 )
 
+// openSeg is one slot that holds a segment open for appends: the four
+// class writers (replayed data, metadata, GC, dedup) and every lane's data
+// segment are each one. w is read and written under mu; installing or
+// detaching a writer additionally holds Array.mu, so a holder of Array.mu
+// sees a slot that does not change hands; Array.mu is never taken while a
+// slot mutex is held. The declaration below is checked, not trusted:
+// purity-lint's lockorder rule rebuilds the acquisition graph from every
+// body in the module and reports any blocking edge that runs against it.
+//
+//lint:lockorder Array.world < Array.mu < openSeg.mu
+type openSeg struct {
+	mu sync.Mutex
+	w  *layout.Writer
+	// rotations counts the segments this slot sealed because they filled.
+	rotations telemetry.Counter
+	// Slots sit side by side in Array.slots and lanes lock theirs on every
+	// append from different cores: pad to a cache line so they do not share
+	// one.
+	_ [40]byte
+}
+
+// segItem is one append to a segment: a data blob, placed from the front of
+// the segio, or with log set a log record covering sequence numbers
+// [lo, hi], placed from the back (§4.2).
+type segItem struct {
+	b      []byte
+	log    bool
+	lo, hi tuple.Seq
+}
+
+// appendTo appends the item to w, returning the logical offset of data.
+func (it segItem) appendTo(w *layout.Writer, at sim.Time) (int64, sim.Time, error) {
+	if it.log {
+		done, err := w.AppendLog(at, it.b, it.lo, it.hi)
+		return 0, done, err
+	}
+	return w.AppendData(at, it.b)
+}
+
 // Array is one Purity storage engine instance. All public methods are safe
 // for concurrent use: the pure-CPU stages of a write (compression, dedup
 // hashing, parity arithmetic) run before or outside the engine mutex on a
@@ -57,7 +96,7 @@ type Array struct {
 	// their whole critical section, and every maintenance or mutating entry
 	// point (GC, scrub, rebuild, checkpoint, volume catalog changes) takes
 	// it in write mode first, so cross-volume invariants see a quiesced
-	// commit plane. Lock order: world → mu → lane.mu.
+	// commit plane. Lock order: world → mu → openSeg.mu.
 	world sync.RWMutex
 	// lanes are the commit shards (Config.CommitLanes of them, at least
 	// one); committer is their shared batching NVRAM commit point.
@@ -84,7 +123,15 @@ type Array struct {
 	reader *layout.Reader
 	boot   *frontier.BootRegion
 
-	open   [numClasses]*layout.Writer
+	// slots are the open segments, in a fixed order: one per class, then
+	// one per lane. openByID indexes the occupied ones; it changes only where
+	// a writer is installed or detached, which holds mu.
+	slots    []openSeg
+	openByID map[layout.SegmentID]*openSeg
+	// segMap holds each segment's info as newSegmentWriterLocked, a seal,
+	// recovery or rebuild last wrote it. An open segment's entry goes stale
+	// as it fills: readers consult the open slots first (segInfoLocked), and
+	// writeCheckpoint refreshes the open entries before persisting the map.
 	segMap map[layout.SegmentID]layout.SegmentInfo
 	// liveBytes approximates live data per segment (§3.3: materialized
 	// aggregates kept approximately; GC recomputes exactly).
@@ -187,6 +234,7 @@ func newStats() Stats {
 var (
 	ErrNoSuchVolume  = errors.New("core: no such volume")
 	ErrVolumeDeleted = errors.New("core: volume deleted")
+	ErrVolumeExists  = errors.New("core: volume name already in use")
 	ErrOutOfRange    = errors.New("core: I/O beyond volume size")
 	ErrUnaligned     = errors.New("core: I/O not sector aligned")
 )
@@ -246,6 +294,8 @@ func newSkeleton(cfg Config, sh *shelf.Shelf) (*Array, error) {
 		alloc:       alloc,
 		reader:      layout.NewReader(cfg.Layout, sh.Drives(), coder),
 		boot:        frontier.NewBootRegion(cfg.Layout, sh.Drives()),
+		slots:       make([]openSeg, int(numClasses)+cfg.CommitLanes), // normalize: at least one lane
+		openByID:    make(map[layout.SegmentID]*openSeg),
 		segMap:      make(map[layout.SegmentID]layout.SegmentInfo),
 		liveBytes:   make(map[layout.SegmentID]int64),
 		lost:        make(map[layout.SegmentID]map[int]bool),
@@ -259,9 +309,9 @@ func newSkeleton(cfg Config, sh *shelf.Shelf) (*Array, error) {
 	}
 	a.boot.SetCrash(cfg.Crash)
 	a.reader.SetShardLost(a.shardLost)
-	a.lanes = make([]*commitLane, cfg.CommitLanes) // normalize: at least one
+	a.lanes = make([]*commitLane, cfg.CommitLanes)
 	for i := range a.lanes {
-		a.lanes[i] = newCommitLane(i)
+		a.lanes[i] = newCommitLane(i, &a.slots[int(numClasses)+i])
 	}
 	a.committer = &nvCommitter{a: a}
 	for _, id := range []uint32{
@@ -393,25 +443,9 @@ func (a *Array) cpuLocked(at sim.Time, cost sim.Time) sim.Time {
 	return done
 }
 
-// ensureOpenLocked returns the open segment writer for a class, allocating
-// a new segment (and refilling the frontier through the boot region when
-// needed). Caller holds mu.
-func (a *Array) ensureOpenLocked(at sim.Time, class segClass) (*layout.Writer, sim.Time, error) {
-	if w := a.open[class]; w != nil {
-		return w, at, nil
-	}
-	w, done, err := a.newSegmentWriterLocked(at)
-	if err != nil {
-		return nil, done, err
-	}
-	a.open[class] = w
-	return w, done, nil
-}
-
 // newSegmentWriterLocked allocates a fresh segment (refilling the frontier
 // through the boot region when needed) and returns its writer, with the
-// segment's existence and placement recorded as facts. Shared by the
-// class writers and the per-lane open segments. Caller holds mu.
+// segment's existence and placement recorded as facts. Caller holds mu.
 func (a *Array) newSegmentWriterLocked(at sim.Time) (*layout.Writer, sim.Time, error) {
 	done := at
 	aus, err := a.alloc.AllocateSegment(a.failedDrive)
@@ -477,20 +511,21 @@ func (a *Array) newSegmentWriterLocked(at sim.Time) (*layout.Writer, sim.Time, e
 	return w, done, nil
 }
 
-// sealLocked seals an open segment and rotates it out. Caller holds mu.
-func (a *Array) sealLocked(at sim.Time, class segClass) (sim.Time, error) {
-	w := a.open[class]
+// sealSlotLocked detaches a slot's writer, if it has one, and seals its
+// segment: the segment map takes the sealed info and the sealed-state fact
+// is recorded. Caller holds mu.
+func (a *Array) sealSlotLocked(at sim.Time, s *openSeg) (sim.Time, error) {
+	s.mu.Lock()
+	w := s.w
+	s.w = nil
+	s.mu.Unlock()
 	if w == nil {
 		return at, nil
 	}
-	a.open[class] = nil
-	return a.sealWriterLocked(at, w)
-}
-
-// sealWriterLocked seals one writer's segment, refreshing the segment map
-// and recording the sealed-state fact. The caller owns removing the writer
-// from its slot (class array or lane). Caller holds mu.
-func (a *Array) sealWriterLocked(at sim.Time, w *layout.Writer) (sim.Time, error) {
+	delete(a.openByID, w.Info().ID)
+	// The seal fact's LiveBytes may lag lane commits whose deltas have not
+	// been applied yet — the paper keeps these aggregates approximate (§3.3);
+	// GC recomputes exact liveness.
 	info, done, err := w.Seal(at)
 	if err != nil {
 		return done, err
@@ -509,91 +544,87 @@ func (a *Array) sealWriterLocked(at sim.Time, w *layout.Writer) (sim.Time, error
 	return done, nil
 }
 
-// appendDataLocked appends a blob to a class's segment, rotating segments
-// as they fill. Returns the segment and logical offset. Caller holds mu.
-func (a *Array) appendDataLocked(at sim.Time, class segClass, b []byte) (layout.SegmentID, int64, sim.Time, error) {
+// slotAppendLocked appends one item to a slot's open segment, opening a
+// segment when the slot is empty and sealing the one that fills; it returns
+// the segment and, for data, the logical offset. The slot mutex is released
+// around allocation, which can flush every slot's segio (a frontier refill:
+// writeFrontierLocked) and so takes every slot mutex; a seal works on a
+// writer already detached. Caller holds mu, which alone keeps the slot from
+// changing hands in between.
+func (a *Array) slotAppendLocked(at sim.Time, s *openSeg, it segItem) (layout.SegmentID, int64, sim.Time, error) {
 	done := at
 	for attempt := 0; attempt < 3; attempt++ {
-		w, d, err := a.ensureOpenLocked(done, class)
-		done = d
-		if err != nil {
-			return 0, 0, done, err
+		s.mu.Lock()
+		if s.w == nil {
+			s.mu.Unlock()
+			w, d, err := a.newSegmentWriterLocked(done)
+			done = d
+			if err != nil {
+				return 0, 0, done, err
+			}
+			a.openByID[w.Info().ID] = s
+			s.mu.Lock()
+			s.w = w
 		}
-		off, d2, err := w.AppendData(done, b)
-		done = d2
-		a.segMap[w.Info().ID] = w.Info()
+		id := s.w.Info().ID
+		off, d, err := it.appendTo(s.w, done)
+		s.mu.Unlock()
+		done = d
 		if err == nil {
-			return w.Info().ID, off, done, nil
+			return id, off, done, nil
 		}
 		if err != layout.ErrSegmentFull {
 			return 0, 0, done, err
 		}
-		if done, err = a.sealLocked(done, class); err != nil {
+		if done, err = a.sealSlotLocked(done, s); err != nil {
 			return 0, 0, done, err
 		}
+		s.rotations.Inc()
 	}
-	return 0, 0, done, errors.New("core: could not place data after segment rotation")
+	return 0, 0, done, errors.New("core: could not place item after segment rotation")
+}
+
+// appendDataLocked appends a blob to a class's segment. Returns the segment
+// and logical offset. Caller holds mu.
+func (a *Array) appendDataLocked(at sim.Time, class segClass, b []byte) (layout.SegmentID, int64, sim.Time, error) {
+	return a.slotAppendLocked(at, &a.slots[class], segItem{b: b})
 }
 
 // appendLogLocked appends a log record (patch descriptor) to the metadata
 // segment. Caller holds mu.
 func (a *Array) appendLogLocked(at sim.Time, rec []byte, lo, hi tuple.Seq) (sim.Time, error) {
-	done := at
-	for attempt := 0; attempt < 3; attempt++ {
-		w, d, err := a.ensureOpenLocked(done, classMeta)
-		done = d
-		if err != nil {
-			return done, err
-		}
-		d2, err := w.AppendLog(done, rec, lo, hi)
-		done = d2
-		a.segMap[w.Info().ID] = w.Info()
-		if err == nil {
-			return done, nil
-		}
-		if err != layout.ErrSegmentFull {
-			return done, err
-		}
-		if done, err = a.sealLocked(done, classMeta); err != nil {
-			return done, err
-		}
-	}
-	return done, errors.New("core: could not place log record")
+	_, _, done, err := a.slotAppendLocked(at, &a.slots[classMeta], segItem{b: rec, log: true, lo: lo, hi: hi})
+	return done, err
 }
 
-// segInfoLocked returns the freshest SegmentInfo for a segment, preferring
-// open writers (whose stripe counts advance). Caller holds mu.
+// segInfoLocked returns the freshest SegmentInfo for a segment: the open
+// slot's, whose stripe count advances, before the segment map's. Caller
+// holds mu.
 func (a *Array) segInfoLocked(id layout.SegmentID) (layout.SegmentInfo, bool) {
-	for _, w := range a.open {
-		if w != nil && w.Info().ID == id {
-			return w.Info(), true
-		}
-	}
-	for _, ln := range a.lanes {
-		if info, ok := ln.openInfo(id); ok {
-			return info, true
-		}
+	if s := a.openByID[id]; s != nil {
+		s.mu.Lock()
+		info := s.w.Info()
+		s.mu.Unlock()
+		return info, true
 	}
 	info, ok := a.segMap[id]
 	return info, ok
 }
 
-// readSegmentLocked reads a byte range of a segment: pending segio buffers
-// first, then the drives (with busy avoidance per policy). Caller holds mu.
+// readSegmentLocked reads a byte range of a segment: the pending segio
+// buffer first, then the drives (with busy avoidance per policy). Caller
+// holds mu.
 func (a *Array) readSegmentLocked(at sim.Time, id layout.SegmentID, off int64, n int) ([]byte, sim.Time, error) {
-	for _, w := range a.open {
-		if w != nil && w.Info().ID == id {
-			if b, ok := w.ReadPending(off, n); ok {
-				return b, at, nil
-			}
-		}
-	}
-	for _, ln := range a.lanes {
-		if b, ok := ln.readPending(id, off, n); ok {
+	info, ok := a.segMap[id]
+	if s := a.openByID[id]; s != nil {
+		s.mu.Lock()
+		b, pending := s.w.ReadPending(off, n)
+		info, ok = s.w.Info(), true
+		s.mu.Unlock()
+		if pending {
 			return b, at, nil
 		}
 	}
-	info, ok := a.segInfoLocked(id)
 	if !ok {
 		return nil, at, fmt.Errorf("core: unknown segment %d", id)
 	}

@@ -322,20 +322,22 @@ func (a *Array) checkpointLocked(at sim.Time) (sim.Time, error) {
 }
 
 // flushOpenSegiosLocked flushes every open segio so everything written to
-// segments so far is durable, and refreshes the segment map. Caller holds
-// mu.
+// segments so far is durable. Caller holds mu.
 func (a *Array) flushOpenSegiosLocked(at sim.Time) (sim.Time, error) {
 	done := at
-	var err error
-	a.eachOpenLocked(func(w *layout.Writer) {
+	for i := range a.slots {
+		s := &a.slots[i]
+		var err error
+		s.mu.Lock()
+		if s.w != nil {
+			done, err = s.w.Flush(done)
+		}
+		s.mu.Unlock()
 		if err != nil {
-			return
+			return done, err
 		}
-		if done, err = w.Flush(done); err == nil {
-			a.segMap[w.Info().ID] = w.Info()
-		}
-	})
-	return done, err
+	}
+	return done, nil
 }
 
 // writeFrontierLocked persists a lightweight checkpoint so a just-refilled
@@ -380,21 +382,14 @@ func (a *Array) writeCheckpoint(at sim.Time, genesis bool) (sim.Time, error) {
 		Frontier:     a.alloc.Frontier(),
 		Speculative:  a.alloc.Speculative(),
 	}
-	// segMap entries for open segments are refreshed on every append, so
-	// the map is current. Fixed ID order keeps checkpoints byte-for-byte
-	// deterministic.
-	for _, w := range a.open {
-		if w != nil {
-			a.segMap[w.Info().ID] = w.Info()
-		}
+	// The one place open segments' entries are refreshed: the persisted map
+	// must carry their current stripe counts.
+	for id, s := range a.openByID {
+		s.mu.Lock()
+		a.segMap[id] = s.w.Info()
+		s.mu.Unlock()
 	}
-	for _, ln := range a.lanes {
-		ln.mu.Lock()
-		if w := ln.open; w != nil {
-			a.segMap[w.Info().ID] = w.Info()
-		}
-		ln.mu.Unlock()
-	}
+	// Fixed ID order keeps checkpoints byte-for-byte deterministic.
 	segIDs := make([]layout.SegmentID, 0, len(a.segMap))
 	for id := range a.segMap {
 		segIDs = append(segIDs, id)

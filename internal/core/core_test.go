@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"purity/internal/cblock"
@@ -449,7 +452,7 @@ func TestGCFlattensDeepChains(t *testing.T) {
 	mustWrite(t, a, vol, 0, pattern(90, 64<<10))
 	// Stack snapshots to deepen the chain.
 	for i := 0; i < 5; i++ {
-		if _, _, err := a.Snapshot(0, vol, "s"); err != nil {
+		if _, _, err := a.Snapshot(0, vol, fmt.Sprintf("s%d", i)); err != nil {
 			t.Fatal(err)
 		}
 		mustWrite(t, a, vol, int64(i)*4096, pattern(uint64(91+i), 4096))
@@ -586,6 +589,59 @@ func TestVolumesListing(t *testing.T) {
 	}
 	if !names["alpha"] || !names["beta"] || !names["alpha-snap"] {
 		t.Fatalf("names = %v", names)
+	}
+}
+
+// TestVolumeNamesAreUnique: a name a live volume or snapshot holds is
+// refused to create, snapshot and clone alike, before any ID is consumed
+// and without touching the catalog; deleting the holder frees the name.
+func TestVolumeNamesAreUnique(t *testing.T) {
+	a := newArray(t)
+	vol := mustCreate(t, a, "vol", 1<<20)
+	snap, _, err := a.Snapshot(0, vol, "snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _, err := a.Volumes(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nextVolume, nextMedium := a.nextVolume, a.nextMedium
+	for what, try := range map[string]func(name string) error{
+		"create":   func(name string) error { _, _, err := a.CreateVolume(0, name, 1<<20); return err },
+		"snapshot": func(name string) error { _, _, err := a.Snapshot(0, vol, name); return err },
+		"clone":    func(name string) error { _, _, err := a.Clone(0, snap, name); return err },
+	} {
+		for _, name := range []string{"vol", "snap"} {
+			if err := try(name); !errors.Is(err, ErrVolumeExists) {
+				t.Fatalf("%s %q: %v, want ErrVolumeExists", what, name, err)
+			}
+		}
+	}
+	if a.nextVolume != nextVolume || a.nextMedium != nextMedium {
+		t.Fatalf("refused calls consumed IDs: nextVolume %d→%d, nextMedium %d→%d", nextVolume, a.nextVolume, nextMedium, a.nextMedium)
+	}
+	after, _, err := a.Volumes(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("refused calls changed the catalog:\n%+v\n%+v", before, after)
+	}
+
+	// A deleted holder's name is free again, for any of the three.
+	if _, err := a.Delete(0, snap); err != nil {
+		t.Fatal(err)
+	}
+	snap2, _, err := a.Snapshot(0, vol, "snap")
+	if err != nil {
+		t.Fatalf("reusing a deleted snapshot's name: %v", err)
+	}
+	if _, err := a.Delete(0, vol); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := a.Clone(0, snap2, "vol"); err != nil {
+		t.Fatalf("reusing a deleted volume's name: %v", err)
 	}
 }
 

@@ -234,7 +234,7 @@ func TestSnapshotChainReadsAfterManyGenerations(t *testing.T) {
 		data := pattern(uint64(100+g), 32<<10)
 		mustWrite(t, a, vol, 0, data)
 		gens = append(gens, data)
-		snap, _, err := a.Snapshot(0, vol, "s")
+		snap, _, err := a.Snapshot(0, vol, fmt.Sprintf("s%d", g))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,11 +92,9 @@ func (a *Array) RunGC(at sim.Time) (GCReport, sim.Time, error) {
 
 	// Candidates: sealed, below threshold, not currently open, and holding
 	// no live metadata.
-	openIDs := map[layout.SegmentID]bool{}
-	a.eachOpenLocked(func(w *layout.Writer) { openIDs[w.Info().ID] = true })
 	var candidates []layout.SegmentID
 	for id, info := range a.segMap {
-		if openIDs[id] || !info.Sealed || metaLive[id] > 0 {
+		if a.openByID[id] != nil || !info.Sealed || metaLive[id] > 0 {
 			continue
 		}
 		rep.SegmentsExamined++
@@ -290,7 +288,7 @@ func (a *Array) evacuateSegmentLocked(at sim.Time, id layout.SegmentID, blocks m
 		if !touched[class] {
 			continue
 		}
-		d, err := a.sealLocked(done, class)
+		d, err := a.sealSlotLocked(done, &a.slots[class])
 		if err != nil {
 			return d, err
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -28,24 +27,18 @@ import (
 // interleave freely as long as each one's record is durable before its
 // pyramid apply, and replay remains a set union.
 //
-// Lock order: a.world (R or W) → a.mu → ln.mu. Lane commits hold the
-// world lock in read mode for their whole critical section; maintenance
-// entry points (GC, scrub, rebuild, checkpoint, volume mutations) take it
-// in write mode, so when one runs, no lane commit is in flight. a.mu is
-// never acquired while ln.mu is held. The declaration below is checked,
-// not trusted: purity-lint's lockorder rule rebuilds the acquisition
-// graph from every body in the module and reports any blocking edge that
-// runs against it.
-//
-//lint:lockorder Array.world < Array.mu < commitLane.mu
+// Lock order: a.world (R or W) → a.mu → the slot mutex (declared at
+// openSeg). Lane commits hold the world lock in read mode for their whole
+// critical section; maintenance entry points (GC, scrub, rebuild,
+// checkpoint, volume mutations) take it in write mode, so when one runs, no
+// lane commit is in flight.
 
-// commitLane is one shard of the commit path: a mutex, an open data
-// segment, and contention-observability counters (all atomic, readable
+// commitLane is one shard of the commit path: the slot of its open data
+// segment and contention-observability counters (all atomic, readable
 // without any lock).
 type commitLane struct {
 	id   int
-	mu   sync.Mutex
-	open *layout.Writer
+	slot *openSeg
 
 	// commits counts writes committed through this lane; batchesLed and
 	// batchRecords describe the NVRAM group commits this lane led;
@@ -53,46 +46,24 @@ type commitLane struct {
 	// seqInterleaves counts commits whose sequence-number span contained
 	// another commit's allocations (allocator pressure — the shared
 	// SeqSource is wait-free, so interleaving, not stalling, is the
-	// observable); rotations counts segment seals due to fill.
+	// observable). Segment seals due to fill are slot.rotations.
 	commits        *telemetry.Counter
 	batchesLed     *telemetry.Counter
 	batchRecords   *telemetry.Counter
 	queueWaits     *telemetry.Counter
 	seqInterleaves *telemetry.Counter
-	rotations      *telemetry.Counter
 }
 
-func newCommitLane(id int) *commitLane {
+func newCommitLane(id int, slot *openSeg) *commitLane {
 	return &commitLane{
 		id:             id,
+		slot:           slot,
 		commits:        telemetry.NewCounter(),
 		batchesLed:     telemetry.NewCounter(),
 		batchRecords:   telemetry.NewCounter(),
 		queueWaits:     telemetry.NewCounter(),
 		seqInterleaves: telemetry.NewCounter(),
-		rotations:      telemetry.NewCounter(),
 	}
-}
-
-// openInfo returns the lane's open writer's info if it is segment id.
-func (ln *commitLane) openInfo(id layout.SegmentID) (layout.SegmentInfo, bool) {
-	ln.mu.Lock()
-	defer ln.mu.Unlock()
-	if ln.open != nil && ln.open.Info().ID == id {
-		return ln.open.Info(), true
-	}
-	return layout.SegmentInfo{}, false
-}
-
-// readPending serves a read from the lane's open writer's pending segio
-// buffers if it holds segment id.
-func (ln *commitLane) readPending(id layout.SegmentID, off int64, n int) ([]byte, bool) {
-	ln.mu.Lock()
-	defer ln.mu.Unlock()
-	if ln.open != nil && ln.open.Info().ID == id {
-		return ln.open.ReadPending(off, n)
-	}
-	return nil, false
 }
 
 // laneFor routes a volume to its lane. Volume IDs are dense and
@@ -464,142 +435,41 @@ func (a *Array) laneLiteralChunk(at sim.Time, ln *commitLane, medium, sector uin
 	return ch, allocated, nil
 }
 
-// laneAppendData appends a blob to the lane's open segment, rotating as it
-// fills. The fast path holds only ln.mu; allocation and sealing take a.mu
-// first (lock order), so a rotating lane briefly contends with the others.
+// laneAppendData appends a blob to the lane's open segment. Per-lane open
+// segments are the down payment on multi-stream placement: each lane's
+// writes stay physically clustered, so data written together dies together
+// (ROADMAP item 5). The fast path holds only the slot mutex; an empty or
+// full slot goes through slotAppendLocked under a.mu, so a rotating lane
+// briefly contends with the others.
 func (a *Array) laneAppendData(at sim.Time, ln *commitLane, b []byte) (layout.SegmentID, int64, sim.Time, error) {
-	done := at
-	for attempt := 0; attempt < 3; attempt++ {
-		ln.mu.Lock()
-		w := ln.open
-		if w != nil {
-			off, d, err := w.AppendData(done, b)
-			done = d
-			if err == nil {
-				id := w.Info().ID
-				ln.mu.Unlock()
-				return id, off, done, nil
-			}
-			ln.mu.Unlock()
-			if err != layout.ErrSegmentFull {
-				return 0, 0, done, err
-			}
-			d2, err := a.laneRotate(done, ln, w)
-			done = d2
-			if err != nil {
-				return 0, 0, done, err
-			}
-			continue
+	s := ln.slot
+	s.mu.Lock()
+	if w := s.w; w != nil {
+		off, done, err := w.AppendData(at, b)
+		if err == nil {
+			id := w.Info().ID
+			s.mu.Unlock()
+			return id, off, done, nil
 		}
-		ln.mu.Unlock()
-		d, err := a.laneEnsureOpen(done, ln)
-		done = d
-		if err != nil {
+		if err != layout.ErrSegmentFull {
+			s.mu.Unlock()
 			return 0, 0, done, err
 		}
+		at = done
 	}
-	return 0, 0, done, errors.New("core: could not place data after lane segment rotation")
-}
-
-// laneEnsureOpen allocates and installs an open segment for the lane when
-// it has none. Per-lane open segments are the down payment on multi-stream
-// placement: each lane's writes stay physically clustered, so data written
-// together dies together (ROADMAP item 5).
-//
-// ln.mu is NOT held across the allocation: newSegmentWriterLocked flushes
-// open segios (frontier persistence), and that walk takes every lane's
-// mutex — holding this lane's would self-deadlock. Holding a.mu alone is
-// enough for exclusivity: every ln.open install/remove runs under a.mu,
-// so the slot cannot change between the check and the install; ln.mu only
-// orders the slot against its lock-free readers.
-func (a *Array) laneEnsureOpen(at sim.Time, ln *commitLane) (sim.Time, error) {
+	s.mu.Unlock()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ln.mu.Lock()
-	already := ln.open != nil
-	ln.mu.Unlock()
-	if already {
-		return at, nil
-	}
-	w, done, err := a.newSegmentWriterLocked(at)
-	if err != nil {
-		return done, err
-	}
-	ln.mu.Lock()
-	ln.open = w
-	ln.mu.Unlock()
-	return done, nil
+	return a.slotAppendLocked(at, s, segItem{b: b})
 }
 
-// laneRotate seals the lane's full segment, unless another commit of the
-// same lane already rotated it. The writer is detached before the seal
-// (same ln.mu discipline as laneEnsureOpen — sealing commits facts, which
-// can flush segios across all lanes); a.mu held throughout keeps readers
-// from observing the detached-but-unsealed window.
-func (a *Array) laneRotate(at sim.Time, ln *commitLane, w *layout.Writer) (sim.Time, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	ln.mu.Lock()
-	current := ln.open == w
-	if current {
-		ln.open = nil
-	}
-	ln.mu.Unlock()
-	if !current {
-		return at, nil
-	}
-	// The seal fact's LiveBytes may lag commits whose deltas have not been
-	// applied yet — the paper keeps these aggregates approximate (§3.3);
-	// GC recomputes exact liveness.
-	done, err := a.sealWriterLocked(at, w)
-	if err != nil {
-		return done, err
-	}
-	ln.rotations.Inc()
-	return done, nil
-}
-
-// eachOpenLocked calls f on every open segment writer: the class writers
-// (metadata, GC, dedup, replayed data), then each lane's under its mutex —
-// a lane may be appending to its writer under the world read lock. Caller
-// holds mu, so no slot changes during the walk.
-func (a *Array) eachOpenLocked(f func(w *layout.Writer)) {
-	for _, w := range a.open {
-		if w != nil {
-			f(w)
-		}
-	}
-	for _, ln := range a.lanes {
-		ln.mu.Lock()
-		if ln.open != nil {
-			f(ln.open)
-		}
-		ln.mu.Unlock()
-	}
-}
-
-// sealOpenLocked seals every open segment, the class writers' and each
-// lane's — the checkpoint-grade quiesce of FlushAll and drive replacement.
-// Caller holds mu and the world lock exclusively, so no commit is in
-// flight.
+// sealOpenLocked seals every open segment — the checkpoint-grade quiesce of
+// FlushAll and drive replacement. Caller holds mu and the world lock
+// exclusively, so no commit is in flight.
 func (a *Array) sealOpenLocked(at sim.Time) (sim.Time, error) {
 	done := at
-	for class := segClass(0); class < numClasses; class++ {
-		d, err := a.sealLocked(done, class)
-		if err != nil {
-			return d, err
-		}
-		done = d
-	}
-	for _, ln := range a.lanes {
-		ln.mu.Lock()
-		w := ln.open
-		ln.open = nil
-		ln.mu.Unlock()
-		if w == nil {
-			continue
-		}
-		d, err := a.sealWriterLocked(done, w)
+	for i := range a.slots {
+		d, err := a.sealSlotLocked(done, &a.slots[i])
 		if err != nil {
 			return d, err
 		}
@@ -639,7 +509,7 @@ func (a *Array) LaneTelemetry() LaneStats {
 			BatchRecords:   ln.batchRecords.Load(),
 			QueueWaits:     ln.queueWaits.Load(),
 			SeqInterleaves: ln.seqInterleaves.Load(),
-			Rotations:      ln.rotations.Load(),
+			Rotations:      ln.slot.rotations.Load(),
 		})
 	}
 	a.committer.mu.Lock()

@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"purity/internal/layout"
 	"purity/internal/sim"
 )
 
@@ -220,12 +223,236 @@ func TestLaneTelemetryCounters(t *testing.T) {
 	if _, err := a.FlushAll(now); err != nil {
 		t.Fatal(err)
 	}
-	for _, ln := range a.lanes {
-		ln.mu.Lock()
-		open := ln.open != nil
-		ln.mu.Unlock()
-		if open {
-			t.Fatal("lane still holds an open segment after FlushAll")
+	assertDataSlotsEmpty(t, a)
+}
+
+// assertDataSlotsEmpty fails if, after a FlushAll, any slot but the
+// metadata one still holds a writer (FlushAll seals every slot and then
+// checkpoints, and the checkpoint's own pages reopen classMeta), or the
+// open-segment index disagrees with the slots.
+func assertDataSlotsEmpty(t *testing.T, a *Array) {
+	t.Helper()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	occupied := 0
+	for i := range a.slots {
+		s := &a.slots[i]
+		s.mu.Lock()
+		w := s.w
+		s.mu.Unlock()
+		if w == nil {
+			continue
 		}
+		if segClass(i) != classMeta {
+			t.Fatalf("slot %d still holds an open segment after FlushAll", i)
+		}
+		occupied++
+		if a.openByID[w.Info().ID] != s {
+			t.Fatalf("slot %d's segment %d is not in the open-segment index", i, w.Info().ID)
+		}
+	}
+	if len(a.openByID) != occupied {
+		t.Fatalf("open-segment index has %d entries, %d slots are occupied", len(a.openByID), occupied)
+	}
+}
+
+// TestLaneRotationUnderContention fills segments every few writes on every
+// lane while maintenance seals and reclaims under the writers: 4 lanes × 2
+// writers, one goroutine alternating FlushAll and RunGC, one reader
+// re-reading acknowledged offsets. Each offset is written once, so an
+// acknowledged write's content is fixed and the reader needs no model lock.
+func TestLaneRotationUnderContention(t *testing.T) {
+	const (
+		lanes     = 4
+		writers   = 2 * lanes
+		writes    = 48
+		writeLen  = 64 << 10
+		maintStep = 48 // acknowledged writes (all writers) per maintenance round
+	)
+	a, err := Format(laneTestConfig(lanes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vols := make([]VolumeID, writers)
+	for i := range vols {
+		vols[i] = mustCreate(t, a, fmt.Sprintf("rot-%d", i), writes*writeLen)
+	}
+	payload := func(w, j int) []byte { return pattern(uint64(w)*1000+uint64(j)+1, writeLen) }
+	check := func(w, j int) error {
+		got, _, err := a.ReadAt(0, vols[w], int64(j)*writeLen, writeLen)
+		if err != nil {
+			return fmt.Errorf("writer %d write %d: read: %v", w, j, err)
+		}
+		if !bytes.Equal(got, payload(w, j)) {
+			return fmt.Errorf("writer %d write %d: acknowledged data does not read back", w, j)
+		}
+		return nil
+	}
+
+	acked := make([]atomic.Int64, writers)
+	// One tick per maintStep acknowledged writes; sized to hold them all so
+	// a writer never blocks on maintenance.
+	ticks := make(chan struct{}, writers*writes/maintStep)
+	var total atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			now := sim.Time(0)
+			for j := 0; j < writes; j++ {
+				d, err := a.WriteAt(now, vols[w], int64(j)*writeLen, payload(w, j))
+				if err != nil {
+					t.Errorf("writer %d write %d: %v", w, j, err)
+					return
+				}
+				now = d
+				acked[w].Store(int64(j + 1))
+				if total.Add(1)%maintStep == 0 {
+					ticks <- struct{}{}
+				}
+			}
+		}()
+	}
+	writersDone := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(2)
+	go func() { // maintenance
+		defer bg.Done()
+		round := 0
+		for range ticks {
+			if round++; round%2 == 1 {
+				if _, err := a.FlushAll(0); err != nil {
+					t.Errorf("FlushAll: %v", err)
+				}
+			} else if _, _, err := a.RunGC(0); err != nil {
+				t.Errorf("gc: %v", err)
+			}
+		}
+	}()
+	go func() { // reader
+		defer bg.Done()
+		r := sim.NewRand(99)
+		for {
+			select {
+			case <-writersDone:
+				return
+			default:
+			}
+			w := r.Intn(writers)
+			if n := int(acked[w].Load()); n > 0 {
+				if err := check(w, r.Intn(n)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(ticks)
+	close(writersDone)
+	bg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	if _, err := a.FlushAll(0); err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < writers; w++ {
+		for j := 0; j < writes; j++ {
+			if err := check(w, j); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, ls := range a.LaneTelemetry().Lanes {
+		if ls.Rotations == 0 {
+			t.Errorf("lane %d never rotated a full segment", ls.Lane)
+		}
+	}
+	assertDataSlotsEmpty(t, a)
+}
+
+// TestSlotAppendStates drives slotAppendLocked through its three states —
+// empty slot, full segment, oversized item — on a class slot and on a lane
+// slot of two identically formatted arrays, and requires the two to behave
+// identically: same segment IDs, offsets, completion times and errors.
+func TestSlotAppendStates(t *testing.T) {
+	type step struct {
+		id   layout.SegmentID
+		off  int64
+		done sim.Time
+		err  error
+	}
+	run := func(pick func(a *Array) *openSeg) []step {
+		a := newArray(t)
+		lc := a.cfg.Layout
+		s := pick(a)
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		var trace []step
+		now := sim.Time(0)
+		appendItem := func(n int) step {
+			id, off, done, err := a.slotAppendLocked(now, s, segItem{b: pattern(uint64(len(trace)+1), n)})
+			now = done
+			st := step{id, off, done, err}
+			trace = append(trace, st)
+			return st
+		}
+		open := func() *layout.Writer {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return s.w
+		}
+
+		// Empty: the append opens a segment and lands at offset 0.
+		if open() != nil {
+			t.Fatal("fresh slot is not empty")
+		}
+		first := appendItem(lc.StripeCapacity())
+		if first.err != nil || first.off != 0 || open() == nil || open().Info().ID != first.id || a.openByID[first.id] != s {
+			t.Fatalf("append to empty slot: %+v", first)
+		}
+
+		// Full: one whole stripe per append fills the segment; the append
+		// after the last stripe seals it once and opens the next.
+		for i := 1; i < lc.StripesPerAU; i++ {
+			if st := appendItem(lc.StripeCapacity()); st.err != nil || st.id != first.id {
+				t.Fatalf("append %d: %+v, want segment %d", i, st, first.id)
+			}
+		}
+		if n := s.rotations.Load(); n != 0 {
+			t.Fatalf("rotations = %d before the segment filled", n)
+		}
+		next := appendItem(lc.StripeCapacity())
+		if next.err != nil || next.id == first.id || next.off != 0 {
+			t.Fatalf("append to full segment: %+v", next)
+		}
+		if n := s.rotations.Load(); n != 1 {
+			t.Fatalf("rotations = %d after one fill, want 1", n)
+		}
+		if info := a.segMap[first.id]; !info.Sealed || info.Stripes != lc.StripesPerAU {
+			t.Fatalf("filled segment: %+v", info)
+		}
+		if a.openByID[first.id] != nil || a.openByID[next.id] != s || len(a.openByID) != 1 {
+			t.Fatalf("open-segment index after rotation: %v", a.openByID)
+		}
+
+		// Oversized: the error comes back and nothing is sealed.
+		big := appendItem(lc.StripeCapacity() + 1)
+		if big.err != layout.ErrItemTooLarge {
+			t.Fatalf("oversized item: %+v", big)
+		}
+		if s.rotations.Load() != 1 || open() == nil || open().Info().ID != next.id || a.segMap[next.id].Sealed {
+			t.Fatal("oversized item sealed or replaced the open segment")
+		}
+		return trace
+	}
+	class := run(func(a *Array) *openSeg { return &a.slots[classGC] })
+	lane := run(func(a *Array) *openSeg { return a.lanes[0].slot })
+	if !reflect.DeepEqual(class, lane) {
+		t.Fatalf("class slot and lane slot behave differently:\nclass %+v\nlane  %+v", class, lane)
 	}
 }

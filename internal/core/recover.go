@@ -224,46 +224,37 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 
 	// NVRAM records reference segments too — and replay itself opens new
 	// segments, so every referenced ID must be reserved before the first
-	// record is applied.
-	records := replayRecords(sh)
+	// record is applied. Each record is decoded once, here, for both passes.
+	var records []replayRec
+	for _, r := range replayRecords(sh) {
+		records = append(records, decodeRecord(r.Payload))
+	}
 	for _, rec := range records {
-		if len(rec.Payload) == 0 {
+		if rec.err != nil {
 			continue
 		}
-		switch rec.Payload[0] {
-		case recFacts:
-			relID, facts, err := decodeFactsRecord(rec.Payload[1:])
-			if err != nil {
-				continue
+		switch rec.relID {
+		case relation.IDAddrs:
+			for _, f := range rec.facts {
+				bumpSeg(relation.AddrFromFact(f).Segment)
 			}
-			switch relID {
-			case relation.IDAddrs:
-				for _, f := range facts {
-					bumpSeg(relation.AddrFromFact(f).Segment)
-				}
-			case relation.IDDedup:
-				for _, f := range facts {
-					bumpSeg(relation.DedupFromFact(f).Segment)
-				}
-			case relation.IDSegments:
-				for _, f := range facts {
-					bumpSeg(relation.SegmentFromFact(f).Segment)
-				}
-			case relation.IDSegmentAUs:
-				for _, f := range facts {
-					bumpSeg(relation.SegmentAUFromFact(f).Segment)
-				}
+		case relation.IDDedup:
+			for _, f := range rec.facts {
+				bumpSeg(relation.DedupFromFact(f).Segment)
 			}
-		case recWrite:
-			chunks, err := decodeWriteRecord(rec.Payload[1:])
-			if err != nil {
-				continue
+		case relation.IDSegments:
+			for _, f := range rec.facts {
+				bumpSeg(relation.SegmentFromFact(f).Segment)
 			}
-			for _, ch := range chunks {
-				bumpSeg(ch.addr.Cols[2])
-				for _, df := range ch.dedup {
-					bumpSeg(df.Cols[1])
-				}
+		case relation.IDSegmentAUs:
+			for _, f := range rec.facts {
+				bumpSeg(relation.SegmentAUFromFact(f).Segment)
+			}
+		}
+		for _, ch := range rec.chunks {
+			bumpSeg(ch.addr.Cols[2])
+			for _, df := range ch.dedup {
+				bumpSeg(df.Cols[1])
 			}
 		}
 	}
@@ -277,7 +268,7 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 	for _, rec := range records {
 		rs.NVRAMRecords++
 		a.crash.Hit("recover.replay")
-		d, err := a.replayRecord(done, rec.Payload)
+		d, err := a.replayRecord(done, rec)
 		done = d
 		if err != nil {
 			if errors.Is(err, errBadRecord) {
@@ -454,6 +445,9 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 	var segFacts []tuple.Fact
 	for _, id := range segIDs {
 		info := a.segMap[id]
+		if s := a.openByID[id]; s != nil {
+			info = s.w.Info() // the segment replay opened; nothing else runs yet
+		}
 		segFacts = append(segFacts, relation.SegmentRow{
 			Segment: uint64(id), State: relation.SegmentSealed,
 			Stripes:    uint64(info.Stripes),
@@ -509,36 +503,61 @@ func (a *Array) applyElideFact(f tuple.Fact) {
 	}
 }
 
+// replayRec is one NVRAM record decoded for replay: by kind, the facts of
+// one relation or the chunks of a data write; or the reason the record is
+// malformed.
+type replayRec struct {
+	kind   byte
+	relID  uint32
+	facts  []tuple.Fact
+	chunks []writeChunk
+	err    error // wraps errBadRecord
+}
+
+// decodeRecord parses one NVRAM record. Undecodable bytes and unknown
+// kinds come back as an error wrapping errBadRecord.
+func decodeRecord(payload []byte) replayRec {
+	if len(payload) == 0 {
+		return replayRec{err: fmt.Errorf("%w: empty payload", errBadRecord)}
+	}
+	rec := replayRec{kind: payload[0]}
+	var err error
+	switch rec.kind {
+	case recFacts:
+		rec.relID, rec.facts, err = decodeFactsRecord(payload[1:])
+	case recWrite:
+		rec.chunks, err = decodeWriteRecord(payload[1:])
+	default:
+		err = fmt.Errorf("unknown record kind %d", rec.kind)
+	}
+	if err != nil {
+		rec.err = fmt.Errorf("%w: %v", errBadRecord, err)
+	}
+	return rec
+}
+
 // replayRecord redoes one NVRAM record. Malformed records (undecodable
 // bytes, unknown kinds, schema-invalid facts) return errors wrapping
 // errBadRecord so the replay loop can reject them without aborting.
 // Recovery runs single-threaded before the array is published, so the
 // *Locked helpers below are called without holding mu.
-func (a *Array) replayRecord(at sim.Time, payload []byte) (sim.Time, error) {
-	if len(payload) == 0 {
-		return at, fmt.Errorf("%w: empty payload", errBadRecord)
+func (a *Array) replayRecord(at sim.Time, rec replayRec) (sim.Time, error) {
+	if rec.err != nil {
+		return at, rec.err
 	}
-	switch payload[0] {
+	switch rec.kind {
 	case recFacts:
-		relID, facts, err := decodeFactsRecord(payload[1:])
-		if err != nil {
-			return at, fmt.Errorf("%w: %v", errBadRecord, err)
-		}
-		for _, f := range facts {
+		for _, f := range rec.facts {
 			a.seqs.AdvanceTo(f.Seq)
 		}
 		//lint:ignore lockcheck,commitorder recovery replay: single-threaded before the array is published, and every fact applied here was just read back out of the NVRAM log itself
-		if err := a.applyFactsLocked(relID, facts); err != nil {
+		if err := a.applyFactsLocked(rec.relID, rec.facts); err != nil {
 			return at, fmt.Errorf("%w: %v", errBadRecord, err)
 		}
 		return at, nil
-	case recWrite:
-		chunks, err := decodeWriteRecord(payload[1:])
-		if err != nil {
-			return at, fmt.Errorf("%w: %v", errBadRecord, err)
-		}
+	default: // recWrite
 		done := at
-		for _, ch := range chunks {
+		for _, ch := range rec.chunks {
 			a.seqs.AdvanceTo(ch.addr.Seq)
 			if segID := ch.addr.Cols[2]; segID >= a.nextSegment {
 				a.nextSegment = segID + 1
@@ -575,8 +594,6 @@ func (a *Array) replayRecord(at sim.Time, payload []byte) (sim.Time, error) {
 			}
 		}
 		return done, nil
-	default:
-		return at, fmt.Errorf("%w: unknown record kind %d", errBadRecord, payload[0])
 	}
 }
 

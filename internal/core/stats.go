@@ -125,7 +125,8 @@ func (a *Array) Segments() []SegmentInventory {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	out := make([]SegmentInventory, 0, len(a.segMap))
-	for id, info := range a.segMap {
+	for id := range a.segMap {
+		info, _ := a.segInfoLocked(id)
 		out = append(out, SegmentInventory{
 			ID: uint64(id), Sealed: info.Sealed, Stripes: info.Stripes,
 			LiveBytes: a.liveBytes[id], AUs: len(info.AUs),

@@ -34,12 +34,16 @@ func (a *Array) CreateVolume(at sim.Time, name string, sizeBytes int64) (VolumeI
 	if sectors == 0 {
 		return 0, at, fmt.Errorf("core: volume %q has zero size", name)
 	}
+	done, err := a.nameFreeLocked(at, name)
+	if err != nil {
+		return 0, done, err
+	}
 	m := a.nextMedium
 	a.nextMedium++
 	v := a.nextVolume
 	a.nextVolume++
 
-	done, err := a.commitFactsLocked(at, relation.IDMediums, []tuple.Fact{
+	done, err = a.commitFactsLocked(done, relation.IDMediums, []tuple.Fact{
 		relation.MediumRow{Source: m, Start: 0, End: sectors - 1, Target: relation.NoMedium, Status: relation.MediumRW}.Fact(a.seqs.Next()),
 	})
 	if err != nil {
@@ -53,6 +57,22 @@ func (a *Array) CreateVolume(at sim.Time, name string, sizeBytes int64) (VolumeI
 	}
 	done, err = a.maybeBackgroundLocked(done)
 	return VolumeID(v), done, err
+}
+
+// nameFreeLocked fails with ErrVolumeExists if a live volume or snapshot
+// already has the name: OpenVolume resolves by name, so two holders would
+// make it ambiguous. A deleted volume's name is free again. Caller holds mu.
+func (a *Array) nameFreeLocked(at sim.Time, name string) (sim.Time, error) {
+	taken := false
+	done, err := a.pyr[relation.IDVolumes].Scan(at, nil, nil, func(f tuple.Fact) bool {
+		row := relation.VolumeFromFact(f)
+		taken = row.State != relation.VolumeDeleted && row.Name == name
+		return !taken
+	})
+	if err == nil && taken {
+		err = fmt.Errorf("%w: %q", ErrVolumeExists, name)
+	}
+	return done, err
 }
 
 // volumeLocked fetches a catalog row. Caller holds mu.
@@ -125,6 +145,9 @@ func (a *Array) Snapshot(at sim.Time, id VolumeID, name string) (VolumeID, sim.T
 	if row.State == relation.VolumeSnapshot {
 		return 0, done, fmt.Errorf("core: cannot snapshot a snapshot; clone it")
 	}
+	if done, err = a.nameFreeLocked(done, name); err != nil {
+		return 0, done, err
+	}
 	oldM := row.Medium
 	newM := a.nextMedium
 	a.nextMedium++
@@ -176,6 +199,9 @@ func (a *Array) Clone(at sim.Time, snapID VolumeID, name string) (VolumeID, sim.
 	}
 	if row.State != relation.VolumeSnapshot {
 		return 0, done, fmt.Errorf("core: clone source %d is not a snapshot", snapID)
+	}
+	if done, err = a.nameFreeLocked(done, name); err != nil {
+		return 0, done, err
 	}
 	newM := a.nextMedium
 	a.nextMedium++

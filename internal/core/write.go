@@ -157,7 +157,7 @@ func (a *Array) readCBlockLocked(at sim.Time, seg, segOff uint64, physLen int) (
 	if err != nil {
 		return nil, done, err
 	}
-	//lint:ignore taintverify sealed-segment reads are WU-CRC-verified inside ReadRange, unsealed reads come from in-memory pending buffers, and Unpack fails closed with the error counted
+	//lint:ignore taintverify sealed-segment reads are WU-CRC-verified inside ReadRange; an open segment serves only its unflushed stripe from memory (Writer.ReadPending) and its flushed stripes from the drives through readShardRange's unverified branch, with no CRC (ROADMAP item 3(a) records the gap); Unpack fails closed with the error counted
 	sectors, err := cblock.Unpack(frame)
 	if err != nil {
 		a.stats.UnpackErrors.Inc()

@@ -101,22 +101,7 @@ func (a *Allocator) SpeculativeSize() int {
 func (a *Allocator) RefillSpeculative(n int) []AU {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for added := 0; added < n; added++ {
-		best := -1
-		for d := range a.free {
-			if len(a.free[d]) == 0 {
-				continue
-			}
-			if best < 0 || len(a.free[d]) > len(a.free[best]) {
-				best = d
-			}
-		}
-		if best < 0 {
-			break
-		}
-		a.speculative = append(a.speculative, AU{Drive: best, Index: a.free[best][0]})
-		a.free[best] = a.free[best][1:]
-	}
+	a.speculative = a.drawFreeLocked(a.speculative, n)
 	return append([]AU(nil), a.speculative...)
 }
 
@@ -141,8 +126,15 @@ func (a *Allocator) PromoteSpeculative() bool {
 func (a *Allocator) RefillFrontier(n int) []AU {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.frontier = a.drawFreeLocked(a.frontier, n)
+	return append([]AU(nil), a.frontier...)
+}
+
+// drawFreeLocked moves up to n free AUs onto set, each from the drive with
+// the most free AUs at that moment (lowest drive on a tie), lowest index
+// first. Caller holds mu.
+func (a *Allocator) drawFreeLocked(set []AU, n int) []AU {
 	for added := 0; added < n; added++ {
-		// Pick the drive with the most free AUs.
 		best := -1
 		for d := range a.free {
 			if len(a.free[d]) == 0 {
@@ -155,11 +147,10 @@ func (a *Allocator) RefillFrontier(n int) []AU {
 		if best < 0 {
 			break
 		}
-		au := AU{Drive: best, Index: a.free[best][0]}
+		set = append(set, AU{Drive: best, Index: a.free[best][0]})
 		a.free[best] = a.free[best][1:]
-		a.frontier = append(a.frontier, au)
 	}
-	return append([]AU(nil), a.frontier...)
+	return set
 }
 
 // SetFrontier replaces the frontier with the persisted set, removing its

@@ -2,6 +2,7 @@ package layout
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"purity/internal/erasure"
@@ -553,6 +554,59 @@ func TestAllocator(t *testing.T) {
 	a.Free(aus)
 	if a.FreeAUs() != 38+int64(len(aus)) {
 		t.Fatalf("FreeAUs after free = %d", a.FreeAUs())
+	}
+}
+
+// TestRefillDrawsRichestFirst pins the one draw both refills share: on
+// equal allocators with an uneven free pool, RefillFrontier(n) and
+// RefillSpeculative(n) pick the same AUs in the same order, each from the
+// drive with the most free AUs at that moment (lowest drive on a tie),
+// lowest index first.
+func TestRefillDrawsRichestFirst(t *testing.T) {
+	cfg, drives, _ := newTestRig(t, 6, 8)
+	caps := make([]int64, len(drives))
+	for i, d := range drives {
+		caps[i] = d.Capacity()
+	}
+	boot := int64(cfg.BootAUs)
+	// Drive 0 loses three AUs, drive 3 one (from the middle), drive 5 two.
+	used := []AU{{0, boot}, {0, boot + 1}, {0, boot + 2}, {3, boot + 4}, {5, boot}, {5, boot + 7}}
+	fresh := func() *Allocator {
+		a, err := NewAllocator(cfg, caps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.MarkInUse(used)
+		return a
+	}
+	const n = 20
+	front, spec := fresh().RefillFrontier(n), fresh().RefillSpeculative(n)
+	if len(front) != n || !reflect.DeepEqual(front, spec) {
+		t.Fatalf("frontier and speculative draws differ:\n%v\n%v", front, spec)
+	}
+	// Replay the rule against a plain count of each drive's free AUs.
+	free := []int{5, 8, 8, 7, 8, 6}
+	next := map[int]int64{}
+	usedSet := map[AU]bool{}
+	for _, au := range used {
+		usedSet[au] = true
+	}
+	for i, au := range front {
+		best := 0
+		for d := range free {
+			if free[d] > free[best] {
+				best = d
+			}
+		}
+		idx := boot + next[best]
+		for usedSet[AU{best, idx}] {
+			idx++
+		}
+		if (au != AU{best, idx}) {
+			t.Fatalf("draw %d = %+v, want drive %d index %d (free %v)", i, au, best, idx, free)
+		}
+		next[best] = idx - boot + 1
+		free[best]--
 	}
 }
 

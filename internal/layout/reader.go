@@ -224,13 +224,9 @@ func (r *Reader) readShardRange(at sim.Time, info SegmentInfo, s, slot int, shar
 	lost := r.isLost(info.ID, slot)
 	busy := avoidBusy && drive.BusyRangeAt(at, devOff, len(dst))
 	if !lost && !busy && !drive.Failed() {
-		done, err := drive.ReadAt(at, dst, devOff)
-		if err == nil {
-			stats.DirectShardReads++
-			stats.ShardBytesRead += int64(len(dst))
+		if done, ok := readHome(at, drive, dst, devOff, stats); ok {
 			return done, nil
 		}
-		stats.HomeReadErrors++
 	}
 	if busy {
 		stats.BusyAvoided++
@@ -240,15 +236,24 @@ func (r *Reader) readShardRange(at sim.Time, info SegmentInfo, s, slot int, shar
 		// Reconstruction impossible (too many peers failed or busy) but the
 		// home drive is merely slow: queue behind its program and read it.
 		stats.HomeRetries++
-		d2, err2 := drive.ReadAt(at, dst, devOff)
-		if err2 == nil {
-			stats.DirectShardReads++
-			stats.ShardBytesRead += int64(len(dst))
+		if d2, ok := readHome(at, drive, dst, devOff, stats); ok {
 			return d2, nil
 		}
-		stats.HomeReadErrors++
 	}
 	return done, err
+}
+
+// readHome reads dst's range straight from the home drive, unverified, and
+// counts the outcome.
+func readHome(at sim.Time, drive *ssd.Device, dst []byte, devOff int64, stats *ReadStats) (sim.Time, bool) {
+	done, err := drive.ReadAt(at, dst, devOff)
+	if err != nil {
+		stats.HomeReadErrors++
+		return done, false
+	}
+	stats.DirectShardReads++
+	stats.ShardBytesRead += int64(len(dst))
+	return done, true
 }
 
 // readShardVerified serves a shard range of a sealed segment with
@@ -273,20 +278,10 @@ func (r *Reader) readShardVerified(at sim.Time, info SegmentInfo, s, slot int, s
 	busy := avoidBusy && drive.BusyRangeAt(at, wuOff+shardOff, len(dst))
 	needRepair := false
 	if !lost && !busy && !drive.Failed() {
-		done, err := drive.ReadAt(at, wu, wuOff)
-		if err == nil {
-			stats.ShardBytesRead += int64(len(wu))
-			if crcOf(wu) == wantCRC {
-				stats.DirectShardReads++
-				copy(dst, wu[shardOff:shardOff+int64(len(dst))])
-				return done, nil
-			}
-			stats.CRCMismatches++
-			needRepair = true
-		} else {
-			stats.HomeReadErrors++
-			needRepair = true
+		if done, ok := readHomeVerified(at, drive, wu, wuOff, wantCRC, dst, shardOff, stats); ok {
+			return done, nil
 		}
+		needRepair = true
 	}
 	if busy {
 		stats.BusyAvoided++
@@ -297,17 +292,8 @@ func (r *Reader) readShardVerified(at sim.Time, info SegmentInfo, s, slot int, s
 			// Reconstruction impossible but the home drive is merely slow:
 			// queue behind its program and read (still verified).
 			stats.HomeRetries++
-			d2, err2 := drive.ReadAt(at, wu, wuOff)
-			if err2 == nil {
-				stats.ShardBytesRead += int64(len(wu))
-				if crcOf(wu) == wantCRC {
-					stats.DirectShardReads++
-					copy(dst, wu[shardOff:shardOff+int64(len(dst))])
-					return d2, nil
-				}
-				stats.CRCMismatches++
-			} else {
-				stats.HomeReadErrors++
+			if d2, ok := readHomeVerified(at, drive, wu, wuOff, wantCRC, dst, shardOff, stats); ok {
+				return d2, nil
 			}
 		}
 		return done, err
@@ -325,6 +311,25 @@ func (r *Reader) readShardVerified(at sim.Time, info SegmentInfo, s, slot int, s
 		}
 	}
 	return done, nil
+}
+
+// readHomeVerified reads a whole write unit from the home drive into wu and
+// checks it against wantCRC; on a match it copies dst's range out of it.
+// A read error or a mismatch is counted and reported as not ok.
+func readHomeVerified(at sim.Time, drive *ssd.Device, wu []byte, wuOff int64, wantCRC uint32, dst []byte, shardOff int64, stats *ReadStats) (sim.Time, bool) {
+	done, err := drive.ReadAt(at, wu, wuOff)
+	if err != nil {
+		stats.HomeReadErrors++
+		return done, false
+	}
+	stats.ShardBytesRead += int64(len(wu))
+	if crcOf(wu) != wantCRC {
+		stats.CRCMismatches++
+		return done, false
+	}
+	stats.DirectShardReads++
+	copy(dst, wu[shardOff:shardOff+int64(len(dst))])
+	return done, true
 }
 
 // ReconstructWU rebuilds the full write unit of shard `slot` in stripe s

@@ -3,7 +3,7 @@ package lint
 // The whole-module lock-order graph, the shared infrastructure behind the
 // lockorder rule and `purity-lint -graph`. The graph's nodes are *lock
 // classes* — a mutex identified by the struct field that holds it
-// ("core.Array.mu", "core.commitLane.mu") or by its package-level
+// ("core.Array.mu", "core.openSeg.mu") or by its package-level
 // variable — and an edge A→B records a witness that some synchronous
 // execution path acquires B while holding A. Edges come from two places:
 //
@@ -30,7 +30,7 @@ package lint
 //
 // The inferred graph is checked against declared order comments:
 //
-//	//lint:lockorder Array.world < Array.mu < commitLane.mu
+//	//lint:lockorder Array.world < Array.mu < openSeg.mu
 //
 // Class names resolve relative to the declaring package (a bare
 // "Array.mu" in core means "core.Array.mu"). Declarations are checked,

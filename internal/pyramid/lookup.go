@@ -173,24 +173,9 @@ func (p *Pyramid) getFromPatch(at sim.Time, patch *Patch, key []uint64) (tuple.F
 	done := at
 	// Last page whose KeyMin ≤ key; versions of a key may spill into
 	// following pages whose KeyMin equals the key.
-	var pi int
-	if k == 1 {
-		key0 := key[0]
-		lo, hi := 0, len(patch.Pages)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if patch.Pages[mid].KeyMin[0] <= key0 {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		pi = lo - 1
-	} else {
-		pi = sort.Search(len(patch.Pages), func(i int) bool {
-			return tuple.CompareKeys(patch.Pages[i].KeyMin, key, k) > 0
-		}) - 1
-	}
+	pi := sort.Search(len(patch.Pages), func(i int) bool {
+		return tuple.CompareKeys(patch.Pages[i].KeyMin, key, k) > 0
+	}) - 1
 	if pi < 0 {
 		return tuple.Fact{}, false, done, nil
 	}

@@ -341,6 +341,9 @@ func TestHeartbeatFailover(t *testing.T) {
 	waitFor(t, "monitor-driven failover", func() bool {
 		return pair.Active() == controller.Secondary
 	})
+	// Active flips inside FailoverTo; the monitor counts it after the call
+	// returns.
+	waitFor(t, "failover counted", func() bool { return sec.Frontend().Failovers.Load() > 0 })
 	if sec.Frontend().Failovers.Load() != 1 {
 		t.Fatalf("Failovers = %d", sec.Frontend().Failovers.Load())
 	}

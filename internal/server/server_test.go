@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"net"
+	"strings"
 	"testing"
 
 	"purity/internal/client"
@@ -106,6 +107,40 @@ func TestEndToEndOverTCP(t *testing.T) {
 	}
 	if _, err := prim.ReadAt(cl, 0, 4096); err == nil {
 		t.Fatal("read of deleted volume succeeded over the wire")
+	}
+}
+
+// TestDuplicateVolumeNameOverWire is `purity-cli create vol0` run twice: the
+// second create gets an error response on a connection that stays usable,
+// name resolution still finds the one volume, and the refusal is an
+// application error, not a wire fault.
+func TestDuplicateVolumeNameOverWire(t *testing.T) {
+	s, addr := startServer(t, Config{})
+	c, err := client.DialPipelined(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	id, err := c.CreateVolume("vol0", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.CreateVolume("vol0", 1<<20)
+	if err == nil || !strings.Contains(err.Error(), core.ErrVolumeExists.Error()) {
+		t.Fatalf("second create of vol0: %v, want %q", err, core.ErrVolumeExists)
+	}
+	if _, err := c.Snapshot(id, "vol0"); err == nil {
+		t.Fatal("snapshot took a live volume's name")
+	}
+	vols, err := c.ListVolumes()
+	if err != nil || len(vols) != 1 {
+		t.Fatalf("ListVolumes = %d, %v; want the one vol0", len(vols), err)
+	}
+	if oid, _, err := c.OpenVolume("vol0"); err != nil || oid != id {
+		t.Fatalf("OpenVolume(vol0) = %d, %v; want %d", oid, err, id)
+	}
+	if n := s.Frontend().MalformedFrames.Load(); n != 0 {
+		t.Fatalf("frames malformed = %d after a refused create", n)
 	}
 }
 
