@@ -75,17 +75,22 @@ type HAStats struct {
 	Retries        telemetry.Counter // op attempts beyond the first
 	Replays        telemetry.Counter // idempotent writes resent with their original seq
 	DeadlineAborts telemetry.Counter // ops abandoned by the per-op deadline
+	StaleDials     telemetry.Counter // dialed connections rejected for carrying a second session
 }
 
 // Summary renders the counters on one line.
 func (s *HAStats) Summary() string {
-	return fmt.Sprintf("connects=%d redirects=%d retries=%d replays=%d deadline aborts=%d",
+	return fmt.Sprintf("connects=%d redirects=%d retries=%d replays=%d deadline aborts=%d stale dials=%d",
 		s.Connects.Load(), s.Redirects.Load(), s.Retries.Load(),
-		s.Replays.Load(), s.DeadlineAborts.Load())
+		s.Replays.Load(), s.DeadlineAborts.Load(), s.StaleDials.Load())
 }
 
 // ErrHAClosed fails ops issued after Close.
 var ErrHAClosed = errors.New("client: HA client closed")
+
+// errStaleDial fails a connect whose hello opened a second session; the op
+// retries and its next dial resumes the first.
+var errStaleDial = errors.New("client: dialed connection opened a second session")
 
 // HAClient is a failover-transparent initiator. Safe for concurrent use;
 // in-flight depth is simply how many goroutines call it at once (keep that
@@ -165,22 +170,31 @@ func (h *HAClient) conn() (*Client, error) {
 		h.addrIdx++
 		return nil, err
 	}
-	if h.closed {
-		//lint:ignore errdrop closing a connection that lost the race with Close; ErrHAClosed is the answer
-		c.Close()
-		return nil, ErrHAClosed
-	}
-	if h.c != nil {
+	// A dial that completed may still have lost a race while it ran.
+	switch {
+	case h.closed:
+		err = ErrHAClosed
+	case h.c != nil:
 		// A concurrent op already reconnected; use the winner.
-		//lint:ignore errdrop redundant connection from a lost dial race
-		c.Close()
-		return h.c, nil
+	case h.session != 0 && c.Session() != h.session:
+		// This dial read session 0 before another dial established the
+		// session, so the server opened a fresh one for it — and the
+		// winner's connection has since been condemned. Adopting this one
+		// would resend writes already applied under the first session in a
+		// session that has no record of them: applied twice. The op
+		// retries, and its next dial resumes the first session.
+		h.stats.StaleDials.Inc()
+		err = errStaleDial
+	default:
+		c.SetOpTimeout(h.cfg.OpTimeout)
+		h.session = c.Session()
+		h.c = c
+		h.stats.Connects.Inc()
+		return c, nil
 	}
-	c.SetOpTimeout(h.cfg.OpTimeout)
-	h.session = c.Session()
-	h.c = c
-	h.stats.Connects.Inc()
-	return c, nil
+	//lint:ignore errdrop closing a connection that lost a race (with Close, with another dial, or with the session being established); what it lost to is the answer
+	c.Close()
+	return h.c, err
 }
 
 // condemn drops a connection that failed (only if it is still the current

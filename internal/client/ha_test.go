@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -210,5 +211,136 @@ func TestHANotPrimaryRedirect(t *testing.T) {
 	}
 	if err := h.WriteAt(uint64(vol), 4096, data); err != nil {
 		t.Fatalf("redirected write: %v", err)
+	}
+}
+
+// dropConn is a transport whose reads, once armed, are thrown away and
+// fail: the request reaches the server and is applied, the ack never
+// reaches the client — the ambiguous failure idempotent replay exists for.
+type dropConn struct {
+	net.Conn
+	armed atomic.Bool
+}
+
+func (c *dropConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if c.armed.Load() {
+		c.Conn.Close()
+		return 0, net.ErrClosed
+	}
+	return n, err
+}
+
+// TestHAStaleDialIsNotAdopted forces the interleaving behind check.sh's
+// E15 flake (AppliedOK above the number of writes). Two ops dial at once
+// with session 0. The winner is adopted under session S, a write is applied
+// through it whose ack is lost, and the connection is condemned. Only then
+// does the slow loser's dial return — carrying a fresh session the server
+// opened for it. If the client adopts it, the lost-ack write is replayed
+// under a session with no record of it and applied a second time.
+func TestHAStaleDialIsNotAdopted(t *testing.T) {
+	pair := newHAPair(t)
+	addr := startHAServer(t, pair, controller.Primary)
+	vol, _, err := pair.Array().CreateVolume(0, "v", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The first three dials park until the test releases them: the winner,
+	// the loser, and the replay's redial.
+	var dials atomic.Int32
+	gates := []chan struct{}{make(chan struct{}), make(chan struct{}), make(chan struct{})}
+	winner := &dropConn{}
+	h, err := NewHA(HAConfig{
+		Addrs: []string{addr},
+		Dial: func(network, addr string) (net.Conn, error) {
+			n := int(dials.Add(1))
+			if n <= len(gates) {
+				<-gates[n-1]
+			}
+			conn, err := net.Dial(network, addr)
+			if n == 1 && err == nil {
+				winner.Conn = conn
+				return winner, nil
+			}
+			return conn, err
+		},
+		BackoffBase: time.Millisecond,
+		Seed:        13,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+
+	payload := func(i int) []byte {
+		buf := make([]byte, 4096)
+		sim.NewRand(uint64(i + 1)).Bytes(buf)
+		return buf
+	}
+	write := func(i int) chan error {
+		done := make(chan error, 1)
+		go func() { done <- h.WriteAt(uint64(vol), int64(i)*4096, payload(i)) }()
+		return done
+	}
+	wait := func(what string, done chan error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never completed", what)
+		}
+	}
+	tab := pair.Sessions()
+
+	first := write(0)
+	waitFor(t, "the winner's dial", func() bool { return dials.Load() == 1 })
+	second := write(1)
+	waitFor(t, "the loser's dial", func() bool { return dials.Load() == 2 })
+
+	close(gates[0])
+	wait("write through the winner", first)
+	session := h.Session()
+	if session == 0 {
+		t.Fatal("no session after the first write")
+	}
+
+	// A write whose ack is lost: applied under the session, then the
+	// connection dies and the op backs off into a redial, which parks.
+	winner.armed.Store(true)
+	third := write(2)
+	waitFor(t, "the lost-ack write to be applied", func() bool { return tab.AppliedOK.Load() == 2 })
+	waitFor(t, "the replay's redial", func() bool { return dials.Load() == 3 })
+
+	// No connection is current. The loser's dial now completes with a
+	// session of its own.
+	close(gates[1])
+	wait("the loser's write", second)
+	if got := h.Session(); got != session {
+		t.Fatalf("session changed from %d to %d: a stale dial was adopted", session, got)
+	}
+	close(gates[2])
+	wait("the replayed write", third)
+
+	if got := h.Session(); got != session {
+		t.Fatalf("session changed from %d to %d", session, got)
+	}
+	if got := tab.AppliedOK.Load(); got != 3 {
+		t.Fatalf("AppliedOK = %d, want 3: a sequence number was applied twice (%s)", got, tab.Summary())
+	}
+	if got := tab.ReplaysSuppressed.Load(); got != 1 {
+		t.Fatalf("ReplaysSuppressed = %d, want 1 (%s)", got, tab.Summary())
+	}
+	if got := h.Stats().StaleDials.Load(); got != 1 {
+		t.Fatalf("StaleDials = %d, want 1: %s", got, h.Stats().Summary())
+	}
+	for i := 0; i < 3; i++ {
+		got, err := h.ReadAt(uint64(vol), int64(i)*4096, 4096)
+		if err != nil || !bytes.Equal(got, payload(i)) {
+			t.Fatalf("write %d does not read back: %v", i, err)
+		}
 	}
 }

@@ -215,6 +215,11 @@ type Stats struct {
 	SegReadErrors    *telemetry.Counter
 	UnpackErrors     *telemetry.Counter
 	ExtentReadErrors *telemetry.Counter
+	// PackedBytes counts the input bytes foreground writes hand to
+	// cblock.Pack — the work §4.7's order saves: a write compresses only
+	// what the duplicate search left (plus, rarely, a later extent packed
+	// alongside a miss that then hit). Replay's re-pack is not counted.
+	PackedBytes *telemetry.Counter
 }
 
 func newStats() Stats {
@@ -227,6 +232,7 @@ func newStats() Stats {
 		SegReadErrors:    telemetry.NewCounter(),
 		UnpackErrors:     telemetry.NewCounter(),
 		ExtentReadErrors: telemetry.NewCounter(),
+		PackedBytes:      telemetry.NewCounter(),
 	}
 }
 

@@ -177,8 +177,8 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 	// commit point below.
 	w := laneWrite{at: at, size: int64(len(data)), live: map[layout.SegmentID]int64{}}
 	var allocated uint64
-	for _, pe := range prep {
-		cs, n, d, err := a.placeCBlockLane(done, ln, row.Medium, startSector+pe.sectorOff, pe, w.live)
+	for i := range prep {
+		cs, n, d, err := a.placeCBlockLane(done, ln, row.Medium, startSector, prep[i:], w.live)
 		done = d
 		allocated += n
 		if err != nil {
@@ -320,21 +320,27 @@ func (a *Array) laneBackground(at sim.Time) (sim.Time, error) {
 	return a.backgroundStepLocked(at)
 }
 
-// placeCBlockLane turns one prepared extent of a write into chunks: a
-// deduplicated run referencing existing data, plus literal cblocks appended
-// to the lane's data segment. The dedup candidate search runs under the
-// engine mutex (it reads the pyramids and sealed segments), literal
-// placement under the lane mutex. Live-byte deltas accumulate in live to be
-// applied after the commit point. Returns the chunks and how many sequence
-// numbers were allocated.
-func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, sector uint64, pe preparedExtent, live map[layout.SegmentID]int64) ([]writeChunk, uint64, sim.Time, error) {
+// placeCBlockLane turns the first prepared extent of rest — the extents of
+// a write not yet placed — into chunks, in §4.7's order: search for a
+// duplicate, then pack and append only what is stored. A hit yields a
+// deduplicated run referencing existing data plus the literal remainders,
+// packed as they are placed; a miss yields the whole extent as one literal,
+// and the first miss of a write packs every extent of rest at once
+// (packExtents). The dedup candidate search runs under the engine mutex (it
+// reads the pyramids and sealed segments), packing under no lock, literal
+// placement under the slot mutex. Live-byte deltas accumulate in live to be
+// applied after the commit point. startSector is the write's first sector.
+// Returns the chunks and how many sequence numbers were allocated.
+func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, startSector uint64, rest []preparedExtent, live map[layout.SegmentID]int64) ([]writeChunk, uint64, sim.Time, error) {
 	done := at
+	pe := &rest[0]
+	sector := startSector + pe.sectorOff
 	sectors := len(pe.part) / cblock.SectorSize
 	var chunks []writeChunk
 	var allocated uint64
 	// literal places sectors [lo, hi) of the extent as new data. frame is
-	// the prepared whole-extent frame or nil: a dedup hit's remainder is
-	// smaller than the extent and is packed on placement, with no lock held.
+	// the whole extent's frame, or nil for a dedup hit's remainder, which
+	// laneLiteralChunk packs.
 	literal := func(lo, hi int, frame []byte) error {
 		if lo == hi {
 			return nil
@@ -382,6 +388,11 @@ func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, sector uint
 			return chunks, allocated, done, nil
 		}
 	}
+	if pe.frame == nil {
+		if err := a.packExtents(rest); err != nil {
+			return nil, allocated, done, err
+		}
+	}
 	if err := literal(0, sectors, pe.frame); err != nil {
 		return nil, allocated, done, err
 	}
@@ -389,13 +400,15 @@ func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, sector uint
 }
 
 // laneLiteralChunk places new data into the lane's segment, producing its
-// address fact and sampled dedup facts. frame is the pre-packed cblock for
-// part (packed here when nil); hashes are part's per-block hashes, computed
-// exactly once per extent in prepareWrite and threaded through. Returns the
-// chunk and how many sequence numbers it allocated.
+// address fact and sampled dedup facts. frame is the packed cblock for part,
+// or nil for a dedup hit's remainder, which is packed here, with no lock
+// held; hashes are part's per-block hashes, computed exactly once per extent
+// in prepareWrite and threaded through. Returns the chunk and how many
+// sequence numbers it allocated.
 func (a *Array) laneLiteralChunk(at sim.Time, ln *commitLane, medium, sector uint64, part, frame []byte, hashes []uint64, live map[layout.SegmentID]int64) (writeChunk, uint64, error) {
 	if frame == nil {
 		var err error
+		a.stats.PackedBytes.Add(int64(len(part)))
 		frame, err = cblock.Pack(part, a.cfg.CompressionEnabled)
 		if err != nil {
 			return writeChunk{}, 0, err

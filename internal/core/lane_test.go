@@ -256,30 +256,21 @@ func assertDataSlotsEmpty(t *testing.T, a *Array) {
 	}
 }
 
-// TestLaneRotationUnderContention fills segments every few writes on every
-// lane while maintenance seals and reclaims under the writers: 4 lanes × 2
-// writers, one goroutine alternating FlushAll and RunGC, one reader
-// re-reading acknowledged offsets. Each offset is written once, so an
+// laneWritersUnderMaintenance runs 2 writers per lane, each on its own
+// volume, writing payload(w, j) at write-once offsets, while one goroutine
+// alternates FlushAll and RunGC every maintStep acknowledged writes and one
+// reader re-reads acknowledged offsets. Each offset is written once, so an
 // acknowledged write's content is fixed and the reader needs no model lock.
-func TestLaneRotationUnderContention(t *testing.T) {
-	const (
-		lanes     = 4
-		writers   = 2 * lanes
-		writes    = 48
-		writeLen  = 64 << 10
-		maintStep = 48 // acknowledged writes (all writers) per maintenance round
-	)
-	a, err := Format(laneTestConfig(lanes))
-	if err != nil {
-		t.Fatal(err)
-	}
+// It returns after a final FlushAll with every write read back.
+func laneWritersUnderMaintenance(t *testing.T, a *Array, writes, writeLen, maintStep int, payload func(w, j int) []byte) {
+	t.Helper()
+	writers := 2 * len(a.lanes)
 	vols := make([]VolumeID, writers)
 	for i := range vols {
-		vols[i] = mustCreate(t, a, fmt.Sprintf("rot-%d", i), writes*writeLen)
+		vols[i] = mustCreate(t, a, fmt.Sprintf("writer-%d", i), int64(writes*writeLen))
 	}
-	payload := func(w, j int) []byte { return pattern(uint64(w)*1000+uint64(j)+1, writeLen) }
 	check := func(w, j int) error {
-		got, _, err := a.ReadAt(0, vols[w], int64(j)*writeLen, writeLen)
+		got, _, err := a.ReadAt(0, vols[w], int64(j)*int64(writeLen), writeLen)
 		if err != nil {
 			return fmt.Errorf("writer %d write %d: read: %v", w, j, err)
 		}
@@ -302,14 +293,14 @@ func TestLaneRotationUnderContention(t *testing.T) {
 			defer wg.Done()
 			now := sim.Time(0)
 			for j := 0; j < writes; j++ {
-				d, err := a.WriteAt(now, vols[w], int64(j)*writeLen, payload(w, j))
+				d, err := a.WriteAt(now, vols[w], int64(j)*int64(writeLen), payload(w, j))
 				if err != nil {
 					t.Errorf("writer %d write %d: %v", w, j, err)
 					return
 				}
 				now = d
 				acked[w].Store(int64(j + 1))
-				if total.Add(1)%maintStep == 0 {
+				if total.Add(1)%int64(maintStep) == 0 {
 					ticks <- struct{}{}
 				}
 			}
@@ -354,7 +345,7 @@ func TestLaneRotationUnderContention(t *testing.T) {
 	close(writersDone)
 	bg.Wait()
 	if t.Failed() {
-		return
+		t.FailNow()
 	}
 
 	if _, err := a.FlushAll(0); err != nil {
@@ -367,12 +358,74 @@ func TestLaneRotationUnderContention(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLaneRotationUnderContention fills segments every few writes on every
+// lane while maintenance seals and reclaims under the writers: 4 lanes × 2
+// writers of 64 KiB unique writes.
+func TestLaneRotationUnderContention(t *testing.T) {
+	const writeLen = 64 << 10
+	a, err := Format(laneTestConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	laneWritersUnderMaintenance(t, a, 48, writeLen, 48, func(w, j int) []byte {
+		return pattern(uint64(w)*1000+uint64(j)+1, writeLen)
+	})
 	for _, ls := range a.LaneTelemetry().Lanes {
 		if ls.Rotations == 0 {
 			t.Errorf("lane %d never rotated a full segment", ls.Lane)
 		}
 	}
 	assertDataSlotsEmpty(t, a)
+}
+
+// TestLaneMultiExtentWriters runs four-extent writes through the
+// search-then-pack placement on every lane at once: 4 lanes × 2 writers of
+// 128 KiB writes against sealed golden data — every other write all
+// duplicate (nothing is packed), the rest alternating all unique (the first
+// miss packs all four extents across the pool) and unique / duplicate
+// interleaved (a packed extent hits after all and drops its frame) — while
+// maintenance seals, checkpoints and collects under them.
+func TestLaneMultiExtentWriters(t *testing.T) {
+	const (
+		extent    = 32 << 10
+		templates = 16
+	)
+	a, err := Format(laneTestConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	template := func(i int) []byte { return pattern(uint64(9000+i%templates), extent) }
+	golden := mustCreate(t, a, "golden", templates*extent)
+	for i := 0; i < templates; i++ {
+		mustWrite(t, a, golden, int64(i)*extent, template(i))
+	}
+	if _, err := a.FlushAll(0); err != nil {
+		t.Fatal(err)
+	}
+	before := a.Stats()
+
+	laneWritersUnderMaintenance(t, a, 32, 4*extent, 32, func(w, j int) []byte {
+		buf := make([]byte, 0, 4*extent)
+		for e := 0; e < 4; e++ {
+			if j%2 == 1 || (j%4 == 2 && e%2 == 1) {
+				buf = append(buf, template(w+j+e)...)
+			} else {
+				buf = append(buf, pattern(uint64(w)*100_000+uint64(j)*10+uint64(e)+1, extent)...)
+			}
+		}
+		return buf
+	})
+
+	// 8 writers × 32 writes: 16 all-duplicate, 8 unique, 8 interleaved each.
+	st := a.Stats()
+	if hits, want := st.DedupHits-before.DedupHits, int64(8*(16*4+8*2)); hits != want {
+		t.Errorf("dedup hits = %d, want %d: every template extent duplicates sealed data", hits, want)
+	}
+	if packed, want := st.PackedBytes-before.PackedBytes, int64(8*(8*4+8*4)*extent); packed != want {
+		t.Errorf("packed %d bytes, want %d: four extents per unique or interleaved write, none per duplicate", packed, want)
+	}
 }
 
 // TestSlotAppendStates drives slotAppendLocked through its three states —

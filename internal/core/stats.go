@@ -23,6 +23,8 @@ type StatsSnapshot struct {
 	ReductionRatio float64
 	SegReadErrors  int64
 	UnpackErrors   int64
+	// PackedBytes is the input foreground writes handed to the compressor.
+	PackedBytes int64
 
 	// DriveStates mirrors the shelf's health state machine, indexed by
 	// drive; LostShards counts shards currently served from parity.
@@ -52,6 +54,7 @@ func (a *Array) Stats() StatsSnapshot {
 		ReductionRatio:   a.stats.Reduction.Ratio(),
 		SegReadErrors:    a.stats.SegReadErrors.Load(),
 		UnpackErrors:     a.stats.UnpackErrors.Load(),
+		PackedBytes:      a.stats.PackedBytes.Load(),
 		DriveStates:      a.driveStates(),
 		LostShards:       a.lostShardCount(),
 		Segments:         len(a.segMap),

@@ -10,28 +10,34 @@ import (
 	"purity/internal/sim"
 )
 
-// The write path is split into two halves so parallel clients only
-// serialize on the work that truly needs ordering (§3.2: monotonic facts
-// need "almost no cross-core synchronization"):
+// The write path runs in §4.7's order — hash every 512 B block, look every
+// hash up, byte-verify and extend the match, store what is left — split
+// into two halves so parallel clients only serialize on the work that truly
+// needs ordering (§3.2: monotonic facts need "almost no cross-core
+// synchronization"):
 //
-//   1. prepareWrite — pure CPU, no locks: split into cblock extents,
-//      compress each extent (cblock.Pack) and hash its 512 B blocks
-//      (dedup.HashBlocks). Extents fan out across the shared worker pool.
+//   1. prepareWrite — pure CPU, no locks: split into cblock extents and
+//      hash each extent's 512 B blocks (dedup.HashBlocks). Extents fan out
+//      across the shared worker pool.
 //   2. commitWriteLane (lane.go) — on the volume's commit lane: volume
-//      lookup and dedup candidate search under brief mu sections, segment
-//      placement under the lane mutex, sequence allocation from the shared
-//      atomic source, the group NVRAM commit, then fact application.
+//      lookup and, per extent, the dedup candidate search under a brief mu
+//      section, then compression (cblock.Pack) of only the bytes dedup
+//      left, with no lock but the world read lock held, segment placement
+//      under the slot mutex, sequence allocation from the shared atomic
+//      source; then the group NVRAM commit and fact application.
 //
 // Both halves are deterministic for a sequential caller: stage 1 is a
 // function of the data alone, and one caller's commits run one at a time
-// in issue order (DESIGN.md invariant 8).
+// in issue order (DESIGN.md invariant 8). Pack charges no simulated time,
+// so where it runs on the wall clock is invisible to the device model.
 
-// preparedExtent is one cblock-sized extent of a write after its pure-CPU
-// stages: the packed (compressed) frame for the whole extent and the hash
-// of every 512 B block. Hashes are per-block, so any sub-range of the
-// extent reuses a slice of them; the frame only serves the whole-extent
-// literal case (a dedup hit repacks the literal remainder, which is
-// smaller).
+// preparedExtent is one cblock-sized extent of a write: its bytes and the
+// hash of every 512 B block (per-block, so any sub-range of the extent
+// reuses a slice of them). frame is the packed whole extent and starts
+// nil: it exists only once the duplicate search has missed on this extent
+// or on an earlier one of the same write (packExtents), and serves only
+// the whole-extent literal case — a dedup hit stores a smaller remainder,
+// packed on placement.
 type preparedExtent struct {
 	sectorOff uint64 // sector offset within the write
 	part      []byte
@@ -39,7 +45,9 @@ type preparedExtent struct {
 	hashes    []uint64
 }
 
-// prepareWrite validates alignment and runs the lock-free CPU stages.
+// prepareWrite validates alignment and runs the lock-free CPU stage: split
+// and hash. A single-extent write hashes inline and allocates nothing but
+// its extent and hash slices.
 func (a *Array) prepareWrite(off int64, data []byte) ([]preparedExtent, error) {
 	if off%cblock.SectorSize != 0 || len(data)%cblock.SectorSize != 0 || len(data) == 0 {
 		return nil, ErrUnaligned
@@ -49,32 +57,57 @@ func (a *Array) prepareWrite(off int64, data []byte) ([]preparedExtent, error) {
 		return nil, err
 	}
 	prep := make([]preparedExtent, len(exts))
-	errs := make([]error, len(exts))
-	tasks := make([]func(), len(exts))
 	for i, ext := range exts {
-		i, ext := i, ext
-		tasks[i] = func() {
-			part := data[ext.Offset : ext.Offset+ext.Len]
-			frame, err := cblock.Pack(part, a.cfg.CompressionEnabled)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			prep[i] = preparedExtent{
-				sectorOff: uint64(ext.Offset) / cblock.SectorSize,
-				part:      part,
-				frame:     frame,
-				hashes:    dedup.HashBlocks(part),
-			}
+		prep[i] = preparedExtent{
+			sectorOff: uint64(ext.Offset) / cblock.SectorSize,
+			part:      data[ext.Offset : ext.Offset+ext.Len],
 		}
+	}
+	if len(prep) == 1 {
+		prep[0].hashes = dedup.HashBlocks(prep[0].part)
+		return prep, nil
+	}
+	tasks := make([]func(), len(prep))
+	for i := range prep {
+		pe := &prep[i]
+		tasks[i] = func() { pe.hashes = dedup.HashBlocks(pe.part) }
+	}
+	a.pool.Run(tasks...)
+	return prep, nil
+}
+
+// packExtents packs the whole-extent frame of every extent in rest, across
+// the worker pool. placeCBlockLane calls it when the duplicate search
+// misses on rest[0] and no frame exists yet: extents of one write miss
+// together (unique data), so a large unique write packs all its extents in
+// parallel here, an all-duplicate write never gets here, and a later
+// extent that hits after all drops its frame. Called with no lock but the
+// world read lock held.
+func (a *Array) packExtents(rest []preparedExtent) error {
+	if len(rest) == 1 {
+		return a.packExtent(&rest[0])
+	}
+	errs := make([]error, len(rest))
+	tasks := make([]func(), len(rest))
+	for i := range rest {
+		i := i
+		tasks[i] = func() { errs[i] = a.packExtent(&rest[i]) }
 	}
 	a.pool.Run(tasks...)
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return prep, nil
+	return nil
+}
+
+// packExtent packs one extent's frame (a method, not a closure, so the
+// single-extent write allocates nothing to get here).
+func (a *Array) packExtent(pe *preparedExtent) (err error) {
+	a.stats.PackedBytes.Add(int64(len(pe.part)))
+	pe.frame, err = cblock.Pack(pe.part, a.cfg.CompressionEnabled)
+	return err
 }
 
 // WriteAt writes data to a volume at a byte offset (both sector-aligned).
@@ -82,8 +115,8 @@ func (a *Array) prepareWrite(off int64, data []byte) ([]preparedExtent, error) {
 // NVRAM; segment placement happens in the same call but does not gate the
 // returned completion time — this is the paper's commit path (Figure 4).
 // Safe for concurrent callers (each TCP connection in internal/server is
-// one): compression and hashing run before any lock is taken, and the
-// commit runs on the volume's lane.
+// one): hashing runs before any lock is taken, and the commit runs on the
+// volume's lane.
 func (a *Array) WriteAt(at sim.Time, vol VolumeID, off int64, data []byte) (sim.Time, error) {
 	prep, err := a.prepareWrite(off, data)
 	if err != nil {

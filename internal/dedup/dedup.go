@@ -7,6 +7,7 @@
 package dedup
 
 import (
+	"bytes"
 	"sync"
 )
 
@@ -17,15 +18,17 @@ const Sampling = 8
 // BlockSize is the dedup granularity.
 const BlockSize = 512
 
+// FNV-1a, 64-bit.
+const (
+	offset64 = 14695981039346656037
+	prime64  = 1099511628211
+)
+
 // Hash returns the 64-bit hash of one 512 B block (FNV-1a). The paper uses
 // hashes "no larger than 64 bits" with collision rates of 1e-6 or worse —
 // collisions are acceptable because every match is byte-verified before it
 // affects anything.
 func Hash(block []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
 	h := uint64(offset64)
 	for _, b := range block {
 		h ^= uint64(b)
@@ -35,11 +38,30 @@ func Hash(block []byte) uint64 {
 }
 
 // HashBlocks hashes every BlockSize-aligned block of data (whose length
-// must be a multiple of BlockSize).
+// must be a multiple of BlockSize); out[i] is Hash of block i. FNV-1a is
+// one multiply chain per block — each step waits for the last — so four
+// blocks are hashed per loop on four independent chains, which the core
+// overlaps. The array pointers let the compiler drop the bounds checks
+// that would otherwise sit on every chain.
 func HashBlocks(data []byte) []uint64 {
 	n := len(data) / BlockSize
 	out := make([]uint64, n)
-	for i := 0; i < n; i++ {
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		b0 := (*[BlockSize]byte)(data[i*BlockSize:])
+		b1 := (*[BlockSize]byte)(data[(i+1)*BlockSize:])
+		b2 := (*[BlockSize]byte)(data[(i+2)*BlockSize:])
+		b3 := (*[BlockSize]byte)(data[(i+3)*BlockSize:])
+		h0, h1, h2, h3 := uint64(offset64), uint64(offset64), uint64(offset64), uint64(offset64)
+		for j := 0; j < BlockSize; j++ {
+			h0 = (h0 ^ uint64(b0[j])) * prime64
+			h1 = (h1 ^ uint64(b1[j])) * prime64
+			h2 = (h2 ^ uint64(b2[j])) * prime64
+			h3 = (h3 ^ uint64(b3[j])) * prime64
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = h0, h1, h2, h3
+	}
+	for ; i < n; i++ {
 		out[i] = Hash(data[i*BlockSize : (i+1)*BlockSize])
 	}
 	return out
@@ -267,32 +289,25 @@ func ExtendAnchor(data []byte, anchor int, cand Candidate, fetch FetchFunc) (Run
 	if ci >= candBlocks {
 		return Run{}, false // stale entry: cblock shrank or entry is garbage
 	}
-	blockAt := func(i int) []byte { return data[i*BlockSize : (i+1)*BlockSize] }
-	candAt := func(i int) []byte { return sectors[i*BlockSize : (i+1)*BlockSize] }
-	if !equalBlock(blockAt(anchor), candAt(ci)) {
+	// equal byte-verifies block i of data against block c of the candidate.
+	equal := func(i, c int) bool {
+		return bytes.Equal(data[i*BlockSize:(i+1)*BlockSize], sectors[c*BlockSize:(c+1)*BlockSize])
+	}
+	if !equal(anchor, ci) {
 		return Run{}, false
 	}
 	lo, clo := anchor, ci
-	for lo > 0 && clo > 0 && equalBlock(blockAt(lo-1), candAt(clo-1)) {
+	for lo > 0 && clo > 0 && equal(lo-1, clo-1) {
 		lo--
 		clo--
 	}
 	hi, chi := anchor+1, ci+1
 	nBlocks := len(data) / BlockSize
-	for hi < nBlocks && chi < candBlocks && equalBlock(blockAt(hi), candAt(chi)) {
+	for hi < nBlocks && chi < candBlocks && equal(hi, chi) {
 		hi++
 		chi++
 	}
 	return Run{Start: lo, Count: hi - lo, Cand: cand, CandStart: clo}, true
-}
-
-func equalBlock(a, b []byte) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ShouldRecord reports whether the i-th block hash of a write should be

@@ -206,12 +206,87 @@ func TestExtendAnchorProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkHash512(b *testing.B) {
-	block := make([]byte, BlockSize)
-	sim.NewRand(1).Bytes(block)
-	b.SetBytes(BlockSize)
+// TestHashBlocksMatchesHash pins the four-chain kernel to the one-block
+// entry point at every loop shape: no block, the tail alone (1–3), whole
+// groups of four, groups plus each tail length, and a cblock's 64 blocks
+// with one fewer and one more. Bytes past the last whole block are ignored.
+func TestHashBlocksMatchesHash(t *testing.T) {
+	for _, blocks := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65} {
+		for _, tail := range []int{0, 1, BlockSize - 1} {
+			data := make([]byte, blocks*BlockSize+tail)
+			sim.NewRand(uint64(blocks)*1000 + uint64(tail) + 1).Bytes(data)
+			hs := HashBlocks(data)
+			if len(hs) != blocks {
+				t.Fatalf("%d blocks + %d bytes: got %d hashes", blocks, tail, len(hs))
+			}
+			for i, h := range hs {
+				if want := Hash(data[i*BlockSize : (i+1)*BlockSize]); h != want {
+					t.Fatalf("%d blocks + %d bytes: hash %d = %#x, want %#x", blocks, tail, i, h, want)
+				}
+			}
+		}
+	}
+}
+
+// benchSink keeps the compiler from discarding a benchmark's result.
+var benchSink uint64
+
+// benchInput is 64 MiB of seeded bytes: far larger than any cache level,
+// so a benchmark that walks it 32 KiB at a time reads its input from
+// memory, as a write's payload arrives.
+func benchInput() []byte {
+	data := make([]byte, 64<<20)
+	sim.NewRand(1).Bytes(data)
+	return data
+}
+
+// BenchmarkHashBlocks32K measures what a 32 KiB write pays to hash its 64
+// blocks. "serial" is the kernel HashBlocks replaced — Hash once per block,
+// one multiply chain at a time — kept beside it as the reference, as
+// BenchmarkDot7x128K keeps "table".
+func BenchmarkHashBlocks32K(b *testing.B) {
+	const extent = 32 << 10
+	data := benchInput()
+	b.Run("four-chain", func(b *testing.B) {
+		b.SetBytes(extent)
+		for i := 0; i < b.N; i++ {
+			off := i * extent % len(data)
+			hs := HashBlocks(data[off : off+extent])
+			benchSink += hs[len(hs)-1]
+		}
+	})
+	b.Run("serial", func(b *testing.B) {
+		b.SetBytes(extent)
+		hs := make([]uint64, extent/BlockSize)
+		for i := 0; i < b.N; i++ {
+			off := i * extent % len(data)
+			part := data[off : off+extent]
+			for j := range hs {
+				hs[j] = Hash(part[j*BlockSize : (j+1)*BlockSize])
+			}
+			benchSink += hs[len(hs)-1]
+		}
+	})
+}
+
+// BenchmarkExtendAnchor32K measures the byte-verify of a whole-extent
+// duplicate — what every dedup hit of a 32 KiB write pays: the anchor
+// block, then 63 blocks of extension against the candidate's sectors.
+func BenchmarkExtendAnchor32K(b *testing.B) {
+	const extent = 32 << 10
+	// The second half is the stored copy of the first: distinct memory, so
+	// the comparison reads both sides.
+	data := benchInput()
+	half := len(data) / 2
+	copy(data[half:], data[:half])
+	b.SetBytes(extent)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Hash(block)
+		off := i * extent % half
+		run, ok := ExtendAnchor(data[off:off+extent], 0, Candidate{}, fakeFetch(data[half+off:half+off+extent]))
+		if !ok || run.Count != extent/BlockSize {
+			b.Fatalf("run = %+v, %v", run, ok)
+		}
 	}
 }
 

@@ -652,7 +652,7 @@ func (s *Server) dispatch(sess *controller.Session, op byte, payload []byte) ([]
 		text := fmt.Sprintf(
 			"writes=%d reads=%d\nwrite latency: %s\nread latency: %s\n"+
 				"reduction=%.2fx (logical=%d physical=%d dedup=%d)\n"+
-				"dedup hits=%d misses=%d\nsegments=%d frontierAUs=%d freeAUs=%d\n"+
+				"dedup hits=%d misses=%d packed=%d\nsegments=%d frontierAUs=%d freeAUs=%d\n"+
 				"gc runs=%d checkpoints=%d frontier writes=%d\n"+
 				"flash: host W=%d flash W=%d erases=%d\n"+
 				"slo: budget=%v p99.9=%v threatened=%v deferrals=%d scrub deferrals=%d\n"+
@@ -660,7 +660,7 @@ func (s *Server) dispatch(sess *controller.Session, op byte, payload []byte) ([]
 			st.Writes, st.Reads,
 			st.WriteLatency.Summary(), st.ReadLatency.Summary(),
 			st.ReductionRatio, st.Reduction.LogicalBytes, st.Reduction.PhysicalBytes, st.Reduction.DedupBytes,
-			st.DedupHits, st.DedupMisses, st.Segments, st.FrontierAUs, st.FreeAUs,
+			st.DedupHits, st.DedupMisses, st.PackedBytes, st.Segments, st.FrontierAUs, st.FreeAUs,
 			st.GCRuns, st.Checkpoints, st.FrontierWrites,
 			st.FlashStats.HostBytesWritten, st.FlashStats.FlashBytesWritten, st.FlashStats.Erases,
 			gov.Budget(), gov.P999(), gov.Threatened(), gov.Deferrals(), st.ScrubDeferrals,
