@@ -138,8 +138,10 @@ func main() {
 		st.Writes, st.Reads, st.ReductionRatio, st.DedupHits)
 	fmt.Printf("segments=%d frontier AUs=%d free AUs=%d checkpoints=%d\n",
 		st.Segments, st.FrontierAUs, st.FreeAUs, st.Checkpoints)
-	fmt.Printf("flash: host writes=%d MiB erases=%d\n",
-		st.FlashStats.HostBytesWritten>>20, st.FlashStats.Erases)
+	fmt.Printf("flash: host writes=%d MiB erases=%d reads stalled behind program/erase=%d queued behind reads=%d\n",
+		st.FlashStats.HostBytesWritten>>20, st.FlashStats.Erases, st.FlashStats.StalledReads, st.FlashStats.QueuedReads)
+	fmt.Printf("hedged reads=%d wins=%d busy-drive avoided=%d\n",
+		st.HedgedReads, st.HedgeWins, st.SegRead.BusyAvoided)
 	fmt.Printf("write latency: %s\n", st.WriteLatency.Summary())
 	fmt.Printf("read latency:  %s\n", st.ReadLatency.Summary())
 
@@ -191,13 +193,13 @@ func inspectHealth(arr *core.Array) {
 	st := arr.Stats()
 	sh := arr.Shelf()
 	fmt.Println("\n=== drive health ===")
-	fmt.Printf("%-6s %-12s %-8s %-10s %-10s %-8s %s\n",
-		"DRIVE", "STATE", "maxwear", "badblocks", "bitflips", "erases", "host MiB r/w")
+	fmt.Printf("%-6s %-12s %-8s %-10s %-10s %-8s %-8s %-8s %s\n",
+		"DRIVE", "STATE", "maxwear", "badblocks", "bitflips", "erases", "stalled", "queued", "host MiB r/w")
 	for i := 0; i < sh.NumDrives(); i++ {
 		ds := sh.Drive(i).Stats()
-		fmt.Printf("%-6d %-12s %-8d %-10d %-10d %-8d %d/%d\n",
+		fmt.Printf("%-6d %-12s %-8d %-10d %-10d %-8d %-8d %-8d %d/%d\n",
 			i, st.DriveStates[i], ds.MaxWear, ds.BadBlocks, ds.BitFlips, ds.Erases,
-			ds.HostBytesRead>>20, ds.HostBytesWritten>>20)
+			ds.StalledReads, ds.QueuedReads, ds.HostBytesRead>>20, ds.HostBytesWritten>>20)
 	}
 
 	r := st.SegRead
@@ -210,6 +212,8 @@ func inspectHealth(arr *core.Array) {
 	fmt.Printf("inline repairs          %d\n", r.InlineRepairs)
 	fmt.Printf("home read errors        %d\n", r.HomeReadErrors)
 	fmt.Printf("home retries            %d\n", r.HomeRetries)
+	fmt.Printf("hedged reads (core)     %d\n", st.HedgedReads)
+	fmt.Printf("hedge wins (core)       %d\n", st.HedgeWins)
 
 	fmt.Println("\n=== scrub / rebuild counters ===")
 	fmt.Printf("scrub passes            %d\n", st.ScrubPasses)

@@ -17,47 +17,53 @@ import (
 func runE1(o Options) error {
 	w := o.Out
 	ops := o.scale(16000, 2500)
-	fmt.Fprintf(w, "Mixed 70/30 R/W, 32 KiB random, 64 clients, %d ops:\n\n", ops)
-	fmt.Fprintf(w, "%-24s %10s %10s %10s %10s %12s\n", "Scheduler", "p50", "p95", "p99", "p99.9", "busy-avoided")
-	for _, avoid := range []bool{true, false} {
-		arr, err := newBenchArray(o, func(c *core.Config) {
-			c.ReadPolicy = iosched.Policy{AvoidBusy: avoid, HedgePercentile: 95, MinHedgeSamples: 64}
-			if !avoid {
-				c.ReadPolicy.HedgePercentile = 0 // fully naive baseline
+	// 64 clients saturate the array (the write p50 is NVRAM queueing); 16
+	// load it without saturating it. The paper's claim is about the second
+	// regime, the first shows where the rule runs out of idle donors.
+	for _, clients := range []int{64, 16} {
+		fmt.Fprintf(w, "Mixed 70/30 R/W, 32 KiB random, %d clients, %d ops:\n\n", clients, ops)
+		fmt.Fprintf(w, "%-24s %10s %10s %10s %10s %12s %8s %6s\n", "Scheduler", "p50", "p95", "p99", "p99.9", "busy-avoided", "hedged", "wins")
+		for _, avoid := range []bool{true, false} {
+			arr, err := newBenchArray(o, func(c *core.Config) {
+				c.ReadPolicy = iosched.Policy{AvoidBusy: avoid, HedgePercentile: 95, MinHedgeSamples: 64}
+				if !avoid {
+					c.ReadPolicy.HedgePercentile = 0 // fully naive baseline
+				}
+			})
+			if err != nil {
+				return err
 			}
-		})
-		if err != nil {
-			return err
+			volBytes := int64(o.scale(192, 64)) << 20
+			vol, _, err := arr.CreateVolume(0, "e1", volBytes)
+			if err != nil {
+				return err
+			}
+			now, err := workload.Prefill(arr, vol, volBytes, 32<<10, workload.ClassDatabase, o.Seed, 0)
+			if err != nil {
+				return err
+			}
+			res, err := workload.RunClosedLoop(arr, vol, volBytes,
+				workload.Mix{ReadFraction: 0.7, IOSize: 32 << 10, Class: workload.ClassDatabase, Seed: o.Seed},
+				clients, ops, now)
+			if err != nil {
+				return err
+			}
+			label := "on (paper's design)"
+			if !avoid {
+				label = "off (ablation)"
+			}
+			st := arr.Stats()
+			fmt.Fprintf(w, "%-24s %10v %10v %10v %10v %12d %8d %6d\n", label,
+				res.ReadLat.Percentile(50), res.ReadLat.Percentile(95),
+				res.ReadLat.Percentile(99), res.ReadLat.Percentile(99.9),
+				st.SegRead.BusyAvoided, st.HedgedReads, st.HedgeWins)
+			fmt.Fprintf(w, "%-24s %10v %10v %10v %10v\n", "  (writes)",
+				res.WriteLat.Percentile(50), res.WriteLat.Percentile(95),
+				res.WriteLat.Percentile(99), res.WriteLat.Percentile(99.9))
 		}
-		volBytes := int64(o.scale(192, 64)) << 20
-		vol, _, err := arr.CreateVolume(0, "e1", volBytes)
-		if err != nil {
-			return err
-		}
-		now, err := workload.Prefill(arr, vol, volBytes, 32<<10, workload.ClassDatabase, o.Seed, 0)
-		if err != nil {
-			return err
-		}
-		res, err := workload.RunClosedLoop(arr, vol, volBytes,
-			workload.Mix{ReadFraction: 0.7, IOSize: 32 << 10, Class: workload.ClassDatabase, Seed: o.Seed},
-			64, ops, now)
-		if err != nil {
-			return err
-		}
-		label := "on (paper's design)"
-		if !avoid {
-			label = "off (ablation)"
-		}
-		st := arr.Stats()
-		fmt.Fprintf(w, "%-24s %10v %10v %10v %10v %12d\n", label,
-			res.ReadLat.Percentile(50), res.ReadLat.Percentile(95),
-			res.ReadLat.Percentile(99), res.ReadLat.Percentile(99.9),
-			st.SegRead.BusyAvoided)
-		fmt.Fprintf(w, "%-24s %10v %10v %10v %10v\n", "  (writes)",
-			res.WriteLat.Percentile(50), res.WriteLat.Percentile(95),
-			res.WriteLat.Percentile(99), res.WriteLat.Percentile(99.9))
+		fmt.Fprintln(w)
 	}
-	fmt.Fprintf(w, "\nPaper shape: with the scheduler, p99.9 stays ~1 ms; without it, reads queue\n")
+	fmt.Fprintf(w, "Paper shape: with the scheduler, p99.9 stays ~1 ms; without it, reads queue\n")
 	fmt.Fprintf(w, "behind multi-ms flash programs and the tail grows by an order of magnitude.\n")
 	return nil
 }

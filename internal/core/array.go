@@ -159,6 +159,8 @@ type Array struct {
 
 	stats Stats
 
+	// readTracker holds the latencies of recent reads that waited for a
+	// drive; the hedge threshold is a percentile of it (§4.4).
 	readTracker *iosched.Tracker
 	// gov is the tail-latency SLO governor (§4.4): fed by every foreground
 	// read, consulted by background work (scrub pacing) and by the TCP
@@ -186,7 +188,8 @@ type Counters struct {
 	CacheHits           int64
 	CacheMisses         int64
 	Flattened           int64
-	HedgedReads         int64
+	HedgedReads         int64 // reads that raced a reconstruction against a slow drive read
+	HedgeWins           int64 // hedged reads whose reconstruction landed first
 	SpeculativePromotes int64
 	// Drive-health lifecycle counters (§5.1, §4.2): scrub passes and their
 	// in-place repairs, drive replacements, and completed rebuilds.
@@ -617,10 +620,18 @@ func (a *Array) segInfoLocked(id layout.SegmentID) (layout.SegmentInfo, bool) {
 	return info, ok
 }
 
+// policyMode is the mode every read but a hedge's second arm runs in: the
+// configured policy's answer to a home drive that is programming or erasing.
+func (a *Array) policyMode() layout.ReadMode {
+	if a.cfg.ReadPolicy.AvoidBusy {
+		return layout.ReadAvoidBusy
+	}
+	return layout.ReadHome
+}
+
 // readSegmentLocked reads a byte range of a segment: the pending segio
-// buffer first, then the drives (with busy avoidance per policy). Caller
-// holds mu.
-func (a *Array) readSegmentLocked(at sim.Time, id layout.SegmentID, off int64, n int) ([]byte, sim.Time, error) {
+// buffer first, then the drives in the given mode. Caller holds mu.
+func (a *Array) readSegmentLocked(at sim.Time, id layout.SegmentID, off int64, n int, mode layout.ReadMode) ([]byte, sim.Time, error) {
 	info, ok := a.segMap[id]
 	if s := a.openByID[id]; s != nil {
 		s.mu.Lock()
@@ -634,9 +645,10 @@ func (a *Array) readSegmentLocked(at sim.Time, id layout.SegmentID, off int64, n
 	if !ok {
 		return nil, at, fmt.Errorf("core: unknown segment %d", id)
 	}
-	b, done, rstats, err := a.reader.ReadRange(at, info, off, n, a.cfg.ReadPolicy.AvoidBusy)
+	b, done, rstats, err := a.reader.ReadRange(at, info, off, n, mode)
 	a.stats.SegRead.Add(rstats)
-	if err != nil {
+	if err != nil && mode != layout.ReadAroundHome {
+		// A hedge's second arm that finds too few peers just loses the race.
 		a.stats.SegReadErrors.Inc()
 	}
 	return b, done, err
@@ -669,5 +681,5 @@ func (s *pageStore) WriteDescriptor(at sim.Time, desc []byte, lo, hi uint64) (si
 // ReadPage fetches a metadata page by reference. Caller holds mu.
 func (s *pageStore) ReadPage(at sim.Time, ref pyramid.Ref) ([]byte, sim.Time, error) {
 	a := (*Array)(s)
-	return a.readSegmentLocked(at, layout.SegmentID(ref.Segment), ref.Off, int(ref.Len))
+	return a.readSegmentLocked(at, layout.SegmentID(ref.Segment), ref.Off, int(ref.Len), a.policyMode())
 }

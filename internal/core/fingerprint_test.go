@@ -10,20 +10,31 @@ import (
 )
 
 // modelFingerprint is what the device model computed for
-// TestModelFingerprint's fixed script. The constants were recorded on the
-// commit before PR 18 (257211e). A change that only moves CPU work must
-// leave every one of them untouched (benchmark/README.md rule 4: "the
+// TestModelFingerprint's fixed script. A change that only moves CPU work
+// must leave every number untouched (benchmark/README.md rule 4: "the
 // device model must not notice"); a change that moves the model on purpose
 // updates them, and says why.
-const modelFingerprint = `final ack        997026592
-read sim sum     103525300
-write sim sum    1635502976
-flash            {HostBytesRead:147438022 HostBytesWritten:85403028 FlashBytesWritten:85585305 Erases:72 RandomWrites:36 StalledReads:185 MaxWear:12 BadBlocks:0 BitFlips:0}
-segment reads    {DirectShardReads:1417 ReconstructedReads:65 ShardBytesRead:147294662 BusyAvoided:65 CRCMismatches:0 InlineRepairs:0 HomeReadErrors:0 HomeRetries:0}
-hedged reads     354
-cblock cache     10410 hits, 1439 misses
-reduction ratio  1.250981306
-gc               1 runs, 8 segments reclaimed
+//
+// Re-recorded in PR 24, which moved the model on purpose: a drive is busy
+// only while it programs or erases (a read behind a read queues and is
+// counted in QueuedReads), a chosen reconstruction needs K idle peers, and
+// a hedge is a real reconstruction raced against a drive read that is
+// still in flight. The values recorded at 257211e and held through PR 23
+// were: final ack 997026592, read sim sum 103525300, write sim sum
+// 1635502976, HostBytesRead 147438022, HostBytesWritten 85403028,
+// FlashBytesWritten 85585305, Erases 72, RandomWrites 36, StalledReads 185,
+// MaxWear 12, DirectShardReads 1417, ReconstructedReads 65, ShardBytesRead
+// 147294662, BusyAvoided 65, hedged reads 354, cblock cache 10410 hits /
+// 1439 misses, reduction ratio 1.250981306, gc 1 run / 8 segments.
+const modelFingerprint = `final ack        1164561362
+read sim sum     231534834
+write sim sum    2091342784
+flash            {HostBytesRead:234399906 HostBytesWritten:93852132 FlashBytesWritten:94056153 Erases:90 RandomWrites:39 StalledReads:3 QueuedReads:326 MaxWear:13 BadBlocks:0 BitFlips:0}
+segment reads    {DirectShardReads:1563 ReconstructedReads:133 ShardBytesRead:234227874 BusyAvoided:23 CRCMismatches:0 InlineRepairs:0 HomeReadErrors:0 HomeRetries:0}
+hedged reads     46, 4 won
+cblock cache     7738 hits, 1468 misses
+reduction ratio  1.250897428
+gc               1 runs, 10 segments reclaimed
 `
 
 // TestModelFingerprint pins the device model's view of one seeded
@@ -180,12 +191,12 @@ func TestModelFingerprint(t *testing.T) {
 
 	st := a.Stats()
 	got := fmt.Sprintf("final ack        %d\nread sim sum     %d\nwrite sim sum    %d\n"+
-		"flash            %+v\nsegment reads    %+v\nhedged reads     %d\n"+
+		"flash            %+v\nsegment reads    %+v\nhedged reads     %d, %d won\n"+
 		"cblock cache     %d hits, %d misses\nreduction ratio  %.9f\ngc               %d runs, %d segments reclaimed\n",
 		int64(latest()), int64(readSim), int64(writeSim),
-		st.FlashStats, st.SegRead, st.HedgedReads,
+		st.FlashStats, st.SegRead, st.HedgedReads, st.HedgeWins,
 		st.CacheHits, st.CacheMisses, st.ReductionRatio, st.GCRuns, st.GCSegsReclaimed)
 	if got != modelFingerprint {
-		t.Errorf("the device model noticed this change.\n--- got\n%s--- want (recorded at 257211e)\n%s", got, modelFingerprint)
+		t.Errorf("the device model noticed this change.\n--- got\n%s--- want (recorded in PR 24)\n%s", got, modelFingerprint)
 	}
 }

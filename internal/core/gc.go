@@ -241,7 +241,7 @@ func (a *Array) evacuateSegmentLocked(at sim.Time, id layout.SegmentID, blocks m
 	touched := map[segClass]bool{}
 	for _, off := range offs {
 		c := blocks[off]
-		frame, d, err := a.readSegmentLocked(done, id, int64(off), int(c.physLen))
+		frame, d, err := a.readSegmentLocked(done, id, int64(off), int(c.physLen), a.policyMode())
 		done = d
 		if err != nil {
 			return done, fmt.Errorf("core: gc read of segment %d: %w", id, err)

@@ -115,58 +115,80 @@ func (a *Array) ReadAt(at sim.Time, vol VolumeID, off int64, n int) ([]byte, sim
 	pos := 0
 	// Extents are fetched concurrently: each is issued at metaDone and the
 	// read completes when the slowest extent lands.
+	var doneBuf [8]sim.Time
+	extDone := doneBuf[:0]
 	slowest := metaDone
 	for _, ext := range exts {
 		nb := int(ext.Sectors) * cblock.SectorSize
-		if ext.Zero {
-			pos += nb
-			continue
+		d := metaDone
+		if !ext.Zero {
+			if d, err = a.readExtentLocked(metaDone, ext, out[pos:pos+nb]); err != nil {
+				return nil, d, err
+			}
 		}
-		extDone, err := a.readExtentLocked(metaDone, ext, out[pos:pos+nb])
-		if err != nil {
-			return nil, extDone, err
-		}
-		if extDone > slowest {
-			slowest = extDone
-		}
+		extDone = append(extDone, d)
+		slowest = sim.Max(slowest, d)
 		pos += nb
 	}
+
+	ready := a.hedgeLocked(at, metaDone, slowest, exts, extDone)
 	cpuCost := sim.Time(a.cfg.CPUOverhead + a.cfg.CPUPerKiBRead*int64(n)/1024)
-	ackAt := a.cpuLocked(slowest, cpuCost)
+	ackAt := a.cpuLocked(ready, cpuCost)
 
 	lat := ackAt - at
-	// Hedging (§4.4): a read beyond the recent p95 races a reconstruction.
-	// In simulation the race is modelled as re-serving the slowest extent
-	// through reconstruction-preferring reads and taking the minimum. While
-	// the SLO governor reports the p99.9 budget threatened, hedging kicks
-	// in earlier (Policy.SLOHedgePercentile) so foreground reads outrank
-	// whatever is congesting the drives.
-	if a.cfg.ReadPolicy.ShouldHedgeUnder(a.readTracker, lat, a.gov.Threatened()) {
-		a.stats.HedgedReads++
-		// A hedged reconstruction reads K shards in parallel from (mostly)
-		// idle drives; bound its benefit by replaying the extent reads with
-		// busy avoidance forced on.
-		redo := metaDone
-		pos = 0
-		for _, ext := range exts {
-			nb := int(ext.Sectors) * cblock.SectorSize
-			if !ext.Zero {
-				if d, err := a.readExtentLocked(metaDone, ext, out[pos:pos+nb]); err == nil && d > redo {
-					redo = d
-				}
-			}
-			pos += nb
-		}
-		if hedged := redo + cpuCost; hedged < ackAt {
-			ackAt = hedged
-			lat = ackAt - at
-		}
+	if slowest > metaDone {
+		// Reads served from memory say nothing about drive latency.
+		a.readTracker.Record(lat)
 	}
-	a.readTracker.Record(lat)
 	a.gov.RecordRead(lat)
 	a.stats.Reads++
 	a.stats.ReadLatency.Record(lat)
 	return out, ackAt, nil
+}
+
+// hedgeLocked is §4.4's hedge for a read issued at `at` whose extents were
+// issued at metaDone and land at extDone, the last at slowest: once the read
+// has been outstanding for the recent drive reads' p95, every extent still
+// in flight is raced against a reconstruction from its peers, issued at
+// that moment, and the earlier arrival serves it. It returns when the
+// read's data is complete. An extent that cost no device time — a cache
+// hit, an open segment's pending stripe, a hole — landed at metaDone and is
+// never in flight then, so only drive reads hedge. While the SLO governor
+// reports the p99.9 budget threatened, the race starts earlier
+// (Policy.SLOHedgePercentile) so foreground reads outrank whatever is
+// congesting the drives. Caller holds mu.
+func (a *Array) hedgeLocked(at, metaDone, slowest sim.Time, exts []medium.Extent, extDone []sim.Time) sim.Time {
+	if slowest == metaDone {
+		return slowest // no extent waited for a drive: the tracker is not even asked
+	}
+	after, ok := a.cfg.ReadPolicy.HedgeAfter(a.readTracker, a.gov.Threatened())
+	hedgeAt := sim.Max(metaDone, at+after)
+	if !ok || slowest <= hedgeAt {
+		return slowest
+	}
+	ready := metaDone
+	raced := false
+	for i, ext := range exts {
+		d := extDone[i]
+		if d > hedgeAt {
+			// The cblock cache holds what the first arm just read; the
+			// second arm goes to the drives, around the home one, or is
+			// not issued for want of idle peers.
+			_, h, err := a.readSegmentLocked(hedgeAt, layout.SegmentID(ext.Addr.Segment), int64(ext.Addr.SegOff), int(ext.Addr.PhysLen), layout.ReadAroundHome)
+			if err == nil {
+				raced = true
+				d = min(d, h)
+			}
+		}
+		ready = sim.Max(ready, d)
+	}
+	if raced {
+		a.stats.HedgedReads++
+	}
+	if ready < slowest {
+		a.stats.HedgeWins++
+	}
+	return ready
 }
 
 // readExtentLocked fills dst from one resolved extent. Caller holds mu.

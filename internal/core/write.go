@@ -186,7 +186,7 @@ func (a *Array) readCBlockLocked(at sim.Time, seg, segOff uint64, physLen int) (
 		return sectors, at, nil
 	}
 	a.stats.CacheMisses++
-	frame, done, err := a.readSegmentLocked(at, layout.SegmentID(seg), int64(segOff), physLen)
+	frame, done, err := a.readSegmentLocked(at, layout.SegmentID(seg), int64(segOff), physLen, a.policyMode())
 	if err != nil {
 		return nil, done, err
 	}

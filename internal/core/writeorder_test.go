@@ -9,21 +9,30 @@ import (
 )
 
 // multiExtentFingerprint is what the device model computed for
-// TestMultiExtentFingerprint's script at each lane count. The constants
-// were recorded on the commit before PR 23 (cbb10a5), whose write path
-// packed every extent before the duplicate search; moving the pack behind
-// the search (§4.7's order) must leave every one of them untouched.
+// TestMultiExtentFingerprint's script at each lane count. A change to the
+// write path's CPU work — PR 23 moved the pack behind the duplicate search
+// (§4.7's order) — must leave every one of them untouched.
+//
+// Re-recorded in PR 24 together with modelFingerprint, for the same
+// reason: the script's reads (dedup byte-verifies of sealed candidates) no
+// longer reconstruct around drives that are only serving other reads, so
+// they move fewer bytes or more, finish at other times, and the writes
+// that wait for them ack earlier. What was written, deduplicated and
+// rotated is unchanged. The values recorded at cbb10a5 were, at lanes 1:
+// final ack 365774230, write sim sum 278192960, HostBytesRead 61711976,
+// StalledReads 52; at lanes 4: final ack 396083504, write sim sum
+// 271316454, HostBytesRead 48812086, StalledReads 42.
 var multiExtentFingerprint = map[int]string{
-	1: `final ack        365774230
-write sim sum    278192960
-flash            {HostBytesRead:61711976 HostBytesWritten:52248486 FlashBytesWritten:52280994 Erases:0 RandomWrites:9 StalledReads:52 MaxWear:3 BadBlocks:0 BitFlips:0}
+	1: `final ack        347263876
+write sim sum    259682606
+flash            {HostBytesRead:67217000 HostBytesWritten:52248486 FlashBytesWritten:52280994 Erases:0 RandomWrites:9 StalledReads:15 QueuedReads:13 MaxWear:3 BadBlocks:0 BitFlips:0}
 dedup            1201 hits, 895 misses, 52800 inline dup blocks
 reduction ratio  1.973847353
 rotations        4
 `,
-	4: `final ack        396083504
-write sim sum    271316454
-flash            {HostBytesRead:48812086 HostBytesWritten:55858407 FlashBytesWritten:55882662 Erases:0 RandomWrites:6 StalledReads:42 MaxWear:2 BadBlocks:0 BitFlips:0}
+	4: `final ack        374070032
+write sim sum    249162554
+flash            {HostBytesRead:51171382 HostBytesWritten:55858407 FlashBytesWritten:55882662 Erases:0 RandomWrites:6 StalledReads:9 QueuedReads:9 MaxWear:2 BadBlocks:0 BitFlips:0}
 dedup            1165 hits, 931 misses, 50560 inline dup blocks
 reduction ratio  1.919064995
 rotations        4
@@ -44,7 +53,7 @@ func TestMultiExtentFingerprint(t *testing.T) {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
 			got := runMultiExtentScript(t, lanes)
 			if want := multiExtentFingerprint[lanes]; got != want {
-				t.Errorf("the device model noticed this change.\n--- got\n%s--- want (recorded at cbb10a5)\n%s", got, want)
+				t.Errorf("the device model noticed this change.\n--- got\n%s--- want (recorded in PR 24)\n%s", got, want)
 			}
 		})
 	}

@@ -84,12 +84,12 @@ func (t *Tracker) Count() int {
 
 // Policy bundles the read-path scheduling decisions.
 type Policy struct {
-	// AvoidBusy treats drives mid-program as failed and reconstructs
-	// around them.
+	// AvoidBusy treats drives that are programming or erasing as failed
+	// and reconstructs around them.
 	AvoidBusy bool
-	// HedgePercentile (>0 enables hedging): when a direct read's latency
-	// exceeds this percentile of recent reads, reissue it as a
-	// reconstruction and take the earlier completion.
+	// HedgePercentile (>0 enables hedging): once a drive read has been
+	// outstanding for this percentile of recent drive reads' latency,
+	// reissue it as a reconstruction and take the earlier completion.
 	HedgePercentile float64
 	// MinHedgeSamples gates hedging until the tracker has context.
 	MinHedgeSamples int
@@ -106,20 +106,21 @@ func DefaultPolicy() Policy {
 	return Policy{AvoidBusy: true, HedgePercentile: 95, MinHedgeSamples: 64, SLOHedgePercentile: 90}
 }
 
-// ShouldHedgeUnder reports whether a read that took `latency` warrants a
-// reconstruction race, given recent history and the governor's view: while
-// the tail SLO is threatened (and the policy opts in via
-// SLOHedgePercentile), hedging triggers at the lower percentile so
-// foreground reads outrank whatever is congesting the drives.
-func (p Policy) ShouldHedgeUnder(t *Tracker, latency sim.Time, sloThreatened bool) bool {
+// HedgeAfter returns how long a drive read must have been outstanding
+// before it is raced against a reconstruction — the tracker's hedge
+// percentile — and false while hedging is off or the tracker lacks context.
+// While the tail SLO is threatened (and the policy opts in via
+// SLOHedgePercentile) the lower percentile applies, so foreground reads
+// outrank whatever is congesting the drives.
+func (p Policy) HedgeAfter(t *Tracker, sloThreatened bool) (sim.Time, bool) {
 	hp := p.HedgePercentile
 	if sloThreatened && p.SLOHedgePercentile > 0 && p.SLOHedgePercentile < hp {
 		hp = p.SLOHedgePercentile
 	}
 	if hp <= 0 || t.Count() < p.MinHedgeSamples {
-		return false
+		return 0, false
 	}
-	return latency > t.Percentile(hp)
+	return t.Percentile(hp), true
 }
 
 // Governor tracks foreground read latencies against the paper's tail SLO

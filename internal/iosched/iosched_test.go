@@ -44,26 +44,33 @@ func TestTrackerSlidingWindow(t *testing.T) {
 	}
 }
 
+// hedges reports whether the policy races a read that has been outstanding
+// for lat.
+func hedges(p Policy, tr *Tracker, lat sim.Time, sloThreatened bool) bool {
+	after, ok := p.HedgeAfter(tr, sloThreatened)
+	return ok && lat > after
+}
+
 func TestPolicyShouldHedge(t *testing.T) {
 	p := DefaultPolicy()
 	tr := NewTracker(128)
 	// Not enough samples: never hedge.
 	tr.Record(100)
-	if p.ShouldHedgeUnder(tr, sim.Second, false) {
+	if hedges(p, tr, sim.Second, false) {
 		t.Fatal("hedged without history")
 	}
 	for i := 0; i < 128; i++ {
 		tr.Record(100 * sim.Microsecond)
 	}
-	if p.ShouldHedgeUnder(tr, 90*sim.Microsecond, false) {
+	if hedges(p, tr, 90*sim.Microsecond, false) {
 		t.Fatal("hedged a fast read")
 	}
-	if !p.ShouldHedgeUnder(tr, 5*sim.Millisecond, false) {
+	if !hedges(p, tr, 5*sim.Millisecond, false) {
 		t.Fatal("did not hedge a slow read")
 	}
 	// Hedging disabled.
 	off := Policy{HedgePercentile: 0}
-	if off.ShouldHedgeUnder(tr, sim.Second, false) {
+	if hedges(off, tr, sim.Second, false) {
 		t.Fatal("disabled policy hedged")
 	}
 }
@@ -81,15 +88,15 @@ func TestPolicyShouldHedgeUnderSLO(t *testing.T) {
 		tr.Record(10 * sim.Millisecond)
 	}
 	lat := 1 * sim.Millisecond // above p90 (100µs), below p95 (10ms)
-	if p.ShouldHedgeUnder(tr, lat, false) {
+	if hedges(p, tr, lat, false) {
 		t.Fatal("hedged below p95 with SLO healthy")
 	}
-	if !p.ShouldHedgeUnder(tr, lat, true) {
+	if !hedges(p, tr, lat, true) {
 		t.Fatal("did not hedge above p90 with SLO threatened")
 	}
 	// Without the SLO percentile the threatened bit changes nothing.
 	plain := Policy{HedgePercentile: 95, MinHedgeSamples: 64}
-	if plain.ShouldHedgeUnder(tr, lat, true) {
+	if hedges(plain, tr, lat, true) {
 		t.Fatal("policy without SLOHedgePercentile hedged early")
 	}
 }

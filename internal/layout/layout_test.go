@@ -2,6 +2,7 @@ package layout
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -246,7 +247,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 
 	reader := NewReader(cfg, drives, coder)
 	for i, item := range items {
-		got, _, stats, err := reader.ReadRange(sim.Second, info, offs[i], len(item), false)
+		got, _, stats, err := reader.ReadRange(sim.Second, info, offs[i], len(item), ReadHome)
 		if err != nil {
 			t.Fatalf("read item %d: %v", i, err)
 		}
@@ -325,7 +326,7 @@ func TestReadDegradedOneAndTwoFailures(t *testing.T) {
 	drives[3].Fail()
 	var recon int64
 	for i := range items {
-		got, _, stats, err := reader.ReadRange(sim.Second, info, offs[i], len(items[i]), false)
+		got, _, stats, err := reader.ReadRange(sim.Second, info, offs[i], len(items[i]), ReadHome)
 		if err != nil {
 			t.Fatalf("degraded read %d: %v", i, err)
 		}
@@ -342,7 +343,7 @@ func TestReadDegradedOneAndTwoFailures(t *testing.T) {
 	drives[1].Fail()
 	anyFail := false
 	for i := range items {
-		if _, _, _, err := reader.ReadRange(sim.Second, info, offs[i], len(items[i]), false); err != nil {
+		if _, _, _, err := reader.ReadRange(sim.Second, info, offs[i], len(items[i]), ReadHome); err != nil {
 			anyFail = true
 		}
 	}
@@ -379,18 +380,180 @@ func TestReadAvoidsBusyDrives(t *testing.T) {
 	if mid < 0 {
 		t.Fatal("target drive never busy during flush")
 	}
-	got, _, stats, err := reader.ReadRange(mid, info, offs[0], len(item), true)
+	// The flush programs two drives at a time, so one peer is programming
+	// too; with four peers for three donors it can be left out.
+	var readBefore []int64
+	for _, d := range drives {
+		readBefore = append(readBefore, d.Stats().HostBytesRead)
+	}
+	got, _, stats, err := reader.ReadRange(mid, info, offs[0], len(item), ReadAvoidBusy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, item) {
 		t.Fatal("busy-avoiding read returned wrong data")
 	}
-	if stats.BusyAvoided == 0 {
-		t.Fatal("no busy drive was avoided mid-flush")
+	if stats.BusyAvoided != 1 || stats.ReconstructedReads != 1 || stats.DirectShardReads != 0 {
+		t.Fatalf("read inside a program on its home drive: %+v, want 1 avoided, 1 reconstructed, 0 direct", stats)
 	}
-	if stats.ReconstructedReads == 0 {
-		t.Fatal("busy avoidance did not reconstruct")
+	for i, d := range drives {
+		if d.BusyAt(mid) && d.Stats().HostBytesRead != readBefore[i] {
+			t.Errorf("drive %d is programming and was read as a donor", i)
+		}
+	}
+}
+
+// sealedItem writes one item into a fresh segment on a 6-drive rig, seals
+// it and returns a reader that has the segment's trailer CRCs cached, the
+// home drive of the item's shard and a time by which every drive is idle.
+func sealedItem(t *testing.T) (cfg Config, drives []*ssd.Device, reader *Reader, info SegmentInfo, off int64, item []byte, home int, idle sim.Time) {
+	t.Helper()
+	cfg, drives, coder := newTestRig(t, 6, 4)
+	w, _ := NewWriter(cfg, drives, coder, 1, segmentAUs(cfg, 6, 1))
+	item = make([]byte, 8000)
+	sim.NewRand(3).Bytes(item)
+	offs := writeItems(t, w, [][]byte{item})
+	info, sealed, err := w.Seal(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader = NewReader(cfg, drives, coder)
+	_, warmed, _, err := reader.ReadRange(sealed, info, offs[0], len(item), ReadHome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataSlot, _ := stripeSlots(cfg, 0)
+	return cfg, drives, reader, info, offs[0], item, info.AUs[dataSlot[0]].Drive, warmed + sim.Second
+}
+
+// programAllDies starts a program at `at` that occupies every die of the
+// drive, in AUs the test segment does not use.
+func programAllDies(t *testing.T, cfg Config, d *ssd.Device, at sim.Time) {
+	t.Helper()
+	dc := d.Config()
+	if _, err := d.WriteAt(at, make([]byte, dc.Dies*dc.DieStripe), AU{Index: 2}.Offset(cfg)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// programPeers starts a program at `at` on every die of n of the segment's
+// drives other than home.
+func programPeers(t *testing.T, cfg Config, drives []*ssd.Device, info SegmentInfo, home, n int, at sim.Time) {
+	t.Helper()
+	for _, au := range info.AUs {
+		if au.Drive != home && n > 0 {
+			programAllDies(t, cfg, drives[au.Drive], at)
+			n--
+		}
+	}
+}
+
+func TestReadBehindReadGoesHome(t *testing.T) {
+	// Two reads of one write unit at the same instant: the second finds the
+	// home drive serving the first. That is a queue, not §4.4's "writing or
+	// erasing" — it must not cost K reads of other drives.
+	_, drives, reader, info, off, item, home, at := sealedItem(t)
+	var total ReadStats
+	var done [2]sim.Time
+	for i := range done {
+		got, d, st, err := reader.ReadRange(at, info, off, len(item), ReadAvoidBusy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, item) {
+			t.Fatal("wrong data")
+		}
+		total.Add(st)
+		done[i] = d
+	}
+	if total.DirectShardReads != 2 || total.ReconstructedReads != 0 || total.BusyAvoided != 0 {
+		t.Fatalf("two reads of one unit at the same time: %+v, want 2 direct, 0 reconstructed", total)
+	}
+	if done[1] <= done[0] {
+		t.Fatalf("second read done at %d, first at %d: it did not wait its turn", done[1], done[0])
+	}
+	if st := drives[home].Stats(); st.StalledReads != 0 || st.QueuedReads != 1 {
+		t.Fatalf("home drive: %d stalled, %d queued, want 0, 1", st.StalledReads, st.QueuedReads)
+	}
+}
+
+func TestBusyAvoidanceSealedPrefersIdleDonors(t *testing.T) {
+	// The verified path: the home drive and one peer are programming, which
+	// leaves exactly K idle donors. The read reconstructs from those three
+	// and reads neither programming drive.
+	cfg, drives, reader, info, off, item, home, at := sealedItem(t)
+	peer := (home + 1) % len(info.AUs)
+	programAllDies(t, cfg, drives[home], at)
+	programAllDies(t, cfg, drives[peer], at)
+	homeRead, peerRead := drives[home].Stats().HostBytesRead, drives[peer].Stats().HostBytesRead
+	got, _, st, err := reader.ReadRange(at+sim.Microsecond, info, off, len(item), ReadAvoidBusy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, item) {
+		t.Fatal("wrong data")
+	}
+	if st.BusyAvoided != 1 || st.ReconstructedReads != 1 || st.DirectShardReads != 0 {
+		t.Fatalf("read inside a program on its home drive: %+v, want 1 avoided, 1 reconstructed, 0 direct", st)
+	}
+	if drives[home].Stats().HostBytesRead != homeRead || drives[peer].Stats().HostBytesRead != peerRead {
+		t.Fatal("a programming drive was read")
+	}
+	for i, d := range drives {
+		if s := d.Stats(); s.StalledReads != 0 {
+			t.Errorf("drive %d: %d reads stalled behind a program the reader could see", i, s.StalledReads)
+		}
+	}
+}
+
+func TestBusyAvoidanceNeedsIdleDonors(t *testing.T) {
+	// §4.4's rule presumes a reconstruction finds idle donors. With the
+	// home drive and two of its four peers programming, only two of the
+	// three donors would be idle: rebuilding waits for a program anyway and
+	// reads three drives to do it, so the read goes home.
+	cfg, drives, reader, info, off, item, home, at := sealedItem(t)
+	programAllDies(t, cfg, drives[home], at)
+	programPeers(t, cfg, drives, info, home, 2, at)
+	got, _, st, err := reader.ReadRange(at+sim.Microsecond, info, off, len(item), ReadAvoidBusy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, item) {
+		t.Fatal("wrong data")
+	}
+	if st.DirectShardReads != 1 || st.ReconstructedReads != 0 || st.BusyAvoided != 0 {
+		t.Fatalf("home and two peers programming: %+v, want the one home read", st)
+	}
+}
+
+func TestReadAroundHome(t *testing.T) {
+	// A hedge's second arm: rebuilt from peers without touching the home
+	// drive, whatever the home drive is doing — or not issued at all when
+	// the peers could not serve it without a stall.
+	cfg, drives, reader, info, off, item, home, at := sealedItem(t)
+	homeRead := drives[home].Stats().HostBytesRead
+	got, _, st, err := reader.ReadRange(at, info, off, len(item), ReadAroundHome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, item) {
+		t.Fatal("wrong data")
+	}
+	if st.DirectShardReads != 0 || st.ReconstructedReads != 1 || st.BusyAvoided != 0 {
+		t.Fatalf("around an idle home drive: %+v, want 1 reconstructed and nothing else", st)
+	}
+	if drives[home].Stats().HostBytesRead != homeRead {
+		t.Fatal("the second arm read the home drive")
+	}
+
+	at += sim.Second
+	programPeers(t, cfg, drives, info, home, 2, at)
+	_, _, st, err = reader.ReadRange(at+sim.Microsecond, info, off, len(item), ReadAroundHome)
+	if !errors.Is(err, ErrBusyPeers) {
+		t.Fatalf("two of four peers programming: err = %v, want ErrBusyPeers", err)
+	}
+	if st.ShardBytesRead != 0 {
+		t.Fatalf("a declined second arm moved %d bytes", st.ShardBytesRead)
 	}
 }
 

@@ -15,6 +15,11 @@ import (
 // readable — more simultaneous failures than the parity geometry tolerates.
 var ErrUnrecoverable = errors.New("layout: too few readable shards to reconstruct")
 
+// ErrBusyPeers is returned by a ReadAroundHome read that was not issued
+// because fewer than K peers are idle: the reconstruction would wait for a
+// program or erase itself.
+var ErrBusyPeers = errors.New("layout: too few idle peers to reconstruct around the home drive")
+
 // ReadStats counts how a read was served, feeding experiment E2 (the
 // paper's ≈1.3× read-cost model for write-heavy workloads) and the
 // fault-tolerance telemetry.
@@ -41,10 +46,29 @@ func (s *ReadStats) Add(other ReadStats) {
 	s.HomeRetries += other.HomeRetries
 }
 
+// ReadMode says when a read leaves a shard's home drive for its peers. A
+// failed, lost or damaged home shard is reconstructed in every mode; the
+// modes differ in when a reconstruction is chosen over a readable home
+// drive, and a chosen reconstruction needs K idle peers (see leaveHome).
+type ReadMode uint8
+
+const (
+	// ReadHome never chooses: it reads the home drive, however busy.
+	ReadHome ReadMode = iota
+	// ReadAvoidBusy reconstructs around a home drive that is programming or
+	// erasing (§4.4: "treat SSDs that are in the process of writing data as
+	// though they have failed").
+	ReadAvoidBusy
+	// ReadAroundHome never touches the home drive: the read is rebuilt from
+	// peers, or fails with ErrBusyPeers without reading anything. It is the
+	// second arm of a hedge, raced against a home read already in flight
+	// (§4.4).
+	ReadAroundHome
+)
+
 // Reader serves segment-logical reads, reconstructing from parity when a
-// drive is failed, corrupt, or — under the avoidBusy policy — busy
-// programming (§4.4: "treat SSDs that are in the process of writing data as
-// though they have failed"). Every write unit served from a sealed segment
+// drive is failed, corrupt, or — in ReadAvoidBusy mode — busy programming
+// or erasing. Every write unit served from a sealed segment
 // is additionally checked against the CRCs in the AU trailer (§5.1's
 // end-to-end integrity discipline, at the cost of a full write-unit read per
 // shard access), so silently flipped bits are detected, reconstructed
@@ -143,7 +167,7 @@ func (r *Reader) segmentCRCs(at sim.Time, info SegmentInfo) ([][]uint32, sim.Tim
 
 // ReadRange reads n logical bytes at offset off within the segment. The
 // returned completion time is the latest involved drive completion.
-func (r *Reader) ReadRange(at sim.Time, info SegmentInfo, off int64, n int, avoidBusy bool) ([]byte, sim.Time, ReadStats, error) {
+func (r *Reader) ReadRange(at sim.Time, info SegmentInfo, off int64, n int, mode ReadMode) ([]byte, sim.Time, ReadStats, error) {
 	var stats ReadStats
 	if off < 0 || off+int64(n) > int64(info.Stripes)*int64(r.cfg.StripeDataBytes()) {
 		return nil, at, stats, fmt.Errorf("layout: read [%d,+%d) outside segment %d (%d stripes)", off, n, info.ID, info.Stripes)
@@ -161,7 +185,7 @@ func (r *Reader) ReadRange(at sim.Time, info SegmentInfo, off int64, n int, avoi
 		if chunk > int64(remaining) {
 			chunk = int64(remaining)
 		}
-		d, err := r.readWithinStripe(at, info, s, within, out[outPos:outPos+int(chunk)], avoidBusy, &stats)
+		d, err := r.readWithinStripe(at, info, s, within, out[outPos:outPos+int(chunk)], mode, &stats)
 		if err != nil {
 			return nil, done, stats, err
 		}
@@ -177,7 +201,7 @@ func (r *Reader) ReadRange(at sim.Time, info SegmentInfo, off int64, n int, avoi
 
 // readWithinStripe fills dst from stripe s starting at logical offset
 // `within` the stripe.
-func (r *Reader) readWithinStripe(at sim.Time, info SegmentInfo, s int, within int64, dst []byte, avoidBusy bool, stats *ReadStats) (sim.Time, error) {
+func (r *Reader) readWithinStripe(at sim.Time, info SegmentInfo, s int, within int64, dst []byte, mode ReadMode, stats *ReadStats) (sim.Time, error) {
 	dataSlot := r.slots.at(s).data
 	wu := int64(r.cfg.WriteUnit)
 	done := at
@@ -191,7 +215,7 @@ func (r *Reader) readWithinStripe(at sim.Time, info SegmentInfo, s int, within i
 			chunk = int64(len(dst) - outPos)
 		}
 		slot := dataSlot[d]
-		t, err := r.readShardRange(at, info, s, slot, shardOff, dst[outPos:outPos+int(chunk)], avoidBusy, stats)
+		t, err := r.readShardRange(at, info, s, slot, shardOff, dst[outPos:outPos+int(chunk)], mode, stats)
 		if err != nil {
 			return done, err
 		}
@@ -209,11 +233,11 @@ func (r *Reader) readWithinStripe(at sim.Time, info SegmentInfo, s int, within i
 // Sealed segments take the verified path when a trailer is readable;
 // everything else (unsealed segments, trailer loss) uses the unverified
 // range path.
-func (r *Reader) readShardRange(at sim.Time, info SegmentInfo, s, slot int, shardOff int64, dst []byte, avoidBusy bool, stats *ReadStats) (sim.Time, error) {
+func (r *Reader) readShardRange(at sim.Time, info SegmentInfo, s, slot int, shardOff int64, dst []byte, mode ReadMode, stats *ReadStats) (sim.Time, error) {
 	if info.Sealed {
 		crcs, tAt := r.segmentCRCs(at, info)
 		if s < len(crcs) && slot < len(crcs[s]) {
-			return r.readShardVerified(tAt, info, s, slot, shardOff, dst, avoidBusy, crcs[s][slot], stats)
+			return r.readShardVerified(tAt, info, s, slot, shardOff, dst, mode, crcs[s][slot], stats)
 		}
 	}
 
@@ -221,9 +245,13 @@ func (r *Reader) readShardRange(at sim.Time, info SegmentInfo, s, slot int, shar
 	drive := r.drives[au.Drive]
 	devOff := au.Offset(r.cfg) + int64(s)*int64(r.cfg.WriteUnit) + shardOff
 
+	leave := r.leaveHome(at, info, s, slot, shardOff, len(dst), mode)
+	if mode == ReadAroundHome && !leave {
+		return at, ErrBusyPeers
+	}
+	busy := leave && mode == ReadAvoidBusy
 	lost := r.isLost(info.ID, slot)
-	busy := avoidBusy && drive.BusyRangeAt(at, devOff, len(dst))
-	if !lost && !busy && !drive.Failed() {
+	if !lost && !leave && !drive.Failed() {
 		if done, ok := readHome(at, drive, dst, devOff, stats); ok {
 			return done, nil
 		}
@@ -232,7 +260,7 @@ func (r *Reader) readShardRange(at sim.Time, info SegmentInfo, s, slot int, shar
 		stats.BusyAvoided++
 	}
 	done, err := r.reconstructShardRange(at, info, s, slot, shardOff, dst, stats)
-	if err != nil && !lost && !drive.Failed() {
+	if err != nil && mode != ReadAroundHome && !lost && !drive.Failed() {
 		// Reconstruction impossible (too many peers failed or busy) but the
 		// home drive is merely slow: queue behind its program and read it.
 		stats.HomeRetries++
@@ -263,7 +291,7 @@ func readHome(at sim.Time, drive *ssd.Device, dst []byte, devOff int64, stats *R
 // reconstructed from verified peers, the caller's range served from the
 // reconstruction, and the damaged copy rewritten in place on the home
 // drive so the next read is clean again.
-func (r *Reader) readShardVerified(at sim.Time, info SegmentInfo, s, slot int, shardOff int64, dst []byte, avoidBusy bool, wantCRC uint32, stats *ReadStats) (sim.Time, error) {
+func (r *Reader) readShardVerified(at sim.Time, info SegmentInfo, s, slot int, shardOff int64, dst []byte, mode ReadMode, wantCRC uint32, stats *ReadStats) (sim.Time, error) {
 	au := info.AUs[slot]
 	drive := r.drives[au.Drive]
 	wuOff := au.Offset(r.cfg) + int64(s)*int64(r.cfg.WriteUnit)
@@ -274,10 +302,16 @@ func (r *Reader) readShardVerified(at sim.Time, info SegmentInfo, s, slot int, s
 	defer r.putWU(scratch)
 	wu := *scratch
 
+	// The decision covers what the home read would touch: the whole unit,
+	// not the caller's range of it.
+	leave := r.leaveHome(at, info, s, slot, 0, len(wu), mode)
+	if mode == ReadAroundHome && !leave {
+		return at, ErrBusyPeers
+	}
+	busy := leave && mode == ReadAvoidBusy
 	lost := r.isLost(info.ID, slot)
-	busy := avoidBusy && drive.BusyRangeAt(at, wuOff+shardOff, len(dst))
 	needRepair := false
-	if !lost && !busy && !drive.Failed() {
+	if !lost && !leave && !drive.Failed() {
 		if done, ok := readHomeVerified(at, drive, wu, wuOff, wantCRC, dst, shardOff, stats); ok {
 			return done, nil
 		}
@@ -364,15 +398,13 @@ func (r *Reader) ReconstructWU(at sim.Time, info SegmentInfo, s, slot int, dst [
 	shards := make([][]byte, k+m)
 	done := at
 	got := 0
-	for sl := 0; sl < k+m && got < k; sl++ {
-		if sl == slot || r.isLost(info.ID, sl) {
-			continue
+	donors, _ := r.donorSlots(at, info, s, slot, 0, len(dst))
+	for _, sl := range donors {
+		if got == k {
+			break
 		}
 		au := info.AUs[sl]
 		drive := r.drives[au.Drive]
-		if drive.Failed() {
-			continue
-		}
 		scratch := r.takeWU()
 		taken = append(taken, scratch)
 		buf := *scratch
@@ -403,32 +435,57 @@ func (r *Reader) ReconstructWU(at sim.Time, info SegmentInfo, s, slot int, dst [
 	return done, nil
 }
 
-// reconstructShardRange rebuilds the wanted range of shard `slot` from K of
-// the other shards, preferring idle, healthy drives.
-func (r *Reader) reconstructShardRange(at sim.Time, info SegmentInfo, s, slot int, shardOff int64, dst []byte, stats *ReadStats) (sim.Time, error) {
-	k, m := r.cfg.DataShards, r.cfg.ParityShards
-	coderIdx := r.slots.at(s).coder // physical slot -> coder shard index
-
-	// Choose donor slots: drives whose relevant dies are idle first, then
-	// busy ones.
-	var idle, busyDonors []int
-	for sl := 0; sl < k+m; sl++ {
-		if sl == slot {
-			continue
-		}
-		au := info.AUs[sl]
+// donorSlots lists the slots that can donate [off, off+n) of their write
+// unit in stripe s towards rebuilding shard `slot`: every other slot whose
+// shard is not lost and whose drive has not failed, those whose dies are
+// not programming or erasing at `at` first — with K+M−1 candidates for K
+// donors, a reconstruction can usually leave the busy ones out (§4.4).
+func (r *Reader) donorSlots(at sim.Time, info SegmentInfo, s, slot int, off int64, n int) (donors []int, idleDonors int) {
+	idle := make([]int, 0, len(info.AUs))
+	var busy []int
+	for sl, au := range info.AUs {
 		drive := r.drives[au.Drive]
-		if drive.Failed() {
+		if sl == slot || r.isLost(info.ID, sl) || drive.Failed() {
 			continue
 		}
-		donorOff := au.Offset(r.cfg) + int64(s)*int64(r.cfg.WriteUnit) + shardOff
-		if drive.BusyRangeAt(at, donorOff, len(dst)) {
-			busyDonors = append(busyDonors, sl)
+		if drive.BusyRangeAt(at, au.Offset(r.cfg)+int64(s)*int64(r.cfg.WriteUnit)+off, n) {
+			busy = append(busy, sl)
 		} else {
 			idle = append(idle, sl)
 		}
 	}
-	donors := append(idle, busyDonors...)
+	return append(idle, busy...), len(idle)
+}
+
+// leaveHome reports whether a read of [off, off+n) of shard `slot` in
+// stripe s chooses its peers over a readable home drive: in ReadAvoidBusy
+// when the home drive would stall it behind a program or erase, in
+// ReadAroundHome always — and in both only if K peers would not stall it.
+// §4.4's rule assumes few enough drives write at once that a reconstruction
+// always finds idle donors; when more do, rebuilding from a donor that is
+// itself programming waits as long as the home read and moves K times the
+// bytes.
+func (r *Reader) leaveHome(at sim.Time, info SegmentInfo, s, slot int, off int64, n int, mode ReadMode) bool {
+	switch mode {
+	case ReadHome:
+		return false
+	case ReadAvoidBusy:
+		au := info.AUs[slot]
+		if !r.drives[au.Drive].BusyRangeAt(at, au.Offset(r.cfg)+int64(s)*int64(r.cfg.WriteUnit)+off, n) {
+			return false
+		}
+	}
+	_, idle := r.donorSlots(at, info, s, slot, off, n)
+	return idle >= r.cfg.DataShards
+}
+
+// reconstructShardRange rebuilds the wanted range of shard `slot` from K of
+// the other shards.
+func (r *Reader) reconstructShardRange(at sim.Time, info SegmentInfo, s, slot int, shardOff int64, dst []byte, stats *ReadStats) (sim.Time, error) {
+	k, m := r.cfg.DataShards, r.cfg.ParityShards
+	coderIdx := r.slots.at(s).coder // physical slot -> coder shard index
+
+	donors, _ := r.donorSlots(at, info, s, slot, shardOff, len(dst))
 	if len(donors) < k {
 		return at, ErrUnrecoverable
 	}
@@ -487,7 +544,7 @@ type StripeLog struct {
 // returns the log records. Recovery calls this for segments in the frontier
 // set (§4.3); the stripe checksum rejects torn segios from a crash.
 func (r *Reader) ReadStripeLogs(at sim.Time, info SegmentInfo, s int) (StripeLog, sim.Time, error) {
-	raw, done, _, err := r.ReadRange(at, withStripes(info, s+1), int64(s)*int64(r.cfg.StripeDataBytes()), r.cfg.StripeDataBytes(), false)
+	raw, done, _, err := r.ReadRange(at, withStripes(info, s+1), int64(s)*int64(r.cfg.StripeDataBytes()), r.cfg.StripeDataBytes(), ReadHome)
 	if err != nil {
 		return StripeLog{}, done, err
 	}

@@ -27,7 +27,7 @@ func TestVerifiedReadHealsBitRot(t *testing.T) {
 	home := aus[dataSlot[0]]
 	drives[home.Drive].FlipBit(home.Offset(cfg)+200, 2)
 
-	got, _, st, err := reader.ReadRange(sim.Second, info, offs[0], len(item), false)
+	got, _, st, err := reader.ReadRange(sim.Second, info, offs[0], len(item), ReadHome)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestVerifiedReadHealsBitRot(t *testing.T) {
 	}
 
 	// The inline repair rewrote the write unit: the next read is clean.
-	got, _, st2, err := reader.ReadRange(sim.Second, info, offs[0], len(item), false)
+	got, _, st2, err := reader.ReadRange(sim.Second, info, offs[0], len(item), ReadHome)
 	if err != nil || !bytes.Equal(got, item) {
 		t.Fatalf("re-read after repair: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestHomeReadErrorCountedNotSwallowed(t *testing.T) {
 	home := aus[dataSlot[0]]
 	drives[home.Drive].CorruptBlock(home.Offset(cfg)) // ErrCorrupt on read
 
-	got, _, st, err := reader.ReadRange(sim.Second, info, offs[0], len(item), false)
+	got, _, st, err := reader.ReadRange(sim.Second, info, offs[0], len(item), ReadHome)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestHomeRetryWhenReconstructionImpossible(t *testing.T) {
 		failed++
 	}
 
-	_, _, st, err := reader.ReadRange(sim.Second, info, offs[0], len(item), false)
+	_, _, st, err := reader.ReadRange(sim.Second, info, offs[0], len(item), ReadHome)
 	if err == nil {
 		t.Fatal("read succeeded with home corrupt and reconstruction impossible")
 	}
@@ -185,7 +185,7 @@ func TestReconstructionScratchIsReused(t *testing.T) {
 		{0, 3, damaged}, // the same damage is met and counted the same way again
 	} {
 		lost = rd.lostSlot
-		got, _, st, err := reader.ReadRange(sim.Second, info, offs[rd.item], len(items[rd.item]), false)
+		got, _, st, err := reader.ReadRange(sim.Second, info, offs[rd.item], len(items[rd.item]), ReadHome)
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
@@ -227,7 +227,7 @@ func TestConcurrentDegradedReads(t *testing.T) {
 			for round := 0; round < 8; round++ {
 				for i := range items {
 					i = (i + g*3) % len(items)
-					got, _, st, err := reader.ReadRange(sim.Second, info, offs[i], len(items[i]), false)
+					got, _, st, err := reader.ReadRange(sim.Second, info, offs[i], len(items[i]), ReadHome)
 					if err != nil {
 						t.Errorf("goroutine %d item %d: %v", g, i, err)
 						return

@@ -654,7 +654,8 @@ func (s *Server) dispatch(sess *controller.Session, op byte, payload []byte) ([]
 				"reduction=%.2fx (logical=%d physical=%d dedup=%d)\n"+
 				"dedup hits=%d misses=%d packed=%d\nsegments=%d frontierAUs=%d freeAUs=%d\n"+
 				"gc runs=%d checkpoints=%d frontier writes=%d\n"+
-				"flash: host W=%d flash W=%d erases=%d\n"+
+				"flash: host W=%d flash W=%d erases=%d reads stalled=%d queued=%d\n"+
+				"hedged reads=%d wins=%d busy avoided=%d\n"+
 				"slo: budget=%v p99.9=%v threatened=%v deferrals=%d scrub deferrals=%d\n"+
 				"frontend: %s\n",
 			st.Writes, st.Reads,
@@ -663,6 +664,8 @@ func (s *Server) dispatch(sess *controller.Session, op byte, payload []byte) ([]
 			st.DedupHits, st.DedupMisses, st.PackedBytes, st.Segments, st.FrontierAUs, st.FreeAUs,
 			st.GCRuns, st.Checkpoints, st.FrontierWrites,
 			st.FlashStats.HostBytesWritten, st.FlashStats.FlashBytesWritten, st.FlashStats.Erases,
+			st.FlashStats.StalledReads, st.FlashStats.QueuedReads,
+			st.HedgedReads, st.HedgeWins, st.SegRead.BusyAvoided,
 			gov.Budget(), gov.P999(), gov.Threatened(), gov.Deferrals(), st.ScrubDeferrals,
 			s.tel.Summary(),
 		)

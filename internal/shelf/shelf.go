@@ -228,6 +228,7 @@ func (s *Shelf) AggregateStats() ssd.Stats {
 		agg.Erases += st.Erases
 		agg.RandomWrites += st.RandomWrites
 		agg.StalledReads += st.StalledReads
+		agg.QueuedReads += st.QueuedReads
 		agg.BadBlocks += st.BadBlocks
 		agg.BitFlips += st.BitFlips
 		if st.MaxWear > agg.MaxWear {

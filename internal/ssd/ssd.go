@@ -104,17 +104,31 @@ type Stats struct {
 	Erases            int64
 	RandomWrites      int64 // writes that paid the FTL relocation penalty
 	StalledReads      int64 // reads that queued behind a program/erase
+	QueuedReads       int64 // reads that queued behind other reads only
 	MaxWear           int   // highest per-block P/E count
 	BadBlocks         int
 	BitFlips          int64 // silent bit flips injected (BitFlipRate + FlipBit)
 }
 
-// dieState tracks one die's current contiguous busy period. Operations
-// queue behind busyUntil; an operation issued after an idle gap starts a
-// new period. BusyAt is true only inside [busyFrom, busyUntil).
+// dieState tracks one die's current contiguous busy period. Operations of
+// every kind queue behind busyUntil; an operation issued after an idle gap
+// starts a new period. peUntil is when the last program or erase of the
+// period finishes (busyFrom ≤ peUntil ≤ busyUntil): a read that joins the
+// queue before then waits for it, one that joins later waits for reads
+// only. So the die is busy in §4.4's sense — "writing or erasing" — until
+// peUntil, and merely queueing reads in [peUntil, busyUntil).
 type dieState struct {
 	busyFrom  sim.Time
 	busyUntil sim.Time
+	peUntil   sim.Time
+}
+
+// stalls reports whether a read of the given service time issued at t would
+// wait for a program or erase on this die: one is in progress or queued, or
+// is scheduled to start before the read could finish (dieSchedule then
+// queues the read behind it).
+func (ds dieState) stalls(t, service sim.Time) bool {
+	return t < ds.peUntil && t+service > ds.busyFrom
 }
 
 type eraseBlock struct {
@@ -356,7 +370,7 @@ func (d *Device) Erase(at sim.Time, off int64) (sim.Time, error) {
 		start, gapFit := d.dieSchedule(die, at, d.cfg.EraseLatency)
 		dieDone := start + d.cfg.EraseLatency
 		if !gapFit {
-			d.occupyDie(die, start, dieDone)
+			d.occupyDie(die, start, dieDone, true)
 		}
 		if dieDone > done {
 			done = dieDone
@@ -397,26 +411,34 @@ func (d *Device) dieSchedule(die int, at, service sim.Time) (start sim.Time, gap
 
 // occupyRead schedules a read: each touched die serves its share (one read
 // service per touched die, in parallel); the op completes when the slowest
-// die finishes plus the bus transfer. Contending with an ongoing program or
-// erase is recorded as a stall.
+// die finishes plus the bus transfer. A read that waits on any die behind a
+// program or erase is recorded as a stall; one that waits only behind other
+// reads is recorded as queued.
 func (d *Device) occupyRead(at sim.Time, off int64, n int) sim.Time {
 	slowest := at
-	stalled := false
+	stalled, queued := false, false
 	for die := range d.dieShares(off, n) {
 		start, gapFit := d.dieSchedule(die, at, d.cfg.ReadLatency)
 		if start > at {
-			stalled = true
+			if d.dies[die].stalls(at, d.cfg.ReadLatency) {
+				stalled = true
+			} else {
+				queued = true
+			}
 		}
 		dieDone := start + d.cfg.ReadLatency
 		if !gapFit {
-			d.occupyDie(die, start, dieDone)
+			d.occupyDie(die, start, dieDone, false)
 		}
 		if dieDone > slowest {
 			slowest = dieDone
 		}
 	}
-	if stalled {
+	switch {
+	case stalled:
 		d.stats.StalledReads++
+	case queued:
+		d.stats.QueuedReads++
 	}
 	return slowest + d.transfer(n)
 }
@@ -431,7 +453,7 @@ func (d *Device) occupyWrite(at sim.Time, off int64, n, penalty int) sim.Time {
 		start, gapFit := d.dieSchedule(die, at, service)
 		dieDone := start + service
 		if !gapFit {
-			d.occupyDie(die, start, dieDone)
+			d.occupyDie(die, start, dieDone, true)
 		}
 		if dieDone > slowest {
 			slowest = dieDone
@@ -443,38 +465,45 @@ func (d *Device) occupyWrite(at sim.Time, off int64, n, penalty int) sim.Time {
 // occupyDie extends or opens a die's busy period for [start, done). An
 // operation that begins while the die is still busy (start ≤ busyUntil)
 // continues the current period; otherwise a new period opens at start, so
-// work scheduled in the future does not make the die look busy now.
-func (d *Device) occupyDie(die int, start, done sim.Time) {
+// work scheduled in the future does not make the die look busy now. pe
+// marks a program or erase, which also moves peUntil; a read only
+// lengthens the queue.
+func (d *Device) occupyDie(die int, start, done sim.Time, pe bool) {
 	ds := &d.dies[die]
 	if start > ds.busyUntil {
-		ds.busyFrom = start
+		ds.busyFrom, ds.peUntil = start, start
 	}
 	if done > ds.busyUntil {
 		ds.busyUntil = done
 	}
+	if pe {
+		ds.peUntil = ds.busyUntil
+	}
 }
 
-// BusyRangeAt reports whether any die serving [off, off+n) is busy at time
-// t — the §4.4 signal: a read aimed at those dies would stall behind an
-// in-flight program or erase, so the scheduler reconstructs instead.
+// BusyRangeAt reports whether a read of [off, off+n) issued at time t would
+// wait for a program or erase on any die it touches — the §4.4 signal: the
+// read would stall for milliseconds, so the scheduler reconstructs instead.
+// A die that is only serving other reads is not busy: a read behind a read
+// waits tens of microseconds, which is not worth K extra reads and a
+// Reed–Solomon pass. It is exactly the condition StalledReads counts.
 func (d *Device) BusyRangeAt(t sim.Time, off int64, n int) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for die := range d.dieShares(off, n) {
-		ds := d.dies[die]
-		if ds.busyFrom <= t && t < ds.busyUntil {
+		if d.dies[die].stalls(t, d.cfg.ReadLatency) {
 			return true
 		}
 	}
 	return false
 }
 
-// BusyAt reports whether any die of the drive is busy at time t.
+// BusyAt is BusyRangeAt over the whole drive.
 func (d *Device) BusyAt(t sim.Time) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, ds := range d.dies {
-		if ds.busyFrom <= t && t < ds.busyUntil {
+		if ds.stalls(t, d.cfg.ReadLatency) {
 			return true
 		}
 	}

@@ -181,6 +181,9 @@ func TestReadStallsBehindProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, cfg.PageSize)
+	if !d.BusyRangeAt(10*sim.Microsecond, 0, len(buf)) {
+		t.Fatal("BusyRangeAt false during program")
+	}
 	rDone, err := d.ReadAt(10*sim.Microsecond, buf, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -188,14 +191,112 @@ func TestReadStallsBehindProgram(t *testing.T) {
 	if rDone < wDone {
 		t.Fatalf("read finished at %v, before program at %v", rDone, wDone)
 	}
-	if s := d.Stats(); s.StalledReads != 1 {
-		t.Fatalf("StalledReads = %d, want 1", s.StalledReads)
+	if s := d.Stats(); s.StalledReads != 1 || s.QueuedReads != 0 {
+		t.Fatalf("StalledReads = %d, QueuedReads = %d, want 1, 0", s.StalledReads, s.QueuedReads)
 	}
 	if !d.BusyAt(10 * sim.Microsecond) {
 		t.Fatal("BusyAt false during program")
 	}
+	// The stalled read runs in [wDone, wDone+ReadLatency): the die is still
+	// occupied, but by a read, and a read behind it would only queue.
+	if d.BusyAt(wDone + cfg.ReadLatency/2) {
+		t.Fatal("BusyAt true while the die serves only a read")
+	}
 	if d.BusyAt(wDone + rDone) {
 		t.Fatal("BusyAt true after all work done")
+	}
+}
+
+func TestReadStallsBehindErase(t *testing.T) {
+	d := newDevice(t)
+	cfg := d.Config()
+	eDone, err := d.Erase(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, cfg.PageSize)
+	if !d.BusyRangeAt(sim.Millisecond, 0, len(buf)) {
+		t.Fatal("BusyRangeAt false during erase")
+	}
+	rDone, err := d.ReadAt(sim.Millisecond, buf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rDone < eDone {
+		t.Fatalf("read finished at %v, before erase at %v", rDone, eDone)
+	}
+	if s := d.Stats(); s.StalledReads != 1 || s.QueuedReads != 0 {
+		t.Fatalf("StalledReads = %d, QueuedReads = %d, want 1, 0", s.StalledReads, s.QueuedReads)
+	}
+}
+
+func TestReadBehindReadQueuesWithoutBusy(t *testing.T) {
+	// §4.4's rule is about drives that are writing or erasing. A read
+	// behind another read still waits its turn on the die, but the die is
+	// not busy in that sense and the wait is not a stall.
+	d := newDevice(t)
+	cfg := d.Config()
+	buf := make([]byte, cfg.PageSize)
+	first, err := d.ReadAt(0, buf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := 10 * sim.Microsecond
+	if d.BusyRangeAt(at, 0, len(buf)) || d.BusyAt(at) {
+		t.Fatal("a die serving a read reports busy")
+	}
+	second, err := d.ReadAt(at, buf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := first + cfg.ReadLatency; second != want {
+		t.Fatalf("second read done at %v, want %v (queued behind the first)", second, want)
+	}
+	if d.BusyRangeAt(at, 0, len(buf)) {
+		t.Fatal("two queued reads made the die busy")
+	}
+	if s := d.Stats(); s.StalledReads != 0 || s.QueuedReads != 1 {
+		t.Fatalf("StalledReads = %d, QueuedReads = %d, want 0, 1", s.StalledReads, s.QueuedReads)
+	}
+}
+
+func TestBusyIsTheStallCondition(t *testing.T) {
+	// BusyRangeAt(t) must say exactly whether a read issued at t stalls,
+	// including just before a program that was scheduled ahead of time: a
+	// read that cannot finish on the die before the program starts is
+	// queued behind it.
+	d := newDevice(t)
+	cfg := d.Config()
+	page := make([]byte, cfg.PageSize)
+	start := 10 * sim.Millisecond
+	if _, err := d.WriteAt(start, page, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		at   sim.Time
+		busy bool
+	}{
+		{start - cfg.ReadLatency, false}, // fits in the gap before the program
+		{start - cfg.ReadLatency + 1, true},
+		{start + cfg.ProgramLatency/2, true},
+		{start + cfg.ProgramLatency, false},
+	} {
+		if got := d.BusyRangeAt(tc.at, 0, len(page)); got != tc.busy {
+			t.Errorf("BusyRangeAt(%v) = %v, want %v", tc.at, got, tc.busy)
+		}
+		fresh, err := New("twin", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.WriteAt(start, page, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.ReadAt(tc.at, page, 0); err != nil {
+			t.Fatal(err)
+		}
+		if stalled := fresh.Stats().StalledReads == 1; stalled != tc.busy {
+			t.Errorf("read at %v: stalled = %v, want %v", tc.at, stalled, tc.busy)
+		}
 	}
 }
 
