@@ -1,4 +1,4 @@
-// Command purity-lint runs the repo's invariant checker: thirteen rules
+// Command purity-lint runs the repo's invariant checker: twelve rules
 // that enforce the conventions Purity's correctness argument rests on —
 // lock annotations and path-sensitive lock states (backed by checked
 // callee summaries), no decoding of unverified flash bytes, allocator-only
@@ -16,16 +16,15 @@
 // Usage:
 //
 //	go run ./cmd/purity-lint ./...
-//	go run ./cmd/purity-lint -rules lockflow,taintverify ./internal/core
+//	go run ./cmd/purity-lint -list
 //	go run ./cmd/purity-lint -json ./... > findings.json
 //	go run ./cmd/purity-lint -graph lock ./... > lockorder.dot
 //	go run ./cmd/purity-lint -graph calls -json ./... > callgraph.json
 //
-// -rules runs a named subset, which CI uses to split the fast
-// intra-procedural rules from the summary-based pass. -graph skips rule
-// checking and instead emits the inferred lock-order graph ("lock") or the
-// module call graph ("calls") as Graphviz DOT, or as JSON with -json —
-// DESIGN.md's lock-hierarchy section is regenerated from this output.
+// -list prints the rules. -graph skips rule checking and instead emits the
+// inferred lock-order graph ("lock") or the module call graph ("calls") as
+// Graphviz DOT, or as JSON with -json — DESIGN.md's lock-hierarchy section
+// is regenerated from this output.
 //
 // Exit status 0 when clean, 1 when any diagnostic survives suppression,
 // 2 on load or usage errors.
@@ -55,13 +54,12 @@ type jsonDiag struct {
 
 func main() {
 	var (
-		ruleList = flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
-		list     = flag.Bool("list", false, "list the available rules and exit")
-		asJSON   = flag.Bool("json", false, "emit diagnostics (or -graph output) as JSON on stdout")
-		graph    = flag.String("graph", "", "emit a graph instead of diagnostics: \"lock\" (lock-order graph) or \"calls\" (call graph); DOT by default, JSON with -json")
+		list   = flag.Bool("list", false, "list the rules and exit")
+		asJSON = flag.Bool("json", false, "emit diagnostics (or -graph output) as JSON on stdout")
+		graph  = flag.String("graph", "", "emit a graph instead of diagnostics: \"lock\" (lock-order graph) or \"calls\" (call graph); DOT by default, JSON with -json")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: purity-lint [-rules r1,r2] [-list] [-json] [-graph lock|calls] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: purity-lint [-list] [-json] [-graph lock|calls] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -72,21 +70,6 @@ func main() {
 			fmt.Printf("%-16s %s\n", r.Name(), r.Doc())
 		}
 		return
-	}
-	if *ruleList != "" {
-		byName := map[string]lint.Rule{}
-		for _, r := range rules {
-			byName[r.Name()] = r
-		}
-		rules = rules[:0]
-		for _, name := range strings.Split(*ruleList, ",") {
-			r, ok := byName[name]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "purity-lint: unknown rule %q\n", name)
-				os.Exit(2)
-			}
-			rules = append(rules, r)
-		}
 	}
 
 	patterns := flag.Args()

@@ -74,19 +74,6 @@ func Unpack(frame []byte) ([]byte, error) {
 	return out, nil
 }
 
-// ExtractSectors unpacks the frame and returns sectors [idx, idx+count).
-func ExtractSectors(frame []byte, idx, count int) ([]byte, error) {
-	data, err := Unpack(frame)
-	if err != nil {
-		return nil, err
-	}
-	lo, hi := idx*SectorSize, (idx+count)*SectorSize
-	if idx < 0 || count <= 0 || hi > len(data) {
-		return nil, fmt.Errorf("cblock: sector range [%d,+%d) outside %d sectors", idx, count, len(data)/SectorSize)
-	}
-	return data[lo:hi], nil
-}
-
 // Extent is one cblock-sized piece of an application write.
 type Extent struct {
 	Offset int // byte offset within the write

@@ -58,27 +58,6 @@ func TestCompressionShrinksCompressible(t *testing.T) {
 	}
 }
 
-func TestExtractSectors(t *testing.T) {
-	data := make([]byte, 8*SectorSize)
-	for i := range data {
-		data[i] = byte(i / SectorSize)
-	}
-	frame, _ := Pack(data, true)
-	got, err := ExtractSectors(frame, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2*SectorSize || got[0] != 3 || got[SectorSize] != 4 {
-		t.Fatalf("extract = len %d first %d", len(got), got[0])
-	}
-	if _, err := ExtractSectors(frame, 7, 2); err == nil {
-		t.Fatal("out-of-range extract accepted")
-	}
-	if _, err := ExtractSectors(frame, -1, 1); err == nil {
-		t.Fatal("negative index accepted")
-	}
-}
-
 func TestUnpackCorrupt(t *testing.T) {
 	if _, err := Unpack([]byte{0xff, 0xff}); err == nil {
 		t.Fatal("garbage accepted")

@@ -550,7 +550,7 @@ func (a *Array) replayRecord(at sim.Time, rec replayRec) (sim.Time, error) {
 		for _, f := range rec.facts {
 			a.seqs.AdvanceTo(f.Seq)
 		}
-		//lint:ignore lockcheck,commitorder recovery replay: single-threaded before the array is published, and every fact applied here was just read back out of the NVRAM log itself
+		//lint:ignore lockflow,commitorder recovery replay: single-threaded before the array is published, and every fact applied here was just read back out of the NVRAM log itself
 		if err := a.applyFactsLocked(rec.relID, rec.facts); err != nil {
 			return at, fmt.Errorf("%w: %v", errBadRecord, err)
 		}
@@ -572,7 +572,7 @@ func (a *Array) replayRecord(at sim.Time, rec replayRec) (sim.Time, error) {
 				if err != nil {
 					return done, err
 				}
-				//lint:ignore lockcheck recovery is single-threaded; the array is not yet published
+				//lint:ignore lockflow recovery is single-threaded; the array is not yet published
 				seg, off, d, err := a.appendDataLocked(done, classData, frame)
 				done = d
 				if err != nil {
@@ -584,11 +584,11 @@ func (a *Array) replayRecord(at sim.Time, rec replayRec) (sim.Time, error) {
 					ch.dedup[i] = relation.RemapDedup(ch.dedup[i], uint64(seg), uint64(off), uint64(len(frame)))
 				}
 			}
-			//lint:ignore lockcheck,commitorder recovery replay: single-threaded before the array is published, and the remapped addr facts come from a record the NVRAM log already holds
+			//lint:ignore lockflow,commitorder recovery replay: single-threaded before the array is published, and the remapped addr facts come from a record the NVRAM log already holds
 			if err := a.applyFactsLocked(relation.IDAddrs, []tuple.Fact{ch.addr}); err != nil {
 				return done, fmt.Errorf("%w: %v", errBadRecord, err)
 			}
-			//lint:ignore lockcheck,commitorder recovery replay: single-threaded before the array is published, and the dedup facts come from a record the NVRAM log already holds
+			//lint:ignore lockflow,commitorder recovery replay: single-threaded before the array is published, and the dedup facts come from a record the NVRAM log already holds
 			if err := a.applyFactsLocked(relation.IDDedup, ch.dedup); err != nil {
 				return done, fmt.Errorf("%w: %v", errBadRecord, err)
 			}

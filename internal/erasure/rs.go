@@ -186,36 +186,6 @@ func (c *Coder) decodeRows(shards [][]byte) (donors [][]byte, rows matrix, err e
 	return donors, c.enc.mul(inv), nil
 }
 
-// Split slices data into k data shards plus m empty parity shards, padding
-// the tail shard with zeros. Join reverses it.
-func (c *Coder) Split(data []byte) [][]byte {
-	per := (len(data) + c.k - 1) / c.k
-	if per == 0 {
-		per = 1
-	}
-	shards := make([][]byte, c.k+c.m)
-	for i := 0; i < c.k; i++ {
-		shards[i] = make([]byte, per)
-		lo := i * per
-		if lo < len(data) {
-			copy(shards[i], data[lo:])
-		}
-	}
-	for i := c.k; i < c.k+c.m; i++ {
-		shards[i] = make([]byte, per)
-	}
-	return shards
-}
-
-// Join concatenates the data shards and returns the first n bytes.
-func (c *Coder) Join(shards [][]byte, n int) []byte {
-	out := make([]byte, 0, n)
-	for i := 0; i < c.k && len(out) < n; i++ {
-		out = append(out, shards[i]...)
-	}
-	return out[:n]
-}
-
 func (c *Coder) checkShards(shards [][]byte, allowNil bool) error {
 	if len(shards) != c.k+c.m {
 		return ErrInvalidShards

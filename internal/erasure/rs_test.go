@@ -141,22 +141,6 @@ func TestShardSizeMismatch(t *testing.T) {
 	}
 }
 
-func TestSplitJoinRoundTrip(t *testing.T) {
-	c, _ := New(7, 2)
-	for _, n := range []int{1, 7, 100, 1024, 7777} {
-		data := make([]byte, n)
-		sim.NewRand(uint64(n)).Bytes(data)
-		shards := c.Split(data)
-		if err := c.Encode(shards); err != nil {
-			t.Fatal(err)
-		}
-		got := c.Join(shards, n)
-		if !bytes.Equal(got, data) {
-			t.Fatalf("split/join n=%d mismatch", n)
-		}
-	}
-}
-
 func TestReconstructProperty(t *testing.T) {
 	// Property: for any geometry and any ≤m losses, reconstruction restores
 	// the original shards exactly.

@@ -641,33 +641,6 @@ func TestAUTrailerDiscovery(t *testing.T) {
 	}
 }
 
-func TestVerifyStripeFindsCorruption(t *testing.T) {
-	cfg, drives, coder := newTestRig(t, 6, 4)
-	aus := segmentAUs(cfg, 6, 1)
-	w, _ := NewWriter(cfg, drives, coder, 1, aus)
-	if _, _, err := w.AppendData(0, make([]byte, 5000)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := w.Seal(0); err != nil {
-		t.Fatal(err)
-	}
-	reader := NewReader(cfg, drives, coder)
-	tr, _, err := reader.ReadAUTrailer(0, aus[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, _ := reader.VerifyStripe(0, tr, 0)
-	if len(bad) != 0 {
-		t.Fatalf("healthy stripe reported bad slots %v", bad)
-	}
-	// Corrupt one shard's erase block.
-	drives[aus[2].Drive].CorruptBlock(aus[2].Offset(cfg))
-	bad, _ = reader.VerifyStripe(0, tr, 0)
-	if len(bad) != 1 || bad[0] != 2 {
-		t.Fatalf("bad slots = %v, want [2]", bad)
-	}
-}
-
 func TestAllocator(t *testing.T) {
 	cfg, drives, _ := newTestRig(t, 6, 8)
 	caps := make([]int64, len(drives))

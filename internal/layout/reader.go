@@ -699,29 +699,3 @@ func RewriteShard(at sim.Time, cfg Config, drive *ssd.Device, au AU, t AUTrailer
 	}
 	return done, nil
 }
-
-// VerifyStripe re-reads every write unit of stripe s and checks it against
-// the CRCs in the trailer t. It returns the slots whose write units are
-// corrupt or unreadable. The scrubber (§5.1) uses this to find latent
-// damage before a second failure makes it unrecoverable.
-func (r *Reader) VerifyStripe(at sim.Time, t AUTrailer, s int) (badSlots []int, done sim.Time) {
-	done = at
-	scratch := r.takeWU()
-	defer r.putWU(scratch)
-	buf := *scratch
-	for slot, au := range t.AUs {
-		devOff := au.Offset(r.cfg) + int64(s)*int64(r.cfg.WriteUnit)
-		d, err := r.drives[au.Drive].ReadAt(at, buf, devOff)
-		if d > done {
-			done = d
-		}
-		if err != nil {
-			badSlots = append(badSlots, slot)
-			continue
-		}
-		if crcOf(buf) != t.WUCRCs[s][slot] {
-			badSlots = append(badSlots, slot)
-		}
-	}
-	return badSlots, done
-}

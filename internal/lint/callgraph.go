@@ -53,6 +53,10 @@ type graphFunc struct {
 	// capture it.
 	recvName string
 
+	// annotated: the declaration's doc comment says "Caller holds mu."
+	// (lockflow.go). Literals inherit their enclosing declaration's.
+	annotated bool
+
 	// ownCalls are callees invoked as methods on this body's own receiver
 	// (r.helper() inside a method with receiver r), the edges along which
 	// receiver-keyed effects — lock acquisition, slot release — propagate.
@@ -90,7 +94,9 @@ func buildCallGraph(prog *Program) *callGraph {
 			if !node.valid() || cg.funcs[node] != nil {
 				continue
 			}
-			gf := &graphFunc{node: node, pkg: pkg, fb: fb, recvName: recvNameOf(fb)}
+			// A literal's fb.decl is its enclosing declaration.
+			gf := &graphFunc{node: node, pkg: pkg, fb: fb, recvName: recvIdentName(fb.decl),
+				annotated: hasCallerHolds(fb.decl.Doc.Text())}
 			cg.collectEdges(gf, prog.ModPath)
 			cg.funcs[node] = gf
 			cg.order = append(cg.order, node)
@@ -109,15 +115,6 @@ func bodyNode(pkg *Package, fb funcBody) funcNode {
 		return funcNode{Fn: fn}
 	}
 	return funcNode{}
-}
-
-// recvNameOf returns the receiver identifier a body runs under: its own
-// for a method declaration, the enclosing declaration's for a literal.
-func recvNameOf(fb funcBody) string {
-	if fb.decl == nil {
-		return ""
-	}
-	return recvIdentName(fb.decl)
 }
 
 func moduleFunc(fn *types.Func, modPath string) bool {
@@ -183,7 +180,7 @@ func (cg *callGraph) collectEdges(gf *graphFunc, modPath string) {
 				return true
 			}
 			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok || exprKey(gf.pkg.pkgFset(), sel.X) != gf.recvName {
+			if !ok || exprKey(gf.pkg.fset, sel.X) != gf.recvName {
 				return true
 			}
 			fn := calleeFunc(gf.pkg.Info, call)
@@ -243,6 +240,31 @@ func (cg *callGraph) unionFixpoint(edges func(*graphFunc) []funcNode, absorb fun
 	}
 }
 
+// postorder calls visit on every node after the nodes its edges reach —
+// callees before callers, the order of every summary that consults its
+// callees' finished summaries. A cycle is cut where the walk re-enters a
+// node still in progress, so that callee's summary is not finished yet
+// when its caller is visited. Dangling callees (no body) are skipped.
+func (cg *callGraph) postorder(edges func(*graphFunc) []funcNode, visit func(gf *graphFunc)) {
+	seen := map[funcNode]bool{}
+	var walk func(n funcNode)
+	walk = func(n funcNode) {
+		gf := cg.funcs[n]
+		if gf == nil || seen[n] {
+			return
+		}
+		seen[n] = true
+		for _, c := range edges(gf) {
+			walk(c)
+		}
+		visit(gf)
+	}
+	for _, n := range cg.order {
+		walk(n)
+	}
+}
+
+func calleeEdges(gf *graphFunc) []funcNode   { return gf.callees }
 func ownCallEdges(gf *graphFunc) []funcNode  { return gf.ownCalls }
 func syncCallEdges(gf *graphFunc) []funcNode { return gf.syncCallees }
 
@@ -260,56 +282,20 @@ func directLits(body *ast.BlockStmt) []*ast.FuncLit {
 	return out
 }
 
-// markRecursion flags every node on a call-graph cycle (Tarjan SCCs plus
-// direct self-edges).
+// markRecursion flags every node on a call-graph cycle (SCCs plus direct
+// self-edges).
 func (cg *callGraph) markRecursion() {
-	index := map[funcNode]int{}
-	lowlink := map[funcNode]int{}
-	onStack := map[funcNode]bool{}
-	var stack []funcNode
-	next := 0
-
-	var strongconnect func(v funcNode)
-	strongconnect = func(v funcNode) {
-		index[v] = next
-		lowlink[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range cg.funcs[v].callees {
-			if cg.funcs[w] == nil {
-				continue // dangling edge (no body): interface method, other module
-			}
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if lowlink[w] < lowlink[v] {
-					lowlink[v] = lowlink[w]
-				}
-			} else if onStack[w] && index[w] < lowlink[v] {
-				lowlink[v] = index[w]
-			}
+	callees := func(n funcNode) []funcNode {
+		if gf := cg.funcs[n]; gf != nil {
+			return gf.callees
 		}
-		if lowlink[v] == index[v] {
-			var scc []funcNode
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			if len(scc) > 1 {
-				for _, w := range scc {
-					cg.funcs[w].recursive = true
-				}
-			}
-		}
+		return nil // dangling edge (no body): interface method, other module
 	}
-	for _, n := range cg.order {
-		if _, seen := index[n]; !seen {
-			strongconnect(n)
+	for _, scc := range stronglyConnected(cg.order, callees) {
+		if len(scc) > 1 {
+			for _, n := range scc {
+				cg.funcs[n].recursive = true
+			}
 		}
 	}
 	// Direct self-calls form singleton SCCs; catch them separately.
@@ -320,4 +306,50 @@ func (cg *callGraph) markRecursion() {
 			}
 		}
 	}
+}
+
+// stronglyConnected returns the strongly connected components of the graph
+// given by succs (Tarjan's algorithm), starting a search from each of
+// nodes in order. The call graph's recursion marking and the lock-order
+// graph's cycle detection both run on it.
+func stronglyConnected[N comparable](nodes []N, succs func(N) []N) [][]N {
+	index := map[N]int{}
+	low := map[N]int{}
+	onStack := map[N]bool{}
+	var stack []N
+	var sccs [][]N
+	var strongconnect func(v N)
+	strongconnect = func(v N) {
+		index[v] = len(index)
+		low[v] = index[v]
+		stack = append(stack, v)
+		onStack[v] = true
+		for _, w := range succs(v) {
+			if _, seen := index[w]; !seen {
+				strongconnect(w)
+				low[v] = min(low[v], low[w])
+			} else if onStack[w] {
+				low[v] = min(low[v], index[w])
+			}
+		}
+		if low[v] == index[v] {
+			var scc []N
+			for {
+				w := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				onStack[w] = false
+				scc = append(scc, w)
+				if w == v {
+					break
+				}
+			}
+			sccs = append(sccs, scc)
+		}
+	}
+	for _, v := range nodes {
+		if _, seen := index[v]; !seen {
+			strongconnect(v)
+		}
+	}
+	return sccs
 }

@@ -1,7 +1,7 @@
 package lint
 
 // Per-function control-flow graphs for the path-sensitive rules (lockflow,
-// taintverify, seqmono, and the rewritten lockcheck). The graph is built
+// taintverify, seqmono, and the summary-based rules). The graph is built
 // from syntax alone — no type information — so it can be unit-tested on
 // bare parsed snippets.
 //

@@ -48,7 +48,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"slices"
 	"strings"
 )
 
@@ -86,34 +85,8 @@ func (s *summaries) commitSummaries() map[funcNode]*commitSummary {
 	return s.commit
 }
 
-// commitIgnoreIndex maps file → covered line → the line of the
-// //lint:ignore commitorder comment covering it (its own line and the
-// line below, matching the suppression grammar). Summary-time discharge
-// consults it so a reasoned suppression at a leaf apply site stops the
-// obligation from cascading to every transitive caller.
-func commitIgnoreIndex(prog *Program) map[string]map[int]int {
-	idx := map[string]map[int]int{}
-	for _, pkg := range prog.Pkgs {
-		eachIgnore(pkg, func(c *ast.Comment, names []string) {
-			if !slices.Contains(names, "commitorder") {
-				return
-			}
-			pos := prog.Fset.Position(c.Pos())
-			m := idx[pos.Filename]
-			if m == nil {
-				m = map[int]int{}
-				idx[pos.Filename] = m
-			}
-			m[pos.Line] = pos.Line
-			m[pos.Line+1] = pos.Line
-		})
-	}
-	return idx
-}
-
 func computeCommitSummaries(s *summaries) map[funcNode]*commitSummary {
 	out := map[funcNode]*commitSummary{}
-	ignores := commitIgnoreIndex(s.prog)
 	for _, n := range s.cg.order {
 		out[n] = &commitSummary{mayCommit: localMayCommit(s.cg.funcs[n])}
 	}
@@ -125,22 +98,10 @@ func computeCommitSummaries(s *summaries) map[funcNode]*commitSummary {
 		out[n].mayCommit = true
 		return true
 	})
-	// undominated: bottom-up DFS; a cycle collapses the in-progress callee
-	// to "no claims" (its mayCommit is already exact) — lossy toward
+	// undominated: callees before callers; a cycle collapses the in-progress
+	// callee to "no claims" (its mayCommit is already exact) — lossy toward
 	// silence, like every recursive summary here.
-	state := map[funcNode]int{}
-	var visit func(n funcNode)
-	visit = func(n funcNode) {
-		if state[n] != 0 {
-			return
-		}
-		state[n] = 1
-		for _, c := range s.cg.funcs[n].syncCallees {
-			if out[c] != nil && state[c] == 0 {
-				visit(c)
-			}
-		}
-		gf := s.cg.funcs[n]
+	s.cg.postorder(syncCallEdges, func(gf *graphFunc) {
 		p := &commitProblem{s: s, gf: gf, sums: out}
 		sol := Solve[bool](BuildCFG(gf.fb.body), p)
 		sol.Replay(p, func(node ast.Node, before bool) {
@@ -148,27 +109,14 @@ func computeCommitSummaries(s *summaries) map[funcNode]*commitSummary {
 				// A reasoned suppression at the event's own line — the
 				// apply site for direct events, the call site for floated
 				// ones — discharges the obligation here, before it can
-				// float further: record it as used so the stale audit
-				// keeps it alive.
-				pp := s.prog.Fset.Position(ev.pos)
-				if cl, ok := ignores[pp.Filename][pp.Line]; ok {
-					if s.usedIgnores == nil {
-						s.usedIgnores = map[string]map[int]bool{}
-					}
-					if s.usedIgnores[pp.Filename] == nil {
-						s.usedIgnores[pp.Filename] = map[int]bool{}
-					}
-					s.usedIgnores[pp.Filename][cl] = true
-					return
+				// float further, and marks its suppression entry used so
+				// the stale audit keeps it alive.
+				if !s.prog.ignores.use(s.prog.Fset.Position(ev.pos), "commitorder") {
+					out[gf.node].undominated = append(out[gf.node].undominated, ev)
 				}
-				out[n].undominated = append(out[n].undominated, ev)
 			})
 		})
-		state[n] = 2
-	}
-	for _, n := range s.cg.order {
-		visit(n)
-	}
+	})
 	return out
 }
 
@@ -378,7 +326,7 @@ func (co *CommitOrder) Check(prog *Program, pkg *Package, rep *Reporter) {
 			}
 			rep.Reportf("commitorder", ev.pos,
 				"call to %s applies durable state (%s at %s) while not dominated by an NVRAM append on every path: persist-before-apply — a crash here applies state the log cannot replay",
-				strings.Join(names, " → "), ev.what, s.posAt(ev.leafPos))
+				strings.Join(names, " → "), ev.what, posAt(s.prog.Fset, ev.leafPos))
 		}
 	}
 }

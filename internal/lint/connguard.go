@@ -38,6 +38,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
 // deadlineBits is the armed-deadline lattice element: a set over
@@ -81,27 +82,13 @@ type connSummary struct {
 // computeConnSummaries fills in funcSummary.conn for every node, callees
 // before callers (the call site of a module function consults its
 // summary). markRecursion already collapsed every cycle member to top, so
-// the DFS below always finds its non-recursive callees finished.
+// the walk always finds its non-recursive callees finished.
 func computeConnSummaries(s *summaries) {
-	state := map[funcNode]uint8{} // 0 unvisited, 1 visiting, 2 done
-	var visit func(n funcNode)
-	visit = func(n funcNode) {
-		gf := s.cg.funcs[n]
-		if gf == nil || state[n] != 0 {
-			return
-		}
-		state[n] = 1
-		for _, c := range gf.callees {
-			visit(c)
-		}
-		state[n] = 2
-		if sum := s.by[n]; !sum.top {
+	s.cg.postorder(calleeEdges, func(gf *graphFunc) {
+		if sum := s.by[gf.node]; !sum.top {
 			sum.conn = connAnalyze(s, gf)
 		}
-	}
-	for _, n := range s.cg.order {
-		visit(n)
-	}
+	})
 }
 
 // trackedParams maps this body's io.Reader/io.Writer/conn-like parameter
@@ -173,7 +160,7 @@ func connAnalyze(s *summaries, gf *graphFunc) *connSummary {
 			}
 			out := sol.Out[blk]
 			if exit == nil {
-				cp := out.clone()
+				cp := maps.Clone(out)
 				exit = &cp
 			} else {
 				*exit = p.Join(*exit, out)
@@ -195,14 +182,6 @@ func connAnalyze(s *summaries, gf *graphFunc) *connSummary {
 // connState maps selector chain → armed deadline bits. Absent means
 // unarmed; only nonzero entries are stored.
 type connState map[string]deadlineBits
-
-func (s connState) clone() connState {
-	out := make(connState, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
 
 type connProblem struct {
 	sums   *summaries
@@ -226,17 +205,7 @@ func (p *connProblem) Join(a, b connState) connState {
 	return out
 }
 
-func (p *connProblem) Equal(a, b connState) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, av := range a {
-		if b[k] != av {
-			return false
-		}
-	}
-	return true
-}
+func (p *connProblem) Equal(a, b connState) bool { return maps.Equal(a, b) }
 
 func (p *connProblem) Transfer(n ast.Node, s connState) connState {
 	inspectNoFuncLit(n, func(m ast.Node) bool {
@@ -267,7 +236,7 @@ var ioUses = map[string][]struct {
 
 func (p *connProblem) applyCall(call *ast.CallExpr, s connState) connState {
 	info := p.gf.pkg.Info
-	fset := p.gf.pkg.pkgFset()
+	fset := p.gf.pkg.fset
 
 	// Direct method calls on the value: deadline arming, Read, Write.
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
@@ -364,13 +333,13 @@ func (p *connProblem) checkUse(s connState, t types.Type, u connUse) connState {
 }
 
 func (s connState) withBits(chain string, bits deadlineBits) connState {
-	out := s.clone()
+	out := maps.Clone(s)
 	out[chain] |= bits
 	return out
 }
 
 func (s connState) withoutBits(chain string, bits deadlineBits) connState {
-	out := s.clone()
+	out := maps.Clone(s)
 	if v := out[chain] &^ bits; v != 0 {
 		out[chain] = v
 	} else {

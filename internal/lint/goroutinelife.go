@@ -55,7 +55,7 @@ func (gl *GoroutineLife) Check(prog *Program, pkg *Package, rep *Reporter) {
 			for _, loop := range reachableForeverLoops(sums, target) {
 				rep.Reportf("goroutinelife", gs.Pos(),
 					"goroutine runs a loop with no exit statement (loop at %s): it can never be joined by Shutdown and leaks on every restart",
-					posLabel(pkg.pkgFset(), loop))
+					posAt(pkg.fset, loop))
 			}
 			return true
 		})

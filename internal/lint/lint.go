@@ -55,7 +55,6 @@ func (r *Reporter) Reportf(rule string, pos token.Pos, format string, args ...an
 // fixture loads construct them with a nil Scope to run everywhere.
 func DefaultRules() []Rule {
 	return []Rule{
-		&LockCheck{},
 		&LockFlow{},
 		&TaintVerify{},
 		&SeqMono{},
@@ -78,6 +77,11 @@ func DefaultRules() []Rule {
 // disable a check.
 func Run(prog *Program, rules []Rule) []Diagnostic {
 	rep := &Reporter{fset: prog.Fset}
+	// The suppression table exists before any rule prepares: commitorder
+	// discharges suppressed obligations while it builds its summaries and
+	// marks the entry it used here, so summaries are rebuilt per Run.
+	prog.ignores = collectSuppressions(prog, rules, rep)
+	prog.sums = nil
 	for _, r := range rules {
 		if p, ok := r.(preparer); ok {
 			p.Prepare(prog)
@@ -91,25 +95,13 @@ func Run(prog *Program, rules []Rule) []Diagnostic {
 			r.Check(prog, pkg, rep)
 		}
 	}
-	sup := collectSuppressions(prog, rules, rep)
 	var out []Diagnostic
-	seen := map[string]bool{}
 	for _, d := range rep.diags {
-		if sup.match(d) {
-			continue
+		if !prog.ignores.use(d.Pos, d.Rule) {
+			out = append(out, d)
 		}
-		// Dedup by (position, rule family): the syntactic lockcheck and the
-		// path-sensitive lockflow overlap on sites both can prove (e.g. a
-		// direct self-deadlocking call), and one report per site is enough.
-		// First writer wins — rules run in DefaultRules order.
-		key := fmt.Sprintf("%s:%d:%d:%s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, ruleFamily(d.Rule))
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, d)
 	}
-	out = append(out, auditStale(prog, sup)...)
+	out = append(out, auditStale(prog.ignores)...)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -124,18 +116,6 @@ func Run(prog *Program, rules []Rule) []Diagnostic {
 		return a.Rule < b.Rule
 	})
 	return out
-}
-
-// ruleFamily groups rules that check the same invariant from different
-// angles, for diagnostic dedup. lockcheck (syntactic, annotation-driven)
-// and lockflow (path-sensitive, summary-driven) form one family; every
-// other rule is its own family.
-func ruleFamily(rule string) string {
-	switch rule {
-	case "lockcheck", "lockflow":
-		return "lock"
-	}
-	return rule
 }
 
 // --- Suppressions -------------------------------------------------------
@@ -153,7 +133,7 @@ func ruleFamily(rule string) string {
 // entries that never fire are reported as stale by auditStale, so a
 // suppression cannot outlive the finding it was written for.
 type supEntry struct {
-	pos    token.Pos
+	pos    token.Position
 	rule   string
 	active bool // the named rule is in the running set, so staleness is decidable
 	used   bool
@@ -165,8 +145,11 @@ type suppressions struct {
 	entries []*supEntry
 }
 
-func (s suppressions) match(d Diagnostic) bool {
-	e := s.byLine[d.Pos.Filename][d.Pos.Line][d.Rule]
+// use marks the entry suppressing rule at pos as used and reports whether
+// there is one: Run asks it of every diagnostic, commitorder of every
+// obligation it discharges at summary time.
+func (s suppressions) use(pos token.Position, rule string) bool {
+	e := s.byLine[pos.Filename][pos.Line][rule]
 	if e == nil {
 		return false
 	}
@@ -176,9 +159,9 @@ func (s suppressions) match(d Diagnostic) bool {
 
 func collectSuppressions(prog *Program, rules []Rule, rep *Reporter) suppressions {
 	// Grammar is validated against the full default rule set plus whatever
-	// is running, so a CI shard running a rule subset does not misreport
-	// the other shard's suppressions as unknown rules. Staleness, though,
-	// is only decidable for rules that actually ran.
+	// is running, so a run of a rule subset (a fixture test) does not
+	// misreport the other rules' suppressions as unknown rules. Staleness,
+	// though, is only decidable for rules that actually ran.
 	running := map[string]bool{}
 	for _, r := range rules {
 		running[r.Name()] = true
@@ -206,7 +189,7 @@ func collectSuppressions(prog *Program, rules []Rule, rep *Reporter) suppression
 					rep.Reportf("ignore", c.Pos(), "//lint:ignore names unknown rule %q", name)
 					continue
 				}
-				entry := &supEntry{pos: c.Pos(), rule: name, active: running[name]}
+				entry := &supEntry{pos: pos, rule: name, active: running[name]}
 				sup.entries = append(sup.entries, entry)
 				file := sup.byLine[pos.Filename]
 				if file == nil {
@@ -247,26 +230,22 @@ func eachIgnore(pkg *Package, fn func(c *ast.Comment, names []string)) {
 	}
 }
 
-// auditStale reports every active suppression that matched nothing this
-// run: the rule it names ran and stayed silent at that position, so the
-// comment documents an exception that no longer exists. Summary-time
-// discharges (a //lint:ignore commitorder at a leaf apply site stops the
-// obligation before it can float, so no diagnostic ever reaches match)
-// are counted as live via summaries.usedIgnores. Stale reports carry the
-// pseudo-rule "ignore" and are appended after suppression filtering, so a
-// stale comment cannot suppress its own report.
-func auditStale(prog *Program, sup suppressions) []Diagnostic {
+// auditStale reports every active suppression entry that was never used
+// this run: the rule it names ran and stayed silent at that position (and,
+// for commitorder, discharged nothing there at summary time), so the
+// comment documents an exception that no longer exists. Entries are
+// judged one rule at a time, so a live rule on a comma list does not vouch
+// for a stale one. Stale reports carry the pseudo-rule "ignore" and are
+// appended after suppression filtering, so a stale comment cannot
+// suppress its own report.
+func auditStale(sup suppressions) []Diagnostic {
 	var out []Diagnostic
 	for _, e := range sup.entries {
 		if !e.active || e.used {
 			continue
 		}
-		pos := prog.Fset.Position(e.pos)
-		if prog.sums != nil && prog.sums.usedIgnores[pos.Filename][pos.Line] {
-			continue
-		}
 		out = append(out, Diagnostic{
-			Pos:  pos,
+			Pos:  e.pos,
 			Rule: "ignore",
 			Message: fmt.Sprintf("stale //lint:ignore: rule %q no longer fires here — delete the suppression or move it back to the finding it documents",
 				e.rule),
@@ -276,6 +255,16 @@ func auditStale(prog *Program, sup suppressions) []Diagnostic {
 }
 
 // --- Shared AST/type helpers -------------------------------------------
+
+// posAt renders pos as "file.go:line" for cross-references inside a
+// message; an invalid pos is the caller-held state a body starts with.
+func posAt(fset *token.FileSet, pos token.Pos) string {
+	if !pos.IsValid() {
+		return "entry"
+	}
+	pp := fset.Position(pos)
+	return fmt.Sprintf("%s:%d", shortPkg(pp.Filename), pp.Line)
+}
 
 // exprKey renders a selector chain ("a", "a.pyr") for comparing lock
 // owners and call receivers. Expressions more complex than a chain of

@@ -88,7 +88,10 @@ func runFixture(t *testing.T, name string, rules []Rule) {
 	}
 }
 
-func TestLockCheckFixture(t *testing.T) { runFixture(t, "lockcheck", []Rule{&LockCheck{}}) }
+// TestLockCheckFixture runs lockflow on the annotation-grammar fixture: the
+// *Locked naming check, the unlocked call to an annotated method, and a
+// self-deadlock through a call.
+func TestLockCheckFixture(t *testing.T) { runFixture(t, "lockcheck", []Rule{&LockFlow{}}) }
 
 func TestLockFlowFixture(t *testing.T) { runFixture(t, "lockflow", []Rule{&LockFlow{}}) }
 
@@ -128,8 +131,12 @@ func TestCommitOrderRevertFixture(t *testing.T) {
 }
 
 // TestStaleIgnoreFixture runs the stale-suppression audit: a suppression
-// whose rule no longer fires at that position is itself reported.
-func TestStaleIgnoreFixture(t *testing.T) { runFixture(t, "staleignore", []Rule{&ErrDrop{}}) }
+// whose rule no longer fires at that position is itself reported, one rule
+// at a time — a commitorder entry discharged at summary time does not keep
+// a stale errdrop entry on the same comment alive.
+func TestStaleIgnoreFixture(t *testing.T) {
+	runFixture(t, "staleignore", []Rule{&CommitOrder{}, &ErrDrop{}})
+}
 
 // TestLockOrderDeclFixture checks the declaration diagnostics, which all
 // anchor on comment-only lines where want comments cannot trail (an

@@ -49,7 +49,8 @@ type Program struct {
 	Pkgs    []*Package // in type-check (dependency) order
 	ByPath  map[string]*Package
 
-	sums *summaries // lazily-built interprocedural summary table (summary.go)
+	sums    *summaries   // lazily-built interprocedural summary table (summary.go)
+	ignores suppressions // the current Run's //lint:ignore table (lint.go)
 }
 
 // FindModuleRoot walks up from dir to the directory holding go.mod and

@@ -3,20 +3,31 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
+	"maps"
+	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 )
 
-// LockFlow is the path-sensitive half of the lock discipline: a forward
-// dataflow over each function's CFG tracking, per mutex selector chain
-// ("a.mu", "a.lostMu"), whether the mutex is definitely free, read-held,
-// write-held, held-by-caller (the "Caller holds mu." annotation), or held
-// only on some paths. On that lattice it reports:
+// LockFlow is the repo's lock discipline: a forward dataflow over each
+// function's CFG tracking, per mutex selector chain ("a.mu", "a.lostMu"),
+// whether the mutex is definitely free, read-held, write-held,
+// held-by-caller, or held only on some paths. The annotation grammar is a
+// doc-comment sentence "Caller holds mu." on every function that requires
+// its receiver's mutex; an annotated method starts with that mu held by
+// its caller. On the lattice it reports:
 //
+//   - a call to an annotated function on a path that provably does not
+//     hold the receiver's mu, from a body that is not itself annotated (a
+//     function literal inherits its enclosing declaration's annotation,
+//     matching how the repo uses short literals under a held lock);
+//   - a method named *Locked on a mutex-bearing struct that lacks the
+//     annotation, so the naming convention and the checked one cannot
+//     drift apart;
 //   - a return (or fall-off-the-end) while a lock acquired in this body
 //     is still definitely held with no deferred unlock — the early-return
-//     unlock gap the syntactic rule could not see;
+//     unlock gap;
 //   - double Lock, Lock-while-RLocked, and RLock-while-write-locked, all
 //     of which self-deadlock on Go's non-reentrant mutexes;
 //   - Unlock/RUnlock of a mutex this body provably does not hold, and
@@ -25,12 +36,11 @@ import (
 //     mutex — a double unlock at return;
 //   - a call into a module function whose *checked summary* (summary.go)
 //     proves it acquires the same receiver's mu, made while that mu is
-//     definitely held — self-deadlock through the call. Unlike the old
-//     annotation-driven check this trusts nothing: the callee's lock
-//     effect is computed bottom-up over the call graph (transitively, so
-//     a helper that locks two hops down is still seen), and a function
-//     whose "Caller holds mu." comment disagrees with its actual body
-//     becomes a finding instead of a blind spot;
+//     definitely held — self-deadlock through the call. This trusts no
+//     comment: the callee's lock effect is computed bottom-up over the
+//     call graph (transitively, so a helper that locks two hops down is
+//     still seen), and a function whose "Caller holds mu." comment
+//     disagrees with its actual body becomes a finding, not a blind spot;
 //   - durable I/O (nvram.Append, ssd.WriteAt, ssd.Erase) issued while a
 //     write lock is held: the latency invariant PR 1's prepare/commit
 //     split fought for. The intentional exception — the NVRAM append that
@@ -41,12 +51,13 @@ import (
 // every report is backed by a definite state on all paths reaching it.
 // Nested RLocks collapse to one level (the lattice has no hold counter),
 // function literals are separate flow graphs with nothing held on entry,
-// and panic edges are exempt from exit obligations.
+// and panic edges are exempt from exit obligations. Receivers are keyed by
+// selector chain; calls through function values are out of scope.
 type LockFlow struct{}
 
 func (*LockFlow) Name() string { return "lockflow" }
 func (*LockFlow) Doc() string {
-	return "path-sensitive lock states: early-return unlock gaps, double lock/unlock, RLock/Lock confusion, durable I/O under a write lock"
+	return `path-sensitive lock states: "Caller holds mu." annotations, early-return unlock gaps, double lock/unlock, RLock/Lock confusion, durable I/O under a write lock`
 }
 
 // Prepare builds the interprocedural summary table the call-site
@@ -54,40 +65,68 @@ func (*LockFlow) Doc() string {
 func (lf *LockFlow) Prepare(prog *Program) { prog.summaries() }
 
 func (lf *LockFlow) Check(prog *Program, pkg *Package, rep *Reporter) {
+	sums := prog.summaries()
 	for _, fb := range packageBodies(pkg) {
-		p := &lockProblem{pkg: pkg, entry: entryLockState(fb), durable: true, sums: prog.summaries()}
-		cfg := BuildCFG(fb.body)
-		sol := Solve[lockState](cfg, p)
+		gf := sums.cg.funcs[bodyNode(pkg, fb)]
+		if fb.lit == nil {
+			checkLockedName(gf, rep)
+		}
+		lb := sums.lockBody(gf)
+		p := *lb.p
 		p.report = func(pos token.Pos, format string, args ...any) {
 			rep.Reportf("lockflow", pos, format, args...)
 		}
-		sol.Replay(p, nil)
-		for _, blk := range cfg.Blocks {
-			if !sol.Reached(blk) {
+		lb.sol.Replay(&p, func(n ast.Node, before lockState) { p.checkAnnotatedCalls(gf, n, before) })
+		for _, blk := range lb.sol.CFG.Blocks {
+			if !lb.sol.Reached(blk) {
 				continue
 			}
 			for _, e := range blk.Succs {
 				if e.Kind == EdgeImplicitReturn {
-					p.checkExit(fb.body.Rbrace, sol.Out[blk])
+					p.checkExit(fb.body.Rbrace, lb.sol.Out[blk])
 				}
 			}
 		}
-		p.report = nil
 	}
+}
+
+// lockBody is one body's solved lock lattice: solved once per Run, then
+// replayed by lockflow to report and by lockorder to collect edges.
+type lockBody struct {
+	p   *lockProblem
+	sol *Solution[lockState]
+}
+
+// lockBody returns gf's solved lock lattice, solving it on first use.
+func (s *summaries) lockBody(gf *graphFunc) *lockBody {
+	lb := s.locks[gf.node]
+	if lb == nil {
+		p := &lockProblem{pkg: gf.pkg, entry: entryLockState(gf), sums: s}
+		lb = &lockBody{p: p, sol: Solve[lockState](BuildCFG(gf.fb.body), p)}
+		s.locks[gf.node] = lb
+	}
+	return lb
+}
+
+// callerHoldsRE tolerates historical drift ("Caller must hold mu") and,
+// via whitespace normalization, doc-comment line wrapping; the repo itself
+// stays on the canonical spelling.
+var callerHoldsRE = regexp.MustCompile(`(?i)\bcaller(s)? (holds?|must hold) mu\b`)
+
+// hasCallerHolds matches the annotation in a doc comment, joining wrapped
+// lines so "Caller holds\nmu." still counts.
+func hasCallerHolds(doc string) bool {
+	return callerHoldsRE.MatchString(strings.Join(strings.Fields(doc), " "))
 }
 
 // entryLockState seeds the lattice from the lock annotation: an annotated
 // method starts with its receiver's mu held by the caller. Function
 // literals start empty — they run on whatever goroutine invokes them.
-func entryLockState(fb funcBody) lockState {
-	if fb.lit != nil || fb.decl == nil || !hasCallerHolds(fb.decl.Doc.Text()) {
+func entryLockState(gf *graphFunc) lockState {
+	if gf.fb.lit != nil || !gf.annotated || gf.recvName == "" {
 		return lockState{}
 	}
-	recv := recvIdentName(fb.decl)
-	if recv == "" {
-		return lockState{}
-	}
-	return lockState{recv + ".mu": {mode: lockCaller}}
+	return lockState{gf.recvName + ".mu": {mode: lockCaller}}
 }
 
 func recvIdentName(fd *ast.FuncDecl) string {
@@ -95,6 +134,79 @@ func recvIdentName(fd *ast.FuncDecl) string {
 		return ""
 	}
 	return fd.Recv.List[0].Names[0].Name
+}
+
+// checkLockedName: a *Locked method of a mutex-bearing struct must carry
+// the canonical annotation.
+func checkLockedName(gf *graphFunc, rep *Reporter) {
+	fd := gf.fb.decl
+	name := fd.Name.Name
+	if gf.annotated || fd.Recv == nil || len(name) <= len("Locked") || !strings.HasSuffix(name, "Locked") {
+		return
+	}
+	if n := recvNamed(gf.node.Fn); n == nil || !structHasMutex(n) {
+		return
+	}
+	rep.Reportf("lockflow", fd.Name.Pos(),
+		"method %s is named *Locked but its doc comment lacks the canonical %q annotation", name, "Caller holds mu.")
+}
+
+func structHasMutex(n *types.Named) bool {
+	st, ok := n.Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if isMutexType(st.Field(i).Type()) {
+			return true
+		}
+	}
+	return false
+}
+
+func isMutexType(t types.Type) bool {
+	n := derefNamed(t)
+	if n == nil || n.Obj().Pkg() == nil {
+		return false
+	}
+	return n.Obj().Pkg().Path() == "sync" &&
+		(n.Obj().Name() == "Mutex" || n.Obj().Name() == "RWMutex")
+}
+
+// acquiresOwnMu reports whether the body takes its own receiver's mu
+// field specifically — a.lostMu and other sibling mutexes do not count.
+func acquiresOwnMu(pkg *Package, fd *ast.FuncDecl, recvName string) bool {
+	if recvName == "" {
+		return false
+	}
+	found := false
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || found {
+			return !found
+		}
+		if op, recv := syncCall(pkg, call); (op == "Lock" || op == "RLock") &&
+			exprKey(pkg.fset, recv) == recvName+".mu" {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// syncCall recognises a method call into package sync — mu.Lock(),
+// a.mu.RUnlock(), wg.Add(1) — and returns the method name and the receiver
+// expression, whose exprKey is the lock chain. op is "" for any other call.
+func syncCall(pkg *Package, call *ast.CallExpr) (op string, recv ast.Expr) {
+	fn := calleeFunc(pkg.Info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return "", nil
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return "", nil
+	}
+	return fn.Name(), sel.X
 }
 
 // --- The lock lattice ---------------------------------------------------
@@ -123,25 +235,20 @@ type lockVal struct {
 type lockState map[string]lockVal
 
 func (s lockState) with(chain string, v lockVal) lockState {
-	out := make(lockState, len(s)+1)
-	for k, sv := range s {
-		out[k] = sv
-	}
+	out := maps.Clone(s)
 	out[chain] = v
 	return out
 }
 
-// lockProblem is the shared dataflow solved by both lockflow and the
-// rewritten lockcheck; only lockflow sets report and durable.
+// lockProblem is the lock dataflow of one body; summaries.lockBody caches
+// its solution.
 type lockProblem struct {
-	pkg     *Package
-	entry   lockState
-	durable bool
-	// sums enables the summary-based call-site self-deadlock check; nil
-	// (the syntactic lockcheck reuses this problem) disables it.
-	sums *summaries
-	// report is nil while solving; Replay sets it so each diagnostic is
-	// emitted exactly once, from the fixpoint state.
+	pkg   *Package
+	entry lockState
+	sums  *summaries
+	// report is nil while solving and during lockorder's replay; lockflow's
+	// replay sets it on a copy, so each diagnostic is emitted exactly once,
+	// from the fixpoint state.
 	report func(pos token.Pos, format string, args ...any)
 }
 
@@ -151,13 +258,7 @@ func (p *lockProblem) reportf(pos token.Pos, format string, args ...any) {
 	}
 }
 
-func (p *lockProblem) Entry() lockState {
-	out := make(lockState, len(p.entry))
-	for k, v := range p.entry {
-		out[k] = v
-	}
-	return out
-}
+func (p *lockProblem) Entry() lockState { return maps.Clone(p.entry) }
 
 func (p *lockProblem) Refine(_ Edge, s lockState) lockState { return s }
 
@@ -231,7 +332,7 @@ func (p *lockProblem) Transfer(n ast.Node, s lockState) lockState {
 			return true
 		}
 		if op, recv := syncCall(p.pkg, call); op != "" {
-			s = p.applyLockOp(s, exprKey(p.pkg.pkgFset(), recv), op, call.Pos())
+			s = p.applyLockOp(s, exprKey(p.pkg.fset, recv), op, call.Pos())
 			return true
 		}
 		fn := calleeFunc(p.pkg.Info, call)
@@ -242,24 +343,20 @@ func (p *lockProblem) Transfer(n ast.Node, s lockState) lockState {
 		// (not its comment) says it acquires its receiver's mu, and this
 		// path definitely holds that mu — write-locked here, or held by
 		// our own caller per the annotation contract.
-		if p.sums != nil {
-			if sum := p.sums.ofFunc(fn); sum != nil && sum.locksOwnMu {
-				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-					chain := exprKey(p.pkg.pkgFset(), sel.X) + ".mu"
-					if v, tracked := s[chain]; tracked && (v.mode == lockWrite || v.mode == lockCaller) {
-						p.reportf(call.Pos(),
-							"call to %s while %s is held (at %s): the callee's summary proves it acquires %s itself — self-deadlock through the call",
-							fn.Name(), chain, p.at(v.pos), chain)
-					}
+		if sum := p.sums.ofFunc(fn); sum != nil && sum.locksOwnMu {
+			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+				chain := exprKey(p.pkg.fset, sel.X) + ".mu"
+				if v, tracked := s[chain]; tracked && (v.mode == lockWrite || v.mode == lockCaller) {
+					p.reportf(call.Pos(),
+						"call to %s while %s is held (at %s): the callee's summary proves it acquires %s itself — self-deadlock through the call",
+						fn.Name(), chain, posAt(p.pkg.fset, v.pos), chain)
 				}
 			}
 		}
-		if p.durable {
-			for _, prim := range durablePrimitives {
-				if isMethod(fn, prim.pkg, prim.recv, prim.name) {
-					p.checkDurable(s, call.Pos(), shortPkg(prim.pkg)+"."+prim.recv+"."+prim.name)
-					break
-				}
+		for _, prim := range durablePrimitives {
+			if isMethod(fn, prim.pkg, prim.recv, prim.name) {
+				p.checkDurable(s, call.Pos(), shortPkg(prim.pkg)+"."+prim.recv+"."+prim.name)
+				break
 			}
 		}
 		return true
@@ -273,7 +370,7 @@ func (p *lockProblem) deferredUnlocks(call *ast.CallExpr) []string {
 	var chains []string
 	record := func(c *ast.CallExpr) {
 		if op, recv := syncCall(p.pkg, c); op == "Unlock" || op == "RUnlock" {
-			chains = append(chains, exprKey(p.pkg.pkgFset(), recv))
+			chains = append(chains, exprKey(p.pkg.fset, recv))
 		}
 	}
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
@@ -296,9 +393,9 @@ func (p *lockProblem) applyLockOp(s lockState, chain, op string, pos token.Pos) 
 		if tracked {
 			switch v.mode {
 			case lockWrite:
-				p.reportf(pos, "Lock of %s, which is already write-locked (at %s): self-deadlock", chain, p.at(v.pos))
+				p.reportf(pos, "Lock of %s, which is already write-locked (at %s): self-deadlock", chain, posAt(p.pkg.fset, v.pos))
 			case lockRead:
-				p.reportf(pos, "Lock of %s while read-locked (at %s): lock upgrade deadlocks", chain, p.at(v.pos))
+				p.reportf(pos, "Lock of %s while read-locked (at %s): lock upgrade deadlocks", chain, posAt(p.pkg.fset, v.pos))
 			case lockCaller:
 				p.reportf(pos, "Lock of %s, which the caller already holds per the %q annotation: self-deadlock", chain, "Caller holds mu.")
 			}
@@ -306,14 +403,14 @@ func (p *lockProblem) applyLockOp(s lockState, chain, op string, pos token.Pos) 
 		return s.with(chain, lockVal{mode: lockWrite, deferred: v.deferred, pos: pos})
 	case "RLock":
 		if tracked && v.mode == lockWrite {
-			p.reportf(pos, "RLock of %s while write-locked (at %s): self-deadlock", chain, p.at(v.pos))
+			p.reportf(pos, "RLock of %s while write-locked (at %s): self-deadlock", chain, posAt(p.pkg.fset, v.pos))
 		}
 		return s.with(chain, lockVal{mode: lockRead, deferred: v.deferred, pos: pos})
 	case "Unlock":
 		if tracked {
 			switch v.mode {
 			case lockRead:
-				p.reportf(pos, "Unlock of %s, which is read-locked (at %s): use RUnlock", chain, p.at(v.pos))
+				p.reportf(pos, "Unlock of %s, which is read-locked (at %s): use RUnlock", chain, posAt(p.pkg.fset, v.pos))
 			case lockFree:
 				p.reportf(pos, "Unlock of %s, which is not held on this path", chain)
 			}
@@ -323,7 +420,7 @@ func (p *lockProblem) applyLockOp(s lockState, chain, op string, pos token.Pos) 
 		if tracked {
 			switch v.mode {
 			case lockWrite:
-				p.reportf(pos, "RUnlock of %s, which is write-locked (at %s): use Unlock", chain, p.at(v.pos))
+				p.reportf(pos, "RUnlock of %s, which is write-locked (at %s): use Unlock", chain, posAt(p.pkg.fset, v.pos))
 			case lockFree:
 				p.reportf(pos, "RUnlock of %s, which is not held on this path", chain)
 			}
@@ -344,7 +441,7 @@ func (p *lockProblem) checkExit(pos token.Pos, s lockState) {
 		v := s[chain]
 		switch {
 		case (v.mode == lockRead || v.mode == lockWrite) && !v.deferred:
-			p.reportf(pos, "return with %s still held (locked at %s): missing unlock on this path", chain, p.at(v.pos))
+			p.reportf(pos, "return with %s still held (locked at %s): missing unlock on this path", chain, posAt(p.pkg.fset, v.pos))
 		case v.mode == lockFree && v.deferred:
 			p.reportf(pos, "deferred unlock of %s fires after this path already released it: double unlock", chain)
 		}
@@ -374,10 +471,52 @@ func sortedChains(s lockState) []string {
 	return chains
 }
 
-func (p *lockProblem) at(pos token.Pos) string {
-	if !pos.IsValid() {
-		return "entry"
+// checkAnnotatedCalls reports the calls in n to annotated functions on a
+// path (before n) that provably does not hold the receiver's mutex. An
+// annotated body — or a literal inside one — is trusted to hold it.
+func (p *lockProblem) checkAnnotatedCalls(gf *graphFunc, n ast.Node, s lockState) {
+	if gf.annotated {
+		return
 	}
-	pp := p.pkg.pkgFset().Position(pos)
-	return shortPkg(pp.Filename) + ":" + strconv.Itoa(pp.Line)
+	inspectNoFuncLit(n, func(m ast.Node) bool {
+		call, ok := m.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		callee := p.sums.cg.funcs[funcNode{Fn: calleeFunc(p.pkg.Info, call)}]
+		if callee == nil || !callee.annotated {
+			return true
+		}
+		recvKey := ""
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			recvKey = exprKey(p.pkg.fset, sel.X)
+		}
+		if mode := s[recvKey+".mu"].mode; !mode.held() && mode != lockSome {
+			p.reportf(call.Pos(),
+				"call to %s, which requires %q, but %s does not hold %s.mu on this path",
+				callee.node.Fn.Name(), "Caller holds mu.", describeBody(gf.fb), orReceiver(recvKey))
+		}
+		return true
+	})
+}
+
+func describeBody(fb funcBody) string {
+	if fb.lit != nil {
+		return "function literal in " + describeFunc(fb.decl)
+	}
+	return describeFunc(fb.decl)
+}
+
+func describeFunc(fd *ast.FuncDecl) string {
+	if fd.Recv != nil {
+		return "method " + fd.Name.Name
+	}
+	return "function " + fd.Name.Name
+}
+
+func orReceiver(recvKey string) string {
+	if recvKey == "" {
+		return "the receiver"
+	}
+	return recvKey
 }

@@ -186,7 +186,7 @@ func chainClasses(gf *graphFunc) map[string]string {
 		if op == "" {
 			return true
 		}
-		chain := exprKey(gf.pkg.pkgFset(), recv)
+		chain := exprKey(gf.pkg.fset, recv)
 		if _, seen := out[chain]; !seen {
 			if class := lockClassOf(gf.pkg, recv); class != "" {
 				out[chain] = class
@@ -194,7 +194,7 @@ func chainClasses(gf *graphFunc) map[string]string {
 		}
 		return true
 	})
-	if gf.fb.decl != nil && hasCallerHolds(gf.fb.decl.Doc.Text()) && gf.recvName != "" {
+	if gf.annotated && gf.recvName != "" {
 		chain := gf.recvName + ".mu"
 		if _, seen := out[chain]; !seen {
 			if class := recvMuClass(gf); class != "" {
@@ -273,9 +273,10 @@ func sortedAcqKeys(m map[lockAcqKey]lockAcqWit) []lockAcqKey {
 
 // --- Edge collection ----------------------------------------------------
 
-// collectEdges solves each body's lock lattice and records a held→acquired
-// edge at every acquisition and every synchronous call whose summary
-// acquires, using the fixpoint held-set at that point.
+// collectEdges replays each body's solved lock lattice (the one lockflow
+// reports from) and records a held→acquired edge at every acquisition and
+// every synchronous call whose summary acquires, using the fixpoint
+// held-set at that point.
 func (g *lockGraph) collectEdges() {
 	type edgeKey struct {
 		from, to         string
@@ -296,9 +297,8 @@ func (g *lockGraph) collectEdges() {
 		for _, c := range classes {
 			classSet[c] = true
 		}
-		p := &lockProblem{pkg: gf.pkg, entry: entryLockState(gf.fb)}
-		sol := Solve[lockState](BuildCFG(gf.fb.body), p)
-		sol.Replay(p, func(node ast.Node, before lockState) {
+		lb := g.sums.lockBody(gf)
+		lb.sol.Replay(lb.p, func(node ast.Node, before lockState) {
 			switch node.(type) {
 			case *ast.GoStmt, *ast.DeferStmt:
 				return // not synchronous here: no ordering edge
@@ -326,7 +326,7 @@ func (g *lockGraph) collectEdges() {
 					}
 				}
 				if op, recv := syncCall(gf.pkg, call); op != "" {
-					chain := exprKey(gf.pkg.pkgFset(), recv)
+					chain := exprKey(gf.pkg.fset, recv)
 					if op == "Lock" || op == "RLock" {
 						if to := classes[chain]; to != "" {
 							heldEdges(to, op == "RLock", chain, func() lockEdge {
@@ -334,7 +334,7 @@ func (g *lockGraph) collectEdges() {
 							})
 						}
 					}
-					s = p.applyLockOp(s, chain, op, call.Pos())
+					s = lb.p.applyLockOp(s, chain, op, call.Pos())
 					return true
 				}
 				fn := calleeFunc(gf.pkg.Info, call)
@@ -509,52 +509,14 @@ func (g *lockGraph) detect() {
 		}
 	}
 
-	// Tarjan SCCs over the blocking graph; every SCC with >1 node holds at
-	// least one cycle. One report per SCC, anchored at the witness of the
-	// first edge on a shortest cycle through the SCC's smallest class.
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	next := 0
+	// SCCs over the blocking graph; every SCC with >1 node holds at least
+	// one cycle. One report per SCC, anchored at the witness of the first
+	// edge on a shortest cycle through the SCC's smallest class.
 	var sccs [][]string
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range succs[v] {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var scc []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			if len(scc) > 1 {
-				sort.Strings(scc)
-				sccs = append(sccs, scc)
-			}
-		}
-	}
-	for _, c := range g.classes {
-		if _, seen := index[c]; !seen {
-			strongconnect(c)
+	for _, scc := range stronglyConnected(g.classes, func(c string) []string { return succs[c] }) {
+		if len(scc) > 1 {
+			sort.Strings(scc)
+			sccs = append(sccs, scc)
 		}
 	}
 	sort.Slice(sccs, func(i, j int) bool { return sccs[i][0] < sccs[j][0] })
@@ -636,26 +598,15 @@ func shortestCycle(start string, succs map[string][]string, scc []string) []stri
 // chain for edges that float out of callees.
 func (g *lockGraph) witnessSuffix(e *lockEdge) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, " in %s at %s", g.sums.nodeDisplay(e.fn), g.at(e.pos))
+	fmt.Fprintf(&b, " in %s at %s", g.sums.nodeDisplay(e.fn), posAt(g.sums.prog.Fset, e.pos))
 	if len(e.via) > 0 {
 		names := make([]string, len(e.via))
 		for i, n := range e.via {
 			names[i] = g.sums.nodeDisplay(n)
 		}
-		fmt.Fprintf(&b, " via %s (locked at %s)", strings.Join(names, " → "), g.at(e.viaPos))
+		fmt.Fprintf(&b, " via %s (locked at %s)", strings.Join(names, " → "), posAt(g.sums.prog.Fset, e.viaPos))
 	}
 	return b.String()
-}
-
-func (g *lockGraph) at(pos token.Pos) string { return g.sums.posAt(pos) }
-
-// posAt renders a position as "file.go:line" for diagnostics.
-func (s *summaries) posAt(pos token.Pos) string {
-	if !pos.IsValid() {
-		return "entry"
-	}
-	pp := s.prog.Fset.Position(pos)
-	return shortPkg(pp.Filename) + ":" + fmt.Sprint(pp.Line)
 }
 
 // nodeDisplay names a call-graph node for humans: "pkg.Type.Method",

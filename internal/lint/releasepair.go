@@ -40,7 +40,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
+	"maps"
 )
 
 type relMode uint8
@@ -75,11 +75,7 @@ type relState struct {
 }
 
 func (s relState) clone() relState {
-	out := relState{res: make(map[string]relVal, len(s.res)), pending: s.pending}
-	for k, v := range s.res {
-		out.res[k] = v
-	}
-	return out
+	return relState{res: maps.Clone(s.res), pending: s.pending}
 }
 
 type relProblem struct {
@@ -121,15 +117,7 @@ func (p *relProblem) Join(a, b relState) relState {
 }
 
 func (p *relProblem) Equal(a, b relState) bool {
-	if len(a.res) != len(b.res) || a.pending != b.pending {
-		return false
-	}
-	for k, av := range a.res {
-		if b.res[k] != av {
-			return false
-		}
-	}
-	return true
+	return a.pending == b.pending && maps.Equal(a.res, b.res)
 }
 
 // Refine resolves a pending conditional acquisition at the guard branch:
@@ -203,7 +191,7 @@ func (p *relProblem) Transfer(n ast.Node, s relState) relState {
 // node (function literals excluded — they get their own CFGs; their
 // releases are handled by applyLits).
 func (p *relProblem) walkOps(n ast.Node, s relState) relState {
-	fset := p.pkg.pkgFset()
+	fset := p.pkg.fset
 	inspectNoFuncLit(n, func(m ast.Node) bool {
 		switch m := m.(type) {
 		case *ast.SendStmt:
@@ -229,7 +217,7 @@ func (p *relProblem) walkOps(n ast.Node, s relState) relState {
 // applyCallOps classifies one call found inside node n: by name first
 // (acquire/release verbs on a selector chain), then by callee summary.
 func (p *relProblem) applyCallOps(call *ast.CallExpr, s relState, ctx ast.Node) relState {
-	fset := p.pkg.pkgFset()
+	fset := p.pkg.fset
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return s
@@ -299,7 +287,7 @@ func isBoolType(t types.Type) bool {
 
 // applyCallNode handles `defer x.release()` / `defer func(){...}()`.
 func (p *relProblem) applyCallNode(call *ast.CallExpr, s relState, deferred, escaped bool) relState {
-	fset := p.pkg.pkgFset()
+	fset := p.pkg.fset
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		return p.applyLitReleases(lit, s, deferred, escaped)
 	}
@@ -342,7 +330,7 @@ func (p *relProblem) applyLits(n ast.Node, s relState) relState {
 // applyLitReleases finds releases of currently-tracked chains inside a
 // literal and applies them as deferred or escaped.
 func (p *relProblem) applyLitReleases(lit *ast.FuncLit, s relState, deferred, escaped bool) relState {
-	fset := p.pkg.pkgFset()
+	fset := p.pkg.fset
 	touch := func(chain string, pos token.Pos) {
 		v, ok := s.res[chain]
 		if !ok || v.mode != relHeld {
@@ -409,21 +397,13 @@ func (p *relProblem) applyRelease(s relState, chain string, pos token.Pos, defer
 
 // checkExit fires leak findings for resources still held at an exit.
 func (p *relProblem) checkExit(pos token.Pos, how string, s relState) relState {
-	fset := p.pkg.pkgFset()
 	for _, v := range s.res {
 		if v.mode == relHeld && !v.deferred && !v.escaped {
 			p.reportf("%s leaves %s held (acquired at %s) with no release on this path: a dead client would pin the slot forever",
-				pos, how, v.what, posLabel(fset, v.pos))
+				pos, how, v.what, posAt(p.pkg.fset, v.pos))
 		}
 	}
 	return s
-}
-
-// posLabel renders a short file:line label for cross-referencing an
-// acquisition site inside a diagnostic.
-func posLabel(fset *token.FileSet, pos token.Pos) string {
-	p := fset.Position(pos)
-	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }
 
 func (p *relProblem) reportf(format string, pos token.Pos, args ...any) {
@@ -493,11 +473,10 @@ func blockExitPos(blk *Block, fb funcBody) token.Pos {
 // checkPanicExit: a panic unwinds through defers, so deferred releases
 // still run; only a direct, un-deferred hold leaks.
 func (p *relProblem) checkPanicExit(pos token.Pos, s relState) {
-	fset := p.pkg.pkgFset()
 	for _, v := range s.res {
 		if v.mode == relHeld && !v.deferred && !v.escaped {
 			p.reportf("panic path leaves %s held (acquired at %s): only a deferred release survives unwinding",
-				pos, v.what, posLabel(fset, v.pos))
+				pos, v.what, posAt(p.pkg.fset, v.pos))
 		}
 	}
 }

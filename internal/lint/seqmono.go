@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
 // SeqMono enforces the allocator discipline behind logical monotonicity:
@@ -74,10 +75,7 @@ func (s seqState) with(obj types.Object, f seqFlags) seqState {
 	if s[obj] == f {
 		return s
 	}
-	out := make(seqState, len(s)+1)
-	for k, v := range s {
-		out[k] = v
-	}
+	out := maps.Clone(s)
 	if f == 0 {
 		delete(out, obj)
 	} else {
@@ -101,27 +99,14 @@ func (p *seqProblem) Entry() seqState                    { return seqState{} }
 func (p *seqProblem) Refine(_ Edge, s seqState) seqState { return s }
 
 func (p *seqProblem) Join(a, b seqState) seqState {
-	out := make(seqState, len(a)+len(b))
-	for k, v := range a {
-		out[k] = v
-	}
+	out := maps.Clone(a)
 	for k, v := range b {
 		out[k] |= v
 	}
 	return out
 }
 
-func (p *seqProblem) Equal(a, b seqState) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
+func (p *seqProblem) Equal(a, b seqState) bool { return maps.Equal(a, b) }
 
 func (p *seqProblem) Transfer(n ast.Node, s seqState) seqState {
 	// Sinks first, in source order; then the statement's binding effect.

@@ -68,19 +68,16 @@ type summaries struct {
 	cg   *callGraph
 	by   map[funcNode]*funcSummary
 
+	// locks caches each body's solved lock lattice (lockflow.go), shared by
+	// lockflow's reporting and lockorder's edge collection.
+	locks map[funcNode]*lockBody
+
 	// lg caches the module lock-order graph (lockgraph.go), built on first
 	// use by the lockorder rule or the -graph exporter.
 	lg *lockGraph
 
 	// commit caches the durability-ordering summaries (commitorder.go).
 	commit map[funcNode]*commitSummary
-
-	// usedIgnores records //lint:ignore comments (file → comment line) that
-	// discharged an obligation *inside* the summary layer — a suppressed
-	// leaf apply event never floats to callers, so no diagnostic ever
-	// reaches the suppression matcher. The stale-suppression audit counts
-	// these as live.
-	usedIgnores map[string]map[int]bool
 }
 
 // summaries builds (once) and returns the program's summary table.
@@ -92,7 +89,8 @@ func (prog *Program) summaries() *summaries {
 }
 
 func computeSummaries(prog *Program) *summaries {
-	s := &summaries{prog: prog, cg: buildCallGraph(prog), by: map[funcNode]*funcSummary{}}
+	s := &summaries{prog: prog, cg: buildCallGraph(prog), by: map[funcNode]*funcSummary{},
+		locks: map[funcNode]*lockBody{}}
 	for _, n := range s.cg.order {
 		gf := s.cg.funcs[n]
 		sum := &funcSummary{top: gf.recursive}

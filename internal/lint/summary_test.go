@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"path/filepath"
 	"testing"
 )
 
@@ -11,10 +10,7 @@ import (
 // fixture package, and the built summary table.
 func loadSummaryFixture(t *testing.T) (*Program, *Package, *summaries) {
 	t.Helper()
-	prog, err := Load(".", []string{filepath.Join("testdata", "summary")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := loadFixture(t, "summary")
 	var pkg *Package
 	for _, p := range prog.Pkgs {
 		if p.Requested {

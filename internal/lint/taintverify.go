@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
 // TaintVerify encodes the verified-read discipline from PR 3: bytes read
@@ -27,7 +28,7 @@ import (
 // Sinks (report when a tainted buffer flows in):
 //   - tuple.Decode / tuple.DecodeBatch
 //   - pagecodec.Open
-//   - cblock.Unpack / ExtractSectors
+//   - cblock.Unpack
 //   - pyramid.UnmarshalPatch
 //
 // Taint propagates through assignment, slicing, copy, append, and []byte
@@ -68,7 +69,6 @@ var (
 		{methodRef{"purity/internal/tuple", "", "DecodeBatch"}, 0},
 		{methodRef{"purity/internal/pagecodec", "", "Open"}, 1},
 		{methodRef{"purity/internal/cblock", "", "Unpack"}, 0},
-		{methodRef{"purity/internal/cblock", "", "ExtractSectors"}, 0},
 		{methodRef{"purity/internal/pyramid", "", "UnmarshalPatch"}, 0},
 	}
 )
@@ -109,10 +109,7 @@ func (s taintState) with(obj types.Object, tainted bool) taintState {
 	if s[obj] == tainted {
 		return s
 	}
-	out := make(taintState, len(s)+1)
-	for k, v := range s {
-		out[k] = v
-	}
+	out := maps.Clone(s)
 	if tainted {
 		out[obj] = true
 	} else {
@@ -135,27 +132,12 @@ func (p *taintProblem) reportf(pos token.Pos, format string, args ...any) {
 func (p *taintProblem) Entry() taintState { return taintState{} }
 
 func (p *taintProblem) Join(a, b taintState) taintState {
-	out := make(taintState, len(a)+len(b))
-	for k := range a {
-		out[k] = true
-	}
-	for k := range b {
-		out[k] = true
-	}
+	out := maps.Clone(a)
+	maps.Copy(out, b)
 	return out
 }
 
-func (p *taintProblem) Equal(a, b taintState) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
+func (p *taintProblem) Equal(a, b taintState) bool { return maps.Equal(a, b) }
 
 func (p *taintProblem) Transfer(n ast.Node, s taintState) taintState {
 	// Calls first, in source order: sources taint, verifiers clear, sinks

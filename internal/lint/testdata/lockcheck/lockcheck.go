@@ -45,6 +45,6 @@ func (b *box) Deadlock() {
 
 // Suppressed documents why the unlocked call is safe.
 func (b *box) Suppressed() {
-	//lint:ignore lockcheck fixture: the box is not yet shared when this runs
+	//lint:ignore lockflow fixture: the box is not yet shared when this runs
 	b.bump()
 }

@@ -3,10 +3,16 @@
 // the rule it names stops firing at that position the exception no longer
 // exists — the comment must be reported (under the pseudo-rule "ignore")
 // rather than linger as a silent hole the next edit falls into. A
-// suppression that still matches a finding stays silent.
+// suppression that still matches a finding stays silent. Staleness is per
+// named rule: one live entry on a comma list does not vouch for the others.
 package fixstaleignore
 
-import "errors"
+import (
+	"errors"
+
+	"purity/internal/pyramid"
+	"purity/internal/tuple"
+)
 
 func fail() error { return errors.New("boom") }
 
@@ -22,4 +28,13 @@ func live() {
 func fixed() error {
 	//lint:ignore errdrop fixture: nothing is dropped here any more // want "stale //lint:ignore"
 	return fail()
+}
+
+// replayed applies facts the log already holds. The commitorder entry is
+// live — it discharges the apply below at summary time, before any
+// diagnostic exists to match — but nothing here drops an error, so the
+// errdrop entry beside it is stale all the same.
+func replayed(p *pyramid.Pyramid, facts []tuple.Fact) error {
+	//lint:ignore commitorder,errdrop fixture: replayed from the log // want "stale //lint:ignore"
+	return p.Insert(facts)
 }

@@ -26,10 +26,11 @@ fi
 echo "== go vet"
 go vet ./...
 
-echo "== purity-lint (repo invariants: lockcheck lockflow taintverify seqmono factmut crashpointcheck errdrop nodebug connguard releasepair goroutinelife lockorder commitorder)"
-# The full 13-rule pass (including the interprocedural summary layer) must
-# stay interactive: LINT_BUDGET seconds wall-clock, asserted below so a
-# regression in the summary fixpoint fails loudly instead of slowly.
+echo "== purity-lint (repo invariants)"
+# The full pass — every rule purity-lint -list prints, including the
+# interprocedural summary layer — must stay interactive: LINT_BUDGET
+# seconds wall-clock, asserted below so a regression in the summary
+# fixpoint fails loudly instead of slowly.
 # LINT_FINDINGS, when set, receives the machine-readable findings (-json)
 # for CI to archive as a build artifact; LINT_GRAPHS, when set, names a
 # directory that receives the inferred lock-order and call graphs as DOT,
@@ -39,6 +40,7 @@ LINT_BUDGET="${LINT_BUDGET:-60}"
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 go build -o "$tmpdir/purity-lint" ./cmd/purity-lint
+echo "rules: $("$tmpdir/purity-lint" -list | awk '{print $1}' | tr '\n' ' ')"
 lint_start=$(date +%s)
 if [ -n "${LINT_FINDINGS:-}" ]; then
 	lint_status=0
