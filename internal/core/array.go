@@ -221,7 +221,8 @@ type Stats struct {
 	// PackedBytes counts the input bytes foreground writes hand to
 	// cblock.Pack — the work §4.7's order saves: a write compresses only
 	// what the duplicate search left (plus, rarely, a later extent packed
-	// alongside a miss that then hit). Replay's re-pack is not counted.
+	// alongside a miss that then hit). Replay packs nothing: it places the
+	// frame the write logged.
 	PackedBytes *telemetry.Counter
 }
 

@@ -16,20 +16,25 @@ import (
 )
 
 // NVRAM record kinds. Commits are expressed as immutable facts flowing
-// through the system (§4.2); data writes additionally carry their payloads
-// so a redo never depends on unflushed segments.
+// through the system (§4.2); a data write's record additionally carries the
+// packed cblock frame of every chunk it stored — the bytes it appended to
+// its segment, after dedup and compression — so a redo never depends on
+// unflushed segments and never packs anything again. The log carries the
+// least that redoes the write (Blizzard, PAPERS.md): about a third of the
+// raw sectors at compress ratio 3.
 const (
 	recFacts byte = 1 // facts for one relation
-	recWrite byte = 2 // a data write: facts + cblock payloads
+	recWrite byte = 2 // a data write: facts + packed cblock frames
 )
 
 // writeChunk is one cblock's worth of a committed write: the address fact,
 // any sampled dedup facts, and — for literal (non-deduplicated) chunks —
-// the raw sector payload for redo.
+// the packed cblock frame the write appended to its segment, exactly the
+// address fact's PhysLen bytes. Replay places that frame again as it is.
 type writeChunk struct {
-	addr    tuple.Fact
-	dedup   []tuple.Fact
-	payload []byte // nil for dedup references
+	addr  tuple.Fact
+	dedup []tuple.Fact
+	frame []byte // nil for dedup references
 }
 
 // encodeFactsRecord frames a recFacts record.
@@ -56,30 +61,39 @@ func decodeFactsRecord(b []byte) (uint32, []tuple.Fact, error) {
 
 // encodeWriteRecord frames a recWrite record.
 func encodeWriteRecord(chunks []writeChunk) []byte {
-	// Size estimate: payload bytes plus a generous per-fact bound, so the
+	// Size estimate: frame bytes plus a generous per-fact bound, so the
 	// record is (almost always) allocated once.
 	size := 16
 	for _, ch := range chunks {
-		size += len(ch.payload) + 96*(1+len(ch.dedup))
+		size += len(ch.frame) + 96*(1+len(ch.dedup))
 	}
 	b := append(make([]byte, 0, size), recWrite)
 	b = binary.AppendUvarint(b, uint64(len(chunks)))
 	for _, ch := range chunks {
 		b = tuple.Append(b, relation.AddrsSchema, ch.addr)
 		b = tuple.AppendBatch(b, relation.DedupSchema, ch.dedup)
-		b = binary.AppendUvarint(b, uint64(len(ch.payload)))
-		b = append(b, ch.payload...)
+		b = binary.AppendUvarint(b, uint64(len(ch.frame)))
+		b = append(b, ch.frame...)
 	}
 	return b
 }
 
-// decodeWriteRecord parses a recWrite record (after the kind byte).
+// decodeWriteRecord parses a recWrite record (after the kind byte). Each
+// frame is a slice of b, not a copy: replay's b is already the caller's own
+// copy of the record (nvram.Device.Records). A chunk whose frame length is
+// not what its address fact says — PhysLen for a literal, nothing for a
+// dedup reference — makes the whole record malformed; replay places frames
+// without unpacking them, so this is the check that stands between a
+// CRC-valid but damaged record and a cblock that reads back short.
 func decodeWriteRecord(b []byte) ([]writeChunk, error) {
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
 		return nil, errors.New("core: short write record")
 	}
 	pos := n
+	if count > uint64(len(b)-pos) { // every chunk takes more than a byte
+		return nil, errors.New("core: write record chunk count exceeds its length")
+	}
 	chunks := make([]writeChunk, 0, count)
 	for i := uint64(0); i < count; i++ {
 		addr, n, err := tuple.Decode(b[pos:], relation.AddrsSchema)
@@ -92,17 +106,25 @@ func decodeWriteRecord(b []byte) ([]writeChunk, error) {
 			return nil, err
 		}
 		pos += n
-		plen, n := binary.Uvarint(b[pos:])
-		if n <= 0 || pos+n+int(plen) > len(b) {
+		flen, n := binary.Uvarint(b[pos:])
+		if n <= 0 || flen > uint64(len(b)-pos-n) {
 			return nil, errors.New("core: torn write record")
 		}
 		pos += n
-		var payload []byte
-		if plen > 0 {
-			payload = append([]byte(nil), b[pos:pos+int(plen)]...)
-			pos += int(plen)
+		row := relation.AddrFromFact(addr)
+		want := row.PhysLen
+		if row.Flags&relation.AddrFlagDedup != 0 {
+			want = 0
 		}
-		chunks = append(chunks, writeChunk{addr: addr, dedup: dd, payload: payload})
+		if flen != want {
+			return nil, fmt.Errorf("core: write record chunk %d has a %d-byte frame, its address fact says %d", i, flen, want)
+		}
+		var frame []byte
+		if flen > 0 {
+			frame = b[pos : pos+int(flen) : pos+int(flen)]
+			pos += int(flen)
+		}
+		chunks = append(chunks, writeChunk{addr: addr, dedup: dd, frame: frame})
 	}
 	return chunks, nil
 }

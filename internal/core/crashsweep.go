@@ -35,6 +35,7 @@ import (
 	"purity/internal/layout"
 	"purity/internal/shelf"
 	"purity/internal/sim"
+	"purity/internal/tuple"
 )
 
 // SweepOptions configures a crash sweep. The zero value gets defaults from
@@ -568,7 +569,27 @@ func (run *sweepRun) checkInvariants(a *Array) error {
 			return fmt.Errorf("patch page verify: %w", err)
 		}
 	}
-	return nil
+	return a.checkSegmentBound(run.now)
+}
+
+// checkSegmentBound is the oracle for recovery's segment-ID bound
+// (recover.go, step 6): every version in the addrs and dedup pyramids —
+// live, shadowed or stale — names a segment below nextSegment, so no
+// segment recovery or the engine opens next can take an ID a surviving fact
+// already names.
+func (a *Array) checkSegmentBound(at sim.Time) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	var bad error
+	if err := a.scanSegmentRefs(at, func(relID uint32, f tuple.Fact, seg uint64) bool {
+		if seg >= a.nextSegment {
+			bad = fmt.Errorf("relation %d fact seq %d names segment %d, not below nextSegment %d", relID, f.Seq, seg, a.nextSegment)
+		}
+		return bad == nil
+	}); err != nil {
+		return fmt.Errorf("segment-bound scan: %w", err)
+	}
+	return bad
 }
 
 // openRecovered reopens from the shelf, tolerating one armed-crash panic

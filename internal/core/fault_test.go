@@ -270,7 +270,9 @@ func TestCheckpointSurvivesNVRAMPressure(t *testing.T) {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
 			cfg := TestConfig()
 			cfg.CommitLanes = lanes
-			cfg.Shelf.NVRAMConfig.Capacity = 1 << 20
+			// Small enough that the script's packed-frame records fill the
+			// log and force a checkpoint.
+			cfg.Shelf.NVRAMConfig.Capacity = 256 << 10
 			a, err := Format(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -188,7 +188,7 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 		}
 		for _, ch := range cs {
 			w.chunks = append(w.chunks, ch)
-			if ch.payload != nil {
+			if ch.frame != nil {
 				w.physical += int64(relation.AddrFromFact(ch.addr).PhysLen)
 			} else {
 				w.deduped += int64(relation.AddrFromFact(ch.addr).Sectors) * cblock.SectorSize
@@ -403,8 +403,9 @@ func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, startSector
 // address fact and sampled dedup facts. frame is the packed cblock for part,
 // or nil for a dedup hit's remainder, which is packed here, with no lock
 // held; hashes are part's per-block hashes, computed exactly once per extent
-// in prepareWrite and threaded through. Returns the chunk and how many
-// sequence numbers it allocated.
+// in prepareWrite and threaded through. Returns the chunk, which carries
+// frame into the write's NVRAM record, and how many sequence numbers it
+// allocated.
 func (a *Array) laneLiteralChunk(at sim.Time, ln *commitLane, medium, sector uint64, part, frame []byte, hashes []uint64, live map[layout.SegmentID]int64) (writeChunk, uint64, error) {
 	if frame == nil {
 		var err error
@@ -428,7 +429,7 @@ func (a *Array) laneLiteralChunk(at sim.Time, ln *commitLane, medium, sector uin
 			Segment: uint64(seg), SegOff: uint64(segOff), PhysLen: uint64(len(frame)),
 			Sectors: uint64(len(part)) / cblock.SectorSize,
 		}.Fact(a.seqs.Next()),
-		payload: part,
+		frame: frame,
 	}
 	allocated := uint64(1)
 	live[seg] += int64(len(frame))

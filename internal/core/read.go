@@ -17,7 +17,7 @@ type lookupAdapter Array
 // addrValidLocked reports whether an address fact's target storage exists.
 // After a crash, patch-recovered facts may reference a data segment that
 // was unsealed when the machine died: its contents were re-placed from
-// NVRAM payloads (as equal-sequence facts at new addresses) and its AUs
+// NVRAM frames (as equal-sequence facts at new addresses) and its AUs
 // returned to the allocator. Such stale facts are logically retracted —
 // resolution must skip them so the surviving copy wins. Caller holds mu.
 func (a *Array) addrValidLocked(r relation.AddrRow) bool {

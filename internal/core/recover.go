@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"purity/internal/cblock"
 	"purity/internal/layout"
 	"purity/internal/nvram"
 	"purity/internal/pyramid"
@@ -192,15 +191,44 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 		return nil, rs, err
 	}
 
-	// 6. Segment IDs are never reused (like sequence numbers): bump the
-	// allocator past every ID referenced by any surviving fact or patch,
-	// including segments that did NOT survive (their IDs may live on in
-	// stale facts, and a collision would make those stale facts point at
-	// fresh data).
+	// 6. Segment IDs are never reused (like sequence numbers): before replay
+	// opens its first segment, nextSegment must exceed every ID that any
+	// surviving fact, patch or record can name — including segments that did
+	// NOT survive (their IDs live on in stale facts, and a collision would
+	// make those stale facts point at fresh data). That bound follows from
+	// what recovery has already read, with no pass over the pyramids:
+	//
+	//   - Every ID comes from nextSegment++ (newSegmentWriterLocked), and
+	//     every checkpoint persists NextSegment: an ID allocated before the
+	//     loaded checkpoint is below it.
+	//   - An addr or dedup fact created after that checkpoint reached its
+	//     pyramid only through an NVRAM record (append precedes apply, which
+	//     purity-lint's commitorder checks), and only a later checkpoint
+	//     trims the log: the records loop below bumps past every segment a
+	//     record names.
+	//   - The one fact no record names is one an earlier recovery's replay
+	//     remapped into a segment X it opened (the record still names the
+	//     original). It reaches media only inside a flushed patch, whose
+	//     pages sit in a meta segment allocated after X, so with a higher ID;
+	//     that patch is known here through the checkpoint (which then
+	//     persisted a NextSegment above X) or through the sealed meta
+	//     segment's trailer: the segment-map and page-ref bumps cover it.
+	//
+	// The second point needs the whole log since the checkpoint. With every
+	// NVRAM mirror lost (recovery then proceeds from the checkpoint alone),
+	// or a record rejected before the records loop could read its segments,
+	// a patch sealed since the checkpoint may name a data segment that was
+	// open at the crash and that nothing else names. Only then does recovery
+	// fall back to scanning every addrs/dedup version (scanSegmentRefs) —
+	// most of recovery's CPU when it runs. checkSegmentBound runs the same
+	// scan as the crash sweep's oracle.
 	bumpSeg := func(id uint64) {
 		if id >= a.nextSegment {
 			a.nextSegment = id + 1
 		}
+	}
+	for id := range a.segMap {
+		bumpSeg(uint64(id))
 	}
 	for _, relID := range a.relationIDs() {
 		for _, patch := range a.pyr[relID].Patches() {
@@ -209,28 +237,18 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 			}
 		}
 	}
-	if _, err := a.pyr[relation.IDAddrs].ScanVersions(done, nil, nil, func(f tuple.Fact) bool {
-		bumpSeg(relation.AddrFromFact(f).Segment)
-		return true
-	}); err != nil {
-		return nil, rs, err
-	}
-	if _, err := a.pyr[relation.IDDedup].ScanVersions(done, nil, nil, func(f tuple.Fact) bool {
-		bumpSeg(relation.DedupFromFact(f).Segment)
-		return true
-	}); err != nil {
-		return nil, rs, err
-	}
 
-	// NVRAM records reference segments too — and replay itself opens new
-	// segments, so every referenced ID must be reserved before the first
-	// record is applied. Each record is decoded once, here, for both passes.
+	// The records loop: every segment an NVRAM record names is reserved
+	// before the first record is applied. Each record is decoded once, here,
+	// for both passes.
+	logged, wholeLog := replayRecords(sh)
 	var records []replayRec
-	for _, r := range replayRecords(sh) {
+	for _, r := range logged {
 		records = append(records, decodeRecord(r.Payload))
 	}
 	for _, rec := range records {
 		if rec.err != nil {
+			wholeLog = false
 			continue
 		}
 		switch rec.relID {
@@ -258,13 +276,21 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 			}
 		}
 	}
+	if !wholeLog {
+		if err := a.scanSegmentRefs(done, func(_ uint32, _ tuple.Fact, seg uint64) bool {
+			bumpSeg(seg)
+			return true
+		}); err != nil {
+			return nil, rs, err
+		}
+	}
 
 	// 7. NVRAM replay: every record since the last checkpoint. Facts are
 	// immutable, so replaying records whose effects partially survived is
 	// harmless (§4.3 — recovery is a set union). A malformed record —
-	// corrupt bytes that passed the CRC, or facts that fail schema
-	// validation — is rejected and counted, not fatal: only real I/O
-	// failures abort recovery.
+	// corrupt bytes that passed the CRC, a frame whose length is not its
+	// address fact's PhysLen, or facts that fail schema validation — is
+	// rejected and counted, not fatal: only real I/O failures abort recovery.
 	for _, rec := range records {
 		rs.NVRAMRecords++
 		a.crash.Hit("recover.replay")
@@ -459,14 +485,6 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 	if err := a.pyr[relation.IDSegments].Insert(segFacts); err != nil {
 		return nil, rs, err
 	}
-	if a.nextSegment == 0 {
-		a.nextSegment = 1
-	}
-	for id := range a.segMap {
-		if uint64(id) >= a.nextSegment {
-			a.nextSegment = uint64(id) + 1
-		}
-	}
 
 	rs.TotalTime = done - at
 	return a, rs, nil
@@ -477,7 +495,9 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 // acking and checkpoints release them together, so the mirrors hold
 // identical same-order prefixes — the longest log is a superset of every
 // other, and no acknowledged record is lost even with one device dead.
-func replayRecords(sh *shelf.Shelf) []nvram.Record {
+// survived is false when every device is lost: recovery then proceeds from
+// the checkpoint alone.
+func replayRecords(sh *shelf.Shelf) (recs []nvram.Record, survived bool) {
 	best := -1
 	var bestHead nvram.LSN
 	for i := 0; i < sh.NumNVRAM(); i++ {
@@ -490,9 +510,32 @@ func replayRecords(sh *shelf.Shelf) []nvram.Record {
 		}
 	}
 	if best < 0 {
-		return nil // every NVRAM device lost: recover from checkpoint alone
+		return nil, false
 	}
-	return sh.NVRAM(best).Records()
+	return sh.NVRAM(best).Records(), true
+}
+
+// scanSegmentRefs calls fn with the segment every addrs and dedup version
+// names — live, shadowed or stale — until fn returns false. Recovery runs
+// it only when the NVRAM log cannot bound segment IDs (step 6);
+// checkSegmentBound runs it as the crash sweep's oracle.
+func (a *Array) scanSegmentRefs(at sim.Time, fn func(relID uint32, f tuple.Fact, seg uint64) bool) error {
+	for _, rel := range []struct {
+		id  uint32
+		col int // the segment column
+	}{{relation.IDAddrs, 2}, {relation.IDDedup, 1}} {
+		more := true
+		if _, err := a.pyr[rel.id].ScanVersions(at, nil, nil, func(f tuple.Fact) bool {
+			more = fn(rel.id, f, f.Cols[rel.col])
+			return more
+		}); err != nil {
+			return err
+		}
+		if !more {
+			return nil
+		}
+	}
+	return nil
 }
 
 // applyElideFact materializes one persisted elide predicate.
@@ -559,29 +602,25 @@ func (a *Array) replayRecord(at sim.Time, rec replayRec) (sim.Time, error) {
 		done := at
 		for _, ch := range rec.chunks {
 			a.seqs.AdvanceTo(ch.addr.Seq)
-			if segID := ch.addr.Cols[2]; segID >= a.nextSegment {
-				a.nextSegment = segID + 1
-			}
 			for _, df := range ch.dedup {
 				a.seqs.AdvanceTo(df.Seq)
 			}
-			if ch.payload != nil {
-				// Re-place the data and point the facts at the new copy;
-				// the original placement may not have survived the crash.
-				frame, err := cblock.Pack(ch.payload, a.cfg.CompressionEnabled)
-				if err != nil {
-					return done, err
-				}
+			if ch.frame != nil {
+				// Place the frame the write placed, as it is, and point the
+				// facts at the new copy; the original placement may not have
+				// survived the crash. decodeWriteRecord checked its length
+				// against PhysLen, so the remap keeps PhysLen.
 				//lint:ignore lockflow recovery is single-threaded; the array is not yet published
-				seg, off, d, err := a.appendDataLocked(done, classData, frame)
+				seg, off, d, err := a.appendDataLocked(done, classData, ch.frame)
 				done = d
 				if err != nil {
 					return done, err
 				}
-				a.liveBytes[seg] += int64(len(frame))
-				ch.addr = relation.RemapAddr(ch.addr, uint64(seg), uint64(off), uint64(len(frame)))
+				physLen := uint64(len(ch.frame))
+				a.liveBytes[seg] += int64(physLen)
+				ch.addr = relation.RemapAddr(ch.addr, uint64(seg), uint64(off), physLen)
 				for i := range ch.dedup {
-					ch.dedup[i] = relation.RemapDedup(ch.dedup[i], uint64(seg), uint64(off), uint64(len(frame)))
+					ch.dedup[i] = relation.RemapDedup(ch.dedup[i], uint64(seg), uint64(off), physLen)
 				}
 			}
 			//lint:ignore lockflow,commitorder recovery replay: single-threaded before the array is published, and the remapped addr facts come from a record the NVRAM log already holds

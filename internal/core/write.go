@@ -111,7 +111,7 @@ func (a *Array) packExtent(pe *preparedExtent) (err error) {
 }
 
 // WriteAt writes data to a volume at a byte offset (both sector-aligned).
-// The write is acknowledged when its facts and payloads are durable in
+// The write is acknowledged when its facts and frames are durable in
 // NVRAM; segment placement happens in the same call but does not gate the
 // returned completion time — this is the paper's commit path (Figure 4).
 // Safe for concurrent callers (each TCP connection in internal/server is
@@ -163,7 +163,7 @@ func (a *Array) findDuplicateLocked(at sim.Time, part []byte, hashes []uint64) (
 // segment is SEALED. Cross-references — dedup mappings, flattened chains,
 // GC redirects — must only point at sealed segments: those are
 // rediscoverable after a crash (checkpoint or AU-trailer scan), whereas an
-// unsealed segment's data is re-placed from NVRAM payloads at new
+// unsealed segment's data is re-placed from NVRAM frames at new
 // addresses, which would leave the cross-reference dangling. Caller holds
 // mu.
 func (a *Array) fetchDurableCBlockLocked(at sim.Time, seg, segOff uint64, physLen int) ([]byte, sim.Time, error) {

@@ -129,7 +129,7 @@ func Decode(src []byte, s Schema) (Fact, int, error) {
 			return Fact{}, 0, ErrTruncated
 		}
 		pos += n
-		if pos+int(bl) > len(src) {
+		if bl > uint64(len(src)-pos) {
 			return Fact{}, 0, ErrTruncated
 		}
 		f.Blob = append([]byte(nil), src[pos:pos+int(bl)]...)
@@ -154,6 +154,9 @@ func DecodeBatch(src []byte, s Schema) ([]Fact, int, error) {
 		return nil, 0, ErrTruncated
 	}
 	pos := n
+	if count > uint64(len(src)-pos) { // every fact takes at least a byte
+		return nil, 0, ErrTruncated
+	}
 	facts := make([]Fact, 0, count)
 	for i := uint64(0); i < count; i++ {
 		f, n, err := Decode(src[pos:], s)

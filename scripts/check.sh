@@ -158,8 +158,11 @@ echo "== pipelined front end (-race: out-of-order completion, 64 in-flight on on
 go test -race -run 'TestPipelined|TestOutOfOrderCompletion|TestDuplicateTagKillsConnection|TestAdmissionWindowBackpressure|TestWireHealthCounters|TestServeSurvivesTransientAcceptErrors|TestFirstFrameMustBeHello|TestTornRequestCondemnsConnection' ./internal/server/
 go test -run 'TestScrubDefersUnderSLOPressure|TestScrubRunsWithSLODisabled' ./internal/core/
 
-echo "== wire codec fuzz (5 s; the seed corpus already ran as plain tests above)"
+echo "== wire codec and NVRAM record fuzz (5 s each; the seed corpora already ran as plain tests above)"
 go test -run '^$' -fuzz FuzzTaggedFrame -fuzztime 5s ./internal/wire/
+# Minimizing a new input in core's large instrumented test binary stalls
+# the workers for the rest of a 5 s run (0 execs/s); capped, the run fuzzes.
+go test -run '^$' -fuzz FuzzDecodeRecord -fuzztime 5s -fuzzminimizetime 1s ./internal/core/
 
 echo "== E14 smoke (one-connection queue-depth sweep over loopback TCP; every depth >= 8 must beat QD 1)"
 go run ./cmd/purity-bench -experiment E14 -quick > /dev/null
