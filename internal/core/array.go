@@ -39,14 +39,15 @@ const (
 
 // openSeg is one slot that holds a segment open for appends: the four
 // class writers (replayed data, metadata, GC, dedup) and every lane's data
-// segment are each one. w is read and written under mu; installing or
-// detaching a writer additionally holds Array.mu, so a holder of Array.mu
-// sees a slot that does not change hands; Array.mu is never taken while a
-// slot mutex is held. The declaration below is checked, not trusted:
-// purity-lint's lockorder rule rebuilds the acquisition graph from every
-// body in the module and reports any blocking edge that runs against it.
+// segment are each one. w, and every use of a writer the slot held, is
+// under mu — appends, flushes and the seal alike; installing or detaching a
+// writer additionally holds Array.mu, so a holder of Array.mu sees a slot
+// that does not change hands; Array.mu is never taken while a slot mutex is
+// held. The declaration below is checked, not trusted: purity-lint's
+// lockorder rule rebuilds the acquisition graph from every body in the
+// module and reports any blocking edge that runs against it.
 //
-//lint:lockorder Array.world < Array.mu < openSeg.mu
+//lint:lockorder Array.world < Array.mu < Array.segMu < openSeg.mu < Array.rdMu
 type openSeg struct {
 	mu sync.Mutex
 	w  *layout.Writer
@@ -56,6 +57,16 @@ type openSeg struct {
 	// append from different cores: pad to a cache line so they do not share
 	// one.
 	_ [40]byte
+}
+
+// openRef is an open segment's entry in Array.openByID: the slot whose
+// mutex guards the writer, and the writer itself. A reader that found the
+// entry keeps a usable writer even if the slot has moved on: the seal runs
+// under the slot mutex, so after waiting for it the reader sees the sealed
+// info (see sealSlotLocked).
+type openRef struct {
+	slot *openSeg
+	w    *layout.Writer
 }
 
 // segItem is one append to a segment: a data blob, placed from the front of
@@ -79,9 +90,10 @@ func (it segItem) appendTo(w *layout.Writer, at sim.Time) (int64, sim.Time, erro
 // Array is one Purity storage engine instance. All public methods are safe
 // for concurrent use: the pure-CPU stages of a write (compression, dedup
 // hashing, parity arithmetic) run before or outside the engine mutex on a
-// shared worker pool, and the mutex covers only what genuinely needs
-// ordering — sequence allocation, placement bookkeeping, NVRAM appends and
-// fact application (see DESIGN.md, "Write path").
+// shared worker pool, the mutex covers only what genuinely needs ordering —
+// sequence allocation, placement bookkeeping, NVRAM appends and fact
+// application (see DESIGN.md, "Write path") — and a read takes it only for
+// its closing bookkeeping (DESIGN.md, "Read path").
 type Array struct {
 	cfg   Config
 	shelf *shelf.Shelf
@@ -90,13 +102,20 @@ type Array struct {
 	// hashing, RS parity, CRCs) across cores without holding mu.
 	pool *pipeline.Pool
 
+	// mu orders what lane commits and maintenance share: fact application,
+	// segment allocation and sealing, liveness, the CPU model, the read
+	// tracker and the counters not named under rdMu. A read takes it only
+	// for its last lines (ReadAt): the pyramids, the segment table, the
+	// cblock cache and the drives are all safe without it.
 	mu sync.Mutex
 
-	// world gates the commit path: write commits hold it in read mode for
-	// their whole critical section, and every maintenance or mutating entry
-	// point (GC, scrub, rebuild, checkpoint, volume catalog changes) takes
-	// it in write mode first, so cross-volume invariants see a quiesced
-	// commit plane. Lock order: world → mu → openSeg.mu.
+	// world gates the commit and read paths: write commits and reads hold
+	// it in read mode for their whole duration, and every maintenance or
+	// mutating entry point (GC, scrub, rebuild, checkpoint, volume catalog
+	// changes) takes it in write mode first, so cross-volume invariants see
+	// a quiesced commit plane, and a read sees no segment retired, no AU
+	// reused and no catalog row changed under it. Lock order: world → mu →
+	// segMu → openSeg.mu → rdMu.
 	world sync.RWMutex
 	// lanes are the commit shards (Config.CommitLanes of them, at least
 	// one); committer is their shared batching NVRAM commit point.
@@ -124,20 +143,30 @@ type Array struct {
 	boot   *frontier.BootRegion
 
 	// slots are the open segments, in a fixed order: one per class, then
-	// one per lane. openByID indexes the occupied ones; it changes only where
-	// a writer is installed or detached, which holds mu.
-	slots    []openSeg
-	openByID map[layout.SegmentID]*openSeg
+	// one per lane.
+	slots []openSeg
+	// segMu guards the segment table, openByID and segMap: every write of
+	// either holds mu and segMu (recovery, before the array is shared,
+	// holds neither), so a holder of mu reads them bare and a read without
+	// mu takes segMu in read mode (segEntry).
+	segMu sync.RWMutex
+	// openByID indexes the occupied slots by segment; an entry is added
+	// where a writer is installed and removed only after its seal finished
+	// and the sealed info is in segMap, so a segment is always findable.
+	openByID map[layout.SegmentID]openRef
 	// segMap holds each segment's info as newSegmentWriterLocked, a seal,
 	// recovery or rebuild last wrote it. An open segment's entry goes stale
-	// as it fills: readers consult the open slots first (segInfoLocked), and
+	// as it fills: readers consult openByID first (segInfo), and
 	// writeCheckpoint refreshes the open entries before persisting the map.
 	segMap map[layout.SegmentID]layout.SegmentInfo
 	// liveBytes approximates live data per segment (§3.3: materialized
 	// aggregates kept approximately; GC recomputes exactly).
 	liveBytes map[layout.SegmentID]int64
 
-	recent  *dedup.RecentIndex
+	recent *dedup.RecentIndex
+	// rdMu is a leaf lock over the cblock cache and the read counters every
+	// segment read bumps (Counters.CacheHits, CacheMisses and SegRead).
+	rdMu    sync.Mutex
 	cblocks *cblockCache
 
 	persistedSeq tuple.Seq // highest seq durable in NVRAM
@@ -168,6 +197,11 @@ type Array struct {
 	// leaves it permanently unthreatened.
 	gov  *iosched.Governor
 	cpus []sim.Time // per-core busyUntil (§4.4's pinned event cores)
+
+	// provisioned sums the sizes of active volumes (StatsSnapshot's
+	// ProvisionedBytes): kept by CreateVolume, Clone and Delete, set by
+	// recovery from the catalog scan it already makes. Guarded by mu.
+	provisioned int64
 }
 
 // Counters are the engine counters that Stats accumulates and StatsSnapshot
@@ -305,7 +339,7 @@ func newSkeleton(cfg Config, sh *shelf.Shelf) (*Array, error) {
 		reader:      layout.NewReader(cfg.Layout, sh.Drives(), coder),
 		boot:        frontier.NewBootRegion(cfg.Layout, sh.Drives()),
 		slots:       make([]openSeg, int(numClasses)+cfg.CommitLanes), // normalize: at least one lane
-		openByID:    make(map[layout.SegmentID]*openSeg),
+		openByID:    make(map[layout.SegmentID]openRef),
 		segMap:      make(map[layout.SegmentID]layout.SegmentInfo),
 		liveBytes:   make(map[layout.SegmentID]int64),
 		lost:        make(map[layout.SegmentID]map[int]bool),
@@ -495,7 +529,9 @@ func (a *Array) newSegmentWriterLocked(at sim.Time) (*layout.Writer, sim.Time, e
 	}
 	w.SetParallel(a.pool.Run)
 	w.SetCrash(a.crash)
+	a.segMu.Lock()
 	a.segMap[id] = w.Info()
+	a.segMu.Unlock()
 
 	// Record the segment's existence and placement as facts.
 	facts := []tuple.Fact{relation.SegmentRow{
@@ -521,26 +557,39 @@ func (a *Array) newSegmentWriterLocked(at sim.Time) (*layout.Writer, sim.Time, e
 	return w, done, nil
 }
 
-// sealSlotLocked detaches a slot's writer, if it has one, and seals its
-// segment: the segment map takes the sealed info and the sealed-state fact
+// sealSlotLocked seals a slot's segment, if it has one, and detaches the
+// writer: the segment map takes the sealed info and the sealed-state fact
 // is recorded. Caller holds mu.
+//
+// The seal runs under the slot mutex with the writer still installed, and
+// the open entry goes only after the segment map holds the sealed info. A
+// read without mu that finds the open entry therefore waits for the seal
+// on the slot mutex and then gets the sealed info from the writer; one that
+// misses the entry finds the sealed info in the map. No moment exists at
+// which the segment is in neither, and no read needs mu to get through.
 func (a *Array) sealSlotLocked(at sim.Time, s *openSeg) (sim.Time, error) {
 	s.mu.Lock()
 	w := s.w
-	s.w = nil
-	s.mu.Unlock()
 	if w == nil {
+		s.mu.Unlock()
 		return at, nil
 	}
-	delete(a.openByID, w.Info().ID)
+	id := w.Info().ID
 	// The seal fact's LiveBytes may lag lane commits whose deltas have not
 	// been applied yet — the paper keeps these aggregates approximate (§3.3);
 	// GC recomputes exact liveness.
 	info, done, err := w.Seal(at)
+	s.w = nil
+	s.mu.Unlock()
+	a.segMu.Lock()
+	delete(a.openByID, id)
+	if err == nil {
+		a.segMap[id] = info
+	}
+	a.segMu.Unlock()
 	if err != nil {
 		return done, err
 	}
-	a.segMap[info.ID] = info
 	//lint:ignore commitorder the sealed-state fact mirrors the AU trailers the Seal call just wrote; recovery re-derives sealed segments from the trailers, not the NVRAM log
 	if err := a.pyr[relation.IDSegments].Insert([]tuple.Fact{relation.SegmentRow{
 		Segment:    uint64(info.ID),
@@ -572,7 +621,9 @@ func (a *Array) slotAppendLocked(at sim.Time, s *openSeg, it segItem) (layout.Se
 			if err != nil {
 				return 0, 0, done, err
 			}
-			a.openByID[w.Info().ID] = s
+			a.segMu.Lock()
+			a.openByID[w.Info().ID] = openRef{slot: s, w: w}
+			a.segMu.Unlock()
 			s.mu.Lock()
 			s.w = w
 		}
@@ -607,18 +658,27 @@ func (a *Array) appendLogLocked(at sim.Time, rec []byte, lo, hi tuple.Seq) (sim.
 	return done, err
 }
 
-// segInfoLocked returns the freshest SegmentInfo for a segment: the open
-// slot's, whose stripe count advances, before the segment map's. Caller
-// holds mu.
-func (a *Array) segInfoLocked(id layout.SegmentID) (layout.SegmentInfo, bool) {
-	if s := a.openByID[id]; s != nil {
-		s.mu.Lock()
-		info := s.w.Info()
-		s.mu.Unlock()
-		return info, true
+// segEntry looks a segment up in the segment table: its open writer, if it
+// has one, and its segment-map entry. Safe with or without mu.
+func (a *Array) segEntry(id layout.SegmentID) (ref openRef, open bool, info layout.SegmentInfo, ok bool) {
+	a.segMu.RLock()
+	defer a.segMu.RUnlock()
+	ref, open = a.openByID[id]
+	info, ok = a.segMap[id]
+	return ref, open, info, ok
+}
+
+// segInfo returns the freshest SegmentInfo for a segment: the open writer's,
+// whose stripe count advances, before the segment map's. Safe with or
+// without mu.
+func (a *Array) segInfo(id layout.SegmentID) (layout.SegmentInfo, bool) {
+	ref, open, info, ok := a.segEntry(id)
+	if !open {
+		return info, ok
 	}
-	info, ok := a.segMap[id]
-	return info, ok
+	ref.slot.mu.Lock()
+	defer ref.slot.mu.Unlock()
+	return ref.w.Info(), true
 }
 
 // policyMode is the mode every read but a hedge's second arm runs in: the
@@ -630,15 +690,17 @@ func (a *Array) policyMode() layout.ReadMode {
 	return layout.ReadHome
 }
 
-// readSegmentLocked reads a byte range of a segment: the pending segio
-// buffer first, then the drives in the given mode. Caller holds mu.
-func (a *Array) readSegmentLocked(at sim.Time, id layout.SegmentID, off int64, n int, mode layout.ReadMode) ([]byte, sim.Time, error) {
-	info, ok := a.segMap[id]
-	if s := a.openByID[id]; s != nil {
-		s.mu.Lock()
-		b, pending := s.w.ReadPending(off, n)
-		info, ok = s.w.Info(), true
-		s.mu.Unlock()
+// readSegment reads a byte range of a segment: an open segment's pending
+// segio buffer first, then the drives in the given mode. Safe with or
+// without mu; the caller holds world (shared or exclusive), so the segment
+// is not retired and its AUs are not reused under the read.
+func (a *Array) readSegment(at sim.Time, id layout.SegmentID, off int64, n int, mode layout.ReadMode) ([]byte, sim.Time, error) {
+	ref, open, info, ok := a.segEntry(id)
+	if open {
+		ref.slot.mu.Lock()
+		b, pending := ref.w.ReadPending(off, n)
+		info, ok = ref.w.Info(), true
+		ref.slot.mu.Unlock()
 		if pending {
 			return b, at, nil
 		}
@@ -647,7 +709,7 @@ func (a *Array) readSegmentLocked(at sim.Time, id layout.SegmentID, off int64, n
 		return nil, at, fmt.Errorf("core: unknown segment %d", id)
 	}
 	b, done, rstats, err := a.reader.ReadRange(at, info, off, n, mode)
-	a.stats.SegRead.Add(rstats)
+	a.addSegRead(rstats)
 	if err != nil && mode != layout.ReadAroundHome {
 		// A hedge's second arm that finds too few peers just loses the race.
 		a.stats.SegReadErrors.Inc()
@@ -655,11 +717,19 @@ func (a *Array) readSegmentLocked(at sim.Time, id layout.SegmentID, off int64, n
 	return b, done, err
 }
 
+// addSegRead folds one segment read's stats into Counters.SegRead.
+func (a *Array) addSegRead(rstats layout.ReadStats) {
+	a.rdMu.Lock()
+	defer a.rdMu.Unlock()
+	a.stats.SegRead.Add(rstats)
+}
+
 // pageStore adapts the array to the pyramid.PageStore interface. Metadata
 // pages are segment data in the classMeta segments; patch descriptors are
 // segio log records. The pyramids only persist when the engine drives
-// them — flush, merge, checkpoint — all of which run under Array.mu, so
-// every method here carries the lock annotation.
+// them — flush, merge, checkpoint — all of which run under Array.mu, so the
+// write methods carry the lock annotation; ReadPage serves lookups with or
+// without it.
 type pageStore Array
 
 // WritePage appends a metadata page to the meta segment class. Caller
@@ -679,8 +749,8 @@ func (s *pageStore) WriteDescriptor(at sim.Time, desc []byte, lo, hi uint64) (si
 	return a.appendLogLocked(at, desc, tuple.Seq(lo), tuple.Seq(hi))
 }
 
-// ReadPage fetches a metadata page by reference. Caller holds mu.
+// ReadPage fetches a metadata page by reference. Safe with or without mu.
 func (s *pageStore) ReadPage(at sim.Time, ref pyramid.Ref) ([]byte, sim.Time, error) {
 	a := (*Array)(s)
-	return a.readSegmentLocked(at, layout.SegmentID(ref.Segment), ref.Off, int(ref.Len), a.policyMode())
+	return a.readSegment(at, layout.SegmentID(ref.Segment), ref.Off, int(ref.Len), a.policyMode())
 }

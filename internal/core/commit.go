@@ -406,10 +406,13 @@ func (a *Array) writeCheckpoint(at sim.Time, genesis bool) (sim.Time, error) {
 	}
 	// The one place open segments' entries are refreshed: the persisted map
 	// must carry their current stripe counts.
-	for id, s := range a.openByID {
-		s.mu.Lock()
-		a.segMap[id] = s.w.Info()
-		s.mu.Unlock()
+	for id, ref := range a.openByID {
+		ref.slot.mu.Lock()
+		info := ref.w.Info()
+		ref.slot.mu.Unlock()
+		a.segMu.Lock()
+		a.segMap[id] = info
+		a.segMu.Unlock()
 	}
 	// Fixed ID order keeps checkpoints byte-for-byte deterministic.
 	segIDs := make([]layout.SegmentID, 0, len(a.segMap))

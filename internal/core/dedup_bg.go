@@ -68,7 +68,7 @@ func (a *Array) BackgroundDedup(at sim.Time) (BackgroundDedupReport, sim.Time, e
 		sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
 		for _, off := range offs {
 			c := live[id][off]
-			sectors, d, err := a.readCBlockLocked(done, uint64(id), off, int(c.physLen))
+			sectors, d, err := a.readCBlock(done, uint64(id), off, int(c.physLen))
 			done = d
 			if err != nil {
 				continue // unreadable now; scrub's problem
@@ -85,7 +85,7 @@ func (a *Array) BackgroundDedup(at sim.Time) (BackgroundDedupReport, sim.Time, e
 			}
 			// Hash match: byte-verify against the canonical copy before
 			// trusting it (§4.7's discipline, same as inline).
-			firstSectors, d, err := a.readCBlockLocked(done, first.seg, first.off, int(first.physLen))
+			firstSectors, d, err := a.readCBlock(done, first.seg, first.off, int(first.physLen))
 			done = d
 			if err != nil || len(firstSectors) != len(sectors) {
 				continue

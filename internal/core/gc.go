@@ -94,7 +94,7 @@ func (a *Array) RunGC(at sim.Time) (GCReport, sim.Time, error) {
 	// no live metadata.
 	var candidates []layout.SegmentID
 	for id, info := range a.segMap {
-		if a.openByID[id] != nil || !info.Sealed || metaLive[id] > 0 {
+		if _, open := a.openByID[id]; open || !info.Sealed || metaLive[id] > 0 {
 			continue
 		}
 		rep.SegmentsExamined++
@@ -146,7 +146,7 @@ func (a *Array) computeLivenessLocked(at sim.Time) (map[layout.SegmentID]map[uin
 	perMedium := make(map[uint64][]entry)
 	done, err := a.pyr[relation.IDAddrs].ScanVersions(at, nil, nil, func(f tuple.Fact) bool {
 		r := relation.AddrFromFact(f)
-		if !a.addrValidLocked(r) {
+		if !a.addrValid(r) {
 			return true // stale post-crash reference: logically retracted
 		}
 		perMedium[r.Medium] = append(perMedium[r.Medium], entry{
@@ -241,7 +241,7 @@ func (a *Array) evacuateSegmentLocked(at sim.Time, id layout.SegmentID, blocks m
 	touched := map[segClass]bool{}
 	for _, off := range offs {
 		c := blocks[off]
-		frame, d, err := a.readSegmentLocked(done, id, int64(off), int(c.physLen), a.policyMode())
+		frame, d, err := a.readSegment(done, id, int64(off), int(c.physLen), a.policyMode())
 		done = d
 		if err != nil {
 			return done, fmt.Errorf("core: gc read of segment %d: %w", id, err)
@@ -335,9 +335,13 @@ func (a *Array) evacuateSegmentLocked(at sim.Time, id layout.SegmentID, blocks m
 	}
 	a.crash.Hit("gc.retire.erased")
 	a.alloc.Free(info.AUs)
+	a.segMu.Lock()
 	delete(a.segMap, id)
+	a.segMu.Unlock()
 	delete(a.liveBytes, id)
+	a.rdMu.Lock()
 	a.cblocks.invalidateSegment(uint64(id))
+	a.rdMu.Unlock()
 	a.reader.InvalidateSegment(id)
 	a.clearSegmentLost(id)
 	rep.SegmentsReclaimed++
@@ -445,7 +449,7 @@ func (a *Array) flattenDeepMediumsLocked(at sim.Time, rep *GCReport) (sim.Time, 
 			if !ext.Zero && ext.Depth > 0 {
 				// Only reference flush-durable cblocks; a crash must not
 				// leave flattened facts pointing at unflushed segios.
-				if _, _, err := a.fetchDurableCBlockLocked(done, ext.Addr.Segment, ext.Addr.SegOff, int(ext.Addr.PhysLen)); err != nil {
+				if _, _, err := a.fetchDurableCBlock(done, ext.Addr.Segment, ext.Addr.SegOff, int(ext.Addr.PhysLen)); err != nil {
 					durable = false
 				} else {
 					facts = append(facts, relation.AddrRow{
@@ -670,6 +674,6 @@ func (a *Array) scrubSegmentLocked(at sim.Time, id layout.SegmentID, rep *ScrubR
 		rep.SegmentsRepaired++
 	}
 	a.stats.ScrubWUsRepaired += int64(segRepaired)
-	a.stats.SegRead.Add(rstats)
+	a.addSegRead(rstats)
 	return done, nil
 }

@@ -141,10 +141,10 @@ func (c *nvCommitter) commit(at sim.Time, ln *commitLane, rec []byte) (sim.Time,
 // --- Lane commit path ---------------------------------------------------
 
 // commitWriteLane is the commit half of a write. The whole commit runs
-// under the world lock in read mode; the engine mutex is taken only for the
-// brief sections that genuinely share state across lanes (volume lookup,
-// dedup candidate search, segment allocation, fact application), and the
-// lane mutex covers the lane's own open segment.
+// under the world lock in read mode, which also settles the volume row; the
+// engine mutex is taken only for the brief sections that genuinely share
+// state across lanes (dedup candidate search, segment allocation, fact
+// application), and the lane mutex covers the lane's own open segment.
 func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byte, prep []preparedExtent) (sim.Time, error) {
 	ln := a.laneFor(vol)
 	a.world.RLock()
@@ -153,8 +153,7 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 	// zero lane commits in flight (nvramAppendLocked's checkpoint gate).
 	a.laneInflight.Add(1)
 
-	a.mu.Lock()
-	row, done, err := a.volumeLocked(at, vol)
+	row, done, err := a.volume(at, vol)
 	if err == nil && row.State == relation.VolumeSnapshot {
 		err = fmt.Errorf("core: volume %d is a read-only snapshot", vol)
 	}
@@ -162,7 +161,6 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 	if err == nil && startSector+uint64(len(data))/cblock.SectorSize > row.SizeSectors {
 		err = ErrOutOfRange
 	}
-	a.mu.Unlock()
 	if err != nil {
 		a.laneInflight.Add(-1)
 		a.world.RUnlock()

@@ -247,7 +247,7 @@ func assertDataSlotsEmpty(t *testing.T, a *Array) {
 			t.Fatalf("slot %d still holds an open segment after FlushAll", i)
 		}
 		occupied++
-		if a.openByID[w.Info().ID] != s {
+		if ref := a.openByID[w.Info().ID]; ref.slot != s || ref.w != w {
 			t.Fatalf("slot %d's segment %d is not in the open-segment index", i, w.Info().ID)
 		}
 	}
@@ -465,7 +465,7 @@ func TestSlotAppendStates(t *testing.T) {
 			t.Fatal("fresh slot is not empty")
 		}
 		first := appendItem(lc.StripeCapacity())
-		if first.err != nil || first.off != 0 || open() == nil || open().Info().ID != first.id || a.openByID[first.id] != s {
+		if first.err != nil || first.off != 0 || open() == nil || open().Info().ID != first.id || a.openByID[first.id].slot != s {
 			t.Fatalf("append to empty slot: %+v", first)
 		}
 
@@ -489,7 +489,7 @@ func TestSlotAppendStates(t *testing.T) {
 		if info := a.segMap[first.id]; !info.Sealed || info.Stripes != lc.StripesPerAU {
 			t.Fatalf("filled segment: %+v", info)
 		}
-		if a.openByID[first.id] != nil || a.openByID[next.id] != s || len(a.openByID) != 1 {
+		if _, open := a.openByID[first.id]; open || a.openByID[next.id].slot != s || len(a.openByID) != 1 {
 			t.Fatalf("open-segment index after rotation: %v", a.openByID)
 		}
 

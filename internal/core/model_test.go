@@ -25,7 +25,7 @@ type modelVolume struct {
 func dumpSector(t *testing.T, a *Array, vol VolumeID, sector uint64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	row, _, err := a.volumeLocked(0, vol)
+	row, _, err := a.volume(0, vol)
 	if err != nil {
 		t.Logf("dump: volume: %v", err)
 		return
@@ -43,7 +43,7 @@ func dumpSector(t *testing.T, a *Array, vol VolumeID, sector uint64) {
 		_, _ = a.pyr[2].ScanVersions(0, []uint64{med, lo}, []uint64{med, sector}, func(f tuple.Fact) bool {
 			r := relation.AddrFromFact(f)
 			if r.Sector+r.Sectors > sector {
-				t.Logf("  seq=%d row=%+v valid=%v", f.Seq, r, a.addrValidLocked(r))
+				t.Logf("  seq=%d row=%+v valid=%v", f.Seq, r, a.addrValid(r))
 			}
 			return true
 		})

@@ -32,7 +32,7 @@ func newLookupOracle(t *testing.T, a *Array) *lookupOracle {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	_, err := a.pyr[relation.IDAddrs].ScanVersions(0, nil, nil, func(f tuple.Fact) bool {
-		if r := relation.AddrFromFact(f); a.addrValidLocked(r) {
+		if r := relation.AddrFromFact(f); a.addrValid(r) {
 			o.addrs[r.Medium] = append(o.addrs[r.Medium], oracleAddr{f.Seq, r})
 		}
 		return true
@@ -86,7 +86,7 @@ func checkLookupOracle(t *testing.T, a *Array, o *lookupOracle, vol VolumeID, se
 	t.Helper()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	row, _, err := a.volumeLocked(0, vol)
+	row, _, err := a.volume(0, vol)
 	if err != nil {
 		t.Fatalf("%s: volume %d: %v", where, vol, err)
 	}

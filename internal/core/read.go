@@ -14,14 +14,15 @@ import (
 // lookupAdapter implements medium.Lookup over the metadata pyramids.
 type lookupAdapter Array
 
-// addrValidLocked reports whether an address fact's target storage exists.
+// addrValid reports whether an address fact's target storage exists.
 // After a crash, patch-recovered facts may reference a data segment that
 // was unsealed when the machine died: its contents were re-placed from
 // NVRAM frames (as equal-sequence facts at new addresses) and its AUs
 // returned to the allocator. Such stale facts are logically retracted —
-// resolution must skip them so the surviving copy wins. Caller holds mu.
-func (a *Array) addrValidLocked(r relation.AddrRow) bool {
-	info, ok := a.segInfoLocked(layout.SegmentID(r.Segment))
+// resolution must skip them so the surviving copy wins. Safe with or
+// without mu.
+func (a *Array) addrValid(r relation.AddrRow) bool {
+	info, ok := a.segInfo(layout.SegmentID(r.Segment))
 	if !ok {
 		return false
 	}
@@ -33,8 +34,8 @@ func (a *Array) addrValidLocked(r relation.AddrRow) bool {
 }
 
 // AddrCovering returns the newest address-map entry covering the sector.
-// The resolver only runs from read/write paths under the array lock —
-// Caller holds mu.
+// The lookupAdapter methods read only the pyramids and the segment table,
+// so they serve ReadAt without mu and GC's flattening with it.
 func (l *lookupAdapter) AddrCovering(at sim.Time, med, sector uint64) (relation.AddrRow, bool, sim.Time, error) {
 	a := (*Array)(l)
 	// Entries may overlap; the newest covering entry wins. A covering
@@ -51,7 +52,7 @@ func (l *lookupAdapter) AddrCovering(at sim.Time, med, sector uint64) (relation.
 		[]uint64{med, lo}, []uint64{med, sector},
 		func(f tuple.Fact) bool {
 			r := relation.AddrFromFact(f)
-			if r.Sector+r.Sectors > sector && (!found || f.Seq > bestSeq) && a.addrValidLocked(r) {
+			if r.Sector+r.Sectors > sector && (!found || f.Seq > bestSeq) && a.addrValid(r) {
 				best = r
 				bestSeq = f.Seq
 				found = true
@@ -65,7 +66,6 @@ func (l *lookupAdapter) AddrCovering(at sim.Time, med, sector uint64) (relation.
 }
 
 // AddrCeil returns the entry with the least starting sector ≥ sector.
-// Caller holds mu.
 func (l *lookupAdapter) AddrCeil(at sim.Time, med, sector uint64) (relation.AddrRow, bool, sim.Time, error) {
 	a := (*Array)(l)
 	f, ok, done, err := a.pyr[relation.IDAddrs].GetCeil(at, []uint64{med}, sector)
@@ -76,7 +76,7 @@ func (l *lookupAdapter) AddrCeil(at sim.Time, med, sector uint64) (relation.Addr
 }
 
 // MediumFloor returns the medium-table row with the greatest Start ≤
-// start. Caller holds mu.
+// start.
 func (l *lookupAdapter) MediumFloor(at sim.Time, med, start uint64) (relation.MediumRow, bool, sim.Time, error) {
 	a := (*Array)(l)
 	f, ok, done, err := a.pyr[relation.IDMediums].GetFloor(at, []uint64{med}, start)
@@ -90,13 +90,19 @@ func (l *lookupAdapter) MediumFloor(at sim.Time, med, start uint64) (relation.Me
 // aligned). Unwritten ranges read as zeros (thin provisioning). The
 // returned completion time covers metadata resolution plus the slowest
 // cblock read, with extents fetched in parallel, plus CPU overhead.
+//
+// The read holds world in read mode throughout, which keeps every segment
+// it resolves to alive, and takes mu only for its closing bookkeeping: the
+// hedge, the CPU model, the read tracker, the governor and the histograms.
+// Resolution, the cblock cache, segment reads with their CRC checks,
+// reconstruction and decompression run beside lane commits and other reads.
 func (a *Array) ReadAt(at sim.Time, vol VolumeID, off int64, n int) ([]byte, sim.Time, error) {
 	if off%cblock.SectorSize != 0 || n%cblock.SectorSize != 0 || n <= 0 {
 		return nil, at, ErrUnaligned
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	row, done, err := a.volumeLocked(at, vol)
+	a.world.RLock()
+	defer a.world.RUnlock()
+	row, done, err := a.volume(at, vol)
 	if err != nil {
 		return nil, done, err
 	}
@@ -122,7 +128,7 @@ func (a *Array) ReadAt(at sim.Time, vol VolumeID, off int64, n int) ([]byte, sim
 		nb := int(ext.Sectors) * cblock.SectorSize
 		d := metaDone
 		if !ext.Zero {
-			if d, err = a.readExtentLocked(metaDone, ext, out[pos:pos+nb]); err != nil {
+			if d, err = a.readExtent(metaDone, ext, out[pos:pos+nb]); err != nil {
 				return nil, d, err
 			}
 		}
@@ -131,6 +137,8 @@ func (a *Array) ReadAt(at sim.Time, vol VolumeID, off int64, n int) ([]byte, sim
 		pos += nb
 	}
 
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	ready := a.hedgeLocked(at, metaDone, slowest, exts, extDone)
 	cpuCost := sim.Time(a.cfg.CPUOverhead + a.cfg.CPUPerKiBRead*int64(n)/1024)
 	ackAt := a.cpuLocked(ready, cpuCost)
@@ -174,7 +182,7 @@ func (a *Array) hedgeLocked(at, metaDone, slowest sim.Time, exts []medium.Extent
 			// The cblock cache holds what the first arm just read; the
 			// second arm goes to the drives, around the home one, or is
 			// not issued for want of idle peers.
-			_, h, err := a.readSegmentLocked(hedgeAt, layout.SegmentID(ext.Addr.Segment), int64(ext.Addr.SegOff), int(ext.Addr.PhysLen), layout.ReadAroundHome)
+			_, h, err := a.readSegment(hedgeAt, layout.SegmentID(ext.Addr.Segment), int64(ext.Addr.SegOff), int(ext.Addr.PhysLen), layout.ReadAroundHome)
 			if err == nil {
 				raced = true
 				d = min(d, h)
@@ -191,9 +199,9 @@ func (a *Array) hedgeLocked(at, metaDone, slowest sim.Time, exts []medium.Extent
 	return ready
 }
 
-// readExtentLocked fills dst from one resolved extent. Caller holds mu.
-func (a *Array) readExtentLocked(at sim.Time, ext medium.Extent, dst []byte) (sim.Time, error) {
-	sectors, done, err := a.readCBlockLocked(at, ext.Addr.Segment, ext.Addr.SegOff, int(ext.Addr.PhysLen))
+// readExtent fills dst from one resolved extent. Safe with or without mu.
+func (a *Array) readExtent(at sim.Time, ext medium.Extent, dst []byte) (sim.Time, error) {
+	sectors, done, err := a.readCBlock(at, ext.Addr.Segment, ext.Addr.SegOff, int(ext.Addr.PhysLen))
 	if err != nil {
 		a.stats.ExtentReadErrors.Inc()
 		return done, fmt.Errorf("core: extent read medium=%d sector=%d seg=%d off=%d len=%d depth=%d: %w",
@@ -204,13 +212,46 @@ func (a *Array) readExtentLocked(at sim.Time, ext medium.Extent, dst []byte) (si
 	return done, nil
 }
 
+// readCBlock returns the decompressed sectors of a cblock, through the DRAM
+// cache. Safe with or without mu: the cache and its counters are under
+// rdMu, held only around the lookup and the insert.
+func (a *Array) readCBlock(at sim.Time, seg, segOff uint64, physLen int) ([]byte, sim.Time, error) {
+	key := cblockKey{segment: seg, off: int64(segOff)}
+	a.rdMu.Lock()
+	sectors, hit := a.cblocks.get(key)
+	if hit {
+		a.stats.CacheHits++
+	} else {
+		a.stats.CacheMisses++
+	}
+	a.rdMu.Unlock()
+	if hit {
+		return sectors, at, nil
+	}
+	frame, done, err := a.readSegment(at, layout.SegmentID(seg), int64(segOff), physLen, a.policyMode())
+	if err != nil {
+		return nil, done, err
+	}
+	//lint:ignore taintverify sealed-segment reads are WU-CRC-verified inside ReadRange; an open segment serves only its unflushed stripe from memory (Writer.ReadPending) and its flushed stripes from the drives through readShardRange's unverified branch, with no CRC (ROADMAP item 3(a) records the gap); Unpack fails closed with the error counted
+	sectors, err = cblock.Unpack(frame)
+	if err != nil {
+		a.stats.UnpackErrors.Inc()
+		return nil, done, err
+	}
+	a.rdMu.Lock()
+	a.cblocks.put(key, physLen, sectors)
+	a.rdMu.Unlock()
+	return sectors, done, nil
+}
+
 // ResolveDepth reports the medium-chain depth a read of the given range
 // would traverse — the quantity GC flattening keeps ≤ 2 hops / 3 cblock
-// accesses (§4.6). Used by tests and the flattening trigger.
+// accesses (§4.6). Used by tests and the benchmark. Like ReadAt, it holds
+// world in read mode and never takes mu.
 func (a *Array) ResolveDepth(at sim.Time, vol VolumeID, off int64, n int) (int, sim.Time, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	row, done, err := a.volumeLocked(at, vol)
+	a.world.RLock()
+	defer a.world.RUnlock()
+	row, done, err := a.volume(at, vol)
 	if err != nil {
 		return 0, done, err
 	}

@@ -83,8 +83,7 @@ func (a *Array) Rebuild(at sim.Time, drive int) (RebuildReport, sim.Time, error)
 	done := at
 
 	// Rebuild swaps segment placements (SegmentAUs facts); quiesce lane
-	// commits for the pass. Foreground reads take only mu and still
-	// interleave between segments.
+	// commits and reads for the pass.
 	a.world.Lock()
 	defer a.world.Unlock()
 
@@ -140,7 +139,7 @@ func (a *Array) Rebuild(at sim.Time, drive int) (RebuildReport, sim.Time, error)
 func (a *Array) rebuildSegmentLocked(at sim.Time, id layout.SegmentID, drive int, rep *RebuildReport) (sim.Time, error) {
 	done := at
 	a.crash.Hit("rebuild.segment.begin")
-	info, ok := a.segInfoLocked(id)
+	info, ok := a.segInfo(id)
 	if !ok || !info.Sealed {
 		return done, nil // retired by GC, or never sealed (nothing durable lost)
 	}
@@ -197,7 +196,9 @@ func (a *Array) rebuildSegmentLocked(at sim.Time, id layout.SegmentID, drive int
 	newAUs := append([]layout.AU(nil), info.AUs...)
 	newAUs[slot] = newAU
 	info.AUs = newAUs
+	a.segMu.Lock()
 	a.segMap[id] = info
+	a.segMu.Unlock()
 	// The shard stays marked lost until the copy lands: the swapped-in AU
 	// is garbage right now and must not serve reads or donate to
 	// reconstruction.
@@ -209,12 +210,12 @@ func (a *Array) rebuildSegmentLocked(at sim.Time, id layout.SegmentID, drive int
 		d, err := a.reader.ReconstructWU(done, info, s, slot, wus[s], &rstats)
 		done = d
 		if err != nil {
-			a.stats.SegRead.Add(rstats)
+			a.addSegRead(rstats)
 			rep.Unrecoverable++
 			return done, fmt.Errorf("core: rebuild segment %d shard %d stripe %d: %w", id, slot, s, err)
 		}
 	}
-	a.stats.SegRead.Add(rstats)
+	a.addSegRead(rstats)
 
 	// The trailer travels with the shard: clone a surviving peer's (same
 	// stripes, seqs, and per-write-unit CRCs) and restamp identity and

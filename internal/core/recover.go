@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"purity/internal/cblock"
 	"purity/internal/layout"
 	"purity/internal/nvram"
 	"purity/internal/pyramid"
@@ -400,13 +401,23 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 	}); err != nil {
 		return nil, rs, err
 	}
+	newestVolume := map[uint64]tuple.Fact{}
 	if _, err := a.pyr[relation.IDVolumes].ScanVersions(done, nil, nil, func(f tuple.Fact) bool {
 		row := relation.VolumeFromFact(f)
 		bumpVolume(row.Volume)
 		bumpMedium(row.Medium)
+		if g, ok := newestVolume[row.Volume]; !ok || f.Seq > g.Seq {
+			newestVolume[row.Volume] = f
+		}
 		return true
 	}); err != nil {
 		return nil, rs, err
+	}
+	// The same versions give the provisioned-bytes aggregate its start.
+	for _, f := range newestVolume {
+		if row := relation.VolumeFromFact(f); row.State == relation.VolumeActive {
+			a.provisioned += int64(row.SizeSectors) * cblock.SectorSize
+		}
 	}
 	if _, err := a.pyr[relation.IDElide].ScanVersions(done, nil, nil, func(f tuple.Fact) bool {
 		row := relation.ElideFromFact(f)
@@ -471,8 +482,8 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 	var segFacts []tuple.Fact
 	for _, id := range segIDs {
 		info := a.segMap[id]
-		if s := a.openByID[id]; s != nil {
-			info = s.w.Info() // the segment replay opened; nothing else runs yet
+		if ref, open := a.openByID[id]; open {
+			info = ref.w.Info() // the segment replay opened; nothing else runs yet
 		}
 		segFacts = append(segFacts, relation.SegmentRow{
 			Segment: uint64(id), State: relation.SegmentSealed,

@@ -185,7 +185,7 @@ func TestRemappedFactSurvivesSecondCrash(t *testing.T) {
 	if a1.epoch != epoch {
 		t.Fatal("a boot-region write persisted NextSegment: the case under test needs none")
 	}
-	if a1.openByID[x] == nil {
+	if _, open := a1.openByID[x]; !open {
 		t.Fatal("X sealed: the case under test needs it open at the crash")
 	}
 

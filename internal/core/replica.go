@@ -26,13 +26,13 @@ type SectorRange struct {
 func (a *Array) ChangedExtents(at sim.Time, newSnap, oldSnap VolumeID) ([]SectorRange, sim.Time, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	newRow, done, err := a.volumeLocked(at, newSnap)
+	newRow, done, err := a.volume(at, newSnap)
 	if err != nil {
 		return nil, done, err
 	}
 	stop := relation.NoMedium
 	if oldSnap != 0 {
-		oldRow, d, err := a.volumeLocked(done, oldSnap)
+		oldRow, d, err := a.volume(done, oldSnap)
 		done = d
 		if err != nil {
 			return nil, done, err

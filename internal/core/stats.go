@@ -36,6 +36,8 @@ type StatsSnapshot struct {
 	FreeAUs     int64
 	// ProvisionedBytes sums live volume sizes — the thin-provisioning
 	// headline (the paper's customers provision ~12x physical on average).
+	// It is an aggregate the volume operations keep, not a catalog scan, so
+	// taking a snapshot reads nothing through the device model.
 	ProvisionedBytes int64
 	FlashStats       ssd.Stats
 	NVRAMUsed        int64
@@ -44,12 +46,16 @@ type StatsSnapshot struct {
 
 // Stats returns a snapshot of the engine's counters. The histogram pointers
 // are live (they keep accumulating); callers wanting a frozen view should
-// query percentiles immediately.
+// query percentiles immediately. It reads no page and no drive: a snapshot
+// must not move the device model it reports on.
 func (a *Array) Stats() StatsSnapshot {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.rdMu.Lock()
+	counters := a.stats.Counters
+	a.rdMu.Unlock()
 	return StatsSnapshot{
-		Counters:         a.stats.Counters,
+		Counters:         counters,
 		Reduction:        a.stats.Reduction.Snapshot(),
 		ReductionRatio:   a.stats.Reduction.Ratio(),
 		SegReadErrors:    a.stats.SegReadErrors.Load(),
@@ -58,7 +64,7 @@ func (a *Array) Stats() StatsSnapshot {
 		DriveStates:      a.driveStates(),
 		LostShards:       a.lostShardCount(),
 		Segments:         len(a.segMap),
-		ProvisionedBytes: a.provisionedLocked(),
+		ProvisionedBytes: a.provisioned,
 		FrontierAUs:      a.alloc.FrontierSize(),
 		FreeAUs:          a.alloc.FreeAUs(),
 		FlashStats:       a.shelf.AggregateStats(),
@@ -99,20 +105,6 @@ func (a *Array) ElideTableSize(relID uint32) int {
 	return 0
 }
 
-// provisionedLocked sums live volume sizes. Caller holds mu.
-func (a *Array) provisionedLocked() int64 {
-	var total int64
-	//lint:ignore errdrop best-effort gauge; a scan error leaves it partial and is already counted by SegReadErrors at the read layer
-	_, _ = a.pyr[relation.IDVolumes].Scan(0, nil, nil, func(f tuple.Fact) bool {
-		row := relation.VolumeFromFact(f)
-		if row.State == relation.VolumeActive {
-			total += int64(row.SizeSectors) * 512
-		}
-		return true
-	})
-	return total
-}
-
 // SegmentInventory lists every known segment with its in-memory liveness
 // approximation, for inspection tools.
 type SegmentInventory struct {
@@ -129,7 +121,7 @@ func (a *Array) Segments() []SegmentInventory {
 	defer a.mu.Unlock()
 	out := make([]SegmentInventory, 0, len(a.segMap))
 	for id := range a.segMap {
-		info, _ := a.segInfoLocked(id)
+		info, _ := a.segInfo(id)
 		out = append(out, SegmentInventory{
 			ID: uint64(id), Sealed: info.Sealed, Stripes: info.Stripes,
 			LiveBytes: a.liveBytes[id], AUs: len(info.AUs),
@@ -165,21 +157,22 @@ func (a *Array) RelationRows(relID uint32) int {
 // CacheWarmKeys exports the hot cblock keys for controller cache warming
 // (§4.3). Coldest first, so replaying preserves recency order.
 func (a *Array) CacheWarmKeys() []WarmKey {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a.rdMu.Lock()
+	defer a.rdMu.Unlock()
 	return a.cblocks.keys()
 }
 
 // WarmCBlocks pre-loads cblocks into the DRAM cache — the secondary
 // controller applies the primary's warm list after failover. Warming
 // failures are ignored (it is only an optimization); the completion time of
-// the whole warming pass is returned.
+// the whole warming pass is returned. Like a read, it holds world in read
+// mode and never takes mu.
 func (a *Array) WarmCBlocks(at sim.Time, keys []WarmKey) sim.Time {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a.world.RLock()
+	defer a.world.RUnlock()
 	done := at
 	for _, k := range keys {
-		if _, d, err := a.readCBlockLocked(at, k.Segment, uint64(k.Off), k.PhysLen); err == nil && d > done {
+		if _, d, err := a.readCBlock(at, k.Segment, uint64(k.Off), k.PhysLen); err == nil && d > done {
 			done = d
 		}
 	}

@@ -55,6 +55,7 @@ func (a *Array) CreateVolume(at sim.Time, name string, sizeBytes int64) (VolumeI
 	if err != nil {
 		return 0, done, err
 	}
+	a.provisioned += int64(sectors) * cblock.SectorSize
 	done, err = a.maybeBackgroundLocked(done)
 	return VolumeID(v), done, err
 }
@@ -75,8 +76,10 @@ func (a *Array) nameFreeLocked(at sim.Time, name string) (sim.Time, error) {
 	return done, err
 }
 
-// volumeLocked fetches a catalog row. Caller holds mu.
-func (a *Array) volumeLocked(at sim.Time, id VolumeID) (relation.VolumeRow, sim.Time, error) {
+// volume fetches a catalog row. Safe with or without mu: catalog changes
+// hold world exclusively and mu, so a caller holding either sees a settled
+// row.
+func (a *Array) volume(at sim.Time, id VolumeID) (relation.VolumeRow, sim.Time, error) {
 	f, ok, done, err := a.pyr[relation.IDVolumes].Get(at, []uint64{uint64(id)})
 	if err != nil {
 		return relation.VolumeRow{}, done, err
@@ -95,7 +98,7 @@ func (a *Array) volumeLocked(at sim.Time, id VolumeID) (relation.VolumeRow, sim.
 func (a *Array) Lookup(at sim.Time, id VolumeID) (VolumeInfo, sim.Time, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	row, done, err := a.volumeLocked(at, id)
+	row, done, err := a.volume(at, id)
 	if err != nil {
 		return VolumeInfo{}, done, err
 	}
@@ -138,7 +141,7 @@ func (a *Array) Snapshot(at sim.Time, id VolumeID, name string) (VolumeID, sim.T
 	defer a.world.Unlock()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	row, done, err := a.volumeLocked(at, id)
+	row, done, err := a.volume(at, id)
 	if err != nil {
 		return 0, done, err
 	}
@@ -193,7 +196,7 @@ func (a *Array) Clone(at sim.Time, snapID VolumeID, name string) (VolumeID, sim.
 	defer a.world.Unlock()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	row, done, err := a.volumeLocked(at, snapID)
+	row, done, err := a.volume(at, snapID)
 	if err != nil {
 		return 0, done, err
 	}
@@ -221,6 +224,7 @@ func (a *Array) Clone(at sim.Time, snapID VolumeID, name string) (VolumeID, sim.
 	}); err != nil {
 		return 0, done, err
 	}
+	a.provisioned += int64(row.SizeSectors) * cblock.SectorSize
 	done, err = a.maybeBackgroundLocked(done)
 	return VolumeID(v), done, err
 }
@@ -234,7 +238,7 @@ func (a *Array) Delete(at sim.Time, id VolumeID) (sim.Time, error) {
 	defer a.world.Unlock()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	row, done, err := a.volumeLocked(at, id)
+	row, done, err := a.volume(at, id)
 	if err != nil {
 		return done, err
 	}
@@ -244,6 +248,7 @@ func (a *Array) Delete(at sim.Time, id VolumeID) (sim.Time, error) {
 		return done, err
 	}
 	if row.State == relation.VolumeActive {
+		a.provisioned -= int64(row.SizeSectors) * cblock.SectorSize
 		// The RW leaf is exclusive: elide it now.
 		if done, err = a.elideMediumLocked(done, row.Medium); err != nil {
 			return done, err

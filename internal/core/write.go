@@ -132,7 +132,7 @@ func (a *Array) WriteAt(at sim.Time, vol VolumeID, off int64, data []byte) (sim.
 func (a *Array) findDuplicateLocked(at sim.Time, part []byte, hashes []uint64) (dedup.Run, sim.Time, bool) {
 	done := at
 	fetch := func(c dedup.Candidate) ([]byte, bool) {
-		sectors, d, err := a.fetchDurableCBlockLocked(done, c.Segment, c.SegOff, int(c.PhysLen))
+		sectors, d, err := a.fetchDurableCBlock(done, c.Segment, c.SegOff, int(c.PhysLen))
 		done = d
 		if err != nil {
 			return nil, false
@@ -159,43 +159,20 @@ func (a *Array) findDuplicateLocked(at sim.Time, part []byte, hashes []uint64) (
 	return dedup.Run{}, done, false
 }
 
-// fetchDurableCBlockLocked reads and decompresses a cblock, but only if its
+// fetchDurableCBlock reads and decompresses a cblock, but only if its
 // segment is SEALED. Cross-references — dedup mappings, flattened chains,
 // GC redirects — must only point at sealed segments: those are
 // rediscoverable after a crash (checkpoint or AU-trailer scan), whereas an
 // unsealed segment's data is re-placed from NVRAM frames at new
-// addresses, which would leave the cross-reference dangling. Caller holds
-// mu.
-func (a *Array) fetchDurableCBlockLocked(at sim.Time, seg, segOff uint64, physLen int) ([]byte, sim.Time, error) {
-	info, ok := a.segInfoLocked(layout.SegmentID(seg))
+// addresses, which would leave the cross-reference dangling. Safe with or
+// without mu.
+func (a *Array) fetchDurableCBlock(at sim.Time, seg, segOff uint64, physLen int) ([]byte, sim.Time, error) {
+	info, ok := a.segInfo(layout.SegmentID(seg))
 	if !ok {
 		return nil, at, fmt.Errorf("core: dedup candidate in unknown segment %d", seg)
 	}
 	if !info.Sealed {
 		return nil, at, fmt.Errorf("core: dedup candidate not yet sealed")
 	}
-	return a.readCBlockLocked(at, seg, segOff, physLen)
-}
-
-// readCBlockLocked returns the decompressed sectors of a cblock, through
-// the DRAM cache. Caller holds mu.
-func (a *Array) readCBlockLocked(at sim.Time, seg, segOff uint64, physLen int) ([]byte, sim.Time, error) {
-	key := cblockKey{segment: seg, off: int64(segOff)}
-	if sectors, ok := a.cblocks.get(key); ok {
-		a.stats.CacheHits++
-		return sectors, at, nil
-	}
-	a.stats.CacheMisses++
-	frame, done, err := a.readSegmentLocked(at, layout.SegmentID(seg), int64(segOff), physLen, a.policyMode())
-	if err != nil {
-		return nil, done, err
-	}
-	//lint:ignore taintverify sealed-segment reads are WU-CRC-verified inside ReadRange; an open segment serves only its unflushed stripe from memory (Writer.ReadPending) and its flushed stripes from the drives through readShardRange's unverified branch, with no CRC (ROADMAP item 3(a) records the gap); Unpack fails closed with the error counted
-	sectors, err := cblock.Unpack(frame)
-	if err != nil {
-		a.stats.UnpackErrors.Inc()
-		return nil, done, err
-	}
-	a.cblocks.put(key, physLen, sectors)
-	return sectors, done, nil
+	return a.readCBlock(at, seg, segOff, physLen)
 }

@@ -15,7 +15,7 @@ import (
 //
 // Sources (taint):
 //   - the buffer argument of ssd.Device.ReadAt (the device writes into it)
-//   - results of layout.Reader.ReadRange, core's Array.readSegmentLocked,
+//   - results of layout.Reader.ReadRange, core's Array.readSegment,
 //     and pyramid's PageStore.ReadPage / MemStore.ReadPage
 //
 // Verifiers (clear taint; each checks a CRC internally and fails closed):
@@ -49,7 +49,7 @@ func (*TaintVerify) Doc() string {
 var (
 	taintSources = []methodRef{
 		{"purity/internal/layout", "Reader", "ReadRange"},
-		{"purity/internal/core", "Array", "readSegmentLocked"},
+		{"purity/internal/core", "Array", "readSegment"},
 		{"purity/internal/pyramid", "PageStore", "ReadPage"},
 		{"purity/internal/pyramid", "MemStore", "ReadPage"},
 	}

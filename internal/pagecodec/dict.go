@@ -80,7 +80,7 @@ func clusterBases(sorted []uint64, w uint) []uint64 {
 
 // encode returns (baseIndex, offset) for v, or ok=false if v is not
 // representable (no base within range) — which for values the dict was
-// built from never happens, but ScanEqual probes arbitrary values.
+// built from never happens.
 func (d dict) encode(v uint64) (x int, o uint64, ok bool) {
 	// Find the greatest base ≤ v.
 	i := sort.Search(len(d.bases), func(i int) bool { return d.bases[i] > v }) - 1

@@ -323,28 +323,6 @@ func (p *Page) All() []tuple.Fact {
 	return out
 }
 
-// ScanEqual returns the rows whose column c equals v, comparing encoded bit
-// patterns rather than decoding each tuple (§4.9). Column index may address
-// user columns [0, Cols) or the sequence column (Cols).
-func (p *Page) ScanEqual(c int, v uint64) []int {
-	d := p.dicts[c]
-	x, o, ok := d.encode(v)
-	if !ok {
-		return nil // value not representable in this page: no matches
-	}
-	want := uint64(x) | o<<d.indexBits()
-	width := d.rowBits()
-	var out []int
-	base := uint64(p.bitsOff)*8 + uint64(p.colShift[c])
-	for i := 0; i < p.rowCount; i++ {
-		got := readBits(p.raw, base+uint64(i)*uint64(p.rowBits), width)
-		if got == want {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // FirstGE returns the index of the first row whose key is ≥ key, assuming
 // rows are sorted by key ascending. Returns RowCount if all keys are less.
 func (p *Page) FirstGE(key []uint64) int {

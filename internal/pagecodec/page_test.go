@@ -241,74 +241,6 @@ func TestPageSchemaMismatch(t *testing.T) {
 	}
 }
 
-func TestScanEqual(t *testing.T) {
-	s, facts := makeFacts(200, false)
-	raw, _ := Encode(s, facts)
-	p, _ := Open(s, raw)
-
-	// col0 == 5 matches rows 20..23.
-	rows := p.ScanEqual(0, 5)
-	if len(rows) != 4 || rows[0] != 20 || rows[3] != 23 {
-		t.Fatalf("ScanEqual(0, 5) = %v", rows)
-	}
-	// Constant column: all rows match 77, none match 78.
-	if got := p.ScanEqual(2, 77); len(got) != 200 {
-		t.Fatalf("constant scan matched %d rows", len(got))
-	}
-	if got := p.ScanEqual(2, 78); got != nil {
-		t.Fatalf("absent value matched %v", got)
-	}
-	// Seq column is scannable too.
-	if got := p.ScanEqual(s.Cols, 1005); len(got) != 1 || got[0] != 5 {
-		t.Fatalf("seq scan = %v", got)
-	}
-	// Value far outside any base range.
-	if got := p.ScanEqual(3, ^uint64(0)); got != nil {
-		t.Fatalf("out-of-range scan matched %v", got)
-	}
-}
-
-func TestScanEqualAgreesWithDecode(t *testing.T) {
-	// Property: ScanEqual(c, v) returns exactly the rows where the decoded
-	// column equals v.
-	f := func(seed uint64, probe uint16) bool {
-		r := sim.NewRand(seed)
-		s := tuple.Schema{Cols: 2, KeyCols: 1}
-		facts := make([]tuple.Fact, 64)
-		for i := range facts {
-			facts[i] = tuple.Fact{Seq: tuple.Seq(i), Cols: []uint64{uint64(r.Intn(16)), uint64(r.Intn(1000))}}
-		}
-		raw, err := Encode(s, facts)
-		if err != nil {
-			return false
-		}
-		p, err := Open(s, raw)
-		if err != nil {
-			return false
-		}
-		v := uint64(probe % 20)
-		got := p.ScanEqual(0, v)
-		var want []int
-		for i := range facts {
-			if facts[i].Cols[0] == v {
-				want = append(want, i)
-			}
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFirstGE(t *testing.T) {
 	s := tuple.Schema{Cols: 2, KeyCols: 2}
 	var facts []tuple.Fact
@@ -356,16 +288,6 @@ func BenchmarkEncode1000Rows(b *testing.B) {
 		if _, err := Encode(s, facts); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkScanEqual1000Rows(b *testing.B) {
-	s, facts := makeFacts(1000, false)
-	raw, _ := Encode(s, facts)
-	p, _ := Open(s, raw)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.ScanEqual(0, uint64(i%250))
 	}
 }
 

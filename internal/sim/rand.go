@@ -61,26 +61,6 @@ func (r *Rand) Perm(n int) []int {
 	return p
 }
 
-// ExpFloat64 returns an exponentially distributed float64 with mean 1.
-func (r *Rand) ExpFloat64() float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u)
-}
-
-// NormFloat64 returns a normally distributed float64 (mean 0, stddev 1)
-// using the Box–Muller transform.
-func (r *Rand) NormFloat64() float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
 // Bytes fills b with pseudo-random bytes.
 func (r *Rand) Bytes(b []byte) {
 	i := 0

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -90,38 +89,6 @@ func TestRandFloat64Range(t *testing.T) {
 		if f < 0 || f >= 1 {
 			t.Fatalf("Float64 out of range: %v", f)
 		}
-	}
-}
-
-func TestRandExpMean(t *testing.T) {
-	r := NewRand(11)
-	sum := 0.0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	mean := sum / n
-	if math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exp mean = %v, want ≈1", mean)
-	}
-}
-
-func TestRandNormMoments(t *testing.T) {
-	r := NewRand(13)
-	sum, sumsq := 0.0, 0.0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("norm mean = %v, want ≈0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Fatalf("norm variance = %v, want ≈1", variance)
 	}
 }
 

@@ -206,16 +206,6 @@ func (h *Histogram) Summary() string {
 		h.Percentile(99), h.Percentile(99.9), h.Max())
 }
 
-// Reset clears the histogram.
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total, h.sum, h.max = 0, 0, 0
-}
-
 // Reduction tracks data-reduction accounting: logical bytes the
 // applications wrote versus physical bytes that reached flash, split by
 // mechanism so experiments can attribute savings (§5: 5.4× average).

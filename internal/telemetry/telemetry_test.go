@@ -52,15 +52,6 @@ func TestHistogramSkewedTail(t *testing.T) {
 	}
 }
 
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram()
-	h.Record(sim.Millisecond)
-	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 {
-		t.Fatal("Reset incomplete")
-	}
-}
-
 func TestHistogramExtremes(t *testing.T) {
 	h := NewHistogram()
 	h.Record(0)

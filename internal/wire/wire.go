@@ -91,13 +91,6 @@ const (
 	CodeRetryable uint32 = 6
 )
 
-// RetryableCode reports whether a structured error code describes a
-// transient condition where the request was definitively NOT applied, so an
-// initiator may safely resend it (after re-resolving for CodeNotPrimary).
-func RetryableCode(code uint32) bool {
-	return code == CodeNotPrimary || code == CodeRetryable
-}
-
 // MaxFrame bounds a frame's payload; large I/O is split by the client.
 const MaxFrame = 16 << 20
 

@@ -47,19 +47,6 @@ func TestHelloDecodeTruncated(t *testing.T) {
 	}
 }
 
-func TestRetryableCode(t *testing.T) {
-	for _, code := range []uint32{CodeNotPrimary, CodeRetryable} {
-		if !RetryableCode(code) {
-			t.Fatalf("code %d not retryable", code)
-		}
-	}
-	for _, code := range []uint32{CodeInternal, CodeBadPayload, CodeTooLarge, CodeDuplicateTag, CodeUnknownOp} {
-		if RetryableCode(code) {
-			t.Fatalf("code %d wrongly retryable", code)
-		}
-	}
-}
-
 // An idempotent-write payload is the plain write payload with the seq in
 // front; spot-check the framing survives the frame round trip.
 func TestWriteIdemFraming(t *testing.T) {

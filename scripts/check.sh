@@ -5,10 +5,11 @@
 # (one benchmark run against the newest committed BENCH_<PR>.json: model
 # clock exact, wall clock printed), the crash sweep, and a short race pass
 # over the packages that do real concurrency
-# (the parallel write pipeline, its core entry points, the TCP server's
-# per-connection goroutines, the allocator/shelf locking, layout's Reader
-# and its pooled scratch, and the three packages whose types promise
-# concurrent use: pyramid, iosched, erasure).
+# (the parallel write pipeline, its core entry points and reads beside
+# writers, GC and seals, the TCP server's per-connection goroutines, the
+# allocator/shelf locking, layout's Reader and its pooled scratch, and the
+# three packages whose types promise concurrent use: pyramid, iosched,
+# erasure).
 #
 # Usage: scripts/check.sh            from the repo root
 set -eu
@@ -145,7 +146,7 @@ go test -run 'TestScrubRepairsAllInjectedCorruption|TestScrubStepPacedWalkerCove
 
 echo "== go test -race (concurrency-bearing packages)"
 go test -race -short ./internal/pipeline/ ./internal/server/ ./internal/dedup/ ./internal/layout/ ./internal/shelf/ ./internal/pyramid/ ./internal/iosched/ ./internal/erasure/
-go test -race -short -run 'TestConcurrentWriters|TestConcurrentScrubRebuildForeground' ./internal/core/
+go test -race -short -run 'TestConcurrentWriters|TestConcurrentScrubRebuildForeground|TestConcurrentReadersWriterGC|TestReadsAcrossSealWindow' ./internal/core/
 
 echo "== kernel benchmarks (one iteration each, so they cannot rot: dedup's hash and byte-verify, erasure's dot product)"
 go test -run '^$' -bench 'HashBlocks32K|ExtendAnchor32K' -benchtime 1x ./internal/dedup/
