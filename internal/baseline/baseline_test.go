@@ -46,24 +46,19 @@ func TestDiskArrayQueueing(t *testing.T) {
 	}
 }
 
-func TestDiskArrayTheoreticalIOPS(t *testing.T) {
-	d := NewDiskArray(DefaultDiskArrayConfig(360))
-	iops := d.TheoreticalIOPS(32 << 10)
-	// ~170-180 IOPS per 15k spindle × 360 ≈ 60-65k: the VNX-class figure.
-	if iops < 50_000 || iops > 80_000 {
-		t.Fatalf("theoretical IOPS = %.0f, want ≈65k", iops)
-	}
-}
-
 func TestDiskArrayUnderClosedLoop(t *testing.T) {
-	d := NewDiskArray(DefaultDiskArrayConfig(60))
+	cfg := DefaultDiskArrayConfig(60)
+	d := NewDiskArray(cfg)
 	res, err := workload.RunClosedLoop(d, 1, 1<<30,
 		workload.Mix{ReadFraction: 0.7, IOSize: 32 << 10, Class: workload.ClassRandom, Seed: 1},
 		120, 3000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ceiling := d.TheoreticalIOPS(32 << 10)
+	// The random-read ceiling: every spindle seeking, rotating and moving
+	// 32 KiB back to back.
+	perIO := cfg.SeekTime + cfg.RotationalLatency + 32*cfg.TransferPerKiB
+	ceiling := float64(cfg.Disks) / perIO.Seconds()
 	if res.IOPS > ceiling*1.2 {
 		t.Fatalf("measured %v IOPS exceeds the %v ceiling", res.IOPS, ceiling)
 	}

@@ -85,13 +85,6 @@ func (d *DiskArray) ReadAt(at sim.Time, _ core.VolumeID, off int64, n int) ([]by
 	return make([]byte, n), d.op(at, disk, n), nil
 }
 
-// TheoreticalIOPS returns the array's aggregate random-read ceiling.
-func (d *DiskArray) TheoreticalIOPS(ioBytes int) float64 {
-	per := d.cfg.SeekTime + d.cfg.RotationalLatency +
-		sim.Time(int64(d.cfg.TransferPerKiB)*int64((ioBytes+1023)/1024))
-	return float64(d.cfg.Disks) / per.Seconds()
-}
-
 // String describes the model.
 func (d *DiskArray) String() string {
 	return fmt.Sprintf("RAID-10 disk array, %d x 15k spindles", d.cfg.Disks)

@@ -10,6 +10,8 @@
 package client
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -31,7 +33,15 @@ type Client struct {
 
 	session uint64 // replay session negotiated at hello (0 = none)
 	timeout time.Duration
-	wmu     sync.Mutex // serializes request frame writes
+
+	// wmu serializes request writes and guards the scratch they are built
+	// in: head (frame header and fixed fields), vec and bufs (the vectored
+	// write).
+	wmu  sync.Mutex
+	head [headCap]byte
+	vec  [2][]byte
+	bufs net.Buffers
+
 	pmu     sync.Mutex // guards pending, nextTag, readErr
 	pending map[uint32]chan taggedResp
 	nextTag uint32 // tags start at 1; 0 is the hello's
@@ -126,14 +136,20 @@ func (c *Client) Close() error { return c.conn.Close() }
 
 // readLoop routes responses to their waiting callers. A response
 // carrying a tag with no waiter is a protocol violation: the stream can no
-// longer be trusted, so the connection fails as a whole.
+// longer be trusted, so the connection fails as a whole. Responses are read
+// through one buffered reader, so a socket read takes in every response
+// that has arrived, and each lands in a buffer of exactly its size that
+// nothing else keeps: what a call returns from it (ReadAt's data) is the
+// caller's without a copy.
 func (c *Client) readLoop() {
+	br := bufio.NewReaderSize(c.conn, wire.ReadBufSize)
+	var hdr [wire.HeaderLen]byte
 	for {
 		// This read blocks indefinitely by design: responses arrive whenever
 		// the server finishes, and the per-op timers in call condemn a stuck
 		// connection via c.conn.Close(), which unblocks it with an error.
 		//lint:ignore connguard per-op timers in call condemn the conn via Close, which unblocks this read
-		op, tag, payload, err := wire.ReadTaggedFrame(c.conn)
+		op, tag, payload, err := wire.ReadFrame(br, &hdr)
 		if err != nil {
 			c.failAll(err)
 			return
@@ -184,9 +200,19 @@ func (c *Client) abandon(tag uint32) {
 	c.conn.Close()
 }
 
-// call performs one request/response exchange. It blocks its caller; other
-// goroutines' calls proceed concurrently.
-func (c *Client) call(op byte, payload []byte) ([]byte, error) {
+// headCap is the client's header scratch: a frame header and the fixed
+// fields of any data op fit. A larger control payload (a long volume name)
+// is copied into a buffer of its own.
+const headCap = 64
+
+// call performs one request/response exchange; the request's payload is
+// fixed followed by data. It blocks its caller; other goroutines' calls
+// proceed concurrently.
+//
+// The request goes out as one vectored write under wmu: the frame header
+// and fixed (an op's fixed fields, built by the caller on its stack) in
+// the client's scratch, then data — the caller's write buffer — uncopied.
+func (c *Client) call(op byte, fixed, data []byte) ([]byte, error) {
 	c.pmu.Lock()
 	if c.readErr != nil {
 		err := c.readErr
@@ -200,26 +226,43 @@ func (c *Client) call(op byte, payload []byte) ([]byte, error) {
 	c.pmu.Unlock()
 
 	c.wmu.Lock()
+	head, err := wire.AppendHeader(c.head[:0], op, tag, len(fixed)+len(data))
+	if err != nil {
+		c.forget(tag) // refused before any byte was written
+		c.wmu.Unlock()
+		return nil, err
+	}
+	c.vec = [2][]byte{append(head, fixed...), data}
+	c.bufs = c.vec[:]
+	if len(data) == 0 {
+		c.bufs = c.vec[:1]
+	}
 	// Bound the write: a server that stops reading would otherwise wedge
 	// every caller behind wmu via TCP backpressure.
 	//lint:ignore errdrop a conn that can't set deadlines fails the write below
 	c.conn.SetWriteDeadline(time.Now().Add(c.opTimeout()))
-	if err := wire.WriteTaggedFrame(c.conn, op, tag, payload); err != nil {
-		if errors.Is(err, wire.ErrFrameTooLarge) {
-			c.forget(tag) // refused before any byte was written
-		} else {
-			// Part of the frame may be on the wire. Condemn before releasing
-			// wmu: the next caller's frame must find a closed connection,
-			// never a half-frame for the server to splice it onto.
-			c.abandon(tag)
-		}
+	err = wire.WriteBuffers(c.conn, &c.bufs)
+	c.vec = [2][]byte{} // the caller's buffer is the caller's again
+	if err != nil {
+		// Part of the frame may be on the wire. Condemn before releasing
+		// wmu: the next caller's frame must find a closed connection,
+		// never a half-frame for the server to splice it onto.
+		c.abandon(tag)
 		c.wmu.Unlock()
 		return nil, err
 	}
 	c.wmu.Unlock()
 	opT := c.opTimeout()
-	t := time.NewTimer(opT)
-	defer t.Stop()
+	t, _ := timers.Get().(*time.Timer)
+	if t == nil {
+		t = time.NewTimer(opT)
+	} else {
+		t.Reset(opT)
+	}
+	defer func() {
+		t.Stop()
+		timers.Put(t)
+	}()
 	var r taggedResp
 	var ok bool
 	select {
@@ -246,6 +289,12 @@ func (c *Client) call(op byte, payload []byte) ([]byte, error) {
 	return wire.ParseTaggedResponse(r.payload)
 }
 
+// timers holds stopped per-call timers for reuse. Since Go 1.23 a timer's
+// channel is unbuffered, so once Stop returns no stale expiry can reach the
+// timer's next call; the response channel, by contrast, is never reused (a
+// late response after a timeout would reach its next owner).
+var timers sync.Pool
+
 // opTimeout returns the per-op deadline budget: the configured timeout, or
 // the initiator-style default when none was set — an exchange must never
 // be unbounded (§4.3's I/O timeout discipline).
@@ -264,7 +313,7 @@ const defaultOpTimeout = 30 * time.Second
 // CreateVolume provisions a volume and returns its ID.
 func (c *Client) CreateVolume(name string, sizeBytes int64) (uint64, error) {
 	var e wire.Enc
-	resp, err := c.call(wire.OpCreateVolume, e.Str(name).U64(uint64(sizeBytes)).B)
+	resp, err := c.call(wire.OpCreateVolume, e.Str(name).U64(uint64(sizeBytes)).B, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -275,7 +324,7 @@ func (c *Client) CreateVolume(name string, sizeBytes int64) (uint64, error) {
 // OpenVolume resolves a volume name to (id, size).
 func (c *Client) OpenVolume(name string) (uint64, int64, error) {
 	var e wire.Enc
-	resp, err := c.call(wire.OpOpenVolume, e.Str(name).B)
+	resp, err := c.call(wire.OpOpenVolume, e.Str(name).B, nil)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -294,7 +343,7 @@ type VolumeInfo struct {
 
 // ListVolumes returns all volumes and snapshots.
 func (c *Client) ListVolumes() ([]VolumeInfo, error) {
-	resp, err := c.call(wire.OpListVolumes, nil)
+	resp, err := c.call(wire.OpListVolumes, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -310,10 +359,11 @@ func (c *Client) ListVolumes() ([]VolumeInfo, error) {
 	return out, d.Err
 }
 
-// ReadAt reads n bytes from a volume.
+// ReadAt reads n bytes from a volume. The result is a slice of the
+// response's own buffer: the caller's, uncopied.
 func (c *Client) ReadAt(vol uint64, off int64, n int) ([]byte, error) {
-	var e wire.Enc
-	resp, err := c.call(wire.OpRead, e.U64(vol).U64(uint64(off)).U64(uint64(n)).B)
+	var fb [24]byte
+	resp, err := c.call(wire.OpRead, appendU64s(fb[:0], vol, uint64(off), uint64(n)), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -322,14 +372,26 @@ func (c *Client) ReadAt(vol uint64, off int64, n int) ([]byte, error) {
 	if d.Err != nil {
 		return nil, d.Err
 	}
-	return append([]byte(nil), data...), nil
+	return data, nil
 }
 
-// WriteAt writes data to a volume.
+// WriteAt writes data to a volume. data goes on the wire uncopied and is
+// not retained once WriteAt returns.
 func (c *Client) WriteAt(vol uint64, off int64, data []byte) error {
-	var e wire.Enc
-	_, err := c.call(wire.OpWrite, e.U64(vol).U64(uint64(off)).Bytes(data).B)
+	var fb [20]byte
+	fixed := binary.LittleEndian.AppendUint32(appendU64s(fb[:0], vol, uint64(off)), uint32(len(data)))
+	_, err := c.call(wire.OpWrite, fixed, data)
 	return err
+}
+
+// appendU64s appends u64 fields as wire.Enc would. A data op builds its
+// fixed fields with it in an array on its stack, where the Enc it would
+// otherwise grow escapes.
+func appendU64s(dst []byte, vs ...uint64) []byte {
+	for _, v := range vs {
+		dst = binary.LittleEndian.AppendUint64(dst, v)
+	}
+	return dst
 }
 
 // WriteIdem writes data carrying a session-scoped idempotency sequence
@@ -337,15 +399,16 @@ func (c *Client) WriteAt(vol uint64, off int64, data []byte) error {
 // recorded outcome instead of applying twice. Requires a session
 // (DialSession); the server rejects it otherwise.
 func (c *Client) WriteIdem(seq, vol uint64, off int64, data []byte) error {
-	var e wire.Enc
-	_, err := c.call(wire.OpWriteIdem, e.U64(seq).U64(vol).U64(uint64(off)).Bytes(data).B)
+	var fb [28]byte
+	fixed := binary.LittleEndian.AppendUint32(appendU64s(fb[:0], seq, vol, uint64(off)), uint32(len(data)))
+	_, err := c.call(wire.OpWriteIdem, fixed, data)
 	return err
 }
 
 // Snapshot snapshots a volume.
 func (c *Client) Snapshot(vol uint64, name string) (uint64, error) {
 	var e wire.Enc
-	resp, err := c.call(wire.OpSnapshot, e.U64(vol).Str(name).B)
+	resp, err := c.call(wire.OpSnapshot, e.U64(vol).Str(name).B, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -356,7 +419,7 @@ func (c *Client) Snapshot(vol uint64, name string) (uint64, error) {
 // Clone clones a snapshot into a new volume.
 func (c *Client) Clone(snap uint64, name string) (uint64, error) {
 	var e wire.Enc
-	resp, err := c.call(wire.OpClone, e.U64(snap).Str(name).B)
+	resp, err := c.call(wire.OpClone, e.U64(snap).Str(name).B, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -367,13 +430,13 @@ func (c *Client) Clone(snap uint64, name string) (uint64, error) {
 // Delete removes a volume or snapshot.
 func (c *Client) Delete(vol uint64) error {
 	var e wire.Enc
-	_, err := c.call(wire.OpDelete, e.U64(vol).B)
+	_, err := c.call(wire.OpDelete, e.U64(vol).B, nil)
 	return err
 }
 
 // Stats returns the server's formatted statistics.
 func (c *Client) Stats() (string, error) {
-	resp, err := c.call(wire.OpStats, nil)
+	resp, err := c.call(wire.OpStats, nil, nil)
 	if err != nil {
 		return "", err
 	}
@@ -383,13 +446,13 @@ func (c *Client) Stats() (string, error) {
 
 // Flush checkpoints the array.
 func (c *Client) Flush() error {
-	_, err := c.call(wire.OpFlush, nil)
+	_, err := c.call(wire.OpFlush, nil, nil)
 	return err
 }
 
 // GC runs a garbage-collection cycle and returns its report text.
 func (c *Client) GC() (string, error) {
-	resp, err := c.call(wire.OpGC, nil)
+	resp, err := c.call(wire.OpGC, nil, nil)
 	if err != nil {
 		return "", err
 	}

@@ -256,12 +256,3 @@ func readExtLen(src []byte) (int, int, error) {
 	}
 	return 0, 0, ErrCorrupt
 }
-
-// Ratio returns original/compressed size for a frame that Compress produced
-// from n input bytes.
-func Ratio(n, compressed int) float64 {
-	if compressed == 0 {
-		return 0
-	}
-	return float64(n) / float64(compressed)
-}

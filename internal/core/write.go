@@ -117,6 +117,12 @@ func (a *Array) packExtent(pe *preparedExtent) (err error) {
 // Safe for concurrent callers (each TCP connection in internal/server is
 // one): hashing runs before any lock is taken, and the commit runs on the
 // volume's lane.
+//
+// WriteAt keeps nothing of data once it returns: what it stores is the
+// packed cblock frame (cblock.Pack copies into a new frame), the NVRAM
+// record carries that frame, and the cblock cache fills only on reads. The
+// caller may reuse data at once — the server passes a slice of a pooled
+// request body (TestWriteAtKeepsNoCallerBuffer pins this).
 func (a *Array) WriteAt(at sim.Time, vol VolumeID, off int64, data []byte) (sim.Time, error) {
 	prep, err := a.prepareWrite(off, data)
 	if err != nil {

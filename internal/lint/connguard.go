@@ -25,6 +25,13 @@ package lint
 //   - A use of a non-parameter chain with a missing bit reports only when
 //     the chain's static type can actually carry a deadline (it has
 //     SetReadDeadline) — reads from bytes.Buffer and friends stay silent.
+//   - A reader or writer built over another in the same body — `br :=
+//     bufio.NewReader(c.conn)`, or any call that returns a reader/writer
+//     and is handed one — reaches the socket through it, so it inherits
+//     that chain's deadline state: a read from br needs c.conn's read
+//     deadline and reports (or floats) as a use of c.conn. Without this a
+//     buffered reader, which has no SetReadDeadline of its own, would take
+//     every read behind it out of the rule.
 //
 // Deadline-like-ness is structural (the SetReadDeadline(time.Time) error
 // method), so net.Conn, *net.TCPConn, the chaos wrapper, and fixture fakes
@@ -122,8 +129,55 @@ func trackedParams(gf *graphFunc) map[string]int {
 	return out
 }
 
+// builtOver is the chain a wrapper reader/writer was constructed over.
+type builtOver struct {
+	chain string
+	t     types.Type
+}
+
+// wrappers finds, in one body (nested literals excluded), every chain
+// assigned a reader or writer constructed from another reader or writer:
+// the first such argument is what it was built over.
+func wrappers(gf *graphFunc) map[string]builtOver {
+	info, fset := gf.pkg.Info, gf.pkg.fset
+	out := map[string]builtOver{}
+	bind := func(lhs ast.Expr, rhs ast.Expr) {
+		call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+		if !ok {
+			return
+		}
+		if t := typeOfExpr(info, call); t == nil || !(readerLike(t) || writerLike(t)) {
+			return
+		}
+		for _, arg := range call.Args {
+			if t := typeOfExpr(info, arg); t != nil && (readerLike(t) || writerLike(t)) {
+				out[exprKey(fset, lhs)] = builtOver{chain: exprKey(fset, arg), t: t}
+				return
+			}
+		}
+	}
+	inspectNoFuncLit(gf.fb.body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if len(n.Lhs) == len(n.Rhs) {
+				for i := range n.Lhs {
+					bind(n.Lhs[i], n.Rhs[i])
+				}
+			}
+		case *ast.ValueSpec:
+			if len(n.Names) == len(n.Values) {
+				for i := range n.Names {
+					bind(n.Names[i], n.Values[i])
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
 func connAnalyze(s *summaries, gf *graphFunc) *connSummary {
-	p := &connProblem{sums: s, gf: gf, params: trackedParams(gf)}
+	p := &connProblem{sums: s, gf: gf, params: trackedParams(gf), over: wrappers(gf)}
 	cfg := BuildCFG(gf.fb.body)
 	sol := Solve[connState](cfg, p)
 
@@ -187,6 +241,9 @@ type connProblem struct {
 	sums   *summaries
 	gf     *graphFunc
 	params map[string]int
+	// over maps a wrapper chain to the chain it was built over (see the
+	// file comment), with that chain's static type.
+	over map[string]builtOver
 	// record fires once per unguarded use during Replay (nil while
 	// solving), with the use and the chain's static type.
 	record func(u connUse, t types.Type)
@@ -218,7 +275,8 @@ func (p *connProblem) Transfer(n ast.Node, s connState) connState {
 }
 
 // ioUses models the stdlib I/O helpers the repo routes reads and writes
-// through: which arguments they read from or write to.
+// through: which arguments they read from or write to. A method is keyed
+// by its receiver type too (net.Buffers.WriteTo, the vectored write).
 var ioUses = map[string][]struct {
 	arg  int
 	bits deadlineBits
@@ -232,6 +290,7 @@ var ioUses = map[string][]struct {
 	"io.WriteString":        {{0, armWrite}},
 	"encoding/binary.Read":  {{0, armRead}},
 	"encoding/binary.Write": {{0, armWrite}},
+	"net.Buffers.WriteTo":   {{0, armWrite}},
 }
 
 func (p *connProblem) applyCall(call *ast.CallExpr, s connState) connState {
@@ -280,7 +339,11 @@ func (p *connProblem) applyCall(call *ast.CallExpr, s connState) connState {
 	}
 
 	// Stdlib I/O helpers: uses of their reader/writer arguments.
-	if uses, ok := ioUses[fn.Pkg().Path()+"."+fn.Name()]; ok {
+	key := fn.Pkg().Path() + "." + fn.Name()
+	if n := recvNamed(fn); n != nil {
+		key = fn.Pkg().Path() + "." + n.Obj().Name() + "." + fn.Name()
+	}
+	if uses, ok := ioUses[key]; ok {
 		for _, iu := range uses {
 			if iu.arg >= len(call.Args) {
 				continue
@@ -321,8 +384,16 @@ func (p *connProblem) applyCall(call *ast.CallExpr, s connState) connState {
 }
 
 // checkUse records a use whose required bits are not all armed. The state
-// is unchanged either way: an unguarded read does not arm anything.
+// is unchanged either way: an unguarded read does not arm anything. A use
+// of a wrapper is a use of the chain it was built over.
 func (p *connProblem) checkUse(s connState, t types.Type, u connUse) connState {
+	for seen := 0; seen < len(p.over); seen++ {
+		src, ok := p.over[u.chain]
+		if !ok {
+			break
+		}
+		u.chain, t = src.chain, src.t
+	}
 	if s[u.chain]&u.bits == u.bits {
 		return s
 	}

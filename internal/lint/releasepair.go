@@ -5,9 +5,11 @@ package lint
 // through every request: tenant-window slots (`ten <- struct{}{}` to
 // acquire, `<-ten` to release), inflight-byte budget grants
 // (budget.acquire/budget.release), session-ledger tag claims
-// (claimTag/dropTag), and release closures stashed in request structs. A
-// path that returns — or panics — while still holding one pins the slot
-// until process death: the dead-client wedge §5 forbids.
+// (claimTag/dropTag) and pooled request bodies (bodies.get/bodies.put), all
+// handed to the request's release method once it is admitted. A path that
+// returns — or panics — while still holding one pins the slot until
+// process death: the dead-client wedge §5 forbids; a body not put back is
+// a pool that drains into the collector.
 //
 // The rule is a forward dataflow over each body's CFG. A resource is
 // tracked from its syntactic acquisition site; each path then must release
@@ -15,7 +17,7 @@ package lint
 //
 //   - a receive from the acquired channel (`<-ten`),
 //   - a release-named call on the same selector chain (release/drop/
-//     unclaim/put/free...), directly or deferred,
+//     unclaim, or put on a pool: classifyPair), directly or deferred,
 //   - a call to a module function whose summary proves it releases its
 //     receiver's slots and acquires none (summary.go's releasesRecv /
 //     acquiresRecv bits) — so c.abortAdmission counts as dropping c's tag
@@ -172,8 +174,8 @@ func (p *relProblem) Transfer(n ast.Node, s relState) relState {
 		s = p.applyCallNode(d.Call, s, true, false)
 	}
 	if _, ok := n.(*ast.ReturnStmt); ok {
-		// A closure escaping via the return value (the request.release
-		// pattern) owns the obligation now — scan the return's operands
+		// A closure escaping via the return value (the fixture's Handoff
+		// shape) owns the obligation now — scan the return's operands
 		// before judging the exit.
 		s = p.walkOps(n, s)
 		s = p.applyLits(n, s)
@@ -224,7 +226,7 @@ func (p *relProblem) applyCallOps(call *ast.CallExpr, s relState, ctx ast.Node) 
 	}
 	chain := exprKey(fset, sel.X)
 	name := sel.Sel.Name
-	switch classifyPairName(name) {
+	switch classifyPair(p.pkg.Info, sel) {
 	case pairAcquire:
 		what := chain + "." + name
 		if pend := p.pendingContext(call, ctx, chain, what); pend != nil {
@@ -293,7 +295,7 @@ func (p *relProblem) applyCallNode(call *ast.CallExpr, s relState, deferred, esc
 	}
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		chain := exprKey(fset, sel.X)
-		if classifyPairName(sel.Sel.Name) == pairRelease {
+		if classifyPair(p.pkg.Info, sel) == pairRelease {
 			return p.applyRelease(s, chain, call.Pos(), deferred)
 		}
 		if _, tracked := s.res[chain]; tracked && deferred {
@@ -353,7 +355,7 @@ func (p *relProblem) applyLitReleases(lit *ast.FuncLit, s relState, deferred, es
 			}
 		case *ast.CallExpr:
 			if sel, ok := ast.Unparen(m.Fun).(*ast.SelectorExpr); ok &&
-				classifyPairName(sel.Sel.Name) == pairRelease {
+				classifyPair(p.pkg.Info, sel) == pairRelease {
 				touch(exprKey(fset, sel.X), m.Pos())
 			}
 		}

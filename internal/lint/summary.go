@@ -136,7 +136,7 @@ func (s *summaries) localEffects(gf *graphFunc, sum *funcSummary) {
 			case *ast.CallExpr:
 				if sel, ok := ast.Unparen(m.Fun).(*ast.SelectorExpr); ok &&
 					rootIdentName(sel.X) == gf.recvName && gf.recvName != "" {
-					switch classifyPairName(sel.Sel.Name) {
+					switch classifyPair(pkg.Info, sel) {
 					case pairAcquire:
 						sum.acquiresRecv = true
 					case pairRelease:
@@ -229,21 +229,46 @@ const (
 	pairRelease
 )
 
-// classifyPairName maps a method name onto the repo's acquire/release
+// classifyPair maps a method call onto the repo's acquire/release
 // vocabulary. The families are deliberately narrow: admission slots and
 // ledger claims (acquire/claim/reserve) against their releases
 // (release/drop/unclaim/abort is NOT here — abortAdmission counts via its
-// summary, because its body calls dropTag).
-func classifyPairName(name string) pairKind {
-	switch {
+// summary, because its body calls dropTag), and pooled buffers: get
+// against put on a receiver whose type has both (sync.Pool, the server's
+// request-body pool), which keeps a Get that is a lookup out of it.
+func classifyPair(info *types.Info, sel *ast.SelectorExpr) pairKind {
+	switch name := sel.Sel.Name; {
 	case name == "acquire" || name == "Acquire" ||
 		hasNamePrefix(name, "claim") || hasNamePrefix(name, "reserve"):
 		return pairAcquire
 	case name == "release" || name == "Release" ||
 		hasNamePrefix(name, "drop") || hasNamePrefix(name, "unclaim"):
 		return pairRelease
+	case (name == "get" || name == "Get") && poolShaped(info, sel.X):
+		return pairAcquire
+	case (name == "put" || name == "Put") && poolShaped(info, sel.X):
+		return pairRelease
 	}
 	return pairNone
+}
+
+// poolShaped reports whether e's type has a get and a put method of the
+// same case: a pool lends with one and takes back with the other.
+func poolShaped(info *types.Info, e ast.Expr) bool {
+	t := typeOfExpr(info, e)
+	if t == nil {
+		return false
+	}
+	var pkg *types.Package // unexported methods are looked up in their own package
+	if n := derefNamed(t); n != nil {
+		pkg = n.Obj().Pkg()
+	}
+	has := func(name string) bool {
+		obj, _, _ := types.LookupFieldOrMethod(t, true, pkg, name)
+		_, ok := obj.(*types.Func)
+		return ok
+	}
+	return (has("get") && has("put")) || (has("Get") && has("Put"))
 }
 
 // hasNamePrefix matches prefix case-insensitively on the first rune only

@@ -9,8 +9,10 @@
 package fixconn
 
 import (
+	"bufio"
 	"bytes"
 	"io"
+	"net"
 	"time"
 )
 
@@ -106,10 +108,52 @@ func (s *sess) ViaReadFull(buf []byte) {
 	io.ReadFull(s.conn, buf) // want "no read deadline"
 }
 
+// BufferedBare reads through a buffered reader built over the conn. The
+// bufio.Reader has no deadline of its own, but the read reaches the socket
+// through it: it needs the conn's.
+func (s *sess) BufferedBare(buf []byte) {
+	br := bufio.NewReader(s.conn)
+	io.ReadFull(br, buf) // want "no read deadline"
+}
+
+// BufferedGuarded arms the conn under the buffered reader: clean.
+func (s *sess) BufferedGuarded(buf []byte) {
+	br := bufio.NewReaderSize(s.conn, 4096)
+	s.conn.SetReadDeadline(time.Now().Add(time.Second))
+	br.Read(buf)
+	readFrame2(br, buf)
+}
+
+// readFrame2 reads a frame from any reader; its use floats to the caller.
+func readFrame2(r io.Reader, buf []byte) error {
+	_, err := io.ReadFull(r, buf)
+	return err
+}
+
+// BufferedThroughHelper hands the buffered reader to a reading helper with
+// no deadline on the conn under it.
+func (s *sess) BufferedThroughHelper(buf []byte) {
+	var br = bufio.NewReader(s.conn)
+	readFrame2(br, buf) // want "no read deadline"
+}
+
+// VectoredBare sends a batch with no write deadline.
+func (s *sess) VectoredBare(bufs net.Buffers) {
+	bufs.WriteTo(s.conn) // want "no write deadline"
+}
+
+// VectoredGuarded arms the write side first: clean.
+func (s *sess) VectoredGuarded(bufs net.Buffers) {
+	s.conn.SetWriteDeadline(time.Now().Add(time.Second))
+	bufs.WriteTo(s.conn)
+}
+
 // QuietBuffer reads from a type that cannot carry a deadline: silent.
 func QuietBuffer(buf []byte) {
 	var b bytes.Buffer
 	b.Read(buf)
+	br := bufio.NewReader(&b)
+	br.Read(buf)
 }
 
 // Suppressed documents the one legitimate exception shape: a read that

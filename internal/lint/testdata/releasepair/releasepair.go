@@ -120,8 +120,8 @@ func (c *conn) PanicLeak(fail bool) {
 	<-c.ten
 }
 
-// Handoff moves the release obligation into an escaping closure — the
-// request.release pattern. The closure owns it now: clean here.
+// Handoff moves the release obligation into an escaping closure, a
+// callback the holder runs later. The closure owns it now: clean here.
 func (c *conn) Handoff() func() {
 	c.ten <- struct{}{}
 	return func() { <-c.ten }
@@ -132,4 +132,54 @@ func (c *conn) Suppressed() {
 	c.ten <- struct{}{}
 	//lint:ignore releasepair fixture: the slot is pinned deliberately to starve the window in tests
 	return
+}
+
+// pool lends buffers: get against put, the server's request-body shape.
+type pool struct{ free [][]byte }
+
+func (p *pool) get(n int) []byte {
+	if k := len(p.free); k > 0 {
+		b := p.free[k-1]
+		p.free = p.free[:k-1]
+		return b[:n]
+	}
+	return make([]byte, n)
+}
+
+func (p *pool) put(b []byte) { p.free = append(p.free, b) }
+
+type reader struct {
+	bodies *pool
+	fill   func([]byte) error
+}
+
+// LeakBody drops a pooled body on the read-error path.
+func (r *reader) LeakBody(n int) []byte {
+	body := r.bodies.get(n)
+	if err := r.fill(body); err != nil {
+		return nil // want "held"
+	}
+	r.bodies.put(body)
+	return nil
+}
+
+// BalancedBody returns the body on every path: clean.
+func (r *reader) BalancedBody(n int) error {
+	body := r.bodies.get(n)
+	if err := r.fill(body); err != nil {
+		r.bodies.put(body)
+		return err
+	}
+	r.bodies.put(body)
+	return nil
+}
+
+// table has a Get that is a lookup, with no Put: not a pool, not tracked.
+type table struct{ m map[int]int }
+
+func (t *table) Get(k int) int { return t.m[k] }
+
+// Lookup is silent: a Get without a Put is not a loan.
+func Lookup(t *table) int {
+	return t.Get(1)
 }

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"net"
 	"os"
@@ -12,22 +14,56 @@ import (
 
 // request is one admitted request.
 type request struct {
+	c       *pconn
 	op      byte
 	tag     uint32
-	payload []byte
-	// release returns the request's admission resources (tenant window
-	// slot, byte budget, tag). Called exactly once, after the response is
-	// written or discarded.
-	release func()
+	payload []byte        // the frame's body, from the server's body pool
+	ten     chan struct{} // the tenant window the request holds a slot in
+	cost    int64         // its grant from the byte budget
 }
 
-// outFrame is one completed response bound for the writer goroutine.
-type outFrame struct {
-	op      byte
-	tag     uint32
-	resp    []byte // response payload (status byte first)
-	release func()
+// release returns the request's admission resources (tenant window slot,
+// byte budget, tag) and its body. Called exactly once, after the response
+// is written or discarded.
+func (r *request) release() {
+	<-r.ten
+	r.c.s.budget.release(r.cost)
+	r.c.dropTag(r.tag)
+	r.c.s.bodies.put(r.payload)
 }
+
+// outFrame is one completed response bound for the writer goroutine. The
+// writer builds its header and status byte; resp goes on the wire as it
+// is, uncopied.
+type outFrame struct {
+	op  byte
+	tag uint32
+	// ok: resp is a success result, sent after a StatusOK byte and, when
+	// blob, after its u32 length (OpRead's data). Otherwise resp is a whole
+	// wire.ErrResponse payload.
+	ok, blob bool
+	resp     []byte
+	req      *request // released once the frame's batch is written or discarded; nil if never admitted
+}
+
+// payloadLen is the length of the frame's payload on the wire.
+func (f *outFrame) payloadLen() int {
+	n := len(f.resp)
+	if f.ok {
+		n++
+		if f.blob {
+			n += 4
+		}
+	}
+	return n
+}
+
+// maxBatch bounds the frames one vectored write carries; maxHead is the
+// most header bytes one frame needs (frame header, status, blob length).
+const (
+	maxBatch = 64
+	maxHead  = wire.HeaderLen + 1 + 4
+)
 
 // pconn is one connection past its hello: the reader goroutine (the
 // connection's accept goroutine) admits requests, Config.Workers goroutines
@@ -43,6 +79,14 @@ type pconn struct {
 	lo  chan *request // everything else
 	out chan outFrame
 
+	// The writer goroutine's scratch: every header of a batch in head
+	// (sized so it never regrows, which would move headers vec points
+	// into), the batch's buffers in vec, and bufs, the net.Buffers the
+	// vectored write consumes.
+	head []byte
+	vec  [][]byte
+	bufs net.Buffers
+
 	// down closes when the connection is torn down (writer failure), waking
 	// any admission wait so a dead client can't pin a tenant slot or
 	// in-flight bytes forever.
@@ -51,31 +95,43 @@ type pconn struct {
 
 	// tags tracks in-flight request tags for duplicate detection. Guarded
 	// by tagMu (claimed by the reader, dropped at completion by the
-	// writer's release callbacks).
+	// requests' releases, which the writer runs).
 	tagMu sync.Mutex
 	tags  map[uint32]struct{}
 
 	// tenants maps volume → in-flight window semaphore. The map itself is
 	// touched only by the reader goroutine; the channels it holds are
-	// shared with release callbacks.
+	// shared with the requests' releases.
 	tenants map[uint64]chan struct{}
 }
 
 // servePipelined runs one connection to completion.
 func (s *Server) servePipelined(conn net.Conn, sess *controller.Session) {
-	c := &pconn{
+	s.newPconn(conn, sess).serve()
+}
+
+// newPconn sets up a connection past its hello; serve runs it.
+func (s *Server) newPconn(conn net.Conn, sess *controller.Session) *pconn {
+	return &pconn{
 		s:       s,
 		conn:    conn,
 		sess:    sess,
 		hi:      make(chan *request, s.cfg.QueueDepth),
 		lo:      make(chan *request, s.cfg.QueueDepth),
 		out:     make(chan outFrame, s.cfg.QueueDepth),
+		head:    make([]byte, 0, maxBatch*maxHead),
+		vec:     make([][]byte, 0, 2*maxBatch),
 		down:    make(chan struct{}),
 		tags:    make(map[uint32]struct{}),
 		tenants: make(map[uint64]chan struct{}),
 	}
+}
+
+// serve runs the connection: its workers and writer, and the reader on the
+// calling goroutine.
+func (c *pconn) serve() {
 	var workers sync.WaitGroup
-	for i := 0; i < s.cfg.Workers; i++ {
+	for i := 0; i < c.s.cfg.Workers; i++ {
 		workers.Add(1)
 		go c.worker(&workers)
 	}
@@ -96,12 +152,31 @@ func (s *Server) servePipelined(conn net.Conn, sess *controller.Session) {
 // a protocol violation. Admission can block — that is the design: a tenant
 // over its window, or a connection over the global byte budget, stalls
 // here, which backpressures the TCP stream instead of queueing unboundedly.
+//
+// Frames are read through one buffered reader, so a socket read takes in
+// every frame that has arrived and the frames behind the first cost no
+// syscall. That is also why the loop checks for a drain itself: Shutdown's
+// expired read deadline stops only a read that reaches the socket, and a
+// frame already in the buffer never does.
 func (c *pconn) readLoop() {
+	br := bufio.NewReaderSize(c.conn, wire.ReadBufSize)
+	var hdr [wire.HeaderLen]byte
 	for {
 		c.s.touchIdle(c.conn)
-		op, tag, payload, err := wire.ReadTaggedFrame(c.conn)
+		op, tag, n, err := wire.ReadHeader(br, &hdr)
 		if err != nil {
 			c.s.countReadErr(err)
+			return
+		}
+		payload := c.s.bodies.get(n)
+		if err := wire.ReadPayload(br, payload); err != nil {
+			c.s.bodies.put(payload)
+			c.s.countReadErr(err)
+			return
+		}
+		if c.s.draining() {
+			// Not admitted: the client's reconnect path replays it.
+			c.s.bodies.put(payload)
 			return
 		}
 		if !c.claimTag(tag) {
@@ -109,6 +184,7 @@ func (c *pconn) readLoop() {
 			// carry the same tag — the initiator could never match them.
 			// Report once, then kill the connection (the stream is
 			// unsynchronized from the server's point of view).
+			c.s.bodies.put(payload)
 			c.s.tel.DuplicateTags.Inc()
 			c.out <- outFrame{op: op, tag: tag,
 				resp: wire.ErrResponse(wire.CodeDuplicateTag, "tag already in flight")}
@@ -128,9 +204,11 @@ func (c *pconn) readLoop() {
 			case ten <- struct{}{}:
 			case <-c.down:
 				c.abortAdmission(tag)
+				c.s.bodies.put(payload)
 				return
 			case <-c.s.drainCh:
 				c.abortAdmission(tag)
+				c.s.bodies.put(payload)
 				return
 			}
 		}
@@ -142,13 +220,10 @@ func (c *pconn) readLoop() {
 		if !granted {
 			<-ten
 			c.abortAdmission(tag)
+			c.s.bodies.put(payload)
 			return
 		}
-		r := &request{op: op, tag: tag, payload: payload, release: func() {
-			<-ten
-			c.s.budget.release(cost)
-			c.dropTag(tag)
-		}}
+		r := &request{c: c, op: op, tag: tag, payload: payload, ten: ten, cost: cost}
 		if op == wire.OpRead {
 			c.hi <- r
 		} else {
@@ -220,27 +295,43 @@ func (c *pconn) run(r *request) {
 		hook(r.op, r.payload)
 	}
 	resp, err := c.s.dispatch(c.sess, r.op, r.payload)
-	var frame []byte
+	f := outFrame{op: r.op, tag: r.tag, req: r}
 	if err != nil {
-		frame = wire.ErrResponse(c.s.respCode(err), err.Error())
+		f.resp = wire.ErrResponse(c.s.respCode(err), err.Error())
 	} else {
-		frame = wire.OKResponse(resp)
+		f.ok, f.blob, f.resp = true, r.op == wire.OpRead, resp
 	}
-	c.out <- outFrame{op: r.op, tag: r.tag, resp: frame, release: r.release}
+	c.out <- f
 }
 
-// writer is the single goroutine that writes response frames. Each write is
-// bounded by Config.WriteTimeout, so a client that stops reading cannot
-// wedge the writer via TCP backpressure. After a write failure it tears the
-// connection down but keeps draining, so every release callback still runs
-// and no worker blocks on a dead connection.
+// writer is the single goroutine that writes response frames. Each wake-up
+// takes every completion that is ready, up to maxBatch, and sends them as
+// one vectored write; when none is waiting it writes what it has, so a
+// lone response is not held back. Each write is bounded by
+// Config.WriteTimeout, so a client that stops reading cannot wedge the
+// writer via TCP backpressure. After a write failure it tears the
+// connection down but keeps draining, so every release still runs and no
+// worker blocks on a dead connection.
 func (c *pconn) writer(done chan struct{}) {
 	defer close(done)
 	failed := false
+	batch := make([]outFrame, 0, maxBatch)
 	for f := range c.out {
+		batch = append(batch[:0], f)
+	more:
+		for len(batch) < maxBatch {
+			select {
+			case next, ok := <-c.out:
+				if !ok {
+					break more
+				}
+				batch = append(batch, next)
+			default:
+				break more
+			}
+		}
 		if !failed {
-			c.s.touchWrite(c.conn)
-			if err := wire.WriteTaggedFrame(c.conn, f.op, f.tag, f.resp); err != nil {
+			if err := c.writeBatch(batch); err != nil {
 				failed = true
 				if errors.Is(err, os.ErrDeadlineExceeded) {
 					c.s.tel.WriteTimeouts.Inc()
@@ -249,10 +340,44 @@ func (c *pconn) writer(done chan struct{}) {
 				c.s.tel.AbnormalDisconnects.Inc()
 			}
 		}
-		if f.release != nil {
-			f.release()
+		for i := range batch {
+			if r := batch[i].req; r != nil {
+				r.release()
+			}
+			batch[i] = outFrame{}
 		}
 	}
+}
+
+// writeBatch sends a batch of response frames as one vectored write: each
+// frame's header, status byte and blob length built in the writer's
+// scratch, each result as the buffer dispatch returned.
+func (c *pconn) writeBatch(batch []outFrame) error {
+	head, vec := c.head[:0], c.vec[:0]
+	for i := range batch {
+		f := &batch[i]
+		start := len(head)
+		var err error
+		if head, err = wire.AppendHeader(head, f.op, f.tag, f.payloadLen()); err != nil {
+			clear(vec)
+			return err
+		}
+		if f.ok {
+			head = append(head, wire.StatusOK)
+			if f.blob {
+				head = binary.LittleEndian.AppendUint32(head, uint32(len(f.resp)))
+			}
+		}
+		vec = append(vec, head[start:])
+		if len(f.resp) > 0 {
+			vec = append(vec, f.resp)
+		}
+	}
+	c.s.touchWrite(c.conn)
+	c.bufs = vec
+	err := wire.WriteBuffers(c.conn, &c.bufs)
+	clear(vec) // drop the results: the engine's read buffers are the caller's to free
+	return err
 }
 
 // teardown marks the connection dead and wakes everything parked on it: the
@@ -328,6 +453,59 @@ func admissionCost(op byte, payload []byte) int64 {
 		}
 	}
 	return cost
+}
+
+// pooledBody is the size of a pooled request body: a 4 KiB write with its
+// fixed fields fits, as does every control request. A larger body is
+// allocated for its request and left to the collector.
+const pooledBody = 4<<10 + 64
+
+// poolCap bounds the bodies the pool keeps idle (about 1 MiB).
+const poolCap = 256
+
+// bodyPool lends request bodies. A body goes back exactly once: in its
+// request's release, after the response is written, or on the reader's
+// path that drops a frame unadmitted. It is a mutex and a stack rather
+// than a sync.Pool so that the most recently returned body is the next
+// one lent, and so that lent can prove every body came back.
+type bodyPool struct {
+	mu   sync.Mutex
+	free [][]byte // idle bodies, each of capacity pooledBody; at most poolCap
+	lent int      // pooled bodies currently out
+}
+
+// get returns an n-byte body.
+func (p *bodyPool) get(n int) []byte {
+	if n > pooledBody {
+		return make([]byte, n)
+	}
+	p.mu.Lock()
+	p.lent++
+	var b []byte
+	if k := len(p.free); k > 0 {
+		b = p.free[k-1]
+		p.free[k-1] = nil
+		p.free = p.free[:k-1]
+	}
+	p.mu.Unlock()
+	if b == nil {
+		b = make([]byte, pooledBody)
+	}
+	return b[:n]
+}
+
+// put returns a body get lent; one get allocated for its size alone is
+// left to the collector.
+func (p *bodyPool) put(b []byte) {
+	if cap(b) != pooledBody {
+		return
+	}
+	p.mu.Lock()
+	p.lent--
+	if len(p.free) < poolCap {
+		p.free = append(p.free, b[:pooledBody])
+	}
+	p.mu.Unlock()
 }
 
 // byteBudget is the global in-flight payload budget. Admission blocks while

@@ -73,12 +73,13 @@ type Config struct {
 	// wedge backstop (a deadline always fires eventually); zero takes the
 	// default.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each response write. Without it a stalled client
-	// that stops reading wedges the connection's single writer goroutine via
-	// TCP backpressure, and every release callback queued behind the stuck
-	// frame — tenant-window slots and in-flight bytes — leaks until the
-	// socket dies on its own. Negative falls back to the wedge backstop;
-	// zero takes the default.
+	// WriteTimeout bounds each response write (a batch of the responses
+	// that were ready together). Without it a stalled client that stops
+	// reading wedges the connection's single writer goroutine via TCP
+	// backpressure, and every release queued behind the stuck batch —
+	// tenant-window slots, in-flight bytes, request bodies — leaks until
+	// the socket dies on its own. Negative falls back to the wedge
+	// backstop; zero takes the default.
 	WriteTimeout time.Duration
 }
 
@@ -117,6 +118,7 @@ type Server struct {
 	epoch  time.Time // wall-clock origin for the simulated timeline
 	tel    *telemetry.Frontend
 	budget *byteBudget
+	bodies bodyPool // request bodies, shared by every connection
 
 	// Lifecycle state for graceful drain: every listener Serve is running on
 	// and every live connection, so Shutdown can stop accepts and wake
@@ -492,7 +494,9 @@ func (s *Server) badPayload(err error) error {
 // dispatch runs one request against the engine. Called concurrently from
 // every connection's workers; the Pair and the engine
 // synchronize internally. sess is the connection's replay session (nil on
-// session-less connections).
+// session-less connections). The result is the response after its StatusOK
+// byte, except for OpRead, whose result is the read data itself (the
+// writer adds its length prefix).
 func (s *Server) dispatch(sess *controller.Session, op byte, payload []byte) ([]byte, error) {
 	at := s.now()
 	// Resolve the engine through the fencing-aware view: a demoted
@@ -569,16 +573,16 @@ func (s *Server) dispatch(sess *controller.Session, op byte, payload []byte) ([]
 			return nil, err
 		}
 		s.pace(at, done)
-		var e wire.Enc
-		return e.Bytes(data).B, nil
+		// The engine's own buffer, fresh per read: the writer sends it
+		// length-prefixed, uncopied.
+		return data, nil
 
 	case wire.OpWrite:
 		vol := d.U64()
 		off := d.U64()
-		// Dec.Bytes aliases the frame buffer; the engine retains write data
-		// beyond this dispatch (NVRAM mirrors, dedup candidates), and v2
-		// frames are handled by concurrent workers — copy at the boundary.
-		data := append([]byte(nil), d.Bytes()...)
+		// data aliases the request's pooled body, which stays valid until
+		// the request's release; WriteAt keeps nothing of it past return.
+		data := d.Bytes()
 		if !d.OK() {
 			return nil, s.badPayload(d.Err)
 		}
@@ -593,7 +597,7 @@ func (s *Server) dispatch(sess *controller.Session, op byte, payload []byte) ([]
 		seq := d.U64()
 		vol := d.U64()
 		off := d.U64()
-		data := append([]byte(nil), d.Bytes()...)
+		data := d.Bytes()
 		if !d.OK() {
 			return nil, s.badPayload(d.Err)
 		}

@@ -7,7 +7,6 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -255,22 +254,4 @@ func (r *Reduction) Snapshot() ReductionSnapshot {
 		DedupBytes:    r.DedupBytes,
 		ZeroBytes:     r.ZeroBytes,
 	}
-}
-
-// Series is a labelled (x, y) series for figure-style experiment output.
-type Series struct {
-	Label  string
-	Points []Point
-}
-
-// Point is one sample of a series.
-type Point struct {
-	X, Y float64
-}
-
-// Sorted returns the points ordered by X.
-func (s Series) Sorted() []Point {
-	out := append([]Point(nil), s.Points...)
-	sort.Slice(out, func(i, j int) bool { return out[i].X < out[j].X })
-	return out
 }

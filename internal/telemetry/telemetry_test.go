@@ -96,14 +96,3 @@ func TestReduction(t *testing.T) {
 		t.Fatal("empty ratio not 0")
 	}
 }
-
-func TestSeriesSorted(t *testing.T) {
-	s := Series{Label: "x", Points: []Point{{3, 1}, {1, 2}, {2, 3}}}
-	p := s.Sorted()
-	if p[0].X != 1 || p[1].X != 2 || p[2].X != 3 {
-		t.Fatalf("sorted = %+v", p)
-	}
-	if s.Points[0].X != 3 {
-		t.Fatal("Sorted mutated the series")
-	}
-}

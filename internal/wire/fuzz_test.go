@@ -4,10 +4,12 @@ package wire
 // tests' vectors, so each target also runs as a plain test under `go test`.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzTaggedFrame: on any bytes ReadTaggedFrame never panics, never returns
@@ -48,6 +50,79 @@ func FuzzTaggedFrame(f *testing.F) {
 		if consumed := in[:len(in)-r.Len()]; !bytes.Equal(out.Bytes(), consumed) {
 			t.Fatalf("re-encoded %x, consumed %x", out.Bytes(), consumed)
 		}
+	})
+}
+
+// FuzzFrameStream: a stream of frames decoded the way a connection reads
+// it — ReadHeader and ReadPayload through a buffered reader, over a source
+// that hands the bytes over one at a time, half a read at a time, or all
+// at once, with a buffer small enough to refill mid-frame and to be
+// bypassed by large payloads — yields exactly what ReadTaggedFrame yields
+// frame by frame on the plain bytes, up to and including the error that
+// ends the stream (io.EOF, io.ErrUnexpectedEOF, ErrFrameTooLarge,
+// ErrBadFrame).
+func FuzzFrameStream(f *testing.F) {
+	var stream bytes.Buffer
+	for tag, p := range [][]byte{[]byte("first"), nil, bytes.Repeat([]byte{7}, 70), []byte("last")} {
+		if err := WriteTaggedFrame(&stream, OpWrite, uint32(tag), p); err != nil {
+			f.Fatal(err)
+		}
+	}
+	whole := stream.Bytes()
+	for mode := byte(0); mode < 3; mode++ {
+		f.Add(whole, mode)
+		f.Add(whole[:len(whole)-2], mode)                                          // torn last frame
+		f.Add(append(whole[:len(whole):len(whole)], 0xff, 0xff, 0xff, 0xff), mode) // forged length after good frames
+		f.Add(append(whole[:len(whole):len(whole)], 3, 0, 0, 0), mode)             // too short for op + tag
+		f.Add(whole[:11], 4+mode)                                                  // header, then a torn payload
+	}
+	f.Add([]byte{}, byte(0))
+
+	f.Fuzz(func(t *testing.T, in []byte, mode byte) {
+		type frame struct {
+			op      byte
+			tag     uint32
+			payload []byte
+			err     error
+		}
+		var want []frame
+		plain := bytes.NewReader(in)
+		for {
+			op, tag, payload, err := ReadTaggedFrame(plain)
+			want = append(want, frame{op, tag, payload, err})
+			if err != nil {
+				break
+			}
+		}
+
+		var src io.Reader = bytes.NewReader(in)
+		switch mode % 3 {
+		case 1:
+			src = iotest.OneByteReader(src)
+		case 2:
+			src = iotest.HalfReader(src)
+		}
+		br := bufio.NewReaderSize(src, 16+int(mode>>2)) // bufio's minimum and up
+		var hdr [HeaderLen]byte
+		for i, w := range want {
+			op, tag, n, err := ReadHeader(br, &hdr)
+			var payload []byte
+			if err == nil {
+				payload = make([]byte, n)
+				err = ReadPayload(br, payload)
+			}
+			if err != nil {
+				if err != w.err {
+					t.Fatalf("frame %d: buffered read failed with %v, ReadTaggedFrame with %v", i, err, w.err)
+				}
+				return
+			}
+			if w.err != nil || op != w.op || tag != w.tag || !bytes.Equal(payload, w.payload) {
+				t.Fatalf("frame %d: buffered read op=%d tag=%d %d bytes, ReadTaggedFrame op=%d tag=%d %d bytes err=%v",
+					i, op, tag, len(payload), w.op, w.tag, len(w.payload), w.err)
+			}
+		}
+		t.Fatal("ReadTaggedFrame's stream ended without an error")
 	})
 }
 

@@ -22,6 +22,17 @@
 // op | payload, one request in flight); no v1 initiator exists in or out of
 // this tree, and its frames either fail ReadTaggedFrame or fail the hello
 // check.
+//
+// There is one header encoder, AppendHeader, and one frame parser,
+// ReadHeader then ReadPayload; WriteTaggedFrame, ReadTaggedFrame and
+// ReadFrame are conveniences built on them. A connection that carries many
+// frames uses the pieces directly: it reads through a buffered reader, so
+// one read from the socket drains every frame that has arrived, and writes
+// a batch of headers and uncopied payloads as one vectored write. Neither
+// helper makes concurrent use of one io.Writer safe: frames stay whole on
+// a connection because one goroutine (the server's writer) or one mutex
+// that condemns the connection on a partial write (the client's) owns its
+// write side.
 package wire
 
 import (
@@ -29,7 +40,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"sync/atomic"
 )
+
+// Both ends of a connection read through a buffered reader of ReadBufSize
+// bytes: a burst of 4 KiB requests or responses arrives in one socket
+// read, and a payload at least this large, met with the buffer empty, is
+// read straight into its own buffer.
+const ReadBufSize = 64 << 10
 
 // Opcodes.
 const (
@@ -108,44 +127,110 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
 // frame (no opcode), or a tagged frame too short to carry its tag.
 var ErrBadFrame = errors.New("wire: malformed frame")
 
-// WriteTaggedFrame sends one frame: u32 length, opcode byte, u32 tag,
-// payload. The frame is assembled into a single buffer and issued as ONE
-// Write so that two goroutines sharing a serialized io.Writer can never
-// interleave a header with another frame's payload. (Callers still must not
-// call it concurrently on the same writer unless the writer itself is atomic
-// per call — net.Conn is not — but a single Write keeps the failure mode
-// "torn between frames", never "torn inside a frame".)
-func WriteTaggedFrame(w io.Writer, op byte, tag uint32, payload []byte) error {
-	if len(payload)+5 > MaxFrame {
-		return ErrFrameTooLarge
+// HeaderLen is the size of a frame header: u32 length, opcode byte, u32
+// tag. The length counts the opcode, the tag and the payload.
+const HeaderLen = 9
+
+// AppendHeader appends the header of a frame carrying an n-byte payload to
+// dst. It refuses a frame larger than MaxFrame, returning dst unchanged.
+func AppendHeader(dst []byte, op byte, tag uint32, n int) ([]byte, error) {
+	if n < 0 || n > MaxFrame-5 {
+		return dst, ErrFrameTooLarge
 	}
-	buf := make([]byte, 9+len(payload))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)+5))
-	buf[4] = op
-	binary.LittleEndian.PutUint32(buf[5:9], tag)
-	copy(buf[9:], payload)
-	_, err := w.Write(buf)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n+5))
+	dst = append(dst, op)
+	return binary.LittleEndian.AppendUint32(dst, tag), nil
+}
+
+// ReadHeader reads one frame header from r into hdr, the caller's scratch,
+// and returns the opcode, the tag and the length of the payload that
+// follows, which the caller reads with ReadPayload before the next header.
+// A stream that ends cleanly before the header returns io.EOF; a forged
+// length is refused (ErrFrameTooLarge, ErrBadFrame) before any payload
+// byte is read or any buffer sized by it.
+func ReadHeader(r io.Reader, hdr *[HeaderLen]byte) (op byte, tag uint32, n int, err error) {
+	if _, err = io.ReadFull(r, hdr[:4]); err != nil {
+		return 0, 0, 0, err
+	}
+	size := binary.LittleEndian.Uint32(hdr[:4])
+	if size > MaxFrame {
+		return 0, 0, 0, ErrFrameTooLarge
+	}
+	if size < 5 {
+		return 0, 0, 0, ErrBadFrame
+	}
+	if _, err = io.ReadFull(r, hdr[4:]); err != nil {
+		return 0, 0, 0, err
+	}
+	ioSync.Load() // see ioSync
+	return hdr[4], binary.LittleEndian.Uint32(hdr[5:]), int(size) - 5, nil
+}
+
+// ReadPayload reads the payload ReadHeader announced into p, which must be
+// exactly that long. A stream that ends inside it is io.ErrUnexpectedEOF.
+func ReadPayload(r io.Reader, p []byte) error {
+	_, err := io.ReadFull(r, p)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
 	return err
 }
 
-// ReadTaggedFrame receives one frame.
+// WriteBuffers sends bufs to w as one vectored write — a single writev(2)
+// on a TCP connection — and consumes bufs. On a partial write the stream
+// holds a torn frame: the caller must condemn the connection.
+func WriteBuffers(w io.Writer, bufs *net.Buffers) error {
+	ioSync.Add(1) // see ioSync
+	_, err := bufs.WriteTo(w)
+	return err
+}
+
+// ioSync hands the race detector the ordering a socket carries. The
+// detector orders a write(2) before the read(2) that receives its bytes
+// (package syscall annotates both) but knows nothing of writev(2), which
+// is how WriteBuffers sends. So WriteBuffers releases through ioSync before
+// it writes and ReadHeader acquires after it reads, as syscall.Write and
+// syscall.Read do; without the edge, a test that swaps a server hook
+// between two exchanges on one connection reports a race the socket rules
+// out. Outside the detector it is one atomic add per vectored write and
+// one load per frame.
+var ioSync atomic.Uint64
+
+// WriteTaggedFrame sends one frame: u32 length, opcode byte, u32 tag,
+// payload, assembled into one buffer and issued as ONE Write — the
+// convenience for a single frame (the hello, probes, tests). A connection's
+// steady traffic goes out as vectored batches built with AppendHeader
+// instead (package comment).
+func WriteTaggedFrame(w io.Writer, op byte, tag uint32, payload []byte) error {
+	var hdr [HeaderLen]byte
+	if _, err := AppendHeader(hdr[:0], op, tag, len(payload)); err != nil {
+		return err
+	}
+	frame := make([]byte, 0, HeaderLen+len(payload))
+	_, err := w.Write(append(append(frame, hdr[:]...), payload...))
+	return err
+}
+
+// ReadTaggedFrame receives one frame, its payload in a buffer of its own.
+// It reads nothing past the frame.
 func ReadTaggedFrame(r io.Reader) (byte, uint32, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var hdr [HeaderLen]byte
+	return ReadFrame(r, &hdr)
+}
+
+// ReadFrame is ReadTaggedFrame reading the header into hdr, the caller's
+// scratch, for a loop that reads frame after frame into buffers of their
+// own (the client's responses): the header then allocates nothing.
+func ReadFrame(r io.Reader, hdr *[HeaderLen]byte) (byte, uint32, []byte, error) {
+	op, tag, n, err := ReadHeader(r, hdr)
+	if err != nil {
 		return 0, 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return 0, 0, nil, ErrFrameTooLarge
-	}
-	if n < 5 {
-		return 0, 0, nil, ErrBadFrame
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	payload := make([]byte, n)
+	if err := ReadPayload(r, payload); err != nil {
 		return 0, 0, nil, err
 	}
-	return body[0], binary.LittleEndian.Uint32(body[1:5]), body[5:], nil
+	return op, tag, payload, nil
 }
 
 // Enc builds payloads.
@@ -177,10 +262,12 @@ func (e *Enc) Str(s string) *Enc { return e.Bytes([]byte(s)) }
 //
 // Aliasing contract: Bytes (and anything built on it) returns a sub-slice
 // of d.B — it does NOT copy. The returned slice is only valid while the
-// frame buffer it came from is; a consumer that retains the data past the
-// request's dispatch, hands it to another goroutine, or lives above a
-// buffer-pooling transport MUST copy at the boundary where the frame's
-// lifetime ends (Str is safe: string conversion copies).
+// frame buffer it came from is. The server's request bodies come from a
+// pool: a body is valid until its request's release, which runs after the
+// response is written, so dispatch may hand a decoded slice to the engine
+// (core.Array.WriteAt keeps nothing of it past return) but anything that
+// retains data beyond the request MUST copy it (Str is safe: string
+// conversion copies).
 type Dec struct {
 	B   []byte
 	Err error

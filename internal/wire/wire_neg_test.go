@@ -89,9 +89,11 @@ func TestOversizedFrames(t *testing.T) {
 }
 
 func TestWriteFrameSingleWrite(t *testing.T) {
-	// Frames must land in exactly one Write call: the server's writer
-	// serializes per-frame, so a two-Write frame could interleave with a
-	// concurrent frame on the same connection.
+	// The one-frame helper issues its frame as exactly one Write call, so
+	// a frame it writes is never split between two Writes. (A connection's
+	// batches are vectored writes instead; one writer goroutine, or a
+	// mutex that condemns the connection on a partial write, keeps those
+	// frames whole.)
 	cw := &countingWriter{}
 	if err := WriteTaggedFrame(cw, OpRead, 3, []byte("xyz")); err != nil {
 		t.Fatal(err)

@@ -155,12 +155,13 @@ go test -run '^$' -bench 'Dot7x128K' -benchtime 1x ./internal/erasure/
 echo "== commit lanes (-race: multi-lane writers + the short crash sweep at lanes 1 and 4)"
 go test -race -short -run 'TestLane|TestCrashSweep' ./internal/core/
 
-echo "== pipelined front end (-race: out-of-order completion, 64 in-flight on one conn, first-frame rule, torn request, SLO scrub deferral)"
-go test -race -run 'TestPipelined|TestOutOfOrderCompletion|TestDuplicateTagKillsConnection|TestAdmissionWindowBackpressure|TestWireHealthCounters|TestServeSurvivesTransientAcceptErrors|TestFirstFrameMustBeHello|TestTornRequestCondemnsConnection' ./internal/server/
+echo "== pipelined front end (-race: out-of-order completion, 64 in-flight on one conn, first-frame rule, torn request, drain at a buffered frame, a batch failing mid-write, pooled bodies at QD 64, SLO scrub deferral)"
+go test -race -run 'TestPipelined|TestOutOfOrderCompletion|TestDuplicateTagKillsConnection|TestAdmissionWindowBackpressure|TestWireHealthCounters|TestServeSurvivesTransientAcceptErrors|TestFirstFrameMustBeHello|TestTornRequestCondemnsConnection|TestDrainStopsAtBufferedFrame|TestBatchWriteFailureReleasesEveryFrame|TestPooledBodiesManyWriters' ./internal/server/
 go test -run 'TestScrubDefersUnderSLOPressure|TestScrubRunsWithSLODisabled' ./internal/core/
 
 echo "== wire codec and NVRAM record fuzz (5 s each; the seed corpora already ran as plain tests above)"
 go test -run '^$' -fuzz FuzzTaggedFrame -fuzztime 5s ./internal/wire/
+go test -run '^$' -fuzz FuzzFrameStream -fuzztime 5s ./internal/wire/
 # Minimizing a new input in core's large instrumented test binary stalls
 # the workers for the rest of a 5 s run (0 execs/s); capped, the run fuzzes.
 go test -run '^$' -fuzz FuzzDecodeRecord -fuzztime 5s -fuzzminimizetime 1s ./internal/core/
