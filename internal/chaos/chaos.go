@@ -123,24 +123,6 @@ func (i *Injector) Dial(network, addr string) (net.Conn, error) {
 	return i.Conn(c), nil
 }
 
-// Listener wraps a listener so every accepted connection is under chaos.
-func (i *Injector) Listener(l net.Listener) net.Listener {
-	return &listener{Listener: l, inj: i}
-}
-
-type listener struct {
-	net.Listener
-	inj *Injector
-}
-
-func (l *listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.inj.Conn(c), nil
-}
-
 // conn is one fault-wrapped connection.
 type conn struct {
 	net.Conn

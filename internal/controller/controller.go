@@ -195,8 +195,8 @@ func (p *Pair) live(via Role) (*core.Array, sim.Time, error) {
 }
 
 // WriteAt serves a client write arriving at the given controller. Many
-// connection goroutines call this at once; the engine's concurrent write
-// path keeps the CPU stages parallel.
+// connection goroutines call this at once; each runs its write's CPU stages
+// itself, so concurrent writes use every core.
 func (p *Pair) WriteAt(at sim.Time, via Role, vol core.VolumeID, off int64, data []byte) (sim.Time, error) {
 	a, fwd, err := p.live(via)
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 	"purity/internal/frontier"
 	"purity/internal/iosched"
 	"purity/internal/layout"
-	"purity/internal/pipeline"
 	"purity/internal/pyramid"
 	"purity/internal/relation"
 	"purity/internal/shelf"
@@ -88,19 +87,16 @@ func (it segItem) appendTo(w *layout.Writer, at sim.Time) (int64, sim.Time, erro
 }
 
 // Array is one Purity storage engine instance. All public methods are safe
-// for concurrent use: the pure-CPU stages of a write (compression, dedup
-// hashing, parity arithmetic) run before or outside the engine mutex on a
-// shared worker pool, the mutex covers only what genuinely needs ordering —
-// sequence allocation, placement bookkeeping, NVRAM appends and fact
-// application (see DESIGN.md, "Write path") — and a read takes it only for
-// its closing bookkeeping (DESIGN.md, "Read path").
+// for concurrent use: the pure-CPU stages of a write (dedup hashing,
+// compression) run on the calling goroutine before or outside the engine
+// mutex, so concurrent writers use every core; the mutex covers only what
+// genuinely needs ordering — sequence allocation, placement bookkeeping,
+// NVRAM appends and fact application (see DESIGN.md, "Write path") — and a
+// read takes it only for its closing bookkeeping (DESIGN.md, "Read path").
 type Array struct {
 	cfg   Config
 	shelf *shelf.Shelf
 	coder *erasure.Coder
-	// pool runs the write path's pure-CPU stages (cblock packing, dedup
-	// hashing, RS parity, CRCs) across cores without holding mu.
-	pool *pipeline.Pool
 
 	// mu orders what lane commits and maintenance share: fact application,
 	// segment allocation and sealing, liveness, the CPU model, the read
@@ -331,7 +327,6 @@ func newSkeleton(cfg Config, sh *shelf.Shelf) (*Array, error) {
 		cfg:         cfg,
 		shelf:       sh,
 		coder:       coder,
-		pool:        pipeline.Shared(),
 		seqs:        tuple.NewSeqSource(0),
 		pyr:         make(map[uint32]*pyramid.Pyramid),
 		elides:      make(map[uint32]*elide.Table),
@@ -527,7 +522,6 @@ func (a *Array) newSegmentWriterLocked(at sim.Time) (*layout.Writer, sim.Time, e
 	if err != nil {
 		return nil, done, err
 	}
-	w.SetParallel(a.pool.Run)
 	w.SetCrash(a.crash)
 	a.segMu.Lock()
 	a.segMap[id] = w.Info()

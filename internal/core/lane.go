@@ -176,7 +176,7 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 	w := laneWrite{at: at, size: int64(len(data)), live: map[layout.SegmentID]int64{}}
 	var allocated uint64
 	for i := range prep {
-		cs, n, d, err := a.placeCBlockLane(done, ln, row.Medium, startSector, prep[i:], w.live)
+		cs, n, d, err := a.placeCBlockLane(done, ln, row.Medium, startSector, &prep[i], w.live)
 		done = d
 		allocated += n
 		if err != nil {
@@ -318,33 +318,29 @@ func (a *Array) laneBackground(at sim.Time) (sim.Time, error) {
 	return a.backgroundStepLocked(at)
 }
 
-// placeCBlockLane turns the first prepared extent of rest — the extents of
-// a write not yet placed — into chunks, in §4.7's order: search for a
-// duplicate, then pack and append only what is stored. A hit yields a
-// deduplicated run referencing existing data plus the literal remainders,
-// packed as they are placed; a miss yields the whole extent as one literal,
-// and the first miss of a write packs every extent of rest at once
-// (packExtents). The dedup candidate search runs under the engine mutex (it
-// reads the pyramids and sealed segments), packing under no lock, literal
-// placement under the slot mutex. Live-byte deltas accumulate in live to be
-// applied after the commit point. startSector is the write's first sector.
-// Returns the chunks and how many sequence numbers were allocated.
-func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, startSector uint64, rest []preparedExtent, live map[layout.SegmentID]int64) ([]writeChunk, uint64, sim.Time, error) {
+// placeCBlockLane turns one prepared extent of a write into chunks, in
+// §4.7's order: search for a duplicate, then pack and append only what is
+// stored. A hit yields a deduplicated run referencing existing data plus the
+// literal remainders; a miss yields the whole extent as one literal. Every
+// literal is packed where it is placed (laneLiteralChunk). The dedup
+// candidate search runs under the engine mutex (it reads the pyramids and
+// sealed segments), packing under no lock, literal placement under the slot
+// mutex. Live-byte deltas accumulate in live to be applied after the commit
+// point. startSector is the write's first sector. Returns the chunks and how
+// many sequence numbers were allocated.
+func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, startSector uint64, pe *preparedExtent, live map[layout.SegmentID]int64) ([]writeChunk, uint64, sim.Time, error) {
 	done := at
-	pe := &rest[0]
 	sector := startSector + pe.sectorOff
 	sectors := len(pe.part) / cblock.SectorSize
 	var chunks []writeChunk
 	var allocated uint64
-	// literal places sectors [lo, hi) of the extent as new data. frame is
-	// the whole extent's frame, or nil for a dedup hit's remainder, which
-	// laneLiteralChunk packs.
-	literal := func(lo, hi int, frame []byte) error {
+	// literal places sectors [lo, hi) of the extent as new data.
+	literal := func(lo, hi int) error {
 		if lo == hi {
 			return nil
 		}
 		ch, n, err := a.laneLiteralChunk(done, ln, medium, sector+uint64(lo),
-			pe.part[lo*cblock.SectorSize:hi*cblock.SectorSize], frame, pe.hashes[lo:hi], live)
+			pe.part[lo*cblock.SectorSize:hi*cblock.SectorSize], pe.hashes[lo:hi], live)
 		allocated += n
 		if err != nil {
 			return err
@@ -365,7 +361,7 @@ func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, startSector
 		}
 		a.mu.Unlock()
 		if hit {
-			if err := literal(0, run.Start, nil); err != nil {
+			if err := literal(0, run.Start); err != nil {
 				return nil, allocated, done, err
 			}
 			// The duplicate run: a mapping into existing data, no new bytes.
@@ -380,38 +376,29 @@ func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, startSector
 				Flags:   relation.AddrFlagDedup,
 			}.Fact(a.seqs.Next())})
 			allocated++
-			if err := literal(run.Start+run.Count, sectors, nil); err != nil {
+			if err := literal(run.Start+run.Count, sectors); err != nil {
 				return nil, allocated, done, err
 			}
 			return chunks, allocated, done, nil
 		}
 	}
-	if pe.frame == nil {
-		if err := a.packExtents(rest); err != nil {
-			return nil, allocated, done, err
-		}
-	}
-	if err := literal(0, sectors, pe.frame); err != nil {
+	if err := literal(0, sectors); err != nil {
 		return nil, allocated, done, err
 	}
 	return chunks, allocated, done, nil
 }
 
-// laneLiteralChunk places new data into the lane's segment, producing its
-// address fact and sampled dedup facts. frame is the packed cblock for part,
-// or nil for a dedup hit's remainder, which is packed here, with no lock
-// held; hashes are part's per-block hashes, computed exactly once per extent
-// in prepareWrite and threaded through. Returns the chunk, which carries
-// frame into the write's NVRAM record, and how many sequence numbers it
-// allocated.
-func (a *Array) laneLiteralChunk(at sim.Time, ln *commitLane, medium, sector uint64, part, frame []byte, hashes []uint64, live map[layout.SegmentID]int64) (writeChunk, uint64, error) {
-	if frame == nil {
-		var err error
-		a.stats.PackedBytes.Add(int64(len(part)))
-		frame, err = cblock.Pack(part, a.cfg.CompressionEnabled)
-		if err != nil {
-			return writeChunk{}, 0, err
-		}
+// laneLiteralChunk packs part into a cblock frame, with no lock held, and
+// places it into the lane's segment, producing its address fact and sampled
+// dedup facts. hashes are part's per-block hashes, computed exactly once per
+// extent in prepareWrite and threaded through. Returns the chunk, which
+// carries the frame into the write's NVRAM record, and how many sequence
+// numbers it allocated.
+func (a *Array) laneLiteralChunk(at sim.Time, ln *commitLane, medium, sector uint64, part []byte, hashes []uint64, live map[layout.SegmentID]int64) (writeChunk, uint64, error) {
+	a.stats.PackedBytes.Add(int64(len(part)))
+	frame, err := cblock.Pack(part, a.cfg.CompressionEnabled)
+	if err != nil {
+		return writeChunk{}, 0, err
 	}
 	// The segio append may trigger a flush; its completion time advances
 	// the drives' busy state but must not gate this write's acknowledgement

@@ -14,17 +14,18 @@ import (
 // hash up, byte-verify and extend the match, store what is left — split
 // into two halves so parallel clients only serialize on the work that truly
 // needs ordering (§3.2: monotonic facts need "almost no cross-core
-// synchronization"):
+// synchronization"). Both halves run on the goroutine that issued the
+// write; concurrent writers are what use every core:
 //
 //   1. prepareWrite — pure CPU, no locks: split into cblock extents and
-//      hash each extent's 512 B blocks (dedup.HashBlocks). Extents fan out
-//      across the shared worker pool.
+//      hash each extent's 512 B blocks (dedup.HashBlocks).
 //   2. commitWriteLane (lane.go) — on the volume's commit lane: volume
 //      lookup and, per extent, the dedup candidate search under a brief mu
 //      section, then compression (cblock.Pack) of only the bytes dedup
-//      left, with no lock but the world read lock held, segment placement
-//      under the slot mutex, sequence allocation from the shared atomic
-//      source; then the group NVRAM commit and fact application.
+//      left, where they are placed, with no lock but the world read lock
+//      held, segment placement under the slot mutex, sequence allocation
+//      from the shared atomic source; then the group NVRAM commit and fact
+//      application.
 //
 // Both halves are deterministic for a sequential caller: stage 1 is a
 // function of the data alone, and one caller's commits run one at a time
@@ -33,21 +34,15 @@ import (
 
 // preparedExtent is one cblock-sized extent of a write: its bytes and the
 // hash of every 512 B block (per-block, so any sub-range of the extent
-// reuses a slice of them). frame is the packed whole extent and starts
-// nil: it exists only once the duplicate search has missed on this extent
-// or on an earlier one of the same write (packExtents), and serves only
-// the whole-extent literal case — a dedup hit stores a smaller remainder,
-// packed on placement.
+// reuses a slice of them).
 type preparedExtent struct {
 	sectorOff uint64 // sector offset within the write
 	part      []byte
-	frame     []byte
 	hashes    []uint64
 }
 
 // prepareWrite validates alignment and runs the lock-free CPU stage: split
-// and hash. A single-extent write hashes inline and allocates nothing but
-// its extent and hash slices.
+// and hash.
 func (a *Array) prepareWrite(off int64, data []byte) ([]preparedExtent, error) {
 	if off%cblock.SectorSize != 0 || len(data)%cblock.SectorSize != 0 || len(data) == 0 {
 		return nil, ErrUnaligned
@@ -58,56 +53,14 @@ func (a *Array) prepareWrite(off int64, data []byte) ([]preparedExtent, error) {
 	}
 	prep := make([]preparedExtent, len(exts))
 	for i, ext := range exts {
+		part := data[ext.Offset : ext.Offset+ext.Len]
 		prep[i] = preparedExtent{
 			sectorOff: uint64(ext.Offset) / cblock.SectorSize,
-			part:      data[ext.Offset : ext.Offset+ext.Len],
+			part:      part,
+			hashes:    dedup.HashBlocks(part),
 		}
 	}
-	if len(prep) == 1 {
-		prep[0].hashes = dedup.HashBlocks(prep[0].part)
-		return prep, nil
-	}
-	tasks := make([]func(), len(prep))
-	for i := range prep {
-		pe := &prep[i]
-		tasks[i] = func() { pe.hashes = dedup.HashBlocks(pe.part) }
-	}
-	a.pool.Run(tasks...)
 	return prep, nil
-}
-
-// packExtents packs the whole-extent frame of every extent in rest, across
-// the worker pool. placeCBlockLane calls it when the duplicate search
-// misses on rest[0] and no frame exists yet: extents of one write miss
-// together (unique data), so a large unique write packs all its extents in
-// parallel here, an all-duplicate write never gets here, and a later
-// extent that hits after all drops its frame. Called with no lock but the
-// world read lock held.
-func (a *Array) packExtents(rest []preparedExtent) error {
-	if len(rest) == 1 {
-		return a.packExtent(&rest[0])
-	}
-	errs := make([]error, len(rest))
-	tasks := make([]func(), len(rest))
-	for i := range rest {
-		i := i
-		tasks[i] = func() { errs[i] = a.packExtent(&rest[i]) }
-	}
-	a.pool.Run(tasks...)
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// packExtent packs one extent's frame (a method, not a closure, so the
-// single-extent write allocates nothing to get here).
-func (a *Array) packExtent(pe *preparedExtent) (err error) {
-	a.stats.PackedBytes.Add(int64(len(pe.part)))
-	pe.frame, err = cblock.Pack(pe.part, a.cfg.CompressionEnabled)
-	return err
 }
 
 // WriteAt writes data to a volume at a byte offset (both sector-aligned).

@@ -129,18 +129,3 @@ func (t *Table) Len() int {
 	}
 	return n
 }
-
-// Schema is the relation schema under which elide predicates persist:
-// columns (col, lo, hi, maxseq), keyed by (col, lo).
-var Schema = tuple.Schema{Cols: 4, KeyCols: 2}
-
-// ToFact encodes a predicate as a persistable fact with the given sequence
-// number.
-func ToFact(p Predicate, seq tuple.Seq) tuple.Fact {
-	return tuple.Fact{Seq: seq, Cols: []uint64{uint64(p.Col), p.Lo, p.Hi, uint64(p.MaxSeq)}}
-}
-
-// FromFact decodes a predicate from its persisted fact form.
-func FromFact(f tuple.Fact) Predicate {
-	return Predicate{Col: int(f.Cols[0]), Lo: f.Cols[1], Hi: f.Cols[2], MaxSeq: tuple.Seq(f.Cols[3])}
-}

@@ -156,21 +156,6 @@ func TestElidedAgreesWithLinearScan(t *testing.T) {
 	}
 }
 
-func TestFactRoundTrip(t *testing.T) {
-	p := Predicate{Col: 2, Lo: 17, Hi: 99, MaxSeq: 12345}
-	f := ToFact(p, 777)
-	if f.Seq != 777 {
-		t.Fatal("seq not preserved")
-	}
-	got := FromFact(f)
-	if got != p {
-		t.Fatalf("round trip: %+v != %+v", got, p)
-	}
-	if err := Schema.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBoundedSize(t *testing.T) {
 	// Dense sequential deletions collapse to one range no matter how many
 	// predicates are inserted — the paper's no-leak guarantee.

@@ -162,45 +162,6 @@ func TestMulAddUnalignedLengths(t *testing.T) {
 	}
 }
 
-func TestEncodeRangeMatchesEncode(t *testing.T) {
-	c, err := New(7, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const size = 1000
-	mk := func() [][]byte {
-		shards := make([][]byte, 9)
-		for i := range shards {
-			shards[i] = make([]byte, size)
-			for j := range shards[i] {
-				shards[i][j] = byte(i*31 + j*7)
-			}
-		}
-		return shards
-	}
-	whole := mk()
-	if err := c.Encode(whole); err != nil {
-		t.Fatal(err)
-	}
-	chunked := mk()
-	for lo := 0; lo < size; lo += 137 {
-		hi := lo + 137
-		if hi > size {
-			hi = size
-		}
-		if err := c.EncodeRange(chunked, lo, hi); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for p := 7; p < 9; p++ {
-		for i := range whole[p] {
-			if whole[p][i] != chunked[p][i] {
-				t.Fatalf("parity %d byte %d: chunked encode diverges", p, i)
-			}
-		}
-	}
-}
-
 // BenchmarkMulAdd times the byte-table loops' two paths, the c==1 XOR and
 // the table lookup: the reference Verify runs and BenchmarkDot7x128K's
 // baseline, no longer the loop parity encode and reconstruction run.

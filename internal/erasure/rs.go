@@ -57,21 +57,6 @@ func (c *Coder) Encode(shards [][]byte) error {
 	return nil
 }
 
-// EncodeRange computes the parity bytes for columns [lo, hi) only. Parity
-// is byte-wise, so any column partition of a stripe can be encoded
-// independently — the segio flush fans ranges out across a worker pool and
-// the concatenation is byte-identical to a single Encode call.
-func (c *Coder) EncodeRange(shards [][]byte, lo, hi int) error {
-	if err := c.checkShards(shards, false); err != nil {
-		return err
-	}
-	if lo < 0 || hi > len(shards[0]) || lo > hi {
-		return ErrInvalidShards
-	}
-	c.encodeRange(shards, lo, hi)
-	return nil
-}
-
 func (c *Coder) encodeRange(shards [][]byte, lo, hi int) {
 	if lo == hi {
 		return

@@ -163,9 +163,15 @@ func TestReconstructProperty(t *testing.T) {
 			return false
 		}
 		orig := cloneShards(shards)
-		// Drop up to m random shards.
+		// Drop up to m random shards: the first drops of a Fisher–Yates
+		// shuffle of the shard indices.
 		drops := 1 + int(seed%uint64(g.m))
-		perm := r.Perm(c.TotalShards())
+		perm := make([]int, c.TotalShards())
+		for i := range perm {
+			j := r.Intn(i + 1)
+			perm[i] = perm[j]
+			perm[j] = i
+		}
 		for _, idx := range perm[:drops] {
 			shards[idx] = nil
 		}

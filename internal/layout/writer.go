@@ -41,12 +41,6 @@ type Writer struct {
 	wuCRCs                     [][]uint32
 	sealed                     bool
 
-	// parallel, when set, fans independent CPU tasks (parity-encode column
-	// ranges, per-shard CRCs) out across a worker pool during flush. The
-	// tasks write disjoint caller-owned memory, so the flushed bytes are
-	// identical with or without it.
-	parallel func(tasks ...func())
-
 	// crash, when set, is the fault-point registry for crash-consistency
 	// sweeps. Points fire between the durable sub-steps of a flush or seal
 	// (after parity encode, after each write wave, after each trailer).
@@ -55,15 +49,6 @@ type Writer struct {
 
 // SetCrash installs a crash-point registry (nil disables injection).
 func (w *Writer) SetCrash(r *crashpoint.Registry) { w.crash = r }
-
-// SetParallel installs a fan-out runner for the flush path's pure-CPU work
-// (see Pool.Run in internal/pipeline). nil reverts to serial encoding.
-func (w *Writer) SetParallel(run func(tasks ...func())) { w.parallel = run }
-
-// encodeChunk is the per-task column width for parallel parity encoding:
-// small enough that a default 128 KiB write unit splits across many cores,
-// large enough that task dispatch stays negligible.
-const encodeChunk = 16 << 10
 
 // NewWriter opens a segment across the given AUs (one per shard, len K+M).
 func NewWriter(cfg Config, drives []*ssd.Device, coder *erasure.Coder, id SegmentID, aus []AU) (*Writer, error) {
@@ -223,7 +208,7 @@ func (w *Writer) flushStripe(at sim.Time) (sim.Time, error) {
 	for j := 0; j < m; j++ {
 		ordered[k+j] = make([]byte, w.cfg.WriteUnit)
 	}
-	if err := w.encodeParity(ordered); err != nil {
+	if err := w.coder.Encode(ordered); err != nil {
 		return at, err
 	}
 
@@ -234,20 +219,10 @@ func (w *Writer) flushStripe(at sim.Time) (sim.Time, error) {
 		bySlot[slot] = ordered[idx]
 	}
 
-	// Record CRCs for the AU trailer / scrub. Independent per shard, so
-	// they fan out alongside the parity ranges.
+	// Record CRCs for the AU trailer / scrub.
 	crcs := make([]uint32, k+m)
-	if w.parallel != nil {
-		tasks := make([]func(), k+m)
-		for slot := range bySlot {
-			slot := slot
-			tasks[slot] = func() { crcs[slot] = crc32.ChecksumIEEE(bySlot[slot]) }
-		}
-		w.parallel(tasks...)
-	} else {
-		for slot, wu := range bySlot {
-			crcs[slot] = crc32.ChecksumIEEE(wu)
-		}
+	for slot, wu := range bySlot {
+		crcs[slot] = crc32.ChecksumIEEE(wu)
 	}
 	w.wuCRCs = append(w.wuCRCs, crcs)
 
@@ -291,35 +266,6 @@ func (w *Writer) flushStripe(at sim.Time) (sim.Time, error) {
 		w.stripe[i] = 0
 	}
 	return done, nil
-}
-
-// encodeParity fills the m parity write units from the k data units,
-// splitting the column range across the worker pool when one is installed.
-// RS parity is byte-wise, so the partition cannot change the result.
-func (w *Writer) encodeParity(ordered [][]byte) error {
-	wu := w.cfg.WriteUnit
-	if w.parallel == nil || wu <= encodeChunk {
-		return w.coder.Encode(ordered)
-	}
-	nTasks := (wu + encodeChunk - 1) / encodeChunk
-	tasks := make([]func(), nTasks)
-	errs := make([]error, nTasks)
-	for t := 0; t < nTasks; t++ {
-		t := t
-		lo := t * encodeChunk
-		hi := lo + encodeChunk
-		if hi > wu {
-			hi = wu
-		}
-		tasks[t] = func() { errs[t] = w.coder.EncodeRange(ordered, lo, hi) }
-	}
-	w.parallel(tasks...)
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ReadPending serves a read of data that still sits in the in-memory segio

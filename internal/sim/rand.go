@@ -50,17 +50,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Bytes fills b with pseudo-random bytes.
 func (r *Rand) Bytes(b []byte) {
 	i := 0

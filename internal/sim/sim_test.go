@@ -92,18 +92,6 @@ func TestRandFloat64Range(t *testing.T) {
 	}
 }
 
-func TestRandPerm(t *testing.T) {
-	r := NewRand(17)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("Perm not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestRandBytes(t *testing.T) {
 	r := NewRand(19)
 	for _, n := range []int{0, 1, 7, 8, 9, 64, 1000} {

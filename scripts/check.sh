@@ -3,13 +3,13 @@
 # vet, the repo's own invariant checker (purity-lint), build, the full test
 # suite (root module and the nested benchmark/ module), the ledger gate
 # (one benchmark run against the newest committed BENCH_<PR>.json: model
-# clock exact, wall clock printed), the crash sweep, and a short race pass
+# clock exact, wall clock printed), the crash sweep, a short race pass
 # over the packages that do real concurrency
-# (the parallel write pipeline, its core entry points and reads beside
+# (the concurrent write path, its core entry points and reads beside
 # writers, GC and seals, the TCP server's per-connection goroutines, the
 # allocator/shelf locking, layout's Reader and its pooled scratch, and the
 # three packages whose types promise concurrent use: pyramid, iosched,
-# erasure).
+# erasure), and a smoke run of every program under examples/.
 #
 # Usage: scripts/check.sh            from the repo root
 set -eu
@@ -145,7 +145,7 @@ echo "== drive-failure lifecycle (scrub repair + online rebuild)"
 go test -run 'TestScrubRepairsAllInjectedCorruption|TestScrubStepPacedWalkerCoversEverything|TestRebuildRestoresRedundancyAndBootRegion|TestRebuildSurvivesSecondFailure|TestOpenAtWithOneNVRAMFailed' ./internal/core/
 
 echo "== go test -race (concurrency-bearing packages)"
-go test -race -short ./internal/pipeline/ ./internal/server/ ./internal/dedup/ ./internal/layout/ ./internal/shelf/ ./internal/pyramid/ ./internal/iosched/ ./internal/erasure/
+go test -race -short ./internal/server/ ./internal/dedup/ ./internal/layout/ ./internal/shelf/ ./internal/pyramid/ ./internal/iosched/ ./internal/erasure/
 go test -race -short -run 'TestConcurrentWriters|TestConcurrentScrubRebuildForeground|TestConcurrentReadersWriterGC|TestReadsAcrossSealWindow' ./internal/core/
 
 echo "== kernel benchmarks (one iteration each, so they cannot rot: dedup's hash and byte-verify, erasure's dot product)"
@@ -165,6 +165,20 @@ go test -run '^$' -fuzz FuzzFrameStream -fuzztime 5s ./internal/wire/
 # Minimizing a new input in core's large instrumented test binary stalls
 # the workers for the rest of a 5 s run (0 execs/s); capped, the run fuzzes.
 go test -run '^$' -fuzz FuzzDecodeRecord -fuzztime 5s -fuzzminimizetime 1s ./internal/core/
+
+echo "== examples smoke (each examples/ program exits 0 and prints no false verdict)"
+for ex in examples/*/; do
+	ex=${ex%/}
+	if ! go run "./$ex" > "$tmpdir/example.out" 2>&1; then
+		echo "examples smoke: $ex exited non-zero" >&2
+		tail -n 5 "$tmpdir/example.out" >&2
+		exit 1
+	fi
+	if grep -E '(: |=)false([^a-z]|$)' "$tmpdir/example.out" >&2; then
+		echo "examples smoke: $ex printed a false verdict" >&2
+		exit 1
+	fi
+done
 
 echo "== E14 smoke (one-connection queue-depth sweep over loopback TCP; every depth >= 8 must beat QD 1)"
 go run ./cmd/purity-bench -experiment E14 -quick > /dev/null
