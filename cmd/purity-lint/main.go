@@ -1,9 +1,8 @@
-// Command purity-lint runs the repo's invariant checker: twelve rules
+// Command purity-lint runs the repo's invariant checker: nine rules
 // that enforce the conventions Purity's correctness argument rests on —
 // lock annotations and path-sensitive lock states (backed by checked
-// callee summaries), no decoding of unverified flash bytes, allocator-only
-// seqnos, immutable facts, crash-sweep coverage of durable writes, no
-// dropped errors, no debug prints, plus the interprocedural rules:
+// callee summaries), allocator-only seqnos, crash-sweep coverage of
+// durable writes, no dropped errors, plus the interprocedural rules:
 // connguard (every conn read/write dominated by a deadline on all paths,
 // across calls), releasepair (admission slots released exactly once on
 // every path), goroutinelife (no goroutine spawns a provably unexitable

@@ -232,7 +232,11 @@ func (a *Array) readCBlock(at sim.Time, seg, segOff uint64, physLen int) ([]byte
 	if err != nil {
 		return nil, done, err
 	}
-	//lint:ignore taintverify sealed-segment reads are WU-CRC-verified inside ReadRange; an open segment serves only its unflushed stripe from memory (Writer.ReadPending) and its flushed stripes from the drives through readShardRange's unverified branch, with no CRC (ROADMAP item 3(a) records the gap); Unpack fails closed with the error counted
+	// Sealed-segment reads are WU-CRC-verified inside ReadRange. An open
+	// segment serves its unflushed stripe from memory (Writer.ReadPending)
+	// and its flushed stripes from the drives through readShardRange's
+	// unverified branch, with no CRC (an open gap in ROADMAP.md); Unpack
+	// fails closed with the error counted.
 	sectors, err = cblock.Unpack(frame)
 	if err != nil {
 		a.stats.UnpackErrors.Inc()

@@ -161,7 +161,6 @@ func (a *Array) Snapshot(at sim.Time, id VolumeID, name string) (VolumeID, sim.T
 	// Freeze every row of the old medium.
 	done, err = a.pyr[relation.IDMediums].Scan(done, []uint64{oldM, 0}, []uint64{oldM, ^uint64(0)}, func(f tuple.Fact) bool {
 		r := relation.MediumFromFact(f)
-		//lint:ignore factmut local decoded copy; the next line re-emits it as a new fact with a fresh seq
 		r.Status = relation.MediumRO
 		mediumFacts = append(mediumFacts, r.Fact(a.seqs.Next()))
 		return true

@@ -1,7 +1,7 @@
 package lint
 
 // Per-function control-flow graphs for the path-sensitive rules (lockflow,
-// taintverify, seqmono, and the summary-based rules). The graph is built
+// seqmono, and the summary-based rules). The graph is built
 // from syntax alone — no type information — so it can be unit-tested on
 // bare parsed snippets.
 //
@@ -46,7 +46,7 @@ const (
 
 // Edge is one successor link. When Cond is non-nil the edge is taken only
 // when Cond evaluates to CondTrue, which lets rules refine state along
-// branches (taintverify clears taint on the crc-matched arm).
+// branches (releasepair resolves `if !c.claimTag(tag)` on the guard's arm).
 type Edge struct {
 	To       *Block
 	Cond     ast.Expr

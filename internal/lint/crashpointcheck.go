@@ -19,12 +19,6 @@ import (
 // fact) suppress with //lint:ignore crashpointcheck and a reason.
 type CrashPointCheck struct{}
 
-// methodRef identifies a method by defining package, receiver type name,
-// and method name.
-type methodRef struct {
-	pkg, recv, name string
-}
-
 // durablePrimitives are the module's power-loss boundaries: everything
 // below these is simulated hardware, everything above is recoverable
 // engine state.

@@ -42,7 +42,7 @@ func (sol *Solution[S]) Reached(blk *Block) bool {
 }
 
 // maxVisitsPerBlock bounds fixpoint iteration. The rule lattices are
-// finite (lock modes, taint bits, seq flags over a function's objects), so
+// finite (lock modes, deadline bits, seq flags over a function's objects), so
 // the bound is a backstop against a non-monotone Problem bug, not a limit
 // reached in practice.
 const maxVisitsPerBlock = 64

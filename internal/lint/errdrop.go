@@ -13,8 +13,8 @@ import (
 // reason they are safe to drop.
 //
 // The allowlist covers calls that cannot meaningfully fail: fmt printing
-// to stdout (CLI output; internal/ packages are covered by nodebug
-// anyway), and writes to in-memory sinks — bytes.Buffer, strings.Builder,
+// to stdout (CLI output; scripts/check.sh keeps it out of internal/
+// packages), and writes to in-memory sinks — bytes.Buffer, strings.Builder,
 // hash.Hash implementations — whose Write methods are documented
 // infallible or defer their error to a later checked call.
 type ErrDrop struct{}

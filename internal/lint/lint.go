@@ -56,12 +56,9 @@ func (r *Reporter) Reportf(rule string, pos token.Pos, format string, args ...an
 func DefaultRules() []Rule {
 	return []Rule{
 		&LockFlow{},
-		&TaintVerify{},
 		&SeqMono{},
-		&FactMut{},
 		&CrashPointCheck{},
 		&ErrDrop{},
-		&NoDebug{},
 		&ConnGuard{Scope: []string{"internal/server", "internal/client", "internal/wire"}},
 		&ReleasePair{Scope: []string{"internal/server", "internal/controller", "internal/client"}},
 		&GoroutineLife{Scope: []string{"internal/server", "internal/controller", "internal/client", "internal/core"}},
@@ -334,6 +331,67 @@ func isMethod(fn *types.Func, pkgPath, recvName, method string) bool {
 		return false
 	}
 	return n.Obj().Pkg().Path() == pkgPath && n.Obj().Name() == recvName
+}
+
+// methodRef identifies a method by defining package, receiver type name,
+// and method name.
+type methodRef struct {
+	pkg, recv, name string
+}
+
+// matchFunc extends isMethod to package-level functions (empty recv).
+func matchFunc(fn *types.Func, ref methodRef) bool {
+	if fn == nil || fn.Name() != ref.name {
+		return false
+	}
+	if ref.recv != "" {
+		return isMethod(fn, ref.pkg, ref.recv, ref.name)
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() != nil {
+		return false
+	}
+	return fn.Pkg() != nil && fn.Pkg().Path() == ref.pkg
+}
+
+// rootIdentObj unwraps slicing/indexing/derefs to the underlying
+// identifier's object, or nil for anything more structured.
+func rootIdentObj(pkg *Package, e ast.Expr) types.Object {
+	for {
+		switch t := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return pkg.Info.ObjectOf(t)
+		case *ast.SliceExpr:
+			e = t.X
+		case *ast.IndexExpr:
+			e = t.X
+		case *ast.StarExpr:
+			e = t.X
+		default:
+			return nil
+		}
+	}
+}
+
+// identObj resolves a plain (non-blank) identifier to its object.
+func identObj(pkg *Package, e ast.Expr) types.Object {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return nil
+	}
+	return pkg.Info.ObjectOf(id)
+}
+
+func isByteSlice(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	sl, ok := t.Underlying().(*types.Slice)
+	if !ok {
+		return false
+	}
+	b, ok := sl.Elem().Underlying().(*types.Basic)
+	return ok && (b.Kind() == types.Byte || b.Kind() == types.Uint8)
 }
 
 // derefStruct unwraps pointers and names down to the underlying struct

@@ -95,19 +95,13 @@ func TestLockCheckFixture(t *testing.T) { runFixture(t, "lockcheck", []Rule{&Loc
 
 func TestLockFlowFixture(t *testing.T) { runFixture(t, "lockflow", []Rule{&LockFlow{}}) }
 
-func TestTaintVerifyFixture(t *testing.T) { runFixture(t, "taintverify", []Rule{&TaintVerify{}}) }
-
 func TestSeqMonoFixture(t *testing.T) { runFixture(t, "seqmono", []Rule{&SeqMono{}}) }
-
-func TestFactMutFixture(t *testing.T) { runFixture(t, "factmut", []Rule{&FactMut{}}) }
 
 func TestCrashPointCheckFixture(t *testing.T) {
 	runFixture(t, "crashpointcheck", []Rule{&CrashPointCheck{}})
 }
 
 func TestErrDropFixture(t *testing.T) { runFixture(t, "errdrop", []Rule{&ErrDrop{}}) }
-
-func TestNoDebugFixture(t *testing.T) { runFixture(t, "nodebug", []Rule{&NoDebug{}}) }
 
 // The v3 summary-based rules run with a nil Scope on fixtures, so the
 // scoping applied in DefaultRules does not hide the testdata package.

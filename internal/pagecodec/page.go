@@ -252,7 +252,6 @@ func (p *Page) Key(dst []uint64, i int) []uint64 {
 func (p *Page) Fact(i int) tuple.Fact {
 	f := tuple.Fact{Seq: p.Seq(i), Cols: make([]uint64, p.schema.Cols)}
 	for c := 0; c < p.schema.Cols; c++ {
-		//lint:ignore factmut decode-time construction; the fact is unpublished until return
 		f.Cols[c] = p.col(i, c)
 	}
 	if p.schema.HasBlob {
@@ -263,7 +262,6 @@ func (p *Page) Fact(i int) tuple.Fact {
 			start += p.col(j, lenCol)
 		}
 		n := p.col(i, lenCol)
-		//lint:ignore factmut decode-time construction; the fact is unpublished until return
 		f.Blob = append([]byte(nil), p.raw[p.blobOff+int(start):p.blobOff+int(start+n)]...)
 	}
 	return f
@@ -303,10 +301,8 @@ func (p *Page) All() []tuple.Fact {
 		c := c
 		colVal(c, func(i int, v uint64) { backing[i*cols+c] = v })
 	}
-	//lint:ignore factmut decode-time construction; the facts are unpublished until return
 	colVal(cols, func(i int, v uint64) { out[i].Seq = tuple.Seq(v) })
 	for i := range out {
-		//lint:ignore factmut decode-time construction; the facts are unpublished until return
 		out[i].Cols = backing[i*cols : (i+1)*cols : (i+1)*cols]
 	}
 	if p.schema.HasBlob {
@@ -315,7 +311,6 @@ func (p *Page) All() []tuple.Fact {
 		colVal(lenCol, func(i int, v uint64) { lens[i] = v })
 		var start uint64
 		for i := 0; i < n; i++ {
-			//lint:ignore factmut decode-time construction; the facts are unpublished until return
 			out[i].Blob = append([]byte(nil), p.raw[p.blobOff+int(start):p.blobOff+int(start+lens[i])]...)
 			start += lens[i]
 		}

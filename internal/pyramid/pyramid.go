@@ -376,7 +376,6 @@ func (p *Pyramid) openPage(at sim.Time, ref Ref) (*pagecodec.Page, sim.Time, err
 	if err != nil {
 		return nil, done, err
 	}
-	//lint:ignore taintverify pagecodec.Open verifies the page checksum in its header before decoding and fails closed on mismatch
 	pg, err := pagecodec.Open(p.cfg.Schema, raw)
 	if err != nil {
 		return nil, done, err

@@ -43,7 +43,7 @@ func (s Schema) Validate() error {
 
 // Fact is one immutable tuple — an immutable fact in the sense of §3.2:
 // once constructed it is never written through; an update is a new Fact
-// with a higher Seq. (purity-lint's factmut rule enforces this.)
+// with a higher Seq.
 type Fact struct {
 	Seq  Seq
 	Cols []uint64

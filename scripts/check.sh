@@ -66,6 +66,26 @@ if [ "$lint_elapsed" -gt "$LINT_BUDGET" ]; then
 	exit 1
 fi
 
+echo "== no debug prints under internal/ (fmt.Print, fmt.Printf, fmt.Println, print, println outside tests)"
+# Engine code reports through telemetry counters and structured errors;
+# output a caller asked for goes through an io.Writer (fmt.Fprintf).
+debug_print='(fmt[.]Print(f|ln)?|(^|[^.[:alnum:]_])print(ln)?)[(]'
+debug_prints() {
+	find "$1" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec grep -nHE "$debug_print" {} + || true
+}
+# The grep checks itself first: a file holding both forms must match twice.
+printf 'package p\n\nfunc f() {\n\tfmt.Println("x")\n\tprintln("x")\n}\n' > "$tmpdir/debug.go"
+if [ "$(debug_prints "$tmpdir" | wc -l)" -ne 2 ]; then
+	echo "debug prints: self-check failed: fmt.Println( and println( in $tmpdir/debug.go were not both found" >&2
+	exit 1
+fi
+found=$(debug_prints internal)
+if [ -n "$found" ]; then
+	echo "$found" >&2
+	echo "debug prints: internal/ code prints to stdout; count it in telemetry or write to an io.Writer" >&2
+	exit 1
+fi
+
 echo "== go build"
 go build ./...
 
