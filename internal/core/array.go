@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"purity/internal/crashpoint"
 	"purity/internal/dedup"
@@ -110,20 +109,16 @@ type Array struct {
 	// mutating entry point (GC, scrub, rebuild, checkpoint, volume catalog
 	// changes) takes it in write mode first, so cross-volume invariants see
 	// a quiesced commit plane, and a read sees no segment retired, no AU
-	// reused and no catalog row changed under it. Lock order: world → mu →
-	// segMu → openSeg.mu → rdMu.
+	// reused and no catalog row changed under it. Write mode is what lets
+	// commitExclusiveLocked trim the NVRAM log: no lane then holds a durable
+	// record it has yet to apply. Lock order: world → mu → segMu →
+	// openSeg.mu → rdMu.
 	world sync.RWMutex
 	// lanes are the commit shards (Config.CommitLanes of them, at least
-	// one); committer is their shared batching NVRAM commit point.
+	// one); committer is the batching NVRAM commit point of every record —
+	// lane writes' and the world-exclusive ops' facts records alike.
 	lanes     []*commitLane
 	committer *nvCommitter
-	// laneInflight counts lane commits currently holding world in read
-	// mode. nvramAppendLocked must not checkpoint (a whole-NVRAM-log trim)
-	// while any are in flight: another lane's record could be durable but
-	// not yet applied, and trimming it would lose an acked write across a
-	// crash. Checkpoints therefore only run at world-exclusive points,
-	// where this count is provably zero.
-	laneInflight atomic.Int64
 
 	seqs        *tuple.SeqSource
 	nextMedium  uint64

@@ -129,39 +129,13 @@ func decodeWriteRecord(b []byte) ([]writeChunk, error) {
 	return chunks, nil
 }
 
-// nvramAppendLocked appends a record to the NVRAM mirrors from a
-// world-exclusive section (catalog mutations, GC, rebuild, and the lane
-// commit's log-full fallback). The append under mu IS the commit point
-// there: the record must be durable before the lock releases and the op
-// acks (§4.1). When the log fills, the engine checkpoints to release it
-// and retries once. Caller holds mu.
-func (a *Array) nvramAppendLocked(at sim.Time, rec []byte) (sim.Time, error) {
-	done, err := a.nvramAppendOnce(at, rec)
-	if err == nil {
-		return done, nil
-	}
-	// Checkpointing trims the whole NVRAM log; with a lane commit in flight
-	// another write's record may be durable but not yet applied, and
-	// trimming it would lose an acked write across a crash. Every caller
-	// today holds world exclusively, so the count is zero here; the check
-	// keeps a future caller that appends under world.RLock from trimming —
-	// it gets the error instead.
-	if a.laneInflight.Load() > 0 {
-		return done, err
-	}
-	// Full: flush everything and trim, then retry.
-	if done, err = a.checkpointLocked(done); err != nil {
-		return done, err
-	}
-	return a.nvramAppendOnce(done, rec)
-}
-
 // nvramAppendOnce mirrors one record to the surviving NVRAM devices; the
 // record is durable when the slowest device finishes (§4.1's redundant
-// NVRAM). It is the one place a record reaches the mirrors: the group
-// committer calls it with no locks held (device I/O never blocks other
-// lanes' placement work) and nvramAppendLocked calls it under mu; either
-// way one caller at a time, so every mirror sees the same record order.
+// NVRAM). It is the one place a record reaches the mirrors, and the group
+// committer's drain loop is its one caller: one leader at a time, so every
+// mirror sees the same record order. A lane write's leader holds no lock
+// here (device I/O never blocks other lanes' placement work); an exclusive
+// ticket's leader holds world exclusively and mu (commitExclusiveLocked).
 func (a *Array) nvramAppendOnce(at sim.Time, rec []byte) (sim.Time, error) {
 	done := at
 	// A crash here loses the record entirely: the op was never acked.
@@ -204,20 +178,47 @@ func (a *Array) nvramAppendOnce(at sim.Time, rec []byte) (sim.Time, error) {
 }
 
 // commitFactsLocked persists facts for one relation through NVRAM and
-// inserts them into the relation's pyramid. Caller holds mu.
+// inserts them into the relation's pyramid, in records of at most 512 facts
+// (so a GC or dedup batch never outgrows a small log), each applied after
+// its own append. Caller holds mu and the world lock exclusively.
 func (a *Array) commitFactsLocked(at sim.Time, relID uint32, facts []tuple.Fact) (sim.Time, error) {
-	if len(facts) == 0 {
-		return at, nil
+	done := at
+	for len(facts) > 0 {
+		batch := facts[:min(len(facts), 512)]
+		facts = facts[len(batch):]
+		var err error
+		if done, err = a.commitExclusiveLocked(done, encodeFactsRecord(relID, batch)); err != nil {
+			return done, err
+		}
+		if err = a.applyFactsLocked(relID, batch); err != nil {
+			return done, err
+		}
+		a.persistedSeq = a.seqs.Current()
 	}
-	done, err := a.nvramAppendLocked(at, encodeFactsRecord(relID, facts))
-	if err != nil {
-		return done, err
-	}
-	if err := a.applyFactsLocked(relID, facts); err != nil {
-		return done, err
-	}
-	a.persistedSeq = a.seqs.Current()
 	return done, nil
+}
+
+// commitExclusiveLocked commits one record from a world-exclusive section;
+// its ticket leads an empty committer queue, as every lane commit holds
+// world shared until its own ticket is done. It is the one log-full
+// fallback: on a failed append it checkpoints and retries once. The
+// checkpoint trims the whole log, so if world can be read-locked (the
+// caller does not hold it exclusively; TryRLock also fails while a writer
+// waits, so this catches a wrong caller, it is not the lock) it returns the
+// error instead. Caller holds mu and the world lock exclusively.
+func (a *Array) commitExclusiveLocked(at sim.Time, rec []byte) (sim.Time, error) {
+	done, err := a.committer.commit(at, nil, rec)
+	if err == nil {
+		return done, nil
+	}
+	if a.world.TryRLock() {
+		a.world.RUnlock()
+		return done, err
+	}
+	if done, err = a.checkpointLocked(done); err != nil {
+		return done, err
+	}
+	return a.committer.commit(done, nil, rec)
 }
 
 // applyFactsLocked inserts facts into a pyramid, materializing elide

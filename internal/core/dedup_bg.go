@@ -118,16 +118,6 @@ func (a *Array) BackgroundDedup(at sim.Time) (BackgroundDedupReport, sim.Time, e
 		}
 	}
 
-	for base := 0; base < len(newFacts); base += 512 {
-		end := base + 512
-		if end > len(newFacts) {
-			end = len(newFacts)
-		}
-		d, err := a.commitFactsLocked(done, relation.IDAddrs, newFacts[base:end])
-		if err != nil {
-			return rep, d, err
-		}
-		done = d
-	}
-	return rep, done, nil
+	done, err = a.commitFactsLocked(done, relation.IDAddrs, newFacts)
+	return rep, done, err
 }

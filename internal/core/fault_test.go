@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
+	"purity/internal/nvram"
 	"purity/internal/relation"
 	"purity/internal/sim"
 )
@@ -262,10 +265,12 @@ func TestSnapshotChainReadsAfterManyGenerations(t *testing.T) {
 }
 
 // TestCheckpointSurvivesNVRAMPressure: tiny NVRAM fills constantly, so
-// writes keep taking the log-full fallback (laneCommitExclusive: quiesce,
-// checkpoint, retry the append); everything must stay correct, live and
-// after a crash.
+// records keep taking the log-full fallback (commitExclusiveLocked under
+// the exclusive world lock: checkpoint, retry the append) — lane writes
+// through laneCommitExclusive, and in the concurrent case catalog and GC
+// facts records too; everything must stay correct, live and after a crash.
 func TestCheckpointSurvivesNVRAMPressure(t *testing.T) {
+	t.Run("lanes=4/concurrent", nvramPressureConcurrent)
 	for _, lanes := range []int{1, 4} {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
 			cfg := TestConfig()
@@ -311,6 +316,221 @@ func TestCheckpointSurvivesNVRAMPressure(t *testing.T) {
 				t.Fatal("model mismatch after recovery under NVRAM pressure")
 			}
 		})
+	}
+}
+
+// nvramPressureConcurrent: four writers on four volumes at lanes 4 keep
+// filling a 64 KiB log (writers 0 and 1 draw half their payloads from one
+// content pool, so their lanes dedup against each other) and race each
+// other through the shared-to-exclusive world fallback. Every stepEvery
+// acked writes the main goroutine holds the writers at a test-level gate,
+// fills what is left of the log, and runs a Snapshot, Clone, Delete or
+// RunGC step, whose first facts record then meets a full log. The gate
+// makes a snapshot's frozen image exact and every checkpoint taken during
+// the step the step's own: with CheckpointEvery out of reach, one can only
+// be a facts commit's log-full fallback.
+func nvramPressureConcurrent(t *testing.T) {
+	const (
+		writers   = 4
+		volSize   = int64(1 << 20)
+		writes    = 120
+		stepEvery = 30
+	)
+	cfg := laneTestConfig(4)
+	cfg.Shelf.NVRAMConfig.Capacity = 64 << 10
+	cfg.CheckpointEvery = 1 << 30
+	a, err := Format(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := make([][]byte, 8)
+	for i := range pool {
+		pool[i] = pattern(uint64(9000+i), (i%4+1)*8*512)
+	}
+	vols := make([]VolumeID, writers)
+	models := make([][]byte, writers)
+	for i := range vols {
+		vols[i] = mustCreate(t, a, fmt.Sprintf("w%d", i), volSize)
+		models[i] = make([]byte, volSize)
+	}
+
+	var gate sync.RWMutex
+	progress := make(chan struct{}, writers*writes)
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := sim.NewRand(uint64(i + 11))
+			for j := 0; j < writes; j++ {
+				data := pattern(uint64(i)<<32|uint64(j), (r.Intn(32)+1)*512)
+				if i < 2 && r.Intn(2) == 0 {
+					data = pool[r.Intn(len(pool))]
+				}
+				off := int64(r.Intn(int(volSize)/512-len(data)/512)) * 512
+				gate.RLock()
+				_, err := a.WriteAt(0, vols[i], off, data)
+				if err == nil {
+					copy(models[i][off:], data)
+				}
+				gate.RUnlock()
+				if err != nil {
+					t.Errorf("writer %d write %d: %v", i, j, err)
+					return
+				}
+				progress <- struct{}{}
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(progress)
+	}()
+
+	// frozen maps every snapshot and clone to the image it must read back.
+	frozen := map[VolumeID][]byte{}
+	var snaps []VolumeID // live snapshots, oldest first
+	var factsCkpts int64
+	acked := 0
+	for range progress {
+		if acked++; acked%stepEvery != 0 || t.Failed() {
+			continue
+		}
+		step := acked / stepEvery
+		gate.Lock()
+		fillLog(t, a)
+		before := a.Stats().Checkpoints
+		switch step % 4 {
+		case 1:
+			w := step / 4 % writers
+			id, _, err := a.Snapshot(0, vols[w], fmt.Sprintf("snap%d", step))
+			if err != nil {
+				t.Errorf("snapshot: %v", err)
+				break
+			}
+			frozen[id] = append([]byte(nil), models[w]...)
+			snaps = append(snaps, id)
+		case 2:
+			src := snaps[len(snaps)-1]
+			id, _, err := a.Clone(0, src, fmt.Sprintf("clone%d", step))
+			if err != nil {
+				t.Errorf("clone: %v", err)
+				break
+			}
+			frozen[id] = frozen[src]
+		case 3:
+			// The oldest snapshot goes; a clone of it keeps its medium
+			// reachable.
+			if _, err := a.Delete(0, snaps[0]); err != nil {
+				t.Errorf("delete: %v", err)
+				break
+			}
+			delete(frozen, snaps[0])
+			snaps = snaps[1:]
+		case 0:
+			if _, _, err := a.RunGC(0); err != nil {
+				t.Errorf("gc: %v", err)
+			}
+		}
+		factsCkpts += a.Stats().Checkpoints - before
+		gate.Unlock()
+	}
+	if t.Failed() {
+		return
+	}
+	if factsCkpts == 0 {
+		t.Fatal("no step's facts commit checkpointed: the full log never reached the log-full fallback")
+	}
+	var batched int64
+	for _, ls := range a.LaneTelemetry().Lanes {
+		batched += ls.BatchRecords
+	}
+	if batched != writers*writes {
+		t.Fatalf("lanes counted %d batch records, want one per write (%d): a facts record was counted on a lane", batched, writers*writes)
+	}
+
+	check := func(a *Array, when string) {
+		t.Helper()
+		for i, vol := range vols {
+			if got := mustRead(t, a, vol, 0, int(volSize)); !bytes.Equal(got, models[i]) {
+				t.Fatalf("%s: volume %d differs from its model", when, vol)
+			}
+		}
+		for id, img := range frozen {
+			if got := mustRead(t, a, id, 0, int(volSize)); !bytes.Equal(got, img) {
+				t.Fatalf("%s: volume %d differs from its frozen image", when, id)
+			}
+		}
+	}
+	check(a, "live")
+	a2, _, err := OpenAt(cfg, a.Shelf(), 0, false)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	check(a2, "after recovery")
+}
+
+// fillLog appends empty facts records through the committer, as exclusive
+// tickets, until the NVRAM log is full: the next record of any size takes
+// the log-full fallback. An empty record replays as nothing. No lane commit
+// may be in flight.
+func fillLog(t *testing.T, a *Array) {
+	t.Helper()
+	rec := encodeFactsRecord(relation.IDVolumes, nil)
+	a.world.Lock()
+	defer a.world.Unlock()
+	for {
+		_, err := a.committer.commit(0, nil, rec)
+		if errors.Is(err, nvram.ErrFull) {
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLogFullRefusesSharedWorld pins commitExclusiveLocked's guard: with the
+// log full and world held only shared, it must return the append's error
+// and not checkpoint — a checkpoint trims the whole log, and a lane could
+// hold a durable record it has yet to apply. Held exclusively, the same
+// call checkpoints and succeeds.
+func TestLogFullRefusesSharedWorld(t *testing.T) {
+	cfg := TestConfig()
+	cfg.Shelf.NVRAMConfig.Capacity = 16 << 10
+	a, err := Format(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillLog(t, a)
+	rec := encodeFactsRecord(relation.IDVolumes, nil)
+	nv := a.shelf.NVRAM(0)
+	head, base, ckpts := nv.Head(), nv.Base(), a.Stats().Checkpoints
+
+	a.world.RLock()
+	a.mu.Lock()
+	_, err = a.commitExclusiveLocked(0, rec)
+	a.mu.Unlock()
+	a.world.RUnlock()
+	if !errors.Is(err, nvram.ErrFull) {
+		t.Fatalf("log full under a shared world lock: err = %v, want %v", err, nvram.ErrFull)
+	}
+	if nv.Head() != head || nv.Base() != base || a.Stats().Checkpoints != ckpts {
+		t.Fatalf("log full under a shared world lock trimmed or appended: head %d→%d, base %d→%d, checkpoints %d→%d",
+			head, nv.Head(), base, nv.Base(), ckpts, a.Stats().Checkpoints)
+	}
+
+	a.world.Lock()
+	a.mu.Lock()
+	_, err = a.commitExclusiveLocked(0, rec)
+	a.mu.Unlock()
+	a.world.Unlock()
+	if err != nil {
+		t.Fatalf("log full under the exclusive world lock: %v", err)
+	}
+	if a.Stats().Checkpoints != ckpts+1 || nv.Base() != head {
+		t.Fatalf("log full under the exclusive world lock: checkpoints %d→%d, base %d→%d, want one checkpoint trimming to %d",
+			ckpts, a.Stats().Checkpoints, base, nv.Base(), head)
 	}
 }
 

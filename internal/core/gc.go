@@ -295,16 +295,9 @@ func (a *Array) evacuateSegmentLocked(at sim.Time, id layout.SegmentID, blocks m
 		done = d
 	}
 	a.crash.Hit("gc.evac.sealed")
-	for base := 0; base < len(newFacts); base += 512 {
-		end := base + 512
-		if end > len(newFacts) {
-			end = len(newFacts)
-		}
-		d, err := a.commitFactsLocked(done, relation.IDAddrs, newFacts[base:end])
-		if err != nil {
-			return d, err
-		}
-		done = d
+	done, err := a.commitFactsLocked(done, relation.IDAddrs, newFacts)
+	if err != nil {
+		return done, err
 	}
 	// Every redirect fact is committed but the victim is not yet retired: a
 	// crash here leaves both copies live, and the higher-sequence redirects
@@ -312,13 +305,11 @@ func (a *Array) evacuateSegmentLocked(at sim.Time, id layout.SegmentID, blocks m
 	a.crash.Hit("gc.evac.redirected")
 
 	// Retire the segment: dead fact, erase, free.
-	d, err := a.commitFactsLocked(done, relation.IDSegments, []tuple.Fact{relation.SegmentRow{
+	if done, err = a.commitFactsLocked(done, relation.IDSegments, []tuple.Fact{relation.SegmentRow{
 		Segment: uint64(id), State: relation.SegmentDead,
-	}.Fact(a.seqs.Next())})
-	if err != nil {
-		return d, err
+	}.Fact(a.seqs.Next())}); err != nil {
+		return done, err
 	}
-	done = d
 	// The SegmentDead fact is durable: recovery must honor the retirement
 	// even though the victim's AU trailers are still intact on disk.
 	a.crash.Hit("gc.retire.dead")
@@ -461,14 +452,8 @@ func (a *Array) flattenDeepMediumsLocked(at sim.Time, rep *GCReport) (sim.Time, 
 			}
 			sector += ext.Sectors
 		}
-		for base := 0; base < len(facts); base += 512 {
-			end := base + 512
-			if end > len(facts) {
-				end = len(facts)
-			}
-			if done, err = a.commitFactsLocked(done, relation.IDAddrs, facts[base:end]); err != nil {
-				return done, err
-			}
+		if done, err = a.commitFactsLocked(done, relation.IDAddrs, facts); err != nil {
+			return done, err
 		}
 		if durable {
 			// Every mapped extent is materialized: cut the chain.

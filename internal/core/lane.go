@@ -20,10 +20,10 @@ import (
 // places literal cblocks into its own open data segment (under the lane
 // mutex only, on the fast path), allocates sequence numbers from the
 // shared atomic SeqSource, and funnels its NVRAM record through a batching
-// committer that preserves the append-before-apply durability ordering the
-// crash sweep checks. One lane is simply the case where every volume
-// routes to lane 0. The paper's logical monotonicity is what makes this
-// safe: facts are immutable and commutative (§3.2), so two writes' facts
+// committer — every record's one path to NVRAM — that preserves the
+// append-before-apply durability ordering the crash sweep checks. One lane
+// is simply the case where every volume routes to lane 0. The paper's
+// logical monotonicity is what makes this safe: facts are immutable and commutative (§3.2), so two writes' facts
 // interleave freely as long as each one's record is durable before its
 // pyramid apply, and replay remains a set union.
 //
@@ -31,7 +31,7 @@ import (
 // openSeg). Lane commits hold the world lock in read mode for their whole
 // critical section; maintenance entry points (GC, scrub, rebuild,
 // checkpoint, volume mutations) take it in write mode, so when one runs, no
-// lane commit is in flight.
+// lane commit is in flight and its records find the committer idle.
 
 // commitLane is one shard of the commit path: the slot of its open data
 // segment and contention-observability counters (all atomic, readable
@@ -84,13 +84,13 @@ type nvTicket struct {
 	err  error
 }
 
-// nvCommitter funnels all lanes' NVRAM appends through a single leader at
-// a time, so the mirrors see every record in one total order (replay picks
+// nvCommitter funnels every NVRAM append through a single leader at a
+// time, so the mirrors see every record in one total order (replay picks
 // the surviving device with the longest log — identical order on every
 // mirror is what makes that choice safe). The first arrival while no
 // leader is active becomes the leader and drains the queue in batches;
-// later arrivals enqueue and wait. Device I/O runs with no locks held, so
-// lanes keep preparing and placing while a batch is in flight.
+// later arrivals enqueue and wait. A lane batch's device I/O runs with no
+// locks held, so lanes keep preparing and placing while it is in flight.
 type nvCommitter struct {
 	a        *Array
 	mu       sync.Mutex
@@ -101,7 +101,8 @@ type nvCommitter struct {
 
 // commit appends one record durably to all surviving NVRAM mirrors,
 // batching with concurrent callers. It returns when this record is
-// durable — the commit point of a lane write.
+// durable — the commit point of every op. ln is the lane a write's batch is
+// counted on; an exclusive ticket (commitExclusiveLocked) passes nil.
 func (c *nvCommitter) commit(at sim.Time, ln *commitLane, rec []byte) (sim.Time, error) {
 	t := &nvTicket{rec: rec, at: at, done: make(chan struct{})}
 	c.mu.Lock()
@@ -128,8 +129,10 @@ func (c *nvCommitter) commit(at sim.Time, ln *commitLane, rec []byte) (sim.Time,
 			break
 		}
 		c.mu.Unlock()
-		ln.batchesLed.Inc()
-		ln.batchRecords.Add(int64(len(batch)))
+		if ln != nil {
+			ln.batchesLed.Inc()
+			ln.batchRecords.Add(int64(len(batch)))
+		}
 		for _, tk := range batch {
 			tk.when, tk.err = c.a.nvramAppendOnce(tk.at, tk.rec)
 			close(tk.done)
@@ -148,10 +151,6 @@ func (c *nvCommitter) commit(at sim.Time, ln *commitLane, rec []byte) (sim.Time,
 func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byte, prep []preparedExtent) (sim.Time, error) {
 	ln := a.laneFor(vol)
 	a.world.RLock()
-	// Every exit below decrements the in-flight count BEFORE releasing the
-	// read lock, so a writer that then acquires world exclusively observes
-	// zero lane commits in flight (nvramAppendLocked's checkpoint gate).
-	a.laneInflight.Add(1)
 
 	row, done, err := a.volume(at, vol)
 	if err == nil && row.State == relation.VolumeSnapshot {
@@ -162,7 +161,6 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 		err = ErrOutOfRange
 	}
 	if err != nil {
-		a.laneInflight.Add(-1)
 		a.world.RUnlock()
 		return done, err
 	}
@@ -180,7 +178,6 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 		done = d
 		allocated += n
 		if err != nil {
-			a.laneInflight.Add(-1)
 			a.world.RUnlock()
 			return done, err
 		}
@@ -200,12 +197,10 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 	// Commit point: the batched NVRAM append. Any error escalates to the
 	// exclusive path, which can checkpoint to free log space — safe to take
 	// the world lock there because we have fully released it here.
-	rec := encodeWriteRecord(w.chunks)
-	done2, err := a.committer.commit(done, ln, rec)
+	done2, err := a.committer.commit(done, ln, encodeWriteRecord(w.chunks))
 	if err != nil {
-		a.laneInflight.Add(-1)
 		a.world.RUnlock()
-		return a.laneCommitExclusive(done, ln, rec, w)
+		return a.laneCommitExclusive(done, ln, w)
 	}
 	done = done2
 	ln.commits.Inc()
@@ -223,7 +218,6 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 		needBG = a.opsSinceBG >= a.cfg.BackgroundEvery
 	}
 	a.mu.Unlock()
-	a.laneInflight.Add(-1)
 	a.world.RUnlock()
 	if err != nil {
 		return ackAt, err
@@ -275,17 +269,25 @@ func (a *Array) laneApplyLocked(done sim.Time, w laneWrite) (sim.Time, error) {
 	return ackAt, nil
 }
 
-// laneCommitExclusive finishes a lane write whose batched NVRAM append
-// failed (typically ErrFull). Called with NO locks held; it takes the
-// world lock exclusively — every lane commit is quiesced, so
-// nvramAppendLocked may checkpoint to free the log (flushing lane segios
-// in the process) without trimming a record another lane has yet to apply.
-func (a *Array) laneCommitExclusive(done sim.Time, ln *commitLane, rec []byte, w laneWrite) (sim.Time, error) {
+// laneCommitExclusive finishes a lane write whose group commit failed
+// (typically ErrFull) through the log-full fallback, commitExclusiveLocked.
+// Called with NO locks held; it takes the world lock exclusively. The write
+// is restamped first: an exclusive section since its placement may have
+// flushed newer facts, and a flush drops facts at or below a pyramid's
+// watermark as replays, so under its old seqs the write would be lost.
+func (a *Array) laneCommitExclusive(done sim.Time, ln *commitLane, w laneWrite) (sim.Time, error) {
 	a.world.Lock()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	defer a.world.Unlock()
-	done, err := a.nvramAppendLocked(done, rec)
+	for i := range w.chunks {
+		ch := &w.chunks[i]
+		ch.addr.Seq = a.seqs.Next()
+		for j := range ch.dedup {
+			ch.dedup[j].Seq = a.seqs.Next()
+		}
+	}
+	done, err := a.commitExclusiveLocked(done, encodeWriteRecord(w.chunks))
 	if err != nil {
 		return done, err
 	}
@@ -437,7 +439,8 @@ func (a *Array) laneLiteralChunk(at sim.Time, ln *commitLane, medium, sector uin
 // laneAppendData appends a blob to the lane's open segment. Per-lane open
 // segments are the down payment on multi-stream placement: each lane's
 // writes stay physically clustered, so data written together dies together
-// (ROADMAP item 5). The fast path holds only the slot mutex; an empty or
+// (ROADMAP "GC and maintenance that do not stop the world", its heat-aware
+// placement part). The fast path holds only the slot mutex; an empty or
 // full slot goes through slotAppendLocked under a.mu, so a rotating lane
 // briefly contends with the others.
 func (a *Array) laneAppendData(at sim.Time, ln *commitLane, b []byte) (layout.SegmentID, int64, sim.Time, error) {

@@ -8,7 +8,8 @@ import (
 	"purity/internal/tuple"
 )
 
-// lookupOracle is ROADMAP item 3's safety net: the address map and medium
+// lookupOracle is the safety net of the ROADMAP item "Address-map lookup:
+// pin it with an oracle, then stop scanning": the address map and medium
 // table as plain slices, and sector resolution stated in a dozen lines —
 // the newest valid, non-elided address fact covering the sector, else the
 // same question one hop down the medium chain. It is filled by unbounded
