@@ -122,3 +122,29 @@ func TestSplitWriteProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUnpackAllocatesOnce pins a cache miss's decompression to one
+// allocation: the frame header gives the output length, so the sectors are
+// allocated at their final size rather than grown as the stream decodes.
+func TestUnpackAllocatesOnce(t *testing.T) {
+	// Half random, half repeated: a frame of literals and matches both.
+	data := make([]byte, MaxBytes)
+	sim.NewRand(9).Bytes(data[:MaxBytes/2])
+	copy(data[MaxBytes/2:], bytes.Repeat([]byte("purity cblock "), MaxBytes/2/14+1))
+	frame, err := Pack(data, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frame) >= len(data) {
+		t.Fatalf("frame of %d bytes for %d: not compressed", len(frame), len(data))
+	}
+	n := testing.AllocsPerRun(20, func() {
+		got, err := Unpack(frame)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("Unpack: %v", err)
+		}
+	})
+	if n != 1 {
+		t.Errorf("Unpack of a %d KiB cblock: %v allocations, want 1", len(data)>>10, n)
+	}
+}

@@ -177,8 +177,14 @@ func Decompress(dst, src []byte) ([]byte, int, error) {
 		}
 		return append(dst, src[pos:pos+int(origLen)]...), pos + int(origLen), nil
 	case methodLZ:
+		// The header says how long the output is: one allocation up front
+		// instead of one per doubling as the stream is decoded.
 		base := len(dst)
-		out, consumed, err := decodeLZ(dst, src[pos:], int(origLen))
+		out := dst
+		if cap(out)-base < int(origLen) {
+			out = append(make([]byte, 0, base+int(origLen)), dst...)
+		}
+		out, consumed, err := decodeLZ(out, src[pos:], int(origLen))
 		if err != nil {
 			return dst, 0, err
 		}

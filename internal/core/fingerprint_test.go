@@ -212,4 +212,5 @@ func TestModelFingerprint(t *testing.T) {
 	if got != modelFingerprint {
 		t.Errorf("the device model noticed this change.\n--- got\n%s--- want (recorded in PR 26)\n%s", got, modelFingerprint)
 	}
+	checkCachedPages(t, a)
 }

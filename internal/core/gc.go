@@ -144,7 +144,7 @@ func (a *Array) computeLivenessLocked(at sim.Time) (map[layout.SegmentID]map[uin
 		row        relation.AddrRow
 	}
 	perMedium := make(map[uint64][]entry)
-	done, err := a.pyr[relation.IDAddrs].ScanVersions(at, nil, nil, func(f tuple.Fact) bool {
+	done, err := a.pyr[relation.IDAddrs].Visit(at, nil, nil, true, func(f tuple.Fact) bool {
 		r := relation.AddrFromFact(f)
 		if !a.addrValid(r) {
 			return true // stale post-crash reference: logically retracted
@@ -344,7 +344,7 @@ func (a *Array) evacuateSegmentLocked(at sim.Time, id layout.SegmentID, blocks m
 func (a *Array) elideUnreachableMediumsLocked(at sim.Time, rep *GCReport) (sim.Time, error) {
 	done := at
 	roots := map[uint64]bool{}
-	d, err := a.pyr[relation.IDVolumes].Scan(done, nil, nil, func(f tuple.Fact) bool {
+	d, err := a.pyr[relation.IDVolumes].Visit(done, nil, nil, false, func(f tuple.Fact) bool {
 		row := relation.VolumeFromFact(f)
 		if row.State != relation.VolumeDeleted {
 			roots[row.Medium] = true
@@ -358,7 +358,7 @@ func (a *Array) elideUnreachableMediumsLocked(at sim.Time, rep *GCReport) (sim.T
 
 	all := map[uint64]bool{}
 	edges := map[uint64][]uint64{} // source -> targets
-	d, err = a.pyr[relation.IDMediums].Scan(done, nil, nil, func(f tuple.Fact) bool {
+	d, err = a.pyr[relation.IDMediums].Visit(done, nil, nil, false, func(f tuple.Fact) bool {
 		row := relation.MediumFromFact(f)
 		all[row.Source] = true
 		if row.Target != relation.NoMedium {
@@ -412,7 +412,7 @@ func (a *Array) flattenDeepMediumsLocked(at sim.Time, rep *GCReport) (sim.Time, 
 	done := at
 	type leaf struct{ medium, sectors uint64 }
 	var leaves []leaf
-	d, err := a.pyr[relation.IDVolumes].Scan(done, nil, nil, func(f tuple.Fact) bool {
+	d, err := a.pyr[relation.IDVolumes].Visit(done, nil, nil, false, func(f tuple.Fact) bool {
 		row := relation.VolumeFromFact(f)
 		if row.State == relation.VolumeActive {
 			leaves = append(leaves, leaf{row.Medium, row.SizeSectors})

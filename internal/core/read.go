@@ -40,7 +40,8 @@ func (l *lookupAdapter) AddrCovering(at sim.Time, med, sector uint64) (relation.
 	a := (*Array)(l)
 	// Entries may overlap; the newest covering entry wins. A covering
 	// entry's key is within MaxCBlockSectors below the sector, so a
-	// bounded version scan finds every candidate.
+	// bounded version scan finds every candidate. Each version is decoded
+	// and dropped, so the scan lends them (Visit) rather than cloning.
 	lo := uint64(0)
 	if sector >= medium.MaxCBlockSectors-1 {
 		lo = sector - (medium.MaxCBlockSectors - 1)
@@ -48,8 +49,8 @@ func (l *lookupAdapter) AddrCovering(at sim.Time, med, sector uint64) (relation.
 	var best relation.AddrRow
 	var bestSeq tuple.Seq
 	found := false
-	done, err := a.pyr[relation.IDAddrs].ScanVersions(at,
-		[]uint64{med, lo}, []uint64{med, sector},
+	done, err := a.pyr[relation.IDAddrs].Visit(at,
+		[]uint64{med, lo}, []uint64{med, sector}, true,
 		func(f tuple.Fact) bool {
 			r := relation.AddrFromFact(f)
 			if r.Sector+r.Sectors > sector && (!found || f.Seq > bestSeq) && a.addrValid(r) {

@@ -317,11 +317,25 @@ func TestConcurrentReadersWriterGC(t *testing.T) {
 		}
 	}
 	check(a, "live")
+	checkCachedPages(t, a)
 	a2, _, err := OpenAt(cfg, a.Shelf(), 0, false)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
 	check(a2, "after recovery")
+	checkCachedPages(t, a2)
+}
+
+// checkCachedPages fails t if a cached metadata page no longer matches its
+// checksum. Lookups and censuses borrow rows whose blobs alias those pages
+// (pyramid.Visit), so this is where a write through a borrowed fact shows.
+func checkCachedPages(t *testing.T, a *Array) {
+	t.Helper()
+	for _, p := range a.pyr {
+		if err := p.VerifyCachedPages(); err != nil {
+			t.Error(err)
+		}
+	}
 }
 
 // TestReadsAcrossSealWindow reads the cblocks a writer just placed — so

@@ -185,7 +185,7 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 	// 5. Materialize elide tables from the recovered elide relation.
 	//lint:ignore commitorder recovery baseline: the watermark is derived from state already read back from the log and checkpoint — nothing is applied that durable media does not hold
 	a.persistedSeq = a.seqs.Current()
-	if _, err := a.pyr[relation.IDElide].ScanVersions(done, nil, nil, func(f tuple.Fact) bool {
+	if _, err := a.pyr[relation.IDElide].Visit(done, nil, nil, true, func(f tuple.Fact) bool {
 		a.applyElideFact(f)
 		return true
 	}); err != nil {
@@ -325,7 +325,7 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 		slot int
 	}
 	var swaps []swap
-	if _, err := a.pyr[relation.IDSegmentAUs].Scan(done, nil, nil, func(f tuple.Fact) bool {
+	if _, err := a.pyr[relation.IDSegmentAUs].Visit(done, nil, nil, false, func(f tuple.Fact) bool {
 		row := relation.SegmentAUFromFact(f)
 		info, ok := a.segMap[layout.SegmentID(row.Segment)]
 		if !ok || int(row.Shard) >= len(info.AUs) {
@@ -393,7 +393,7 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 			a.nextVolume = id + 1
 		}
 	}
-	if _, err := a.pyr[relation.IDMediums].ScanVersions(done, nil, nil, func(f tuple.Fact) bool {
+	if _, err := a.pyr[relation.IDMediums].Visit(done, nil, nil, true, func(f tuple.Fact) bool {
 		row := relation.MediumFromFact(f)
 		bumpMedium(row.Source)
 		bumpMedium(row.Target)
@@ -402,12 +402,12 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 		return nil, rs, err
 	}
 	newestVolume := map[uint64]tuple.Fact{}
-	if _, err := a.pyr[relation.IDVolumes].ScanVersions(done, nil, nil, func(f tuple.Fact) bool {
+	if _, err := a.pyr[relation.IDVolumes].Visit(done, nil, nil, true, func(f tuple.Fact) bool {
 		row := relation.VolumeFromFact(f)
 		bumpVolume(row.Volume)
 		bumpMedium(row.Medium)
 		if g, ok := newestVolume[row.Volume]; !ok || f.Seq > g.Seq {
-			newestVolume[row.Volume] = f
+			newestVolume[row.Volume] = f.Clone()
 		}
 		return true
 	}); err != nil {
@@ -419,7 +419,7 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 			a.provisioned += int64(row.SizeSectors) * cblock.SectorSize
 		}
 	}
-	if _, err := a.pyr[relation.IDElide].ScanVersions(done, nil, nil, func(f tuple.Fact) bool {
+	if _, err := a.pyr[relation.IDElide].Visit(done, nil, nil, true, func(f tuple.Fact) bool {
 		row := relation.ElideFromFact(f)
 		if (row.Table == relation.IDAddrs || row.Table == relation.IDMediums) && row.Col == 0 {
 			bumpMedium(row.Hi)
@@ -436,7 +436,7 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 	// step the zombie would be re-reclaimed later and erase AUs that now
 	// belong to a successor segment.
 	dead := map[uint64]bool{}
-	if _, err := a.pyr[relation.IDSegments].Scan(done, nil, nil, func(f tuple.Fact) bool {
+	if _, err := a.pyr[relation.IDSegments].Visit(done, nil, nil, false, func(f tuple.Fact) bool {
 		row := relation.SegmentFromFact(f)
 		if row.State == relation.SegmentDead {
 			dead[row.Segment] = true
@@ -527,16 +527,17 @@ func replayRecords(sh *shelf.Shelf) (recs []nvram.Record, survived bool) {
 }
 
 // scanSegmentRefs calls fn with the segment every addrs and dedup version
-// names — live, shadowed or stale — until fn returns false. Recovery runs
-// it only when the NVRAM log cannot bound segment IDs (step 6);
-// checkSegmentBound runs it as the crash sweep's oracle.
+// names — live, shadowed or stale — until fn returns false. The fact is
+// borrowed (pyramid.Visit): valid only during fn. Recovery runs it only
+// when the NVRAM log cannot bound segment IDs (step 6); checkSegmentBound
+// runs it as the crash sweep's oracle.
 func (a *Array) scanSegmentRefs(at sim.Time, fn func(relID uint32, f tuple.Fact, seg uint64) bool) error {
 	for _, rel := range []struct {
 		id  uint32
 		col int // the segment column
 	}{{relation.IDAddrs, 2}, {relation.IDDedup, 1}} {
 		more := true
-		if _, err := a.pyr[rel.id].ScanVersions(at, nil, nil, func(f tuple.Fact) bool {
+		if _, err := a.pyr[rel.id].Visit(at, nil, nil, true, func(f tuple.Fact) bool {
 			more = fn(rel.id, f, f.Cols[rel.col])
 			return more
 		}); err != nil {

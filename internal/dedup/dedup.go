@@ -147,16 +147,19 @@ func newRecentStripe(capacity int) *recentStripe {
 	for (1 << bits) < 2*capacity {
 		bits++
 	}
-	size := 1 << bits
-	return &recentStripe{
-		cap:   capacity,
-		mask:  uint64(size - 1),
-		shift: 64 - bits,
-		keys:  make([]uint64, size),
-		vals:  make([]Candidate, size),
-		used:  make([]bool, size),
-		ring:  make([]uint64, capacity),
-	}
+	return &recentStripe{cap: capacity, mask: uint64(1)<<bits - 1, shift: 64 - bits}
+}
+
+// alloc builds the stripe's tables, on its first Add: an array pays for
+// the index as writes fill it, not when it is formatted or recovered —
+// recovery leaves the index empty, and its tables were most of what a
+// recovery allocated and cleared. Caller holds mu.
+func (r *recentStripe) alloc() {
+	size := int(r.mask) + 1
+	r.keys = make([]uint64, size)
+	r.vals = make([]Candidate, size)
+	r.used = make([]bool, size)
+	r.ring = make([]uint64, r.cap)
 }
 
 // stripe routes a hash to its stripe by the low bits; slot selection inside
@@ -173,8 +176,11 @@ func (r *recentStripe) slot(h uint64) uint64 {
 }
 
 // find returns the slot holding hash, or the empty slot that ends its
-// probe sequence.
+// probe sequence; a stripe nothing was added to holds nothing.
 func (r *recentStripe) find(hash uint64) (uint64, bool) {
+	if r.used == nil {
+		return 0, false
+	}
 	i := r.slot(hash)
 	for r.used[i] {
 		if r.keys[i] == hash {
@@ -220,6 +226,14 @@ func (x *RecentIndex) Add(hash uint64, c Candidate) {
 	r := x.stripe(hash)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.add(hash, c)
+}
+
+// add is Add within one stripe. Caller holds mu.
+func (r *recentStripe) add(hash uint64, c Candidate) {
+	if r.used == nil {
+		r.alloc()
+	}
 	if i, ok := r.find(hash); ok {
 		r.vals[i] = c
 		return

@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -333,26 +334,12 @@ func TestRecentStripeAgainstModel(t *testing.T) {
 	}
 }
 
-// stripeAdd is RecentIndex.Add's body applied to one stripe directly, so
-// the model test exercises the probe-chain machinery without the routing.
+// stripeAdd is RecentIndex.Add on one stripe directly, so the model test
+// exercises the probe-chain machinery without the routing.
 func stripeAdd(r *recentStripe, hash uint64, c Candidate) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if i, ok := r.find(hash); ok {
-		r.vals[i] = c
-		return
-	}
-	if r.n >= r.cap {
-		r.del(r.ring[r.pos])
-	}
-	r.ring[r.pos] = hash
-	r.pos++
-	if r.pos == r.cap {
-		r.pos = 0
-	}
-	i, _ := r.find(hash)
-	r.keys[i], r.vals[i], r.used[i] = hash, c, true
-	r.n++
+	r.add(hash, c)
 }
 
 // TestRecentIndexAgainstStripedModel models the full striped index: each
@@ -443,5 +430,29 @@ func TestRecentIndexConcurrent(t *testing.T) {
 	wg.Wait()
 	if n := idx.Len(); n == 0 {
 		t.Fatal("index empty after concurrent churn")
+	}
+}
+
+// TestNewRecentIndexDefersTables pins the recent index's memory to the
+// writes that fill it: every Format and every recovery builds an index,
+// and recovery adds nothing to it, so a stripe's tables are built on its
+// first Add.
+func TestNewRecentIndexDefersTables(t *testing.T) {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	x := NewRecentIndex(1 << 16)
+	runtime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 16<<10 {
+		t.Errorf("NewRecentIndex(1<<16) allocated %d bytes, want at most 16 KiB", got)
+	}
+	if _, ok := x.Lookup(42); ok {
+		t.Fatal("a new index found a hash")
+	}
+	x.Add(42, Candidate{Segment: 7})
+	if c, ok := x.Lookup(42); !ok || c.Segment != 7 {
+		t.Fatalf("Lookup after Add = %+v, %v", c, ok)
+	}
+	if x.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", x.Len())
 	}
 }

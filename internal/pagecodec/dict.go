@@ -1,6 +1,9 @@
 package pagecodec
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // dict is the per-field dictionary of §4.9: a sorted list of bases b0..bB-1
 // and an offset width W. A value v is encoded as (x, o) with v = bases[x]+o
@@ -19,7 +22,7 @@ var candidateWidths = []uint{0, 1, 2, 4, 6, 8, 12, 16, 20, 24, 32, 40, 48, 64}
 // given column values: rows·(lg B + W) bits of rows plus 64·B bits of bases.
 func buildDict(values []uint64) dict {
 	uniq := append([]uint64(nil), values...)
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
+	slices.Sort(uniq)
 	uniq = dedupSorted(uniq)
 
 	best := dict{}

@@ -170,10 +170,10 @@ func Open(s tuple.Schema, raw []byte) (*Page, error) {
 	if len(raw) < 16 {
 		return nil, ErrCorrupt
 	}
-	body, sum := raw[:len(raw)-4], binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
+	if !checksumOK(raw) {
 		return nil, ErrChecksum
 	}
+	body := raw[:len(raw)-4]
 	if binary.LittleEndian.Uint16(raw) != magic || raw[2] != version {
 		return nil, ErrCorrupt
 	}
@@ -222,6 +222,22 @@ func Open(s tuple.Schema, raw []byte) (*Page, error) {
 	return p, nil
 }
 
+// checksumOK reports whether raw's trailing CRC matches the bytes before it.
+func checksumOK(raw []byte) bool {
+	body, sum := raw[:len(raw)-4], binary.LittleEndian.Uint32(raw[len(raw)-4:])
+	return crc32.ChecksumIEEE(body) == sum
+}
+
+// Verify re-checks the page's checksum over the bytes it decodes from, which
+// Open checked once. Borrowed rows alias those bytes, so a write through
+// one would show here.
+func (p *Page) Verify() error {
+	if !checksumOK(p.raw) {
+		return ErrChecksum
+	}
+	return nil
+}
+
 // RowCount returns the number of facts in the page.
 func (p *Page) RowCount() int { return p.rowCount }
 
@@ -241,19 +257,17 @@ func (p *Page) Seq(i int) tuple.Seq { return tuple.Seq(p.col(i, p.schema.Cols)) 
 // (RowCount × KeyCols). The slice is shared; callers must not modify it.
 func (p *Page) Keys() []uint64 { return p.keyCache() }
 
-// Key returns the key columns of row i, appending to dst.
-func (p *Page) Key(dst []uint64, i int) []uint64 {
-	k := p.schema.KeyCols
-	keys := p.keyCache()
-	return append(dst, keys[i*k:(i+1)*k]...)
-}
-
-// Fact decodes row i fully.
-func (p *Page) Fact(i int) tuple.Fact {
-	f := tuple.Fact{Seq: p.Seq(i), Cols: make([]uint64, p.schema.Cols)}
-	for c := 0; c < p.schema.Cols; c++ {
-		f.Cols[c] = p.col(i, c)
+// Row decodes row i into cols, which must have room for the schema's
+// columns, and returns it as a fact whose Cols is cols[:Cols]. Its Blob is a
+// capped subslice of the page's bytes: a borrowed row, valid as long as the
+// caller's buffer is and never written through (pages are immutable, and
+// the page cache shares them between readers).
+func (p *Page) Row(i int, cols []uint64) tuple.Fact {
+	cols = cols[:p.schema.Cols]
+	for c := range cols {
+		cols[c] = p.col(i, c)
 	}
+	f := tuple.Fact{Seq: p.Seq(i), Cols: cols}
 	if p.schema.HasBlob {
 		// Blob offsets are the running sum of prior blob lengths.
 		lenCol := p.schema.Cols + 1
@@ -261,18 +275,29 @@ func (p *Page) Fact(i int) tuple.Fact {
 		for j := 0; j < i; j++ {
 			start += p.col(j, lenCol)
 		}
-		n := p.col(i, lenCol)
-		f.Blob = append([]byte(nil), p.raw[p.blobOff+int(start):p.blobOff+int(start+n)]...)
+		f.Blob = p.blob(start, p.col(i, lenCol))
 	}
 	return f
+}
+
+// blob returns the n blob-area bytes at start, capped so an append cannot
+// reach the next row's; nil when n is 0, as a decoded empty blob always was.
+func (p *Page) blob(start, n uint64) []byte {
+	if n == 0 {
+		return nil
+	}
+	lo, hi := p.blobOff+int(start), p.blobOff+int(start+n)
+	return p.raw[lo:hi:hi]
 }
 
 // All decodes every fact in the page. Patch merges and scans decode whole
 // pages at a time, so rows are decoded column-major: constant columns
 // (zero row bits — the common case for class and length fields) are filled
 // without touching the bit stream, and the rest walk it at a fixed stride.
-// The facts' Cols share one backing array; callers must not mutate them
-// (pyramid clones any fact it retains or returns).
+// The facts' Cols share one backing array that belongs to the caller, and
+// each Blob is a capped subslice of the page's bytes, as Row's is: nobody
+// writes through either. A merge keeps these facts as they are until the
+// merged patch is encoded; a scan lends them to its visitor.
 func (p *Page) All() []tuple.Fact {
 	n := p.rowCount
 	cols := p.schema.Cols
@@ -311,7 +336,7 @@ func (p *Page) All() []tuple.Fact {
 		colVal(lenCol, func(i int, v uint64) { lens[i] = v })
 		var start uint64
 		for i := 0; i < n; i++ {
-			out[i].Blob = append([]byte(nil), p.raw[p.blobOff+int(start):p.blobOff+int(start+lens[i])]...)
+			out[i].Blob = p.blob(start, lens[i])
 			start += lens[i]
 		}
 	}

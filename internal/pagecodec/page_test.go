@@ -2,6 +2,7 @@ package pagecodec
 
 import (
 	"bytes"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -170,10 +171,12 @@ func TestPageRoundTrip(t *testing.T) {
 				t.Fatalf("row %d blob mismatch", i)
 			}
 		}
-		// Individual Fact(i) agrees with All().
-		f7 := p.Fact(7)
-		if f7.Seq != facts[7].Seq || (blob && !bytes.Equal(f7.Blob, facts[7].Blob)) {
-			t.Fatal("Fact(7) disagrees")
+		// Row(i) agrees with All() on every row.
+		buf := make([]uint64, s.Cols)
+		for i := range got {
+			if r := p.Row(i, buf); !reflect.DeepEqual(r, got[i]) {
+				t.Fatalf("Row(%d) = %+v, All()[%d] = %+v", i, r, i, got[i])
+			}
 		}
 	}
 }
@@ -252,15 +255,12 @@ func TestFirstGE(t *testing.T) {
 	p, _ := Open(s, raw)
 
 	idx := p.FirstGE([]uint64{10, 0})
-	var key []uint64
-	key = p.Key(key, idx)
-	if key[0] != 10 {
+	if key := p.Keys()[idx*2:][:2]; key[0] != 10 {
 		t.Fatalf("FirstGE(10,0) landed on key %v", key)
 	}
 	// Key between rows: lands on next.
 	idx = p.FirstGE([]uint64{11, 0})
-	key = p.Key(key[:0], idx)
-	if key[0] != 12 {
+	if key := p.Keys()[idx*2:][:2]; key[0] != 12 {
 		t.Fatalf("FirstGE(11,0) landed on key %v", key)
 	}
 	// Beyond all keys.

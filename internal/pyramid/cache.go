@@ -2,6 +2,7 @@ package pyramid
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 
 	"purity/internal/pagecodec"
@@ -75,4 +76,18 @@ func (c *pageCache) put(ref Ref, page *pagecodec.Page) {
 		c.order.Remove(back)
 		delete(c.items, back.Value.(*cacheEntry).ref)
 	}
+}
+
+// verify re-checks every cached page's checksum, returning the first
+// mismatch.
+func (c *pageCache) verify() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		ent := el.Value.(*cacheEntry)
+		if err := ent.page.Verify(); err != nil {
+			return fmt.Errorf("cached page %+v: %w", ent.ref, err)
+		}
+	}
+	return nil
 }

@@ -21,7 +21,13 @@ func (p *Pyramid) GetCeil(at sim.Time, prefix []uint64, col uint64) (tuple.Fact,
 	}
 	done := at
 	keyCols := p.cfg.Schema.KeyCols
-	tk := append(append(make([]uint64, 0, keyCols), prefix...), col)
+	// The target key and two rows: each patch's candidate is decoded into
+	// cand, and a candidate that wins is copied into bestCols, since the
+	// next patch decodes over cand.
+	var tkBuf, candBuf, bestBuf [stackCols]uint64
+	tk := append(append(tkBuf[:0], prefix...), col)
+	cand := rowBuf(candBuf[:], p.cfg.Schema.Cols)
+	bestCols := rowBuf(bestBuf[:], p.cfg.Schema.Cols)
 
 	for {
 		// As in GetFloor: the memtable's candidate and the patch list are
@@ -34,7 +40,7 @@ func (p *Pyramid) GetCeil(at sim.Time, prefix []uint64, col uint64) (tuple.Fact,
 		p.mu.Unlock()
 
 		for _, patch := range patches {
-			f, ok, d, err := p.ceilInPatch(done, patch, tk, len(prefix))
+			f, ok, d, err := p.ceilInPatch(done, patch, tk, len(prefix), cand)
 			done = d
 			if err != nil {
 				return tuple.Fact{}, false, done, err
@@ -47,7 +53,8 @@ func (p *Pyramid) GetCeil(at sim.Time, prefix []uint64, col uint64) (tuple.Fact,
 					continue
 				}
 			}
-			best, found = f, true
+			copy(bestCols, f.Cols)
+			best, found = tuple.Fact{Seq: f.Seq, Cols: bestCols, Blob: f.Blob}, true
 		}
 		if !found {
 			return tuple.Fact{}, false, done, nil
@@ -79,7 +86,9 @@ func ceilInMem(mem []tuple.Fact, tk []uint64, prefixLen int) (tuple.Fact, bool) 
 	return cand, true
 }
 
-func (p *Pyramid) ceilInPatch(at sim.Time, patch *Patch, tk []uint64, prefixLen int) (tuple.Fact, bool, sim.Time, error) {
+// ceilInPatch finds the per-source ceiling candidate within one patch,
+// decoded into cols.
+func (p *Pyramid) ceilInPatch(at sim.Time, patch *Patch, tk []uint64, prefixLen int, cols []uint64) (tuple.Fact, bool, sim.Time, error) {
 	keyCols := len(tk)
 	done := at
 	// Last page with KeyMin ≤ tk could contain the ceiling; if not, the
@@ -100,11 +109,10 @@ func (p *Pyramid) ceilInPatch(at sim.Time, patch *Patch, tk []uint64, prefixLen 
 		if ri == pg.RowCount() {
 			continue // ceiling is in a later page
 		}
-		cand := pg.Fact(ri)
-		if tuple.CompareKeys(cand.Cols, tk, prefixLen) != 0 {
+		if tuple.CompareKeys(pg.Keys()[ri*keyCols:], tk, prefixLen) != 0 {
 			return tuple.Fact{}, false, done, nil
 		}
-		return cand, true, done, nil
+		return pg.Row(ri, cols), true, done, nil
 	}
 	return tuple.Fact{}, false, done, nil
 }

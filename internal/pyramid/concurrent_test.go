@@ -5,11 +5,12 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"purity/internal/sim"
 	"purity/internal/tuple"
 )
 
 // TestConcurrentReadersOneMutator is what check.sh's -race line runs for
-// this package: Get, GetFloor, GetCeil and ScanVersions on several
+// this package: Get, GetFloor, GetCeil, ScanVersions and Visit on several
 // goroutines while one goroutine inserts, flushes and merges (the engine
 // serializes mutators under Array.mu; readers are what may overlap them).
 // Every key, once published, must be found by every kind of read from then
@@ -49,7 +50,7 @@ func TestConcurrentReadersOneMutator(t *testing.T) {
 				}
 				g := uint64((i + r) % groups)
 				key := uint64(i*7+r) % n * 2
-				switch i % 4 {
+				switch i % 5 {
 				case 0:
 					if f, ok, _, err := p.Get(0, []uint64{g, key}); err != nil || !ok || f.Cols[1] != key {
 						t.Errorf("Get(%d,%d) = %+v, %v, %v", g, key, f, ok, err)
@@ -69,27 +70,38 @@ func TestConcurrentReadersOneMutator(t *testing.T) {
 						t.Errorf("GetCeil(%d,%d) = %+v, %v, %v", g, key, f, ok, err)
 						return
 					}
-				case 3:
+				case 3, 4:
 					// Every published key of the window, ascending, newest
-					// version first.
+					// version first, each fact whole (column 2 is its seq);
+					// Visit's facts are borrowed, ScanVersions' owned.
+					scan, name := p.ScanVersions, "ScanVersions"
+					if i%5 == 4 {
+						scan, name = func(at sim.Time, lo, hi []uint64, fn func(tuple.Fact) bool) (sim.Time, error) {
+							return p.Visit(at, lo, hi, true, fn)
+						}, "Visit"
+					}
 					lo := key
 					hi := min(key+40, (n-1)*2)
 					next, lastSeq := lo, tuple.Seq(0)
-					_, err := p.ScanVersions(0, []uint64{g, lo}, []uint64{g, hi}, func(f tuple.Fact) bool {
+					_, err := scan(0, []uint64{g, lo}, []uint64{g, hi}, func(f tuple.Fact) bool {
 						switch {
+						case f.Cols[2] != uint64(f.Seq):
+							t.Errorf("%s(%d,[%d,%d]): key %d seq %d carries column 2 = %d",
+								name, g, lo, hi, f.Cols[1], f.Seq, f.Cols[2])
+							return false
 						case f.Cols[1] == next:
 							next += 2
 						case f.Cols[1] == next-2 && f.Seq < lastSeq:
 						default:
-							t.Errorf("ScanVersions(%d,[%d,%d]): got key %d seq %d, expected key %d or an older version of %d",
-								g, lo, hi, f.Cols[1], f.Seq, next, next-2)
+							t.Errorf("%s(%d,[%d,%d]): got key %d seq %d, expected key %d or an older version of %d",
+								name, g, lo, hi, f.Cols[1], f.Seq, next, next-2)
 							return false
 						}
 						lastSeq = f.Seq
 						return true
 					})
 					if err != nil || (next <= hi && !t.Failed()) {
-						t.Errorf("ScanVersions(%d,[%d,%d]) stopped before key %d: %v", g, lo, hi, next, err)
+						t.Errorf("%s(%d,[%d,%d]) stopped before key %d: %v", name, g, lo, hi, next, err)
 						return
 					}
 				}
@@ -130,5 +142,8 @@ func TestConcurrentReadersOneMutator(t *testing.T) {
 	wg.Wait()
 	if len(p.Patches()) < 2 {
 		t.Fatalf("only %d patches: the readers never raced a merge", len(p.Patches()))
+	}
+	if err := p.VerifyCachedPages(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -28,8 +28,13 @@ func (p *Pyramid) GetFloor(at sim.Time, prefix []uint64, col uint64) (tuple.Fact
 	done := at
 	keyCols := p.cfg.Schema.KeyCols
 	// The target key, built once; a retry below a dead key only lowers its
-	// last column.
-	tk := append(append(make([]uint64, 0, keyCols), prefix...), col)
+	// last column. Each patch's candidate is decoded into cand, and one
+	// that wins is copied into bestCols, since the next patch decodes over
+	// cand.
+	var tkBuf, candBuf, bestBuf [stackCols]uint64
+	tk := append(append(tkBuf[:0], prefix...), col)
+	cand := rowBuf(candBuf[:], p.cfg.Schema.Cols)
+	bestCols := rowBuf(bestBuf[:], p.cfg.Schema.Cols)
 
 	for {
 		// Per-source floor candidates; the global floor key is their max,
@@ -44,7 +49,7 @@ func (p *Pyramid) GetFloor(at sim.Time, prefix []uint64, col uint64) (tuple.Fact
 		p.mu.Unlock()
 
 		for _, patch := range patches {
-			f, ok, d, err := p.floorInPatch(done, patch, tk, len(prefix))
+			f, ok, d, err := p.floorInPatch(done, patch, tk, len(prefix), cand)
 			done = d
 			if err != nil {
 				return tuple.Fact{}, false, done, err
@@ -57,7 +62,8 @@ func (p *Pyramid) GetFloor(at sim.Time, prefix []uint64, col uint64) (tuple.Fact
 					continue
 				}
 			}
-			best, found = f, true
+			copy(bestCols, f.Cols)
+			best, found = tuple.Fact{Seq: f.Seq, Cols: bestCols, Blob: f.Blob}, true
 		}
 		if !found {
 			return tuple.Fact{}, false, done, nil
@@ -97,8 +103,9 @@ func floorInMem(mem []tuple.Fact, tk []uint64, prefixLen int) (tuple.Fact, bool)
 	return mem[start], true
 }
 
-// floorInPatch finds the per-source floor candidate within one patch.
-func (p *Pyramid) floorInPatch(at sim.Time, patch *Patch, tk []uint64, prefixLen int) (tuple.Fact, bool, sim.Time, error) {
+// floorInPatch finds the per-source floor candidate within one patch,
+// decoded into cols.
+func (p *Pyramid) floorInPatch(at sim.Time, patch *Patch, tk []uint64, prefixLen int, cols []uint64) (tuple.Fact, bool, sim.Time, error) {
 	keyCols := len(tk)
 	done := at
 	// Last page whose KeyMin ≤ tk; the floor row is there or at the tail
@@ -114,31 +121,26 @@ func (p *Pyramid) floorInPatch(at sim.Time, patch *Patch, tk []uint64, prefixLen
 			return tuple.Fact{}, false, done, err
 		}
 		// First row with key > tk: rows before it are ≤ tk.
-		var buf []uint64
+		keys := pg.Keys()
 		ri := sort.Search(pg.RowCount(), func(i int) bool {
-			buf = pg.Key(buf[:0], i)
-			return tuple.CompareKeys(buf, tk, keyCols) > 0
+			return tuple.CompareKeys(keys[i*keyCols:], tk, keyCols) > 0
 		})
 		if ri == 0 {
 			// Entire page is > tk? Cannot happen (KeyMin ≤ tk) unless the
 			// page is empty; either way look at the previous page.
 			continue
 		}
-		cand := pg.Fact(ri - 1)
-		if tuple.CompareKeys(cand.Cols, tk, prefixLen) != 0 {
+		cand := keys[(ri-1)*keyCols:]
+		if tuple.CompareKeys(cand, tk, prefixLen) != 0 {
 			return tuple.Fact{}, false, done, nil
 		}
 		// Newest version = run start; runs never span pages (writePatch
 		// keeps each key's versions in one page).
 		start := ri - 1
-		for start > 0 {
-			buf = pg.Key(buf[:0], start-1)
-			if tuple.CompareKeys(buf, cand.Cols, keyCols) != 0 {
-				break
-			}
+		for start > 0 && tuple.CompareKeys(keys[(start-1)*keyCols:], cand, keyCols) == 0 {
 			start--
 		}
-		return pg.Fact(start), true, done, nil
+		return pg.Row(start, cols), true, done, nil
 	}
 	return tuple.Fact{}, false, done, nil
 }

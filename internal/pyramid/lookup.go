@@ -1,7 +1,10 @@
 package pyramid
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"sync"
 
 	"purity/internal/pagecodec"
 	"purity/internal/sim"
@@ -16,22 +19,39 @@ func seqOf(v uint64) tuple.Seq { return tuple.Seq(v) }
 // otherwise pay a full memtable merge after every insert batch.
 const memSuffixMax = 64
 
+// stackCols is the widest schema's column count (the address map's): the
+// point lookups below keep their target key and row buffers in arrays of
+// this size on the stack, and only a wider schema spills them to the heap.
+const stackCols = 8
+
+// rowBuf returns buf[:n], or a fresh slice when buf is too short.
+func rowBuf(buf []uint64, n int) []uint64 {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]uint64, n)
+}
+
 // Get returns the newest non-elided fact with exactly this key. Patches
 // hold disjoint, ordered sequence ranges, so the first source (memtable,
 // then patches newest-first) containing the key holds its newest version.
+// Each patch's candidate is decoded into one scratch row; the result is the
+// winner's Clone.
 func (p *Pyramid) Get(at sim.Time, key []uint64) (tuple.Fact, bool, sim.Time, error) {
 	k := p.cfg.Schema.KeyCols
 	done := at
 
 	// A reader's view is the memtable rows it needs, copied out under the
-	// lock (a later sort reuses the memtable's buffers), plus the patch
-	// list's header: the list is copy-on-write (installPatchLocked builds a
-	// fresh slice), so the header is the snapshot.
+	// lock (a later sort reuses the memtable's buffers) into a stack array
+	// of four (more spill to the heap), plus the patch list's header: the
+	// list is copy-on-write (installPatchLocked builds a fresh slice), so
+	// the header is the snapshot.
+	var versionBuf [4]tuple.Fact
 	p.mu.Lock()
 	if len(p.mem)-p.sortedLen > memSuffixMax {
 		p.sortMemLocked()
 	}
-	versions := p.memVersionsLocked(key)
+	versions := p.memVersionsLocked(versionBuf[:0], key)
 	patches := p.patches
 	p.mu.Unlock()
 
@@ -41,43 +61,37 @@ func (p *Pyramid) Get(at sim.Time, key []uint64) (tuple.Fact, bool, sim.Time, er
 		}
 	}
 
-	if k == 1 {
-		key0 := key[0]
-		for _, patch := range patches {
-			f, found, d, err := p.getFromPatch1(done, patch, key0)
-			done = d
-			if err != nil {
-				return tuple.Fact{}, false, done, err
-			}
-			if found {
-				return f, true, done, nil
-			}
-		}
-		return tuple.Fact{}, false, done, nil
-	}
+	var colBuf [stackCols]uint64
+	cols := rowBuf(colBuf[:], p.cfg.Schema.Cols)
 	for _, patch := range patches {
-		f, found, d, err := p.getFromPatch(done, patch, key)
-		done = d
+		var f tuple.Fact
+		var found bool
+		var err error
+		if k == 1 {
+			f, found, done, err = p.getFromPatch1(done, patch, key[0], cols)
+		} else {
+			f, found, done, err = p.getFromPatch(done, patch, key, cols)
+		}
 		if err != nil {
 			return tuple.Fact{}, false, done, err
 		}
 		if found {
-			return f, true, done, nil
+			return f.Clone(), true, done, nil
 		}
 	}
 	return tuple.Fact{}, false, done, nil
 }
 
-// memVersionsLocked returns the memtable's versions of key, newest first.
-// The sorted prefix is binary-searched; facts inserted since the last sort
-// (a bounded suffix) are scanned linearly. The result is in (seq desc,
-// insertion asc) order — exactly the order a full stable sort would
+// memVersionsLocked appends the memtable's versions of key to dst, newest
+// first. The sorted prefix is binary-searched; facts inserted since the
+// last sort (a bounded suffix) are scanned linearly. The result is in (seq
+// desc, insertion asc) order — exactly the order a full stable sort would
 // produce: prefix facts were inserted before suffix facts and come first,
 // and the sort below is stable. Caller holds mu.
-func (p *Pyramid) memVersionsLocked(key []uint64) []tuple.Fact {
+func (p *Pyramid) memVersionsLocked(dst []tuple.Fact, key []uint64) []tuple.Fact {
 	k := p.cfg.Schema.KeyCols
 	prefix, suffix := p.mem[:p.sortedLen], p.mem[p.sortedLen:]
-	var out []tuple.Fact
+	out := dst
 	if k == 1 {
 		// Single-column keys (the dedup index) take a hand-rolled search:
 		// no closure, no generic key compare.
@@ -113,7 +127,7 @@ func (p *Pyramid) memVersionsLocked(key []uint64) []tuple.Fact {
 		}
 	}
 	if len(out) > 1 {
-		sort.SliceStable(out, func(a, b int) bool { return out[a].Seq > out[b].Seq })
+		slices.SortStableFunc(out, func(a, b tuple.Fact) int { return cmp.Compare(b.Seq, a.Seq) })
 	}
 	return out
 }
@@ -122,7 +136,7 @@ func (p *Pyramid) memVersionsLocked(key []uint64) []tuple.Fact {
 // dedup index's shape, probed once per 512 B block of every write. Same
 // result, same page-open sequence (so identical simulated time), but
 // straight uint64 compares against the page's decoded key cache.
-func (p *Pyramid) getFromPatch1(at sim.Time, patch *Patch, key0 uint64) (tuple.Fact, bool, sim.Time, error) {
+func (p *Pyramid) getFromPatch1(at sim.Time, patch *Patch, key0 uint64, cols []uint64) (tuple.Fact, bool, sim.Time, error) {
 	done := at
 	pages := patch.Pages
 	lo, hi := 0, len(pages)
@@ -157,7 +171,7 @@ func (p *Pyramid) getFromPatch1(at sim.Time, patch *Patch, key0 uint64) (tuple.F
 			if keys[rlo] != key0 {
 				return tuple.Fact{}, false, done, nil
 			}
-			f := pg.Fact(rlo)
+			f := pg.Row(rlo, cols)
 			if !p.elided(f) {
 				return f, true, done, nil
 			}
@@ -167,8 +181,10 @@ func (p *Pyramid) getFromPatch1(at sim.Time, patch *Patch, key0 uint64) (tuple.F
 	return tuple.Fact{}, false, done, nil
 }
 
-// getFromPatch searches one patch for the newest non-elided version of key.
-func (p *Pyramid) getFromPatch(at sim.Time, patch *Patch, key []uint64) (tuple.Fact, bool, sim.Time, error) {
+// getFromPatch searches one patch for the newest non-elided version of key,
+// decoding candidates into cols; the fact it returns is borrowed from cols
+// and the page.
+func (p *Pyramid) getFromPatch(at sim.Time, patch *Patch, key []uint64, cols []uint64) (tuple.Fact, bool, sim.Time, error) {
 	k := p.cfg.Schema.KeyCols
 	done := at
 	// Last page whose KeyMin ≤ key; versions of a key may spill into
@@ -188,13 +204,12 @@ func (p *Pyramid) getFromPatch(at sim.Time, patch *Patch, key []uint64) (tuple.F
 		if err != nil {
 			return tuple.Fact{}, false, done, err
 		}
-		var buf []uint64
+		keys := pg.Keys()
 		for ri := pg.FirstGE(key); ri < pg.RowCount(); ri++ {
-			buf = pg.Key(buf[:0], ri)
-			if tuple.CompareKeys(buf, key, k) != 0 {
+			if tuple.CompareKeys(keys[ri*k:], key, k) != 0 {
 				return tuple.Fact{}, false, done, nil
 			}
-			f := pg.Fact(ri)
+			f := pg.Row(ri, cols)
 			if !p.elided(f) {
 				return f, true, done, nil
 			}
@@ -206,7 +221,10 @@ func (p *Pyramid) getFromPatch(at sim.Time, patch *Patch, key []uint64) (tuple.F
 
 // --- Merged scans -------------------------------------------------------
 
-// factSource is a sorted stream of facts (key asc, seq desc).
+// factSource is what both sorted streams (key asc, seq desc) offer. Visit
+// and mergePatches call memSource and patchSource directly: an interface
+// value holding a pointer to Visit's local memSource would move it to the
+// heap. The reference scan in the tests merges through it.
 type factSource interface {
 	// peek returns the current fact without consuming it.
 	peek() (tuple.Fact, bool)
@@ -235,25 +253,27 @@ func (s *memSource) advance(at sim.Time) (sim.Time, error) {
 // patchSource streams one patch. It opens pages through the cache, in order,
 // as the stream reaches them: the page-open sequence is all the device model
 // sees of a scan (DESIGN.md "Read path"), so a seek changes what is decoded,
-// never what is opened. A stream bounded by hi decodes one row at a time and
-// ends at the first key above hi; an unbounded one (hi nil: recovery, census
-// and listing scans, merges) will read every row and decodes pages whole.
+// never what is opened. A stream bounded by hi decodes one row at a time,
+// into its cols buffer, and ends at the first key above hi; an unbounded one
+// (hi nil: recovery, census and listing scans, merges) will read every row
+// and decodes pages whole.
 type patchSource struct {
 	p     *Pyramid
 	patch *Patch
 	hi    []uint64 // inclusive upper bound; nil is open
+	cols  []uint64 // bounded: the row buffer cur borrows
 
 	pageIdx int // page of pg; -1 before the first open
 	pg      *pagecodec.Page
 	pos     int          // current row of pg
 	rows    []tuple.Fact // unbounded: pg decoded whole, on first peek
-	cur     tuple.Fact   // bounded: row pos decoded, on first peek
+	cur     tuple.Fact   // bounded: row pos decoded into cols, on first peek
 	have    bool
 	eof     bool
 }
 
-func newPatchSource(p *Pyramid, patch *Patch, hi []uint64) patchSource {
-	return patchSource{p: p, patch: patch, hi: hi, pageIdx: -1}
+func newPatchSource(p *Pyramid, patch *Patch, hi, cols []uint64) patchSource {
+	return patchSource{p: p, patch: patch, hi: hi, cols: cols, pageIdx: -1}
 }
 
 // settle makes pos name a row: while it is past the current page's end (or
@@ -313,7 +333,7 @@ func (s *patchSource) peek() (tuple.Fact, bool) {
 		return s.rows[s.pos], true
 	}
 	if !s.have {
-		s.cur, s.have = s.pg.Fact(s.pos), true
+		s.cur, s.have = s.pg.Row(s.pos, s.cols), true
 	}
 	return s.cur, true
 }
@@ -325,28 +345,70 @@ func (s *patchSource) advance(at sim.Time) (sim.Time, error) {
 
 // Scan streams the newest non-elided version of every key in [loKey,
 // hiKey] (inclusive; nil bounds are open) in key order. fn returning false
-// stops the scan early.
+// stops the scan early. Each fact fn receives is its own.
 func (p *Pyramid) Scan(at sim.Time, loKey, hiKey []uint64, fn func(tuple.Fact) bool) (sim.Time, error) {
 	return p.scan(at, loKey, hiKey, false, fn)
 }
 
 // ScanVersions streams every non-elided fact version in the key range,
-// newest first within each key. It is for callers that must judge the
-// versions themselves: every read resolves a sector through it, because an
-// address-map entry is shadowed by extent overlap and segment validity
-// rather than by key alone, and so do GC's liveness census and recovery's
-// rebuild of derived state.
+// newest first within each key, each fact its own. Callers that judge the
+// versions and keep none of them — the address lookup, GC's census,
+// recovery — use Visit instead.
 func (p *Pyramid) ScanVersions(at sim.Time, loKey, hiKey []uint64, fn func(tuple.Fact) bool) (sim.Time, error) {
 	return p.scan(at, loKey, hiKey, true, fn)
 }
 
-// scan merges the memtable and every patch over [loKey, hiKey]. With both
-// bounds set it costs the memtable rows and patch rows inside the window,
-// O(log rows) to find them, and one cache touch per patch page at or below
-// the window's start (see patchSource.seek).
+// scan is Visit handing fn a Clone of every fact.
 func (p *Pyramid) scan(at sim.Time, loKey, hiKey []uint64, allVersions bool, fn func(tuple.Fact) bool) (sim.Time, error) {
+	return p.Visit(at, loKey, hiKey, allVersions, func(f tuple.Fact) bool { return fn(f.Clone()) })
+}
+
+// visitScratch is one Visit's working set: the memtable window's headers,
+// the patch streams, their row buffers, the window's upper bound and the
+// last key seen. A row handed to fn, an unknown function, escapes as far as
+// the compiler can tell, so stack arrays cannot hold it; pooling the set is
+// what lets a warm Visit allocate nothing.
+type visitScratch struct {
+	mem     []tuple.Fact
+	streams []patchSource
+	cols    []uint64 // len(streams) row buffers of Schema.Cols each
+	hi      []uint64 // a copy of hiKey, which the streams hold
+	lastKey []uint64
+}
+
+var visitScratchPool = sync.Pool{New: func() any { return new(visitScratch) }}
+
+// release drops what the scratch points at (memtable facts, pages) and
+// returns it to the pool.
+func (sc *visitScratch) release() {
+	clear(sc.mem)
+	clear(sc.streams)
+	sc.mem, sc.streams, sc.lastKey = sc.mem[:0], sc.streams[:0], sc.lastKey[:0]
+	sc.hi = sc.hi[:0]
+	visitScratchPool.Put(sc)
+}
+
+// Visit streams the facts in [loKey, hiKey] (inclusive; nil bounds are
+// open) in key order: with allVersions false the newest non-elided version
+// of each key, as Scan does, and otherwise every non-elided version, newest
+// first within each key, as ScanVersions does. fn returning false stops it.
+//
+// Visit lends each fact to fn rather than giving it: the fact's Cols may be
+// a buffer the next row is decoded into, and its Blob lies inside a cached
+// page, so the fact is valid only until fn returns, and fn keeps a Clone of
+// anything it retains. Nobody writes through it. Every lookup on the read
+// path and every census that decodes a row and drops the fact goes through
+// here; a warm Visit allocates nothing.
+//
+// It merges the memtable and every patch. With both bounds set it costs
+// the memtable rows and patch rows inside the window, O(log rows) to find
+// them, and one cache touch per patch page at or below the window's start
+// (see patchSource.seek).
+func (p *Pyramid) Visit(at sim.Time, loKey, hiKey []uint64, allVersions bool, fn func(tuple.Fact) bool) (sim.Time, error) {
 	k := p.cfg.Schema.KeyCols
 	done := at
+	sc := visitScratchPool.Get().(*visitScratch)
+	defer sc.release()
 
 	p.mu.Lock()
 	p.sortMemLocked()
@@ -357,25 +419,37 @@ func (p *Pyramid) scan(at sim.Time, loKey, hiKey []uint64, allVersions bool, fn 
 	if hiKey != nil {
 		hi = lo + sort.Search(hi-lo, func(i int) bool { return tuple.CompareKeys(p.mem[lo+i].Cols, hiKey, k) > 0 })
 	}
-	// A later sort reuses the memtable's buffers, so the window is copied.
-	mem := memSource{facts: append([]tuple.Fact(nil), p.mem[lo:hi]...)}
+	// A later sort reorders the memtable's headers in place, so the
+	// window's are copied; the facts they name are never written.
+	sc.mem = append(sc.mem, p.mem[lo:hi]...)
 	// The patch list is copy-on-write: the header is the snapshot.
 	patches := p.patches
 	p.mu.Unlock()
+	mem := memSource{facts: sc.mem}
 
+	// Bounded streams stop at a copy of hiKey and decode rows one at a
+	// time, each into its own buffer; unbounded ones decode whole pages.
+	var bound []uint64
+	n := p.cfg.Schema.Cols
+	if hiKey != nil {
+		sc.hi = append(sc.hi, hiKey...)
+		bound = sc.hi
+		sc.cols = slices.Grow(sc.cols[:0], len(patches)*n)[:len(patches)*n]
+	}
 	// Page 0 of every patch first, newest patch first; then each patch is
 	// taken forward to loKey in turn.
-	streams := make([]patchSource, len(patches))
-	sources := make([]factSource, 0, len(patches)+1)
-	sources = append(sources, &mem)
 	for i, patch := range patches {
-		streams[i] = newPatchSource(p, patch, hiKey)
+		var cols []uint64
+		if bound != nil {
+			cols = sc.cols[i*n : (i+1)*n : (i+1)*n]
+		}
+		sc.streams = append(sc.streams, newPatchSource(p, patch, bound, cols))
 		var err error
-		if done, err = streams[i].settle(done); err != nil {
+		if done, err = sc.streams[i].settle(done); err != nil {
 			return done, err
 		}
-		sources = append(sources, &streams[i])
 	}
+	streams := sc.streams
 	if loKey != nil {
 		for i := range streams {
 			var err error
@@ -385,34 +459,34 @@ func (p *Pyramid) scan(at sim.Time, loKey, hiKey []uint64, allVersions bool, fn 
 		}
 	}
 
-	var lastKey []uint64
 	lastEmitted := false
 	for {
-		// Choose the least (key asc, seq desc) fact across sources.
-		best := -1
-		var bestFact tuple.Fact
-		for i, s := range sources {
-			f, ok := s.peek()
-			if !ok {
-				continue
-			}
-			if best < 0 || tuple.Less(f, bestFact, k) {
-				best = i
-				bestFact = f
+		// Choose the least (key asc, seq desc) fact: the memtable's, then
+		// each patch's, newest first; a tie keeps the earlier source.
+		bestFact, ok := mem.peek()
+		best := -1 // the memtable
+		for i := range streams {
+			f, more := streams[i].peek()
+			if more && (!ok || tuple.Less(f, bestFact, k)) {
+				best, bestFact, ok = i, f, true
 			}
 		}
-		if best < 0 {
+		if !ok {
 			return done, nil
 		}
-		var err error
-		done, err = sources[best].advance(done)
-		if err != nil {
-			return done, err
+		// advance only moves the stream: a bounded stream decodes its next
+		// row on the next peek, so bestFact's buffer holds until then.
+		if best < 0 {
+			mem.pos++
+		} else {
+			var err error
+			if done, err = streams[best].advance(done); err != nil {
+				return done, err
+			}
 		}
 
-		newKey := lastKey == nil || tuple.CompareKeys(bestFact.Cols, lastKey, k) != 0
-		if newKey {
-			lastKey = append(lastKey[:0], bestFact.Cols[:k]...)
+		if len(sc.lastKey) == 0 || tuple.CompareKeys(bestFact.Cols, sc.lastKey, k) != 0 {
+			sc.lastKey = append(sc.lastKey[:0], bestFact.Cols[:k]...)
 			lastEmitted = false
 		}
 		if !allVersions && lastEmitted {
@@ -422,7 +496,7 @@ func (p *Pyramid) scan(at sim.Time, loKey, hiKey []uint64, allVersions bool, fn 
 			continue
 		}
 		lastEmitted = true
-		if !fn(bestFact.Clone()) {
+		if !fn(bestFact) {
 			return done, nil
 		}
 	}

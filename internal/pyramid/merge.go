@@ -46,7 +46,7 @@ func (p *Pyramid) mergePatches(at sim.Time, a, b *Patch) (*Patch, sim.Time, erro
 	done := at
 
 	// Unbounded streams: a merge reads every row, so pages decode whole.
-	sa, sb := newPatchSource(p, a, nil), newPatchSource(p, b, nil)
+	sa, sb := newPatchSource(p, a, nil, nil), newPatchSource(p, b, nil, nil)
 	var err error
 	if done, err = sa.settle(done); err != nil {
 		return nil, done, err
@@ -73,7 +73,9 @@ func (p *Pyramid) mergePatches(at sim.Time, a, b *Patch) (*Patch, sim.Time, erro
 			keptNewer = keptNewer[:0]
 		}
 		keptNewer = append(keptNewer, f)
-		out = append(out, f.Clone())
+		// f is this merge's own: a whole-page decode no one else holds,
+		// read until writePatch has encoded out, which copies only KeyMin.
+		out = append(out, f)
 	}
 	for {
 		fa, oka := sa.peek()

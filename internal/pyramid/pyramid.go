@@ -1,8 +1,10 @@
 package pyramid
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -180,8 +182,29 @@ func (p *Pyramid) VerifyPages(at sim.Time) (sim.Time, error) {
 	return done, nil
 }
 
+// VerifyCachedPages re-checks the checksum of every page in the page cache.
+// Visit lends rows whose blobs alias cached page bytes, so a write through
+// a borrowed fact would corrupt a page every later reader trusts; tests run
+// this after concurrent and model workloads to catch one.
+func (p *Pyramid) VerifyCachedPages() error {
+	if err := p.cache.verify(); err != nil {
+		return fmt.Errorf("pyramid %s: %w", p.cfg.Name, err)
+	}
+	return nil
+}
+
+// factOrder is tuple.Less as a comparison for the slices sorts.
+func factOrder(keyCols int) func(a, b tuple.Fact) int {
+	return func(a, b tuple.Fact) int {
+		if c := tuple.CompareKeys(a.Cols, b.Cols, keyCols); c != 0 {
+			return c
+		}
+		return cmp.Compare(b.Seq, a.Seq)
+	}
+}
+
 // sortMemLocked sorts the memtable (key asc, seq desc) if needed. The
-// result is exactly sort.SliceStable over the whole slice; since lookups
+// result is exactly a stable sort over the whole slice; since lookups
 // re-sort after every small Insert batch, the work is done incrementally —
 // only the appended suffix is sorted and then stably merged with the
 // already-sorted prefix (ties take the prefix element, which was inserted
@@ -192,11 +215,10 @@ func (p *Pyramid) sortMemLocked() {
 	}
 	k := p.cfg.Schema.KeyCols
 	if p.sortedLen > 0 && p.sortedLen < len(p.mem) {
-		suffix := p.mem[p.sortedLen:]
-		sort.SliceStable(suffix, func(i, j int) bool { return tuple.Less(suffix[i], suffix[j], k) })
+		slices.SortStableFunc(p.mem[p.sortedLen:], factOrder(k))
 		p.mergeSortedMemLocked(k)
 	} else {
-		sort.SliceStable(p.mem, func(i, j int) bool { return tuple.Less(p.mem[i], p.mem[j], k) })
+		slices.SortStableFunc(p.mem, factOrder(k))
 	}
 	p.memSorted = true
 	p.sortedLen = len(p.mem)
@@ -250,7 +272,7 @@ func (p *Pyramid) Flush(at sim.Time, persistedThrough tuple.Seq) (sim.Time, erro
 		return at, nil
 	}
 	k := p.cfg.Schema.KeyCols
-	sort.SliceStable(eligible, func(i, j int) bool { return tuple.Less(eligible[i], eligible[j], k) })
+	slices.SortStableFunc(eligible, factOrder(k))
 	seqLo := p.flushedThrough + 1
 	seqHi := p.flushedThrough
 	for _, f := range eligible {

@@ -44,6 +44,11 @@ func (s Schema) Validate() error {
 // Fact is one immutable tuple — an immutable fact in the sense of §3.2:
 // once constructed it is never written through; an update is a new Fact
 // with a higher Seq.
+//
+// A Fact may be borrowed: a scan visitor's fact (pyramid.Visit) has Cols in
+// a buffer the scan reuses for the next row and a Blob inside a cached
+// page's bytes, so it is valid only during the callback. Keeping one means
+// keeping its Clone. Nobody writes through a fact, owned or borrowed.
 type Fact struct {
 	Seq  Seq
 	Cols []uint64
