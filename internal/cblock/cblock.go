@@ -8,6 +8,7 @@ package cblock
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"purity/internal/compress"
 )
@@ -27,22 +28,30 @@ var (
 )
 
 // Pack compresses sectors (a multiple of SectorSize, at most MaxBytes) into
-// a cblock frame. With compression disabled it stores raw — the frame
-// format is the same, so readers never care.
+// a new cblock frame: AppendPack to a nil dst.
 func Pack(data []byte, compressionEnabled bool) ([]byte, error) {
+	return AppendPack(nil, data, compressionEnabled)
+}
+
+// AppendPack appends the cblock frame of sectors (a multiple of SectorSize,
+// at most MaxBytes) to dst and returns the extended slice. It grows dst at
+// most once, to room for the frame's worst case, so a dst with that room
+// spare is never reallocated. With compression disabled it stores raw —
+// the frame format is the same, so readers never care.
+func AppendPack(dst, data []byte, compressionEnabled bool) ([]byte, error) {
 	if len(data) == 0 || len(data)%SectorSize != 0 {
-		return nil, ErrUnaligned
+		return dst, ErrUnaligned
 	}
 	if len(data) > MaxBytes {
-		return nil, ErrTooLarge
+		return dst, ErrTooLarge
 	}
+	dst = slices.Grow(dst, compress.MaxCompressedLen(len(data)))
 	if !compressionEnabled {
 		// compress.Compress falls back to a raw frame when compression
 		// does not help; forcing that path keeps one decoder.
-		frame := make([]byte, 0, compress.MaxCompressedLen(len(data)))
-		return appendRawFrame(frame, data), nil
+		return appendRawFrame(dst, data), nil
 	}
-	return compress.Compress(nil, data), nil
+	return compress.Compress(dst, data), nil
 }
 
 // appendRawFrame builds a stored-raw compress frame without running the

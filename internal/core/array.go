@@ -244,7 +244,7 @@ type Stats struct {
 	UnpackErrors     *telemetry.Counter
 	ExtentReadErrors *telemetry.Counter
 	// PackedBytes counts the input bytes foreground writes hand to
-	// cblock.Pack — the work §4.7's order saves: a write compresses only
+	// cblock.AppendPack — the work §4.7's order saves: a write compresses only
 	// what the duplicate search left (plus, rarely, a later extent packed
 	// alongside a miss that then hit). Replay packs nothing: it places the
 	// frame the write logged.

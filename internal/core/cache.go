@@ -32,7 +32,7 @@ func newCBlockCache(capacity int) *cblockCache {
 	}
 }
 
-func (c *cblockCache) get(k cblockKey) ([]byte, bool) {
+func (c *cblockCache) lookup(k cblockKey) ([]byte, bool) {
 	el, ok := c.items[k]
 	if !ok {
 		return nil, false
@@ -41,7 +41,7 @@ func (c *cblockCache) get(k cblockKey) ([]byte, bool) {
 	return el.Value.(*cblockEntry).sectors, true
 }
 
-func (c *cblockCache) put(k cblockKey, physLen int, sectors []byte) {
+func (c *cblockCache) add(k cblockKey, physLen int, sectors []byte) {
 	if el, ok := c.items[k]; ok {
 		c.order.MoveToFront(el)
 		el.Value.(*cblockEntry).sectors = sectors

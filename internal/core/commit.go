@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"purity/internal/frontier"
@@ -59,15 +60,15 @@ func decodeFactsRecord(b []byte) (uint32, []tuple.Fact, error) {
 	return relID, facts, err
 }
 
-// encodeWriteRecord frames a recWrite record.
-func encodeWriteRecord(chunks []writeChunk) []byte {
-	// Size estimate: frame bytes plus a generous per-fact bound, so the
-	// record is (almost always) allocated once.
+// appendWriteRecord appends a recWrite record to dst.
+func appendWriteRecord(dst []byte, chunks []writeChunk) []byte {
+	// Size estimate: frame bytes plus a generous per-fact bound, so dst
+	// grows (almost always) at most once.
 	size := 16
 	for _, ch := range chunks {
 		size += len(ch.frame) + 96*(1+len(ch.dedup))
 	}
-	b := append(make([]byte, 0, size), recWrite)
+	b := append(slices.Grow(dst, size), recWrite)
 	b = binary.AppendUvarint(b, uint64(len(chunks)))
 	for _, ch := range chunks {
 		b = tuple.Append(b, relation.AddrsSchema, ch.addr)

@@ -143,12 +143,16 @@ func (c *nvCommitter) commit(at sim.Time, ln *commitLane, rec []byte) (sim.Time,
 
 // --- Lane commit path ---------------------------------------------------
 
-// commitWriteLane is the commit half of a write. The whole commit runs
-// under the world lock in read mode, which also settles the volume row; the
-// engine mutex is taken only for the brief sections that genuinely share
-// state across lanes (dedup candidate search, segment allocation, fact
-// application), and the lane mutex covers the lane's own open segment.
-func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byte, prep []preparedExtent) (sim.Time, error) {
+// commitWriteLane is the commit half of a write, and the one place a
+// write's scratch is taken and put back (writeScratch). The whole commit
+// runs under the world lock in read mode, which also settles the volume
+// row; the engine mutex is taken only for the brief sections that
+// genuinely share state across lanes (dedup candidate search, segment
+// allocation, fact application), and the lane mutex covers the lane's own
+// open segment.
+func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byte) (sim.Time, error) {
+	sc := writeScratchPool.Get().(*writeScratch)
+	a.prepareWrite(sc, data)
 	ln := a.laneFor(vol)
 	a.world.RLock()
 
@@ -162,6 +166,7 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 	}
 	if err != nil {
 		a.world.RUnlock()
+		writeScratchPool.Put(sc.reset())
 		return done, err
 	}
 
@@ -171,23 +176,24 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 	// insert their facts directly; recovery re-derives them from the
 	// frontier and AU trailers), so a full log can only surface at the
 	// commit point below.
-	w := laneWrite{at: at, size: int64(len(data)), live: map[layout.SegmentID]int64{}}
+	w := &sc.w
+	w.at, w.size = at, int64(len(data))
 	var allocated uint64
-	for i := range prep {
-		cs, n, d, err := a.placeCBlockLane(done, ln, row.Medium, startSector, &prep[i], w.live)
+	for i := range sc.prep {
+		n, d, err := a.placeCBlockLane(done, ln, row.Medium, startSector, &sc.prep[i], sc)
 		done = d
 		allocated += n
 		if err != nil {
 			a.world.RUnlock()
+			writeScratchPool.Put(sc.reset())
 			return done, err
 		}
-		for _, ch := range cs {
-			w.chunks = append(w.chunks, ch)
-			if ch.frame != nil {
-				w.physical += int64(relation.AddrFromFact(ch.addr).PhysLen)
-			} else {
-				w.deduped += int64(relation.AddrFromFact(ch.addr).Sectors) * cblock.SectorSize
-			}
+	}
+	for _, ch := range w.chunks {
+		if ch.frame != nil {
+			w.physical += int64(relation.AddrFromFact(ch.addr).PhysLen)
+		} else {
+			w.deduped += int64(relation.AddrFromFact(ch.addr).Sectors) * cblock.SectorSize
 		}
 	}
 	if uint64(a.seqs.Current()-seqStart) > allocated {
@@ -197,10 +203,13 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 	// Commit point: the batched NVRAM append. Any error escalates to the
 	// exclusive path, which can checkpoint to free log space — safe to take
 	// the world lock there because we have fully released it here.
-	done2, err := a.committer.commit(done, ln, encodeWriteRecord(w.chunks))
+	sc.rec = appendWriteRecord(sc.rec[:0], w.chunks)
+	done2, err := a.committer.commit(done, ln, sc.rec)
 	if err != nil {
 		a.world.RUnlock()
-		return a.laneCommitExclusive(done, ln, w)
+		done, err = a.laneCommitExclusive(done, ln, sc)
+		writeScratchPool.Put(sc.reset())
+		return done, err
 	}
 	done = done2
 	ln.commits.Inc()
@@ -211,7 +220,7 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 	a.crash.Hit("lane.apply.before")
 
 	a.mu.Lock()
-	ackAt, err := a.laneApplyLocked(done, w)
+	ackAt, err := a.laneApplyLocked(done, *w)
 	needBG := false
 	if err == nil {
 		a.opsSinceBG++
@@ -219,6 +228,7 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 	}
 	a.mu.Unlock()
 	a.world.RUnlock()
+	writeScratchPool.Put(sc.reset())
 	if err != nil {
 		return ackAt, err
 	}
@@ -269,17 +279,19 @@ func (a *Array) laneApplyLocked(done sim.Time, w laneWrite) (sim.Time, error) {
 	return ackAt, nil
 }
 
-// laneCommitExclusive finishes a lane write whose group commit failed
-// (typically ErrFull) through the log-full fallback, commitExclusiveLocked.
+// laneCommitExclusive finishes the lane write in sc whose group commit
+// failed (typically ErrFull) through the log-full fallback,
+// commitExclusiveLocked.
 // Called with NO locks held; it takes the world lock exclusively. The write
 // is restamped first: an exclusive section since its placement may have
 // flushed newer facts, and a flush drops facts at or below a pyramid's
 // watermark as replays, so under its old seqs the write would be lost.
-func (a *Array) laneCommitExclusive(done sim.Time, ln *commitLane, w laneWrite) (sim.Time, error) {
+func (a *Array) laneCommitExclusive(done sim.Time, ln *commitLane, sc *writeScratch) (sim.Time, error) {
 	a.world.Lock()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	defer a.world.Unlock()
+	w := sc.w
 	for i := range w.chunks {
 		ch := &w.chunks[i]
 		ch.addr.Seq = a.seqs.Next()
@@ -287,7 +299,8 @@ func (a *Array) laneCommitExclusive(done sim.Time, ln *commitLane, w laneWrite) 
 			ch.dedup[j].Seq = a.seqs.Next()
 		}
 	}
-	done, err := a.commitExclusiveLocked(done, encodeWriteRecord(w.chunks))
+	sc.rec = appendWriteRecord(sc.rec[:0], w.chunks)
+	done, err := a.commitExclusiveLocked(done, sc.rec)
 	if err != nil {
 		return done, err
 	}
@@ -327,28 +340,23 @@ func (a *Array) laneBackground(at sim.Time) (sim.Time, error) {
 // literal is packed where it is placed (laneLiteralChunk). The dedup
 // candidate search runs under the engine mutex (it reads the pyramids and
 // sealed segments), packing under no lock, literal placement under the slot
-// mutex. Live-byte deltas accumulate in live to be applied after the commit
-// point. startSector is the write's first sector. Returns the chunks and how
-// many sequence numbers were allocated.
-func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, startSector uint64, pe *preparedExtent, live map[layout.SegmentID]int64) ([]writeChunk, uint64, sim.Time, error) {
+// mutex. The chunks are appended to sc.w.chunks and their live-byte deltas
+// to sc.w.live, to be applied after the commit point. startSector is the
+// write's first sector. Returns how many sequence numbers were allocated.
+func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, startSector uint64, pe *preparedExtent, sc *writeScratch) (uint64, sim.Time, error) {
 	done := at
 	sector := startSector + pe.sectorOff
 	sectors := len(pe.part) / cblock.SectorSize
-	var chunks []writeChunk
 	var allocated uint64
 	// literal places sectors [lo, hi) of the extent as new data.
 	literal := func(lo, hi int) error {
 		if lo == hi {
 			return nil
 		}
-		ch, n, err := a.laneLiteralChunk(done, ln, medium, sector+uint64(lo),
-			pe.part[lo*cblock.SectorSize:hi*cblock.SectorSize], pe.hashes[lo:hi], live)
+		n, err := a.laneLiteralChunk(done, ln, medium, sector+uint64(lo),
+			pe.part[lo*cblock.SectorSize:hi*cblock.SectorSize], pe.hashes[lo:hi], sc)
 		allocated += n
-		if err != nil {
-			return err
-		}
-		chunks = append(chunks, ch)
-		return nil
+		return err
 	}
 	if a.cfg.DedupEnabled {
 		a.mu.Lock()
@@ -364,10 +372,10 @@ func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, startSector
 		a.mu.Unlock()
 		if hit {
 			if err := literal(0, run.Start); err != nil {
-				return nil, allocated, done, err
+				return allocated, done, err
 			}
 			// The duplicate run: a mapping into existing data, no new bytes.
-			chunks = append(chunks, writeChunk{addr: relation.AddrRow{
+			sc.w.chunks = append(sc.w.chunks, writeChunk{addr: relation.AddrRow{
 				Medium:  medium,
 				Sector:  sector + uint64(run.Start),
 				Segment: run.Cand.Segment,
@@ -376,64 +384,65 @@ func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, startSector
 				Inner:   uint64(run.CandStart),
 				Sectors: uint64(run.Count),
 				Flags:   relation.AddrFlagDedup,
-			}.Fact(a.seqs.Next())})
+			}.FactIn(sc.factCols(relation.AddrsSchema.Cols), a.seqs.Next())})
 			allocated++
-			if err := literal(run.Start+run.Count, sectors); err != nil {
-				return nil, allocated, done, err
-			}
-			return chunks, allocated, done, nil
+			err := literal(run.Start+run.Count, sectors)
+			return allocated, done, err
 		}
 	}
-	if err := literal(0, sectors); err != nil {
-		return nil, allocated, done, err
-	}
-	return chunks, allocated, done, nil
+	err := literal(0, sectors)
+	return allocated, done, err
 }
 
-// laneLiteralChunk packs part into a cblock frame, with no lock held, and
-// places it into the lane's segment, producing its address fact and sampled
-// dedup facts. hashes are part's per-block hashes, computed exactly once per
-// extent in prepareWrite and threaded through. Returns the chunk, which
-// carries the frame into the write's NVRAM record, and how many sequence
-// numbers it allocated.
-func (a *Array) laneLiteralChunk(at sim.Time, ln *commitLane, medium, sector uint64, part []byte, hashes []uint64, live map[layout.SegmentID]int64) (writeChunk, uint64, error) {
+// laneLiteralChunk packs part into a cblock frame in sc.frames, with no
+// lock held, and places it into the lane's segment, appending its chunk —
+// address fact, sampled dedup facts, frame — to sc.w.chunks for the
+// write's NVRAM record. hashes are part's per-block hashes, computed
+// exactly once per extent in prepareWrite and threaded through. Returns
+// how many sequence numbers it allocated.
+func (a *Array) laneLiteralChunk(at sim.Time, ln *commitLane, medium, sector uint64, part []byte, hashes []uint64, sc *writeScratch) (uint64, error) {
 	a.stats.PackedBytes.Add(int64(len(part)))
-	frame, err := cblock.Pack(part, a.cfg.CompressionEnabled)
-	if err != nil {
-		return writeChunk{}, 0, err
+	f := len(sc.frames)
+	var err error
+	if sc.frames, err = cblock.AppendPack(sc.frames, part, a.cfg.CompressionEnabled); err != nil {
+		return 0, err
 	}
+	frame := sc.frames[f:len(sc.frames):len(sc.frames)]
 	// The segio append may trigger a flush; its completion time advances
 	// the drives' busy state but must not gate this write's acknowledgement
 	// — the commit path acks at NVRAM persistence (Figure 4), and the segio
 	// write-back is asynchronous.
 	seg, segOff, _, err := a.laneAppendData(at, ln, frame)
 	if err != nil {
-		return writeChunk{}, 0, err
+		return 0, err
 	}
 	ch := writeChunk{
 		addr: relation.AddrRow{
 			Medium: medium, Sector: sector,
 			Segment: uint64(seg), SegOff: uint64(segOff), PhysLen: uint64(len(frame)),
 			Sectors: uint64(len(part)) / cblock.SectorSize,
-		}.Fact(a.seqs.Next()),
+		}.FactIn(sc.factCols(relation.AddrsSchema.Cols), a.seqs.Next()),
 		frame: frame,
 	}
 	allocated := uint64(1)
-	live[seg] += int64(len(frame))
+	sc.w.live[seg] += int64(len(frame))
 
 	// Record a sample of the block hashes persistently, everything recently.
+	d := len(sc.dedup)
 	for i, h := range hashes {
 		cand := dedup.Candidate{Segment: uint64(seg), SegOff: uint64(segOff), PhysLen: uint64(len(frame)), SectorIdx: uint64(i)}
 		a.recent.Add(h, cand)
 		if a.cfg.DedupEnabled && dedup.ShouldRecord(i, a.cfg.DedupSampling) {
-			ch.dedup = append(ch.dedup, relation.DedupRow{
+			sc.dedup = append(sc.dedup, relation.DedupRow{
 				Hash: h, Segment: cand.Segment, SegOff: cand.SegOff,
 				PhysLen: cand.PhysLen, SectorIdx: cand.SectorIdx,
-			}.Fact(a.seqs.Next()))
+			}.FactIn(sc.factCols(relation.DedupSchema.Cols), a.seqs.Next()))
 			allocated++
 		}
 	}
-	return ch, allocated, nil
+	ch.dedup = sc.dedup[d:len(sc.dedup):len(sc.dedup)]
+	sc.w.chunks = append(sc.w.chunks, ch)
+	return allocated, nil
 }
 
 // laneAppendData appends a blob to the lane's open segment. Per-lane open

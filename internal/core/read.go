@@ -219,7 +219,7 @@ func (a *Array) readExtent(at sim.Time, ext medium.Extent, dst []byte) (sim.Time
 func (a *Array) readCBlock(at sim.Time, seg, segOff uint64, physLen int) ([]byte, sim.Time, error) {
 	key := cblockKey{segment: seg, off: int64(segOff)}
 	a.rdMu.Lock()
-	sectors, hit := a.cblocks.get(key)
+	sectors, hit := a.cblocks.lookup(key)
 	if hit {
 		a.stats.CacheHits++
 	} else {
@@ -244,7 +244,7 @@ func (a *Array) readCBlock(at sim.Time, seg, segOff uint64, physLen int) ([]byte
 		return nil, done, err
 	}
 	a.rdMu.Lock()
-	a.cblocks.put(key, physLen, sectors)
+	a.cblocks.add(key, physLen, sectors)
 	a.rdMu.Unlock()
 	return sectors, done, nil
 }

@@ -72,7 +72,7 @@ func TestReplayRejectsTruncatedFrame(t *testing.T) {
 			}
 			ch := &rec.chunks[0]
 			ch.frame = ch.frame[:len(ch.frame)/2]
-			recs[i] = encodeWriteRecord(rec.chunks)
+			recs[i] = appendWriteRecord(nil, rec.chunks)
 			truncated++
 		}
 		return recs
@@ -347,7 +347,7 @@ func TestSegmentBoundWithoutWholeLog(t *testing.T) {
 						}
 						ch := &rec.chunks[0]
 						ch.frame = ch.frame[:len(ch.frame)/2]
-						recs[i] = encodeWriteRecord(rec.chunks)
+						recs[i] = appendWriteRecord(nil, rec.chunks)
 					}
 					return recs
 				})
@@ -394,7 +394,7 @@ func encodeRecord(rec replayRec) []byte {
 	if rec.kind == recFacts {
 		return encodeFactsRecord(rec.relID, rec.facts)
 	}
-	return encodeWriteRecord(rec.chunks)
+	return appendWriteRecord(nil, rec.chunks)
 }
 
 // FuzzDecodeRecord feeds arbitrary bytes to the decoder recovery runs on
@@ -423,9 +423,9 @@ func FuzzDecodeRecord(f *testing.F) {
 		PhysLen: 1400, Inner: 4, Sectors: 4, Flags: relation.AddrFlagDedup}.Fact(40)}
 	f1, f2 := frame(1, 4096), frame(2, 4096)
 	for _, seed := range [][]byte{
-		encodeWriteRecord([]writeChunk{literal(0, 5, 0, f1, 10)}),
-		encodeWriteRecord([]writeChunk{ref}),
-		encodeWriteRecord([]writeChunk{literal(0, 5, 0, f1, 20), ref, literal(12, 5, uint64(len(f1)), f2, 30)}),
+		appendWriteRecord(nil, []writeChunk{literal(0, 5, 0, f1, 10)}),
+		appendWriteRecord(nil, []writeChunk{ref}),
+		appendWriteRecord(nil, []writeChunk{literal(0, 5, 0, f1, 20), ref, literal(12, 5, uint64(len(f1)), f2, 30)}),
 		encodeFactsRecord(relation.IDAddrs, []tuple.Fact{ref.addr}),
 		encodeFactsRecord(relation.IDVolumes, []tuple.Fact{relation.VolumeRow{Volume: 1, Medium: 3,
 			SizeSectors: 2048, Name: "vol0"}.Fact(7)}),

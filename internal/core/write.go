@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"purity/internal/cblock"
 	"purity/internal/dedup"
 	"purity/internal/layout"
 	"purity/internal/relation"
 	"purity/internal/sim"
+	"purity/internal/tuple"
 )
 
 // The write path runs in §4.7's order — hash every 512 B block, look every
@@ -18,10 +20,10 @@ import (
 // write; concurrent writers are what use every core:
 //
 //   1. prepareWrite — pure CPU, no locks: split into cblock extents and
-//      hash each extent's 512 B blocks (dedup.HashBlocks).
+//      hash each extent's 512 B blocks (dedup.AppendHashBlocks).
 //   2. commitWriteLane (lane.go) — on the volume's commit lane: volume
 //      lookup and, per extent, the dedup candidate search under a brief mu
-//      section, then compression (cblock.Pack) of only the bytes dedup
+//      section, then compression (cblock.AppendPack) of only the bytes dedup
 //      left, where they are placed, with no lock but the world read lock
 //      held, segment placement under the slot mutex, sequence allocation
 //      from the shared atomic source; then the group NVRAM commit and fact
@@ -41,26 +43,83 @@ type preparedExtent struct {
 	hashes    []uint64
 }
 
-// prepareWrite validates alignment and runs the lock-free CPU stage: split
-// and hash.
-func (a *Array) prepareWrite(off int64, data []byte) ([]preparedExtent, error) {
-	if off%cblock.SectorSize != 0 || len(data)%cblock.SectorSize != 0 || len(data) == 0 {
-		return nil, ErrUnaligned
+// writeScratch is what one write borrows for the length of its commit:
+// every buffer whose bytes are copied elsewhere before WriteAt returns.
+// The segio append copies each frame into its stripe, the NVRAM append
+// copies the record into the log, and the memtable copies each fact's
+// header. What the memtable keeps — the facts' Cols — is not borrowed:
+// factCols carves them from one allocation per write. commitWriteLane
+// takes a scratch from writeScratchPool and puts it back on every return
+// path, so nothing in it outlives the write.
+type writeScratch struct {
+	prep   []preparedExtent
+	hashes []uint64     // prep's block hashes, back to back
+	w      laneWrite    // its chunks and live deltas are reused
+	dedup  []tuple.Fact // the chunks' dedup fact headers, back to back
+	frames []byte       // the chunks' packed frames, back to back
+	rec    []byte       // the write's NVRAM record
+
+	// cols is the write's own: the Cols of its facts, which the memtable
+	// keeps. colsWant is what the rest of the write needs if every extent
+	// left is a literal miss, so a write of unique data allocates it once.
+	cols     []uint64
+	colsWant int
+}
+
+// factCols returns n columns for one of the write's facts, capped so no
+// fact can grow into its neighbour.
+func (sc *writeScratch) factCols(n int) []uint64 {
+	if cap(sc.cols)-len(sc.cols) < n {
+		sc.cols = make([]uint64, 0, max(n, sc.colsWant))
 	}
-	exts, err := cblock.SplitWrite(len(data))
-	if err != nil {
-		return nil, err
+	i := len(sc.cols)
+	sc.cols = sc.cols[:i+n]
+	sc.colsWant -= n
+	return sc.cols[i : i+n : i+n]
+}
+
+var writeScratchPool = sync.Pool{New: func() any {
+	return &writeScratch{w: laneWrite{live: map[layout.SegmentID]int64{}}}
+}}
+
+// reset clears what a write left in sc — the caller's bytes, the facts the
+// memtable now holds — keeping its buffers' capacity, and returns sc for
+// the pool.
+func (sc *writeScratch) reset() *writeScratch {
+	clear(sc.prep)
+	clear(sc.w.chunks)
+	clear(sc.w.live)
+	clear(sc.dedup)
+	*sc = writeScratch{
+		prep:   sc.prep[:0],
+		hashes: sc.hashes[:0],
+		w:      laneWrite{chunks: sc.w.chunks[:0], live: sc.w.live},
+		dedup:  sc.dedup[:0],
+		frames: sc.frames[:0],
+		rec:    sc.rec[:0],
 	}
-	prep := make([]preparedExtent, len(exts))
-	for i, ext := range exts {
+	return sc
+}
+
+// prepareWrite runs the lock-free CPU stage of a validated write into sc:
+// split and hash.
+func (a *Array) prepareWrite(sc *writeScratch, data []byte) {
+	exts, _ := cblock.SplitWrite(len(data)) // WriteAt validated the length
+	for _, ext := range exts {
 		part := data[ext.Offset : ext.Offset+ext.Len]
-		prep[i] = preparedExtent{
+		h := len(sc.hashes)
+		sc.hashes = dedup.AppendHashBlocks(sc.hashes, part)
+		hashes := sc.hashes[h:len(sc.hashes):len(sc.hashes)]
+		sc.prep = append(sc.prep, preparedExtent{
 			sectorOff: uint64(ext.Offset) / cblock.SectorSize,
 			part:      part,
-			hashes:    dedup.HashBlocks(part),
+			hashes:    hashes,
+		})
+		sc.colsWant += relation.AddrsSchema.Cols
+		if a.cfg.DedupEnabled {
+			sc.colsWant += relation.DedupSchema.Cols * dedup.Recorded(len(hashes), a.cfg.DedupSampling)
 		}
 	}
-	return prep, nil
 }
 
 // WriteAt writes data to a volume at a byte offset (both sector-aligned).
@@ -72,16 +131,16 @@ func (a *Array) prepareWrite(off int64, data []byte) ([]preparedExtent, error) {
 // volume's lane.
 //
 // WriteAt keeps nothing of data once it returns: what it stores is the
-// packed cblock frame (cblock.Pack copies into a new frame), the NVRAM
-// record carries that frame, and the cblock cache fills only on reads. The
-// caller may reuse data at once — the server passes a slice of a pooled
-// request body (TestWriteAtKeepsNoCallerBuffer pins this).
+// packed cblock frame, which the segio append copies into its stripe; the
+// NVRAM record carries a copy of that frame; and the cblock cache fills
+// only on reads. The caller may reuse data at once — the server passes a
+// slice of a pooled request body (TestWriteAtKeepsNoCallerBuffer pins
+// this).
 func (a *Array) WriteAt(at sim.Time, vol VolumeID, off int64, data []byte) (sim.Time, error) {
-	prep, err := a.prepareWrite(off, data)
-	if err != nil {
-		return at, err
+	if off%cblock.SectorSize != 0 || len(data)%cblock.SectorSize != 0 || len(data) == 0 {
+		return at, ErrUnaligned
 	}
-	return a.commitWriteLane(at, vol, off, data, prep)
+	return a.commitWriteLane(at, vol, off, data)
 }
 
 // findDuplicateLocked looks every block hash up in the recent index and the

@@ -8,6 +8,7 @@ package dedup
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 )
 
@@ -38,14 +39,20 @@ func Hash(block []byte) uint64 {
 }
 
 // HashBlocks hashes every BlockSize-aligned block of data (whose length
-// must be a multiple of BlockSize); out[i] is Hash of block i. FNV-1a is
+// must be a multiple of BlockSize); out[i] is Hash of block i.
+func HashBlocks(data []byte) []uint64 {
+	return AppendHashBlocks(make([]uint64, 0, len(data)/BlockSize), data)
+}
+
+// AppendHashBlocks appends HashBlocks(data) to dst. FNV-1a is
 // one multiply chain per block — each step waits for the last — so four
 // blocks are hashed per loop on four independent chains, which the core
 // overlaps. The array pointers let the compiler drop the bounds checks
 // that would otherwise sit on every chain.
-func HashBlocks(data []byte) []uint64 {
+func AppendHashBlocks(dst []uint64, data []byte) []uint64 {
 	n := len(data) / BlockSize
-	out := make([]uint64, n)
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
 	i := 0
 	for ; i+4 <= n; i += 4 {
 		b0 := (*[BlockSize]byte)(data[i*BlockSize:])
@@ -64,7 +71,7 @@ func HashBlocks(data []byte) []uint64 {
 	for ; i < n; i++ {
 		out[i] = Hash(data[i*BlockSize : (i+1)*BlockSize])
 	}
-	return out
+	return dst[:len(dst)+n]
 }
 
 // Candidate is where a previously written block lives: a cblock plus a
@@ -332,4 +339,12 @@ func ShouldRecord(i, sampling int) bool {
 		return true
 	}
 	return i%sampling == 0
+}
+
+// Recorded is how many of n block hashes ShouldRecord keeps.
+func Recorded(n, sampling int) int {
+	if sampling <= 1 {
+		return n
+	}
+	return (n + sampling - 1) / sampling
 }

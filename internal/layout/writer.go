@@ -40,6 +40,12 @@ type Writer struct {
 	stripeSeqMin, stripeSeqMax tuple.Seq
 	wuCRCs                     [][]uint32
 	sealed                     bool
+	// shards lists a stripe's write units in coder order, data then
+	// parity: the data ones are slices of stripe, the M parity ones this
+	// writer's own buffers, made at its first flush and overwritten by
+	// every stripe's encode (the drives copy what they are given). bySlot
+	// is the same list in the stripe's physical slot order.
+	shards, bySlot [][]byte
 
 	// crash, when set, is the fault-point registry for crash-consistency
 	// sweeps. Points fire between the durable sub-steps of a flush or seal
@@ -200,23 +206,27 @@ func (w *Writer) flushStripe(at sim.Time) (sim.Time, error) {
 	})
 
 	// Shard the stripe: K data write units plus M parity.
-	k, m := w.cfg.DataShards, w.cfg.ParityShards
-	ordered := make([][]byte, k+m) // coder order: data..., parity...
-	for d := 0; d < k; d++ {
-		ordered[d] = w.stripe[d*w.cfg.WriteUnit : (d+1)*w.cfg.WriteUnit]
+	k, m, wu := w.cfg.DataShards, w.cfg.ParityShards, w.cfg.WriteUnit
+	if w.shards == nil {
+		w.shards = make([][]byte, k+m)
+		for d := 0; d < k; d++ {
+			w.shards[d] = w.stripe[d*wu : (d+1)*wu]
+		}
+		parity := make([]byte, m*wu)
+		for j := 0; j < m; j++ {
+			w.shards[k+j] = parity[j*wu : (j+1)*wu]
+		}
+		w.bySlot = make([][]byte, k+m)
 	}
-	for j := 0; j < m; j++ {
-		ordered[k+j] = make([]byte, w.cfg.WriteUnit)
-	}
-	if err := w.coder.Encode(ordered); err != nil {
+	if err := w.coder.Encode(w.shards); err != nil {
 		return at, err
 	}
 
 	// Map coder order to physical slots for this stripe's parity rotation.
 	s := w.info.Stripes
-	bySlot := make([][]byte, k+m)
+	bySlot := w.bySlot
 	for slot, idx := range w.slots.at(s).coder {
-		bySlot[slot] = ordered[idx]
+		bySlot[slot] = w.shards[idx]
 	}
 
 	// Record CRCs for the AU trailer / scrub.

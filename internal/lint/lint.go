@@ -51,8 +51,10 @@ func (r *Reporter) Reportf(rule string, pos token.Pos, format string, args ...an
 
 // DefaultRules returns the full rule set in reporting order. The three
 // summary-based concurrency-lifetime rules are scoped to the HA front end
-// (the packages whose goroutines hold connections and admission slots);
-// fixture loads construct them with a nil Scope to run everywhere.
+// (the packages whose goroutines hold connections and admission slots),
+// releasepair also to internal/core, whose writes borrow a pooled scratch,
+// and goroutinelife to internal/core's lanes; fixture loads construct them
+// with a nil Scope to run everywhere.
 func DefaultRules() []Rule {
 	return []Rule{
 		&LockFlow{},
@@ -60,7 +62,7 @@ func DefaultRules() []Rule {
 		&CrashPointCheck{},
 		&ErrDrop{},
 		&ConnGuard{Scope: []string{"internal/server", "internal/client", "internal/wire"}},
-		&ReleasePair{Scope: []string{"internal/server", "internal/controller", "internal/client"}},
+		&ReleasePair{Scope: []string{"internal/server", "internal/controller", "internal/client", "internal/core"}},
 		&GoroutineLife{Scope: []string{"internal/server", "internal/controller", "internal/client", "internal/core"}},
 		&LockOrder{},
 		&CommitOrder{Scope: []string{"internal/core"}},

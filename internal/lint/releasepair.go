@@ -6,7 +6,9 @@ package lint
 // acquire, `<-ten` to release), inflight-byte budget grants
 // (budget.acquire/budget.release), session-ledger tag claims
 // (claimTag/dropTag) and pooled request bodies (bodies.get/bodies.put), all
-// handed to the request's release method once it is admitted. A path that
+// handed to the request's release method once it is admitted; in
+// internal/core, a write's pooled scratch (writeScratchPool.Get/Put) is
+// held the same way from its commit's start to every return. A path that
 // returns — or panics — while still holding one pins the slot until
 // process death: the dead-client wedge §5 forbids; a body not put back is
 // a pool that drains into the collector.

@@ -4,12 +4,15 @@
 // living in the shelf so that controllers stay stateless: after a controller
 // failure the survivor replays the NVRAM log.
 //
-// The model is an append-only record log with fixed-plus-per-byte persist
-// latency, bounded capacity, and CRC-framed records so torn or corrupted
-// records are detected at replay.
+// The model is a record log: records are appended at the head and
+// released from the tail (every record below an LSN at once, after what
+// they hold is durable elsewhere). It has a fixed-plus-per-byte persist
+// latency and bounded capacity, and its image frames every record with a
+// CRC so torn or corrupted records are detected at replay.
 package nvram
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -62,9 +65,14 @@ const recordOverhead = 8 // uint32 length + uint32 crc
 type Device struct {
 	cfg Config
 
-	mu      sync.Mutex
-	failed  bool
-	records [][]byte // live records, records[0] has LSN base
+	mu     sync.Mutex
+	failed bool
+	// The live records' payloads lie back to back in log; record i (LSN
+	// base+i) is log[ends[i-1]:ends[i]], from 0 for the first. Appends
+	// copy into log, and releasing everything keeps its capacity, so a
+	// log that is trimmed whole allocates nothing once it has grown.
+	log     []byte
+	ends    []int
 	base    LSN
 	used    int64
 	busy    sim.Time // device is serial: appends queue
@@ -96,10 +104,20 @@ func (d *Device) Append(at sim.Time, payload []byte) (LSN, sim.Time, error) {
 	if d.used+need > d.cfg.Capacity {
 		return 0, at, ErrFull
 	}
-	d.records = append(d.records, append([]byte(nil), payload...))
+	if len(payload) > cap(d.log)-len(d.log) {
+		// Double, up to the device's capacity: a log that grows to its
+		// peak once has then allocated about twice that and keeps at most
+		// twice its peak. append's quarter steps for a large slice would
+		// allocate five times the peak on the way.
+		grown := make([]byte, len(d.log), min(max(2*cap(d.log), len(d.log)+len(payload)), int(d.cfg.Capacity)))
+		copy(grown, d.log)
+		d.log = grown
+	}
+	d.log = append(d.log, payload...)
+	d.ends = append(d.ends, len(d.log))
 	d.used += need
 	d.appends++
-	lsn := d.base + LSN(len(d.records)-1)
+	lsn := d.base + LSN(len(d.ends)-1)
 
 	start := sim.Max(at, d.busy)
 	done := start + d.cfg.PersistLatency + sim.Time(int64(d.cfg.PerByte)*int64(len(payload)))
@@ -115,28 +133,37 @@ func (d *Device) Release(upTo LSN) error {
 	if upTo <= d.base {
 		return nil
 	}
-	head := d.base + LSN(len(d.records))
+	head := d.base + LSN(len(d.ends))
 	if upTo > head {
 		return fmt.Errorf("nvram: release %d beyond head %d", upTo, head)
 	}
 	n := int(upTo - d.base)
-	for _, r := range d.records[:n] {
-		d.used -= int64(len(r)) + recordOverhead
+	cut := d.ends[n-1]
+	d.used -= int64(cut) + int64(n)*recordOverhead
+	// The records kept move to the front of log, and their ends with them.
+	kept := copy(d.log, d.log[cut:])
+	d.log = d.log[:kept]
+	for i, e := range d.ends[n:] {
+		d.ends[i] = e - cut
 	}
-	d.records = append([][]byte(nil), d.records[n:]...)
+	d.ends = d.ends[:len(d.ends)-n]
 	d.base = upTo
 	return nil
 }
 
-// Records returns a copy of all live records in LSN order. Recovery replays
+// Records returns a copy of all live records in LSN order; the payloads
+// share one new buffer, each capped at its own end. Recovery replays
 // these; because all Purity tuples are immutable facts, replaying records
 // that were already flushed to segments is harmless (§4.3).
 func (d *Device) Records() []Record {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]Record, len(d.records))
-	for i, r := range d.records {
-		out[i] = Record{LSN: d.base + LSN(i), Payload: append([]byte(nil), r...)}
+	log := bytes.Clone(d.log)
+	out := make([]Record, len(d.ends))
+	lo := 0
+	for i, end := range d.ends {
+		out[i] = Record{LSN: d.base + LSN(i), Payload: log[lo:end:end]}
+		lo = end
 	}
 	return out
 }
@@ -145,7 +172,7 @@ func (d *Device) Records() []Record {
 func (d *Device) Head() LSN {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.base + LSN(len(d.records))
+	return d.base + LSN(len(d.ends))
 }
 
 // Base returns the LSN of the oldest live record.
@@ -203,12 +230,15 @@ func (d *Device) Failed() bool {
 func (d *Device) Marshal() []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var out []byte
+	out := make([]byte, 0, 8+len(d.log)+len(d.ends)*recordOverhead)
 	out = binary.LittleEndian.AppendUint64(out, uint64(d.base))
-	for _, r := range d.records {
+	lo := 0
+	for _, end := range d.ends {
+		r := d.log[lo:end]
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(r)))
 		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(r))
 		out = append(out, r...)
+		lo = end
 	}
 	return out
 }
@@ -256,7 +286,7 @@ func (d *Device) Unmarshal(img []byte) (int, error) {
 		return 0, errors.New("nvram: image too short")
 	}
 	d.base = LSN(binary.LittleEndian.Uint64(img))
-	d.records = nil
+	d.log, d.ends = d.log[:0], d.ends[:0]
 	d.used = 0
 	pos := 8
 	for pos+recordOverhead <= len(img) {
@@ -269,9 +299,10 @@ func (d *Device) Unmarshal(img []byte) (int, error) {
 		if crc32.ChecksumIEEE(payload) != crc {
 			break // corrupt record: everything after is suspect
 		}
-		d.records = append(d.records, append([]byte(nil), payload...))
+		d.log = append(d.log, payload...)
+		d.ends = append(d.ends, len(d.log))
 		d.used += int64(n) + recordOverhead
 		pos += recordOverhead + n
 	}
-	return len(d.records), nil
+	return len(d.ends), nil
 }

@@ -2,6 +2,7 @@ package nvram
 
 import (
 	"bytes"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -245,4 +246,159 @@ func TestAppendReleaseProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestAppendSteadyStateAllocs pins that a log trimmed whole allocates
+// nothing once it has grown: after one fill-and-release cycle, appends copy
+// into the capacity the first fill left.
+func TestAppendSteadyStateAllocs(t *testing.T) {
+	if raceBuild() {
+		t.Skip("allocation counts are pinned for the build that ships, not the race detector's")
+	}
+	d := newDevice(t)
+	payload := bytes.Repeat([]byte("record"), 2000)
+	const fill = 64
+	for range fill {
+		if _, _, err := d.Append(0, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Release(d.Head()); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(fill-1, func() {
+		if _, _, err := d.Append(0, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("Append after a fill-and-release cycle: %v allocations, want 0", n)
+	}
+	if d.Used() != fill*int64(len(payload)+recordOverhead) {
+		t.Fatalf("Used = %d after %d appends", d.Used(), fill)
+	}
+}
+
+// appendAll appends one record per payload, failing the test on an error.
+func appendAll(t *testing.T, d *Device, payloads ...[]byte) {
+	t.Helper()
+	for _, p := range payloads {
+		if _, _, err := d.Append(0, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// wantRecords fails unless d's live records are payloads, from LSN base.
+func wantRecords(t *testing.T, d *Device, base LSN, payloads ...[]byte) {
+	t.Helper()
+	recs := d.Records()
+	if len(recs) != len(payloads) {
+		t.Fatalf("%d records, want %d", len(recs), len(payloads))
+	}
+	var used int64
+	for i, r := range recs {
+		if r.LSN != base+LSN(i) || !bytes.Equal(r.Payload, payloads[i]) {
+			t.Fatalf("record %d = LSN %d %q, want LSN %d %q", i, r.LSN, r.Payload, base+LSN(i), payloads[i])
+		}
+		used += int64(len(payloads[i])) + recordOverhead
+	}
+	if d.Base() != base || d.Head() != base+LSN(len(payloads)) || d.Used() != used {
+		t.Fatalf("Base %d Head %d Used %d, want %d %d %d", d.Base(), d.Head(), d.Used(), base, base+LSN(len(payloads)), used)
+	}
+}
+
+// TestPartialReleaseKeepsLaterRecords: releasing below the head keeps every
+// later record's bytes and LSN, and appends after it land behind them.
+func TestPartialReleaseKeepsLaterRecords(t *testing.T) {
+	d := newDevice(t)
+	appendAll(t, d, []byte("zero"), []byte("one"), []byte{}, []byte("three"), []byte("four"))
+	if err := d.Release(2); err != nil {
+		t.Fatal(err)
+	}
+	wantRecords(t, d, 2, []byte{}, []byte("three"), []byte("four"))
+	appendAll(t, d, []byte("five"))
+	if err := d.Release(4); err != nil {
+		t.Fatal(err)
+	}
+	wantRecords(t, d, 4, []byte("four"), []byte("five"))
+	if err := d.Release(d.Head()); err != nil {
+		t.Fatal(err)
+	}
+	wantRecords(t, d, 6)
+	appendAll(t, d, []byte("six"))
+	wantRecords(t, d, 6, []byte("six"))
+}
+
+// TestTailDamageAfterRelease: TornTail and CorruptTail drop only the last
+// record of a log that has been partly released, keeping the base.
+func TestTailDamageAfterRelease(t *testing.T) {
+	for _, damage := range []struct {
+		name string
+		fn   func(*Device) int
+	}{{"torn", (*Device).TornTail}, {"corrupt", (*Device).CorruptTail}} {
+		t.Run(damage.name, func(t *testing.T) {
+			d := newDevice(t)
+			appendAll(t, d, []byte("alpha"), []byte("beta"), []byte("gamma"), []byte("delta"))
+			if err := d.Release(2); err != nil {
+				t.Fatal(err)
+			}
+			if n := damage.fn(d); n != 1 {
+				t.Fatalf("%d records survived, want 1", n)
+			}
+			wantRecords(t, d, 2, []byte("gamma"))
+			appendAll(t, d, []byte("epsilon"))
+			wantRecords(t, d, 2, []byte("gamma"), []byte("epsilon"))
+		})
+	}
+}
+
+// TestRecordsAreCopies: writing to, or appending to, a payload Records
+// returned leaves the device and the other payloads as they were.
+func TestRecordsAreCopies(t *testing.T) {
+	d := newDevice(t)
+	appendAll(t, d, []byte("alpha"), []byte("beta"), []byte("gamma"))
+	recs := d.Records()
+	for _, r := range recs {
+		for i := range r.Payload {
+			r.Payload[i] = 'X'
+		}
+	}
+	_ = append(recs[0].Payload, "YYYY"...)
+	wantRecords(t, d, 0, []byte("alpha"), []byte("beta"), []byte("gamma"))
+	if string(recs[1].Payload) != "XXXX" {
+		t.Fatalf("appending to record 0's payload wrote into record 1's: %q", recs[1].Payload)
+	}
+}
+
+// TestUnmarshalReplacesLog: Unmarshal into a device that already has a log
+// replaces it, base and all.
+func TestUnmarshalReplacesLog(t *testing.T) {
+	src := newDevice(t)
+	appendAll(t, src, []byte("one"), []byte("two"), []byte("three"))
+	if err := src.Release(1); err != nil {
+		t.Fatal(err)
+	}
+	d := newDevice(t)
+	appendAll(t, d, bytes.Repeat([]byte("old"), 100), []byte("older"))
+	if n, err := d.Unmarshal(src.Marshal()); err != nil || n != 2 {
+		t.Fatalf("Unmarshal = %d, %v; want 2 records", n, err)
+	}
+	wantRecords(t, d, 1, []byte("two"), []byte("three"))
+	appendAll(t, d, []byte("four"))
+	wantRecords(t, d, 1, []byte("two"), []byte("three"), []byte("four"))
 }

@@ -20,22 +20,25 @@ var candidateWidths = []uint{0, 1, 2, 4, 6, 8, 12, 16, 20, 24, 32, 40, 48, 64}
 
 // buildDict chooses the (bases, W) pair minimizing encoded size for the
 // given column values: rows·(lg B + W) bits of rows plus 64·B bits of bases.
+// It counts the bases each candidate width needs and builds only the
+// winner's, in place over the sorted unique values; on a tie the narrower
+// width wins.
 func buildDict(values []uint64) dict {
 	uniq := append([]uint64(nil), values...)
 	slices.Sort(uniq)
 	uniq = dedupSorted(uniq)
 
-	best := dict{}
+	best := uint(0)
 	bestCost := uint64(1) << 62
 	for _, w := range candidateWidths {
-		bases := clusterBases(uniq, w)
-		cost := uint64(len(values))*uint64(bitsFor(len(bases))+w) + uint64(len(bases))*64
+		n := countBases(uniq, w)
+		cost := uint64(len(values))*uint64(bitsFor(n)+w) + uint64(n)*64
 		if cost < bestCost {
 			bestCost = cost
-			best = dict{width: w, bases: bases}
+			best = w
 		}
 	}
-	return best
+	return dict{width: best, bases: clusterBases(uniq, best)}
 }
 
 func dedupSorted(v []uint64) []uint64 {
@@ -48,34 +51,35 @@ func dedupSorted(v []uint64) []uint64 {
 	return out
 }
 
-// clusterBases greedily covers sorted unique values with bases whose W-bit
-// offset range reaches each value.
-func clusterBases(sorted []uint64, w uint) []uint64 {
-	if len(sorted) == 0 {
-		return []uint64{0}
+// countBases is how many bases clusterBases(sorted, w) returns.
+func countBases(sorted []uint64, w uint) int {
+	if len(sorted) == 0 || w >= 64 {
+		return 1
 	}
-	if w >= 64 {
-		return []uint64{0}
-	}
-	// Count first so the result is allocated exactly once.
 	span := uint64(1) << w
-	n := 0
-	var base uint64
-	have := false
-	for _, v := range sorted {
-		if !have || v-base >= span {
+	n := 1
+	base := sorted[0]
+	for _, v := range sorted[1:] {
+		if v-base >= span {
 			base = v
 			n++
-			have = true
 		}
 	}
-	bases := make([]uint64, 0, n)
-	have = false
-	for _, v := range sorted {
-		if !have || v-base >= span {
-			base = v
-			bases = append(bases, base)
-			have = true
+	return n
+}
+
+// clusterBases greedily covers sorted unique values with bases whose W-bit
+// offset range reaches each value. The bases are a subsequence of sorted,
+// so they are written over its front: sorted is consumed.
+func clusterBases(sorted []uint64, w uint) []uint64 {
+	if len(sorted) == 0 || w >= 64 {
+		return []uint64{0}
+	}
+	span := uint64(1) << w
+	bases := sorted[:1]
+	for _, v := range sorted[1:] {
+		if v-bases[len(bases)-1] >= span {
+			bases = append(bases, v)
 		}
 	}
 	return bases

@@ -98,7 +98,16 @@ type AddrRow struct {
 
 // Fact encodes the row with a sequence number.
 func (r AddrRow) Fact(seq tuple.Seq) tuple.Fact {
-	return tuple.Fact{Seq: seq, Cols: []uint64{r.Medium, r.Sector, r.Segment, r.SegOff, r.PhysLen, r.Inner, r.Sectors, r.Flags}}
+	return r.FactIn(make([]uint64, AddrsSchema.Cols), seq)
+}
+
+// FactIn is Fact with the columns written to cols, which must hold
+// AddrsSchema.Cols of them.
+func (r AddrRow) FactIn(cols []uint64, seq tuple.Seq) tuple.Fact {
+	cols = cols[:8]
+	cols[0], cols[1], cols[2], cols[3] = r.Medium, r.Sector, r.Segment, r.SegOff
+	cols[4], cols[5], cols[6], cols[7] = r.PhysLen, r.Inner, r.Sectors, r.Flags
+	return tuple.Fact{Seq: seq, Cols: cols}
 }
 
 // AddrFromFact decodes an address-map fact.
@@ -135,7 +144,15 @@ type DedupRow struct {
 
 // Fact encodes the row with a sequence number.
 func (r DedupRow) Fact(seq tuple.Seq) tuple.Fact {
-	return tuple.Fact{Seq: seq, Cols: []uint64{r.Hash, r.Segment, r.SegOff, r.PhysLen, r.SectorIdx}}
+	return r.FactIn(make([]uint64, DedupSchema.Cols), seq)
+}
+
+// FactIn is Fact with the columns written to cols, which must hold
+// DedupSchema.Cols of them.
+func (r DedupRow) FactIn(cols []uint64, seq tuple.Seq) tuple.Fact {
+	cols = cols[:5]
+	cols[0], cols[1], cols[2], cols[3], cols[4] = r.Hash, r.Segment, r.SegOff, r.PhysLen, r.SectorIdx
+	return tuple.Fact{Seq: seq, Cols: cols}
 }
 
 // DedupFromFact decodes a dedup-table fact.

@@ -172,8 +172,8 @@ echo "== kernel benchmarks (one iteration each, so they cannot rot: dedup's hash
 go test -run '^$' -bench 'HashBlocks32K|ExtendAnchor32K' -benchtime 1x ./internal/dedup/
 go test -run '^$' -bench 'Dot7x128K' -benchtime 1x ./internal/erasure/
 
-echo "== commit lanes (-race: multi-lane writers, the log-full fallback under concurrent writers and catalog/GC steps, its shared-lock guard, and the short crash sweep at lanes 1 and 4)"
-go test -race -short -run 'TestLane|TestCrashSweep|TestCheckpointSurvivesNVRAMPressure|TestLogFullRefusesSharedWorld' ./internal/core/
+echo "== commit lanes (-race: multi-lane writers, the log-full fallback under concurrent writers and catalog/GC steps, its shared-lock guard, the short crash sweep at lanes 1 and 4, and four writers' pooled write scratch against the caller-buffer contract)"
+go test -race -short -run 'TestLane|TestCrashSweep|TestCheckpointSurvivesNVRAMPressure|TestLogFullRefusesSharedWorld|TestWriteAtKeepsNoCallerBuffer' ./internal/core/
 
 echo "== pipelined front end (-race: out-of-order completion, 64 in-flight on one conn, first-frame rule, torn request, drain at a buffered frame, a batch failing mid-write, pooled bodies at QD 64, SLO scrub deferral)"
 go test -race -run 'TestPipelined|TestOutOfOrderCompletion|TestDuplicateTagKillsConnection|TestAdmissionWindowBackpressure|TestWireHealthCounters|TestServeSurvivesTransientAcceptErrors|TestFirstFrameMustBeHello|TestTornRequestCondemnsConnection|TestDrainStopsAtBufferedFrame|TestBatchWriteFailureReleasesEveryFrame|TestPooledBodiesManyWriters' ./internal/server/
