@@ -3,6 +3,7 @@ package layout
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -257,6 +258,40 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 		if stats.ReconstructedReads != 0 {
 			t.Fatalf("item %d needed reconstruction on healthy drives", i)
 		}
+	}
+}
+
+// TestReadRangeRejectsBadBounds pins ReadRange's bounds check against the
+// values a damaged descriptor can carry: a negative length, and an offset
+// so large that offset plus length wraps.
+func TestReadRangeRejectsBadBounds(t *testing.T) {
+	cfg, drives, coder := newTestRig(t, 6, 8)
+	w, err := NewWriter(cfg, drives, coder, 1, segmentAUs(cfg, 6, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeItems(t, w, [][]byte{make([]byte, 4096)})
+	info, _, err := w.Seal(sim.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader := NewReader(cfg, drives, coder)
+	for _, c := range []struct {
+		off int64
+		n   int
+	}{
+		{0, -1},
+		{4096, -4096},
+		{1 << 62, 1 << 62},
+		{math.MaxInt64, 1},
+		{-1, 1},
+	} {
+		if _, _, _, err := reader.ReadRange(sim.Second, info, c.off, c.n, ReadHome); err == nil {
+			t.Errorf("ReadRange(off %d, n %d) succeeded", c.off, c.n)
+		}
+	}
+	if _, _, _, err := reader.ReadRange(sim.Second, info, 0, 4096, ReadHome); err != nil {
+		t.Fatalf("in-range read: %v", err)
 	}
 }
 

@@ -169,7 +169,9 @@ func (r *Reader) segmentCRCs(at sim.Time, info SegmentInfo) ([][]uint32, sim.Tim
 // returned completion time is the latest involved drive completion.
 func (r *Reader) ReadRange(at sim.Time, info SegmentInfo, off int64, n int, mode ReadMode) ([]byte, sim.Time, ReadStats, error) {
 	var stats ReadStats
-	if off < 0 || off+int64(n) > int64(info.Stripes)*int64(r.cfg.StripeDataBytes()) {
+	// Written so no sum can overflow: off and n come from descriptors that
+	// recovery parses.
+	if size := int64(info.Stripes) * int64(r.cfg.StripeDataBytes()); off < 0 || n < 0 || off > size || int64(n) > size-off {
 		return nil, at, stats, fmt.Errorf("layout: read [%d,+%d) outside segment %d (%d stripes)", off, n, info.ID, info.Stripes)
 	}
 	out := make([]byte, n)

@@ -199,13 +199,20 @@ func Open(s tuple.Schema, raw []byte) (*Page, error) {
 		width := uint(raw[pos])
 		baseCount := int(binary.LittleEndian.Uint16(raw[pos+1:]))
 		pos += 3
-		if baseCount == 0 || pos+8*baseCount > len(body) {
+		if width > 64 || baseCount == 0 || pos+8*baseCount > len(body) {
 			return nil, ErrCorrupt
 		}
-		bases := make([]uint64, baseCount)
-		for i := range bases {
+		// Every index the row bits can hold names a base: past the
+		// encoded ones (an index no encoder writes) the last repeats, so
+		// a damaged page whose checksum still matched decodes to wrong
+		// values instead of panicking.
+		bases := make([]uint64, 1<<bitsFor(baseCount))
+		for i := range bases[:baseCount] {
 			bases[i] = binary.LittleEndian.Uint64(raw[pos:])
 			pos += 8
+		}
+		for i := baseCount; i < len(bases); i++ {
+			bases[i] = bases[baseCount-1]
 		}
 		p.dicts[c] = dict{width: width, bases: bases}
 		p.colShift[c] = p.rowBits
@@ -217,7 +224,24 @@ func Open(s tuple.Schema, raw []byte) (*Page, error) {
 		return nil, ErrCorrupt
 	}
 	if hasBlob {
+		// The blob lengths must fit the blob area, or a row's blob would
+		// slice past it.
 		p.blobOff = pos + int(rowBytes)
+		room := uint64(len(body) - p.blobOff)
+		if lens := p.dicts[cols+1]; lens.rowBits() == 0 {
+			// One length for every row, and no row bits to bound the rows.
+			if n := lens.bases[0]; n > 0 && uint64(rowCount) > room/n {
+				return nil, ErrCorrupt
+			}
+		} else {
+			for i := 0; i < rowCount; i++ {
+				n := p.col(i, cols+1)
+				if n > room {
+					return nil, ErrCorrupt
+				}
+				room -= n
+			}
+		}
 	}
 	return p, nil
 }

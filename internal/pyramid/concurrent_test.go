@@ -16,7 +16,9 @@ import (
 // Every key, once published, must be found by every kind of read from then
 // on, whether it sits in the memtable, in a patch being installed or in a
 // merge's output — a reader's view of memtable plus patch list is one
-// snapshot.
+// snapshot. Get also looks up keys no step inserts, which the key filters
+// of the patches being flushed and merged must rule out or pass, never
+// turn into a hit.
 func TestConcurrentReadersOneMutator(t *testing.T) {
 	const (
 		groups  = 4
@@ -51,9 +53,13 @@ func TestConcurrentReadersOneMutator(t *testing.T) {
 				g := uint64((i + r) % groups)
 				key := uint64(i*7+r) % n * 2
 				switch i % 5 {
-				case 0:
-					if f, ok, _, err := p.Get(0, []uint64{g, key}); err != nil || !ok || f.Cols[1] != key {
+				case 0: // a published key, then the odd key after it, which no step inserts
+					if f, ok, _, err := p.Get(0, []uint64{g, key}); err != nil || !ok || f.Cols[1] != key || f.Cols[2] != uint64(f.Seq) {
 						t.Errorf("Get(%d,%d) = %+v, %v, %v", g, key, f, ok, err)
+						return
+					}
+					if f, ok, _, err := p.Get(0, []uint64{g, key + 1}); err != nil || ok {
+						t.Errorf("Get(%d,%d) of an absent key = %+v, %v, %v", g, key+1, f, ok, err)
 						return
 					}
 				case 1: // the odd key above has the even one as its floor

@@ -3,6 +3,7 @@ package pyramid
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 )
 
 // Patch descriptors are the log records the segio layer scatters among user
@@ -38,7 +39,8 @@ func MarshalPatch(id uint32, p *Patch) []byte {
 var ErrNotDescriptor = errors.New("pyramid: not a patch descriptor")
 
 // UnmarshalPatch decodes a patch descriptor, returning the relation id it
-// belongs to.
+// belongs to. Recovery parses what it finds on the drives, so a value that
+// does not fit its field is rejected, not wrapped.
 func UnmarshalPatch(b []byte) (uint32, *Patch, error) {
 	if len(b) < 8 || binary.LittleEndian.Uint32(b) != descMagic {
 		return 0, nil, ErrNotDescriptor
@@ -64,7 +66,7 @@ func UnmarshalPatch(b []byte) (uint32, *Patch, error) {
 		return 0, nil, ErrNotDescriptor
 	}
 	p.SeqHi = seqOf(v)
-	if v, ok = next(); !ok {
+	if v, ok = next(); !ok || v > math.MaxInt {
 		return 0, nil, ErrNotDescriptor
 	}
 	p.Rows = int(v)
@@ -78,15 +80,15 @@ func UnmarshalPatch(b []byte) (uint32, *Patch, error) {
 			return 0, nil, ErrNotDescriptor
 		}
 		pg.Ref.Segment = v
-		if v, ok = next(); !ok {
+		if v, ok = next(); !ok || v > math.MaxInt64 {
 			return 0, nil, ErrNotDescriptor
 		}
 		pg.Ref.Off = int64(v)
-		if v, ok = next(); !ok {
+		if v, ok = next(); !ok || v > math.MaxInt32 {
 			return 0, nil, ErrNotDescriptor
 		}
 		pg.Ref.Len = int32(v)
-		if v, ok = next(); !ok {
+		if v, ok = next(); !ok || v > math.MaxInt {
 			return 0, nil, ErrNotDescriptor
 		}
 		pg.Rows = int(v)

@@ -35,8 +35,9 @@ func rowBuf(buf []uint64, n int) []uint64 {
 // Get returns the newest non-elided fact with exactly this key. Patches
 // hold disjoint, ordered sequence ranges, so the first source (memtable,
 // then patches newest-first) containing the key holds its newest version.
-// Each patch's candidate is decoded into one scratch row; the result is the
-// winner's Clone.
+// A patch whose key filter rules the key out is skipped without a page
+// open. Each patch's candidate is decoded into one scratch row; the result
+// is the winner's Clone.
 func (p *Pyramid) Get(at sim.Time, key []uint64) (tuple.Fact, bool, sim.Time, error) {
 	k := p.cfg.Schema.KeyCols
 	done := at
@@ -63,7 +64,11 @@ func (p *Pyramid) Get(at sim.Time, key []uint64) (tuple.Fact, bool, sim.Time, er
 
 	var colBuf [stackCols]uint64
 	cols := rowBuf(colBuf[:], p.cfg.Schema.Cols)
+	h := keyHash(key, k)
 	for _, patch := range patches {
+		if !patch.filter.mayContain(h) {
+			continue
+		}
 		var f tuple.Fact
 		var found bool
 		var err error

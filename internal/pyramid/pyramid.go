@@ -59,16 +59,23 @@ type Patch struct {
 	SeqLo, SeqHi tuple.Seq
 	Pages        []PageMeta // in ascending key order
 	Rows         int
+
+	// filter rules keys out for Get. It is built with the patch and never
+	// persisted: a patch decoded from its descriptor admits every key.
+	filter keyFilter
 }
 
-// Pyramid is one LSM index. Readers (Get, GetFloor, GetCeil, Scan,
+// Pyramid is one LSM index. Readers (Get, GetFloor, GetCeil, Visit, Scan,
 // ScanVersions) are safe to run concurrently with each other and with a
-// mutator; merge and flatten operate on immutable patches so readers never
-// block on them (§4.8: "everything below the top level... lock-free" —
-// expressed here with a short-held mutex around the patch list swap, the Go
-// idiom). Mutators (Insert, Flush, MergeStep, AddPatch) must not overlap
-// one another: Flush rebuilds the memtable from what it saw before writing
-// its patch. The engine runs them under Array.mu.
+// mutator. A reader holds mu only to copy out the memtable rows it needs
+// (sorting the memtable first if it must, so it takes mu exclusively) and
+// the patch list's header; the list is copy-on-write and every patch, its
+// key filter included, is immutable once installed, so the pages are read
+// without the lock and a merge never blocks a reader (§4.8: "everything
+// below the top level... lock-free"). Mutators (Insert, Flush, MergeStep,
+// AddPatch) must not overlap one another: Flush rebuilds the memtable from
+// what it saw before writing its patch. The engine runs them under
+// Array.mu.
 type Pyramid struct {
 	cfg   Config
 	store PageStore
@@ -346,6 +353,7 @@ func (p *Pyramid) writePatch(at sim.Time, sorted []tuple.Fact, seqLo, seqHi tupl
 		})
 		base = end
 	}
+	patch.filter = buildFilter(sorted, k)
 	desc := MarshalPatch(p.cfg.ID, patch)
 	d, err := p.store.WriteDescriptor(done, desc, uint64(seqLo), uint64(seqHi))
 	if err != nil {

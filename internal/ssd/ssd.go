@@ -135,6 +135,10 @@ type eraseBlock struct {
 	wear    int
 	bad     bool
 	written int64 // high-water mark of programmed bytes within the block
+	// valid is how much of the block's buffer holds its contents: programmed
+	// bytes, flipped bits and the zeros between them. Past it a reused
+	// buffer may still hold an earlier block's bytes, which read as zeros.
+	valid int64
 }
 
 // Device is one simulated drive. Methods are safe for concurrent use; the
@@ -146,6 +150,7 @@ type Device struct {
 	mu      sync.Mutex
 	failed  bool
 	data    map[int64][]byte // erase-block index -> contents (lazily allocated)
+	free    [][]byte         // up to freeBlocksMax erased blocks' buffers, never cleared
 	blocks  []eraseBlock
 	dies    []dieState
 	rng     *sim.Rand
@@ -254,13 +259,11 @@ func (d *Device) ReadAt(at sim.Time, p []byte, off int64) (sim.Time, error) {
 		if n > int64(len(remaining)) {
 			n = int64(len(remaining))
 		}
+		got := 0
 		if chunk, ok := d.data[bi]; ok {
-			copy(remaining[:n], chunk[blockOff:])
-		} else {
-			for i := range remaining[:n] {
-				remaining[i] = 0
-			}
+			got = copy(remaining[:n], chunk[blockOff:max(blockOff, d.blocks[bi].valid)])
 		}
+		clear(remaining[got:n])
 		remaining = remaining[n:]
 		pos += n
 	}
@@ -306,11 +309,7 @@ func (d *Device) WriteAt(at sim.Time, p []byte, off int64) (sim.Time, error) {
 			random = true
 			b.bad = false // FTL maps around previously bad pages on rewrite
 		}
-		chunk, ok := d.data[bi]
-		if !ok {
-			chunk = make([]byte, d.cfg.EraseBlockSize)
-			d.data[bi] = chunk
-		}
+		chunk := d.validTo(bi, blockOff)
 		copy(chunk[blockOff:], remaining[:n])
 		if d.cfg.BitFlipRate > 0 && d.flipRng.Float64() < d.cfg.BitFlipRate {
 			// Latent error: flip one bit somewhere in the bytes just
@@ -323,6 +322,7 @@ func (d *Device) WriteAt(at sim.Time, p []byte, off int64) (sim.Time, error) {
 		if end := blockOff + n; end > b.written {
 			b.written = end
 		}
+		b.valid = max(b.valid, blockOff+n)
 		remaining = remaining[n:]
 		pos += n
 	}
@@ -356,8 +356,13 @@ func (d *Device) Erase(at sim.Time, off int64) (sim.Time, error) {
 		return at, ErrBounds
 	}
 	bi := d.blockIndex(off)
-	delete(d.data, bi)
-	d.blocks[bi].written = 0
+	if chunk, ok := d.data[bi]; ok {
+		delete(d.data, bi)
+		if len(d.free) < freeBlocksMax {
+			d.free = append(d.free, chunk)
+		}
+	}
+	d.blocks[bi].written, d.blocks[bi].valid = 0, 0
 	d.blocks[bi].bad = false
 	d.stats.Erases++
 	d.wearBlock(bi)
@@ -377,6 +382,36 @@ func (d *Device) Erase(at sim.Time, off int64) (sim.Time, error) {
 		}
 	}
 	return done, nil
+}
+
+// freeBlocksMax bounds a drive's list of erased blocks' buffers. A drive
+// programs its blocks one after another, so a few buffers carry a steady
+// program/erase cycle; a longer list would keep what a burst of erases
+// frees (GC reclaiming many segments at once) for the drive's life.
+const freeBlocksMax = 8
+
+// validTo returns erase block bi's buffer with its valid prefix reaching at
+// least off, about to be changed there. A block that has no buffer takes an
+// erased block's, or a new one; nothing is cleared but the gap between the
+// valid prefix and off, which a sequential append never leaves. Caller
+// holds mu.
+func (d *Device) validTo(bi, off int64) []byte {
+	chunk, ok := d.data[bi]
+	if !ok {
+		if n := len(d.free); n > 0 {
+			chunk = d.free[n-1]
+			d.free[n-1] = nil
+			d.free = d.free[:n-1]
+		} else {
+			chunk = make([]byte, d.cfg.EraseBlockSize)
+		}
+		d.data[bi] = chunk
+	}
+	if b := &d.blocks[bi]; off > b.valid {
+		clear(chunk[b.valid:off])
+		b.valid = off
+	}
+	return chunk
 }
 
 // wearBlock increments wear and maybe marks the block bad. Caller holds mu.
@@ -556,12 +591,9 @@ func (d *Device) FlipBit(off int64, bit uint) {
 		return
 	}
 	bi := d.blockIndex(off)
-	chunk, ok := d.data[bi]
-	if !ok {
-		chunk = make([]byte, d.cfg.EraseBlockSize)
-		d.data[bi] = chunk
-	}
-	chunk[off%int64(d.cfg.EraseBlockSize)] ^= 1 << (bit % 8)
+	at := off % int64(d.cfg.EraseBlockSize)
+	chunk := d.validTo(bi, at+1)
+	chunk[at] ^= 1 << (bit % 8)
 	d.stats.BitFlips++
 }
 

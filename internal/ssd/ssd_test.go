@@ -526,3 +526,78 @@ func TestBitFlipRateInjectsLatentErrors(t *testing.T) {
 		t.Fatalf("BitFlips = %d, want 1", n)
 	}
 }
+
+// TestErasedBuffersAreReused pins the free list of erased blocks' buffers:
+// an erased block reads back zeros, a block programmed into a reused buffer
+// shows none of its previous contents (programmed or bit-flipped), and a
+// steady program/erase cycle allocates nothing.
+func TestErasedBuffersAreReused(t *testing.T) {
+	d := newDevice(t)
+	cfg := d.Config()
+	block := int64(cfg.EraseBlockSize)
+	full := bytes.Repeat([]byte{0xa5}, cfg.EraseBlockSize)
+	if _, err := d.WriteAt(0, full, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Erase(sim.Second, 0); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, cfg.EraseBlockSize)
+	if _, err := d.ReadAt(2*sim.Second, got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, cfg.EraseBlockSize)) {
+		t.Fatal("erased block reads back non-zero bytes")
+	}
+
+	// Block 1's first page goes into block 0's old buffer; the rest of
+	// block 1 must read as erased, not as block 0's 0xa5.
+	page := bytes.Repeat([]byte{0x3c}, cfg.PageSize)
+	if _, err := d.WriteAt(3*sim.Second, page, block); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.ReadAt(4*sim.Second, got, block); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, cfg.EraseBlockSize)
+	copy(want, page)
+	if !bytes.Equal(got, want) {
+		t.Fatal("a block programmed after an erase shows stale bytes")
+	}
+	// A bit flipped past the programmed pages is stale too, once block 1
+	// is erased and its buffer goes to block 2.
+	d.FlipBit(2*block-1, 7)
+	last := make([]byte, 1)
+	if _, err := d.ReadAt(4*sim.Second, last, 2*block-1); err != nil || last[0] != 0x80 {
+		t.Fatalf("bit flipped past the programmed pages reads back %#x, %v; want 0x80", last[0], err)
+	}
+	if _, err := d.Erase(5*sim.Second, block); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.WriteAt(6*sim.Second, page, 2*block); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.ReadAt(7*sim.Second, got, 2*block); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("a block programmed after an erase shows a bit flipped before it")
+	}
+
+	at := 8 * sim.Second
+	cycle := func() {
+		for off := int64(0); off < 4*block; off += block {
+			var err error
+			if at, err = d.WriteAt(at, page, off); err != nil {
+				t.Fatal(err)
+			}
+			if at, err = d.Erase(at, off); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Errorf("steady program/erase cycle: %v allocations, want 0", n)
+	}
+}
