@@ -98,7 +98,9 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 		if !ok {
 			return nil, rs, fmt.Errorf("core: checkpoint patch for unknown relation %d", relID)
 		}
-		p.AddPatch(patch)
+		if err := p.AddPatch(patch); err != nil {
+			return nil, rs, err
+		}
 		a.seqs.AdvanceTo(patch.SeqHi)
 	}
 
@@ -164,7 +166,9 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 					continue // not a descriptor
 				}
 				if p, ok := a.pyr[relID]; ok {
-					p.AddPatch(patch)
+					if err := p.AddPatch(patch); err != nil {
+						return nil, rs, err
+					}
 					a.seqs.AdvanceTo(patch.SeqHi)
 					rs.PatchesApplied++
 				}

@@ -44,23 +44,17 @@ func TestUnmarshalPatchRejectsWrappedFields(t *testing.T) {
 }
 
 // FuzzUnmarshalPatch: decoding never panics, and every descriptor it accepts
-// re-marshals to bytes that decode to the same relation and patch.
+// re-marshals to bytes that decode to the same relation and patch. Every
+// accepted descriptor then goes to AddPatch on a fresh pyramid over the
+// store holding the seed patch's pages, and if AddPatch accepts it, Get,
+// GetFloor and GetCeil on a few keys return without panicking (a page the
+// store does not hold is an error).
 func FuzzUnmarshalPatch(f *testing.F) {
-	store := NewMemStore()
-	p, err := New(Config{ID: 7, Name: "fuzz", Schema: tuple.Schema{Cols: 3, KeyCols: 2}, PageRows: 4}, store, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for i := uint64(0); i < 10; i++ {
-		if err := p.Insert([]tuple.Fact{{Seq: tuple.Seq(i + 1), Cols: []uint64{i / 3, i, i * i}}}); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if _, err := p.Flush(0, 10); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(store.Descriptors[0])
+	seed, store := threePages(f, func([]PageMeta) {})
+	short, _ := threePages(f, func(pages []PageMeta) { pages[1].KeyMin = pages[1].KeyMin[:1] })
+	f.Add(seed)
 	f.Add(descriptorWith(1<<63, 1<<31))
+	f.Add(short)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		id, patch, err := UnmarshalPatch(b)
 		if err != nil {
@@ -70,5 +64,80 @@ func FuzzUnmarshalPatch(f *testing.F) {
 		if err != nil || id2 != id || !reflect.DeepEqual(patch2, patch) {
 			t.Fatalf("re-marshalled descriptor decodes to %d %+v, %v; want %d %+v", id2, patch2, err, id, patch)
 		}
+		p, err := New(Config{ID: 7, Name: "fuzz", Schema: tuple.Schema{Cols: 3, KeyCols: 2}, PageRows: 4}, store, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.AddPatch(patch) != nil {
+			return
+		}
+		for _, key := range [][]uint64{{0, 0}, {1, 4}, {2, 40}, {3, 9}, {9, 1}} {
+			p.Get(0, key)
+			p.GetFloor(0, key[:1], key[1])
+			p.GetCeil(0, key[:1], key[1])
+		}
 	})
+}
+
+// threePages returns the descriptor of a two-column-key patch of three
+// pages, after cut has edited its page list, and the store holding the
+// pages.
+func threePages(t testing.TB, cut func(pages []PageMeta)) ([]byte, *MemStore) {
+	t.Helper()
+	store := NewMemStore()
+	p, err := New(Config{ID: 7, Name: "fuzz", Schema: tuple.Schema{Cols: 3, KeyCols: 2}, PageRows: 4}, store, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 10; i++ {
+		if err := p.Insert([]tuple.Fact{{Seq: tuple.Seq(i + 1), Cols: []uint64{i / 3, i, i * i}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := p.Flush(0, 10); err != nil {
+		t.Fatal(err)
+	}
+	patch := p.Patches()[0]
+	if len(patch.Pages) != 3 {
+		t.Fatalf("%d pages, want 3", len(patch.Pages))
+	}
+	pages := append([]PageMeta(nil), patch.Pages...)
+	cut(pages)
+	return MarshalPatch(7, &Patch{SeqLo: patch.SeqLo, SeqHi: patch.SeqHi, Pages: pages, Rows: patch.Rows}), store
+}
+
+// TestAddPatchRejectsUnsearchableKeys: a descriptor whose page KeyMin has
+// the wrong width, or whose KeyMins do not ascend strictly, decodes (the
+// descriptor format cannot tell), but AddPatch refuses it and installs
+// nothing, so no lookup indexes past a short key or binary-searches an
+// unsorted page list.
+func TestAddPatchRejectsUnsearchableKeys(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cut  func(pages []PageMeta)
+	}{
+		{"short KeyMin", func(pages []PageMeta) { pages[1].KeyMin = pages[1].KeyMin[:1] }},
+		{"long KeyMin", func(pages []PageMeta) { pages[1].KeyMin = append(pages[1].KeyMin, 0) }},
+		{"equal KeyMins", func(pages []PageMeta) { pages[2].KeyMin = pages[1].KeyMin }},
+		{"descending KeyMins", func(pages []PageMeta) { pages[1], pages[2] = pages[2], pages[1] }},
+	} {
+		desc, store := threePages(t, c.cut)
+		_, patch, err := UnmarshalPatch(desc)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		p, err := New(Config{ID: 7, Name: "recovered", Schema: tuple.Schema{Cols: 3, KeyCols: 2}, PageRows: 4}, store, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.AddPatch(patch); err == nil {
+			t.Errorf("%s: AddPatch accepted %+v", c.name, patch.Pages)
+		}
+		if n := len(p.Patches()); n != 0 {
+			t.Errorf("%s: %d patches installed after a refused AddPatch", c.name, n)
+		}
+		if _, ok, _, err := p.GetFloor(0, []uint64{1}, 40); ok || err != nil {
+			t.Errorf("%s: GetFloor on an empty pyramid: %v, %v", c.name, ok, err)
+		}
+	}
 }

@@ -13,8 +13,8 @@ import (
 
 func seqOf(v uint64) tuple.Seq { return tuple.Seq(v) }
 
-// memSuffixMax bounds how many unsorted memtable facts Get will scan
-// linearly before forcing a (incremental) re-sort. Point lookups — the
+// memSuffixMax bounds how many unsorted memtable facts a point lookup will
+// scan linearly before forcing a (incremental) re-sort. Point lookups — the
 // dedup index is probed once per 512 B block of every write — would
 // otherwise pay a full memtable merge after every insert batch.
 const memSuffixMax = 64
@@ -32,236 +32,198 @@ func rowBuf(buf []uint64, n int) []uint64 {
 	return make([]uint64, n)
 }
 
-// Get returns the newest non-elided fact with exactly this key. Patches
-// hold disjoint, ordered sequence ranges, so the first source (memtable,
-// then patches newest-first) containing the key holds its newest version.
-// A patch whose key filter rules the key out is skipped without a page
-// open. Each patch's candidate is decoded into one scratch row; the result
-// is the winner's Clone.
+// direction is the key a point search lands on from its target key tk: the
+// greatest key ≤ tk, tk itself, or the least key ≥ tk. As a sign it is the
+// side of tk the key lies on: int(d)*CompareKeys(x, y) < 0 says x is nearer.
+type direction int
+
+const (
+	floor direction = -1
+	exact direction = 0
+	ceil  direction = 1
+)
+
+// Get returns the newest non-elided fact with exactly this key.
 func (p *Pyramid) Get(at sim.Time, key []uint64) (tuple.Fact, bool, sim.Time, error) {
-	k := p.cfg.Schema.KeyCols
-	done := at
-
-	// A reader's view is the memtable rows it needs, copied out under the
-	// lock (a later sort reuses the memtable's buffers) into a stack array
-	// of four (more spill to the heap), plus the patch list's header: the
-	// list is copy-on-write (installPatchLocked builds a fresh slice), so
-	// the header is the snapshot.
-	var versionBuf [4]tuple.Fact
-	p.mu.Lock()
-	if len(p.mem)-p.sortedLen > memSuffixMax {
-		p.sortMemLocked()
-	}
-	versions := p.memVersionsLocked(versionBuf[:0], key)
-	patches := p.patches
-	p.mu.Unlock()
-
-	for _, f := range versions {
-		if !p.elided(f) {
-			return f.Clone(), true, done, nil
-		}
-	}
-
-	var colBuf [stackCols]uint64
-	cols := rowBuf(colBuf[:], p.cfg.Schema.Cols)
-	h := keyHash(key, k)
-	for _, patch := range patches {
-		if !patch.filter.mayContain(h) {
-			continue
-		}
-		var f tuple.Fact
-		var found bool
-		var err error
-		if k == 1 {
-			f, found, done, err = p.getFromPatch1(done, patch, key[0], cols)
-		} else {
-			f, found, done, err = p.getFromPatch(done, patch, key, cols)
-		}
-		if err != nil {
-			return tuple.Fact{}, false, done, err
-		}
-		if found {
-			return f.Clone(), true, done, nil
-		}
-	}
-	return tuple.Fact{}, false, done, nil
+	return p.search(at, key, exact)
 }
 
-// memVersionsLocked appends the memtable's versions of key to dst, newest
-// first. The sorted prefix is binary-searched; facts inserted since the
-// last sort (a bounded suffix) are scanned linearly. The result is in (seq
-// desc, insertion asc) order — exactly the order a full stable sort would
-// produce: prefix facts were inserted before suffix facts and come first,
-// and the sort below is stable. Caller holds mu.
-func (p *Pyramid) memVersionsLocked(dst []tuple.Fact, key []uint64) []tuple.Fact {
+// GetFloor returns the newest fact whose key is prefix++[c] with the
+// largest c ≤ col — a floor lookup on the final key column within a fixed
+// prefix. The address map uses it to find the cblock covering a sector
+// (entries are keyed by starting sector) and the medium table to find the
+// range covering an offset.
+//
+// Elide predicates in this system range over key columns, so within one key
+// elision is monotone in sequence number: if a key's newest version is
+// elided, every version is. A key whose newest version is elided is
+// therefore dead, and GetFloor steps down to the next lower key.
+func (p *Pyramid) GetFloor(at sim.Time, prefix []uint64, col uint64) (tuple.Fact, bool, sim.Time, error) {
+	return p.searchPrefix(at, prefix, col, floor)
+}
+
+// GetCeil returns the newest non-elided fact whose key is prefix++[c] with
+// the smallest c ≥ col, stepping up past dead keys as GetFloor steps down.
+// The read path uses it to bound a gap — "how far until the next
+// address-map entry shadows the underlying medium".
+func (p *Pyramid) GetCeil(at sim.Time, prefix []uint64, col uint64) (tuple.Fact, bool, sim.Time, error) {
+	return p.searchPrefix(at, prefix, col, ceil)
+}
+
+func (p *Pyramid) searchPrefix(at sim.Time, prefix []uint64, col uint64, d direction) (tuple.Fact, bool, sim.Time, error) {
+	// Programmer-error guard, not data validation: prefixes are built by
+	// engine code from compiled-in schemas, never from on-disk or replayed
+	// bytes, so a mismatch here is a caller bug and panicking is correct.
+	// (Contrast Insert's SchemaError, which IS reachable from corrupt data.)
+	if len(prefix)+1 != p.cfg.Schema.KeyCols {
+		panic("pyramid: GetFloor and GetCeil take a prefix of all but the last key column")
+	}
+	var tkBuf [stackCols]uint64
+	return p.search(at, append(append(tkBuf[:0], prefix...), col), d)
+}
+
+// search is every point lookup: the memtable and then the patches, newest
+// first, each asked for the newest version of the key d lands on from tk.
+// Exact skips, without a page open, a patch whose key filter rules tk out,
+// and stops at the first source holding a live version: patches hold
+// disjoint, ordered sequence ranges, so that one is the newest. Floor and
+// ceil take the nearest key over all sources, at its max-seq version; a key
+// outside tk's prefix is no answer, and a key whose newest version is
+// elided is dead, so the search steps past it and retries.
+//
+// The memtable rows are copied out under the lock (a later sort reuses the
+// memtable's buffers) into a stack array of four (more spill to the heap),
+// with the patch list's header: the list is copy-on-write, so the header is
+// the snapshot. Each patch's candidate is decoded into cand; one that wins
+// is copied into bestCols, since the next patch decodes over cand.
+func (p *Pyramid) search(at sim.Time, tk []uint64, d direction) (tuple.Fact, bool, sim.Time, error) {
+	k := p.cfg.Schema.KeyCols
+	done := at
+	h := keyHash(tk, k) // for exact's filter probes
+	var versionBuf [4]tuple.Fact
+	var candBuf, bestBuf [stackCols]uint64
+	cand := rowBuf(candBuf[:], p.cfg.Schema.Cols)
+	bestCols := rowBuf(bestBuf[:], p.cfg.Schema.Cols)
+	for {
+		p.mu.Lock()
+		if len(p.mem)-p.sortedLen > memSuffixMax {
+			p.sortMemLocked()
+		}
+		versions := p.memRunLocked(versionBuf[:0], tk, d)
+		patches := p.patches
+		p.mu.Unlock()
+
+		var best tuple.Fact
+		found := false
+		for _, f := range versions {
+			if d != exact || !p.elided(f) {
+				best, found = f, true
+				break
+			}
+		}
+		s := patchSource{p: p}
+		for _, patch := range patches {
+			if found && d == exact {
+				break
+			}
+			if d == exact && !patch.filter.mayContain(h) {
+				continue
+			}
+			s.patch = patch
+			f, ok, dn, err := s.find(done, tk, d, cand)
+			done = dn
+			if err != nil {
+				return tuple.Fact{}, false, done, err
+			}
+			if !ok {
+				continue
+			}
+			if found {
+				if c := int(d) * tuple.CompareKeys(f.Cols, best.Cols, k); c > 0 || (c == 0 && f.Seq <= best.Seq) {
+					continue
+				}
+			}
+			copy(bestCols, f.Cols)
+			best, found = tuple.Fact{Seq: f.Seq, Cols: bestCols, Blob: f.Blob}, true
+		}
+		if !found || tuple.CompareKeys(best.Cols, tk, k-1) != 0 {
+			return tuple.Fact{}, false, done, nil
+		}
+		if d == exact || !p.elided(best) {
+			return best.Clone(), true, done, nil
+		}
+		// Dead key: step past it (d is ±1) and retry.
+		c := best.Cols[k-1]
+		if d == floor && c == 0 || d == ceil && c == ^uint64(0) {
+			return tuple.Fact{}, false, done, nil
+		}
+		tk[k-1] = c + uint64(d)
+	}
+}
+
+// memRunLocked appends to dst the memtable's versions of the key d lands on
+// from tk: for exact all of them, newest first, and for floor and ceil only
+// the newest. The sorted prefix is binary-searched and the unsorted suffix,
+// which the caller has bounded by memSuffixMax, is scanned. The order is
+// (seq desc, insertion asc), as a full stable sort would give: prefix facts
+// were inserted before suffix facts, and the sort below is stable. Caller
+// holds mu.
+func (p *Pyramid) memRunLocked(dst []tuple.Fact, tk []uint64, d direction) []tuple.Fact {
 	k := p.cfg.Schema.KeyCols
 	prefix, suffix := p.mem[:p.sortedLen], p.mem[p.sortedLen:]
-	out := dst
-	if k == 1 {
-		// Single-column keys (the dedup index) take a hand-rolled search:
-		// no closure, no generic key compare.
-		key0 := key[0]
-		lo, hi := 0, len(prefix)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if prefix[mid].Cols[0] < key0 {
-				lo = mid + 1
-			} else {
-				hi = mid
+	i := sort.Search(len(prefix), func(i int) bool { return tuple.CompareKeys(prefix[i].Cols, tk, k) >= 0 })
+	land := tk
+	if d != exact {
+		// The prefix's ceiling is row i, and so is its floor if row i is
+		// tk; otherwise the floor is the run ending at row i-1. A nearer
+		// key in the suffix overrides it.
+		land = nil
+		if d == floor && (i == len(prefix) || tuple.CompareKeys(prefix[i].Cols, tk, k) != 0) {
+			for i--; i > 0 && tuple.CompareKeys(prefix[i-1].Cols, prefix[i].Cols, k) == 0; i-- {
 			}
 		}
-		for ; lo < len(prefix) && prefix[lo].Cols[0] == key0; lo++ {
-			out = append(out, prefix[lo])
+		if i >= 0 && i < len(prefix) {
+			land = prefix[i].Cols
 		}
 		for _, f := range suffix {
-			if f.Cols[0] == key0 {
-				out = append(out, f)
+			if int(d)*tuple.CompareKeys(f.Cols, tk, k) >= 0 && (land == nil || int(d)*tuple.CompareKeys(f.Cols, land, k) < 0) {
+				land = f.Cols
 			}
 		}
-	} else {
-		i := sort.Search(len(prefix), func(i int) bool {
-			return tuple.CompareKeys(prefix[i].Cols, key, k) >= 0
-		})
-		for ; i < len(prefix) && tuple.CompareKeys(prefix[i].Cols, key, k) == 0; i++ {
-			out = append(out, prefix[i])
-		}
-		for _, f := range suffix {
-			if tuple.CompareKeys(f.Cols, key, k) == 0 {
-				out = append(out, f)
-			}
+		if land == nil {
+			return dst
 		}
 	}
-	if len(out) > 1 {
-		slices.SortStableFunc(out, func(a, b tuple.Fact) int { return cmp.Compare(b.Seq, a.Seq) })
+	for i = max(i, 0); i < len(prefix) && (d == exact || len(dst) == 0) && tuple.CompareKeys(prefix[i].Cols, land, k) == 0; i++ {
+		dst = append(dst, prefix[i])
 	}
-	return out
-}
-
-// getFromPatch1 is getFromPatch specialized for single-column keys — the
-// dedup index's shape, probed once per 512 B block of every write. Same
-// result, same page-open sequence (so identical simulated time), but
-// straight uint64 compares against the page's decoded key cache.
-func (p *Pyramid) getFromPatch1(at sim.Time, patch *Patch, key0 uint64, cols []uint64) (tuple.Fact, bool, sim.Time, error) {
-	done := at
-	pages := patch.Pages
-	lo, hi := 0, len(pages)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pages[mid].KeyMin[0] <= key0 {
-			lo = mid + 1
-		} else {
-			hi = mid
+	for j := range suffix {
+		f := &suffix[j]
+		switch {
+		case f.Cols[0] != land[0] || tuple.CompareKeys(f.Cols, land, k) != 0:
+			// Not land's: column 0 alone tells most facts apart.
+		case d == exact || len(dst) == 0:
+			dst = append(dst, *f)
+		case f.Seq > dst[0].Seq:
+			dst[0] = *f
 		}
 	}
-	for pi := lo - 1; pi >= 0 && pi < len(pages); pi++ {
-		if pages[pi].KeyMin[0] > key0 {
-			break
-		}
-		pg, d, err := p.openPage(done, pages[pi].Ref)
-		done = d
-		if err != nil {
-			return tuple.Fact{}, false, done, err
-		}
-		keys := pg.Keys()
-		rlo, rhi := 0, len(keys)
-		for rlo < rhi {
-			mid := int(uint(rlo+rhi) >> 1)
-			if keys[mid] < key0 {
-				rlo = mid + 1
-			} else {
-				rhi = mid
-			}
-		}
-		for ; rlo < len(keys); rlo++ {
-			if keys[rlo] != key0 {
-				return tuple.Fact{}, false, done, nil
-			}
-			f := pg.Row(rlo, cols)
-			if !p.elided(f) {
-				return f, true, done, nil
-			}
-		}
-		// Key versions may continue on the next page.
+	if len(dst) > 1 {
+		slices.SortStableFunc(dst, func(a, b tuple.Fact) int { return cmp.Compare(b.Seq, a.Seq) })
 	}
-	return tuple.Fact{}, false, done, nil
+	return dst
 }
 
-// getFromPatch searches one patch for the newest non-elided version of key,
-// decoding candidates into cols; the fact it returns is borrowed from cols
-// and the page.
-func (p *Pyramid) getFromPatch(at sim.Time, patch *Patch, key []uint64, cols []uint64) (tuple.Fact, bool, sim.Time, error) {
-	k := p.cfg.Schema.KeyCols
-	done := at
-	// Last page whose KeyMin ≤ key; versions of a key may spill into
-	// following pages whose KeyMin equals the key.
-	pi := sort.Search(len(patch.Pages), func(i int) bool {
-		return tuple.CompareKeys(patch.Pages[i].KeyMin, key, k) > 0
-	}) - 1
-	if pi < 0 {
-		return tuple.Fact{}, false, done, nil
-	}
-	for ; pi < len(patch.Pages); pi++ {
-		if tuple.CompareKeys(patch.Pages[pi].KeyMin, key, k) > 0 {
-			break
-		}
-		pg, d, err := p.openPage(done, patch.Pages[pi].Ref)
-		done = d
-		if err != nil {
-			return tuple.Fact{}, false, done, err
-		}
-		keys := pg.Keys()
-		for ri := pg.FirstGE(key); ri < pg.RowCount(); ri++ {
-			if tuple.CompareKeys(keys[ri*k:], key, k) != 0 {
-				return tuple.Fact{}, false, done, nil
-			}
-			f := pg.Row(ri, cols)
-			if !p.elided(f) {
-				return f, true, done, nil
-			}
-		}
-		// Key versions may continue on the next page.
-	}
-	return tuple.Fact{}, false, done, nil
-}
+// --- The patch cursor and merged scans ----------------------------------
 
-// --- Merged scans -------------------------------------------------------
-
-// factSource is what both sorted streams (key asc, seq desc) offer. Visit
-// and mergePatches call memSource and patchSource directly: an interface
-// value holding a pointer to Visit's local memSource would move it to the
-// heap. The reference scan in the tests merges through it.
-type factSource interface {
-	// peek returns the current fact without consuming it.
-	peek() (tuple.Fact, bool)
-	// advance consumes the current fact; it may read pages (returns the
-	// updated completion time).
-	advance(at sim.Time) (sim.Time, error)
-}
-
-type memSource struct {
-	facts []tuple.Fact
-	pos   int
-}
-
-func (s *memSource) peek() (tuple.Fact, bool) {
-	if s.pos >= len(s.facts) {
-		return tuple.Fact{}, false
-	}
-	return s.facts[s.pos], true
-}
-
-func (s *memSource) advance(at sim.Time) (sim.Time, error) {
-	s.pos++
-	return at, nil
-}
-
-// patchSource streams one patch. It opens pages through the cache, in order,
-// as the stream reaches them: the page-open sequence is all the device model
-// sees of a scan (DESIGN.md "Read path"), so a seek changes what is decoded,
-// never what is opened. A stream bounded by hi decodes one row at a time,
-// into its cols buffer, and ends at the first key above hi; an unbounded one
-// (hi nil: recovery, census and listing scans, merges) will read every row
-// and decodes pages whole.
+// patchSource is the one cursor over a patch: Visit and merges step it
+// forward, and a point lookup positions it at one key (find). It opens pages
+// through the cache, in order, as the stream reaches them: the page-open
+// sequence is all the device model sees of a lookup (DESIGN.md "Read path"),
+// so a seek changes what is decoded, never what is opened. A stream bounded
+// by hi decodes one row at a time, into its cols buffer, and ends at the
+// first key above hi; an unbounded one (hi nil: recovery, census and listing
+// scans, merges) will read every row and decodes pages whole.
 type patchSource struct {
 	p     *Pyramid
 	patch *Patch
@@ -325,6 +287,55 @@ func (s *patchSource) seek(at sim.Time, lo []uint64) (sim.Time, error) {
 		}
 	}
 	return at, nil
+}
+
+// find positions the stream afresh at tk for a point search in direction d
+// and returns the newest version of the key it lands on, decoded into cols
+// (for exact, tk's newest non-elided version). It opens the last page whose
+// KeyMin ≤ tk — page 0, for a ceiling, when there is none — and lands on
+// the page's first row ≥ tk; only a ceiling reads on into the next page,
+// and only when that row is past the page's end. writePatch never splits a
+// key's versions across pages and KeyMin is a page's first row, so the key
+// found has its whole run in the open page.
+func (s *patchSource) find(at sim.Time, tk []uint64, d direction, cols []uint64) (tuple.Fact, bool, sim.Time, error) {
+	k, pages := s.p.cfg.Schema.KeyCols, s.patch.Pages
+	pi := sort.Search(len(pages), func(i int) bool { return tuple.CompareKeys(pages[i].KeyMin, tk, k) > 0 }) - 1
+	if pi < 0 && d == ceil && len(pages) > 0 {
+		pi = 0 // every key here is above tk
+	}
+	if pi < 0 {
+		return tuple.Fact{}, false, at, nil
+	}
+	pg, at, err := s.p.openPage(at, pages[pi].Ref)
+	if err != nil {
+		return tuple.Fact{}, false, at, err
+	}
+	s.pageIdx, s.pg, s.pos, s.eof = pi, pg, pg.FirstGE(tk), false
+	ri, n := s.pos, pg.RowCount()
+	if d == ceil && ri == n {
+		if at, err = s.settle(at); err != nil || s.eof {
+			return tuple.Fact{}, false, at, err
+		}
+		pg, ri, n = s.pg, s.pos, s.pg.RowCount()
+	}
+	keys := pg.Keys()
+	switch {
+	case d == exact:
+		for ; ri < n && tuple.CompareKeys(keys[ri*k:], tk, k) == 0; ri++ {
+			if f := pg.Row(ri, cols); !s.p.elided(f) {
+				return f, true, at, nil
+			}
+		}
+		return tuple.Fact{}, false, at, nil
+	case d == floor && (ri == n || tuple.CompareKeys(keys[ri*k:], tk, k) != 0):
+		// The floor is the row before: back to the start of its run.
+		if ri == 0 {
+			return tuple.Fact{}, false, at, nil
+		}
+		for ri--; ri > 0 && tuple.CompareKeys(keys[(ri-1)*k:], keys[ri*k:], k) == 0; ri-- {
+		}
+	}
+	return pg.Row(ri, cols), true, at, nil
 }
 
 func (s *patchSource) peek() (tuple.Fact, bool) {
@@ -430,7 +441,7 @@ func (p *Pyramid) Visit(at sim.Time, loKey, hiKey []uint64, allVersions bool, fn
 	// The patch list is copy-on-write: the header is the snapshot.
 	patches := p.patches
 	p.mu.Unlock()
-	mem := memSource{facts: sc.mem}
+	mem := sc.mem // the window's facts not yet taken
 
 	// Bounded streams stop at a copy of hiKey and decode rows one at a
 	// time, each into its own buffer; unbounded ones decode whole pages.
@@ -468,7 +479,10 @@ func (p *Pyramid) Visit(at sim.Time, loKey, hiKey []uint64, allVersions bool, fn
 	for {
 		// Choose the least (key asc, seq desc) fact: the memtable's, then
 		// each patch's, newest first; a tie keeps the earlier source.
-		bestFact, ok := mem.peek()
+		bestFact, ok := tuple.Fact{}, len(mem) > 0
+		if ok {
+			bestFact = mem[0]
+		}
 		best := -1 // the memtable
 		for i := range streams {
 			f, more := streams[i].peek()
@@ -482,7 +496,7 @@ func (p *Pyramid) Visit(at sim.Time, loKey, hiKey []uint64, allVersions bool, fn
 		// advance only moves the stream: a bounded stream decodes its next
 		// row on the next peek, so bestFact's buffer holds until then.
 		if best < 0 {
-			mem.pos++
+			mem = mem[1:]
 		} else {
 			var err error
 			if done, err = streams[best].advance(done); err != nil {

@@ -65,11 +65,14 @@ type Patch struct {
 	filter keyFilter
 }
 
-// Pyramid is one LSM index. Readers (Get, GetFloor, GetCeil, Visit, Scan,
-// ScanVersions) are safe to run concurrently with each other and with a
-// mutator. A reader holds mu only to copy out the memtable rows it needs
-// (sorting the memtable first if it must, so it takes mu exclusively) and
-// the patch list's header; the list is copy-on-write and every patch, its
+// Pyramid is one LSM index. Its levels are the memtable and the patches,
+// newest first. Get, GetFloor and GetCeil are one directed search over
+// them (search: memRunLocked on the memtable, patchSource.find on each
+// patch); Visit, which Scan and ScanVersions wrap, and merges step the same
+// patch cursor forward. The readers (the three lookups and the scans) are
+// safe to run concurrently with each other and with a mutator. A reader holds mu only to copy out the memtable rows it
+// needs (sorting the memtable first if it must, so it takes mu exclusively)
+// and the patch list's header; the list is copy-on-write and every patch, its
 // key filter included, is immutable once installed, so the pages are read
 // without the lock and a merge never blocks a reader (§4.8: "everything
 // below the top level... lock-free"). Mutators (Insert, Flush, MergeStep,
@@ -326,9 +329,10 @@ func (p *Pyramid) writePatch(at sim.Time, sorted []tuple.Fact, seqLo, seqHi tupl
 		if end > len(sorted) {
 			end = len(sorted)
 		}
-		// Never split the versions of one key across pages: the newest
-		// version of any key is then always the first row of its run in a
-		// single page, which Get and GetFloor rely on.
+		// Never split the versions of one key across pages: the whole run
+		// of any key, newest version first, is then in a single page, so
+		// the point search (patchSource.find) opens one page per patch,
+		// and a ceiling at most two.
 		for end < len(sorted) && tuple.CompareKeys(sorted[end].Cols, sorted[end-1].Cols, k) == 0 {
 			end++
 		}
@@ -369,14 +373,29 @@ func (p *Pyramid) writePatch(at sim.Time, sorted []tuple.Fact, seqLo, seqHi tupl
 // AddPatch installs a patch discovered during recovery. It is idempotent:
 // a patch whose sequence range is already covered is dropped, and a patch
 // covering existing patches replaces them (a merged patch rediscovered
-// alongside its inputs).
-func (p *Pyramid) AddPatch(patch *Patch) {
+// alongside its inputs). A descriptor read back from the drives is checked
+// first: every page's KeyMin must have the schema's key columns, and the
+// KeyMins must ascend strictly, as every lookup's binary search assumes;
+// a patch that breaks either is refused and nothing is installed.
+func (p *Pyramid) AddPatch(patch *Patch) error {
+	k := p.cfg.Schema.KeyCols
+	for i, pm := range patch.Pages {
+		if len(pm.KeyMin) != k {
+			return fmt.Errorf("pyramid %s: patch [%d,%d] page %d: first key has %d columns, schema has %d key columns",
+				p.cfg.Name, patch.SeqLo, patch.SeqHi, i, len(pm.KeyMin), k)
+		}
+		if i > 0 && tuple.CompareKeys(patch.Pages[i-1].KeyMin, pm.KeyMin, k) >= 0 {
+			return fmt.Errorf("pyramid %s: patch [%d,%d] page %d: first key %v does not ascend from page %d's %v",
+				p.cfg.Name, patch.SeqLo, patch.SeqHi, i, pm.KeyMin, i-1, patch.Pages[i-1].KeyMin)
+		}
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.installPatchLocked(patch)
 	if patch.SeqHi > p.flushedThrough {
 		p.flushedThrough = patch.SeqHi
 	}
+	return nil
 }
 
 // installPatchLocked adds a patch maintaining SeqHi-descending order and
