@@ -145,16 +145,13 @@ func main() {
 	fmt.Printf("write latency: %s\n", st.WriteLatency.Summary())
 	fmt.Printf("read latency:  %s\n", st.ReadLatency.Summary())
 
-	lt := arr.LaneTelemetry()
 	fmt.Println("\n=== commit lanes ===")
-	fmt.Printf("%-6s %-8s %-12s %-14s %-12s %-13s %s\n",
-		"LANE", "commits", "batches led", "batch records", "queue waits", "interleaves", "rotations")
-	for _, ls := range lt.Lanes {
-		fmt.Printf("%-6d %-8d %-12d %-14d %-12d %-13d %d\n",
-			ls.Lane, ls.Commits, ls.BatchesLed, ls.BatchRecords,
-			ls.QueueWaits, ls.SeqInterleaves, ls.Rotations)
+	fmt.Printf("%-6s %-8s %-12s %-13s %s\n",
+		"LANE", "commits", "queue waits", "interleaves", "rotations")
+	for _, ls := range arr.LaneTelemetry().Lanes {
+		fmt.Printf("%-6d %-8d %-12d %-13d %d\n",
+			ls.Lane, ls.Commits, ls.QueueWaits, ls.SeqInterleaves, ls.Rotations)
 	}
-	fmt.Printf("max committer queue depth: %d\n", lt.MaxQueueDepth)
 }
 
 // inspectHealth runs the drive-failure lifecycle — latent corruption,

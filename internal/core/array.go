@@ -115,10 +115,14 @@ type Array struct {
 	// openSeg.mu → rdMu.
 	world sync.RWMutex
 	// lanes are the commit shards (Config.CommitLanes of them, at least
-	// one); committer is the batching NVRAM commit point of every record —
-	// lane writes' and the world-exclusive ops' facts records alike.
-	lanes     []*commitLane
-	committer *nvCommitter
+	// one).
+	lanes []*commitLane
+	// nvAppendMu is held across each record's NVRAM append (nvramAppend) —
+	// lane writes' and the world-exclusive ops' facts records alike — so
+	// every mirror sees one record order. It is taken last: only the
+	// storage leaves (the NVRAM devices, the shelf, the crashpoint
+	// registry) are locked under it.
+	nvAppendMu sync.Mutex
 
 	seqs        *tuple.SeqSource
 	nextMedium  uint64
@@ -347,7 +351,6 @@ func newSkeleton(cfg Config, sh *shelf.Shelf) (*Array, error) {
 	for i := range a.lanes {
 		a.lanes[i] = newCommitLane(i, &a.slots[int(numClasses)+i])
 	}
-	a.committer = &nvCommitter{a: a}
 	for _, id := range []uint32{
 		relation.IDMediums, relation.IDAddrs, relation.IDDedup,
 		relation.IDSegments, relation.IDSegmentAUs, relation.IDVolumes, relation.IDElide,

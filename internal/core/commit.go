@@ -130,13 +130,34 @@ func decodeWriteRecord(b []byte) ([]writeChunk, error) {
 	return chunks, nil
 }
 
+// nvramAppend appends one record durably to all surviving NVRAM mirrors —
+// the commit point of every op — one record at a time under nvAppendMu, so
+// every mirror holds the records in the same order (replay trusts the
+// surviving device with the longest log, which is only safe if the logs
+// agree). ln is the lane a write's wait is counted on: a lane commit that
+// finds another append in progress counts a queue wait. An exclusive
+// record (commitExclusiveLocked) passes nil. The mutex is released on the
+// straight line, not deferred: a crashpoint panic inside the append leaves
+// later appends blocked, so no record lands after a simulated power loss.
+func (a *Array) nvramAppend(at sim.Time, ln *commitLane, rec []byte) (sim.Time, error) {
+	if !a.nvAppendMu.TryLock() {
+		if ln != nil {
+			ln.queueWaits.Inc()
+		}
+		a.nvAppendMu.Lock()
+	}
+	done, err := a.nvramAppendOnce(at, rec)
+	a.nvAppendMu.Unlock()
+	return done, err
+}
+
 // nvramAppendOnce mirrors one record to the surviving NVRAM devices; the
 // record is durable when the slowest device finishes (§4.1's redundant
-// NVRAM). It is the one place a record reaches the mirrors, and the group
-// committer's drain loop is its one caller: one leader at a time, so every
-// mirror sees the same record order. A lane write's leader holds no lock
-// here (device I/O never blocks other lanes' placement work); an exclusive
-// ticket's leader holds world exclusively and mu (commitExclusiveLocked).
+// NVRAM). It is the one place a record reaches the mirrors, and
+// nvramAppend, holding nvAppendMu, is its one caller. A lane write holds
+// world shared here and no other lock (device I/O never blocks other
+// lanes' placement work); an exclusive record's caller holds world
+// exclusively and mu (commitExclusiveLocked).
 func (a *Array) nvramAppendOnce(at sim.Time, rec []byte) (sim.Time, error) {
 	done := at
 	// A crash here loses the record entirely: the op was never acked.
@@ -200,15 +221,15 @@ func (a *Array) commitFactsLocked(at sim.Time, relID uint32, facts []tuple.Fact)
 }
 
 // commitExclusiveLocked commits one record from a world-exclusive section;
-// its ticket leads an empty committer queue, as every lane commit holds
-// world shared until its own ticket is done. It is the one log-full
-// fallback: on a failed append it checkpoints and retries once. The
-// checkpoint trims the whole log, so if world can be read-locked (the
-// caller does not hold it exclusively; TryRLock also fails while a writer
-// waits, so this catches a wrong caller, it is not the lock) it returns the
-// error instead. Caller holds mu and the world lock exclusively.
+// it finds nvAppendMu free, as every lane commit holds world shared until
+// its own append is done. It is the one log-full fallback: on a failed
+// append it checkpoints and retries once. The checkpoint trims the whole
+// log, so if world can be read-locked (the caller does not hold it
+// exclusively; TryRLock also fails while a writer waits, so this catches a
+// wrong caller, it is not the lock) it returns the error instead. Caller
+// holds mu and the world lock exclusively.
 func (a *Array) commitExclusiveLocked(at sim.Time, rec []byte) (sim.Time, error) {
-	done, err := a.committer.commit(at, nil, rec)
+	done, err := a.nvramAppend(at, nil, rec)
 	if err == nil {
 		return done, nil
 	}
@@ -219,7 +240,7 @@ func (a *Array) commitExclusiveLocked(at sim.Time, rec []byte) (sim.Time, error)
 	if done, err = a.checkpointLocked(done); err != nil {
 		return done, err
 	}
-	return a.committer.commit(done, nil, rec)
+	return a.nvramAppend(done, nil, rec)
 }
 
 // applyFactsLocked inserts facts into a pyramid, materializing elide

@@ -55,8 +55,8 @@ type Config struct {
 
 	// CommitLanes shards the commit path: writes route to one of N lanes
 	// by volume, each lane with its own mutex and open data segment, all
-	// lanes sharing the single atomic SeqSource and a batching NVRAM
-	// committer (§3.2's logical monotonicity is what makes this safe —
+	// lanes sharing the single atomic SeqSource and one NVRAM append at a
+	// time (§3.2's logical monotonicity is what makes this safe —
 	// facts are commutative, so lanes only synchronize on sequence
 	// allocation and the durability commit point). ≤ 1 means one lane: the
 	// same path with every volume routed to it.

@@ -638,7 +638,7 @@ func CrashCensus(opts SweepOptions) (map[string]int, error) {
 		return nil, fmt.Errorf("census workload (seed %d): %w", opts.Seed, err)
 	}
 	census := reg.Counts()
-	// The window between a write's group commit and its apply: every write
+	// The window between a write's NVRAM append and its apply: every write
 	// passes it, at every lane count.
 	if census["lane.apply.before"] == 0 {
 		return nil, fmt.Errorf("census (seed %d, lanes %d): lane.apply.before never hit — the workload is not running the commit path", opts.Seed, opts.Lanes)
@@ -684,7 +684,7 @@ func RunCrashCase(opts SweepOptions, point string, hit int) error {
 	if !crashed {
 		return fail("armed point never fired (census drift?)")
 	}
-	// The one point between a write's group commit and its apply: the
+	// The one point between a write's NVRAM append and its apply: the
 	// record is in NVRAM, so the write must survive although it never acked.
 	run.pending.durable = point == "lane.apply.before"
 

@@ -441,12 +441,12 @@ func nvramPressureConcurrent(t *testing.T) {
 	if factsCkpts == 0 {
 		t.Fatal("no step's facts commit checkpointed: the full log never reached the log-full fallback")
 	}
-	var batched int64
+	var commits int64
 	for _, ls := range a.LaneTelemetry().Lanes {
-		batched += ls.BatchRecords
+		commits += ls.Commits
 	}
-	if batched != writers*writes {
-		t.Fatalf("lanes counted %d batch records, want one per write (%d): a facts record was counted on a lane", batched, writers*writes)
+	if commits != writers*writes {
+		t.Fatalf("lanes counted %d commits, want one commit per write (%d), counted on its lane", commits, writers*writes)
 	}
 
 	check := func(a *Array, when string) {
@@ -470,8 +470,8 @@ func nvramPressureConcurrent(t *testing.T) {
 	check(a2, "after recovery")
 }
 
-// fillLog appends empty facts records through the committer, as exclusive
-// tickets, until the NVRAM log is full: the next record of any size takes
+// fillLog appends empty facts records through nvramAppend, as exclusive
+// records, until the NVRAM log is full: the next record of any size takes
 // the log-full fallback. An empty record replays as nothing. No lane commit
 // may be in flight.
 func fillLog(t *testing.T, a *Array) {
@@ -480,7 +480,7 @@ func fillLog(t *testing.T, a *Array) {
 	a.world.Lock()
 	defer a.world.Unlock()
 	for {
-		_, err := a.committer.commit(0, nil, rec)
+		_, err := a.nvramAppend(0, nil, rec)
 		if errors.Is(err, nvram.ErrFull) {
 			return
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"purity/internal/cblock"
 	"purity/internal/dedup"
@@ -19,19 +18,21 @@ import (
 // Each write routes to one of Config.CommitLanes lanes by volume; the lane
 // places literal cblocks into its own open data segment (under the lane
 // mutex only, on the fast path), allocates sequence numbers from the
-// shared atomic SeqSource, and funnels its NVRAM record through a batching
-// committer — every record's one path to NVRAM — that preserves the
-// append-before-apply durability ordering the crash sweep checks. One lane
-// is simply the case where every volume routes to lane 0. The paper's
-// logical monotonicity is what makes this safe: facts are immutable and commutative (§3.2), so two writes' facts
-// interleave freely as long as each one's record is durable before its
-// pyramid apply, and replay remains a set union.
+// shared atomic SeqSource, and appends its NVRAM record through
+// nvramAppend — every record's one path to NVRAM, one append at a time —
+// before it applies, the durability ordering the crash sweep checks. One
+// lane is simply the case where every volume routes to lane 0. The paper's
+// logical monotonicity is what makes this safe: facts are immutable and
+// commutative (§3.2), so two writes' facts interleave freely as long as
+// each one's record is durable before its pyramid apply, and replay
+// remains a set union.
 //
 // Lock order: a.world (R or W) → a.mu → the slot mutex (declared at
-// openSeg). Lane commits hold the world lock in read mode for their whole
-// critical section; maintenance entry points (GC, scrub, rebuild,
-// checkpoint, volume mutations) take it in write mode, so when one runs, no
-// lane commit is in flight and its records find the committer idle.
+// openSeg); a.nvAppendMu is taken last and holds only the storage leaves.
+// Lane commits hold the world lock in read mode for their whole critical
+// section; maintenance entry points (GC, scrub, rebuild, checkpoint,
+// volume mutations) take it in write mode, so when one runs, no lane
+// commit is in flight and its records find the append mutex free.
 
 // commitLane is one shard of the commit path: the slot of its open data
 // segment and contention-observability counters (all atomic, readable
@@ -40,16 +41,13 @@ type commitLane struct {
 	id   int
 	slot *openSeg
 
-	// commits counts writes committed through this lane; batchesLed and
-	// batchRecords describe the NVRAM group commits this lane led;
-	// queueWaits counts commits that parked behind another lane's leader;
+	// commits counts writes committed through this lane; queueWaits
+	// counts commits that found another record's NVRAM append in progress;
 	// seqInterleaves counts commits whose sequence-number span contained
 	// another commit's allocations (allocator pressure — the shared
 	// SeqSource is wait-free, so interleaving, not stalling, is the
 	// observable). Segment seals due to fill are slot.rotations.
 	commits        *telemetry.Counter
-	batchesLed     *telemetry.Counter
-	batchRecords   *telemetry.Counter
 	queueWaits     *telemetry.Counter
 	seqInterleaves *telemetry.Counter
 }
@@ -59,8 +57,6 @@ func newCommitLane(id int, slot *openSeg) *commitLane {
 		id:             id,
 		slot:           slot,
 		commits:        telemetry.NewCounter(),
-		batchesLed:     telemetry.NewCounter(),
-		batchRecords:   telemetry.NewCounter(),
 		queueWaits:     telemetry.NewCounter(),
 		seqInterleaves: telemetry.NewCounter(),
 	}
@@ -71,74 +67,6 @@ func newCommitLane(id int, slot *openSeg) *commitLane {
 // maps to one lane, so a volume's commits keep their issue order.
 func (a *Array) laneFor(vol VolumeID) *commitLane {
 	return a.lanes[uint64(vol)%uint64(len(a.lanes))]
-}
-
-// --- Batching NVRAM committer -----------------------------------------
-
-// nvTicket is one record waiting for the group commit.
-type nvTicket struct {
-	rec  []byte
-	at   sim.Time
-	done chan struct{}
-	when sim.Time
-	err  error
-}
-
-// nvCommitter funnels every NVRAM append through a single leader at a
-// time, so the mirrors see every record in one total order (replay picks
-// the surviving device with the longest log — identical order on every
-// mirror is what makes that choice safe). The first arrival while no
-// leader is active becomes the leader and drains the queue in batches;
-// later arrivals enqueue and wait. A lane batch's device I/O runs with no
-// locks held, so lanes keep preparing and placing while it is in flight.
-type nvCommitter struct {
-	a        *Array
-	mu       sync.Mutex
-	queue    []*nvTicket
-	leading  bool
-	maxDepth int64
-}
-
-// commit appends one record durably to all surviving NVRAM mirrors,
-// batching with concurrent callers. It returns when this record is
-// durable — the commit point of every op. ln is the lane a write's batch is
-// counted on; an exclusive ticket (commitExclusiveLocked) passes nil.
-func (c *nvCommitter) commit(at sim.Time, ln *commitLane, rec []byte) (sim.Time, error) {
-	t := &nvTicket{rec: rec, at: at, done: make(chan struct{})}
-	c.mu.Lock()
-	c.queue = append(c.queue, t)
-	if depth := int64(len(c.queue)); depth > c.maxDepth {
-		c.maxDepth = depth
-	}
-	if c.leading {
-		c.mu.Unlock()
-		ln.queueWaits.Inc()
-		<-t.done
-		return t.when, t.err
-	}
-	c.leading = true
-	c.mu.Unlock()
-
-	for {
-		c.mu.Lock()
-		batch := c.queue
-		c.queue = nil
-		if len(batch) == 0 {
-			c.leading = false
-			c.mu.Unlock()
-			break
-		}
-		c.mu.Unlock()
-		if ln != nil {
-			ln.batchesLed.Inc()
-			ln.batchRecords.Add(int64(len(batch)))
-		}
-		for _, tk := range batch {
-			tk.when, tk.err = c.a.nvramAppendOnce(tk.at, tk.rec)
-			close(tk.done)
-		}
-	}
-	return t.when, t.err
 }
 
 // --- Lane commit path ---------------------------------------------------
@@ -200,11 +128,11 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 		ln.seqInterleaves.Inc()
 	}
 
-	// Commit point: the batched NVRAM append. Any error escalates to the
-	// exclusive path, which can checkpoint to free log space — safe to take
-	// the world lock there because we have fully released it here.
+	// Commit point: the NVRAM append. Any error escalates to the exclusive
+	// path, which can checkpoint to free log space — safe to take the world
+	// lock there because we have fully released it here.
 	sc.rec = appendWriteRecord(sc.rec[:0], w.chunks)
-	done2, err := a.committer.commit(done, ln, sc.rec)
+	done2, err := a.nvramAppend(done, ln, sc.rec)
 	if err != nil {
 		a.world.RUnlock()
 		done, err = a.laneCommitExclusive(done, ln, sc)
@@ -279,13 +207,13 @@ func (a *Array) laneApplyLocked(done sim.Time, w laneWrite) (sim.Time, error) {
 	return ackAt, nil
 }
 
-// laneCommitExclusive finishes the lane write in sc whose group commit
+// laneCommitExclusive finishes the lane write in sc whose NVRAM append
 // failed (typically ErrFull) through the log-full fallback,
-// commitExclusiveLocked.
-// Called with NO locks held; it takes the world lock exclusively. The write
-// is restamped first: an exclusive section since its placement may have
-// flushed newer facts, and a flush drops facts at or below a pyramid's
-// watermark as replays, so under its old seqs the write would be lost.
+// commitExclusiveLocked. Called with NO locks held; it takes the world
+// lock exclusively. The write is restamped first: an exclusive section
+// since its placement may have flushed newer facts, and a flush drops
+// facts at or below a pyramid's watermark as replays, so under its old
+// seqs the write would be lost.
 func (a *Array) laneCommitExclusive(done sim.Time, ln *commitLane, sc *writeScratch) (sim.Time, error) {
 	a.world.Lock()
 	a.mu.Lock()
@@ -493,38 +421,41 @@ func (a *Array) sealOpenLocked(at sim.Time) (sim.Time, error) {
 
 // LaneStat is one lane's counter snapshot.
 type LaneStat struct {
-	Lane           int
-	Commits        int64
-	BatchesLed     int64
+	Lane    int
+	Commits int64
+	// BatchesLed equals Commits: every record is its own NVRAM append. It
+	// is kept only because benchmark/ reads it.
+	BatchesLed int64
+	// BatchRecords equals Commits: every record is its own NVRAM append.
+	// It is kept only because benchmark/ reads it.
 	BatchRecords   int64
 	QueueWaits     int64
 	SeqInterleaves int64
 	Rotations      int64
 }
 
-// LaneStats is the commit-lane observability snapshot: per-lane counters
-// plus the committer's high-water queue depth.
+// LaneStats is the commit-lane observability snapshot.
 type LaneStats struct {
-	Lanes         []LaneStat
+	Lanes []LaneStat
+	// MaxQueueDepth is constant: it is always 1. It is kept only because
+	// benchmark/ reads it.
 	MaxQueueDepth int64
 }
 
 // LaneTelemetry snapshots the lane counters.
 func (a *Array) LaneTelemetry() LaneStats {
-	var out LaneStats
+	out := LaneStats{MaxQueueDepth: 1}
 	for _, ln := range a.lanes {
+		commits := ln.commits.Load()
 		out.Lanes = append(out.Lanes, LaneStat{
 			Lane:           ln.id,
-			Commits:        ln.commits.Load(),
-			BatchesLed:     ln.batchesLed.Load(),
-			BatchRecords:   ln.batchRecords.Load(),
+			Commits:        commits,
+			BatchesLed:     commits,
+			BatchRecords:   commits,
 			QueueWaits:     ln.queueWaits.Load(),
 			SeqInterleaves: ln.seqInterleaves.Load(),
 			Rotations:      ln.slot.rotations.Load(),
 		})
 	}
-	a.committer.mu.Lock()
-	out.MaxQueueDepth = a.committer.maxDepth
-	a.committer.mu.Unlock()
 	return out
 }

@@ -16,8 +16,8 @@ import (
 // recovered by OpenAt (which replays the NVRAM records), for a literal
 // write, a dedup hit with a literal remainder and a multi-extent write, at
 // lanes = 4 with compression on and off. The last case runs four writers
-// at once, so records wait in the group committer while other writes take
-// and return their scratch.
+// at once, so records wait for the NVRAM append mutex while other writes
+// take and return their scratch.
 func TestWriteAtKeepsNoCallerBuffer(t *testing.T) {
 	for _, compress := range []bool{true, false} {
 		t.Run(fmt.Sprintf("compression=%v", compress), func(t *testing.T) {

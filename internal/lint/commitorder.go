@@ -22,13 +22,11 @@ package lint
 //
 //   - mayCommit: some synchronous path through the callee reaches
 //     nvram.Device.Append. A call to a mayCommit function sets the bit.
-//     MAY is deliberate where the path logic wants MUST: the group
-//     committer's follower path never appends itself — it blocks until
-//     the leader's append covers its ticket — and error paths return
-//     before anything is applied, so demanding MUST would flag every
-//     group-commit call site. The residual coarseness (treating any
-//     append as covering any later apply, without matching records) is
-//     the usual class-granularity trade, same as lockorder's.
+//     MAY is deliberate where the path logic wants MUST: an append's
+//     error paths return before anything is applied, so demanding MUST
+//     would flag every commit call site. The residual coarseness
+//     (treating any append as covering any later apply, without matching
+//     records) is the usual class-granularity trade, same as lockorder's.
 //   - undominated: apply events reachable in the callee with the bit
 //     still false — the obligation that floats to call sites, so hoisting
 //     an apply helper above the commit call is caught at the caller.
@@ -41,7 +39,7 @@ package lint
 // recovery and replay bodies apply facts the log already holds, and
 // read-side code never commits — both stay silent rather than demanding
 // appends that would be wrong to add. The gate plus MUST-dominance is
-// exactly the revert test: hoist laneApplyLocked above the group-commit
+// exactly the revert test: hoist laneApplyLocked above the NVRAM-append
 // call and the bit is false at the apply, in a body that commits.
 
 import (

@@ -118,8 +118,8 @@ func TestLockOrderFixture(t *testing.T) { runFixture(t, "lockorder", []Rule{&Loc
 func TestCommitOrderFixture(t *testing.T) { runFixture(t, "commitorder", []Rule{&CommitOrder{}}) }
 
 // TestCommitOrderRevertFixture pins the lane-commit hoist hazard: if the
-// per-lane apply is ever moved above the group-commit append (the shape
-// this fixture reconstructs), the lint gate fails the build.
+// per-lane apply is ever moved above the NVRAM append (the shape this
+// fixture reconstructs), the lint gate fails the build.
 func TestCommitOrderRevertFixture(t *testing.T) {
 	runFixture(t, "commitorderrevert", []Rule{&CommitOrder{}})
 }

@@ -48,7 +48,9 @@ import (
 //
 // Joins are deliberately lossy toward silence: a mutex held on only some
 // incoming paths goes to lockSome, and no check fires on lockSome, so
-// every report is backed by a definite state on all paths reaching it.
+// every report is backed by a definite state on all paths reaching it. A
+// TryLock that is itself a branch condition holds its mutex on the edge
+// where it succeeded (Refine).
 // Nested RLocks collapse to one level (the lattice has no hold counter),
 // function literals are separate flow graphs with nothing held on entry,
 // and panic edges are exempt from exit obligations. Receivers are keyed by
@@ -260,7 +262,37 @@ func (p *lockProblem) reportf(pos token.Pos, format string, args ...any) {
 
 func (p *lockProblem) Entry() lockState { return maps.Clone(p.entry) }
 
-func (p *lockProblem) Refine(_ Edge, s lockState) lockState { return s }
+// Refine resolves a TryLock or TryRLock that is itself a branch condition
+// (possibly negated): on the edge where it succeeded, the mutex is held.
+// The failing edge keeps lockSome, as the state before the attempt is not
+// remembered; `if !mu.TryLock() { mu.Lock() }` is then held on both paths.
+func (p *lockProblem) Refine(e Edge, s lockState) lockState {
+	if e.Cond == nil || !condPolarity(e) {
+		return s
+	}
+	c := ast.Unparen(e.Cond)
+	if u, ok := c.(*ast.UnaryExpr); ok && u.Op == token.NOT {
+		c = ast.Unparen(u.X)
+	}
+	call, ok := c.(*ast.CallExpr)
+	if !ok {
+		return s
+	}
+	op, recv := syncCall(p.pkg, call)
+	mode := lockWrite
+	switch op {
+	case "TryLock":
+	case "TryRLock":
+		mode = lockRead
+	default:
+		return s
+	}
+	chain := exprKey(p.pkg.fset, recv)
+	if v := s[chain]; v.mode == lockSome && v.pos == call.Pos() {
+		return s.with(chain, lockVal{mode: mode, deferred: v.deferred, pos: v.pos})
+	}
+	return s
+}
 
 func (p *lockProblem) Join(a, b lockState) lockState {
 	out := lockState{}

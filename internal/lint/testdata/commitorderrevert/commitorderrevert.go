@@ -1,8 +1,8 @@
 // Package fixcommitorderrevert is the commitorder revert fixture: it
 // reconstructs the lane-commit hoist hazard — the per-lane apply step
-// moved above the group-commit append it must follow. The real lane path
-// (internal/core/lane.go) funnels a write's NVRAM record through a
-// batching committer and only then applies the facts to the pyramids; if
+// moved above the NVRAM append it must follow. The real lane path
+// (internal/core/lane.go) appends a write's NVRAM record through
+// nvramAppend and only then applies the facts to the pyramids; if
 // a refactor hoists the apply above the append call, a crash in the gap
 // applies state the log cannot replay. Both steps here live behind
 // helpers, so catching the reversal requires the interprocedural
@@ -22,7 +22,7 @@ type lane struct {
 	pyr *pyramid.Pyramid
 }
 
-// appendRecord is the group-commit step: the record becomes durable here.
+// appendRecord is the NVRAM commit step: the record becomes durable here.
 func appendRecord(ln *lane, at sim.Time, payload []byte) error {
 	_, _, err := ln.dev.Append(at, payload)
 	return err

@@ -53,6 +53,26 @@ func (g *guarded) BothPathsUnlock(fail bool) error {
 	return nil
 }
 
+// TryThenLock takes mu by TryLock or, failing that, by Lock: held on both
+// paths, so the single straight-line unlock is clean.
+func (g *guarded) TryThenLock() {
+	if !g.mu.TryLock() {
+		g.n++
+		g.mu.Lock()
+	}
+	g.n++
+	g.mu.Unlock()
+}
+
+// TryThenLockLeaks is the same acquisition with the unlock forgotten.
+func (g *guarded) TryThenLockLeaks() {
+	if !g.mu.TryLock() {
+		g.mu.Lock()
+	}
+	g.n++
+	return // want "still held"
+}
+
 // DoubleLock re-acquires a mutex this path already write-holds.
 func (g *guarded) DoubleLock() {
 	g.mu.Lock()
