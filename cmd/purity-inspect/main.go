@@ -142,6 +142,8 @@ func main() {
 		st.FlashStats.HostBytesWritten>>20, st.FlashStats.Erases, st.FlashStats.StalledReads, st.FlashStats.QueuedReads)
 	fmt.Printf("hedged reads=%d wins=%d busy-drive avoided=%d\n",
 		st.HedgedReads, st.HedgeWins, st.SegRead.BusyAvoided)
+	fmt.Printf("pyramid rows: flushed=%d merged=%d (%.2f merged per flushed)\n",
+		st.PyramidFlushRows, st.PyramidMergeRows, float64(st.PyramidMergeRows)/float64(max(st.PyramidFlushRows, 1)))
 	fmt.Printf("write latency: %s\n", st.WriteLatency.Summary())
 	fmt.Printf("read latency:  %s\n", st.ReadLatency.Summary())
 

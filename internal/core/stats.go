@@ -42,6 +42,11 @@ type StatsSnapshot struct {
 	FlashStats       ssd.Stats
 	NVRAMUsed        int64
 	NVRAMAppends     int64
+
+	// PyramidFlushRows and PyramidMergeRows sum, over the relations, the
+	// rows flushes wrote and the rows merges read (Pyramid.RowCounts).
+	PyramidFlushRows int64
+	PyramidMergeRows int64
 }
 
 // Stats returns a snapshot of the engine's counters. The histogram pointers
@@ -54,6 +59,12 @@ func (a *Array) Stats() StatsSnapshot {
 	a.rdMu.Lock()
 	counters := a.stats.Counters
 	a.rdMu.Unlock()
+	var flushRows, mergeRows int64
+	for _, p := range a.pyr {
+		f, m := p.RowCounts()
+		flushRows += f
+		mergeRows += m
+	}
 	return StatsSnapshot{
 		Counters:         counters,
 		Reduction:        a.stats.Reduction.Snapshot(),
@@ -70,6 +81,8 @@ func (a *Array) Stats() StatsSnapshot {
 		FlashStats:       a.shelf.AggregateStats(),
 		NVRAMUsed:        a.shelf.NVRAM(0).Used(),
 		NVRAMAppends:     a.shelf.NVRAM(0).Appends(),
+		PyramidFlushRows: flushRows,
+		PyramidMergeRows: mergeRows,
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"purity/internal/crashpoint"
 	"purity/internal/elide"
@@ -65,6 +66,10 @@ type Patch struct {
 	filter keyFilter
 }
 
+// unfiltered reports whether the patch holds rows but no key filter: it was
+// decoded from its descriptor, and every Get probes its pages.
+func (pt *Patch) unfiltered() bool { return pt.filter == nil && pt.Rows > 0 }
+
 // Pyramid is one LSM index. Its levels are the memtable and the patches,
 // newest first. Get, GetFloor and GetCeil are one directed search over
 // them (search: memRunLocked on the memtable, patchSource.find on each
@@ -93,6 +98,10 @@ type Pyramid struct {
 	flushedThrough tuple.Seq
 
 	cache *pageCache
+
+	// flushRows counts the rows Flush has handed to writePatch, and
+	// mergeRows the input rows merges have read (RowCounts).
+	flushRows, mergeRows atomic.Int64
 }
 
 // New creates an empty pyramid.
@@ -153,6 +162,13 @@ func (p *Pyramid) MemRows() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return len(p.mem)
+}
+
+// RowCounts returns the rows flushes have written and the rows merges have
+// read since New. Their ratio is how many times, on average, merges copy a
+// fact after its flush. Reading them touches no clock.
+func (p *Pyramid) RowCounts() (flushed, merged int64) {
+	return p.flushRows.Load(), p.mergeRows.Load()
 }
 
 // FlushedThrough returns the highest sequence number persisted to segments.
@@ -305,6 +321,7 @@ func (p *Pyramid) Flush(at sim.Time, persistedThrough tuple.Seq) (sim.Time, erro
 	if err != nil {
 		return done, err
 	}
+	p.flushRows.Add(int64(len(eligible)))
 
 	p.mu.Lock()
 	p.mem = retained
