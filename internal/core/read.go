@@ -236,7 +236,7 @@ func (a *Array) readCBlock(at sim.Time, seg, segOff uint64, physLen int) ([]byte
 	// Sealed-segment reads are WU-CRC-verified inside ReadRange. An open
 	// segment serves its unflushed stripe from memory (Writer.ReadPending)
 	// and its flushed stripes from the drives through readShardRange's
-	// unverified branch, with no CRC (an open gap in ROADMAP.md); Unpack
+	// unchecked range read, with no CRC (an open gap in ROADMAP.md); Unpack
 	// fails closed with the error counted.
 	sectors, err = cblock.Unpack(frame)
 	if err != nil {

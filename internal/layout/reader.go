@@ -24,7 +24,7 @@ var ErrBusyPeers = errors.New("layout: too few idle peers to reconstruct around 
 // paper's ≈1.3× read-cost model for write-heavy workloads) and the
 // fault-tolerance telemetry.
 type ReadStats struct {
-	DirectShardReads   int64 // shard ranges read (and verified) from their home drive
+	DirectShardReads   int64 // shard ranges served by their home drive (CRC-checked when the trailer has a CRC)
 	ReconstructedReads int64 // shard ranges rebuilt from peers
 	ShardBytesRead     int64 // total bytes moved from drives
 	BusyAvoided        int64 // reconstructions triggered by the busy-drive policy
@@ -68,11 +68,13 @@ const (
 
 // Reader serves segment-logical reads, reconstructing from parity when a
 // drive is failed, corrupt, or — in ReadAvoidBusy mode — busy programming
-// or erasing. Every write unit served from a sealed segment
-// is additionally checked against the CRCs in the AU trailer (§5.1's
-// end-to-end integrity discipline, at the cost of a full write-unit read per
-// shard access), so silently flipped bits are detected, reconstructed
-// around, and repaired in place.
+// or erasing. Every shard access is one readShardRange. When the segment's
+// AU trailer gives the write unit a CRC, the unit is read whole and checked
+// (§5.1's end-to-end integrity discipline, at the cost of a full write-unit
+// read per shard access), so silently flipped bits are detected,
+// reconstructed around, and repaired in place. Without one — an open
+// segment's flushed stripes, or a sealed segment whose trailers cannot be
+// read — only the caller's range is read, unchecked.
 type Reader struct {
 	cfg    Config
 	drives []*ssd.Device
@@ -231,164 +233,138 @@ func (r *Reader) readWithinStripe(at sim.Time, info SegmentInfo, s int, within i
 }
 
 // readShardRange reads [shardOff, shardOff+len(dst)) of the write unit that
-// slot holds in stripe s, reconstructing if the home drive is unavailable.
-// Sealed segments take the verified path when a trailer is readable;
-// everything else (unsealed segments, trailer loss) uses the unverified
-// range path.
+// slot holds in stripe s. It is the one shard read, in two sizes. When the
+// segment is sealed and its trailer gives the unit a CRC, the home read
+// moves the whole unit into pooled scratch and checks it (§5.1), starting
+// when the trailer lookup does; any other read moves only the range,
+// unchecked, straight into dst. Either way the same rules follow: leave home
+// (leaveHome, asked about the bytes the home read would move) or read it,
+// reconstruct when home is not read or fails, make one last home read when
+// the reconstruction fails, copy out, and repair a damaged checked unit.
 func (r *Reader) readShardRange(at sim.Time, info SegmentInfo, s, slot int, shardOff int64, dst []byte, mode ReadMode, stats *ReadStats) (sim.Time, error) {
+	var crcRow []uint32
 	if info.Sealed {
-		crcs, tAt := r.segmentCRCs(at, info)
-		if s < len(crcs) && slot < len(crcs[s]) {
-			return r.readShardVerified(tAt, info, s, slot, shardOff, dst, mode, crcs[s][slot], stats)
+		if crcs, tAt := r.segmentCRCs(at, info); s < len(crcs) && slot < len(crcs[s]) {
+			crcRow, at = crcs[s], tAt
 		}
 	}
-
+	// buf is what the home read, the reconstruction and the home retry each
+	// fill in turn, at [off, off+len(buf)) of the unit; each is done with
+	// the previous one's bytes.
+	off, buf := shardOff, dst
+	if crcRow != nil {
+		scratch := r.takeWU()
+		defer r.putWU(scratch)
+		off, buf = 0, *scratch
+	}
 	au := info.AUs[slot]
 	drive := r.drives[au.Drive]
-	devOff := au.Offset(r.cfg) + int64(s)*int64(r.cfg.WriteUnit) + shardOff
+	devOff := au.Offset(r.cfg) + int64(s)*int64(r.cfg.WriteUnit) + off
 
-	leave := r.leaveHome(at, info, s, slot, shardOff, len(dst), mode)
+	leave := r.leaveHome(at, info, s, slot, off, len(buf), mode)
 	if mode == ReadAroundHome && !leave {
 		return at, ErrBusyPeers
 	}
-	busy := leave && mode == ReadAvoidBusy
 	lost := r.isLost(info.ID, slot)
+	damaged := false
 	if !lost && !leave && !drive.Failed() {
-		if done, ok := readHome(at, drive, dst, devOff, stats); ok {
+		if done, ok := readHome(at, drive, buf, devOff, crcRow, slot, stats); ok {
+			copy(dst, buf[shardOff-off:]) // no copy when buf is dst
 			return done, nil
 		}
+		damaged = true
 	}
-	if busy {
+	if leave && mode == ReadAvoidBusy {
 		stats.BusyAvoided++
 	}
-	done, err := r.reconstructShardRange(at, info, s, slot, shardOff, dst, stats)
-	if err != nil && mode != ReadAroundHome && !lost && !drive.Failed() {
-		// Reconstruction impossible (too many peers failed or busy) but the
-		// home drive is merely slow: queue behind its program and read it.
-		stats.HomeRetries++
-		if d2, ok := readHome(at, drive, dst, devOff, stats); ok {
-			return d2, nil
-		}
-	}
-	return done, err
-}
-
-// readHome reads dst's range straight from the home drive, unverified, and
-// counts the outcome.
-func readHome(at sim.Time, drive *ssd.Device, dst []byte, devOff int64, stats *ReadStats) (sim.Time, bool) {
-	done, err := drive.ReadAt(at, dst, devOff)
-	if err != nil {
-		stats.HomeReadErrors++
-		return done, false
-	}
-	stats.DirectShardReads++
-	stats.ShardBytesRead += int64(len(dst))
-	return done, true
-}
-
-// readShardVerified serves a shard range of a sealed segment with
-// end-to-end integrity: the home write unit is read whole and checked
-// against wantCRC from the AU trailer. A mismatch (bit rot) or read error
-// (bad block) is treated as a missing shard — the write unit is
-// reconstructed from verified peers, the caller's range served from the
-// reconstruction, and the damaged copy rewritten in place on the home
-// drive so the next read is clean again.
-func (r *Reader) readShardVerified(at sim.Time, info SegmentInfo, s, slot int, shardOff int64, dst []byte, mode ReadMode, wantCRC uint32, stats *ReadStats) (sim.Time, error) {
-	au := info.AUs[slot]
-	drive := r.drives[au.Drive]
-	wuOff := au.Offset(r.cfg) + int64(s)*int64(r.cfg.WriteUnit)
-
-	// One scratch unit serves in turn as the home read, the reconstruction
-	// and the home retry: each is done with the previous one's bytes.
-	scratch := r.takeWU()
-	defer r.putWU(scratch)
-	wu := *scratch
-
-	// The decision covers what the home read would touch: the whole unit,
-	// not the caller's range of it.
-	leave := r.leaveHome(at, info, s, slot, 0, len(wu), mode)
-	if mode == ReadAroundHome && !leave {
-		return at, ErrBusyPeers
-	}
-	busy := leave && mode == ReadAvoidBusy
-	lost := r.isLost(info.ID, slot)
-	needRepair := false
-	if !lost && !leave && !drive.Failed() {
-		if done, ok := readHomeVerified(at, drive, wu, wuOff, wantCRC, dst, shardOff, stats); ok {
-			return done, nil
-		}
-		needRepair = true
-	}
-	if busy {
-		stats.BusyAvoided++
-	}
-	done, err := r.ReconstructWU(at, info, s, slot, wu, stats)
-	if err != nil {
-		if busy && !drive.Failed() {
-			// Reconstruction impossible but the home drive is merely slow:
-			// queue behind its program and read (still verified).
-			stats.HomeRetries++
-			if d2, ok := readHomeVerified(at, drive, wu, wuOff, wantCRC, dst, shardOff, stats); ok {
-				return d2, nil
+	done, err := r.reconstruct(at, info, s, slot, off, buf, crcRow, stats)
+	switch {
+	case err == nil:
+		stats.ReconstructedReads++
+		if damaged && crcRow != nil {
+			// Inline repair: overwrite the damaged write unit with the
+			// reconstruction. The FTL relocates the pages (clearing any bad
+			// mapping), so the AU heals without segment evacuation. Failure
+			// is tolerable — scrub or the next read will retry.
+			//lint:ignore crashpointcheck repair rewrites data reconstructable from parity; a crash mid-repair leaves the stale shard, which the next read or scrub heals again
+			if _, werr := drive.WriteAt(done, buf, devOff); werr == nil {
+				stats.InlineRepairs++
 			}
 		}
+	case mode == ReadAroundHome || drive.Failed() || (lost && crcRow == nil):
+		// Reconstruction impossible, and no home read to fall back on: a
+		// hedge's second arm never reads home, a failed drive cannot, and a
+		// lost slot's bytes cannot be trusted unless a CRC checks them.
 		return done, err
-	}
-	stats.ReconstructedReads++
-	copy(dst, wu[shardOff:shardOff+int64(len(dst))])
-	if needRepair {
-		// Inline repair: overwrite the damaged write unit with the
-		// reconstruction. The FTL relocates the pages (clearing any bad
-		// mapping), so the AU heals without segment evacuation. Failure is
-		// tolerable — scrub or the next read will retry.
-		//lint:ignore crashpointcheck repair rewrites data reconstructable from parity; a crash mid-repair leaves the stale shard, which the next read or scrub heals again
-		if _, werr := drive.WriteAt(done, wu, wuOff); werr == nil {
-			stats.InlineRepairs++
+	default:
+		// Reconstruction impossible (too many peers failed, damaged or
+		// busy): one last home read, queued behind whatever the drive is
+		// doing.
+		stats.HomeRetries++
+		d2, ok := readHome(at, drive, buf, devOff, crcRow, slot, stats)
+		if !ok {
+			return done, err
 		}
+		done = d2
 	}
+	copy(dst, buf[shardOff-off:])
 	return done, nil
 }
 
-// readHomeVerified reads a whole write unit from the home drive into wu and
-// checks it against wantCRC; on a match it copies dst's range out of it.
-// A read error or a mismatch is counted and reported as not ok.
-func readHomeVerified(at sim.Time, drive *ssd.Device, wu []byte, wuOff int64, wantCRC uint32, dst []byte, shardOff int64, stats *ReadStats) (sim.Time, bool) {
-	done, err := drive.ReadAt(at, wu, wuOff)
+// readHome reads buf from the home drive at devOff and, given the stripe's
+// CRC row, checks it against slot's CRC. A read error or a mismatch is
+// counted and reported as not ok.
+func readHome(at sim.Time, drive *ssd.Device, buf []byte, devOff int64, crcRow []uint32, slot int, stats *ReadStats) (sim.Time, bool) {
+	done, err := drive.ReadAt(at, buf, devOff)
 	if err != nil {
 		stats.HomeReadErrors++
 		return done, false
 	}
-	stats.ShardBytesRead += int64(len(wu))
-	if crcOf(wu) != wantCRC {
+	stats.ShardBytesRead += int64(len(buf))
+	if crcRow != nil && crcOf(buf) != crcRow[slot] {
 		stats.CRCMismatches++
 		return done, false
 	}
 	stats.DirectShardReads++
-	copy(dst, wu[shardOff:shardOff+int64(len(dst))])
 	return done, true
 }
 
 // ReconstructWU rebuilds the full write unit of shard `slot` in stripe s
-// from K surviving peers into dst, which the caller owns and which must be
-// one write unit long. When the segment's trailer CRCs are available, each
-// donor write unit is verified before use and the reconstruction is
-// verified after — a donor with silent damage is skipped like a failed
-// drive, and a reconstruction that cannot be proven correct is an error
-// rather than wrong data (dst's content is then unspecified). Scrub and
-// rebuild share this path with the verified foreground read.
-//
-// The cost is K donor write units read and CRC-checked, one K-term pass of
-// the coder over them for the one wanted unit, and one CRC of the result.
+// into dst, which the caller owns and which must be one write unit long,
+// checked against the segment's trailer CRCs when it has them (see
+// reconstruct). Rebuild uses it; dst's content is unspecified on error.
 func (r *Reader) ReconstructWU(at sim.Time, info SegmentInfo, s, slot int, dst []byte, stats *ReadStats) (sim.Time, error) {
-	k, m := r.cfg.DataShards, r.cfg.ParityShards
-	coderIdx := r.slots.at(s).coder
-
 	var crcRow []uint32
 	if crcs, _ := r.segmentCRCs(at, info); s < len(crcs) {
 		crcRow = crcs[s]
 	}
+	return r.reconstruct(at, info, s, slot, 0, dst, crcRow, stats)
+}
 
-	// Donor units are pooled scratch. Every buffer taken, including one
+// reconstruct rebuilds [off, off+len(dst)) of the write unit that `slot`
+// holds in stripe s from the same range of K other shards. Given the
+// stripe's CRC row and a whole unit, each donor is checked before use and
+// the result after: a donor with silent damage is skipped like a failed
+// drive, and a reconstruction that cannot be proven correct is an error
+// rather than wrong data (dst's content is then unspecified). It reads
+// nothing when fewer than K donors exist.
+//
+// The cost is K donor ranges read into pooled scratch (and CRC-checked),
+// one K-term pass of the coder over them for the one wanted shard, and one
+// CRC of the result.
+func (r *Reader) reconstruct(at sim.Time, info SegmentInfo, s, slot int, off int64, dst []byte, crcRow []uint32, stats *ReadStats) (sim.Time, error) {
+	k, m := r.cfg.DataShards, r.cfg.ParityShards
+	coderIdx := r.slots.at(s).coder // physical slot -> coder shard index
+
+	donors, _ := r.donorSlots(at, info, s, slot, off, len(dst))
+	if len(donors) < k {
+		return at, ErrUnrecoverable
+	}
+	if off != 0 || len(dst) != r.cfg.WriteUnit {
+		crcRow = nil // the CRCs cover whole units
+	}
+
+	// Donor buffers are pooled scratch. Every buffer taken, including one
 	// whose donor was then skipped, goes back when this function returns.
 	taken := make([]*[]byte, 0, k)
 	defer func() {
@@ -400,17 +376,15 @@ func (r *Reader) ReconstructWU(at sim.Time, info SegmentInfo, s, slot int, dst [
 	shards := make([][]byte, k+m)
 	done := at
 	got := 0
-	donors, _ := r.donorSlots(at, info, s, slot, 0, len(dst))
 	for _, sl := range donors {
 		if got == k {
 			break
 		}
 		au := info.AUs[sl]
-		drive := r.drives[au.Drive]
 		scratch := r.takeWU()
 		taken = append(taken, scratch)
-		buf := *scratch
-		t, err := drive.ReadAt(at, buf, au.Offset(r.cfg)+int64(s)*int64(r.cfg.WriteUnit))
+		buf := (*scratch)[:len(dst)]
+		t, err := r.drives[au.Drive].ReadAt(at, buf, au.Offset(r.cfg)+int64(s)*int64(r.cfg.WriteUnit)+off)
 		if err != nil {
 			continue // corrupt or newly failed donor: try the next
 		}
@@ -479,48 +453,6 @@ func (r *Reader) leaveHome(at sim.Time, info SegmentInfo, s, slot int, off int64
 	}
 	_, idle := r.donorSlots(at, info, s, slot, off, n)
 	return idle >= r.cfg.DataShards
-}
-
-// reconstructShardRange rebuilds the wanted range of shard `slot` from K of
-// the other shards.
-func (r *Reader) reconstructShardRange(at sim.Time, info SegmentInfo, s, slot int, shardOff int64, dst []byte, stats *ReadStats) (sim.Time, error) {
-	k, m := r.cfg.DataShards, r.cfg.ParityShards
-	coderIdx := r.slots.at(s).coder // physical slot -> coder shard index
-
-	donors, _ := r.donorSlots(at, info, s, slot, shardOff, len(dst))
-	if len(donors) < k {
-		return at, ErrUnrecoverable
-	}
-
-	shards := make([][]byte, k+m)
-	done := at
-	got := 0
-	for _, sl := range donors {
-		if got == k {
-			break
-		}
-		au := info.AUs[sl]
-		buf := make([]byte, len(dst))
-		devOff := au.Offset(r.cfg) + int64(s)*int64(r.cfg.WriteUnit) + shardOff
-		t, err := r.drives[au.Drive].ReadAt(at, buf, devOff)
-		if err != nil {
-			continue // corrupt or newly failed donor: try the next
-		}
-		shards[coderIdx[sl]] = buf
-		stats.ShardBytesRead += int64(len(buf))
-		got++
-		if t > done {
-			done = t
-		}
-	}
-	if got < k {
-		return done, ErrUnrecoverable
-	}
-	if err := r.coder.ReconstructShard(shards, coderIdx[slot], dst); err != nil {
-		return done, err
-	}
-	stats.ReconstructedReads++
-	return done, nil
 }
 
 // ReadAUTrailer reads and parses the trailer page of an AU. ErrNoTrailer
@@ -620,7 +552,7 @@ func (r *Reader) ScrubStripe(at sim.Time, info SegmentInfo, s int, stats *ReadSt
 			stats.HomeReadErrors++
 		}
 		bad++
-		d2, rerr := r.ReconstructWU(done, info, s, slot, buf, stats)
+		d2, rerr := r.reconstruct(done, info, s, slot, 0, buf, crcs[s], stats)
 		if d2 > done {
 			done = d2
 		}

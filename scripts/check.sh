@@ -7,9 +7,10 @@
 # over the packages that do real concurrency
 # (the concurrent write path, its core entry points and reads beside
 # writers, GC and seals, the TCP server's per-connection goroutines, the
-# allocator/shelf locking, layout's Reader and its pooled scratch, and the
-# three packages whose types promise concurrent use: pyramid, iosched,
-# erasure), and a smoke run of every program under examples/.
+# allocator/shelf locking, layout's Reader, its pooled scratch and its
+# seeded fault property test (TestReadRangeUnderFaults), and the three
+# packages whose types promise concurrent use: pyramid, iosched, erasure),
+# and a smoke run of every program under examples/.
 #
 # Usage: scripts/check.sh            from the repo root
 set -eu
