@@ -3,11 +3,22 @@
 // between 1 and 64 sectors (512 B – 32 KiB) of application data, sized to
 // match the write that created it, because reads overwhelmingly use the
 // same alignment and size as the original write.
+//
+// A frame is what a segment stores for one cblock:
+//
+//	method (1 B) | uvarint sector bytes | payload | CRC-32C (4 B, little endian)
+//
+// The first three fields are a compress frame: method 0 stores the sectors
+// raw, any other method names the codec of the payload. The CRC covers
+// every byte before it, so a read of one frame checks exactly the bytes it
+// moved (Check) without the write unit around it.
 package cblock
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"slices"
 
 	"purity/internal/compress"
@@ -18,7 +29,10 @@ const (
 	SectorSize = 512 // minimum block size of existing protocols
 	MaxSectors = 64  // cblocks are sized to writes, up to 32 KiB
 	MaxBytes   = SectorSize * MaxSectors
+	crcSize    = 4 // the frame's CRC trailer
 )
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Errors.
 var (
@@ -45,13 +59,23 @@ func AppendPack(dst, data []byte, compressionEnabled bool) ([]byte, error) {
 	if len(data) > MaxBytes {
 		return dst, ErrTooLarge
 	}
-	dst = slices.Grow(dst, compress.MaxCompressedLen(len(data)))
-	if !compressionEnabled {
+	dst = slices.Grow(dst, compress.MaxCompressedLen(len(data))+crcSize)
+	start := len(dst)
+	if compressionEnabled {
+		dst = compress.Compress(dst, data)
+	} else {
 		// compress.Compress falls back to a raw frame when compression
 		// does not help; forcing that path keeps one decoder.
-		return appendRawFrame(dst, data), nil
+		dst = appendRawFrame(dst, data)
 	}
-	return compress.Compress(dst, data), nil
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli)), nil
+}
+
+// Check reports whether frame ends in the CRC of the bytes before it: the
+// end-to-end check of a frame read back from a segment.
+func Check(frame []byte) bool {
+	n := len(frame) - crcSize
+	return n >= 0 && crc32.Checksum(frame[:n], castagnoli) == binary.LittleEndian.Uint32(frame[n:])
 }
 
 // appendRawFrame builds a stored-raw compress frame without running the
@@ -69,15 +93,28 @@ func appendRawFrame(dst, data []byte) []byte {
 	return append(dst, data...)
 }
 
-// Unpack decompresses a cblock frame into its sectors.
+// Unpack checks a cblock frame and decompresses it into its sectors. A
+// frame that fails Check is ErrCorrupt, never decoded.
 func Unpack(frame []byte) ([]byte, error) {
-	out, _, err := compress.Decompress(nil, frame)
+	if !Check(frame) {
+		return nil, ErrCorrupt
+	}
+	// A valid cblock is one compress frame of 1 to MaxSectors sectors;
+	// anything else means the caller read bytes that were never a cblock
+	// (stale pointer). The header's size is refused before a buffer that
+	// size is allocated.
+	body := frame[:len(frame)-crcSize]
+	if len(body) < 2 {
+		return nil, ErrCorrupt
+	}
+	if n, k := binary.Uvarint(body[1:]); k <= 0 || n == 0 || n%SectorSize != 0 || n > MaxBytes {
+		return nil, ErrCorrupt
+	}
+	out, used, err := compress.Decompress(nil, body)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if len(out) == 0 || len(out)%SectorSize != 0 {
-		// A valid cblock holds at least one sector; an "empty" frame means
-		// the caller read bytes that were never a cblock (stale pointer).
+	if used != len(body) {
 		return nil, ErrCorrupt
 	}
 	return out, nil

@@ -13,6 +13,7 @@ import (
 	"purity/internal/frontier"
 	"purity/internal/iosched"
 	"purity/internal/layout"
+	"purity/internal/pagecodec"
 	"purity/internal/pyramid"
 	"purity/internal/relation"
 	"purity/internal/shelf"
@@ -573,6 +574,7 @@ func (a *Array) sealSlotLocked(at sim.Time, s *openSeg) (sim.Time, error) {
 	info, done, err := w.Seal(at)
 	s.w = nil
 	s.mu.Unlock()
+	a.reader.InvalidateSegment(id)
 	a.segMu.Lock()
 	delete(a.openByID, id)
 	if err == nil {
@@ -683,10 +685,11 @@ func (a *Array) policyMode() layout.ReadMode {
 }
 
 // readSegment reads a byte range of a segment: an open segment's pending
-// segio buffer first, then the drives in the given mode. Safe with or
+// segio buffer first, then the drives in the given mode, with check as the
+// range's own end-to-end check (see layout.Reader.ReadRange). Safe with or
 // without mu; the caller holds world (shared or exclusive), so the segment
 // is not retired and its AUs are not reused under the read.
-func (a *Array) readSegment(at sim.Time, id layout.SegmentID, off int64, n int, mode layout.ReadMode) ([]byte, sim.Time, error) {
+func (a *Array) readSegment(at sim.Time, id layout.SegmentID, off int64, n int, mode layout.ReadMode, check func([]byte) bool) ([]byte, sim.Time, error) {
 	ref, open, info, ok := a.segEntry(id)
 	if open {
 		ref.slot.mu.Lock()
@@ -700,7 +703,7 @@ func (a *Array) readSegment(at sim.Time, id layout.SegmentID, off int64, n int, 
 	if !ok {
 		return nil, at, fmt.Errorf("core: unknown segment %d", id)
 	}
-	b, done, rstats, err := a.reader.ReadRange(at, info, off, n, mode)
+	b, done, rstats, err := a.reader.ReadRange(at, info, off, n, mode, check)
 	a.addSegRead(rstats)
 	if err != nil && mode != layout.ReadAroundHome {
 		// A hedge's second arm that finds too few peers just loses the race.
@@ -744,5 +747,5 @@ func (s *pageStore) WriteDescriptor(at sim.Time, desc []byte, lo, hi uint64) (si
 // ReadPage fetches a metadata page by reference. Safe with or without mu.
 func (s *pageStore) ReadPage(at sim.Time, ref pyramid.Ref) ([]byte, sim.Time, error) {
 	a := (*Array)(s)
-	return a.readSegment(at, layout.SegmentID(ref.Segment), ref.Off, int(ref.Len), a.policyMode())
+	return a.readSegment(at, layout.SegmentID(ref.Segment), ref.Off, int(ref.Len), a.policyMode(), pagecodec.ChecksumOK)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"purity/internal/cblock"
 	"purity/internal/layout"
 	"purity/internal/medium"
 	"purity/internal/relation"
@@ -241,7 +242,7 @@ func (a *Array) evacuateSegmentLocked(at sim.Time, id layout.SegmentID, blocks m
 	touched := map[segClass]bool{}
 	for _, off := range offs {
 		c := blocks[off]
-		frame, d, err := a.readSegment(done, id, int64(off), int(c.physLen), a.policyMode())
+		frame, d, err := a.readSegment(done, id, int64(off), int(c.physLen), a.policyMode(), cblock.Check)
 		done = d
 		if err != nil {
 			return done, fmt.Errorf("core: gc read of segment %d: %w", id, err)

@@ -183,7 +183,7 @@ func (a *Array) hedgeLocked(at, metaDone, slowest sim.Time, exts []medium.Extent
 			// The cblock cache holds what the first arm just read; the
 			// second arm goes to the drives, around the home one, or is
 			// not issued for want of idle peers.
-			_, h, err := a.readSegment(hedgeAt, layout.SegmentID(ext.Addr.Segment), int64(ext.Addr.SegOff), int(ext.Addr.PhysLen), layout.ReadAroundHome)
+			_, h, err := a.readSegment(hedgeAt, layout.SegmentID(ext.Addr.Segment), int64(ext.Addr.SegOff), int(ext.Addr.PhysLen), layout.ReadAroundHome, cblock.Check)
 			if err == nil {
 				raced = true
 				d = min(d, h)
@@ -229,15 +229,16 @@ func (a *Array) readCBlock(at sim.Time, seg, segOff uint64, physLen int) ([]byte
 	if hit {
 		return sectors, at, nil
 	}
-	frame, done, err := a.readSegment(at, layout.SegmentID(seg), int64(segOff), physLen, a.policyMode())
+	frame, done, err := a.readSegment(at, layout.SegmentID(seg), int64(segOff), physLen, a.policyMode(), cblock.Check)
 	if err != nil {
 		return nil, done, err
 	}
-	// Sealed-segment reads are WU-CRC-verified inside ReadRange. An open
-	// segment serves its unflushed stripe from memory (Writer.ReadPending)
-	// and its flushed stripes from the drives through readShardRange's
-	// unchecked range read, with no CRC (an open gap in ROADMAP.md); Unpack
-	// fails closed with the error counted.
+	// The frame's own CRC checked it inside ReadRange, whether it came from
+	// a sealed or an open segment's flushed stripe; a frame that failed was
+	// re-read through the unit CRCs or rebuilt around its home drive. An
+	// open segment's unflushed stripe is served from memory
+	// (Writer.ReadPending). Unpack checks the frame again and fails closed
+	// with the error counted.
 	sectors, err = cblock.Unpack(frame)
 	if err != nil {
 		a.stats.UnpackErrors.Inc()

@@ -32,19 +32,31 @@ import (
 // 67217000, StalledReads 15, QueuedReads 13; at lanes 4: final ack
 // 374070032, write sim sum 249162554, HostBytesRead 51171382, StalledReads
 // 9, QueuedReads 9.
+//
+// Re-recorded with right-sized reads, which moved the model on purpose: a
+// dedup byte-verify reads the candidate's frame and checks the frame's own
+// CRC, not the whole write unit around it, so the script's drive reads
+// fall seven to eight times, no read queues behind another, and the writes
+// that wait for them ack sooner. The frames' 4-byte CRC trailer moves the
+// reduction ratio. What was written, deduplicated and rotated is
+// unchanged. The values recorded at the frame-logging change above were,
+// at lanes 1: final ack 335591940, write sim sum 249567448, HostBytesRead
+// 65644136, StalledReads 13, QueuedReads 12, reduction ratio 1.973847353;
+// at lanes 4: final ack 365102390, write sim sum 241802864, HostBytesRead
+// 51957814, StalledReads 16, QueuedReads 10, reduction ratio 1.919064995.
 var multiExtentFingerprint = map[int]string{
-	1: `final ack        335591940
-write sim sum    249567448
-flash            {HostBytesRead:65644136 HostBytesWritten:52248486 FlashBytesWritten:52280994 Erases:0 RandomWrites:9 StalledReads:13 QueuedReads:12 MaxWear:3 BadBlocks:0 BitFlips:0}
+	1: `final ack        275826424
+write sim sum    189639556
+flash            {HostBytesRead:8873353 HostBytesWritten:52248486 FlashBytesWritten:52280994 Erases:0 RandomWrites:9 StalledReads:6 QueuedReads:0 MaxWear:3 BadBlocks:0 BitFlips:0}
 dedup            1201 hits, 895 misses, 52800 inline dup blocks
-reduction ratio  1.973847353
+reduction ratio  1.973473710
 rotations        4
 `,
-	4: `final ack        365102390
-write sim sum    241802864
-flash            {HostBytesRead:51957814 HostBytesWritten:55858407 FlashBytesWritten:55882662 Erases:0 RandomWrites:6 StalledReads:16 QueuedReads:10 MaxWear:2 BadBlocks:0 BitFlips:0}
+	4: `final ack        311619314
+write sim sum    189367604
+flash            {HostBytesRead:6554754 HostBytesWritten:55858407 FlashBytesWritten:55882662 Erases:0 RandomWrites:6 StalledReads:8 QueuedReads:0 MaxWear:2 BadBlocks:0 BitFlips:0}
 dedup            1165 hits, 931 misses, 50560 inline dup blocks
-reduction ratio  1.919064995
+reduction ratio  1.918704513
 rotations        4
 `,
 }
@@ -63,7 +75,7 @@ func TestMultiExtentFingerprint(t *testing.T) {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
 			got := runMultiExtentScript(t, lanes)
 			if want := multiExtentFingerprint[lanes]; got != want {
-				t.Errorf("the device model noticed this change.\n--- got\n%s--- want (recorded in PR 26)\n%s", got, want)
+				t.Errorf("the device model noticed this change.\n--- got\n%s--- want (recorded with right-sized reads)\n%s", got, want)
 			}
 		})
 	}

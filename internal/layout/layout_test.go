@@ -248,7 +248,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 
 	reader := NewReader(cfg, drives, coder)
 	for i, item := range items {
-		got, _, stats, err := reader.ReadRange(sim.Second, info, offs[i], len(item), ReadHome)
+		got, _, stats, err := reader.ReadRange(sim.Second, info, offs[i], len(item), ReadHome, nil)
 		if err != nil {
 			t.Fatalf("read item %d: %v", i, err)
 		}
@@ -286,11 +286,11 @@ func TestReadRangeRejectsBadBounds(t *testing.T) {
 		{math.MaxInt64, 1},
 		{-1, 1},
 	} {
-		if _, _, _, err := reader.ReadRange(sim.Second, info, c.off, c.n, ReadHome); err == nil {
+		if _, _, _, err := reader.ReadRange(sim.Second, info, c.off, c.n, ReadHome, nil); err == nil {
 			t.Errorf("ReadRange(off %d, n %d) succeeded", c.off, c.n)
 		}
 	}
-	if _, _, _, err := reader.ReadRange(sim.Second, info, 0, 4096, ReadHome); err != nil {
+	if _, _, _, err := reader.ReadRange(sim.Second, info, 0, 4096, ReadHome, nil); err != nil {
 		t.Fatalf("in-range read: %v", err)
 	}
 }
@@ -361,7 +361,7 @@ func TestReadDegradedOneAndTwoFailures(t *testing.T) {
 	drives[3].Fail()
 	var recon int64
 	for i := range items {
-		got, _, stats, err := reader.ReadRange(sim.Second, info, offs[i], len(items[i]), ReadHome)
+		got, _, stats, err := reader.ReadRange(sim.Second, info, offs[i], len(items[i]), ReadHome, nil)
 		if err != nil {
 			t.Fatalf("degraded read %d: %v", i, err)
 		}
@@ -378,7 +378,7 @@ func TestReadDegradedOneAndTwoFailures(t *testing.T) {
 	drives[1].Fail()
 	anyFail := false
 	for i := range items {
-		if _, _, _, err := reader.ReadRange(sim.Second, info, offs[i], len(items[i]), ReadHome); err != nil {
+		if _, _, _, err := reader.ReadRange(sim.Second, info, offs[i], len(items[i]), ReadHome, nil); err != nil {
 			anyFail = true
 		}
 	}
@@ -421,7 +421,7 @@ func TestReadAvoidsBusyDrives(t *testing.T) {
 	for _, d := range drives {
 		readBefore = append(readBefore, d.Stats().HostBytesRead)
 	}
-	got, _, stats, err := reader.ReadRange(mid, info, offs[0], len(item), ReadAvoidBusy)
+	got, _, stats, err := reader.ReadRange(mid, info, offs[0], len(item), ReadAvoidBusy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func sealedItem(t *testing.T) (cfg Config, drives []*ssd.Device, reader *Reader,
 		t.Fatal(err)
 	}
 	reader = NewReader(cfg, drives, coder)
-	_, warmed, _, err := reader.ReadRange(sealed, info, offs[0], len(item), ReadHome)
+	_, warmed, _, err := reader.ReadRange(sealed, info, offs[0], len(item), ReadHome, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +491,7 @@ func TestReadBehindReadGoesHome(t *testing.T) {
 	var total ReadStats
 	var done [2]sim.Time
 	for i := range done {
-		got, d, st, err := reader.ReadRange(at, info, off, len(item), ReadAvoidBusy)
+		got, d, st, err := reader.ReadRange(at, info, off, len(item), ReadAvoidBusy, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -521,7 +521,7 @@ func TestBusyAvoidanceSealedPrefersIdleDonors(t *testing.T) {
 	programAllDies(t, cfg, drives[home], at)
 	programAllDies(t, cfg, drives[peer], at)
 	homeRead, peerRead := drives[home].Stats().HostBytesRead, drives[peer].Stats().HostBytesRead
-	got, _, st, err := reader.ReadRange(at+sim.Microsecond, info, off, len(item), ReadAvoidBusy)
+	got, _, st, err := reader.ReadRange(at+sim.Microsecond, info, off, len(item), ReadAvoidBusy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +549,7 @@ func TestBusyAvoidanceNeedsIdleDonors(t *testing.T) {
 	cfg, drives, reader, info, off, item, home, at := sealedItem(t)
 	programAllDies(t, cfg, drives[home], at)
 	programPeers(t, cfg, drives, info, home, 2, at)
-	got, _, st, err := reader.ReadRange(at+sim.Microsecond, info, off, len(item), ReadAvoidBusy)
+	got, _, st, err := reader.ReadRange(at+sim.Microsecond, info, off, len(item), ReadAvoidBusy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +567,7 @@ func TestReadAroundHome(t *testing.T) {
 	// the peers could not serve it without a stall.
 	cfg, drives, reader, info, off, item, home, at := sealedItem(t)
 	homeRead := drives[home].Stats().HostBytesRead
-	got, _, st, err := reader.ReadRange(at, info, off, len(item), ReadAroundHome)
+	got, _, st, err := reader.ReadRange(at, info, off, len(item), ReadAroundHome, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +583,7 @@ func TestReadAroundHome(t *testing.T) {
 
 	at += sim.Second
 	programPeers(t, cfg, drives, info, home, 2, at)
-	_, _, st, err = reader.ReadRange(at+sim.Microsecond, info, off, len(item), ReadAroundHome)
+	_, _, st, err = reader.ReadRange(at+sim.Microsecond, info, off, len(item), ReadAroundHome, nil)
 	if !errors.Is(err, ErrBusyPeers) {
 		t.Fatalf("two of four peers programming: err = %v, want ErrBusyPeers", err)
 	}

@@ -20,15 +20,20 @@ var ErrUnrecoverable = errors.New("layout: too few readable shards to reconstruc
 // program or erase itself.
 var ErrBusyPeers = errors.New("layout: too few idle peers to reconstruct around the home drive")
 
+// ErrCheckFailed is returned by a checked read whose range still failed
+// its check after the re-reads: the bytes at that address are not what the
+// caller expects, and no copy the reader can reach is.
+var ErrCheckFailed = errors.New("layout: range failed its check on every copy")
+
 // ReadStats counts how a read was served, feeding experiment E2 (the
 // paper's ≈1.3× read-cost model for write-heavy workloads) and the
 // fault-tolerance telemetry.
 type ReadStats struct {
-	DirectShardReads   int64 // shard ranges served by their home drive (CRC-checked when the trailer has a CRC)
+	DirectShardReads   int64 // shard ranges served by their home drive (checked by the caller's check, or by the unit CRC on a re-read)
 	ReconstructedReads int64 // shard ranges rebuilt from peers
 	ShardBytesRead     int64 // total bytes moved from drives
 	BusyAvoided        int64 // reconstructions triggered by the busy-drive policy
-	CRCMismatches      int64 // write units whose content failed the trailer CRC
+	CRCMismatches      int64 // ranges that failed the caller's check, and write units that failed the trailer CRC
 	InlineRepairs      int64 // damaged write units rewritten in place after reconstruction
 	HomeReadErrors     int64 // read errors from a live (not Failed) home drive
 	HomeRetries        int64 // home-drive fallback retries after reconstruction failed
@@ -68,13 +73,15 @@ const (
 
 // Reader serves segment-logical reads, reconstructing from parity when a
 // drive is failed, corrupt, or — in ReadAvoidBusy mode — busy programming
-// or erasing. Every shard access is one readShardRange. When the segment's
-// AU trailer gives the write unit a CRC, the unit is read whole and checked
-// (§5.1's end-to-end integrity discipline, at the cost of a full write-unit
-// read per shard access), so silently flipped bits are detected,
-// reconstructed around, and repaired in place. Without one — an open
-// segment's flushed stripes, or a sealed segment whose trailers cannot be
-// read — only the caller's range is read, unchecked.
+// or erasing. Every shard access is one readShardRange. Every byte a read
+// returns is checked end to end (§5.1), by one rule: a range the caller can
+// check (a cblock frame, a pyramid page) is read alone and checked by the
+// caller's check; only when that fails is it re-read through the write
+// units' trailer CRCs — whole units, reconstructed around damage and
+// repaired in place — or, in a segment with no unit CRCs (an open
+// segment's flushed stripes, a sealed one whose trailers cannot be read),
+// rebuilt around its home drive and checked again. A read with no check
+// of its own goes through the unit CRCs from the start.
 type Reader struct {
 	cfg    Config
 	drives []*ssd.Device
@@ -91,7 +98,7 @@ type Reader struct {
 	wuPool sync.Pool
 
 	mu       sync.Mutex
-	crcCache map[SegmentID][][]uint32 // sealed segments' WUCRCs, from any shard's trailer
+	crcCache map[SegmentID][][]uint32 // sealed segments' WUCRCs, from any shard's trailer; nil for one with no trailer
 	// shardLost, when set, reports shards whose current AU holds no valid
 	// data yet (a rebuild target mid-reconstruction). Such shards are read
 	// via peers, never from the home AU.
@@ -128,8 +135,10 @@ func (r *Reader) isLost(id SegmentID, slot int) bool {
 	return f != nil && f(id, slot)
 }
 
-// InvalidateSegment drops a segment's cached trailer CRCs. The engine calls
-// it when a segment is retired (GC) so the cache cannot outlive the data.
+// InvalidateSegment drops a segment's cached trailer CRCs, or its
+// remembered lack of a trailer. The engine calls it when a segment is
+// retired (GC) so the cache cannot outlive the data, and whenever it writes
+// the segment's trailers (seal, rebuild).
 func (r *Reader) InvalidateSegment(id SegmentID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -139,7 +148,10 @@ func (r *Reader) InvalidateSegment(id SegmentID) {
 // segmentCRCs returns the [stripe][slot] write-unit CRCs of a sealed
 // segment, reading one shard's AU trailer on first use. Any surviving
 // shard's trailer serves (they are replicated); nil means no trailer was
-// readable, in which case the caller falls back to unverified reads.
+// readable, in which case the caller has no unit CRC to check against. A
+// segment whose every probed shard has no trailer (ErrNoTrailer, as for a
+// segment recovery found open at the checkpoint) is remembered as such and
+// not probed again; a read error may be transient and is not remembered.
 func (r *Reader) segmentCRCs(at sim.Time, info SegmentInfo) ([][]uint32, sim.Time) {
 	r.mu.Lock()
 	if crcs, ok := r.crcCache[info.ID]; ok {
@@ -148,6 +160,7 @@ func (r *Reader) segmentCRCs(at sim.Time, info SegmentInfo) ([][]uint32, sim.Tim
 	}
 	r.mu.Unlock()
 	done := at
+	probed, none := 0, 0
 	for slot := range info.AUs {
 		if r.isLost(info.ID, slot) {
 			continue
@@ -155,6 +168,10 @@ func (r *Reader) segmentCRCs(at sim.Time, info SegmentInfo) ([][]uint32, sim.Tim
 		t, d, err := r.ReadAUTrailer(at, info.AUs[slot])
 		if d > done {
 			done = d
+		}
+		probed++
+		if errors.Is(err, ErrNoTrailer) {
+			none++
 		}
 		if err != nil || t.Segment != info.ID {
 			continue
@@ -164,12 +181,28 @@ func (r *Reader) segmentCRCs(at sim.Time, info SegmentInfo) ([][]uint32, sim.Tim
 		r.mu.Unlock()
 		return t.WUCRCs, done
 	}
+	if probed > 0 && none == probed {
+		r.mu.Lock()
+		r.crcCache[info.ID] = nil
+		r.mu.Unlock()
+	}
 	return nil, done
 }
 
 // ReadRange reads n logical bytes at offset off within the segment. The
 // returned completion time is the latest involved drive completion.
-func (r *Reader) ReadRange(at sim.Time, info SegmentInfo, off int64, n int, mode ReadMode) ([]byte, sim.Time, ReadStats, error) {
+//
+// check is the range's own end-to-end check: cblock.Check for a cblock
+// frame, pagecodec.ChecksumOK for a pyramid page. With one, the read moves
+// only the range, and if check passes it is done. If check fails (or the
+// read does), the range is re-read, from when that read landed, through the
+// unit CRCs: whole write units, reconstruction around damage, inline repair;
+// a unit with no CRC is rebuilt around its home drive instead. Then check
+// asks again, and failing that one last home read is made, as after any
+// failed reconstruction. A nil check reads through the unit CRCs from the
+// start; recovery's stripe reads use it. A hedge's second arm that declines
+// (ErrBusyPeers) read nothing, so it is returned without a re-read.
+func (r *Reader) ReadRange(at sim.Time, info SegmentInfo, off int64, n int, mode ReadMode, check func([]byte) bool) ([]byte, sim.Time, ReadStats, error) {
 	var stats ReadStats
 	// Written so no sum can overflow: off and n come from descriptors that
 	// recovery parses.
@@ -177,73 +210,93 @@ func (r *Reader) ReadRange(at sim.Time, info SegmentInfo, off int64, n int, mode
 		return nil, at, stats, fmt.Errorf("layout: read [%d,+%d) outside segment %d (%d stripes)", off, n, info.ID, info.Stripes)
 	}
 	out := make([]byte, n)
-	done := at
-	stripeBytes := int64(r.cfg.StripeDataBytes())
-	pos := off
-	remaining := n
-	outPos := 0
-	for remaining > 0 {
-		s := int(pos / stripeBytes)
-		within := pos % stripeBytes
-		chunk := stripeBytes - within
-		if chunk > int64(remaining) {
-			chunk = int64(remaining)
-		}
-		d, err := r.readWithinStripe(at, info, s, within, out[outPos:outPos+int(chunk)], mode, &stats)
+	if check == nil {
+		done, err := r.readRange(at, info, off, out, mode, unitRead, &stats)
 		if err != nil {
 			return nil, done, stats, err
 		}
-		if d > done {
-			done = d
-		}
-		pos += chunk
-		outPos += int(chunk)
-		remaining -= int(chunk)
+		return out, done, stats, nil
 	}
-	return out, done, stats, nil
+	done, err := r.readRange(at, info, off, out, mode, rangeRead, &stats)
+	if err == nil && check(out) {
+		return out, done, stats, nil
+	}
+	if errors.Is(err, ErrBusyPeers) {
+		return nil, done, stats, err
+	}
+	if err == nil {
+		stats.CRCMismatches++
+	}
+	done, err = r.readRange(done, info, off, out, mode, fallbackRead, &stats)
+	if err == nil && check(out) {
+		return out, done, stats, nil
+	}
+	if mode != ReadAroundHome {
+		// Without unit CRCs the fallback could only rebuild around home,
+		// and a damaged peer spoils that when home was right all along.
+		stats.HomeRetries++
+		done, err = r.readRange(done, info, off, out, ReadHome, rangeRead, &stats)
+		if err == nil && check(out) {
+			return out, done, stats, nil
+		}
+	}
+	if err == nil {
+		err = ErrCheckFailed
+	}
+	return nil, done, stats, err
 }
 
-// readWithinStripe fills dst from stripe s starting at logical offset
-// `within` the stripe.
-func (r *Reader) readWithinStripe(at sim.Time, info SegmentInfo, s int, within int64, dst []byte, mode ReadMode, stats *ReadStats) (sim.Time, error) {
-	dataSlot := r.slots.at(s).data
+// readKind says how a shard read is sized and checked.
+type readKind uint8
+
+const (
+	// rangeRead moves the caller's range only and checks nothing: the
+	// caller checks it.
+	rangeRead readKind = iota
+	// unitRead moves and checks the whole write unit when the segment's
+	// trailer gives it a CRC, and the range otherwise.
+	unitRead
+	// fallbackRead is unitRead for a range that failed its check: a unit
+	// with no CRC is rebuilt around its home drive, which may be what
+	// served the bytes that failed.
+	fallbackRead
+)
+
+// readRange fills dst from the segment's logical bytes at off, one
+// readShardRange per write unit the range touches.
+func (r *Reader) readRange(at sim.Time, info SegmentInfo, off int64, dst []byte, mode ReadMode, kind readKind, stats *ReadStats) (sim.Time, error) {
+	stripeBytes := int64(r.cfg.StripeDataBytes())
 	wu := int64(r.cfg.WriteUnit)
 	done := at
-	pos := within
-	outPos := 0
-	for outPos < len(dst) {
-		d := int(pos / wu) // data shard index
-		shardOff := pos % wu
-		chunk := wu - shardOff
-		if chunk > int64(len(dst)-outPos) {
-			chunk = int64(len(dst) - outPos)
-		}
-		slot := dataSlot[d]
-		t, err := r.readShardRange(at, info, s, slot, shardOff, dst[outPos:outPos+int(chunk)], mode, stats)
+	for pos := 0; pos < len(dst); {
+		s := int((off + int64(pos)) / stripeBytes)
+		within := (off + int64(pos)) % stripeBytes
+		shardOff := within % wu
+		n := int(min(wu-shardOff, int64(len(dst)-pos)))
+		slot := r.slots.at(s).data[within/wu]
+		t, err := r.readShardRange(at, info, s, slot, shardOff, dst[pos:pos+n], mode, kind, stats)
 		if err != nil {
 			return done, err
 		}
-		if t > done {
-			done = t
-		}
-		pos += chunk
-		outPos += int(chunk)
+		done = max(done, t)
+		pos += n
 	}
 	return done, nil
 }
 
 // readShardRange reads [shardOff, shardOff+len(dst)) of the write unit that
-// slot holds in stripe s. It is the one shard read, in two sizes. When the
-// segment is sealed and its trailer gives the unit a CRC, the home read
-// moves the whole unit into pooled scratch and checks it (§5.1), starting
-// when the trailer lookup does; any other read moves only the range,
-// unchecked, straight into dst. Either way the same rules follow: leave home
-// (leaveHome, asked about the bytes the home read would move) or read it,
-// reconstruct when home is not read or fails, make one last home read when
-// the reconstruction fails, copy out, and repair a damaged checked unit.
-func (r *Reader) readShardRange(at sim.Time, info SegmentInfo, s, slot int, shardOff int64, dst []byte, mode ReadMode, stats *ReadStats) (sim.Time, error) {
+// slot holds in stripe s. It is the one shard read, in two sizes. When kind
+// asks for the unit CRC and the sealed segment's trailer gives the unit
+// one, the home read moves the whole unit into pooled scratch and checks it
+// (§5.1), starting when the trailer lookup does; any other read moves only
+// the range straight into dst, for the caller to check. Either way the same
+// rules follow: leave home (leaveHome, asked about the bytes the home read
+// would move, or always for a fallback with no CRC) or read it, reconstruct
+// when home is not read or fails, make one last home read when the
+// reconstruction fails, copy out, and repair a damaged checked unit.
+func (r *Reader) readShardRange(at sim.Time, info SegmentInfo, s, slot int, shardOff int64, dst []byte, mode ReadMode, kind readKind, stats *ReadStats) (sim.Time, error) {
 	var crcRow []uint32
-	if info.Sealed {
+	if kind != rangeRead && info.Sealed {
 		if crcs, tAt := r.segmentCRCs(at, info); s < len(crcs) && slot < len(crcs[s]) {
 			crcRow, at = crcs[s], tAt
 		}
@@ -261,7 +314,8 @@ func (r *Reader) readShardRange(at sim.Time, info SegmentInfo, s, slot int, shar
 	drive := r.drives[au.Drive]
 	devOff := au.Offset(r.cfg) + int64(s)*int64(r.cfg.WriteUnit) + off
 
-	leave := r.leaveHome(at, info, s, slot, off, len(buf), mode)
+	around := kind == fallbackRead && crcRow == nil
+	leave := around || r.leaveHome(at, info, s, slot, off, len(buf), mode)
 	if mode == ReadAroundHome && !leave {
 		return at, ErrBusyPeers
 	}
@@ -274,7 +328,7 @@ func (r *Reader) readShardRange(at sim.Time, info SegmentInfo, s, slot int, shar
 		}
 		damaged = true
 	}
-	if leave && mode == ReadAvoidBusy {
+	if leave && !around && mode == ReadAvoidBusy {
 		stats.BusyAvoided++
 	}
 	done, err := r.reconstruct(at, info, s, slot, off, buf, crcRow, stats)
@@ -478,7 +532,7 @@ type StripeLog struct {
 // returns the log records. Recovery calls this for segments in the frontier
 // set (§4.3); the stripe checksum rejects torn segios from a crash.
 func (r *Reader) ReadStripeLogs(at sim.Time, info SegmentInfo, s int) (StripeLog, sim.Time, error) {
-	raw, done, _, err := r.ReadRange(at, withStripes(info, s+1), int64(s)*int64(r.cfg.StripeDataBytes()), r.cfg.StripeDataBytes(), ReadHome)
+	raw, done, _, err := r.ReadRange(at, withStripes(info, s+1), int64(s)*int64(r.cfg.StripeDataBytes()), r.cfg.StripeDataBytes(), ReadHome, nil)
 	if err != nil {
 		return StripeLog{}, done, err
 	}

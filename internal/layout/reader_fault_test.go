@@ -2,8 +2,11 @@ package layout
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"slices"
 	"sync"
 	"testing"
 
@@ -29,7 +32,7 @@ func TestVerifiedReadHealsBitRot(t *testing.T) {
 	home := aus[dataSlot[0]]
 	drives[home.Drive].FlipBit(home.Offset(cfg)+200, 2)
 
-	got, _, st, err := reader.ReadRange(sim.Second, info, offs[0], len(item), ReadHome)
+	got, _, st, err := reader.ReadRange(sim.Second, info, offs[0], len(item), ReadHome, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,12 +44,80 @@ func TestVerifiedReadHealsBitRot(t *testing.T) {
 	}
 
 	// The inline repair rewrote the write unit: the next read is clean.
-	got, _, st2, err := reader.ReadRange(sim.Second, info, offs[0], len(item), ReadHome)
+	got, _, st2, err := reader.ReadRange(sim.Second, info, offs[0], len(item), ReadHome, nil)
 	if err != nil || !bytes.Equal(got, item) {
 		t.Fatalf("re-read after repair: %v", err)
 	}
 	if st2.CRCMismatches != 0 || st2.DirectShardReads == 0 {
 		t.Fatalf("stats after repair = %+v, want clean direct read", st2)
+	}
+}
+
+// withCRC returns payload followed by its CRC: an item a checked read can
+// verify on its own, as a cblock frame or a pyramid page is.
+func withCRC(payload []byte) []byte {
+	return binary.LittleEndian.AppendUint32(slices.Clip(payload), crc32.ChecksumIEEE(payload))
+}
+
+// checkCRC is the check of an item built by withCRC.
+func checkCRC(b []byte) bool {
+	n := len(b) - 4
+	return n >= 0 && crc32.ChecksumIEEE(b[:n]) == binary.LittleEndian.Uint32(b[n:])
+}
+
+// TestCheckedReadFallsBackAndRepairs: a read that brings its own check
+// moves only its range. When a flipped bit fails that check, the range is
+// re-read through the unit CRC, which finds the damaged unit, serves the
+// reconstruction and rewrites the unit in place; the next read of the same
+// range is again a range read that passes its check.
+func TestCheckedReadFallsBackAndRepairs(t *testing.T) {
+	cfg, drives, coder := newTestRig(t, 6, 4)
+	aus := segmentAUs(cfg, 6, 1)
+	w, _ := NewWriter(cfg, drives, coder, 1, aus)
+	payload := make([]byte, 8000)
+	sim.NewRand(7).Bytes(payload)
+	item := withCRC(payload)
+	offs := writeItems(t, w, [][]byte{item})
+	info, _, err := w.Seal(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader := NewReader(cfg, drives, coder)
+
+	// A clean read moves the item's bytes and nothing else.
+	got, _, st, err := reader.ReadRange(sim.Second, info, offs[0], len(item), ReadHome, checkCRC)
+	if err != nil || !bytes.Equal(got, item) {
+		t.Fatalf("clean read: %v", err)
+	}
+	if want := (ReadStats{DirectShardReads: 1, ShardBytesRead: int64(len(item))}); st != want {
+		t.Fatalf("clean read stats = %+v, want %+v", st, want)
+	}
+
+	// Flip one bit inside the item on its home unit (stripe 0, first data
+	// slot, where the item starts).
+	dataSlot, _ := stripeSlots(cfg, 0)
+	home := aus[dataSlot[0]]
+	drives[home.Drive].FlipBit(home.Offset(cfg)+offs[0]+100, 3)
+
+	got, _, st, err = reader.ReadRange(2*sim.Second, info, offs[0], len(item), ReadHome, checkCRC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, item) {
+		t.Fatal("checked read served damaged data")
+	}
+	// Two checks failed: the item's own, then the unit's trailer CRC on the
+	// re-read, which reconstructed the unit and repaired it.
+	if st.CRCMismatches != 2 || st.ReconstructedReads != 1 || st.InlineRepairs != 1 {
+		t.Fatalf("stats = %+v, want 2 mismatches, 1 reconstruction, 1 inline repair", st)
+	}
+
+	got, _, st, err = reader.ReadRange(3*sim.Second, info, offs[0], len(item), ReadHome, checkCRC)
+	if err != nil || !bytes.Equal(got, item) {
+		t.Fatalf("re-read after repair: %v", err)
+	}
+	if want := (ReadStats{DirectShardReads: 1, ShardBytesRead: int64(len(item))}); st != want {
+		t.Fatalf("stats after repair = %+v, want %+v: one range read, no mismatch", st, want)
 	}
 }
 
@@ -83,7 +154,7 @@ func TestHomeReadErrorCountedNotSwallowed(t *testing.T) {
 	home := aus[dataSlot[0]]
 	drives[home.Drive].CorruptBlock(home.Offset(cfg)) // ErrCorrupt on read
 
-	got, _, st, err := reader.ReadRange(sim.Second, info, offs[0], len(item), ReadHome)
+	got, _, st, err := reader.ReadRange(sim.Second, info, offs[0], len(item), ReadHome, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +195,7 @@ func TestHomeRetryWhenReconstructionImpossible(t *testing.T) {
 		failed++
 	}
 
-	_, _, st, err := reader.ReadRange(sim.Second, info, offs[0], len(item), ReadHome)
+	_, _, st, err := reader.ReadRange(sim.Second, info, offs[0], len(item), ReadHome, nil)
 	if err == nil {
 		t.Fatal("read succeeded with home corrupt and reconstruction impossible")
 	}
@@ -139,7 +210,7 @@ func TestHomeRetryWhenReconstructionImpossible(t *testing.T) {
 	// verified read makes the one last home read too, and fails it.
 	t.Run("sealed", func(t *testing.T) {
 		info, reader, item, off, _ := sealedRetryRig(t, true)
-		_, _, st, err := reader.ReadRange(sim.Second, info, off, len(item), ReadHome)
+		_, _, st, err := reader.ReadRange(sim.Second, info, off, len(item), ReadHome, nil)
 		if err == nil {
 			t.Fatal("read succeeded with home corrupt and reconstruction impossible")
 		}
@@ -154,7 +225,7 @@ func TestHomeRetryWhenReconstructionImpossible(t *testing.T) {
 	t.Run("sealed, home lost but intact", func(t *testing.T) {
 		info, reader, item, off, homeSlot := sealedRetryRig(t, false)
 		reader.SetShardLost(func(_ SegmentID, slot int) bool { return slot == homeSlot })
-		got, _, st, err := reader.ReadRange(sim.Second, info, off, len(item), ReadHome)
+		got, _, st, err := reader.ReadRange(sim.Second, info, off, len(item), ReadHome, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +319,7 @@ func TestReconstructionScratchIsReused(t *testing.T) {
 		{0, 3, damaged}, // the same damage is met and counted the same way again
 	} {
 		lost = rd.lostSlot
-		got, _, st, err := reader.ReadRange(sim.Second, info, offs[rd.item], len(items[rd.item]), ReadHome)
+		got, _, st, err := reader.ReadRange(sim.Second, info, offs[rd.item], len(items[rd.item]), ReadHome, nil)
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
@@ -290,7 +361,7 @@ func TestConcurrentDegradedReads(t *testing.T) {
 			for round := 0; round < 8; round++ {
 				for i := range items {
 					i = (i + g*3) % len(items)
-					got, _, st, err := reader.ReadRange(sim.Second, info, offs[i], len(items[i]), ReadHome)
+					got, _, st, err := reader.ReadRange(sim.Second, info, offs[i], len(items[i]), ReadHome, nil)
 					if err != nil {
 						t.Errorf("goroutine %d item %d: %v", g, i, err)
 						return
@@ -329,7 +400,7 @@ func TestRangeReconstructionAllocs(t *testing.T) {
 	drives[aus[dataSlot[0]].Drive].Fail()
 
 	read := func() {
-		got, _, st, err := reader.ReadRange(sim.Second, info, offs[0], len(item), ReadHome)
+		got, _, st, err := reader.ReadRange(sim.Second, info, offs[0], len(item), ReadHome, nil)
 		if err != nil || !bytes.Equal(got, item) || st.ReconstructedReads != 1 {
 			t.Fatalf("read: err=%v stats=%+v", err, st)
 		}
@@ -350,21 +421,28 @@ var raceEnabled bool
 const rangeReconstructionAllocs = 10
 
 // TestReadRangeUnderFaults is a seeded property test of ReadRange under
-// damage. Each case writes a segment and leaves it sealed or flushed-open,
-// then makes at most M of its shards unavailable: a failed drive, a bad
-// block, a flipped bit or a slot marked lost (its unit sometimes scribbled
-// over, as a rebuild target's is). It then reads random ranges in every
-// ReadMode, some while random drives are programming. A read returns the
-// bytes written or an error, never other bytes. With at most M shards
-// unavailable, ReadHome and ReadAvoidBusy always succeed: either K donors
-// are good or the home unit is, and the reader retries home when a
+// damage. Each case writes a segment of items that carry their own CRC and
+// leaves it sealed or flushed-open, then makes at most M of its shards
+// unavailable: a failed drive, a bad block, a flipped bit or a slot marked
+// lost (its unit sometimes scribbled over, as a rebuild target's is). It
+// then reads items with their check, and items and random ranges without
+// one, in every ReadMode, some while random drives are programming. A read
+// returns the bytes written or an error, never other bytes. With at most M
+// shards unavailable, ReadHome and ReadAvoidBusy always succeed: either K
+// donors are good or the home unit is, and the reader retries home when a
 // reconstruction fails. A ReadAroundHome read may instead decline
-// (ErrBusyPeers) or fail (ErrUnrecoverable), since it never retries home.
+// (ErrBusyPeers) or fail (ErrUnrecoverable, or ErrCheckFailed when its
+// reconstruction fails the check), since it never retries home.
 //
-// Bit flips are injected only into sealed segments. A flushed unit of an
-// open segment has no trailer CRC yet, so a flipped bit there is served as
-// it is: that is the known open-segment gap, not a case this test can hold
-// the reader to.
+// A flushed unit of an open segment has no trailer CRC yet, so only a
+// checked read can catch a flipped bit there, and only by the item's own
+// check: a case that flips a bit in an open segment flips nothing else and
+// reads only checked items. Such a read is rebuilt around its home drive,
+// or read from home when the first read was the rebuild, and it succeeds
+// when the item lies in one write unit of the damaged stripe. An item that
+// spans two of that stripe's units may fail with ErrCheckFailed: the
+// rebuild of one unit can take the flipped one as a donor, and with no unit
+// CRC the reader cannot tell which of the two is wrong.
 func TestReadRangeUnderFaults(t *testing.T) {
 	cases := 500
 	if testing.Short() {
@@ -376,14 +454,28 @@ func TestReadRangeUnderFaults(t *testing.T) {
 	}
 	// The cases must reach every branch the contract is about.
 	if seen.stats.ReconstructedReads == 0 || seen.stats.CRCMismatches == 0 || seen.stats.BusyAvoided == 0 ||
-		seen.stats.HomeRetries == 0 || seen.stats.InlineRepairs == 0 || seen.busyPeers == 0 {
-		t.Fatalf("the cases missed a branch: %+v, %d declined second arms", seen.stats, seen.busyPeers)
+		seen.stats.HomeRetries == 0 || seen.stats.InlineRepairs == 0 || seen.busyPeers == 0 || seen.openFlipsServed == 0 {
+		t.Fatalf("the cases missed a branch: %+v, %d declined second arms, %d open-segment flips served",
+			seen.stats, seen.busyPeers, seen.openFlipsServed)
 	}
 }
 
 type faultCoverage struct {
-	stats     ReadStats
-	busyPeers int
+	stats           ReadStats
+	busyPeers       int
+	openFlipsServed int // checked reads of an open segment that failed their check and were served right
+}
+
+// unitsIn returns how many write units of stripe s the logical range
+// [off, off+n) touches.
+func unitsIn(cfg Config, s int, off int64, n int) int {
+	stripeBytes, wu := int64(cfg.StripeDataBytes()), int64(cfg.WriteUnit)
+	base := int64(s) * stripeBytes
+	lo, hi := max(off, base), min(off+int64(n), base+stripeBytes)
+	if lo >= hi {
+		return 0
+	}
+	return int((hi-1-base)/wu-(lo-base)/wu) + 1
 }
 
 func readUnderFaults(t *testing.T, seed uint64, seen *faultCoverage) {
@@ -401,8 +493,9 @@ func readUnderFaults(t *testing.T, seed uint64, seen *faultCoverage) {
 	w, _ := NewWriter(cfg, drives, coder, 1, aus)
 	items := make([][]byte, 1+r.Intn(11))
 	for i := range items {
-		items[i] = make([]byte, 1+r.Intn(30000))
-		r.Bytes(items[i])
+		payload := make([]byte, 1+r.Intn(30000))
+		r.Bytes(payload)
+		items[i] = withCRC(payload)
 	}
 	offs := writeItems(t, w, items)
 	sealed := r.Intn(2) == 0
@@ -419,7 +512,7 @@ func readUnderFaults(t *testing.T, seed uint64, seen *faultCoverage) {
 	// The reference is a fault-free read of every flushed byte.
 	at := 10 * sim.Second
 	size := int64(info.Stripes) * int64(cfg.StripeDataBytes())
-	ref, _, _, err := NewReader(cfg, drives, coder).ReadRange(at, info, 0, int(size), ReadHome)
+	ref, _, _, err := NewReader(cfg, drives, coder).ReadRange(at, info, 0, int(size), ReadHome, nil)
 	if err != nil {
 		t.Fatalf("case %d: fault-free read: %v", seed, err)
 	}
@@ -435,8 +528,10 @@ func readUnderFaults(t *testing.T, seed uint64, seen *faultCoverage) {
 	hurt := r.Intn(info.Stripes)
 	lost := make([]bool, len(aus))
 	kinds := []string{"fail", "corrupt", "lost", "flip"}
-	if !sealed {
-		kinds = kinds[:3]
+	hurtSlots := r.Intn(cfg.ParityShards + 1)
+	openFlip := !sealed && r.Intn(3) == 0
+	if openFlip {
+		hurtSlots = 1
 	}
 	var damage []string
 	slots := make([]int, len(aus))
@@ -444,10 +539,16 @@ func readUnderFaults(t *testing.T, seed uint64, seen *faultCoverage) {
 		j := r.Intn(i + 1)
 		slots[i], slots[j] = slots[j], i
 	}
-	for _, slot := range slots[:r.Intn(cfg.ParityShards+1)] {
+	for _, slot := range slots[:hurtSlots] {
 		d := drives[aus[slot].Drive]
 		unit := aus[slot].Offset(cfg) + int64(hurt)*wu
 		kind := kinds[r.Intn(len(kinds))]
+		switch {
+		case openFlip:
+			kind = "flip"
+		case !sealed && kind == "flip":
+			kind = "lost"
+		}
 		switch kind {
 		case "fail":
 			d.Fail()
@@ -481,13 +582,21 @@ func readUnderFaults(t *testing.T, seed uint64, seen *faultCoverage) {
 			}
 			readAt += sim.Time(r.Intn(2000)) * sim.Microsecond
 		}
-		// An item, a range anywhere, or a range of the damaged stripe.
+		// A checked item, an item, a range anywhere, or a range of the
+		// damaged stripe.
 		var off int64
 		var n int
-		switch j := r.Intn(len(items) + 2); {
+		var check func([]byte) bool
+		j := r.Intn(2*len(items) + 2)
+		if openFlip {
+			j %= len(items)
+		}
+		switch {
 		case j < len(items):
-			off, n = offs[j], len(items[j])
-		case j == len(items):
+			off, n, check = offs[j], len(items[j]), checkCRC
+		case j < 2*len(items):
+			off, n = offs[j-len(items)], len(items[j-len(items)])
+		case j == 2*len(items):
 			off = r.Int63n(size)
 			n = 1 + r.Intn(int(size-off))
 		default:
@@ -496,18 +605,22 @@ func readUnderFaults(t *testing.T, seed uint64, seen *faultCoverage) {
 			n = 1 + r.Intn(int(start+stripeBytes-off))
 		}
 		mode := ReadMode(r.Intn(3))
-		got, _, st, err := reader.ReadRange(readAt, info, off, n, mode)
+		got, _, st, err := reader.ReadRange(readAt, info, off, n, mode, check)
 		seen.stats.Add(st)
 		switch {
 		case err == nil:
 			if !bytes.Equal(got, ref[off:off+int64(n)]) {
-				t.Fatalf("case %d (sealed %v, %v) read %d [%d,+%d) mode %d: wrong bytes, stats %+v", seed, sealed, damage, i, off, n, mode, st)
+				t.Fatalf("case %d (sealed %v, %v) read %d [%d,+%d) mode %d checked %v: wrong bytes, stats %+v", seed, sealed, damage, i, off, n, mode, check != nil, st)
+			}
+			if openFlip && st.CRCMismatches > 0 {
+				seen.openFlipsServed++
 			}
 		case mode == ReadAroundHome && errors.Is(err, ErrBusyPeers):
 			seen.busyPeers++
-		case mode == ReadAroundHome && errors.Is(err, ErrUnrecoverable):
+		case mode == ReadAroundHome && (errors.Is(err, ErrUnrecoverable) || errors.Is(err, ErrCheckFailed)):
+		case openFlip && errors.Is(err, ErrCheckFailed) && unitsIn(cfg, hurt, off, n) > 1:
 		default:
-			t.Fatalf("case %d (sealed %v, %v) read %d [%d,+%d) mode %d: %v, stats %+v", seed, sealed, damage, i, off, n, mode, err, st)
+			t.Fatalf("case %d (sealed %v, %v) read %d [%d,+%d) mode %d checked %v: %v, stats %+v", seed, sealed, damage, i, off, n, mode, check != nil, err, st)
 		}
 	}
 }

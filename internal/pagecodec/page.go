@@ -170,7 +170,7 @@ func Open(s tuple.Schema, raw []byte) (*Page, error) {
 	if len(raw) < 16 {
 		return nil, ErrCorrupt
 	}
-	if !checksumOK(raw) {
+	if !ChecksumOK(raw) {
 		return nil, ErrChecksum
 	}
 	body := raw[:len(raw)-4]
@@ -246,17 +246,18 @@ func Open(s tuple.Schema, raw []byte) (*Page, error) {
 	return p, nil
 }
 
-// checksumOK reports whether raw's trailing CRC matches the bytes before it.
-func checksumOK(raw []byte) bool {
-	body, sum := raw[:len(raw)-4], binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	return crc32.ChecksumIEEE(body) == sum
+// ChecksumOK reports whether raw ends in the CRC of the bytes before it:
+// the end-to-end check of a page read back from a segment.
+func ChecksumOK(raw []byte) bool {
+	n := len(raw) - 4
+	return n >= 0 && crc32.ChecksumIEEE(raw[:n]) == binary.LittleEndian.Uint32(raw[n:])
 }
 
 // Verify re-checks the page's checksum over the bytes it decodes from, which
 // Open checked once. Borrowed rows alias those bytes, so a write through
 // one would show here.
 func (p *Page) Verify() error {
-	if !checksumOK(p.raw) {
+	if !ChecksumOK(p.raw) {
 		return ErrChecksum
 	}
 	return nil

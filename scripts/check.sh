@@ -180,11 +180,14 @@ echo "== pipelined front end (-race: out-of-order completion, 64 in-flight on on
 go test -race -run 'TestPipelined|TestOutOfOrderCompletion|TestDuplicateTagKillsConnection|TestAdmissionWindowBackpressure|TestWireHealthCounters|TestServeSurvivesTransientAcceptErrors|TestFirstFrameMustBeHello|TestTornRequestCondemnsConnection|TestDrainStopsAtBufferedFrame|TestBatchWriteFailureReleasesEveryFrame|TestPooledBodiesManyWriters' ./internal/server/
 go test -run 'TestScrubDefersUnderSLOPressure|TestScrubRunsWithSLODisabled' ./internal/core/
 
-echo "== wire codec, NVRAM record, patch descriptor and index page fuzz (5 s each; the seed corpora already ran as plain tests above)"
+echo "== wire codec, NVRAM record, patch descriptor, index page, cblock frame and segment trailer fuzz (5 s each; the seed corpora already ran as plain tests above)"
 go test -run '^$' -fuzz FuzzTaggedFrame -fuzztime 5s ./internal/wire/
 go test -run '^$' -fuzz FuzzFrameStream -fuzztime 5s ./internal/wire/
 go test -run '^$' -fuzz FuzzUnmarshalPatch -fuzztime 5s -fuzzminimizetime 1s ./internal/pyramid/
 go test -run '^$' -fuzz FuzzOpen -fuzztime 5s -fuzzminimizetime 1s ./internal/pagecodec/
+go test -run '^$' -fuzz FuzzUnpack -fuzztime 5s -fuzzminimizetime 1s ./internal/cblock/
+go test -run '^$' -fuzz FuzzParseAUTrailer -fuzztime 5s -fuzzminimizetime 1s ./internal/layout/
+go test -run '^$' -fuzz FuzzParseSegioTrailer -fuzztime 5s -fuzzminimizetime 1s ./internal/layout/
 # Minimizing a new input in core's large instrumented test binary stalls
 # the workers for the rest of a 5 s run (0 execs/s); capped, the run fuzzes.
 go test -run '^$' -fuzz FuzzDecodeRecord -fuzztime 5s -fuzzminimizetime 1s ./internal/core/
