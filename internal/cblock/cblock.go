@@ -66,7 +66,7 @@ func AppendPack(dst, data []byte, compressionEnabled bool) ([]byte, error) {
 	} else {
 		// compress.Compress falls back to a raw frame when compression
 		// does not help; forcing that path keeps one decoder.
-		dst = appendRawFrame(dst, data)
+		dst = compress.AppendRaw(dst, data)
 	}
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli)), nil
 }
@@ -76,21 +76,6 @@ func AppendPack(dst, data []byte, compressionEnabled bool) ([]byte, error) {
 func Check(frame []byte) bool {
 	n := len(frame) - crcSize
 	return n >= 0 && crc32.Checksum(frame[:n], castagnoli) == binary.LittleEndian.Uint32(frame[n:])
-}
-
-// appendRawFrame builds a stored-raw compress frame without running the
-// compressor.
-func appendRawFrame(dst, data []byte) []byte {
-	// Method byte 0 (raw) + uvarint length + payload, mirroring the
-	// compress package's frame layout.
-	dst = append(dst, 0x00)
-	n := len(data)
-	for n >= 0x80 {
-		dst = append(dst, byte(n)|0x80)
-		n >>= 7
-	}
-	dst = append(dst, byte(n))
-	return append(dst, data...)
 }
 
 // Unpack checks a cblock frame and decompresses it into its sectors. A

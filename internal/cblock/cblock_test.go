@@ -58,6 +58,26 @@ func TestCompressionShrinksCompressible(t *testing.T) {
 	}
 }
 
+// TestRawPackLayout spells out the frame a cblock stored with compression
+// off: method 0, the uvarint sector bytes, the sectors, the CRC.
+func TestRawPackLayout(t *testing.T) {
+	for _, c := range []struct {
+		sectors int
+		varint  []byte
+	}{{1, []byte{0x80, 0x04}}, {64, []byte{0x80, 0x80, 0x02}}} {
+		data := make([]byte, c.sectors*SectorSize)
+		sim.NewRand(uint64(c.sectors)).Bytes(data)
+		frame, err := Pack(data, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append(append([]byte{0x00}, c.varint...), data...)
+		if n := len(frame) - crcSize; n < 0 || !bytes.Equal(frame[:n], want) || !Check(frame) {
+			t.Fatalf("%d sectors: raw frame is not method 0, length, sectors, CRC", c.sectors)
+		}
+	}
+}
+
 func TestUnpackCorrupt(t *testing.T) {
 	if _, err := Unpack([]byte{0xff, 0xff}); err == nil {
 		t.Fatal("garbage accepted")

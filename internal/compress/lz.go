@@ -8,12 +8,22 @@
 // references. It favors speed over ratio — the inline data path compresses
 // every write — and a stored-raw escape guarantees incompressible data costs
 // only the frame header.
+//
+// Each byte's work is done once. The encoder extends a match by comparing 8
+// bytes at a time (the first differing byte is the lowest set byte of their
+// XOR), then byte by byte for the last few. The decoder writes into an output
+// sized from the frame header: a literal run is one copy, a match that does
+// not overlap its own output is one copy, and a match that does (a run,
+// offset < length) is copied from output already written in chunks that
+// start at offset bytes and double. Neither changes a frame: the token stream
+// is the one the byte-at-a-time codec produced.
 package compress
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Frame methods. A frame is: method byte, uvarint original length, payload.
@@ -57,12 +67,18 @@ func Compress(dst, src []byte) []byte {
 	dst = appendLZ(dst, src)
 	if len(dst)-payloadAt >= len(src) {
 		// Incompressible: rewrite the frame as raw.
-		dst = dst[:headerAt]
-		dst = append(dst, methodRaw)
-		dst = binary.AppendUvarint(dst, uint64(len(src)))
-		dst = append(dst, src...)
+		dst = AppendRaw(dst[:headerAt], src)
 	}
 	return dst
+}
+
+// AppendRaw appends a stored-raw frame of src to dst without running the
+// compressor: the frame Compress falls back to for incompressible data, and
+// the one a caller with compression disabled stores.
+func AppendRaw(dst, src []byte) []byte {
+	dst = append(dst, methodRaw)
+	dst = binary.AppendUvarint(dst, uint64(len(src)))
+	return append(dst, src...)
 }
 
 // hash4 maps the 4 bytes at src[i:] to a table slot.
@@ -92,11 +108,7 @@ func appendLZ(dst, src []byte) []byte {
 		cand := int(table[h]) - 1
 		table[h] = int32(i + 1)
 		if cand >= 0 && i-cand < maxOffset && binary.LittleEndian.Uint32(src[cand:]) == v {
-			// Extend the match forward.
-			matchLen := minMatch
-			for i+matchLen < n && src[cand+matchLen] == src[i+matchLen] {
-				matchLen++
-			}
+			matchLen := extendMatch(src, cand, i)
 			dst = appendSequence(dst, src[litStart:i], i-cand, matchLen)
 			// Seed the table inside the match so long runs stay findable.
 			end := i + matchLen
@@ -114,6 +126,23 @@ func appendLZ(dst, src []byte) []byte {
 	dst = appendToken(dst, len(lits), 0)
 	dst = append(dst, lits...)
 	return dst
+}
+
+// extendMatch returns the length of the match at i against cand < i, whose
+// first minMatch bytes are known equal: 8 bytes per compare while 8 remain,
+// then byte by byte to the first difference or the end of src.
+func extendMatch(src []byte, cand, i int) int {
+	m := minMatch
+	for i+m+8 <= len(src) {
+		if x := binary.LittleEndian.Uint64(src[i+m:]) ^ binary.LittleEndian.Uint64(src[cand+m:]); x != 0 {
+			return m + bits.TrailingZeros64(x)>>3
+		}
+		m += 8
+	}
+	for i+m < len(src) && src[cand+m] == src[i+m] {
+		m++
+	}
+	return m
 }
 
 // appendSequence emits literals followed by a match of matchLen at the given
@@ -177,19 +206,17 @@ func Decompress(dst, src []byte) ([]byte, int, error) {
 		}
 		return append(dst, src[pos:pos+int(origLen)]...), pos + int(origLen), nil
 	case methodLZ:
-		// The header says how long the output is: one allocation up front
-		// instead of one per doubling as the stream is decoded.
+		// The header says how long the output is: one allocation up front,
+		// and the decoder writes into it by index.
 		base := len(dst)
 		out := dst
 		if cap(out)-base < int(origLen) {
 			out = append(make([]byte, 0, base+int(origLen)), dst...)
 		}
-		out, consumed, err := decodeLZ(out, src[pos:], int(origLen))
+		out = out[:base+int(origLen)]
+		consumed, err := decodeLZ(out[base:], src[pos:])
 		if err != nil {
 			return dst, 0, err
-		}
-		if len(out)-base != int(origLen) {
-			return dst, 0, ErrCorrupt
 		}
 		return out, pos + consumed, nil
 	default:
@@ -197,12 +224,16 @@ func Decompress(dst, src []byte) ([]byte, int, error) {
 	}
 }
 
-func decodeLZ(dst, src []byte, origLen int) ([]byte, int, error) {
-	base := len(dst)
+// decodeLZ decodes the LZ payload at the front of src into out, which is
+// exactly the frame's original length, and returns the payload bytes
+// consumed. A stream that ends short of len(out), runs past it, or reads
+// outside src or behind the start of out is ErrCorrupt.
+func decodeLZ(out, src []byte) (int, error) {
+	d := 0 // bytes of out written
 	i := 0
 	for {
 		if i >= len(src) {
-			return dst, 0, ErrCorrupt
+			return 0, ErrCorrupt
 		}
 		token := src[i]
 		i++
@@ -211,7 +242,7 @@ func decodeLZ(dst, src []byte, origLen int) ([]byte, int, error) {
 		if litLen == 15 {
 			ext, n, err := readExtLen(src[i:])
 			if err != nil {
-				return dst, 0, err
+				return 0, err
 			}
 			litLen += ext
 			i += n
@@ -219,32 +250,39 @@ func decodeLZ(dst, src []byte, origLen int) ([]byte, int, error) {
 		if matchCode == 15 {
 			ext, n, err := readExtLen(src[i:])
 			if err != nil {
-				return dst, 0, err
+				return 0, err
 			}
 			matchCode += ext
 			i += n
 		}
-		if i+litLen > len(src) || len(dst)-base+litLen > origLen {
-			return dst, 0, ErrCorrupt
+		if i+litLen > len(src) || d+litLen > len(out) {
+			return 0, ErrCorrupt
 		}
-		dst = append(dst, src[i:i+litLen]...)
+		d += copy(out[d:], src[i:i+litLen])
 		i += litLen
 		if matchCode == 0 {
-			return dst, i, nil // stream end
+			// Stream end: it must have filled the output exactly.
+			if d != len(out) {
+				return 0, ErrCorrupt
+			}
+			return i, nil
 		}
 		if i+2 > len(src) {
-			return dst, 0, ErrCorrupt
+			return 0, ErrCorrupt
 		}
 		offset := int(binary.LittleEndian.Uint16(src[i:]))
 		i += 2
 		matchLen := matchCode + minMatch - 1
-		from := len(dst) - offset
-		if offset == 0 || from < base || len(dst)-base+matchLen > origLen {
-			return dst, 0, ErrCorrupt
+		from := d - offset
+		if offset == 0 || from < 0 || d+matchLen > len(out) {
+			return 0, ErrCorrupt
 		}
-		// Byte-by-byte copy: matches may overlap their own output (runs).
-		for j := 0; j < matchLen; j++ {
-			dst = append(dst, dst[from+j])
+		// out[from:d] is written output. A match no longer than offset is
+		// one copy of it; a longer one overlaps its own output (a run), and
+		// as each copy repeats whole periods the next may take twice as many.
+		end := d + matchLen
+		for d < end {
+			d += copy(out[d:end], out[from:d])
 		}
 	}
 }

@@ -220,15 +220,6 @@ func TestCompressAppendsToDst(t *testing.T) {
 	}
 }
 
-func BenchmarkCompress32KiBText(b *testing.B) {
-	src := bytes.Repeat([]byte("INSERT INTO t VALUES (42, 'customer', 'active'); "), 700)[:32<<10]
-	b.SetBytes(int64(len(src)))
-	var dst []byte
-	for i := 0; i < b.N; i++ {
-		dst = Compress(dst[:0], src)
-	}
-}
-
 func BenchmarkCompress32KiBRandom(b *testing.B) {
 	src := make([]byte, 32<<10)
 	sim.NewRand(1).Bytes(src)
@@ -239,16 +230,48 @@ func BenchmarkCompress32KiBRandom(b *testing.B) {
 	}
 }
 
-func BenchmarkDecompress32KiBText(b *testing.B) {
-	src := bytes.Repeat([]byte("INSERT INTO t VALUES (42, 'customer', 'active'); "), 700)[:32<<10]
-	frame := Compress(nil, src)
-	b.SetBytes(int64(len(src)))
-	var dst []byte
-	for i := 0; i < b.N; i++ {
-		var err error
-		dst, _, err = Decompress(dst[:0], frame)
-		if err != nil {
-			b.Fatal(err)
+// classSizes are the cblock sizes the benchmark's traffic packs: 8 KiB is
+// readmiss's cblock, 32 KiB ingest's and vdi-mixed's.
+var classSizes = []struct {
+	name string
+	n    int
+}{
+	{"8KiB", 8 << 10},
+	{"32KiB", 32 << 10},
+}
+
+// BenchmarkCompressClass packs the benchmark's two content classes at the
+// two cblock sizes its workloads write.
+func BenchmarkCompressClass(b *testing.B) {
+	for _, c := range contentClasses {
+		for _, sz := range classSizes {
+			src := renderClass(c.noiseWords, sz.n, 1, 7)
+			b.Run(c.name+"/"+sz.name, func(b *testing.B) {
+				b.SetBytes(int64(len(src)))
+				dst := make([]byte, 0, MaxCompressedLen(len(src)))
+				for i := 0; i < b.N; i++ {
+					dst = Compress(dst[:0], src)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkDecompressClass decodes the frames BenchmarkCompressClass packs,
+// into a fresh buffer each time as cblock.Unpack does.
+func BenchmarkDecompressClass(b *testing.B) {
+	for _, c := range contentClasses {
+		for _, sz := range classSizes {
+			src := renderClass(c.noiseWords, sz.n, 1, 7)
+			frame := Compress(nil, src)
+			b.Run(c.name+"/"+sz.name, func(b *testing.B) {
+				b.SetBytes(int64(len(src)))
+				for i := 0; i < b.N; i++ {
+					if _, _, err := Decompress(nil, frame); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -198,7 +198,7 @@ func Unmarshal(raw []byte) (*Checkpoint, error) {
 		if v, err = next(); err != nil {
 			return nil, err
 		}
-		if pos+int(v) > len(b) {
+		if v > uint64(len(b)-pos) {
 			return nil, ErrNoCheckpoint
 		}
 		c.Patches = append(c.Patches, append([]byte(nil), b[pos:pos+int(v)]...))

@@ -180,14 +180,18 @@ echo "== pipelined front end (-race: out-of-order completion, 64 in-flight on on
 go test -race -run 'TestPipelined|TestOutOfOrderCompletion|TestDuplicateTagKillsConnection|TestAdmissionWindowBackpressure|TestWireHealthCounters|TestServeSurvivesTransientAcceptErrors|TestFirstFrameMustBeHello|TestTornRequestCondemnsConnection|TestDrainStopsAtBufferedFrame|TestBatchWriteFailureReleasesEveryFrame|TestPooledBodiesManyWriters' ./internal/server/
 go test -run 'TestScrubDefersUnderSLOPressure|TestScrubRunsWithSLODisabled' ./internal/core/
 
-echo "== wire codec, NVRAM record, patch descriptor, index page, cblock frame and segment trailer fuzz (5 s each; the seed corpora already ran as plain tests above)"
+echo "== wire codec, NVRAM record, patch descriptor, index page, compress frame, cblock frame, segment trailer and boot checkpoint fuzz (5 s each; the seed corpora already ran as plain tests above)"
 go test -run '^$' -fuzz FuzzTaggedFrame -fuzztime 5s ./internal/wire/
 go test -run '^$' -fuzz FuzzFrameStream -fuzztime 5s ./internal/wire/
 go test -run '^$' -fuzz FuzzUnmarshalPatch -fuzztime 5s -fuzzminimizetime 1s ./internal/pyramid/
 go test -run '^$' -fuzz FuzzOpen -fuzztime 5s -fuzzminimizetime 1s ./internal/pagecodec/
+# FuzzDecompress holds the codec to its reference (lz_ref_test.go): the
+# same output, consumed count and error on any input.
+go test -run '^$' -fuzz FuzzDecompress -fuzztime 5s -fuzzminimizetime 1s ./internal/compress/
 go test -run '^$' -fuzz FuzzUnpack -fuzztime 5s -fuzzminimizetime 1s ./internal/cblock/
 go test -run '^$' -fuzz FuzzParseAUTrailer -fuzztime 5s -fuzzminimizetime 1s ./internal/layout/
 go test -run '^$' -fuzz FuzzParseSegioTrailer -fuzztime 5s -fuzzminimizetime 1s ./internal/layout/
+go test -run '^$' -fuzz FuzzUnmarshal -fuzztime 5s -fuzzminimizetime 1s ./internal/frontier/
 # Minimizing a new input in core's large instrumented test binary stalls
 # the workers for the rest of a 5 s run (0 execs/s); capped, the run fuzzes.
 go test -run '^$' -fuzz FuzzDecodeRecord -fuzztime 5s -fuzzminimizetime 1s ./internal/core/
