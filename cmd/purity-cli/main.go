@@ -13,7 +13,7 @@
 //	snap <name> <snap-name>       snapshot a volume
 //	clone <snap-name> <new-name>  clone a snapshot
 //	rm <name>                     delete a volume or snapshot
-//	stats                         engine statistics
+//	stats                         the stats document (JSON, versioned)
 //	flush                         checkpoint everything
 //	gc                            run a garbage-collection cycle
 package main
@@ -179,11 +179,11 @@ func run(c *client.Client, args []string) error {
 		fmt.Printf("deleted %q\n", rest[0])
 
 	case "stats":
-		text, err := c.Stats()
+		doc, err := c.Stats()
 		if err != nil {
 			return err
 		}
-		fmt.Print(text)
+		fmt.Println(doc)
 
 	case "flush":
 		if err := c.Flush(); err != nil {

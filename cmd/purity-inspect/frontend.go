@@ -18,8 +18,8 @@ import (
 // inspectFrontend is the guided tour of the tagged pipelined front end: an
 // in-process array served over real loopback TCP, driven first by
 // well-behaved pipelined initiators, then by a rogue one that commits every
-// protocol violation the wire layer classifies — and a dump of the health
-// counters that each probe moved.
+// protocol violation the wire layer classifies — and the stats document,
+// with the health counters that each probe moved.
 func inspectFrontend(drives int) {
 	cfg := core.DefaultConfig()
 	cfg.Shelf.Drives = drives
@@ -95,20 +95,8 @@ func inspectFrontend(drives int) {
 	probe("non-hello first", taggedFrame(wire.OpListVolumes, 1, nil))
 	probe("torn frame", []byte{64, 0, 0, 0, 5, 1, 2})
 
-	fmt.Println("\n=== front-end counters ===")
-	tel := srv.Frontend()
-	fmt.Printf("connections      %d\n", tel.Conns.Load())
-	fmt.Printf("frames           malformed=%d oversized=%d\n", tel.MalformedFrames.Load(), tel.OversizedFrames.Load())
-	fmt.Printf("disconnects      abnormal=%d\n", tel.AbnormalDisconnects.Load())
-	fmt.Printf("tags             duplicate=%d\n", tel.DuplicateTags.Load())
-	fmt.Printf("reads rejected   %d\n", tel.RejectedReads.Load())
-	fmt.Printf("admission waits  %d\n", tel.AdmissionWaits.Load())
-	fmt.Printf("accept retries   %d\n", tel.AcceptRetries.Load())
-
-	gov := pair.Array().Governor()
-	fmt.Println("\n=== SLO governor ===")
-	fmt.Printf("budget=%v p99.9=%v threatened=%v deferrals=%d\n",
-		gov.Budget(), gov.P999(), gov.Threatened(), gov.Deferrals())
+	fmt.Println("\n=== stats document ===")
+	printStats(pair.Array(), srv.Frontend())
 }
 
 // taggedFrame renders one frame to bytes.

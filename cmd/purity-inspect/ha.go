@@ -11,6 +11,7 @@ import (
 	"purity/internal/controller"
 	"purity/internal/core"
 	"purity/internal/server"
+	"purity/internal/telemetry"
 )
 
 // inspectHA is the guided tour of the end-to-end HA machinery: two servers
@@ -77,8 +78,8 @@ func inspectHA(drives int) {
 	write(0, 32)
 	fmt.Printf("8 writers × 32 idempotent writes in %v, session %d\n",
 		time.Since(start).Round(time.Millisecond), h.Session())
-	fmt.Printf("client: %s\n", h.Stats().Summary())
-	fmt.Printf("chaos:  %s\n", inj.Stats().Summary())
+	fmt.Printf("client: %s\n", telemetry.Render(h.Stats()))
+	fmt.Printf("chaos:  %s\n", telemetry.Render(inj.Stats()))
 
 	fmt.Println("\n=== phase 2: kill the primary mid-service ===")
 	stopBeat()
@@ -93,16 +94,11 @@ func inspectHA(drives int) {
 
 	fmt.Println("\n=== session table (exactly-once ledger) ===")
 	tab := pair.Sessions()
-	fmt.Printf("opened=%d resumed=%d applied=%d replays suppressed=%d replay waits=%d overflows=%d\n",
-		tab.Opened.Load(), tab.Resumed.Load(), tab.AppliedOK.Load(),
-		tab.ReplaysSuppressed.Load(), tab.ReplayWaits.Load(), tab.Overflows.Load())
+	fmt.Println(telemetry.Render(tab))
 
 	fmt.Println("\n=== fenced ex-primary wire counters ===")
 	pt := prim.Frontend()
-	fmt.Printf("sessions bound=%d notprimary redirects=%d retryable rejects=%d\n",
-		pt.SessionsBound.Load(), pt.NotPrimaryRedirects.Load(), pt.RetryableRejects.Load())
-	fmt.Printf("idle timeouts=%d write timeouts=%d admission aborts=%d\n",
-		pt.IdleTimeouts.Load(), pt.WriteTimeouts.Load(), pt.AdmissionAborts.Load())
+	fmt.Println(pt.Summary())
 
 	fmt.Println("\n=== graceful drain of the corpse ===")
 	t0 := time.Now()
@@ -112,5 +108,5 @@ func inspectHA(drives int) {
 	got, err := h.ReadAt(uint64(vol), 0, 4096)
 	check(err)
 	fmt.Printf("post-drain read via HA client: %d bytes ok\n", len(got))
-	fmt.Printf("client final: %s\n", h.Stats().Summary())
+	fmt.Printf("client final: %s\n", telemetry.Render(h.Stats()))
 }

@@ -6,13 +6,13 @@
 //
 // With -health it instead tells the drive-failure story: latent corruption
 // is injected and scrubbed away, one drive is pulled, replaced and rebuilt,
-// and the per-drive health, wear, read-path and scrub/rebuild counters are
-// dumped at the end.
+// and the per-drive health table and the stats document are dumped at the
+// end.
 //
 // With -frontend it tours the tagged pipelined front end: the array is
 // served over loopback TCP, pipelined initiators and adversarial probes
 // (duplicate tags, oversized/torn/zero-length frames) drive it, and the
-// wire-health counters plus SLO governor state are dumped.
+// stats document, with its wire-health counters, is dumped.
 //
 // With -ha it tours end-to-end high availability: two servers share one
 // controller pair, an HA initiator writes through chaos-injected
@@ -27,7 +27,9 @@ import (
 
 	"purity/internal/core"
 	"purity/internal/relation"
+	"purity/internal/server"
 	"purity/internal/sim"
+	"purity/internal/telemetry"
 	"purity/internal/workload"
 )
 
@@ -132,28 +134,8 @@ func main() {
 	fmt.Printf("\nelide ranges: address map %d, mediums %d\n",
 		arr.ElideTableSize(relation.IDAddrs), arr.ElideTableSize(relation.IDMediums))
 
-	st := arr.Stats()
-	fmt.Println("\n=== engine counters ===")
-	fmt.Printf("writes=%d reads=%d reduction=%.2fx dedup hits=%d\n",
-		st.Writes, st.Reads, st.ReductionRatio, st.DedupHits)
-	fmt.Printf("segments=%d frontier AUs=%d free AUs=%d checkpoints=%d\n",
-		st.Segments, st.FrontierAUs, st.FreeAUs, st.Checkpoints)
-	fmt.Printf("flash: host writes=%d MiB erases=%d reads stalled behind program/erase=%d queued behind reads=%d\n",
-		st.FlashStats.HostBytesWritten>>20, st.FlashStats.Erases, st.FlashStats.StalledReads, st.FlashStats.QueuedReads)
-	fmt.Printf("hedged reads=%d wins=%d busy-drive avoided=%d\n",
-		st.HedgedReads, st.HedgeWins, st.SegRead.BusyAvoided)
-	fmt.Printf("pyramid rows: flushed=%d merged=%d (%.2f merged per flushed)\n",
-		st.PyramidFlushRows, st.PyramidMergeRows, float64(st.PyramidMergeRows)/float64(max(st.PyramidFlushRows, 1)))
-	fmt.Printf("write latency: %s\n", st.WriteLatency.Summary())
-	fmt.Printf("read latency:  %s\n", st.ReadLatency.Summary())
-
-	fmt.Println("\n=== commit lanes ===")
-	fmt.Printf("%-6s %-8s %-12s %-13s %s\n",
-		"LANE", "commits", "queue waits", "interleaves", "rotations")
-	for _, ls := range arr.LaneTelemetry().Lanes {
-		fmt.Printf("%-6d %-8d %-12d %-13d %d\n",
-			ls.Lane, ls.Commits, ls.QueueWaits, ls.SeqInterleaves, ls.Rotations)
-	}
+	fmt.Println("\n=== stats document ===")
+	printStats(arr, nil)
 }
 
 // inspectHealth runs the drive-failure lifecycle — latent corruption,
@@ -201,28 +183,15 @@ func inspectHealth(arr *core.Array) {
 			ds.StalledReads, ds.QueuedReads, ds.HostBytesRead>>20, ds.HostBytesWritten>>20)
 	}
 
-	r := st.SegRead
-	fmt.Println("\n=== read path (layout.ReadStats) ===")
-	fmt.Printf("direct shard reads      %d\n", r.DirectShardReads)
-	fmt.Printf("reconstructed reads     %d\n", r.ReconstructedReads)
-	fmt.Printf("shard MiB read          %d\n", r.ShardBytesRead>>20)
-	fmt.Printf("busy-drive avoided      %d\n", r.BusyAvoided)
-	fmt.Printf("CRC mismatches          %d\n", r.CRCMismatches)
-	fmt.Printf("inline repairs          %d\n", r.InlineRepairs)
-	fmt.Printf("home read errors        %d\n", r.HomeReadErrors)
-	fmt.Printf("home retries            %d\n", r.HomeRetries)
-	fmt.Printf("hedged reads (core)     %d\n", st.HedgedReads)
-	fmt.Printf("hedge wins (core)       %d\n", st.HedgeWins)
+	fmt.Println("\n=== stats document ===")
+	printStats(arr, nil)
+}
 
-	fmt.Println("\n=== scrub / rebuild counters ===")
-	fmt.Printf("scrub passes            %d\n", st.ScrubPasses)
-	fmt.Printf("scrub segments          %d\n", st.ScrubSegments)
-	fmt.Printf("scrub WUs repaired      %d\n", st.ScrubWUsRepaired)
-	fmt.Printf("drive replaces          %d\n", st.DriveReplaces)
-	fmt.Printf("rebuilds                %d\n", st.Rebuilds)
-	fmt.Printf("rebuild segments        %d\n", st.RebuildSegments)
-	fmt.Printf("rebuild MiB             %d\n", st.RebuildBytes>>20)
-	fmt.Printf("lost shards (degraded)  %d\n", st.LostShards)
+// printStats prints the stats document: the one OpStats serves.
+func printStats(arr *core.Array, fe *telemetry.Frontend) {
+	doc, err := server.StatsDocument(arr, fe)
+	check(err)
+	fmt.Println(string(doc))
 }
 
 func check(err error) {

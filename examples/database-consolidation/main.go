@@ -37,7 +37,7 @@ func main() {
 	}
 	st := arr.Stats()
 	fmt.Printf("%d databases loaded: %d MiB logical -> %d MiB flash (%.1fx reduction)\n",
-		instances, st.Reduction.LogicalBytes>>20, st.Reduction.PhysicalBytes>>20, st.ReductionRatio)
+		instances, st.LogicalBytes>>20, st.PhysicalBytes>>20, st.ReductionRatio)
 
 	// Nightly snapshots: O(1) per instance, no data copied.
 	for i, v := range vols {

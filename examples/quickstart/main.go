@@ -59,7 +59,7 @@ func main() {
 	// Inline compression already shrank our very repetitive page.
 	st := arr.Stats()
 	fmt.Printf("data reduction so far: %.1fx (%d logical bytes -> %d on flash)\n",
-		st.ReductionRatio, st.Reduction.LogicalBytes, st.Reduction.PhysicalBytes)
+		st.ReductionRatio, st.LogicalBytes, st.PhysicalBytes)
 	fmt.Printf("write latency: %s\n", st.WriteLatency.Summary())
 	fmt.Printf("simulated time elapsed: %v\n", arr.Elapsed())
 }

@@ -44,7 +44,7 @@ func main() {
 	st := arr.Stats()
 	fmt.Printf("%d desktops provisioned from one image in %v simulated time\n", desktops, arr.Elapsed())
 	fmt.Printf("physical flash used: %d MiB for %d MiB of logical desktops (thin+cloned)\n",
-		st.Reduction.PhysicalBytes>>20, desktops*imageBytes>>20)
+		st.PhysicalBytes>>20, desktops*imageBytes>>20)
 
 	// Users log in: every desktop writes its own profile area. The writes
 	// are mostly OS-update blocks shared across desktops — dedup folds
@@ -59,8 +59,8 @@ func main() {
 		}
 	}
 	st = arr.Stats()
-	logicalMiB := float64(st.Reduction.LogicalBytes) / (1 << 20)
-	physMiB := float64(st.Reduction.PhysicalBytes) / (1 << 20)
+	logicalMiB := float64(st.LogicalBytes) / (1 << 20)
+	physMiB := float64(st.PhysicalBytes) / (1 << 20)
 	fmt.Printf("after a shared OS update on 25 desktops: %.0f MiB logical, %.0f MiB physical\n", logicalMiB, physMiB)
 	fmt.Printf("dedup hits: %d; effective reduction %.1fx (paper: \"in excess of 20x\" for VDI)\n",
 		st.DedupHits, st.ReductionRatio)

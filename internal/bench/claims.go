@@ -150,9 +150,9 @@ func runE3(o Options) error {
 		}
 		st := arr.Stats()
 		fmt.Fprintf(w, "%-22s %9dM %11dM %13.1fx %10s\n", sc.name,
-			st.Reduction.LogicalBytes>>20, st.Reduction.PhysicalBytes>>20, st.ReductionRatio, sc.paper)
-		totalLogical += st.Reduction.LogicalBytes
-		totalPhysical += st.Reduction.PhysicalBytes
+			st.LogicalBytes>>20, st.PhysicalBytes>>20, st.ReductionRatio, sc.paper)
+		totalLogical += st.LogicalBytes
+		totalPhysical += st.PhysicalBytes
 	}
 	// Fleet-wide aggregate: total logical over total physical, the way the
 	// paper's continuously-published customer average is computed.

@@ -147,7 +147,7 @@ func runE8(o Options) error {
 		return err
 	}
 	st := arr.Stats()
-	logical := st.Reduction.LogicalBytes
+	logical := st.LogicalBytes
 	flash := st.FlashStats.FlashBytesWritten
 	fmt.Fprintf(w, "Sustained overwrite workload (%d full passes + GC):\n\n", passes+1)
 	fmt.Fprintf(w, "  application bytes written:   %d MiB\n", logical>>20)

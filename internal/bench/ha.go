@@ -12,6 +12,7 @@ import (
 	"purity/internal/client"
 	"purity/internal/controller"
 	"purity/internal/server"
+	"purity/internal/telemetry"
 	"purity/internal/workload"
 )
 
@@ -192,8 +193,8 @@ func runE15(o Options) error {
 		gap.Round(time.Millisecond), budget)
 	fmt.Fprintf(w, "exactly-once: AppliedOK=%d replays suppressed=%d overflows=0 ✓\n",
 		tab.AppliedOK.Load(), tab.ReplaysSuppressed.Load())
-	fmt.Fprintf(w, "client:   %s\n", h.Stats().Summary())
-	fmt.Fprintf(w, "chaos:    %s\n", inj.Stats().Summary())
+	fmt.Fprintf(w, "client:   %s\n", telemetry.Render(h.Stats()))
+	fmt.Fprintf(w, "chaos:    %s\n", telemetry.Render(inj.Stats()))
 	fmt.Fprintf(w, "survivor: failovers=%d (%v)\n",
 		sec.Frontend().Failovers.Load(),
 		time.Duration(sec.Frontend().FailoverNanos.Load()).Round(time.Microsecond))

@@ -28,10 +28,10 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"purity/internal/sim"
-	"purity/internal/telemetry"
 )
 
 // ErrInjected marks a failure manufactured by the injector (resets and torn
@@ -57,19 +57,12 @@ type Config struct {
 
 // Stats counts injected faults, for experiment reporting.
 type Stats struct {
-	Conns      telemetry.Counter
-	Resets     telemetry.Counter
-	TornWrites telemetry.Counter
-	Delays     telemetry.Counter
-	Stalls     telemetry.Counter
-	Blackholes telemetry.Counter
-}
-
-// Summary renders the counters on one line.
-func (s *Stats) Summary() string {
-	return fmt.Sprintf("conns=%d resets=%d torn=%d delays=%d stalls=%d blackholes=%d",
-		s.Conns.Load(), s.Resets.Load(), s.TornWrites.Load(),
-		s.Delays.Load(), s.Stalls.Load(), s.Blackholes.Load())
+	Conns      atomic.Int64
+	Resets     atomic.Int64
+	TornWrites atomic.Int64
+	Delays     atomic.Int64
+	Stalls     atomic.Int64
+	Blackholes atomic.Int64
 }
 
 // Injector hands out fault-wrapped connections and listeners.
@@ -103,7 +96,7 @@ func (i *Injector) Conn(c net.Conn) net.Conn {
 	n := i.conns
 	cfg := i.cfg
 	i.mu.Unlock()
-	i.stats.Conns.Inc()
+	i.stats.Conns.Add(1)
 	return &conn{
 		Conn:    c,
 		cfg:     cfg,
@@ -188,7 +181,7 @@ func (c *conn) SetReadDeadline(t time.Time) error {
 func (c *conn) Write(b []byte) (int, error) {
 	switch c.decide(c.cfg.ResetProb, c.cfg.TearProb) {
 	case 0: // reset
-		c.stats.Resets.Inc()
+		c.stats.Resets.Add(1)
 		//lint:ignore errdrop the injected reset is the error this path exists to produce; the close error is noise
 		c.Close()
 		return 0, fmt.Errorf("%w: connection reset before write", ErrInjected)
@@ -198,7 +191,7 @@ func (c *conn) Write(b []byte) (int, error) {
 			if n >= len(b) {
 				n = len(b) - 1
 			}
-			c.stats.TornWrites.Inc()
+			c.stats.TornWrites.Add(1)
 			wrote, err := c.Conn.Write(b[:n])
 			//lint:ignore errdrop the torn write is the error this path exists to produce; the close error is noise
 			c.Close()
@@ -214,7 +207,7 @@ func (c *conn) Write(b []byte) (int, error) {
 func (c *conn) Read(b []byte) (int, error) {
 	switch c.decide(c.cfg.BlackholeProb, c.cfg.StallProb, c.cfg.DelayProb) {
 	case 0: // blackhole: bytes never arrive
-		c.stats.Blackholes.Inc()
+		c.stats.Blackholes.Add(1)
 		c.dmu.Lock()
 		deadline := c.readDeadline
 		c.dmu.Unlock()
@@ -231,10 +224,10 @@ func (c *conn) Read(b []byte) (int, error) {
 			return 0, os.ErrDeadlineExceeded
 		}
 	case 1: // stall, then deliver
-		c.stats.Stalls.Inc()
+		c.stats.Stalls.Add(1)
 		c.sleep(c.cfg.Stall)
 	case 2: // small delay
-		c.stats.Delays.Inc()
+		c.stats.Delays.Add(1)
 		c.sleep(c.cfg.Delay)
 	}
 	return c.Conn.Read(b)

@@ -7,6 +7,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"purity/internal/telemetry"
 )
 
 // pipePair returns two ends of a loopback TCP connection, the client end
@@ -55,7 +57,7 @@ func TestZeroConfigIsTransparent(t *testing.T) {
 		t.Fatalf("got %q", got)
 	}
 	if s := inj.Stats(); s.Resets.Load()+s.TornWrites.Load()+s.Blackholes.Load() != 0 {
-		t.Fatalf("faults injected at zero config: %s", s.Summary())
+		t.Fatalf("faults injected at zero config: %s", telemetry.Render(s))
 	}
 }
 

@@ -434,7 +434,7 @@ func (c *Client) Delete(vol uint64) error {
 	return err
 }
 
-// Stats returns the server's formatted statistics.
+// Stats returns the server's stats document (JSON; server.StatsDocument).
 func (c *Client) Stats() (string, error) {
 	resp, err := c.call(wire.OpStats, nil, nil)
 	if err != nil {
@@ -450,7 +450,7 @@ func (c *Client) Flush() error {
 	return err
 }
 
-// GC runs a garbage-collection cycle and returns its report text.
+// GC runs a garbage-collection cycle and returns its report as JSON.
 func (c *Client) GC() (string, error) {
 	resp, err := c.call(wire.OpGC, nil, nil)
 	if err != nil {

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"purity/internal/sim"
-	"purity/internal/telemetry"
 	"purity/internal/wire"
 )
 
@@ -70,19 +69,12 @@ func (c HAConfig) normalize() HAConfig {
 
 // HAStats counts the resilience machinery's activations.
 type HAStats struct {
-	Connects       telemetry.Counter // connections established (first + re)
-	Redirects      telemetry.Counter // CodeNotPrimary answers that rotated ports
-	Retries        telemetry.Counter // op attempts beyond the first
-	Replays        telemetry.Counter // idempotent writes resent with their original seq
-	DeadlineAborts telemetry.Counter // ops abandoned by the per-op deadline
-	StaleDials     telemetry.Counter // dialed connections rejected for carrying a second session
-}
-
-// Summary renders the counters on one line.
-func (s *HAStats) Summary() string {
-	return fmt.Sprintf("connects=%d redirects=%d retries=%d replays=%d deadline aborts=%d stale dials=%d",
-		s.Connects.Load(), s.Redirects.Load(), s.Retries.Load(),
-		s.Replays.Load(), s.DeadlineAborts.Load(), s.StaleDials.Load())
+	Connects       atomic.Int64 // connections established (first + re)
+	Redirects      atomic.Int64 // CodeNotPrimary answers that rotated ports
+	Retries        atomic.Int64 // op attempts beyond the first
+	Replays        atomic.Int64 // idempotent writes resent with their original seq
+	DeadlineAborts atomic.Int64 // ops abandoned by the per-op deadline
+	StaleDials     atomic.Int64 // dialed connections rejected for carrying a second session
 }
 
 // ErrHAClosed fails ops issued after Close.
@@ -183,13 +175,13 @@ func (h *HAClient) conn() (*Client, error) {
 		// would resend writes already applied under the first session in a
 		// session that has no record of them: applied twice. The op
 		// retries, and its next dial resumes the first session.
-		h.stats.StaleDials.Inc()
+		h.stats.StaleDials.Add(1)
 		err = errStaleDial
 	default:
 		c.SetOpTimeout(h.cfg.OpTimeout)
 		h.session = c.Session()
 		h.c = c
-		h.stats.Connects.Inc()
+		h.stats.Connects.Add(1)
 		return c, nil
 	}
 	//lint:ignore errdrop closing a connection that lost a race (with Close, with another dial, or with the session being established); what it lost to is the answer
@@ -239,7 +231,7 @@ func (h *HAClient) do(f func(*Client) error) error {
 	var lastErr error
 	for attempt := 0; attempt < h.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			h.stats.Retries.Inc()
+			h.stats.Retries.Add(1)
 			delay = h.backoff(delay)
 		}
 		c, err := h.conn()
@@ -249,7 +241,7 @@ func (h *HAClient) do(f func(*Client) error) error {
 			}
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				// A blackholed handshake counts as a deadline abort too.
-				h.stats.DeadlineAborts.Inc()
+				h.stats.DeadlineAborts.Add(1)
 			}
 			lastErr = err
 			continue
@@ -264,7 +256,7 @@ func (h *HAClient) do(f func(*Client) error) error {
 			switch re.Code {
 			case wire.CodeNotPrimary:
 				// This controller is fenced: re-resolve to the survivor.
-				h.stats.Redirects.Inc()
+				h.stats.Redirects.Add(1)
 				h.condemn(c, true)
 			case wire.CodeRetryable:
 				// Mid-failover or draining: the op was not applied. Keep the
@@ -278,7 +270,7 @@ func (h *HAClient) do(f func(*Client) error) error {
 		// Transport failure or deadline: ambiguous — the op may or may not
 		// have been applied; replaying it is safe (see above).
 		if errors.Is(err, os.ErrDeadlineExceeded) {
-			h.stats.DeadlineAborts.Inc()
+			h.stats.DeadlineAborts.Add(1)
 		}
 		h.condemn(c, false)
 	}
@@ -293,7 +285,7 @@ func (h *HAClient) WriteAt(vol uint64, off int64, data []byte) error {
 	first := true
 	return h.do(func(c *Client) error {
 		if !first {
-			h.stats.Replays.Inc()
+			h.stats.Replays.Add(1)
 		}
 		first = false
 		return c.WriteIdem(seq, vol, off, data)

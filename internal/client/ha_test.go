@@ -18,6 +18,7 @@ import (
 	"purity/internal/core"
 	"purity/internal/server"
 	"purity/internal/sim"
+	"purity/internal/telemetry"
 )
 
 // startHAServer brings up one server for a role on loopback.
@@ -127,7 +128,7 @@ func TestHAWritesSurviveConnectionChaos(t *testing.T) {
 		t.Fatal("chaos injected nothing; the test proved nothing")
 	}
 	if h.Stats().Connects.Load() < 2 {
-		t.Fatalf("no reconnects happened: %s", h.Stats().Summary())
+		t.Fatalf("no reconnects happened: %s", telemetry.Render(h.Stats()))
 	}
 }
 
@@ -207,7 +208,7 @@ func TestHANotPrimaryRedirect(t *testing.T) {
 		t.Fatalf("redirected read: %v", err)
 	}
 	if h.Stats().Redirects.Load() == 0 {
-		t.Fatalf("no redirect recorded: %s", h.Stats().Summary())
+		t.Fatalf("no redirect recorded: %s", telemetry.Render(h.Stats()))
 	}
 	if err := h.WriteAt(uint64(vol), 4096, data); err != nil {
 		t.Fatalf("redirected write: %v", err)
@@ -329,13 +330,13 @@ func TestHAStaleDialIsNotAdopted(t *testing.T) {
 		t.Fatalf("session changed from %d to %d", session, got)
 	}
 	if got := tab.AppliedOK.Load(); got != 3 {
-		t.Fatalf("AppliedOK = %d, want 3: a sequence number was applied twice (%s)", got, tab.Summary())
+		t.Fatalf("AppliedOK = %d, want 3: a sequence number was applied twice (%s)", got, telemetry.Render(tab))
 	}
 	if got := tab.ReplaysSuppressed.Load(); got != 1 {
-		t.Fatalf("ReplaysSuppressed = %d, want 1 (%s)", got, tab.Summary())
+		t.Fatalf("ReplaysSuppressed = %d, want 1 (%s)", got, telemetry.Render(tab))
 	}
 	if got := h.Stats().StaleDials.Load(); got != 1 {
-		t.Fatalf("StaleDials = %d, want 1: %s", got, h.Stats().Summary())
+		t.Fatalf("StaleDials = %d, want 1: %s", got, telemetry.Render(h.Stats()))
 	}
 	for i := 0; i < 3; i++ {
 		got, err := h.ReadAt(uint64(vol), int64(i)*4096, 4096)

@@ -21,8 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"purity/internal/telemetry"
+	"sync/atomic"
 )
 
 // DefaultSessionWindow is how many completed ops a session retains. The
@@ -46,12 +45,12 @@ type Sessions struct {
 	window int
 
 	// Counters for the HA story (purity-inspect -ha, E15 assertions).
-	Opened            telemetry.Counter // sessions created
-	Resumed           telemetry.Counter // hellos that re-attached to a live session
-	ReplaysSuppressed telemetry.Counter // replayed writes answered from the window
-	ReplayWaits       telemetry.Counter // replays that waited out an in-flight original
-	AppliedOK         telemetry.Counter // definitive successful applies (once per seq)
-	Overflows         telemetry.Counter // replays refused as older than the window (must stay 0)
+	Opened            atomic.Int64 // sessions created
+	Resumed           atomic.Int64 // hellos that re-attached to a live session
+	ReplaysSuppressed atomic.Int64 // replayed writes answered from the window
+	ReplayWaits       atomic.Int64 // replays that waited out an in-flight original
+	AppliedOK         atomic.Int64 // definitive successful applies (once per seq)
+	Overflows         atomic.Int64 // replays refused as older than the window (must stay 0)
 }
 
 // NewSessions returns an empty table retaining `window` completed ops per
@@ -70,7 +69,7 @@ func (t *Sessions) Open() *Session {
 	t.nextID++
 	s := newSession(t, t.nextID)
 	t.m[s.ID] = s
-	t.Opened.Inc()
+	t.Opened.Add(1)
 	return s
 }
 
@@ -84,7 +83,7 @@ func (t *Sessions) Resume(id uint64) *Session {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if s, ok := t.m[id]; ok {
-		t.Resumed.Inc()
+		t.Resumed.Add(1)
 		return s
 	}
 	if id > t.nextID {
@@ -92,7 +91,7 @@ func (t *Sessions) Resume(id uint64) *Session {
 	}
 	s := newSession(t, id)
 	t.m[id] = s
-	t.Opened.Inc()
+	t.Opened.Add(1)
 	return s
 }
 
@@ -101,15 +100,6 @@ func (t *Sessions) Count() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.m)
-}
-
-// Summary renders the session counters on one line.
-func (t *Sessions) Summary() string {
-	return fmt.Sprintf(
-		"sessions=%d opened=%d resumed=%d; replays suppressed=%d waited=%d; applied ok=%d; window overflows=%d",
-		t.Count(), t.Opened.Load(), t.Resumed.Load(),
-		t.ReplaysSuppressed.Load(), t.ReplayWaits.Load(),
-		t.AppliedOK.Load(), t.Overflows.Load())
 }
 
 // Session is one initiator's identity: a window of completed write
@@ -151,7 +141,7 @@ func (s *Session) Do(seq uint64, apply func() error, definitive func(error) bool
 	for {
 		if seq <= s.floor {
 			s.mu.Unlock()
-			s.tab.Overflows.Inc()
+			s.tab.Overflows.Add(1)
 			return fmt.Errorf("%w: seq %d <= floor %d (session %d)", ErrIdemEvicted, seq, s.floor, s.ID), false
 		}
 		r, ok := s.results[seq]
@@ -160,14 +150,14 @@ func (s *Session) Do(seq uint64, apply func() error, definitive func(error) bool
 		}
 		if r.completed {
 			s.mu.Unlock()
-			s.tab.ReplaysSuppressed.Inc()
+			s.tab.ReplaysSuppressed.Add(1)
 			return r.err, true
 		}
 		// The original is still in flight (possibly queued on the dying
 		// controller). Wait it out: if it completes definitively, its
 		// outcome is ours; if not, re-claim and apply.
 		s.mu.Unlock()
-		s.tab.ReplayWaits.Inc()
+		s.tab.ReplayWaits.Add(1)
 		<-r.done
 		s.mu.Lock()
 	}
@@ -185,7 +175,7 @@ func (s *Session) Do(seq uint64, apply func() error, definitive func(error) bool
 		r.completed = true
 		r.err = err
 		if err == nil {
-			s.tab.AppliedOK.Inc()
+			s.tab.AppliedOK.Add(1)
 		}
 		s.evictLocked()
 	} else {

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"purity/internal/telemetry"
 )
 
 func TestSessionOpenResume(t *testing.T) {
@@ -223,7 +225,7 @@ func TestSessionConcurrentExactlyOnce(t *testing.T) {
 	if got := tab.ReplaysSuppressed.Load() + tab.ReplayWaits.Load(); got < want {
 		t.Fatalf("suppressed+waited = %d, want >= %d", got, want)
 	}
-	if tab.Summary() == "" { // Summary must not race under -race
+	if telemetry.Render(tab) == "" { // rendering must not race under -race
 		t.Fatal("empty summary")
 	}
 }

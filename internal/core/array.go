@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"purity/internal/crashpoint"
 	"purity/internal/dedup"
@@ -51,7 +52,7 @@ type openSeg struct {
 	mu sync.Mutex
 	w  *layout.Writer
 	// rotations counts the segments this slot sealed because they filled.
-	rotations telemetry.Counter
+	rotations atomic.Int64
 	// Slots sit side by side in Array.slots and lanes lock theirs on every
 	// append from different cores: pad to a cache line so they do not share
 	// one.
@@ -203,9 +204,15 @@ type Array struct {
 // Counters are the engine counters that Stats accumulates and StatsSnapshot
 // reports unchanged. Histograms record simulated latencies.
 type Counters struct {
-	Writes, Reads       int64
-	WriteLatency        *telemetry.Histogram
-	ReadLatency         *telemetry.Histogram
+	Writes, Reads int64
+	WriteLatency  *telemetry.Histogram
+	ReadLatency   *telemetry.Histogram
+	// LogicalBytes, PhysicalBytes and DedupBytes are the data-reduction
+	// account (§5: 5.4× average): bytes the applications wrote, compressed
+	// bytes stored for them, and logical bytes existing data satisfied.
+	LogicalBytes        int64
+	PhysicalBytes       int64
+	DedupBytes          int64
 	SegRead             layout.ReadStats
 	DedupHits           int64
 	DedupMisses         int64
@@ -235,39 +242,24 @@ type Counters struct {
 	RebuildBytes    int64
 }
 
-// Stats aggregates engine counters.
+// Stats aggregates engine counters: Counters under mu (and rdMu, see
+// there), and atomics for the paths that hold neither.
 type Stats struct {
 	Counters
-	Reduction *telemetry.Reduction
 	// SegReadErrors / UnpackErrors / ExtentReadErrors count segment-read,
-	// cblock-unpack, and extent-read failures (formerly ad-hoc debug
-	// prints). The first two are survived — reads reconstruct, dedup
-	// candidates are skipped — but a nonzero rate is the first sign of a
-	// placement or liveness bug; an extent-read failure propagates to the
-	// client with structured detail.
-	SegReadErrors    *telemetry.Counter
-	UnpackErrors     *telemetry.Counter
-	ExtentReadErrors *telemetry.Counter
+	// cblock-unpack, and extent-read failures. The first two are survived —
+	// reads reconstruct, dedup candidates are skipped — but a nonzero rate
+	// is the first sign of a placement or liveness bug; an extent-read
+	// failure propagates to the client with structured detail.
+	SegReadErrors    atomic.Int64
+	UnpackErrors     atomic.Int64
+	ExtentReadErrors atomic.Int64
 	// PackedBytes counts the input bytes foreground writes hand to
 	// cblock.AppendPack — the work §4.7's order saves: a write compresses only
 	// what the duplicate search left (plus, rarely, a later extent packed
 	// alongside a miss that then hit). Replay packs nothing: it places the
 	// frame the write logged.
-	PackedBytes *telemetry.Counter
-}
-
-func newStats() Stats {
-	return Stats{
-		Counters: Counters{
-			WriteLatency: telemetry.NewHistogram(),
-			ReadLatency:  telemetry.NewHistogram(),
-		},
-		Reduction:        &telemetry.Reduction{},
-		SegReadErrors:    telemetry.NewCounter(),
-		UnpackErrors:     telemetry.NewCounter(),
-		ExtentReadErrors: telemetry.NewCounter(),
-		PackedBytes:      telemetry.NewCounter(),
-	}
+	PackedBytes atomic.Int64
 }
 
 // Errors.
@@ -324,23 +316,26 @@ func newSkeleton(cfg Config, sh *shelf.Shelf) (*Array, error) {
 		return nil, err
 	}
 	a := &Array{
-		cfg:         cfg,
-		shelf:       sh,
-		coder:       coder,
-		seqs:        tuple.NewSeqSource(0),
-		pyr:         make(map[uint32]*pyramid.Pyramid),
-		elides:      make(map[uint32]*elide.Table),
-		alloc:       alloc,
-		reader:      layout.NewReader(cfg.Layout, sh.Drives(), coder),
-		boot:        frontier.NewBootRegion(cfg.Layout, sh.Drives()),
-		slots:       make([]openSeg, int(numClasses)+cfg.CommitLanes), // normalize: at least one lane
-		openByID:    make(map[layout.SegmentID]openRef),
-		segMap:      make(map[layout.SegmentID]layout.SegmentInfo),
-		liveBytes:   make(map[layout.SegmentID]int64),
-		lost:        make(map[layout.SegmentID]map[int]bool),
-		recent:      dedup.NewRecentIndex(cfg.RecentIndexSize),
-		cblocks:     newCBlockCache(cfg.CBlockCacheEntries),
-		stats:       newStats(),
+		cfg:       cfg,
+		shelf:     sh,
+		coder:     coder,
+		seqs:      tuple.NewSeqSource(0),
+		pyr:       make(map[uint32]*pyramid.Pyramid),
+		elides:    make(map[uint32]*elide.Table),
+		alloc:     alloc,
+		reader:    layout.NewReader(cfg.Layout, sh.Drives(), coder),
+		boot:      frontier.NewBootRegion(cfg.Layout, sh.Drives()),
+		slots:     make([]openSeg, int(numClasses)+cfg.CommitLanes), // normalize: at least one lane
+		openByID:  make(map[layout.SegmentID]openRef),
+		segMap:    make(map[layout.SegmentID]layout.SegmentInfo),
+		liveBytes: make(map[layout.SegmentID]int64),
+		lost:      make(map[layout.SegmentID]map[int]bool),
+		recent:    dedup.NewRecentIndex(cfg.RecentIndexSize),
+		cblocks:   newCBlockCache(cfg.CBlockCacheEntries),
+		stats: Stats{Counters: Counters{
+			WriteLatency: telemetry.NewHistogram(),
+			ReadLatency:  telemetry.NewHistogram(),
+		}},
 		readTracker: iosched.NewTracker(1024),
 		gov:         iosched.NewGovernor(cfg.SLOBudget, 4096),
 		cpus:        make([]sim.Time, cfg.CPUCores),
@@ -350,7 +345,7 @@ func newSkeleton(cfg Config, sh *shelf.Shelf) (*Array, error) {
 	a.reader.SetShardLost(a.shardLost)
 	a.lanes = make([]*commitLane, cfg.CommitLanes)
 	for i := range a.lanes {
-		a.lanes[i] = newCommitLane(i, &a.slots[int(numClasses)+i])
+		a.lanes[i] = &commitLane{id: i, slot: &a.slots[int(numClasses)+i]}
 	}
 	for _, id := range []uint32{
 		relation.IDMediums, relation.IDAddrs, relation.IDDedup,
@@ -634,7 +629,7 @@ func (a *Array) slotAppendLocked(at sim.Time, s *openSeg, it segItem) (layout.Se
 		if done, err = a.sealSlotLocked(done, s); err != nil {
 			return 0, 0, done, err
 		}
-		s.rotations.Inc()
+		s.rotations.Add(1)
 	}
 	return 0, 0, done, errors.New("core: could not place item after segment rotation")
 }
@@ -707,7 +702,7 @@ func (a *Array) readSegment(at sim.Time, id layout.SegmentID, off int64, n int, 
 	a.addSegRead(rstats)
 	if err != nil && mode != layout.ReadAroundHome {
 		// A hedge's second arm that finds too few peers just loses the race.
-		a.stats.SegReadErrors.Inc()
+		a.stats.SegReadErrors.Add(1)
 	}
 	return b, done, err
 }

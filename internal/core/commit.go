@@ -142,7 +142,7 @@ func decodeWriteRecord(b []byte) ([]writeChunk, error) {
 func (a *Array) nvramAppend(at sim.Time, ln *commitLane, rec []byte) (sim.Time, error) {
 	if !a.nvAppendMu.TryLock() {
 		if ln != nil {
-			ln.queueWaits.Inc()
+			ln.queueWaits.Add(1)
 		}
 		a.nvAppendMu.Lock()
 	}

@@ -234,7 +234,7 @@ func TestDedupIdenticalVolumes(t *testing.T) {
 	if st.DedupHits == 0 {
 		t.Fatalf("no dedup hits: %+v", st)
 	}
-	if st.Reduction.DedupBytes == 0 {
+	if st.DedupBytes == 0 {
 		t.Fatal("no deduped bytes accounted")
 	}
 	// Both volumes still read correctly.

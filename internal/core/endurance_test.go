@@ -175,7 +175,7 @@ func TestProvisionedBytesAccounting(t *testing.T) {
 		t.Fatalf("ProvisionedBytes after delete = %d, want %d", got, 8<<20)
 	}
 	// Thin: provisioning 24 MiB consumed almost no flash.
-	if phys := a.Stats().Reduction.PhysicalBytes; phys != 0 {
+	if phys := a.Stats().PhysicalBytes; phys != 0 {
 		t.Fatalf("thin volumes consumed %d physical bytes", phys)
 	}
 	_ = relation.IDVolumes

@@ -2,13 +2,13 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"purity/internal/cblock"
 	"purity/internal/dedup"
 	"purity/internal/layout"
 	"purity/internal/relation"
 	"purity/internal/sim"
-	"purity/internal/telemetry"
 	"purity/internal/tuple"
 )
 
@@ -47,19 +47,9 @@ type commitLane struct {
 	// another commit's allocations (allocator pressure — the shared
 	// SeqSource is wait-free, so interleaving, not stalling, is the
 	// observable). Segment seals due to fill are slot.rotations.
-	commits        *telemetry.Counter
-	queueWaits     *telemetry.Counter
-	seqInterleaves *telemetry.Counter
-}
-
-func newCommitLane(id int, slot *openSeg) *commitLane {
-	return &commitLane{
-		id:             id,
-		slot:           slot,
-		commits:        telemetry.NewCounter(),
-		queueWaits:     telemetry.NewCounter(),
-		seqInterleaves: telemetry.NewCounter(),
-	}
+	commits        atomic.Int64
+	queueWaits     atomic.Int64
+	seqInterleaves atomic.Int64
 }
 
 // laneFor routes a volume to its lane. Volume IDs are dense and
@@ -125,7 +115,7 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 		}
 	}
 	if uint64(a.seqs.Current()-seqStart) > allocated {
-		ln.seqInterleaves.Inc()
+		ln.seqInterleaves.Add(1)
 	}
 
 	// Commit point: the NVRAM append. Any error escalates to the exclusive
@@ -140,7 +130,7 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 		return done, err
 	}
 	done = done2
-	ln.commits.Inc()
+	ln.commits.Add(1)
 
 	// The write is durable in NVRAM but not yet applied to the pyramids. A
 	// crash in this window must be recovered by replay; the crash sweep arms
@@ -203,7 +193,9 @@ func (a *Array) laneApplyLocked(done sim.Time, w laneWrite) (sim.Time, error) {
 	}
 	a.stats.Writes++
 	a.stats.WriteLatency.Record(ackAt - w.at)
-	a.stats.Reduction.AddWrite(w.size, w.physical, w.deduped)
+	a.stats.LogicalBytes += w.size
+	a.stats.PhysicalBytes += w.physical
+	a.stats.DedupBytes += w.deduped
 	return ackAt, nil
 }
 
@@ -232,7 +224,7 @@ func (a *Array) laneCommitExclusive(done sim.Time, ln *commitLane, sc *writeScra
 	if err != nil {
 		return done, err
 	}
-	ln.commits.Inc()
+	ln.commits.Add(1)
 	ackAt, err := a.laneApplyLocked(done, w)
 	if err != nil {
 		return ackAt, err
@@ -423,12 +415,11 @@ func (a *Array) sealOpenLocked(at sim.Time) (sim.Time, error) {
 type LaneStat struct {
 	Lane    int
 	Commits int64
-	// BatchesLed equals Commits: every record is its own NVRAM append. It
-	// is kept only because benchmark/ reads it.
-	BatchesLed int64
-	// BatchRecords equals Commits: every record is its own NVRAM append.
-	// It is kept only because benchmark/ reads it.
-	BatchRecords   int64
+	// BatchesLed and BatchRecords equal Commits: every record is its own
+	// NVRAM append. They are kept only because benchmark/ reads them, and
+	// left out of the stats document.
+	BatchesLed     int64 `json:"-"`
+	BatchRecords   int64 `json:"-"`
 	QueueWaits     int64
 	SeqInterleaves int64
 	Rotations      int64

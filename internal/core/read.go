@@ -204,7 +204,7 @@ func (a *Array) hedgeLocked(at, metaDone, slowest sim.Time, exts []medium.Extent
 func (a *Array) readExtent(at sim.Time, ext medium.Extent, dst []byte) (sim.Time, error) {
 	sectors, done, err := a.readCBlock(at, ext.Addr.Segment, ext.Addr.SegOff, int(ext.Addr.PhysLen))
 	if err != nil {
-		a.stats.ExtentReadErrors.Inc()
+		a.stats.ExtentReadErrors.Add(1)
 		return done, fmt.Errorf("core: extent read medium=%d sector=%d seg=%d off=%d len=%d depth=%d: %w",
 			ext.Addr.Medium, ext.Addr.Sector, ext.Addr.Segment, ext.Addr.SegOff, ext.Addr.PhysLen, ext.Depth, err)
 	}
@@ -241,7 +241,7 @@ func (a *Array) readCBlock(at sim.Time, seg, segOff uint64, physLen int) ([]byte
 	// with the error counted.
 	sectors, err = cblock.Unpack(frame)
 	if err != nil {
-		a.stats.UnpackErrors.Inc()
+		a.stats.UnpackErrors.Add(1)
 		return nil, done, err
 	}
 	a.rdMu.Lock()

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -59,9 +61,9 @@ func checkStamped(b []byte, firstSector, maxVersion uint64) error {
 // statsModelRun drives one seeded script in virtual-time order — volume
 // creates, snapshots and clones between FlushAlls, so the volume catalog
 // keeps gaining patches whose pages are not yet cached, with writes and
-// reads around them — and returns every op's completion time and a
-// rendering of the counters the device model produced. With probe set,
-// Stats() is called after every op.
+// reads around them — and returns every op's completion time and the
+// final engine stats document. With probe set, the document is taken and
+// marshalled after every op.
 func statsModelRun(t *testing.T, probe bool) ([]sim.Time, string) {
 	t.Helper()
 	a, err := Format(TestConfig())
@@ -78,7 +80,9 @@ func statsModelRun(t *testing.T, probe bool) ([]sim.Time, string) {
 		now = d
 		acks = append(acks, d)
 		if probe {
-			a.Stats()
+			if _, err := json.Marshal(a.Stats()); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	const volBytes = 1 << 20
@@ -107,21 +111,22 @@ func statsModelRun(t *testing.T, probe bool) ([]sim.Time, string) {
 		}
 		step(a.FlushAll(now))
 	}
-	st := a.Stats()
-	return acks, fmt.Sprintf("writes %d reads %d\nflash %+v\nsegment reads %+v\ncache %d/%d hedged %d\nreduction %.9f provisioned %d",
-		st.Writes, st.Reads, st.FlashStats, st.SegRead, st.CacheHits, st.CacheMisses, st.HedgedReads,
-		st.ReductionRatio, st.ProvisionedBytes)
+	doc, err := json.MarshalIndent(a.Stats(), "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return acks, string(doc)
 }
 
-// TestStatsDoesNotMoveModel: taking a snapshot of the counters after every
-// op leaves every completion time and every device-model counter exactly
-// as it is without one. The snapshot once summed ProvisionedBytes by
-// scanning the volume catalog, which opened catalog pages through the page
-// cache and the drives at time 0 — a later lookup then found them cached
-// and finished sooner.
+// TestStatsDoesNotMoveModel: taking and marshalling the engine's stats
+// document after every op leaves every completion time and every figure
+// of the final document exactly as it is without one. The snapshot once
+// summed ProvisionedBytes by scanning the volume catalog, which opened
+// catalog pages through the page cache and the drives at time 0 — a later
+// lookup then found them cached and finished sooner.
 func TestStatsDoesNotMoveModel(t *testing.T) {
-	plain, plainCounters := statsModelRun(t, false)
-	probed, probedCounters := statsModelRun(t, true)
+	plain, plainDoc := statsModelRun(t, false)
+	probed, probedDoc := statsModelRun(t, true)
 	if len(plain) != len(probed) {
 		t.Fatalf("%d ops without Stats, %d with", len(plain), len(probed))
 	}
@@ -130,8 +135,118 @@ func TestStatsDoesNotMoveModel(t *testing.T) {
 			t.Fatalf("op %d completes at %d without Stats() probes, at %d with them", i, plain[i], probed[i])
 		}
 	}
-	if plainCounters != probedCounters {
-		t.Fatalf("counters moved under Stats() probes:\n--- without\n%s\n--- with\n%s", plainCounters, probedCounters)
+	if plainDoc != probedDoc {
+		t.Fatalf("stats document moved under Stats() probes:\n--- without\n%s\n--- with\n%s", plainDoc, probedDoc)
+	}
+}
+
+// TestExtentReadErrorsCounted: a read whose cblock cannot be read or
+// rebuilt fails, and the failure is in the snapshot. The first reads bring
+// the metadata pages into their cache, so it is the cblock that fails;
+// with a one-entry cblock cache the second read evicts the first cblock.
+func TestExtentReadErrorsCounted(t *testing.T) {
+	cfg := TestConfig()
+	cfg.CBlockCacheEntries = 1
+	a, err := Format(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol := mustCreate(t, a, "x", 2<<20)
+	mustWrite(t, a, vol, 0, pattern(7, 64<<10))
+	if _, err := a.FlushAll(0); err != nil {
+		t.Fatal(err)
+	}
+	mustRead(t, a, vol, 0, 4096)
+	mustRead(t, a, vol, 32<<10, 4096)
+	if n := a.Stats().ExtentReadErrors; n != 0 {
+		t.Fatalf("ExtentReadErrors = %d before any failure", n)
+	}
+	for _, d := range []int{1, 2, 3, 5} { // two left: fewer than the data shards
+		if err := a.Shelf().PullDrive(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := a.ReadAt(0, vol, 0, 4096); err == nil || !strings.Contains(err.Error(), "extent read") {
+		t.Fatalf("read with four drives pulled: %v, want an extent-read failure", err)
+	}
+	if n := a.Stats().ExtentReadErrors; n != 1 {
+		t.Fatalf("ExtentReadErrors = %d, want 1", n)
+	}
+}
+
+// TestStatsMarshalBesideLanes: one goroutine takes and marshals the stats
+// document over and over while writers on four lanes and readers run.
+// Under -race it checks that every counter the document reads is either
+// under the lock Stats takes or atomic; afterwards the reduction account
+// and the lane commits add up to what the writers wrote.
+func TestStatsMarshalBesideLanes(t *testing.T) {
+	const (
+		writers = 4
+		writes  = 60
+		volSize = int64(1 << 20)
+	)
+	a, err := Format(laneTestConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := a.Stats().ReductionRatio; r != 0 { // not NaN: it must marshal
+		t.Fatalf("ReductionRatio = %v before any write, want 0", r)
+	}
+	vols := make([]VolumeID, writers)
+	for i := range vols {
+		vols[i] = mustCreate(t, a, fmt.Sprintf("v%d", i), volSize)
+	}
+	var logical atomic.Int64
+	var writersWG, wg sync.WaitGroup
+	for i := range vols {
+		writersWG.Add(1)
+		go func() {
+			defer writersWG.Done()
+			r := sim.NewRand(uint64(i + 1))
+			for j := 0; j < writes; j++ {
+				data := pattern(uint64(i*writes+j), (r.Intn(16)+1)*512)
+				off := int64(r.Intn(int(volSize)/512-32)) * 512
+				if _, err := a.WriteAt(0, vols[i], off, data); err != nil {
+					t.Errorf("writer %d: %v", i, err)
+					return
+				}
+				logical.Add(int64(len(data)))
+				if _, _, err := a.ReadAt(0, vols[(i+1)%writers], off, 4096); err != nil {
+					t.Errorf("reader %d: %v", i, err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, err := json.Marshal(a.Stats()); err != nil {
+				t.Errorf("marshal: %v", err)
+				return
+			}
+		}
+	}()
+	writersWG.Wait()
+	close(done)
+	wg.Wait()
+	st := a.Stats()
+	var commits int64
+	for _, l := range st.Lanes {
+		commits += l.Commits
+	}
+	if st.Writes != writers*writes || commits != st.Writes || st.Reads != writers*writes {
+		t.Fatalf("writes %d, lane commits %d, reads %d; want %d of each", st.Writes, commits, st.Reads, writers*writes)
+	}
+	if st.LogicalBytes != logical.Load() || st.PhysicalBytes <= 0 {
+		t.Fatalf("reduction account: logical %d (want %d), physical %d", st.LogicalBytes, logical.Load(), st.PhysicalBytes)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"purity/internal/relation"
 	"purity/internal/sim"
 	"purity/internal/ssd"
-	"purity/internal/telemetry"
 	"purity/internal/tuple"
 )
 
@@ -16,13 +15,16 @@ func elidePredicate(row relation.ElideRow) elide.Predicate {
 	return elide.Predicate{Col: int(row.Col), Lo: row.Lo, Hi: row.Hi, MaxSeq: row.MaxSeq}
 }
 
-// StatsSnapshot is the engine's public counter view.
+// StatsSnapshot is the engine's public counter view. Marshalled as JSON it
+// is the whole engine: the "engine" object of the stats document.
 type StatsSnapshot struct {
 	Counters
-	Reduction      telemetry.ReductionSnapshot
-	ReductionRatio float64
-	SegReadErrors  int64
-	UnpackErrors   int64
+	// ReductionRatio is LogicalBytes / PhysicalBytes (0 before any byte is
+	// stored): thin provisioning is left out, as in the paper's 5.4×.
+	ReductionRatio   float64
+	SegReadErrors    int64
+	UnpackErrors     int64
+	ExtentReadErrors int64
 	// PackedBytes is the input foreground writes handed to the compressor.
 	PackedBytes int64
 
@@ -47,6 +49,14 @@ type StatsSnapshot struct {
 	// rows flushes wrote and the rows merges read (Pyramid.RowCounts).
 	PyramidFlushRows int64
 	PyramidMergeRows int64
+
+	// Lanes are the commit lanes' counters (LaneTelemetry).
+	Lanes []LaneStat
+	// SLOBudget, SLOP999, SLOThreatened and SLODeferrals are the
+	// tail-latency governor's state (§4.4).
+	SLOBudget, SLOP999 sim.Time
+	SLOThreatened      bool
+	SLODeferrals       int64
 }
 
 // Stats returns a snapshot of the engine's counters. The histogram pointers
@@ -59,6 +69,10 @@ func (a *Array) Stats() StatsSnapshot {
 	a.rdMu.Lock()
 	counters := a.stats.Counters
 	a.rdMu.Unlock()
+	var ratio float64
+	if counters.PhysicalBytes > 0 {
+		ratio = float64(counters.LogicalBytes) / float64(counters.PhysicalBytes)
+	}
 	var flushRows, mergeRows int64
 	for _, p := range a.pyr {
 		f, m := p.RowCounts()
@@ -67,10 +81,10 @@ func (a *Array) Stats() StatsSnapshot {
 	}
 	return StatsSnapshot{
 		Counters:         counters,
-		Reduction:        a.stats.Reduction.Snapshot(),
-		ReductionRatio:   a.stats.Reduction.Ratio(),
+		ReductionRatio:   ratio,
 		SegReadErrors:    a.stats.SegReadErrors.Load(),
 		UnpackErrors:     a.stats.UnpackErrors.Load(),
+		ExtentReadErrors: a.stats.ExtentReadErrors.Load(),
 		PackedBytes:      a.stats.PackedBytes.Load(),
 		DriveStates:      a.driveStates(),
 		LostShards:       a.lostShardCount(),
@@ -83,6 +97,11 @@ func (a *Array) Stats() StatsSnapshot {
 		NVRAMAppends:     a.shelf.NVRAM(0).Appends(),
 		PyramidFlushRows: flushRows,
 		PyramidMergeRows: mergeRows,
+		Lanes:            a.LaneTelemetry().Lanes,
+		SLOBudget:        a.gov.Budget(),
+		SLOP999:          a.gov.P999(),
+		SLOThreatened:    a.gov.Threatened(),
+		SLODeferrals:     a.gov.Deferrals(),
 	}
 }
 

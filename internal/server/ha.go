@@ -97,7 +97,7 @@ func (s *Server) StartMonitor(cfg HAConfig) (stop func()) {
 					// monitor won the race: keep watching.
 					continue
 				}
-				s.tel.Failovers.Inc()
+				s.tel.Failovers.Add(1)
 				s.tel.FailoverNanos.Add(time.Since(start).Nanoseconds())
 			case <-done:
 				return

@@ -185,7 +185,7 @@ func (c *pconn) readLoop() {
 			// Report once, then kill the connection (the stream is
 			// unsynchronized from the server's point of view).
 			c.s.bodies.put(payload)
-			c.s.tel.DuplicateTags.Inc()
+			c.s.tel.DuplicateTags.Add(1)
 			c.out <- outFrame{op: op, tag: tag,
 				resp: wire.ErrResponse(wire.CodeDuplicateTag, "tag already in flight")}
 			return
@@ -196,7 +196,7 @@ func (c *pconn) readLoop() {
 		case ten <- struct{}{}:
 		default:
 			waited = true
-			c.s.tel.AdmissionWaits.Inc()
+			c.s.tel.AdmissionWaits.Add(1)
 			// The wait is abortable: a connection torn down by its writer,
 			// or a server drain, must not leave this goroutine parked on a
 			// slot that will never free (the admission-slot leak).
@@ -215,7 +215,7 @@ func (c *pconn) readLoop() {
 		cost := admissionCost(op, payload)
 		granted, budgetWaited := c.s.budget.acquire(cost, c.down, c.s.drainCh)
 		if budgetWaited && !waited {
-			c.s.tel.AdmissionWaits.Inc()
+			c.s.tel.AdmissionWaits.Add(1)
 		}
 		if !granted {
 			<-ten
@@ -236,7 +236,7 @@ func (c *pconn) readLoop() {
 // short; the un-responded request is dropped (the client's reconnect path
 // replays it).
 func (c *pconn) abortAdmission(tag uint32) {
-	c.s.tel.AdmissionAborts.Inc()
+	c.s.tel.AdmissionAborts.Add(1)
 	c.dropTag(tag)
 }
 
@@ -334,10 +334,10 @@ func (c *pconn) writer(done chan struct{}) {
 			if err := c.writeBatch(batch); err != nil {
 				failed = true
 				if errors.Is(err, os.ErrDeadlineExceeded) {
-					c.s.tel.WriteTimeouts.Inc()
+					c.s.tel.WriteTimeouts.Add(1)
 				}
 				c.teardown()
-				c.s.tel.AbnormalDisconnects.Inc()
+				c.s.tel.AbnormalDisconnects.Add(1)
 			}
 		}
 		for i := range batch {

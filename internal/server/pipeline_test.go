@@ -7,9 +7,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -88,13 +90,48 @@ func TestPipelinedEndToEnd(t *testing.T) {
 	if err != nil || len(vols) != 3 {
 		t.Fatalf("ListVolumes = %d, %v", len(vols), err)
 	}
-	stats, err := c.Stats()
-	if err != nil || len(stats) == 0 {
+	doc := fetchStats(t, c)
+	if w := doc.Engine.Writes; w != 1 {
+		t.Fatalf("engine.Writes = %d, want the 1 write issued over the wire", w)
+	}
+	if n := doc.Frontend["Conns"]; n != 1 || s.Frontend().Conns.Load() != 1 {
+		t.Fatalf("frontend.Conns = %d, Frontend().Conns = %d, want 1", n, s.Frontend().Conns.Load())
+	}
+}
+
+// statsDoc is the stats document as a reader decodes it.
+type statsDoc struct {
+	Version  int
+	Engine   core.StatsSnapshot
+	Frontend map[string]int64
+}
+
+// fetchStats asks for the stats document over c and decodes it, failing
+// unless it is version 1 and its engine object carries every exported
+// field of core.StatsSnapshot (and so of core.Counters) under its own name.
+func fetchStats(t *testing.T, c *client.Client) statsDoc {
+	t.Helper()
+	text, err := c.Stats()
+	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
-	if s.Frontend().Conns.Load() != 1 {
-		t.Fatalf("Conns = %d", s.Frontend().Conns.Load())
+	var doc statsDoc
+	var raw struct{ Engine map[string]json.RawMessage }
+	if err := json.Unmarshal([]byte(text), &doc); err != nil {
+		t.Fatalf("stats document does not decode: %v\n%s", err, text)
 	}
+	if err := json.Unmarshal([]byte(text), &raw); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Version != 1 {
+		t.Fatalf("version = %d, want 1", doc.Version)
+	}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(core.StatsSnapshot{})) {
+		if _, ok := raw.Engine[f.Name]; !ok && f.IsExported() && !f.Anonymous {
+			t.Errorf("engine object has no %s", f.Name)
+		}
+	}
+	return doc
 }
 
 // TestOutOfOrderCompletion proves the tentpole property: a slow read does

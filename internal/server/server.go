@@ -30,6 +30,7 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -160,6 +161,22 @@ func NewWithConfig(pair *controller.Pair, via controller.Role, cfg Config) *Serv
 // Frontend exposes the server's wire-level health counters.
 func (s *Server) Frontend() *telemetry.Frontend { return s.tel }
 
+// statsVersion numbers the layout of the stats document. A change that
+// renames, retypes or removes a key raises it; a new key does not.
+const statsVersion = 1
+
+// StatsDocument renders the one stats document, indented: OpStats serves
+// it, purity-cli stats prints it and purity-inspect dumps it. "engine" is
+// a.Stats(); "frontend", left out when fe is nil, is a server's
+// wire-health counters.
+func StatsDocument(a *core.Array, fe *telemetry.Frontend) ([]byte, error) {
+	return json.MarshalIndent(struct {
+		Version  int                 `json:"version"`
+		Engine   core.StatsSnapshot  `json:"engine"`
+		Frontend *telemetry.Frontend `json:"frontend,omitempty"`
+	}{statsVersion, a.Stats(), fe}, "", "  ")
+}
+
 // now maps wall time onto the simulated timeline, so a served array's
 // device model experiences realistic inter-arrival times.
 func (s *Server) now() sim.Time { return sim.Time(time.Since(s.epoch).Nanoseconds()) }
@@ -197,7 +214,7 @@ func (s *Server) Serve(l net.Listener) error {
 			} else if backoff *= 2; backoff > time.Second {
 				backoff = time.Second
 			}
-			s.tel.AcceptRetries.Inc()
+			s.tel.AcceptRetries.Add(1)
 			time.Sleep(backoff)
 			continue
 		}
@@ -339,7 +356,7 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 		<-done
 		err = fmt.Errorf("server: drain exceeded %v; remaining connections force-closed", timeout)
 	}
-	s.tel.Drains.Inc()
+	s.tel.Drains.Add(1)
 	s.tel.DrainNanos.Add(time.Since(start).Nanoseconds())
 	return err
 }
@@ -361,7 +378,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	h, err := wire.DecodeHello(payload)
 	if op != wire.OpHello || err != nil || h.Version < wire.ProtoTagged {
-		s.tel.MalformedFrames.Inc()
+		s.tel.MalformedFrames.Add(1)
 		return
 	}
 	// The session table lives on the Pair, so a session survives
@@ -371,15 +388,15 @@ func (s *Server) handle(conn net.Conn) {
 	if h.HasSession {
 		sess = s.pair.Sessions().Resume(h.Session)
 		sid = sess.ID
-		s.tel.SessionsBound.Inc()
+		s.tel.SessionsBound.Add(1)
 	}
 	s.touchWrite(conn)
 	resp := wire.OKResponse(wire.EncodeHello(wire.ProtoTagged, sid, h.HasSession))
 	if wire.WriteTaggedFrame(conn, wire.OpHello, tag, resp) != nil {
-		s.tel.AbnormalDisconnects.Inc()
+		s.tel.AbnormalDisconnects.Add(1)
 		return
 	}
-	s.tel.Conns.Inc()
+	s.tel.Conns.Add(1)
 	s.servePipelined(conn, sess)
 }
 
@@ -391,14 +408,14 @@ func (s *Server) countReadErr(err error) {
 	case err == nil || errors.Is(err, io.EOF):
 		// Clean shutdown between frames.
 	case errors.Is(err, wire.ErrFrameTooLarge):
-		s.tel.OversizedFrames.Inc()
+		s.tel.OversizedFrames.Add(1)
 	case errors.Is(err, wire.ErrBadFrame):
-		s.tel.MalformedFrames.Inc()
+		s.tel.MalformedFrames.Add(1)
 	case errors.Is(err, os.ErrDeadlineExceeded):
 		// The idle deadline reaped the connection (or woke its reader for a
 		// drain, which isn't worth a counter).
 		if !s.draining() {
-			s.tel.IdleTimeouts.Inc()
+			s.tel.IdleTimeouts.Add(1)
 		}
 	case errors.Is(err, net.ErrClosed):
 		// We closed it (server shutdown or a writer failure already
@@ -406,7 +423,7 @@ func (s *Server) countReadErr(err error) {
 	default:
 		// Partial frame, connection reset, timeout: the client vanished
 		// mid-stream.
-		s.tel.AbnormalDisconnects.Inc()
+		s.tel.AbnormalDisconnects.Add(1)
 	}
 }
 
@@ -453,9 +470,9 @@ func (s *Server) respCode(err error) uint32 {
 	code := errCode(err)
 	switch code {
 	case wire.CodeNotPrimary:
-		s.tel.NotPrimaryRedirects.Inc()
+		s.tel.NotPrimaryRedirects.Add(1)
 	case wire.CodeRetryable:
-		s.tel.RetryableRejects.Inc()
+		s.tel.RetryableRejects.Add(1)
 	}
 	return code
 }
@@ -487,7 +504,7 @@ func (s *Server) pace(at, done sim.Time) {
 // badPayload counts an undecodable request payload and propagates its
 // decode error.
 func (s *Server) badPayload(err error) error {
-	s.tel.MalformedFrames.Inc()
+	s.tel.MalformedFrames.Add(1)
 	return err
 }
 
@@ -565,7 +582,7 @@ func (s *Server) dispatch(sess *controller.Session, op byte, payload []byte) ([]
 		// n is attacker controlled and anything over MaxReadLen could not
 		// be framed in a response anyway.
 		if n > wire.MaxReadLen {
-			s.tel.RejectedReads.Inc()
+			s.tel.RejectedReads.Add(1)
 			return nil, fmt.Errorf("%w: %d > %d", ErrReadTooLarge, n, wire.MaxReadLen)
 		}
 		data, done, err := s.pair.ReadAt(at, s.via, core.VolumeID(vol), int64(off), int(n))
@@ -651,30 +668,12 @@ func (s *Server) dispatch(sess *controller.Session, op byte, payload []byte) ([]
 		return nil, err
 
 	case wire.OpStats:
-		st := a.Stats()
-		gov := a.Governor()
-		text := fmt.Sprintf(
-			"writes=%d reads=%d\nwrite latency: %s\nread latency: %s\n"+
-				"reduction=%.2fx (logical=%d physical=%d dedup=%d)\n"+
-				"dedup hits=%d misses=%d packed=%d\nsegments=%d frontierAUs=%d freeAUs=%d\n"+
-				"gc runs=%d checkpoints=%d frontier writes=%d\n"+
-				"flash: host W=%d flash W=%d erases=%d reads stalled=%d queued=%d\n"+
-				"hedged reads=%d wins=%d busy avoided=%d\n"+
-				"slo: budget=%v p99.9=%v threatened=%v deferrals=%d scrub deferrals=%d\n"+
-				"frontend: %s\n",
-			st.Writes, st.Reads,
-			st.WriteLatency.Summary(), st.ReadLatency.Summary(),
-			st.ReductionRatio, st.Reduction.LogicalBytes, st.Reduction.PhysicalBytes, st.Reduction.DedupBytes,
-			st.DedupHits, st.DedupMisses, st.PackedBytes, st.Segments, st.FrontierAUs, st.FreeAUs,
-			st.GCRuns, st.Checkpoints, st.FrontierWrites,
-			st.FlashStats.HostBytesWritten, st.FlashStats.FlashBytesWritten, st.FlashStats.Erases,
-			st.FlashStats.StalledReads, st.FlashStats.QueuedReads,
-			st.HedgedReads, st.HedgeWins, st.SegRead.BusyAvoided,
-			gov.Budget(), gov.P999(), gov.Threatened(), gov.Deferrals(), st.ScrubDeferrals,
-			s.tel.Summary(),
-		)
+		doc, err := StatsDocument(a, s.tel)
+		if err != nil {
+			return nil, err
+		}
 		var e wire.Enc
-		return e.Str(text).B, nil
+		return e.Bytes(doc).B, nil
 
 	case wire.OpFlush:
 		_, err := a.FlushAll(at)
@@ -685,8 +684,12 @@ func (s *Server) dispatch(sess *controller.Session, op byte, payload []byte) ([]
 		if err != nil {
 			return nil, err
 		}
+		doc, err := json.Marshal(rep)
+		if err != nil {
+			return nil, err
+		}
 		var e wire.Enc
-		return e.Str(fmt.Sprintf("%+v", rep)).B, nil
+		return e.Bytes(doc).B, nil
 
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownOp, op)

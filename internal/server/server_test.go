@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"net"
 	"strings"
 	"testing"
@@ -93,12 +94,20 @@ func TestEndToEndOverTCP(t *testing.T) {
 	if err := prim.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prim.GC(); err != nil {
+	gc, err := prim.GC()
+	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := prim.Stats()
-	if err != nil || len(stats) == 0 {
-		t.Fatalf("Stats: %q, %v", stats, err)
+	var rep core.GCReport
+	if err := json.Unmarshal([]byte(gc), &rep); err != nil {
+		t.Fatalf("OpGC reply %q is not a GCReport: %v", gc, err)
+	}
+	doc := fetchStats(t, prim)
+	if w := doc.Engine.Writes; w != 2 {
+		t.Fatalf("engine.Writes = %d, want the 2 writes issued over the wire", w)
+	}
+	if n := doc.Frontend["Conns"]; n != 1 {
+		t.Fatalf("frontend.Conns = %d, want 1 (one connection per port)", n)
 	}
 
 	// Deletion and error propagation.

@@ -1,89 +1,86 @@
-// Package telemetry provides the latency histograms, counters and data
-// reduction accounting that drive the experiment harness. The paper's
-// headline numbers — 99.9% latencies under 1 ms, 5.4× average reduction —
-// are percentile and ratio queries over exactly this kind of state (§1,
-// §5.1).
+// Package telemetry holds the latency histograms and the one renderer for
+// counter structs. The paper's headline numbers — 99.9% latencies under
+// 1 ms, 5.4× average reduction — are percentile and ratio queries over
+// exactly this kind of state (§1, §5.1).
 package telemetry
 
 import (
+	"encoding/json"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"purity/internal/sim"
 )
 
-// Counter is a lock-free event counter for paths too hot (or too error-ish)
-// for a histogram — e.g. segment-read or cblock-unpack failures, which used
-// to be debug prints. Safe for concurrent use.
-type Counter struct{ v atomic.Int64 }
+// Render shows the exported sync/atomic.Int64 fields of the struct p points
+// to as one JSON object, keyed by field name in declaration order; other
+// fields are left out. Every counter struct (Frontend, chaos.Stats,
+// client.HAStats, controller.Sessions) is shown through it.
+func Render(p any) string {
+	v := reflect.ValueOf(p).Elem()
+	var b strings.Builder
+	b.WriteByte('{')
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		c, ok := v.Field(i).Addr().Interface().(*atomic.Int64)
+		if !ok {
+			continue
+		}
+		if b.Len() > 1 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%q:%d", f.Name, c.Load())
+	}
+	b.WriteByte('}')
+	return b.String()
+}
 
-// NewCounter returns a zeroed counter.
-func NewCounter() *Counter { return &Counter{} }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Load returns the current count.
-func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Frontend aggregates the TCP front end's wire-level health counters —
-// events the server used to drop on the floor when a connection died or a
-// frame failed to parse. A nonzero MalformedFrames or OversizedFrames rate
-// is the first sign of a buggy (or hostile) initiator; AbnormalDisconnects
-// separates clients that vanished mid-frame from clean EOFs. All fields are
-// lock-free Counters, safe for concurrent use from every connection.
+// Frontend aggregates the TCP front end's wire-level health counters. A
+// nonzero MalformedFrames or OversizedFrames rate is the first sign of a
+// buggy (or hostile) initiator; AbnormalDisconnects separates clients that
+// vanished mid-frame from clean EOFs. Safe for concurrent use from every
+// connection.
 type Frontend struct {
-	Conns Counter // connections that completed the hello
+	Conns atomic.Int64 // connections that completed the hello
 
 	// Wire-level failures.
-	MalformedFrames     Counter // structurally invalid frames / undecodable payloads
-	OversizedFrames     Counter // frames (or read requests) beyond MaxFrame bounds
-	AbnormalDisconnects Counter // connections that died mid-stream (not a clean EOF)
-	DuplicateTags       Counter // tags reused while still in flight (connection killed)
-	RejectedReads       Counter // OpRead lengths clamped against wire.MaxReadLen
+	MalformedFrames     atomic.Int64 // structurally invalid frames / undecodable payloads
+	OversizedFrames     atomic.Int64 // frames (or read requests) beyond MaxFrame bounds
+	AbnormalDisconnects atomic.Int64 // connections that died mid-stream (not a clean EOF)
+	DuplicateTags       atomic.Int64 // tags reused while still in flight (connection killed)
+	RejectedReads       atomic.Int64 // OpRead lengths clamped against wire.MaxReadLen
 
 	// Admission control.
-	AdmissionWaits  Counter // requests that blocked on a tenant window or the byte budget
-	AdmissionAborts Counter // admission waits abandoned because the connection died or the server drained
-	AcceptRetries   Counter // transient Accept failures survived with backoff
+	AdmissionWaits  atomic.Int64 // requests that blocked on a tenant window or the byte budget
+	AdmissionAborts atomic.Int64 // admission waits abandoned because the connection died or the server drained
+	AcceptRetries   atomic.Int64 // transient Accept failures survived with backoff
 
-	// Liveness deadlines (the admission-slot leak fix: a dead client can no
-	// longer pin a tenant slot or in-flight bytes forever).
-	IdleTimeouts  Counter // connections reaped by the idle/read deadline
-	WriteTimeouts Counter // response writes abandoned by the write deadline
+	// Liveness deadlines: a dead client cannot pin a tenant slot or
+	// in-flight bytes forever.
+	IdleTimeouts  atomic.Int64 // connections reaped by the idle/read deadline
+	WriteTimeouts atomic.Int64 // response writes abandoned by the write deadline
 
 	// High availability.
-	SessionsBound       Counter // hellos that negotiated (opened or resumed) a session
-	NotPrimaryRedirects Counter // requests refused with CodeNotPrimary (fenced controller)
-	RetryableRejects    Counter // requests refused with CodeRetryable (failover/drain window)
-	Failovers           Counter // takeovers completed by this server's monitor
-	FailoverNanos       Counter // wall-clock ns spent in those takeovers
-	Drains              Counter // graceful shutdowns completed
-	DrainNanos          Counter // wall-clock ns spent draining
+	SessionsBound       atomic.Int64 // hellos that negotiated (opened or resumed) a session
+	NotPrimaryRedirects atomic.Int64 // requests refused with CodeNotPrimary (fenced controller)
+	RetryableRejects    atomic.Int64 // requests refused with CodeRetryable (failover/drain window)
+	Failovers           atomic.Int64 // takeovers completed by this server's monitor
+	FailoverNanos       atomic.Int64 // wall-clock ns spent in those takeovers
+	Drains              atomic.Int64 // graceful shutdowns completed
+	DrainNanos          atomic.Int64 // wall-clock ns spent draining
 }
 
-// Summary renders the counters on one line, in a fixed order.
-func (f *Frontend) Summary() string {
-	return fmt.Sprintf(
-		"conns=%d; frames malformed=%d oversized=%d; "+
-			"disconnects abnormal=%d; tags duplicate=%d; reads rejected=%d; "+
-			"admission waits=%d aborts=%d; accept retries=%d; "+
-			"timeouts idle=%d write=%d; sessions=%d; "+
-			"redirects notprimary=%d retryable=%d; failovers=%d (%v); drains=%d (%v)",
-		f.Conns.Load(),
-		f.MalformedFrames.Load(), f.OversizedFrames.Load(),
-		f.AbnormalDisconnects.Load(), f.DuplicateTags.Load(), f.RejectedReads.Load(),
-		f.AdmissionWaits.Load(), f.AdmissionAborts.Load(), f.AcceptRetries.Load(),
-		f.IdleTimeouts.Load(), f.WriteTimeouts.Load(), f.SessionsBound.Load(),
-		f.NotPrimaryRedirects.Load(), f.RetryableRejects.Load(),
-		f.Failovers.Load(), time.Duration(f.FailoverNanos.Load()),
-		f.Drains.Load(), time.Duration(f.DrainNanos.Load()))
-}
+// Summary renders the counters on one line (Render).
+func (f *Frontend) Summary() string { return Render(f) }
+
+// MarshalJSON renders the counters for the stats document (Render).
+func (f *Frontend) MarshalJSON() ([]byte, error) { return []byte(Render(f)), nil }
 
 // Histogram records durations in logarithmic buckets (about 24 buckets per
 // decade) for cheap, accurate-enough percentiles. Safe for concurrent use.
@@ -175,83 +172,62 @@ func (h *Histogram) Max() sim.Time {
 
 // Percentile returns an upper bound for the p-th percentile (p in [0,100]).
 func (h *Histogram) Percentile(p float64) sim.Time {
+	var out [1]sim.Time
+	h.mu.Lock()
+	h.percentilesLocked([]float64{p}, out[:])
+	h.mu.Unlock()
+	return out[0]
+}
+
+// percentilesLocked sets out[i] to an upper bound for the ps[i]-th
+// percentile, in one pass over the buckets: ps must be ascending. Caller
+// holds mu.
+func (h *Histogram) percentilesLocked(ps []float64, out []sim.Time) {
+	var cum uint64
+	i := 0
+	for j, p := range ps {
+		threshold := uint64(p / 100 * float64(h.total))
+		if threshold >= h.total {
+			out[j] = h.max
+			continue
+		}
+		// The counts sum to total > threshold, so this stops in range.
+		for cum <= threshold {
+			cum += h.counts[i]
+			i++
+		}
+		out[j] = min(bucketUpper(i-1), h.max)
+	}
+}
+
+// histSummary is one reading of a histogram, every figure taken at the
+// same instant. Times are nanoseconds.
+type histSummary struct {
+	Count                          uint64
+	Mean, P50, P95, P99, P999, Max sim.Time
+}
+
+// summary takes every figure under one lock in one pass over the buckets.
+func (h *Histogram) summary() histSummary {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
+	s := histSummary{Count: h.total, Max: h.max}
+	if h.total > 0 {
+		s.Mean = sim.Time(int64(h.sum) / int64(h.total))
 	}
-	threshold := uint64(p / 100 * float64(h.total))
-	if threshold >= h.total {
-		return h.max
-	}
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum > threshold {
-			u := bucketUpper(i)
-			if u > h.max {
-				return h.max
-			}
-			return u
-		}
-	}
-	return h.max
+	var ps [4]sim.Time
+	h.percentilesLocked([]float64{50, 95, 99, 99.9}, ps[:])
+	s.P50, s.P95, s.P99, s.P999 = ps[0], ps[1], ps[2], ps[3]
+	return s
 }
 
 // Summary renders count/mean/p50/p95/p99/p99.9/max on one line.
 func (h *Histogram) Summary() string {
+	s := h.summary()
 	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v p99.9=%v max=%v",
-		h.Count(), h.Mean(), h.Percentile(50), h.Percentile(95),
-		h.Percentile(99), h.Percentile(99.9), h.Max())
+		s.Count, s.Mean, s.P50, s.P95, s.P99, s.P999, s.Max)
 }
 
-// Reduction tracks data-reduction accounting: logical bytes the
-// applications wrote versus physical bytes that reached flash, split by
-// mechanism so experiments can attribute savings (§5: 5.4× average).
-type Reduction struct {
-	mu            sync.Mutex
-	LogicalBytes  int64 // application writes
-	PhysicalBytes int64 // compressed bytes stored
-	DedupBytes    int64 // logical bytes satisfied by existing data
-	ZeroBytes     int64 // logical bytes never materialized (thin provisioning)
-}
-
-// AddWrite records one write's accounting.
-func (r *Reduction) AddWrite(logical, physical, deduped int64) {
-	r.mu.Lock()
-	r.LogicalBytes += logical
-	r.PhysicalBytes += physical
-	r.DedupBytes += deduped
-	r.mu.Unlock()
-}
-
-// Ratio returns the overall data reduction factor, excluding thin
-// provisioning (as the paper's 5.4× figure does).
-func (r *Reduction) Ratio() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.PhysicalBytes == 0 {
-		return 0
-	}
-	return float64(r.LogicalBytes) / float64(r.PhysicalBytes)
-}
-
-// ReductionSnapshot is a point-in-time copy of the counters.
-type ReductionSnapshot struct {
-	LogicalBytes  int64
-	PhysicalBytes int64
-	DedupBytes    int64
-	ZeroBytes     int64
-}
-
-// Snapshot returns a copy of the counters.
-func (r *Reduction) Snapshot() ReductionSnapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return ReductionSnapshot{
-		LogicalBytes:  r.LogicalBytes,
-		PhysicalBytes: r.PhysicalBytes,
-		DedupBytes:    r.DedupBytes,
-		ZeroBytes:     r.ZeroBytes,
-	}
-}
+// MarshalJSON renders the same figures as Summary, keyed by name, for the
+// stats document.
+func (h *Histogram) MarshalJSON() ([]byte, error) { return json.Marshal(h.summary()) }

@@ -1,6 +1,9 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"purity/internal/sim"
@@ -80,19 +83,56 @@ func TestBucketMonotone(t *testing.T) {
 	}
 }
 
-func TestReduction(t *testing.T) {
-	var r Reduction
-	r.AddWrite(1000, 250, 0)
-	r.AddWrite(1000, 0, 1000) // fully deduped
-	if got := r.Ratio(); got != 8 {
-		t.Fatalf("Ratio = %v, want 8 (2000 logical / 250 physical)", got)
+// TestSummaryIsOneReading: Summary and MarshalJSON report the figures the
+// single-figure accessors report, from one pass.
+func TestSummaryIsOneReading(t *testing.T) {
+	h := NewHistogram()
+	for i := 1; i <= 5000; i++ {
+		h.Record(sim.Time(i*i) * sim.Nanosecond)
 	}
-	s := r.Snapshot()
-	if s.LogicalBytes != 2000 || s.DedupBytes != 1000 {
-		t.Fatalf("snapshot = %+v", s)
+	s := h.summary()
+	want := histSummary{
+		Count: h.Count(), Mean: h.Mean(), Max: h.Max(),
+		P50: h.Percentile(50), P95: h.Percentile(95), P99: h.Percentile(99), P999: h.Percentile(99.9),
 	}
-	var empty Reduction
-	if empty.Ratio() != 0 {
-		t.Fatal("empty ratio not 0")
+	if s != want {
+		t.Fatalf("summary = %+v, want %+v", s, want)
+	}
+	var got histSummary
+	b, err := h.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &got); err != nil || got != want {
+		t.Fatalf("MarshalJSON = %s (%v), want %+v", b, err, want)
+	}
+	if empty := NewHistogram().summary(); empty != (histSummary{}) {
+		t.Fatalf("empty summary = %+v", empty)
+	}
+}
+
+// TestRender: every exported atomic.Int64 field, by name, in declaration
+// order; nothing else.
+func TestRender(t *testing.T) {
+	var c struct {
+		B      atomic.Int64
+		hidden atomic.Int64
+		Note   string
+		A      atomic.Int64
+	}
+	c.B.Store(2)
+	c.hidden.Store(9)
+	c.A.Add(-1)
+	if got, want := Render(&c), `{"B":2,"A":-1}`; got != want {
+		t.Fatalf("Render = %s, want %s", got, want)
+	}
+	var f Frontend
+	f.Drains.Add(3)
+	var m map[string]int64
+	if err := json.Unmarshal([]byte(f.Summary()), &m); err != nil {
+		t.Fatal(err)
+	}
+	if len(m) != reflect.TypeOf(&f).Elem().NumField() || m["Drains"] != 3 || m["Conns"] != 0 {
+		t.Fatalf("Frontend renders %v", m)
 	}
 }

@@ -6,10 +6,11 @@
 # clock exact, wall clock printed), the crash sweep, a short race pass
 # over the packages that do real concurrency
 # (the concurrent write path, its core entry points and reads beside
-# writers, GC and seals, the TCP server's per-connection goroutines, the
-# allocator/shelf locking, layout's Reader, its pooled scratch and its
-# seeded fault property test (TestReadRangeUnderFaults), and the three
-# packages whose types promise concurrent use: pyramid, iosched, erasure),
+# writers, GC and seals, the stats document taken beside lane writers,
+# the TCP server's per-connection goroutines, the allocator/shelf locking,
+# layout's Reader, its pooled scratch and its seeded fault property test
+# (TestReadRangeUnderFaults), and the three packages whose types promise
+# concurrent use: pyramid, iosched, erasure),
 # and a smoke run of every program under examples/.
 #
 # Usage: scripts/check.sh            from the repo root
@@ -68,7 +69,7 @@ if [ "$lint_elapsed" -gt "$LINT_BUDGET" ]; then
 fi
 
 echo "== no debug prints under internal/ (fmt.Print, fmt.Printf, fmt.Println, print, println outside tests)"
-# Engine code reports through telemetry counters and structured errors;
+# Engine code reports through its stats counters and structured errors;
 # output a caller asked for goes through an io.Writer (fmt.Fprintf).
 debug_print='(fmt[.]Print(f|ln)?|(^|[^.[:alnum:]_])print(ln)?)[(]'
 debug_prints() {
@@ -83,7 +84,7 @@ fi
 found=$(debug_prints internal)
 if [ -n "$found" ]; then
 	echo "$found" >&2
-	echo "debug prints: internal/ code prints to stdout; count it in telemetry or write to an io.Writer" >&2
+	echo "debug prints: internal/ code prints to stdout; count it in a stats counter (the stats document shows it) or write to an io.Writer" >&2
 	exit 1
 fi
 
@@ -167,7 +168,7 @@ go test -run 'TestScrubRepairsAllInjectedCorruption|TestScrubStepPacedWalkerCove
 
 echo "== go test -race (concurrency-bearing packages)"
 go test -race -short ./internal/server/ ./internal/dedup/ ./internal/layout/ ./internal/shelf/ ./internal/pyramid/ ./internal/iosched/ ./internal/erasure/
-go test -race -short -run 'TestConcurrentWriters|TestConcurrentScrubRebuildForeground|TestConcurrentReadersWriterGC|TestReadsAcrossSealWindow' ./internal/core/
+go test -race -short -run 'TestConcurrentWriters|TestConcurrentScrubRebuildForeground|TestConcurrentReadersWriterGC|TestReadsAcrossSealWindow|TestStatsMarshalBesideLanes' ./internal/core/
 
 echo "== kernel benchmarks (one iteration each, so they cannot rot: dedup's hash and byte-verify, erasure's dot product)"
 go test -run '^$' -bench 'HashBlocks32K|ExtendAnchor32K' -benchtime 1x ./internal/dedup/
