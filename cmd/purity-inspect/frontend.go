@@ -96,7 +96,7 @@ func inspectFrontend(drives int) {
 	probe("torn frame", []byte{64, 0, 0, 0, 5, 1, 2})
 
 	fmt.Println("\n=== stats document ===")
-	printStats(pair.Array(), srv.Frontend())
+	printStats(pair.Array(), srv.Frontend(), pair.Sessions())
 }
 
 // taggedFrame renders one frame to bytes.

@@ -92,9 +92,10 @@ func inspectHA(drives int) {
 		pair.Active(), sec.Frontend().Failovers.Load(),
 		time.Duration(sec.Frontend().FailoverNanos.Load()).Round(time.Microsecond))
 
-	fmt.Println("\n=== session table (exactly-once ledger) ===")
-	tab := pair.Sessions()
-	fmt.Println(telemetry.Render(tab))
+	fmt.Println("\n=== the survivor's stats document (sessions: the exactly-once ledger) ===")
+	survivor, err := pair.Engine(controller.Secondary)
+	check(err)
+	printStats(survivor, sec.Frontend(), pair.Sessions())
 
 	fmt.Println("\n=== fenced ex-primary wire counters ===")
 	pt := prim.Frontend()

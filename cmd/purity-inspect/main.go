@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"log"
 
+	"purity/internal/controller"
 	"purity/internal/core"
 	"purity/internal/relation"
 	"purity/internal/server"
@@ -116,26 +117,20 @@ func main() {
 	check(err)
 
 	fmt.Println("\n=== segment inventory ===")
-	fmt.Printf("%-6s %-8s %-8s %-12s %s\n", "ID", "sealed", "stripes", "live bytes", "AUs")
+	fmt.Printf("%-6s %-8s %-8s %s\n", "ID", "sealed", "stripes", "AUs")
 	for _, s := range arr.Segments() {
-		fmt.Printf("%-6d %-8v %-8d %-12d %d\n", s.ID, s.Sealed, s.Stripes, s.LiveBytes, s.AUs)
+		fmt.Printf("%-6d %-8v %-8d %d\n", s.ID, s.Sealed, s.Stripes, s.AUs)
 	}
 
 	fmt.Println("\n=== pyramid (LSM) row counts per relation ===")
-	names := map[uint32]string{
-		relation.IDMediums: "mediums", relation.IDAddrs: "address map",
-		relation.IDDedup: "dedup", relation.IDSegments: "segments",
-		relation.IDSegmentAUs: "segment AUs", relation.IDVolumes: "volumes",
-		relation.IDElide: "elide",
-	}
 	for id := uint32(1); id <= 7; id++ {
-		fmt.Printf("%-14s %8d rows\n", names[id], arr.RelationRows(id))
+		fmt.Printf("%-14s %8d rows\n", relation.Names[id], arr.RelationRows(id))
 	}
 	fmt.Printf("\nelide ranges: address map %d, mediums %d\n",
 		arr.ElideTableSize(relation.IDAddrs), arr.ElideTableSize(relation.IDMediums))
 
 	fmt.Println("\n=== stats document ===")
-	printStats(arr, nil)
+	printStats(arr, nil, nil)
 }
 
 // inspectHealth runs the drive-failure lifecycle — latent corruption,
@@ -184,12 +179,12 @@ func inspectHealth(arr *core.Array) {
 	}
 
 	fmt.Println("\n=== stats document ===")
-	printStats(arr, nil)
+	printStats(arr, nil, nil)
 }
 
 // printStats prints the stats document: the one OpStats serves.
-func printStats(arr *core.Array, fe *telemetry.Frontend) {
-	doc, err := server.StatsDocument(arr, fe)
+func printStats(arr *core.Array, fe *telemetry.Frontend, sess *controller.Sessions) {
+	doc, err := server.StatsDocument(arr, fe, sess)
 	check(err)
 	fmt.Println(string(doc))
 }

@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"purity/internal/telemetry"
 )
 
 // DefaultSessionWindow is how many completed ops a session retains. The
@@ -52,6 +54,9 @@ type Sessions struct {
 	AppliedOK         atomic.Int64 // definitive successful applies (once per seq)
 	Overflows         atomic.Int64 // replays refused as older than the window (must stay 0)
 }
+
+// MarshalJSON renders the counters for the stats document (telemetry.Render).
+func (t *Sessions) MarshalJSON() ([]byte, error) { return []byte(telemetry.Render(t)), nil }
 
 // NewSessions returns an empty table retaining `window` completed ops per
 // session (DefaultSessionWindow if <= 0).

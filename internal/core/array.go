@@ -156,9 +156,6 @@ type Array struct {
 	// as it fills: readers consult openByID first (segInfo), and
 	// writeCheckpoint refreshes the open entries before persisting the map.
 	segMap map[layout.SegmentID]layout.SegmentInfo
-	// liveBytes approximates live data per segment (§3.3: materialized
-	// aggregates kept approximately; GC recomputes exactly).
-	liveBytes map[layout.SegmentID]int64
 
 	recent *dedup.RecentIndex
 	// rdMu is a leaf lock over the cblock cache and the read counters every
@@ -316,22 +313,21 @@ func newSkeleton(cfg Config, sh *shelf.Shelf) (*Array, error) {
 		return nil, err
 	}
 	a := &Array{
-		cfg:       cfg,
-		shelf:     sh,
-		coder:     coder,
-		seqs:      tuple.NewSeqSource(0),
-		pyr:       make(map[uint32]*pyramid.Pyramid),
-		elides:    make(map[uint32]*elide.Table),
-		alloc:     alloc,
-		reader:    layout.NewReader(cfg.Layout, sh.Drives(), coder),
-		boot:      frontier.NewBootRegion(cfg.Layout, sh.Drives()),
-		slots:     make([]openSeg, int(numClasses)+cfg.CommitLanes), // normalize: at least one lane
-		openByID:  make(map[layout.SegmentID]openRef),
-		segMap:    make(map[layout.SegmentID]layout.SegmentInfo),
-		liveBytes: make(map[layout.SegmentID]int64),
-		lost:      make(map[layout.SegmentID]map[int]bool),
-		recent:    dedup.NewRecentIndex(cfg.RecentIndexSize),
-		cblocks:   newCBlockCache(cfg.CBlockCacheEntries),
+		cfg:      cfg,
+		shelf:    sh,
+		coder:    coder,
+		seqs:     tuple.NewSeqSource(0),
+		pyr:      make(map[uint32]*pyramid.Pyramid),
+		elides:   make(map[uint32]*elide.Table),
+		alloc:    alloc,
+		reader:   layout.NewReader(cfg.Layout, sh.Drives(), coder),
+		boot:     frontier.NewBootRegion(cfg.Layout, sh.Drives()),
+		slots:    make([]openSeg, int(numClasses)+cfg.CommitLanes), // normalize: at least one lane
+		openByID: make(map[layout.SegmentID]openRef),
+		segMap:   make(map[layout.SegmentID]layout.SegmentInfo),
+		lost:     make(map[layout.SegmentID]map[int]bool),
+		recent:   dedup.NewRecentIndex(cfg.RecentIndexSize),
+		cblocks:  newCBlockCache(cfg.CBlockCacheEntries),
 		stats: Stats{Counters: Counters{
 			WriteLatency: telemetry.NewHistogram(),
 			ReadLatency:  telemetry.NewHistogram(),
@@ -356,7 +352,7 @@ func newSkeleton(cfg Config, sh *shelf.Shelf) (*Array, error) {
 		a.elides[id] = et
 		cfg := pyramid.Config{
 			ID:     id,
-			Name:   fmt.Sprintf("rel%d", id),
+			Name:   relation.Names[id],
 			Schema: schema,
 			Crash:  a.crash,
 		}
@@ -478,7 +474,7 @@ func (a *Array) cpuLocked(at sim.Time, cost sim.Time) sim.Time {
 
 // newSegmentWriterLocked allocates a fresh segment (refilling the frontier
 // through the boot region when needed) and returns its writer, with the
-// segment's existence and placement recorded as facts. Caller holds mu.
+// segment's info in segMap. Caller holds mu.
 func (a *Array) newSegmentWriterLocked(at sim.Time) (*layout.Writer, sim.Time, error) {
 	done := at
 	aus, err := a.alloc.AllocateSegment(a.failedDrive)
@@ -520,34 +516,11 @@ func (a *Array) newSegmentWriterLocked(at sim.Time) (*layout.Writer, sim.Time, e
 	a.segMu.Lock()
 	a.segMap[id] = w.Info()
 	a.segMu.Unlock()
-
-	// Record the segment's existence and placement as facts.
-	facts := []tuple.Fact{relation.SegmentRow{
-		Segment:    uint64(id),
-		State:      relation.SegmentOpen,
-		TotalBytes: uint64(a.cfg.Layout.SegmentLogicalSize()),
-	}.Fact(a.seqs.Next())}
-	//lint:ignore commitorder segment existence is not log-replayed state: recovery re-derives open segments from the checkpoint frontier and AU trailers (recover steps 2-4), so no NVRAM append precedes this fact
-	if err := a.pyr[relation.IDSegments].Insert(facts); err != nil {
-		return nil, done, err
-	}
-	var auFacts []tuple.Fact
-	for shard, au := range aus {
-		auFacts = append(auFacts, relation.SegmentAURow{
-			Segment: uint64(id), Shard: uint64(shard),
-			Drive: uint64(au.Drive), AUIndex: uint64(au.Index),
-		}.Fact(a.seqs.Next()))
-	}
-	//lint:ignore commitorder segment placement is re-derived from AU trailers and the frontier scan at recovery, not replayed from the NVRAM log
-	if err := a.pyr[relation.IDSegmentAUs].Insert(auFacts); err != nil {
-		return nil, done, err
-	}
 	return w, done, nil
 }
 
 // sealSlotLocked seals a slot's segment, if it has one, and detaches the
-// writer: the segment map takes the sealed info and the sealed-state fact
-// is recorded. Caller holds mu.
+// writer: the segment map takes the sealed info. Caller holds mu.
 //
 // The seal runs under the slot mutex with the writer still installed, and
 // the open entry goes only after the segment map holds the sealed info. A
@@ -563,9 +536,6 @@ func (a *Array) sealSlotLocked(at sim.Time, s *openSeg) (sim.Time, error) {
 		return at, nil
 	}
 	id := w.Info().ID
-	// The seal fact's LiveBytes may lag lane commits whose deltas have not
-	// been applied yet — the paper keeps these aggregates approximate (§3.3);
-	// GC recomputes exact liveness.
 	info, done, err := w.Seal(at)
 	s.w = nil
 	s.mu.Unlock()
@@ -576,20 +546,7 @@ func (a *Array) sealSlotLocked(at sim.Time, s *openSeg) (sim.Time, error) {
 		a.segMap[id] = info
 	}
 	a.segMu.Unlock()
-	if err != nil {
-		return done, err
-	}
-	//lint:ignore commitorder the sealed-state fact mirrors the AU trailers the Seal call just wrote; recovery re-derives sealed segments from the trailers, not the NVRAM log
-	if err := a.pyr[relation.IDSegments].Insert([]tuple.Fact{relation.SegmentRow{
-		Segment:    uint64(info.ID),
-		State:      relation.SegmentSealed,
-		Stripes:    uint64(info.Stripes),
-		TotalBytes: uint64(a.cfg.Layout.SegmentLogicalSize()),
-		LiveBytes:  uint64(a.liveBytes[info.ID]),
-	}.Fact(a.seqs.Next())}); err != nil {
-		return done, err
-	}
-	return done, nil
+	return done, err
 }
 
 // slotAppendLocked appends one item to a slot's open segment, opening a

@@ -539,11 +539,11 @@ func TestScrubDetectsAndRepairs(t *testing.T) {
 	if rep.SegmentsScanned == 0 || rep.BadWriteUnits != 0 {
 		t.Fatalf("clean scrub = %+v", rep)
 	}
-	// Corrupt one AU of a sealed data segment.
+	// Corrupt one AU of a sealed segment.
 	a.mu.Lock()
 	var victim uint64
 	for id, info := range a.segMap {
-		if info.Sealed && a.liveBytes[id] > 0 {
+		if info.Sealed && info.Stripes > 0 {
 			au := info.AUs[0]
 			a.shelf.Drive(au.Drive).CorruptBlock(au.Offset(a.cfg.Layout))
 			victim = uint64(id)

@@ -534,6 +534,8 @@ func (run *sweepRun) verify(a *Array) error {
 //     mean data sitting where new segments will be written.
 //   - Every page referenced by a recovered patch descriptor is readable
 //     and decodable.
+//   - Recovery issues no sequence number past what it read back: the
+//     persisted watermark is the current sequence number.
 func (run *sweepRun) checkInvariants(a *Array) error {
 	a.mu.Lock()
 	persisted := a.persistedSeq
@@ -547,13 +549,11 @@ func (run *sweepRun) checkInvariants(a *Array) error {
 	frontier := append(a.alloc.Frontier(), a.alloc.Speculative()...)
 	a.mu.Unlock()
 
-	// Recovery legitimately issues sequence numbers beyond persistedSeq:
-	// the segment-relation refresh re-derives rows from AU trailers with
-	// fresh seqs and deliberately skips NVRAM (a later crash re-derives
-	// them again). The invariant is only that the persisted watermark
-	// never runs ahead of issuance.
-	if persisted > current {
-		return fmt.Errorf("persistedSeq %d ahead of current seq %d after recovery", persisted, current)
+	// Recovery sets the persisted watermark once replay is done and issues
+	// no sequence number after it: every fact it holds came from the
+	// checkpoint, a patch or the log.
+	if persisted != current {
+		return fmt.Errorf("persistedSeq %d is not the current seq %d after recovery", persisted, current)
 	}
 	for _, au := range frontier {
 		if id, clash := inUse[au]; clash {

@@ -114,7 +114,6 @@ func (a *Array) BackgroundDedup(at sim.Time) (BackgroundDedupReport, sim.Time, e
 			}
 			rep.DuplicatesMerged++
 			rep.BytesFreed += int64(c.physLen)
-			a.liveBytes[id] -= int64(c.physLen)
 		}
 	}
 

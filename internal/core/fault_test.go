@@ -7,9 +7,11 @@ import (
 	"sync"
 	"testing"
 
+	"purity/internal/layout"
 	"purity/internal/nvram"
 	"purity/internal/relation"
 	"purity/internal/sim"
+	"purity/internal/tuple"
 )
 
 // TestRecoveryAfterGC: GC moves data and retires segments; a crash right
@@ -43,6 +45,132 @@ func TestRecoveryAfterGC(t *testing.T) {
 	}
 	if _, _, err := a2.ReadAt(0, temp, 0, 4096); err != ErrVolumeDeleted {
 		t.Fatalf("deleted volume resurrected: %v", err)
+	}
+}
+
+// TestSegmentRelationsHoldOnlyWhatRecoveryReads: the checkpoint's segment
+// map and the AU trailers are the segment table, so the two segment
+// relations hold only what neither can know until the next checkpoint — a
+// GC retirement in one, a rebuild's placement swap in the other. A crash
+// after both, with the checkpoint from before them, must keep the retired
+// segments out of the map and serve the swapped shards from their new AUs.
+func TestSegmentRelationsHoldOnlyWhatRecoveryReads(t *testing.T) {
+	cfg := TestConfig()
+	a := newArray(t)
+	keep := mustCreate(t, a, "keep", 2<<20)
+	kept := pattern(1, 256<<10)
+	mustWrite(t, a, keep, 0, kept)
+	temp := mustCreate(t, a, "temp", 2<<20)
+	for i := 0; i < 24; i++ {
+		mustWrite(t, a, temp, int64(i)*(32<<10), pattern(uint64(i)+50, 32<<10))
+	}
+	now, err := a.FlushAll(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := a.epoch
+	before := map[layout.SegmentID]bool{}
+	for id := range a.segMap {
+		before[id] = true
+	}
+	if now, err = a.Delete(now, temp); err != nil {
+		t.Fatal(err)
+	}
+	rep, now, err := a.RunGC(now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := map[uint64]bool{}
+	for id := range before {
+		if _, ok := a.segMap[id]; !ok {
+			dead[uint64(id)] = true
+		}
+	}
+	if rep.SegmentsReclaimed == 0 || len(dead) != rep.SegmentsReclaimed {
+		t.Fatalf("GC reclaimed %d segments, %d gone from the map", rep.SegmentsReclaimed, len(dead))
+	}
+
+	// Drive 5 holds no boot replica, so its replacement writes no
+	// checkpoint.
+	const victim = 5
+	placed := map[layout.SegmentID][]layout.AU{}
+	for id, info := range a.segMap {
+		placed[id] = info.AUs
+	}
+	if err := a.Shelf().PullDrive(victim); err != nil {
+		t.Fatal(err)
+	}
+	if now, err = a.ReplaceDrive(now, victim); err != nil {
+		t.Fatal(err)
+	}
+	rrep, now, err := a.Rebuild(now, victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type slot struct{ seg, shard uint64 }
+	swapped := map[slot]layout.AU{}
+	for id, aus := range placed {
+		for shard, au := range a.segMap[id].AUs {
+			if au != aus[shard] {
+				swapped[slot{uint64(id), uint64(shard)}] = au
+			}
+		}
+	}
+	if rrep.SegmentsRebuilt == 0 || len(swapped) != rrep.SegmentsRebuilt {
+		t.Fatalf("rebuild rebuilt %d segments, %d shards moved", rrep.SegmentsRebuilt, len(swapped))
+	}
+	if a.epoch != epoch {
+		t.Fatalf("a checkpoint ran after FlushAll (epoch %d, want %d): recovery would not need the relations", a.epoch, epoch)
+	}
+
+	rows := 0
+	if _, err := a.pyr[relation.IDSegments].Visit(now, nil, nil, true, func(f tuple.Fact) bool {
+		rows++
+		if row := relation.SegmentFromFact(f); row.State != relation.SegmentDead || !dead[row.Segment] {
+			t.Errorf("segment relation row %+v is not a retirement", row)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if rows != len(dead) {
+		t.Errorf("segment relation holds %d rows, want one per retirement (%d)", rows, len(dead))
+	}
+	rows = 0
+	if _, err := a.pyr[relation.IDSegmentAUs].Visit(now, nil, nil, true, func(f tuple.Fact) bool {
+		rows++
+		row := relation.SegmentAUFromFact(f)
+		au, ok := swapped[slot{row.Segment, row.Shard}]
+		if !ok || au != (layout.AU{Drive: int(row.Drive), Index: int64(row.AUIndex)}) {
+			t.Errorf("AU relation row %+v is not a swap", row)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if rows != len(swapped) {
+		t.Errorf("AU relation holds %d rows, want one per swap (%d)", rows, len(swapped))
+	}
+
+	a2, _, err := OpenAt(cfg, a.Shelf(), now, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range dead {
+		if _, ok := a2.segMap[layout.SegmentID(id)]; ok {
+			t.Errorf("retired segment %d is back in the segment map", id)
+		}
+	}
+	for s, au := range swapped {
+		if got := a2.segMap[layout.SegmentID(s.seg)].AUs[s.shard]; got != au {
+			t.Errorf("segment %d shard %d recovered on %+v, want the swapped-in %+v", s.seg, s.shard, got, au)
+		}
+	}
+	if n := a2.Stats().LostShards; n != 0 {
+		t.Errorf("%d shards lost after recovery", n)
+	}
+	if got := mustRead(t, a2, keep, 0, len(kept)); !bytes.Equal(got, kept) {
+		t.Fatal("survivor corrupted after GC, rebuild and crash")
 	}
 }
 

@@ -98,11 +98,24 @@ import (
 // DirectShardReads 1482, ReconstructedReads 129, ShardBytesRead 227697929,
 // BusyAvoided 22, hedged reads 44 / 1 won, cblock cache 8187 hits / 1468
 // misses, reduction ratio 1.249287607, gc 1 run / 10 segments.
-const modelFingerprint = `final ack        961180860
+//
+// Re-recorded with one segment table, which moved the model on purpose:
+// the segment relation no longer mirrors the segment map (no row at a
+// segment's open or seal, none per segment at recovery) and the AU
+// relation no longer holds each new segment's placement, so the two
+// relations keep only GC's retirements and rebuild's swaps. Checkpoints
+// and merges write and read fewer metadata pages: 7.3 KB fewer host bytes
+// written, 9 direct shard reads (1,019 bytes) fewer, and the final ack
+// 0.74 ms sooner. The reads, hedges, cblock cache, reduction ratio,
+// erases and GC are identical. The values recorded with right-sized reads
+// above were: final ack 961180860, write sim sum 1504732146,
+// HostBytesRead 8162015, HostBytesWritten 85403283, FlashBytesWritten
+// 85586325, DirectShardReads 1385, ShardBytesRead 8162015.
+const modelFingerprint = `final ack        960436792
 read sim sum     137433300
-write sim sum    1504732146
-flash            {HostBytesRead:8162015 HostBytesWritten:85403283 FlashBytesWritten:85586325 Erases:72 RandomWrites:36 StalledReads:0 QueuedReads:105 MaxWear:12 BadBlocks:0 BitFlips:0}
-segment reads    {DirectShardReads:1385 ReconstructedReads:56 ShardBytesRead:8162015 BusyAvoided:24 CRCMismatches:0 InlineRepairs:0 HomeReadErrors:0 HomeRetries:0}
+write sim sum    1504732002
+flash            {HostBytesRead:8160996 HostBytesWritten:85395999 FlashBytesWritten:85557189 Erases:72 RandomWrites:36 StalledReads:0 QueuedReads:105 MaxWear:12 BadBlocks:0 BitFlips:0}
+segment reads    {DirectShardReads:1376 ReconstructedReads:56 ShardBytesRead:8160996 BusyAvoided:24 CRCMismatches:0 InlineRepairs:0 HomeReadErrors:0 HomeRetries:0}
 hedged reads     13, 0 won
 cblock cache     7889 hits, 1446 misses
 reduction ratio  1.251280708
@@ -269,7 +282,7 @@ func TestModelFingerprint(t *testing.T) {
 		st.FlashStats, st.SegRead, st.HedgedReads, st.HedgeWins,
 		st.CacheHits, st.CacheMisses, st.ReductionRatio, st.GCRuns, st.GCSegsReclaimed)
 	if got != modelFingerprint {
-		t.Errorf("the device model noticed this change.\n--- got\n%s--- want (recorded with right-sized reads)\n%s", got, modelFingerprint)
+		t.Errorf("the device model noticed this change.\n--- got\n%s--- want (recorded with one segment table)\n%s", got, modelFingerprint)
 	}
 	checkCachedPages(t, a)
 }

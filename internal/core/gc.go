@@ -37,8 +37,8 @@ type cblockRefs struct {
 // RunGC performs one full garbage-collection cycle (§4.5, §4.7, §4.10):
 //
 //  1. Elide mediums no longer reachable from any live volume or snapshot.
-//  2. Recompute exact per-segment liveness from the address map (fixing up
-//     the approximate counters, §3.3).
+//  2. Compute exact per-segment liveness from the address map (§3.3's
+//     aggregate, recomputed rather than maintained).
 //  3. Evacuate sealed segments under the live threshold: live cblocks move
 //     to fresh segments — dedup-shared cblocks segregated into their own
 //     class — and the old segment's AUs are erased and freed.
@@ -62,16 +62,13 @@ func (a *Array) RunGC(at sim.Time) (GCReport, sim.Time, error) {
 	if err != nil {
 		return rep, done, err
 	}
-	// Fix up the approximations with the recomputed truth.
-	for id := range a.liveBytes {
-		a.liveBytes[id] = 0
-	}
+	liveBytes := map[layout.SegmentID]int64{}
 	for seg, blocks := range live {
 		var sum int64
 		for _, c := range blocks {
 			sum += int64(c.physLen)
 		}
-		a.liveBytes[seg] = sum
+		liveBytes[seg] = sum
 		rep.LiveBytesTotal += sum
 	}
 
@@ -87,7 +84,7 @@ func (a *Array) RunGC(at sim.Time) (GCReport, sim.Time, error) {
 		}
 	}
 	for id, bytes := range metaLive {
-		a.liveBytes[id] += bytes
+		liveBytes[id] += bytes
 		rep.LiveBytesTotal += bytes
 	}
 
@@ -103,13 +100,13 @@ func (a *Array) RunGC(at sim.Time) (GCReport, sim.Time, error) {
 		if capacity <= 0 {
 			continue
 		}
-		if float64(a.liveBytes[id]) < a.cfg.GCLiveThreshold*float64(capacity) {
+		if float64(liveBytes[id]) < a.cfg.GCLiveThreshold*float64(capacity) {
 			candidates = append(candidates, id)
 		}
 	}
 	sort.Slice(candidates, func(i, j int) bool {
-		if a.liveBytes[candidates[i]] != a.liveBytes[candidates[j]] {
-			return a.liveBytes[candidates[i]] < a.liveBytes[candidates[j]]
+		if liveBytes[candidates[i]] != liveBytes[candidates[j]] {
+			return liveBytes[candidates[i]] < liveBytes[candidates[j]]
 		}
 		return candidates[i] < candidates[j]
 	})
@@ -269,7 +266,6 @@ func (a *Array) evacuateSegmentLocked(at sim.Time, id layout.SegmentID, blocks m
 		// them yet: a crash here orphans the copies, and the old segment
 		// (never retired) still serves every read.
 		a.crash.Hit("gc.evac.moved")
-		a.liveBytes[newSeg] += int64(c.physLen)
 		rep.BytesMoved += int64(c.physLen)
 		rep.CBlocksMoved++
 		for _, r := range c.refs {
@@ -330,7 +326,6 @@ func (a *Array) evacuateSegmentLocked(at sim.Time, id layout.SegmentID, blocks m
 	a.segMu.Lock()
 	delete(a.segMap, id)
 	a.segMu.Unlock()
-	delete(a.liveBytes, id)
 	a.rdMu.Lock()
 	a.cblocks.invalidateSegment(uint64(id))
 	a.rdMu.Unlock()

@@ -158,20 +158,17 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 	return ackAt, nil
 }
 
-// laneWrite is one write between placement and apply: its chunks, the
-// per-segment live-byte deltas its literal chunks added, and what the
-// stats need once it is acknowledged.
+// laneWrite is one write between placement and apply: its chunks and what
+// the stats need once it is acknowledged.
 type laneWrite struct {
 	at                sim.Time
 	size              int64
 	chunks            []writeChunk
-	live              map[layout.SegmentID]int64
 	physical, deduped int64
 }
 
 // laneApplyLocked acknowledges a committed write: it charges the op's CPU
-// cost, applies the facts, folds the per-segment live-byte deltas into the
-// shared accounting, and records the stats. done is when the write's
+// cost, applies the facts and records the stats. done is when the write's
 // record became durable. persistedSeq is NOT advanced here — only
 // world-exclusive points move the watermark, when no lane commit is in
 // flight (see checkpointLocked). Caller holds mu.
@@ -187,9 +184,6 @@ func (a *Array) laneApplyLocked(done sim.Time, w laneWrite) (sim.Time, error) {
 				return ackAt, err
 			}
 		}
-	}
-	for seg, delta := range w.live {
-		a.liveBytes[seg] += delta
 	}
 	a.stats.Writes++
 	a.stats.WriteLatency.Record(ackAt - w.at)
@@ -260,9 +254,9 @@ func (a *Array) laneBackground(at sim.Time) (sim.Time, error) {
 // literal is packed where it is placed (laneLiteralChunk). The dedup
 // candidate search runs under the engine mutex (it reads the pyramids and
 // sealed segments), packing under no lock, literal placement under the slot
-// mutex. The chunks are appended to sc.w.chunks and their live-byte deltas
-// to sc.w.live, to be applied after the commit point. startSector is the
-// write's first sector. Returns how many sequence numbers were allocated.
+// mutex. The chunks are appended to sc.w.chunks, to be applied after the
+// commit point. startSector is the write's first sector. Returns how many
+// sequence numbers were allocated.
 func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, startSector uint64, pe *preparedExtent, sc *writeScratch) (uint64, sim.Time, error) {
 	done := at
 	sector := startSector + pe.sectorOff
@@ -345,7 +339,6 @@ func (a *Array) laneLiteralChunk(at sim.Time, ln *commitLane, medium, sector uin
 		frame: frame,
 	}
 	allocated := uint64(1)
-	sc.w.live[seg] += int64(len(frame))
 
 	// Record a sample of the block hashes persistently, everything recently.
 	d := len(sc.dedup)

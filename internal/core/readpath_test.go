@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -11,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"purity/internal/layout"
+	"purity/internal/relation"
 	"purity/internal/sim"
 )
 
@@ -171,6 +174,33 @@ func TestExtentReadErrorsCounted(t *testing.T) {
 	}
 	if n := a.Stats().ExtentReadErrors; n != 1 {
 		t.Fatalf("ExtentReadErrors = %d, want 1", n)
+	}
+}
+
+// TestMetadataReadErrorNamesPage: a read whose metadata page cannot be
+// rebuilt fails with the relation and the page it could not read, still
+// recognisable as unrecoverable.
+func TestMetadataReadErrorNamesPage(t *testing.T) {
+	a := newArray(t)
+	vol := mustCreate(t, a, "x", 2<<20)
+	mustWrite(t, a, vol, 0, pattern(7, 64<<10))
+	if _, err := a.FlushAll(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []int{1, 2, 3, 5} { // two left: fewer than the data shards
+		if err := a.Shelf().PullDrive(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The read's first lookup is the volume catalog's, in its one page.
+	patches := a.pyr[relation.IDVolumes].Patches()
+	if len(patches) != 1 || len(patches[0].Pages) != 1 {
+		t.Fatalf("volume catalog holds %d patches, want one of one page", len(patches))
+	}
+	want := fmt.Sprintf("pyramid volumes: page at segment %d ", patches[0].Pages[0].Ref.Segment)
+	_, _, err := a.ReadAt(0, vol, 0, 4096)
+	if !errors.Is(err, layout.ErrUnrecoverable) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("read with four drives pulled: %v, want layout.ErrUnrecoverable behind %q", err, want)
 	}
 }
 

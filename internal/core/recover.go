@@ -84,7 +84,6 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 		info.Sealed = true
 		a.segMap[info.ID] = info
 		a.alloc.MarkInUse(info.AUs)
-		a.liveBytes[info.ID] = int64(info.Stripes) * int64(cfg.Layout.StripeCapacity())
 		a.seqs.AdvanceTo(info.SeqMax)
 	}
 
@@ -137,7 +136,6 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 			if trailer.Stripes > old.Stripes {
 				fresh := trailer.Info()
 				a.segMap[trailer.Segment] = fresh
-				a.liveBytes[trailer.Segment] = int64(fresh.Stripes) * int64(cfg.Layout.StripeCapacity())
 				a.seqs.AdvanceTo(fresh.SeqMax)
 			}
 			consumed[au] = true
@@ -146,7 +144,6 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 		info := trailer.Info()
 		a.segMap[info.ID] = info
 		a.alloc.MarkInUse(info.AUs)
-		a.liveBytes[info.ID] = int64(info.Stripes) * int64(cfg.Layout.StripeCapacity())
 		a.seqs.AdvanceTo(info.SeqMax)
 		rs.SegmentsDiscovered++
 		for _, owned := range info.AUs {
@@ -472,33 +469,7 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 			}
 			a.alloc.Free(free)
 			delete(a.segMap, id)
-			delete(a.liveBytes, id)
 		}
-	}
-
-	// 9. Refresh the segment relation so it reflects the rebuilt map (in
-	// fixed ID order: this assigns sequence numbers).
-	segIDs := make([]layout.SegmentID, 0, len(a.segMap))
-	for id := range a.segMap {
-		segIDs = append(segIDs, id)
-	}
-	sort.Slice(segIDs, func(i, j int) bool { return segIDs[i] < segIDs[j] })
-	var segFacts []tuple.Fact
-	for _, id := range segIDs {
-		info := a.segMap[id]
-		if ref, open := a.openByID[id]; open {
-			info = ref.w.Info() // the segment replay opened; nothing else runs yet
-		}
-		segFacts = append(segFacts, relation.SegmentRow{
-			Segment: uint64(id), State: relation.SegmentSealed,
-			Stripes:    uint64(info.Stripes),
-			TotalBytes: uint64(cfg.Layout.SegmentLogicalSize()),
-			LiveBytes:  uint64(a.liveBytes[id]),
-		}.Fact(a.seqs.Next()))
-	}
-	//lint:ignore commitorder segment facts are re-derived here from the just-recovered segment map (checkpoint + AU trailers), not replayed from the NVRAM log — there is no append to precede them
-	if err := a.pyr[relation.IDSegments].Insert(segFacts); err != nil {
-		return nil, rs, err
 	}
 
 	rs.TotalTime = done - at
@@ -633,7 +604,6 @@ func (a *Array) replayRecord(at sim.Time, rec replayRec) (sim.Time, error) {
 					return done, err
 				}
 				physLen := uint64(len(ch.frame))
-				a.liveBytes[seg] += int64(physLen)
 				ch.addr = relation.RemapAddr(ch.addr, uint64(seg), uint64(off), physLen)
 				for i := range ch.dedup {
 					ch.dedup[i] = relation.RemapDedup(ch.dedup[i], uint64(seg), uint64(off), physLen)

@@ -137,14 +137,13 @@ func (a *Array) ElideTableSize(relID uint32) int {
 	return 0
 }
 
-// SegmentInventory lists every known segment with its in-memory liveness
-// approximation, for inspection tools.
+// SegmentInventory lists every known segment, for inspection tools. Exact
+// live bytes are GC's to compute (GCReport.LiveBytesTotal).
 type SegmentInventory struct {
-	ID        uint64
-	Sealed    bool
-	Stripes   int
-	LiveBytes int64
-	AUs       int
+	ID      uint64
+	Sealed  bool
+	Stripes int
+	AUs     int
 }
 
 // Segments returns the segment inventory sorted by ID.
@@ -155,8 +154,7 @@ func (a *Array) Segments() []SegmentInventory {
 	for id := range a.segMap {
 		info, _ := a.segInfo(id)
 		out = append(out, SegmentInventory{
-			ID: uint64(id), Sealed: info.Sealed, Stripes: info.Stripes,
-			LiveBytes: a.liveBytes[id], AUs: len(info.AUs),
+			ID: uint64(id), Sealed: info.Sealed, Stripes: info.Stripes, AUs: len(info.AUs),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

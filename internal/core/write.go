@@ -54,7 +54,7 @@ type preparedExtent struct {
 type writeScratch struct {
 	prep   []preparedExtent
 	hashes []uint64     // prep's block hashes, back to back
-	w      laneWrite    // its chunks and live deltas are reused
+	w      laneWrite    // its chunks are reused
 	dedup  []tuple.Fact // the chunks' dedup fact headers, back to back
 	frames []byte       // the chunks' packed frames, back to back
 	rec    []byte       // the write's NVRAM record
@@ -78,9 +78,7 @@ func (sc *writeScratch) factCols(n int) []uint64 {
 	return sc.cols[i : i+n : i+n]
 }
 
-var writeScratchPool = sync.Pool{New: func() any {
-	return &writeScratch{w: laneWrite{live: map[layout.SegmentID]int64{}}}
-}}
+var writeScratchPool = sync.Pool{New: func() any { return new(writeScratch) }}
 
 // reset clears what a write left in sc — the caller's bytes, the facts the
 // memtable now holds — keeping its buffers' capacity, and returns sc for
@@ -88,12 +86,11 @@ var writeScratchPool = sync.Pool{New: func() any {
 func (sc *writeScratch) reset() *writeScratch {
 	clear(sc.prep)
 	clear(sc.w.chunks)
-	clear(sc.w.live)
 	clear(sc.dedup)
 	*sc = writeScratch{
 		prep:   sc.prep[:0],
 		hashes: sc.hashes[:0],
-		w:      laneWrite{chunks: sc.w.chunks[:0], live: sc.w.live},
+		w:      laneWrite{chunks: sc.w.chunks[:0]},
 		dedup:  sc.dedup[:0],
 		frames: sc.frames[:0],
 		rec:    sc.rec[:0],

@@ -44,17 +44,26 @@ import (
 // 65644136, StalledReads 13, QueuedReads 12, reduction ratio 1.973847353;
 // at lanes 4: final ack 365102390, write sim sum 241802864, HostBytesRead
 // 51957814, StalledReads 16, QueuedReads 10, reduction ratio 1.919064995.
+//
+// Re-recorded with one segment table, together with modelFingerprint and
+// for the same reason: no segment-relation row at a segment's open or
+// seal and no placement rows, so the checkpoints write fewer metadata
+// bytes and the last write acks 2 µs sooner. What was read, written as
+// data, deduplicated and rotated is unchanged. The values recorded with
+// right-sized reads above were, at lanes 1: final ack 275826424,
+// HostBytesWritten 52248486, FlashBytesWritten 52280994; at lanes 4: final
+// ack 311619314, HostBytesWritten 55858407, FlashBytesWritten 55882662.
 var multiExtentFingerprint = map[int]string{
-	1: `final ack        275826424
+	1: `final ack        275824404
 write sim sum    189639556
-flash            {HostBytesRead:8873353 HostBytesWritten:52248486 FlashBytesWritten:52280994 Erases:0 RandomWrites:9 StalledReads:6 QueuedReads:0 MaxWear:3 BadBlocks:0 BitFlips:0}
+flash            {HostBytesRead:8873353 HostBytesWritten:52247403 FlashBytesWritten:52277040 Erases:0 RandomWrites:9 StalledReads:6 QueuedReads:0 MaxWear:3 BadBlocks:0 BitFlips:0}
 dedup            1201 hits, 895 misses, 52800 inline dup blocks
 reduction ratio  1.973473710
 rotations        4
 `,
-	4: `final ack        311619314
+	4: `final ack        311617294
 write sim sum    189367604
-flash            {HostBytesRead:6554754 HostBytesWritten:55858407 FlashBytesWritten:55882662 Erases:0 RandomWrites:6 StalledReads:8 QueuedReads:0 MaxWear:2 BadBlocks:0 BitFlips:0}
+flash            {HostBytesRead:6554754 HostBytesWritten:55857594 FlashBytesWritten:55879788 Erases:0 RandomWrites:6 StalledReads:8 QueuedReads:0 MaxWear:2 BadBlocks:0 BitFlips:0}
 dedup            1165 hits, 931 misses, 50560 inline dup blocks
 reduction ratio  1.918704513
 rotations        4
@@ -75,7 +84,7 @@ func TestMultiExtentFingerprint(t *testing.T) {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
 			got := runMultiExtentScript(t, lanes)
 			if want := multiExtentFingerprint[lanes]; got != want {
-				t.Errorf("the device model noticed this change.\n--- got\n%s--- want (recorded with right-sized reads)\n%s", got, want)
+				t.Errorf("the device model noticed this change.\n--- got\n%s--- want (recorded with one segment table)\n%s", got, want)
 			}
 		})
 	}

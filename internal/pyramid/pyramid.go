@@ -200,8 +200,7 @@ func (p *Pyramid) VerifyPages(at sim.Time) (sim.Time, error) {
 			_, d, err := p.openPage(done, pm.Ref)
 			done = d
 			if err != nil {
-				return done, fmt.Errorf("pyramid %s: patch [%d,%d] page %+v: %w",
-					p.cfg.Name, patch.SeqLo, patch.SeqHi, pm.Ref, err)
+				return done, fmt.Errorf("patch [%d,%d]: %w", patch.SeqLo, patch.SeqHi, err)
 			}
 		}
 	}
@@ -433,18 +432,20 @@ func (p *Pyramid) installPatchLocked(patch *Patch) {
 	sort.Slice(p.patches, func(i, j int) bool { return p.patches[i].SeqHi > p.patches[j].SeqHi })
 }
 
-// openPage fetches and decodes a page, via the cache.
+// openPage fetches and decodes a page, via the cache. A failure names the
+// pyramid and the page.
 func (p *Pyramid) openPage(at sim.Time, ref Ref) (*pagecodec.Page, sim.Time, error) {
 	if pg, ok := p.cache.get(ref); ok {
 		return pg, at, nil
 	}
 	raw, done, err := p.store.ReadPage(at, ref)
-	if err != nil {
-		return nil, done, err
+	var pg *pagecodec.Page
+	if err == nil {
+		pg, err = pagecodec.Open(p.cfg.Schema, raw)
 	}
-	pg, err := pagecodec.Open(p.cfg.Schema, raw)
 	if err != nil {
-		return nil, done, err
+		return nil, done, fmt.Errorf("pyramid %s: page at segment %d offset %d length %d: %w",
+			p.cfg.Name, ref.Segment, ref.Off, ref.Len, err)
 	}
 	p.cache.put(ref, pg)
 	return pg, done, nil

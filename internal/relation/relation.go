@@ -4,8 +4,9 @@
 // the uint64-column facts the pyramids index.
 //
 // Important relations, per §4.8: the medium table, the address map (user
-// data mappings), the deduplication table, the segment table (with its AU
-// placement), and the elide tables.
+// data mappings), the deduplication table and the elide tables. The
+// segment table is the checkpoint's segment map plus the AU trailers; its
+// two relations here hold only GC's retirements and rebuild's AU swaps.
 package relation
 
 import "purity/internal/tuple"
@@ -22,12 +23,18 @@ const (
 	IDElide      uint32 = 7
 )
 
+// Names, by relation: what errors and inspection tools call each one.
+var Names = map[uint32]string{
+	IDMediums: "mediums", IDAddrs: "addrs", IDDedup: "dedup", IDSegments: "segments",
+	IDSegmentAUs: "segment-aus", IDVolumes: "volumes", IDElide: "elide",
+}
+
 // Schemas, by relation.
 var (
 	MediumsSchema    = tuple.Schema{Cols: 6, KeyCols: 2}
 	AddrsSchema      = tuple.Schema{Cols: 8, KeyCols: 2}
 	DedupSchema      = tuple.Schema{Cols: 5, KeyCols: 1}
-	SegmentsSchema   = tuple.Schema{Cols: 5, KeyCols: 1}
+	SegmentsSchema   = tuple.Schema{Cols: 2, KeyCols: 1}
 	SegmentAUsSchema = tuple.Schema{Cols: 4, KeyCols: 2}
 	VolumesSchema    = tuple.Schema{Cols: 4, KeyCols: 1, HasBlob: true}
 	ElideSchema      = tuple.Schema{Cols: 5, KeyCols: 3}
@@ -170,37 +177,32 @@ func RemapDedup(f tuple.Fact, seg, segOff, physLen uint64) tuple.Fact {
 
 // --- Segment table ---------------------------------------------------------
 
-// Segment states.
-const (
-	SegmentOpen   uint64 = 0
-	SegmentSealed uint64 = 1
-	SegmentDead   uint64 = 2
-)
+// SegmentDead is the one segment state the relation records. A segment's
+// existence, placement and stripes live in the checkpoint's segment map and
+// its AU trailers; what neither can know until the next checkpoint is that
+// GC retired it, so the retirement is the row.
+const SegmentDead uint64 = 2
 
-// SegmentRow tracks one segment. LiveBytes is a materialized aggregate kept
-// approximately (§3.3: "we keep approximations and then fix them up by
-// issuing additional reads at runtime"); GC recomputes the truth when it
-// considers the segment.
+// SegmentRow records a segment's retirement.
 // Rows are immutable facts: decode, read, re-emit — never write through.
 type SegmentRow struct {
-	Segment    uint64
-	State      uint64
-	Stripes    uint64
-	TotalBytes uint64
-	LiveBytes  uint64
+	Segment uint64
+	State   uint64
 }
 
 // Fact encodes the row with a sequence number.
 func (r SegmentRow) Fact(seq tuple.Seq) tuple.Fact {
-	return tuple.Fact{Seq: seq, Cols: []uint64{r.Segment, r.State, r.Stripes, r.TotalBytes, r.LiveBytes}}
+	return tuple.Fact{Seq: seq, Cols: []uint64{r.Segment, r.State}}
 }
 
 // SegmentFromFact decodes a segment-table fact.
 func SegmentFromFact(f tuple.Fact) SegmentRow {
-	return SegmentRow{Segment: f.Cols[0], State: f.Cols[1], Stripes: f.Cols[2], TotalBytes: f.Cols[3], LiveBytes: f.Cols[4]}
+	return SegmentRow{Segment: f.Cols[0], State: f.Cols[1]}
 }
 
-// SegmentAURow records that shard Shard of a segment lives on (Drive, AU).
+// SegmentAURow records that shard Shard of a segment lives on (Drive, AU):
+// a rebuild's swap, which supersedes the placement the checkpoint and the
+// AU trailers describe.
 // Rows are immutable facts: decode, read, re-emit — never write through.
 type SegmentAURow struct {
 	Segment uint64

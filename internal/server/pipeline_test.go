@@ -60,7 +60,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestPipelinedEndToEnd(t *testing.T) {
 	s, addr := startServer(t, Config{})
-	c, err := client.DialPipelined(addr)
+	c, err := client.DialSession(addr, net.Dial, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,14 @@ type statsDoc struct {
 	Version  int
 	Engine   core.StatsSnapshot
 	Frontend map[string]int64
+	Sessions map[string]int64
 }
 
-// fetchStats asks for the stats document over c and decodes it, failing
-// unless it is version 1 and its engine object carries every exported
-// field of core.StatsSnapshot (and so of core.Counters) under its own name.
+// fetchStats asks for the stats document over c, a client whose hello
+// opened a session, and decodes it, failing unless it is version 1, its
+// engine object carries every exported field of core.StatsSnapshot (and so
+// of core.Counters) under its own name, and its sessions object counts the
+// session opened.
 func fetchStats(t *testing.T, c *client.Client) statsDoc {
 	t.Helper()
 	text, err := c.Stats()
@@ -130,6 +133,9 @@ func fetchStats(t *testing.T, c *client.Client) statsDoc {
 		if _, ok := raw.Engine[f.Name]; !ok && f.IsExported() && !f.Anonymous {
 			t.Errorf("engine object has no %s", f.Name)
 		}
+	}
+	if n, ok := doc.Sessions["Opened"]; !ok || n < 1 {
+		t.Errorf("sessions.Opened = %d (present %v), want at least the session c opened", n, ok)
 	}
 	return doc
 }

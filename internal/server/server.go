@@ -167,14 +167,15 @@ const statsVersion = 1
 
 // StatsDocument renders the one stats document, indented: OpStats serves
 // it, purity-cli stats prints it and purity-inspect dumps it. "engine" is
-// a.Stats(); "frontend", left out when fe is nil, is a server's
-// wire-health counters.
-func StatsDocument(a *core.Array, fe *telemetry.Frontend) ([]byte, error) {
+// a.Stats(); "frontend" is a server's wire-health counters and "sessions"
+// the controller pair's session table, each left out when nil.
+func StatsDocument(a *core.Array, fe *telemetry.Frontend, sess *controller.Sessions) ([]byte, error) {
 	return json.MarshalIndent(struct {
-		Version  int                 `json:"version"`
-		Engine   core.StatsSnapshot  `json:"engine"`
-		Frontend *telemetry.Frontend `json:"frontend,omitempty"`
-	}{statsVersion, a.Stats(), fe}, "", "  ")
+		Version  int                  `json:"version"`
+		Engine   core.StatsSnapshot   `json:"engine"`
+		Frontend *telemetry.Frontend  `json:"frontend,omitempty"`
+		Sessions *controller.Sessions `json:"sessions,omitempty"`
+	}{statsVersion, a.Stats(), fe, sess}, "", "  ")
 }
 
 // now maps wall time onto the simulated timeline, so a served array's
@@ -668,7 +669,7 @@ func (s *Server) dispatch(sess *controller.Session, op byte, payload []byte) ([]
 		return nil, err
 
 	case wire.OpStats:
-		doc, err := StatsDocument(a, s.tel)
+		doc, err := StatsDocument(a, s.tel, s.pair.Sessions())
 		if err != nil {
 			return nil, err
 		}

@@ -14,7 +14,7 @@ import (
 )
 
 // startPair brings up active-active servers on loopback and returns clients
-// for both ports.
+// for both ports, each with its own session.
 func startPair(t *testing.T) (*client.Client, *client.Client, *controller.Pair) {
 	t.Helper()
 	pair, err := controller.NewPair(controller.DefaultConfig(), core.TestConfig())
@@ -28,7 +28,7 @@ func startPair(t *testing.T) (*client.Client, *client.Client, *controller.Pair) 
 		}
 		t.Cleanup(func() { l.Close() })
 		go New(pair, via).Serve(l)
-		c, err := client.DialPipelined(l.Addr().String())
+		c, err := client.DialSession(l.Addr().String(), net.Dial, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
