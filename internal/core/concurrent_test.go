@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"purity/internal/cblock"
+	"purity/internal/relation"
 	"purity/internal/sim"
 )
 
@@ -221,4 +224,131 @@ func TestConcurrentWritersWithReaders(t *testing.T) {
 	if !bytes.Equal(got, model) {
 		t.Fatal("final state diverged from model")
 	}
+}
+
+// TestDedupSearchBesideLanes runs the duplicate search where it runs —
+// with world held shared and no a.mu, beside other lanes' placement and
+// apply and a reader — under -race. Four writers on four volumes use four
+// commit lanes. Volumes 0 and 1 are written from one small pool of extent
+// templates, so each finds the other's sealed copies; volumes 2 and 3 are
+// written with unique data. BackgroundEvery and MemtableFlushRows are
+// small, so the dedup pyramid is flushed and merged while searches read
+// it. Meanwhile a reader checks that every extent of the sharing volumes
+// holds zeros or a whole template. Afterwards every committed extent was counted once, as a dedup
+// hit or a miss; every volume reads back its writer's last acknowledged
+// bytes; and every pyramid's cached pages match their checksums.
+func TestDedupSearchBesideLanes(t *testing.T) {
+	const (
+		writers   = 4
+		extent    = cblock.MaxBytes
+		slots     = 12 // extent slots per volume
+		writes    = 60
+		templates = 6
+	)
+	cfg := TestConfig()
+	cfg.CommitLanes = 4
+	cfg.BackgroundEvery = 8
+	cfg.MemtableFlushRows = 64
+	cfg.Shelf.DriveConfig.Capacity = 200 * cfg.Layout.AUSize()
+	a, err := Format(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	template := make([][]byte, templates)
+	for i := range template {
+		template[i] = pattern(uint64(i)+1, extent)
+	}
+	vols := make([]VolumeID, writers)
+	models := make([][]byte, writers)
+	for i := range vols {
+		vols[i] = mustCreate(t, a, fmt.Sprintf("dd-%d", i), slots*extent)
+		models[i] = make([]byte, slots*extent)
+	}
+
+	var extents atomic.Int64
+	var writing sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		i := i
+		writing.Add(1)
+		go func() {
+			defer writing.Done()
+			r := sim.NewRand(uint64(i) + 1)
+			now := sim.Time(0)
+			for j := 0; j < writes; j++ {
+				slot, n := r.Intn(slots), 1+r.Intn(2)
+				n = min(n, slots-slot)
+				data := make([]byte, 0, n*extent)
+				for k := 0; k < n; k++ {
+					if i < 2 {
+						data = append(data, template[r.Intn(templates)]...)
+					} else {
+						data = append(data, pattern(uint64(i)<<32|uint64(j*2+k), extent)...)
+					}
+				}
+				d, err := a.WriteAt(now, vols[i], int64(slot*extent), data)
+				if err != nil {
+					t.Errorf("writer %d: write %d: %v", i, j, err)
+					return
+				}
+				now = d
+				exts, _ := cblock.SplitWrite(len(data))
+				extents.Add(int64(len(exts)))
+				copy(models[i][slot*extent:], data)
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	var reading sync.WaitGroup
+	reading.Add(1)
+	go func() {
+		defer reading.Done()
+		r := sim.NewRand(99)
+		zero := make([]byte, extent)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			vol, slot := r.Intn(2), r.Intn(slots)
+			got, _, err := a.ReadAt(0, vols[vol], int64(slot*extent), extent)
+			if err != nil {
+				t.Errorf("reader: volume %d slot %d: %v", vol, slot, err)
+				return
+			}
+			ok := bytes.Equal(got, zero)
+			for _, tm := range template {
+				ok = ok || bytes.Equal(got, tm)
+			}
+			if !ok {
+				t.Errorf("reader: volume %d slot %d holds neither zeros nor a template", vol, slot)
+				return
+			}
+		}
+	}()
+	writing.Wait()
+	close(stop)
+	reading.Wait()
+	if t.Failed() {
+		return
+	}
+
+	st := a.Stats()
+	if st.DedupHits+st.DedupMisses != extents.Load() {
+		t.Errorf("dedup hits %d + misses %d = %d, want the %d extents committed",
+			st.DedupHits, st.DedupMisses, st.DedupHits+st.DedupMisses, extents.Load())
+	}
+	t.Logf("%d extents: %d dedup hits, %d misses", extents.Load(), st.DedupHits, st.DedupMisses)
+	if st.DedupHits == 0 || st.DedupMisses == 0 {
+		t.Errorf("dedup hits %d, misses %d: the writers shared too little, or too much", st.DedupHits, st.DedupMisses)
+	}
+	if flushed, merged := a.pyr[relation.IDDedup].RowCounts(); flushed == 0 || merged == 0 {
+		t.Errorf("the dedup pyramid flushed %d rows and merged %d: the searches ran beside too little", flushed, merged)
+	}
+	for i, vol := range vols {
+		if got := mustRead(t, a, vol, 0, slots*extent); !bytes.Equal(got, models[i]) {
+			t.Errorf("volume %d differs from its writer's last acknowledged bytes", i)
+		}
+	}
+	checkCachedPages(t, a)
 }

@@ -54,6 +54,7 @@ func (a *Array) BackgroundDedup(at sim.Time) (BackgroundDedupReport, sim.Time, e
 		physLen uint64
 	}
 	canonical := make(map[uint64]loc) // full-content hash -> first copy
+	var blockHashes []uint64
 	var newFacts []tuple.Fact
 
 	for _, id := range segs {
@@ -74,7 +75,13 @@ func (a *Array) BackgroundDedup(at sim.Time) (BackgroundDedupReport, sim.Time, e
 				continue // unreadable now; scrub's problem
 			}
 			rep.CBlocksScanned++
-			h := dedup.Hash(sectors)
+			// The full-content hash folds the block hashes in order; a
+			// match is byte-verified below, so it need only spread.
+			h := uint64(len(sectors))
+			blockHashes = dedup.AppendHashBlocks(blockHashes[:0], sectors)
+			for _, bh := range blockHashes {
+				h = (h ^ bh) * 0x9E3779B97F4A7C15
+			}
 			first, seen := canonical[h]
 			if !seen {
 				canonical[h] = loc{seg: uint64(id), off: off, physLen: c.physLen}

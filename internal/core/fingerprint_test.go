@@ -111,13 +111,29 @@ import (
 // above were: final ack 961180860, write sim sum 1504732146,
 // HostBytesRead 8162015, HostBytesWritten 85403283, FlashBytesWritten
 // 85586325, DirectShardReads 1385, ShardBytesRead 8162015.
-const modelFingerprint = `final ack        960436792
-read sim sum     137433300
-write sim sum    1504732002
-flash            {HostBytesRead:8160996 HostBytesWritten:85395999 FlashBytesWritten:85557189 Erases:72 RandomWrites:36 StalledReads:0 QueuedReads:105 MaxWear:12 BadBlocks:0 BitFlips:0}
-segment reads    {DirectShardReads:1376 ReconstructedReads:56 ShardBytesRead:8160996 BusyAvoided:24 CRCMismatches:0 InlineRepairs:0 HomeReadErrors:0 HomeRetries:0}
-hedged reads     13, 0 won
-cblock cache     7889 hits, 1446 misses
+//
+// Re-recorded with the XXH64 block hash, which moved the model on purpose:
+// dedup.Hash is now XXH64 instead of FNV-1a, and the dedup relation stores
+// the hash as its key. So a dedup fact sorts elsewhere in its pages, the
+// key filters' false positives (which decide the dedup pages a missed
+// probe opens) fall on other probes, and the recent index's lock stripes,
+// chosen by the hash's low bits, evict other entries. So other index pages
+// and candidate cblocks are read, and the acks that wait on them shift;
+// what is deduplicated does not change: the script's dedup hits, misses
+// and inline blocks (435, 1,795 and 4,638) and its reduction ratio are
+// unchanged. The final ack is 15.8 ms sooner. The values recorded with one
+// segment table above were: final ack 960436792, read sim sum
+// 137433300, write sim sum 1504732002, HostBytesRead 8160996,
+// HostBytesWritten 85395999, FlashBytesWritten 85557189, QueuedReads 105,
+// DirectShardReads 1376, ShardBytesRead 8160996, BusyAvoided 24, hedged
+// reads 13 / 0 won, cblock cache 7889 hits / 1446 misses.
+const modelFingerprint = `final ack        944602434
+read sim sum     137044988
+write sim sum    1466901244
+flash            {HostBytesRead:8396134 HostBytesWritten:85358835 FlashBytesWritten:85519125 Erases:72 RandomWrites:36 StalledReads:0 QueuedReads:92 MaxWear:12 BadBlocks:0 BitFlips:0}
+segment reads    {DirectShardReads:1366 ReconstructedReads:56 ShardBytesRead:8396134 BusyAvoided:25 CRCMismatches:0 InlineRepairs:0 HomeReadErrors:0 HomeRetries:0}
+hedged reads     14, 0 won
+cblock cache     8248 hits, 1435 misses
 reduction ratio  1.251280708
 gc               1 runs, 8 segments reclaimed
 `
@@ -282,7 +298,7 @@ func TestModelFingerprint(t *testing.T) {
 		st.FlashStats, st.SegRead, st.HedgedReads, st.HedgeWins,
 		st.CacheHits, st.CacheMisses, st.ReductionRatio, st.GCRuns, st.GCSegsReclaimed)
 	if got != modelFingerprint {
-		t.Errorf("the device model noticed this change.\n--- got\n%s--- want (recorded with one segment table)\n%s", got, modelFingerprint)
+		t.Errorf("the device model noticed this change.\n--- got\n%s--- want (recorded with the XXH64 block hash)\n%s", got, modelFingerprint)
 	}
 	checkCachedPages(t, a)
 }

@@ -64,10 +64,10 @@ func (a *Array) laneFor(vol VolumeID) *commitLane {
 // commitWriteLane is the commit half of a write, and the one place a
 // write's scratch is taken and put back (writeScratch). The whole commit
 // runs under the world lock in read mode, which also settles the volume
-// row; the engine mutex is taken only for the brief sections that
-// genuinely share state across lanes (dedup candidate search, segment
-// allocation, fact application), and the lane mutex covers the lane's own
-// open segment.
+// row and keeps what the dedup candidate search reads from changing under
+// it; the engine mutex is taken only for the brief sections that
+// genuinely share state across lanes (segment allocation, fact
+// application), and the lane mutex covers the lane's own open segment.
 func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byte) (sim.Time, error) {
 	sc := writeScratchPool.Get().(*writeScratch)
 	a.prepareWrite(sc, data)
@@ -165,6 +165,10 @@ type laneWrite struct {
 	size              int64
 	chunks            []writeChunk
 	physical, deduped int64
+
+	// The duplicate search's outcomes: it runs without a.mu, so they are
+	// counted at apply.
+	dedupHits, dedupMisses, inlineDupBlocks int64
 }
 
 // laneApplyLocked acknowledges a committed write: it charges the op's CPU
@@ -190,6 +194,9 @@ func (a *Array) laneApplyLocked(done sim.Time, w laneWrite) (sim.Time, error) {
 	a.stats.LogicalBytes += w.size
 	a.stats.PhysicalBytes += w.physical
 	a.stats.DedupBytes += w.deduped
+	a.stats.DedupHits += w.dedupHits
+	a.stats.DedupMisses += w.dedupMisses
+	a.stats.InlineDupBlocks += w.inlineDupBlocks
 	return ackAt, nil
 }
 
@@ -252,11 +259,12 @@ func (a *Array) laneBackground(at sim.Time) (sim.Time, error) {
 // stored. A hit yields a deduplicated run referencing existing data plus the
 // literal remainders; a miss yields the whole extent as one literal. Every
 // literal is packed where it is placed (laneLiteralChunk). The dedup
-// candidate search runs under the engine mutex (it reads the pyramids and
-// sealed segments), packing under no lock, literal placement under the slot
-// mutex. The chunks are appended to sc.w.chunks, to be applied after the
-// commit point. startSector is the write's first sector. Returns how many
-// sequence numbers were allocated.
+// candidate search and packing run under no lock but the caller's world
+// read lock (findDuplicate says why that suffices), literal placement
+// under the slot mutex. The chunks, and the search's outcome for the
+// stats, go into sc.w, to be applied after the commit point. startSector
+// is the write's first sector. Returns how many sequence numbers were
+// allocated.
 func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, startSector uint64, pe *preparedExtent, sc *writeScratch) (uint64, sim.Time, error) {
 	done := at
 	sector := startSector + pe.sectorOff
@@ -273,17 +281,15 @@ func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, startSector
 		return err
 	}
 	if a.cfg.DedupEnabled {
-		a.mu.Lock()
-		run, d, found := a.findDuplicateLocked(done, pe.part, pe.hashes)
+		run, d, found := a.findDuplicate(done, pe.part, pe.hashes, &sc.batch)
 		done = d
 		hit := found && (run.Count >= a.cfg.DedupMinRunBlocks || run.Count == sectors)
 		if hit {
-			a.stats.DedupHits++
-			a.stats.InlineDupBlocks += int64(run.Count)
+			sc.w.dedupHits++
+			sc.w.inlineDupBlocks += int64(run.Count)
 		} else {
-			a.stats.DedupMisses++
+			sc.w.dedupMisses++
 		}
-		a.mu.Unlock()
 		if hit {
 			if err := literal(0, run.Start); err != nil {
 				return allocated, done, err

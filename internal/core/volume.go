@@ -78,9 +78,12 @@ func (a *Array) nameFreeLocked(at sim.Time, name string) (sim.Time, error) {
 
 // volume fetches a catalog row. Safe with or without mu: catalog changes
 // hold world exclusively and mu, so a caller holding either sees a settled
-// row.
+// row. The fact is decoded into a stack buffer, not cloned: VolumeFromFact
+// copies what it keeps.
 func (a *Array) volume(at sim.Time, id VolumeID) (relation.VolumeRow, sim.Time, error) {
-	f, ok, done, err := a.pyr[relation.IDVolumes].Get(at, []uint64{uint64(id)})
+	var buf [8]uint64
+	cols := buf[:relation.VolumesSchema.Cols]
+	f, ok, done, err := a.pyr[relation.IDVolumes].GetRow(at, []uint64{uint64(id)}, cols)
 	if err != nil {
 		return relation.VolumeRow{}, done, err
 	}

@@ -7,6 +7,7 @@ import (
 	"purity/internal/cblock"
 	"purity/internal/dedup"
 	"purity/internal/layout"
+	"purity/internal/pyramid"
 	"purity/internal/relation"
 	"purity/internal/sim"
 	"purity/internal/tuple"
@@ -22,12 +23,12 @@ import (
 //   1. prepareWrite — pure CPU, no locks: split into cblock extents and
 //      hash each extent's 512 B blocks (dedup.AppendHashBlocks).
 //   2. commitWriteLane (lane.go) — on the volume's commit lane: volume
-//      lookup and, per extent, the dedup candidate search under a brief mu
-//      section, then compression (cblock.AppendPack) of only the bytes dedup
-//      left, where they are placed, with no lock but the world read lock
-//      held, segment placement under the slot mutex, sequence allocation
-//      from the shared atomic source; then the group NVRAM commit and fact
-//      application.
+//      lookup and, per extent, the dedup candidate search, then compression
+//      (cblock.AppendPack) of only the bytes dedup left, where they are
+//      placed, both with no lock but the world read lock held, segment
+//      placement under the slot mutex, sequence allocation from the shared
+//      atomic source; then the NVRAM commit and fact application under mu,
+//      which also counts the search's outcome.
 //
 // Both halves are deterministic for a sequential caller: stage 1 is a
 // function of the data alone, and one caller's commits run one at a time
@@ -59,6 +60,10 @@ type writeScratch struct {
 	frames []byte       // the chunks' packed frames, back to back
 	rec    []byte       // the write's NVRAM record
 
+	// batch is the duplicate search's lookups in the dedup relation, one
+	// extent at a time.
+	batch pyramid.Batch
+
 	// cols is the write's own: the Cols of its facts, which the memtable
 	// keeps. colsWant is what the rest of the write needs if every extent
 	// left is a literal miss, so a write of unique data allocates it once.
@@ -87,6 +92,7 @@ func (sc *writeScratch) reset() *writeScratch {
 	clear(sc.prep)
 	clear(sc.w.chunks)
 	clear(sc.dedup)
+	sc.batch.Reset()
 	*sc = writeScratch{
 		prep:   sc.prep[:0],
 		hashes: sc.hashes[:0],
@@ -94,6 +100,7 @@ func (sc *writeScratch) reset() *writeScratch {
 		dedup:  sc.dedup[:0],
 		frames: sc.frames[:0],
 		rec:    sc.rec[:0],
+		batch:  sc.batch,
 	}
 	return sc
 }
@@ -140,11 +147,18 @@ func (a *Array) WriteAt(at sim.Time, vol VolumeID, off int64, data []byte) (sim.
 	return a.commitWriteLane(at, vol, off, data)
 }
 
-// findDuplicateLocked looks every block hash up in the recent index and the
+// findDuplicate looks every block hash up in the recent index and the
 // persistent dedup relation, byte-verifies the first candidate that pans
 // out, and extends it into a run (§4.7). hashes are part's precomputed
-// block hashes. Caller holds mu.
-func (a *Array) findDuplicateLocked(at sim.Time, part []byte, hashes []uint64) (dedup.Run, sim.Time, bool) {
+// block hashes; b is the write's batch, which reads the relation's
+// memtable once for all of them and probes its patches for a hash only
+// when the search reaches it. It needs no a.mu, only world held shared:
+// the pyramid's readers are safe beside its inserts, the recent index
+// locks itself, fetchDurableCBlock is correct with or without a.mu, and
+// what would change a candidate under it — GC, background dedup, flush and
+// merge — holds world exclusively.
+func (a *Array) findDuplicate(at sim.Time, part []byte, hashes []uint64, b *pyramid.Batch) (dedup.Run, sim.Time, bool) {
+	a.pyr[relation.IDDedup].GetBatch(b, hashes)
 	done := at
 	fetch := func(c dedup.Candidate) ([]byte, bool) {
 		sectors, d, err := a.fetchDurableCBlock(done, c.Segment, c.SegOff, int(c.PhysLen))
@@ -160,7 +174,7 @@ func (a *Array) findDuplicateLocked(at sim.Time, part []byte, hashes []uint64) (
 				return run, done, true
 			}
 		}
-		f, ok, d, err := a.pyr[relation.IDDedup].Get(done, []uint64{h})
+		f, ok, d, err := b.Get(done, i)
 		done = d
 		if err != nil || !ok {
 			continue

@@ -8,6 +8,8 @@ package dedup
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -19,23 +21,63 @@ const Sampling = 8
 // BlockSize is the dedup granularity.
 const BlockSize = 512
 
-// FNV-1a, 64-bit.
+// XXH64's primes (https://github.com/Cyan4973/xxHash, doc/xxhash_spec.md);
+// its fifth serves only inputs under 32 bytes and tails, which a 512 B
+// block never has.
 const (
-	offset64 = 14695981039346656037
-	prime64  = 1099511628211
+	prime1 = 0x9E3779B185EBCA87
+	prime2 = 0xC2B2AE3D27D4EB4F
+	prime3 = 0x165667B19E3779F9
+	prime4 = 0x85EBCA77C2B2AE63
 )
 
-// Hash returns the 64-bit hash of one 512 B block (FNV-1a). The paper uses
-// hashes "no larger than 64 bits" with collision rates of 1e-6 or worse —
-// collisions are acceptable because every match is byte-verified before it
-// affects anything.
+// Hash returns the 64-bit hash of one 512 B block: XXH64 with seed 0. The
+// paper uses hashes "no larger than 64 bits" with collision rates of 1e-6 or
+// worse — collisions are acceptable because every match is byte-verified
+// before it affects anything. block must be exactly BlockSize bytes long.
 func Hash(block []byte) uint64 {
-	h := uint64(offset64)
-	for _, b := range block {
-		h ^= uint64(b)
-		h *= prime64
+	if len(block) != BlockSize {
+		panic("dedup: Hash takes one block")
 	}
+	return hashBlock((*[BlockSize]byte)(block))
+}
+
+// hashBlock is XXH64 (seed 0) specialised to a 512 B input: 16 stripes of
+// 32 B, each stripe's four little-endian words folded into four independent
+// accumulators, so a core overlaps the four multiply chains and each step
+// consumes 8 bytes. A block is a whole number of stripes, so the input has
+// no tail; then the accumulators merge, the length is added and the
+// avalanche mixes the bits.
+func hashBlock(b *[BlockSize]byte) uint64 {
+	p1, p2 := uint64(prime1), uint64(prime2) // the seed-0 starts wrap
+	v1, v2, v3, v4 := p1+p2, p2, uint64(0), -p1
+	for i := 0; i < BlockSize; i += 32 {
+		s := (*[32]byte)(b[i:])
+		v1 = round(v1, binary.LittleEndian.Uint64(s[0:]))
+		v2 = round(v2, binary.LittleEndian.Uint64(s[8:]))
+		v3 = round(v3, binary.LittleEndian.Uint64(s[16:]))
+		v4 = round(v4, binary.LittleEndian.Uint64(s[24:]))
+	}
+	h := bits.RotateLeft64(v1, 1) + bits.RotateLeft64(v2, 7) + bits.RotateLeft64(v3, 12) + bits.RotateLeft64(v4, 18)
+	h = mergeRound(h, v1)
+	h = mergeRound(h, v2)
+	h = mergeRound(h, v3)
+	h = mergeRound(h, v4)
+	h += BlockSize
+	h ^= h >> 33
+	h *= prime2
+	h ^= h >> 29
+	h *= prime3
+	h ^= h >> 32
 	return h
+}
+
+func round(acc, lane uint64) uint64 {
+	return bits.RotateLeft64(acc+lane*prime2, 31) * prime1
+}
+
+func mergeRound(acc, v uint64) uint64 {
+	return (acc^round(0, v))*prime1 + prime4
 }
 
 // HashBlocks hashes every BlockSize-aligned block of data (whose length
@@ -44,34 +86,15 @@ func HashBlocks(data []byte) []uint64 {
 	return AppendHashBlocks(make([]uint64, 0, len(data)/BlockSize), data)
 }
 
-// AppendHashBlocks appends HashBlocks(data) to dst. FNV-1a is
-// one multiply chain per block — each step waits for the last — so four
-// blocks are hashed per loop on four independent chains, which the core
-// overlaps. The array pointers let the compiler drop the bounds checks
-// that would otherwise sit on every chain.
+// AppendHashBlocks appends HashBlocks(data) to dst. Bytes past the last
+// whole block are ignored.
 func AppendHashBlocks(dst []uint64, data []byte) []uint64 {
 	n := len(data) / BlockSize
 	dst = slices.Grow(dst, n)
-	out := dst[len(dst) : len(dst)+n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		b0 := (*[BlockSize]byte)(data[i*BlockSize:])
-		b1 := (*[BlockSize]byte)(data[(i+1)*BlockSize:])
-		b2 := (*[BlockSize]byte)(data[(i+2)*BlockSize:])
-		b3 := (*[BlockSize]byte)(data[(i+3)*BlockSize:])
-		h0, h1, h2, h3 := uint64(offset64), uint64(offset64), uint64(offset64), uint64(offset64)
-		for j := 0; j < BlockSize; j++ {
-			h0 = (h0 ^ uint64(b0[j])) * prime64
-			h1 = (h1 ^ uint64(b1[j])) * prime64
-			h2 = (h2 ^ uint64(b2[j])) * prime64
-			h3 = (h3 ^ uint64(b3[j])) * prime64
-		}
-		out[i], out[i+1], out[i+2], out[i+3] = h0, h1, h2, h3
+	for i := 0; i < n; i++ {
+		dst = append(dst, hashBlock((*[BlockSize]byte)(data[i*BlockSize:])))
 	}
-	for ; i < n; i++ {
-		out[i] = Hash(data[i*BlockSize : (i+1)*BlockSize])
-	}
-	return dst[:len(dst)+n]
+	return dst
 }
 
 // Candidate is where a previously written block lives: a cblock plus a
@@ -95,7 +118,7 @@ type Candidate struct {
 // writes probe it at once — one global mutex here would put a serial
 // section back under the hottest loop of the write path. Striping changes
 // eviction from one global FIFO to a per-stripe FIFO of 1/Nth the
-// capacity; FNV hashes spread uniformly, so the aggregate recency window
+// capacity; XXH64 hashes spread uniformly, so the aggregate recency window
 // is the same within noise.
 type RecentIndex struct {
 	stripes []*recentStripe
@@ -112,7 +135,7 @@ const (
 )
 
 // recentStripe is one independently locked sub-table, open-addressed with
-// linear probing rather than a Go map: the keys are already 64-bit FNV
+// linear probing rather than a Go map: the keys are already 64-bit XXH64
 // hashes, so a single multiply spreads them. Eviction (FIFO via the ring)
 // deletes ring[pos] immediately before overwriting the slot, so every live
 // key has exactly one live ring slot and occupancy never exceeds cap; the
@@ -177,7 +200,7 @@ func (x *RecentIndex) stripe(h uint64) *recentStripe {
 }
 
 // slot returns the home slot for a hash (Fibonacci hashing: the keys are
-// already uniform FNV hashes, one multiply guards against masked-bit bias).
+// already uniform XXH64 hashes, one multiply guards against masked-bit bias).
 func (r *recentStripe) slot(h uint64) uint64 {
 	return (h * 0x9E3779B97F4A7C15) >> r.shift
 }

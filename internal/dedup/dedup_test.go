@@ -207,10 +207,9 @@ func TestExtendAnchorProperty(t *testing.T) {
 	}
 }
 
-// TestHashBlocksMatchesHash pins the four-chain kernel to the one-block
-// entry point at every loop shape: no block, the tail alone (1–3), whole
-// groups of four, groups plus each tail length, and a cblock's 64 blocks
-// with one fewer and one more. Bytes past the last whole block are ignored.
+// TestHashBlocksMatchesHash pins HashBlocks to Hash block by block, from no
+// block to a cblock's 64 with one fewer and one more, and checks that bytes
+// past the last whole block are ignored.
 func TestHashBlocksMatchesHash(t *testing.T) {
 	for _, blocks := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65} {
 		for _, tail := range []int{0, 1, BlockSize - 1} {
@@ -242,32 +241,17 @@ func benchInput() []byte {
 }
 
 // BenchmarkHashBlocks32K measures what a 32 KiB write pays to hash its 64
-// blocks. "serial" is the kernel HashBlocks replaced — Hash once per block,
-// one multiply chain at a time — kept beside it as the reference, as
-// BenchmarkDot7x128K keeps "table".
+// blocks.
 func BenchmarkHashBlocks32K(b *testing.B) {
 	const extent = 32 << 10
 	data := benchInput()
-	b.Run("four-chain", func(b *testing.B) {
-		b.SetBytes(extent)
-		for i := 0; i < b.N; i++ {
-			off := i * extent % len(data)
-			hs := HashBlocks(data[off : off+extent])
-			benchSink += hs[len(hs)-1]
-		}
-	})
-	b.Run("serial", func(b *testing.B) {
-		b.SetBytes(extent)
-		hs := make([]uint64, extent/BlockSize)
-		for i := 0; i < b.N; i++ {
-			off := i * extent % len(data)
-			part := data[off : off+extent]
-			for j := range hs {
-				hs[j] = Hash(part[j*BlockSize : (j+1)*BlockSize])
-			}
-			benchSink += hs[len(hs)-1]
-		}
-	})
+	b.SetBytes(extent)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := i * extent % len(data)
+		hs := HashBlocks(data[off : off+extent])
+		benchSink += hs[len(hs)-1]
+	}
 }
 
 // BenchmarkExtendAnchor32K measures the byte-verify of a whole-extent

@@ -45,7 +45,72 @@ const (
 
 // Get returns the newest non-elided fact with exactly this key.
 func (p *Pyramid) Get(at sim.Time, key []uint64) (tuple.Fact, bool, sim.Time, error) {
-	return p.search(at, key, exact)
+	var buf [stackCols]uint64
+	f, ok, done, err := p.GetRow(at, key, rowBuf(buf[:], p.cfg.Schema.Cols))
+	if !ok {
+		return tuple.Fact{}, false, done, err
+	}
+	return f.Clone(), true, done, err
+}
+
+// GetRow is Get without the copy. A fact found in a patch is decoded into
+// cols, which holds Schema.Cols columns; one found in the memtable is the
+// memtable's own. Either way the fact is lent, as Visit lends: its Blob
+// lies in the memtable or a cached page, nobody writes through it, and a
+// caller that keeps any of it keeps a copy.
+func (p *Pyramid) GetRow(at sim.Time, key, cols []uint64) (tuple.Fact, bool, sim.Time, error) {
+	var versionBuf [4]tuple.Fact
+	versions, patches := p.memRun(versionBuf[:0], key, exact)
+	for _, f := range versions {
+		if !p.elided(f) {
+			return f, true, at, nil
+		}
+	}
+	return p.getFromPatches(at, patches, key, cols)
+}
+
+// getFromPatches is an exact lookup's patch walk, newest patch first, and
+// the one copy of its rule: a patch whose key filter rules key out opens no
+// page, and the first patch holding a live version of key holds the newest
+// (patches hold disjoint, ordered sequence ranges). The fact found is
+// decoded into cols.
+func (p *Pyramid) getFromPatches(at sim.Time, patches []*Patch, key, cols []uint64) (tuple.Fact, bool, sim.Time, error) {
+	h := keyHash(key, p.cfg.Schema.KeyCols)
+	s := patchSource{p: p}
+	for _, patch := range patches {
+		if !patch.filter.mayContain(h) {
+			continue
+		}
+		s.patch = patch
+		f, ok, done, err := s.find(at, key, exact, cols)
+		at = done
+		if err != nil || ok {
+			return f, ok, at, err
+		}
+	}
+	return tuple.Fact{}, false, at, nil
+}
+
+// memRun is memRunLocked under mu, with the patch list's header: the
+// list is copy-on-write, so the header is the snapshot. It reads in read
+// mode with the memtable's unsorted suffix at most memSuffixMax facts: a
+// longer one is sorted first, under mu exclusively. An Insert between the
+// two may lengthen the suffix again, which costs a longer scan and nothing
+// else. The rows are copied out (a later sort reuses the memtable's
+// buffers).
+func (p *Pyramid) memRun(dst []tuple.Fact, tk []uint64, d direction) ([]tuple.Fact, []*Patch) {
+	p.mu.RLock()
+	if len(p.mem)-p.sortedLen > memSuffixMax {
+		p.mu.RUnlock()
+		p.mu.Lock()
+		p.sortMemLocked()
+		p.mu.Unlock()
+		p.mu.RLock()
+	}
+	dst = p.memRunLocked(dst, tk, d)
+	patches := p.patches
+	p.mu.RUnlock()
+	return dst, patches
 }
 
 // GetFloor returns the newest fact whose key is prefix++[c] with the
@@ -82,53 +147,33 @@ func (p *Pyramid) searchPrefix(at sim.Time, prefix []uint64, col uint64, d direc
 	return p.search(at, append(append(tkBuf[:0], prefix...), col), d)
 }
 
-// search is every point lookup: the memtable and then the patches, newest
-// first, each asked for the newest version of the key d lands on from tk.
-// Exact skips, without a page open, a patch whose key filter rules tk out,
-// and stops at the first source holding a live version: patches hold
-// disjoint, ordered sequence ranges, so that one is the newest. Floor and
-// ceil take the nearest key over all sources, at its max-seq version; a key
-// outside tk's prefix is no answer, and a key whose newest version is
-// elided is dead, so the search steps past it and retries.
+// search is the floor and ceiling lookups: the memtable and then the
+// patches, newest first, each asked for the newest version of the key d
+// lands on from tk. They take the nearest key over all sources, at its
+// max-seq version; a key outside tk's prefix is no answer, and a key whose
+// newest version is elided is dead, so the search steps past it and
+// retries.
 //
-// The memtable rows are copied out under the lock (a later sort reuses the
-// memtable's buffers) into a stack array of four (more spill to the heap),
-// with the patch list's header: the list is copy-on-write, so the header is
-// the snapshot. Each patch's candidate is decoded into cand; one that wins
+// The memtable rows are copied out (memRun) into a stack array of four
+// (more spill to the heap). Each patch's candidate is decoded into cand; one that wins
 // is copied into bestCols, since the next patch decodes over cand.
 func (p *Pyramid) search(at sim.Time, tk []uint64, d direction) (tuple.Fact, bool, sim.Time, error) {
 	k := p.cfg.Schema.KeyCols
 	done := at
-	h := keyHash(tk, k) // for exact's filter probes
 	var versionBuf [4]tuple.Fact
 	var candBuf, bestBuf [stackCols]uint64
 	cand := rowBuf(candBuf[:], p.cfg.Schema.Cols)
 	bestCols := rowBuf(bestBuf[:], p.cfg.Schema.Cols)
 	for {
-		p.mu.Lock()
-		if len(p.mem)-p.sortedLen > memSuffixMax {
-			p.sortMemLocked()
-		}
-		versions := p.memRunLocked(versionBuf[:0], tk, d)
-		patches := p.patches
-		p.mu.Unlock()
+		versions, patches := p.memRun(versionBuf[:0], tk, d)
 
 		var best tuple.Fact
-		found := false
-		for _, f := range versions {
-			if d != exact || !p.elided(f) {
-				best, found = f, true
-				break
-			}
+		found := len(versions) > 0
+		if found {
+			best = versions[0]
 		}
 		s := patchSource{p: p}
 		for _, patch := range patches {
-			if found && d == exact {
-				break
-			}
-			if d == exact && !patch.filter.mayContain(h) {
-				continue
-			}
 			s.patch = patch
 			f, ok, dn, err := s.find(done, tk, d, cand)
 			done = dn
@@ -149,7 +194,7 @@ func (p *Pyramid) search(at sim.Time, tk []uint64, d direction) (tuple.Fact, boo
 		if !found || tuple.CompareKeys(best.Cols, tk, k-1) != 0 {
 			return tuple.Fact{}, false, done, nil
 		}
-		if d == exact || !p.elided(best) {
+		if !p.elided(best) {
 			return best.Clone(), true, done, nil
 		}
 		// Dead key: step past it (d is ±1) and retry.

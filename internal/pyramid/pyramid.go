@@ -71,16 +71,20 @@ type Patch struct {
 func (pt *Patch) unfiltered() bool { return pt.filter == nil && pt.Rows > 0 }
 
 // Pyramid is one LSM index. Its levels are the memtable and the patches,
-// newest first. Get, GetFloor and GetCeil are one directed search over
-// them (search: memRunLocked on the memtable, patchSource.find on each
-// patch); Visit, which Scan and ScanVersions wrap, and merges step the same
-// patch cursor forward. The readers (the three lookups and the scans) are
-// safe to run concurrently with each other and with a mutator. A reader holds mu only to copy out the memtable rows it
-// needs (sorting the memtable first if it must, so it takes mu exclusively)
-// and the patch list's header; the list is copy-on-write and every patch, its
-// key filter included, is immutable once installed, so the pages are read
-// without the lock and a merge never blocks a reader (§4.8: "everything
-// below the top level... lock-free"). Mutators (Insert, Flush, MergeStep,
+// newest first. The point lookups read them in one way: memRunLocked (or,
+// for a batch of keys, GetBatch's one pass) on the memtable, then
+// patchSource.find on each patch — Get, GetRow and Batch.Get through one
+// exact patch walk (getFromPatches), GetFloor and GetCeil through one
+// directed search; Visit, which Scan and ScanVersions wrap, and merges step
+// the same patch cursor forward. The readers (the lookups and the scans)
+// are safe to run concurrently with each other and with a mutator. A
+// reader holds mu only to copy out the memtable rows it needs and the
+// patch list's header (a point lookup in read mode unless the memtable's
+// unsorted suffix is long, Visit exclusively, as it sorts the memtable);
+// the list is copy-on-write and every patch, its key filter included, is
+// immutable once installed, so the pages are read without the lock and a
+// merge never blocks a reader (§4.8: "everything below the top level...
+// lock-free"). Mutators (Insert, Flush, MergeStep,
 // AddPatch) must not overlap one another: Flush rebuilds the memtable from
 // what it saw before writing its patch. The engine runs them under
 // Array.mu.

@@ -7,6 +7,7 @@
 # over the packages that do real concurrency
 # (the concurrent write path, its core entry points and reads beside
 # writers, GC and seals, the stats document taken beside lane writers,
+# the duplicate search beside other lanes' writes and flushes,
 # the TCP server's per-connection goroutines, the allocator/shelf locking,
 # layout's Reader, its pooled scratch and its seeded fault property test
 # (TestReadRangeUnderFaults), and the three packages whose types promise
@@ -168,7 +169,7 @@ go test -run 'TestScrubRepairsAllInjectedCorruption|TestScrubStepPacedWalkerCove
 
 echo "== go test -race (concurrency-bearing packages)"
 go test -race -short ./internal/server/ ./internal/dedup/ ./internal/layout/ ./internal/shelf/ ./internal/pyramid/ ./internal/iosched/ ./internal/erasure/
-go test -race -short -run 'TestConcurrentWriters|TestConcurrentScrubRebuildForeground|TestConcurrentReadersWriterGC|TestReadsAcrossSealWindow|TestStatsMarshalBesideLanes' ./internal/core/
+go test -race -short -run 'TestConcurrentWriters|TestConcurrentScrubRebuildForeground|TestConcurrentReadersWriterGC|TestReadsAcrossSealWindow|TestStatsMarshalBesideLanes|TestDedupSearchBesideLanes' ./internal/core/
 
 echo "== kernel benchmarks (one iteration each, so they cannot rot: dedup's hash and byte-verify, erasure's dot product)"
 go test -run '^$' -bench 'HashBlocks32K|ExtendAnchor32K' -benchtime 1x ./internal/dedup/
