@@ -1,16 +1,16 @@
-// Command purity-lint runs the repo's invariant checker: nine rules
+// Command purity-lint runs the repo's invariant checker: eight rules
 // that enforce the conventions Purity's correctness argument rests on —
 // lock annotations and path-sensitive lock states (backed by checked
 // callee summaries), allocator-only seqnos, crash-sweep coverage of
 // durable writes, no dropped errors, plus the interprocedural rules:
-// connguard (every conn read/write dominated by a deadline on all paths,
-// across calls), releasepair (admission slots released exactly once on
-// every path), goroutinelife (no goroutine spawns a provably unexitable
-// loop), lockorder (the whole-module lock-acquisition graph is acyclic and
+// releasepair (admission slots released exactly once on every path),
+// goroutinelife (no goroutine spawns a provably unexitable loop),
+// lockorder (the whole-module lock-acquisition graph is acyclic and
 // matches the declared //lint:lockorder hierarchy), and commitorder (every
 // durable-state apply is dominated by an NVRAM append on every path —
-// persist before apply). See internal/lint and the "Machine-checked
-// invariants" section of DESIGN.md.
+// persist before apply). Connection deadlines need no rule: wire.Conn
+// arms its own. See internal/lint and the "Machine-checked invariants"
+// section of DESIGN.md.
 //
 // Usage:
 //

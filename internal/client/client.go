@@ -10,7 +10,6 @@
 package client
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -29,7 +28,7 @@ type DialFunc func(network, addr string) (net.Conn, error)
 // Client is a connection to one controller port. Methods are safe for
 // concurrent use; concurrent calls interleave on the connection.
 type Client struct {
-	conn net.Conn
+	conn *wire.Conn
 
 	session uint64 // replay session negotiated at hello (0 = none)
 	timeout time.Duration
@@ -73,10 +72,11 @@ func DialSession(addr string, dial DialFunc, session uint64, timeout time.Durati
 }
 
 func dialPipelined(addr string, dial DialFunc, session uint64, wantSession bool, timeout time.Duration) (*Client, error) {
-	conn, err := dial("tcp", addr)
+	nc, err := dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	conn := wire.NewConn(nc)
 	fail := func(err error) (*Client, error) {
 		//lint:ignore errdrop best-effort teardown of a connection being abandoned; the negotiation error is the one the caller needs
 		conn.Close()
@@ -85,12 +85,11 @@ func dialPipelined(addr string, dial DialFunc, session uint64, wantSession bool,
 	if timeout <= 0 {
 		timeout = helloTimeout
 	}
-	//lint:ignore errdrop a conn that can't set deadlines fails the hello exchange below
-	conn.SetDeadline(time.Now().Add(timeout))
-	if err := wire.WriteTaggedFrame(conn, wire.OpHello, 0, wire.EncodeHello(wire.ProtoTagged, session, wantSession)); err != nil {
+	if err := conn.WriteFrame(wire.OpHello, 0, wire.EncodeHello(wire.ProtoTagged, session, wantSession), timeout); err != nil {
 		return fail(err)
 	}
-	respOp, respTag, resp, err := wire.ReadTaggedFrame(conn)
+	var hdr [wire.HeaderLen]byte
+	respOp, respTag, resp, err := conn.ReadFrame(&hdr, timeout)
 	if err != nil {
 		return fail(err)
 	}
@@ -111,8 +110,6 @@ func dialPipelined(addr string, dial DialFunc, session uint64, wantSession bool,
 	if wantSession && !h.HasSession {
 		return fail(errors.New("client: server did not grant a replay session"))
 	}
-	//lint:ignore errdrop clearing the hello deadline is best-effort; per-op deadlines take over from here
-	conn.SetDeadline(time.Time{})
 	c := &Client{conn: conn, session: h.Session, pending: make(map[uint32]chan taggedResp)}
 	go c.readLoop()
 	return c, nil
@@ -137,19 +134,18 @@ func (c *Client) Close() error { return c.conn.Close() }
 // readLoop routes responses to their waiting callers. A response
 // carrying a tag with no waiter is a protocol violation: the stream can no
 // longer be trusted, so the connection fails as a whole. Responses are read
-// through one buffered reader, so a socket read takes in every response
-// that has arrived, and each lands in a buffer of exactly its size that
-// nothing else keeps: what a call returns from it (ReadAt's data) is the
-// caller's without a copy.
+// through the connection's buffered reader, so a socket read takes in every
+// response that has arrived, and each lands in a buffer of exactly its size
+// that nothing else keeps: what a call returns from it (ReadAt's data) is
+// the caller's without a copy.
 func (c *Client) readLoop() {
-	br := bufio.NewReaderSize(c.conn, wire.ReadBufSize)
 	var hdr [wire.HeaderLen]byte
 	for {
-		// This read blocks indefinitely by design: responses arrive whenever
-		// the server finishes, and the per-op timers in call condemn a stuck
-		// connection via c.conn.Close(), which unblocks it with an error.
-		//lint:ignore connguard per-op timers in call condemn the conn via Close, which unblocks this read
-		op, tag, payload, err := wire.ReadFrame(br, &hdr)
+		// Responses arrive whenever the server finishes, so the read waits
+		// under the backstop only: the server's idle timeout closes a quiet
+		// connection first, and the per-op timers in call condemn a stuck
+		// one via c.conn.Close(), which unblocks this read with an error.
+		op, tag, payload, err := c.conn.ReadFrame(&hdr, 0)
 		if err != nil {
 			c.failAll(err)
 			return
@@ -239,9 +235,7 @@ func (c *Client) call(op byte, fixed, data []byte) ([]byte, error) {
 	}
 	// Bound the write: a server that stops reading would otherwise wedge
 	// every caller behind wmu via TCP backpressure.
-	//lint:ignore errdrop a conn that can't set deadlines fails the write below
-	c.conn.SetWriteDeadline(time.Now().Add(c.opTimeout()))
-	err = wire.WriteBuffers(c.conn, &c.bufs)
+	err = c.conn.WriteBuffers(&c.bufs, c.opTimeout())
 	c.vec = [2][]byte{} // the caller's buffer is the caller's again
 	if err != nil {
 		// Part of the frame may be on the wire. Condemn before releasing

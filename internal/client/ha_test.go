@@ -6,8 +6,10 @@ package client
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,6 +21,7 @@ import (
 	"purity/internal/server"
 	"purity/internal/sim"
 	"purity/internal/telemetry"
+	"purity/internal/wire"
 )
 
 // startHAServer brings up one server for a role on loopback.
@@ -174,6 +177,60 @@ func TestHADeadlineFiresOnBlackhole(t *testing.T) {
 	}
 	if pair.Sessions().AppliedOK.Load() != 1 {
 		t.Fatalf("AppliedOK = %d", pair.Sessions().AppliedOK.Load())
+	}
+}
+
+// TestHAWriteDeadlineCondemnsConn: a server that answers the hello and then
+// never reads must not wedge the caller behind TCP backpressure. The
+// request write fails at the op timeout, and the connection is condemned,
+// so the next call fails instead of splicing a frame onto a torn one.
+func TestHAWriteDeadlineCondemnsConn(t *testing.T) {
+	peerDone := make(chan struct{})
+	dial := func(network, addr string) (net.Conn, error) {
+		cli, srv := net.Pipe()
+		t.Cleanup(func() {
+			srv.Close()
+			<-peerDone
+		})
+		go func() {
+			defer close(peerDone)
+			if _, _, _, err := wire.ReadTaggedFrame(srv); err != nil {
+				t.Errorf("peer: reading the hello: %v", err)
+				return
+			}
+			resp := wire.OKResponse(wire.EncodeHello(wire.ProtoTagged, 1, true))
+			if err := wire.WriteTaggedFrame(srv, wire.OpHello, 0, resp); err != nil {
+				t.Errorf("peer: answering the hello: %v", err)
+			}
+			// Then it never reads again.
+		}()
+		return cli, nil
+	}
+	c, err := DialSession("peer", dial, 0, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetOpTimeout(50 * time.Millisecond)
+
+	done := make(chan error, 1)
+	go func() { done <- c.WriteAt(1, 0, make([]byte, 4096)) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("WriteAt to a peer that never reads: %v, want os.ErrDeadlineExceeded", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("WriteAt still blocked after 1 s on a peer that never reads")
+	}
+	go func() { done <- c.WriteAt(1, 0, make([]byte, 4096)) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("a call on the condemned connection succeeded")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a call on the condemned connection still blocked after 1 s")
 	}
 }
 

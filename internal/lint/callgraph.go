@@ -264,7 +264,6 @@ func (cg *callGraph) postorder(edges func(*graphFunc) []funcNode, visit func(gf 
 	}
 }
 
-func calleeEdges(gf *graphFunc) []funcNode   { return gf.callees }
 func ownCallEdges(gf *graphFunc) []funcNode  { return gf.ownCalls }
 func syncCallEdges(gf *graphFunc) []funcNode { return gf.syncCallees }
 

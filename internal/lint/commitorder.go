@@ -15,9 +15,9 @@ package lint
 //     follow the committed placement-swap fact (the PR 3 ordering), so a
 //     crash mid-copy rolls forward instead of reading a half-placed shard.
 //
-// The analysis is connguard-shaped: a MUST dataflow with intersection
-// join — one bit, "an NVRAM append has happened on every path since
-// entry" — solved per body and composed through synchronous calls.
+// The analysis is a MUST dataflow with intersection join — one bit, "an
+// NVRAM append has happened on every path since entry" — solved per body
+// and composed through synchronous calls.
 // Callee effects come from checked summaries over syncCallees:
 //
 //   - mayCommit: some synchronous path through the callee reaches

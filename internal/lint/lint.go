@@ -49,11 +49,11 @@ func (r *Reporter) Reportf(rule string, pos token.Pos, format string, args ...an
 	})
 }
 
-// DefaultRules returns the full rule set in reporting order. The three
+// DefaultRules returns the full rule set in reporting order. The two
 // summary-based concurrency-lifetime rules are scoped to the HA front end
-// (the packages whose goroutines hold connections and admission slots),
-// releasepair also to internal/core, whose writes borrow a pooled scratch,
-// and goroutinelife to internal/core's lanes; fixture loads construct them
+// (the packages whose goroutines hold connections and admission slots) and
+// to internal/core, whose writes borrow a pooled scratch (releasepair) and
+// whose lanes run goroutines (goroutinelife); fixture loads construct them
 // with a nil Scope to run everywhere.
 func DefaultRules() []Rule {
 	return []Rule{
@@ -61,7 +61,6 @@ func DefaultRules() []Rule {
 		&SeqMono{},
 		&CrashPointCheck{},
 		&ErrDrop{},
-		&ConnGuard{Scope: []string{"internal/server", "internal/client", "internal/wire"}},
 		&ReleasePair{Scope: []string{"internal/server", "internal/controller", "internal/client", "internal/core"}},
 		&GoroutineLife{Scope: []string{"internal/server", "internal/controller", "internal/client", "internal/core"}},
 		&LockOrder{},
@@ -384,16 +383,25 @@ func identObj(pkg *Package, e ast.Expr) types.Object {
 	return pkg.Info.ObjectOf(id)
 }
 
-func isByteSlice(t types.Type) bool {
-	if t == nil {
-		return false
+func typeOfExpr(info *types.Info, e ast.Expr) types.Type {
+	if tv, ok := info.Types[e]; ok {
+		return tv.Type
 	}
-	sl, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
+	return nil
+}
+
+// inScope reports whether a package's module-relative directory falls
+// under one of the scope roots. A nil scope means everywhere.
+func inScope(scope []string, relDir string) bool {
+	if scope == nil {
+		return true
 	}
-	b, ok := sl.Elem().Underlying().(*types.Basic)
-	return ok && (b.Kind() == types.Byte || b.Kind() == types.Uint8)
+	for _, s := range scope {
+		if relDir == s || (len(relDir) > len(s) && relDir[:len(s)] == s && relDir[len(s)] == '/') {
+			return true
+		}
+	}
+	return false
 }
 
 // derefStruct unwraps pointers and names down to the underlying struct

@@ -105,8 +105,6 @@ func TestErrDropFixture(t *testing.T) { runFixture(t, "errdrop", []Rule{&ErrDrop
 
 // The v3 summary-based rules run with a nil Scope on fixtures, so the
 // scoping applied in DefaultRules does not hide the testdata package.
-func TestConnGuardFixture(t *testing.T) { runFixture(t, "connguard", []Rule{&ConnGuard{}}) }
-
 func TestReleasePairFixture(t *testing.T) { runFixture(t, "releasepair", []Rule{&ReleasePair{}}) }
 
 func TestGoroutineLifeFixture(t *testing.T) {

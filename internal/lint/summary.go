@@ -1,20 +1,16 @@
 package lint
 
 // Per-function effect summaries, computed bottom-up over the call graph —
-// the interprocedural layer the v3 rules (connguard, releasepair,
-// goroutinelife) and the summary-based lockflow consume. Each summary
-// records what *calling* the function does, checked from its body rather
-// than trusted from its comments:
+// the interprocedural layer the v3 rules (releasepair, goroutinelife) and
+// the summary-based lockflow consume. Each summary records what *calling*
+// the function does, checked from its body rather than trusted from its
+// comments:
 //
 //   - lock effects: may the body (transitively, through calls on its own
 //     receiver and through nested literals) acquire its receiver's mu?
 //     This is the checked replacement for the "Caller holds mu."
 //     annotation: lockflow consults the summary, so a mis-annotated
 //     function is a finding at its call sites, not a blind spot.
-//   - deadline effects (connguard.go): which reader/writer parameters the
-//     body arms with a Set*Deadline on every path, and which it reads or
-//     writes with no deadline on some path — the obligation that floats to
-//     the wedge-prone call site.
 //   - slot effects: does calling the function release (or acquire) an
 //     admission-slot-like resource rooted at its receiver — how
 //     abortAdmission-style helpers count as releases at their call sites.
@@ -23,11 +19,10 @@ package lint
 //     transitively from every `go` statement.
 //
 // Boolean may-effects (locks, slot release) are solved by a worklist
-// fixpoint over the graph, so recursion converges exactly. The
-// path-sensitive deadline summaries cannot iterate a CFG lattice around a
-// cycle cheaply, so recursive nodes collapse to top (⊤): a summary with no
-// claims, on which every consumer stays silent. Lossy toward silence, like
-// every join in this package.
+// fixpoint over the graph, so recursion converges exactly. A recursive
+// node is still marked top (⊤), the summary a path-sensitive fact would
+// collapse to around a cycle: no claims, on which a consumer stays silent.
+// Lossy toward silence, like every join in this package.
 
 import (
 	"go/ast"
@@ -46,10 +41,6 @@ type funcSummary struct {
 	// op or a call matching the acquire/release name families.
 	releasesRecv bool
 	acquiresRecv bool
-
-	// conn holds the deadline-effect summary (connguard.go); nil when the
-	// body touches no reader/writer values.
-	conn *connSummary
 
 	// foreverLoops are infinite loops in this body (literals excluded —
 	// they are their own nodes) with no accepted exit: no return, panic,
@@ -98,7 +89,6 @@ func computeSummaries(prog *Program) *summaries {
 		s.by[n] = sum
 	}
 	s.fixpointBooleans()
-	computeConnSummaries(s)
 	return s
 }
 

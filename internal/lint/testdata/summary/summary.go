@@ -59,9 +59,9 @@ func (r *rec) Forever() {
 	}
 }
 
-// looper is conn-shaped so ReadRec gets a conn summary — except that
-// ReadRec is self-recursive, so the summary must collapse to top (nil
-// conn, no claims) instead of looping the analysis.
+// looper is conn-shaped, and ReadRec, which reads from it, is
+// self-recursive: its summary must collapse to top (no claims) instead of
+// looping the analysis.
 type looper struct{}
 
 func (looper) Read(p []byte) (int, error)        { return len(p), nil }

@@ -114,7 +114,7 @@ func TestDrainStopsAtBufferedFrame(t *testing.T) {
 		}
 	}
 	cli, srv := tcpPair(t)
-	c := s.newPconn(srv, nil)
+	c := s.newPconn(wire.NewConn(srv), nil)
 	served := make(chan struct{})
 	go func() {
 		c.serve()
@@ -208,7 +208,7 @@ func TestBatchWriteFailureReleasesEveryFrame(t *testing.T) {
 			<-unpark
 		}
 	}
-	c := s.newPconn(fc, nil)
+	c := s.newPconn(wire.NewConn(fc), nil)
 	served := make(chan struct{})
 	go func() {
 		c.serve()

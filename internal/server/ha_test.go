@@ -124,7 +124,7 @@ func TestWriterDeadlineFreesAdmission(t *testing.T) {
 	defer cli.Close()
 	done := make(chan struct{})
 	go func() {
-		s.servePipelined(srv, nil)
+		s.servePipelined(wire.NewConn(srv), nil)
 		close(done)
 	}()
 	// Two requests on the control tenant (window 1): the first parks in a
@@ -175,6 +175,33 @@ func TestIdleTimeoutReapsDeadConn(t *testing.T) {
 	waitFor(t, "idle reap", func() bool {
 		return s.Frontend().IdleTimeouts.Load() == 1
 	})
+}
+
+// TestIdleTimeoutReapsPipelinedConn: past a good hello, the pipelined
+// reader is bounded the same way — a torn frame is reaped by the idle
+// deadline, not left to pin the connection.
+func TestIdleTimeoutReapsPipelinedConn(t *testing.T) {
+	s, addr := startServer(t, Config{IdleTimeout: 50 * time.Millisecond})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WriteTaggedFrame(conn, wire.OpHello, 0, wire.EncodeHello(wire.ProtoTagged, 0, false)); err != nil {
+		t.Fatal(err)
+	}
+	if op, _, _, err := wire.ReadTaggedFrame(conn); err != nil || op != wire.OpHello {
+		t.Fatalf("hello answered with op %d, err %v", op, err)
+	}
+	if _, err := conn.Write([]byte{100, 0, 0, 0, 5}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "idle reap of the pipelined reader", func() bool {
+		return s.Frontend().IdleTimeouts.Load() == 1
+	})
+	if got := s.Frontend().Conns.Load(); got != 1 {
+		t.Fatalf("Conns = %d, want the one connection past its hello", got)
+	}
 }
 
 // TestAcceptBackoffResets: the transient-Accept backoff must reset after a

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -72,7 +71,7 @@ const (
 // so frames can never interleave.
 type pconn struct {
 	s    *Server
-	conn net.Conn
+	conn *wire.Conn
 	sess *controller.Session // replay session from the hello (nil if none)
 
 	hi  chan *request // foreground reads
@@ -106,12 +105,12 @@ type pconn struct {
 }
 
 // servePipelined runs one connection to completion.
-func (s *Server) servePipelined(conn net.Conn, sess *controller.Session) {
+func (s *Server) servePipelined(conn *wire.Conn, sess *controller.Session) {
 	s.newPconn(conn, sess).serve()
 }
 
 // newPconn sets up a connection past its hello; serve runs it.
-func (s *Server) newPconn(conn net.Conn, sess *controller.Session) *pconn {
+func (s *Server) newPconn(conn *wire.Conn, sess *controller.Session) *pconn {
 	return &pconn{
 		s:       s,
 		conn:    conn,
@@ -153,23 +152,23 @@ func (c *pconn) serve() {
 // over its window, or a connection over the global byte budget, stalls
 // here, which backpressures the TCP stream instead of queueing unboundedly.
 //
-// Frames are read through one buffered reader, so a socket read takes in
-// every frame that has arrived and the frames behind the first cost no
-// syscall. That is also why the loop checks for a drain itself: Shutdown's
-// expired read deadline stops only a read that reaches the socket, and a
-// frame already in the buffer never does.
+// Each frame, header and payload together, must arrive within
+// Config.IdleTimeout of the reader asking for it. Frames are read through
+// the connection's buffered reader, so a socket read takes in every frame
+// that has arrived and the frames behind the first cost no syscall. That
+// is also why the loop checks for a drain itself: Shutdown's expired read
+// deadline stops only a read that reaches the socket, and a frame already
+// in the buffer never does.
 func (c *pconn) readLoop() {
-	br := bufio.NewReaderSize(c.conn, wire.ReadBufSize)
 	var hdr [wire.HeaderLen]byte
 	for {
-		c.s.touchIdle(c.conn)
-		op, tag, n, err := wire.ReadHeader(br, &hdr)
+		op, tag, n, err := c.conn.ReadHeader(&hdr, c.s.cfg.IdleTimeout)
 		if err != nil {
 			c.s.countReadErr(err)
 			return
 		}
 		payload := c.s.bodies.get(n)
-		if err := wire.ReadPayload(br, payload); err != nil {
+		if err := c.conn.ReadPayload(payload); err != nil {
 			c.s.bodies.put(payload)
 			c.s.countReadErr(err)
 			return
@@ -373,9 +372,8 @@ func (c *pconn) writeBatch(batch []outFrame) error {
 			vec = append(vec, f.resp)
 		}
 	}
-	c.s.touchWrite(c.conn)
 	c.bufs = vec
-	err := wire.WriteBuffers(c.conn, &c.bufs)
+	err := c.conn.WriteBuffers(&c.bufs, c.s.cfg.WriteTimeout)
 	clear(vec) // drop the results: the engine's read buffers are the caller's to free
 	return err
 }

@@ -126,7 +126,7 @@ type Server struct {
 	// parked readers. handlers counts connection goroutines.
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
+	conns     map[*wire.Conn]struct{}
 	closed    bool
 	drainCh   chan struct{}
 	handlers  sync.WaitGroup
@@ -153,7 +153,7 @@ func NewWithConfig(pair *controller.Pair, via controller.Role, cfg Config) *Serv
 		tel:       &telemetry.Frontend{},
 		budget:    newByteBudget(cfg.MaxInflightBytes),
 		listeners: make(map[net.Listener]struct{}),
-		conns:     make(map[net.Conn]struct{}),
+		conns:     make(map[*wire.Conn]struct{}),
 		drainCh:   make(chan struct{}),
 	}
 }
@@ -223,7 +223,7 @@ func (s *Server) Serve(l net.Listener) error {
 		s.handlers.Add(1)
 		go func() {
 			defer s.handlers.Done()
-			s.handle(conn)
+			s.handle(wire.NewConn(conn))
 		}()
 	}
 }
@@ -248,7 +248,7 @@ func (s *Server) untrackListener(l net.Listener) {
 
 // trackConn registers a live connection for Shutdown; false means the
 // server is draining and the connection must be refused.
-func (s *Server) trackConn(c net.Conn) bool {
+func (s *Server) trackConn(c *wire.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -258,7 +258,7 @@ func (s *Server) trackConn(c net.Conn) bool {
 	return true
 }
 
-func (s *Server) untrackConn(c net.Conn) {
+func (s *Server) untrackConn(c *wire.Conn) {
 	s.mu.Lock()
 	delete(s.conns, c)
 	s.mu.Unlock()
@@ -272,42 +272,6 @@ func (s *Server) draining() bool {
 	default:
 		return false
 	}
-}
-
-// wedgeBackstop is the deadline used when the operator sets a timeout
-// negative ("disabled"): long enough to never fire in legitimate traffic,
-// but finite, so even a disabled timeout cannot let a dead peer pin a
-// goroutine — and the admission slots it holds — for the life of the
-// process. A deadline must exist on every path; §5's availability argument
-// does not survive "unless configured otherwise".
-const wedgeBackstop = 24 * time.Hour
-
-// touchIdle arms the connection's idle deadline before a blocking read, on
-// every path. After Shutdown begins the deadline is already-expired, so a
-// reader that loops around for another frame exits instead of re-arming.
-func (s *Server) touchIdle(conn net.Conn) {
-	if s.draining() {
-		//lint:ignore errdrop a conn that can't set deadlines is dying anyway; the read surfaces it
-		conn.SetReadDeadline(time.Now())
-		return
-	}
-	d := s.cfg.IdleTimeout
-	if d <= 0 {
-		d = wedgeBackstop
-	}
-	//lint:ignore errdrop a conn that can't set deadlines is dying anyway; the read surfaces it
-	conn.SetReadDeadline(time.Now().Add(d))
-}
-
-// touchWrite arms the connection's per-response write deadline, on every
-// path.
-func (s *Server) touchWrite(conn net.Conn) {
-	d := s.cfg.WriteTimeout
-	if d <= 0 {
-		d = wedgeBackstop
-	}
-	//lint:ignore errdrop a conn that can't set deadlines is dying anyway; the write surfaces it
-	conn.SetWriteDeadline(time.Now().Add(d))
 }
 
 // Shutdown drains the server gracefully: listeners close (no new accepts),
@@ -330,10 +294,10 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 		l.Close()
 	}
 	for c := range s.conns {
-		// Expire the read deadline: a reader blocked on a frame wakes with
-		// a timeout, stops admitting, and starts the connection's drain.
-		//lint:ignore errdrop a conn that can't set deadlines is torn down by the force-close below
-		c.SetReadDeadline(time.Now())
+		// A reader blocked on a frame wakes with a timeout, stops admitting,
+		// and starts the connection's drain; one looping round for another
+		// frame finds the deadline still expired.
+		c.Expire()
 	}
 	s.mu.Unlock()
 	// Wake admission waits parked on the global byte budget.
@@ -365,14 +329,14 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 // handle opens a connection: the first frame must be an OpHello at version
 // wire.ProtoTagged or later (package comment), which for HA initiators also
 // binds a replay session; every frame after it is servePipelined's.
-func (s *Server) handle(conn net.Conn) {
+func (s *Server) handle(conn *wire.Conn) {
 	defer conn.Close()
 	if !s.trackConn(conn) {
 		return
 	}
 	defer s.untrackConn(conn)
-	s.touchIdle(conn)
-	op, tag, payload, err := wire.ReadTaggedFrame(conn)
+	var hdr [wire.HeaderLen]byte
+	op, tag, payload, err := conn.ReadFrame(&hdr, s.cfg.IdleTimeout)
 	if err != nil {
 		s.countReadErr(err)
 		return
@@ -391,9 +355,8 @@ func (s *Server) handle(conn net.Conn) {
 		sid = sess.ID
 		s.tel.SessionsBound.Add(1)
 	}
-	s.touchWrite(conn)
 	resp := wire.OKResponse(wire.EncodeHello(wire.ProtoTagged, sid, h.HasSession))
-	if wire.WriteTaggedFrame(conn, wire.OpHello, tag, resp) != nil {
+	if conn.WriteFrame(wire.OpHello, tag, resp, s.cfg.WriteTimeout) != nil {
 		s.tel.AbnormalDisconnects.Add(1)
 		return
 	}

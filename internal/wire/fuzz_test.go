@@ -54,7 +54,7 @@ func FuzzTaggedFrame(f *testing.F) {
 }
 
 // FuzzFrameStream: a stream of frames decoded the way a connection reads
-// it — ReadHeader and ReadPayload through a buffered reader, over a source
+// it — readHeader and readPayload through a buffered reader, over a source
 // that hands the bytes over one at a time, half a read at a time, or all
 // at once, with a buffer small enough to refill mid-frame and to be
 // bypassed by large payloads — yields exactly what ReadTaggedFrame yields
@@ -105,11 +105,11 @@ func FuzzFrameStream(f *testing.F) {
 		br := bufio.NewReaderSize(src, 16+int(mode>>2)) // bufio's minimum and up
 		var hdr [HeaderLen]byte
 		for i, w := range want {
-			op, tag, n, err := ReadHeader(br, &hdr)
+			op, tag, n, err := readHeader(br, &hdr)
 			var payload []byte
 			if err == nil {
 				payload = make([]byte, n)
-				err = ReadPayload(br, payload)
+				err = readPayload(br, payload)
 			}
 			if err != nil {
 				if err != w.err {

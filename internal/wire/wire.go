@@ -24,15 +24,16 @@
 // check.
 //
 // There is one header encoder, AppendHeader, and one frame parser,
-// ReadHeader then ReadPayload; WriteTaggedFrame, ReadTaggedFrame and
-// ReadFrame are conveniences built on them. A connection that carries many
-// frames uses the pieces directly: it reads through a buffered reader, so
-// one read from the socket drains every frame that has arrived, and writes
-// a batch of headers and uncopied payloads as one vectored write. Neither
-// helper makes concurrent use of one io.Writer safe: frames stay whole on
-// a connection because one goroutine (the server's writer) or one mutex
-// that condemns the connection on a partial write (the client's) owns its
-// write side.
+// readHeader then readPayload. A connection's frames move through Conn,
+// whose every read and write arms its own deadline: it reads through a
+// buffered reader, so one read from the socket drains every frame that has
+// arrived, and writes a batch of headers and uncopied payloads as one
+// vectored write. WriteTaggedFrame and ReadTaggedFrame are the same codec
+// over any io.Writer or io.Reader, for frames held in buffers (probes,
+// fuzzing, tests). Nothing here makes concurrent writes to one connection
+// safe: frames stay whole because one goroutine (the server's writer) or
+// one mutex that condemns the connection on a partial write (the
+// client's) owns its write side.
 package wire
 
 import (
@@ -40,7 +41,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sync/atomic"
 )
 
@@ -142,13 +142,13 @@ func AppendHeader(dst []byte, op byte, tag uint32, n int) ([]byte, error) {
 	return binary.LittleEndian.AppendUint32(dst, tag), nil
 }
 
-// ReadHeader reads one frame header from r into hdr, the caller's scratch,
+// readHeader reads one frame header from r into hdr, the caller's scratch,
 // and returns the opcode, the tag and the length of the payload that
-// follows, which the caller reads with ReadPayload before the next header.
+// follows, which the caller reads with readPayload before the next header.
 // A stream that ends cleanly before the header returns io.EOF; a forged
 // length is refused (ErrFrameTooLarge, ErrBadFrame) before any payload
 // byte is read or any buffer sized by it.
-func ReadHeader(r io.Reader, hdr *[HeaderLen]byte) (op byte, tag uint32, n int, err error) {
+func readHeader(r io.Reader, hdr *[HeaderLen]byte) (op byte, tag uint32, n int, err error) {
 	if _, err = io.ReadFull(r, hdr[:4]); err != nil {
 		return 0, 0, 0, err
 	}
@@ -166,9 +166,9 @@ func ReadHeader(r io.Reader, hdr *[HeaderLen]byte) (op byte, tag uint32, n int, 
 	return hdr[4], binary.LittleEndian.Uint32(hdr[5:]), int(size) - 5, nil
 }
 
-// ReadPayload reads the payload ReadHeader announced into p, which must be
+// readPayload reads the payload readHeader announced into p, which must be
 // exactly that long. A stream that ends inside it is io.ErrUnexpectedEOF.
-func ReadPayload(r io.Reader, p []byte) error {
+func readPayload(r io.Reader, p []byte) error {
 	_, err := io.ReadFull(r, p)
 	if err == io.EOF {
 		err = io.ErrUnexpectedEOF
@@ -176,21 +176,12 @@ func ReadPayload(r io.Reader, p []byte) error {
 	return err
 }
 
-// WriteBuffers sends bufs to w as one vectored write — a single writev(2)
-// on a TCP connection — and consumes bufs. On a partial write the stream
-// holds a torn frame: the caller must condemn the connection.
-func WriteBuffers(w io.Writer, bufs *net.Buffers) error {
-	ioSync.Add(1) // see ioSync
-	_, err := bufs.WriteTo(w)
-	return err
-}
-
 // ioSync hands the race detector the ordering a socket carries. The
 // detector orders a write(2) before the read(2) that receives its bytes
 // (package syscall annotates both) but knows nothing of writev(2), which
-// is how WriteBuffers sends. So WriteBuffers releases through ioSync before
-// it writes and ReadHeader acquires after it reads, as syscall.Write and
-// syscall.Read do; without the edge, a test that swaps a server hook
+// is how Conn.WriteBuffers sends. So WriteBuffers releases through ioSync
+// before it writes and readHeader acquires after it reads, as
+// syscall.Write and syscall.Read do; without the edge, a test that swaps a server hook
 // between two exchanges on one connection reports a race the socket rules
 // out. Outside the detector it is one atomic add per vectored write and
 // one load per frame.
@@ -198,9 +189,9 @@ var ioSync atomic.Uint64
 
 // WriteTaggedFrame sends one frame: u32 length, opcode byte, u32 tag,
 // payload, assembled into one buffer and issued as ONE Write — the
-// convenience for a single frame (the hello, probes, tests). A connection's
-// steady traffic goes out as vectored batches built with AppendHeader
-// instead (package comment).
+// convenience for a single frame (Conn.WriteFrame, probes, tests). A
+// connection's steady traffic goes out as vectored batches built with
+// AppendHeader instead (package comment).
 func WriteTaggedFrame(w io.Writer, op byte, tag uint32, payload []byte) error {
 	var hdr [HeaderLen]byte
 	if _, err := AppendHeader(hdr[:0], op, tag, len(payload)); err != nil {
@@ -215,19 +206,18 @@ func WriteTaggedFrame(w io.Writer, op byte, tag uint32, payload []byte) error {
 // It reads nothing past the frame.
 func ReadTaggedFrame(r io.Reader) (byte, uint32, []byte, error) {
 	var hdr [HeaderLen]byte
-	return ReadFrame(r, &hdr)
+	return readFrame(r, &hdr)
 }
 
-// ReadFrame is ReadTaggedFrame reading the header into hdr, the caller's
-// scratch, for a loop that reads frame after frame into buffers of their
-// own (the client's responses): the header then allocates nothing.
-func ReadFrame(r io.Reader, hdr *[HeaderLen]byte) (byte, uint32, []byte, error) {
-	op, tag, n, err := ReadHeader(r, hdr)
+// readFrame reads one frame, its header into hdr and its payload into a
+// buffer of its own.
+func readFrame(r io.Reader, hdr *[HeaderLen]byte) (byte, uint32, []byte, error) {
+	op, tag, n, err := readHeader(r, hdr)
 	if err != nil {
 		return 0, 0, nil, err
 	}
 	payload := make([]byte, n)
-	if err := ReadPayload(r, payload); err != nil {
+	if err := readPayload(r, payload); err != nil {
 		return 0, 0, nil, err
 	}
 	return op, tag, payload, nil

@@ -8,7 +8,8 @@
 # (the concurrent write path, its core entry points and reads beside
 # writers, GC and seals, the stats document taken beside lane writers,
 # the duplicate search beside other lanes' writes and flushes,
-# the TCP server's per-connection goroutines, the allocator/shelf locking,
+# the wire connection's deadline contract, the TCP server's
+# per-connection goroutines, the allocator/shelf locking,
 # layout's Reader, its pooled scratch and its seeded fault property test
 # (TestReadRangeUnderFaults), and the three packages whose types promise
 # concurrent use: pyramid, iosched, erasure),
@@ -168,7 +169,7 @@ echo "== drive-failure lifecycle (scrub repair + online rebuild)"
 go test -run 'TestScrubRepairsAllInjectedCorruption|TestScrubStepPacedWalkerCoversEverything|TestRebuildRestoresRedundancyAndBootRegion|TestRebuildSurvivesSecondFailure|TestOpenAtWithOneNVRAMFailed' ./internal/core/
 
 echo "== go test -race (concurrency-bearing packages)"
-go test -race -short ./internal/server/ ./internal/dedup/ ./internal/layout/ ./internal/shelf/ ./internal/pyramid/ ./internal/iosched/ ./internal/erasure/
+go test -race -short ./internal/wire/ ./internal/server/ ./internal/dedup/ ./internal/layout/ ./internal/shelf/ ./internal/pyramid/ ./internal/iosched/ ./internal/erasure/
 go test -race -short -run 'TestConcurrentWriters|TestConcurrentScrubRebuildForeground|TestConcurrentReadersWriterGC|TestReadsAcrossSealWindow|TestStatsMarshalBesideLanes|TestDedupSearchBesideLanes' ./internal/core/
 
 echo "== kernel benchmarks (one iteration each, so they cannot rot: dedup's hash and byte-verify, erasure's dot product)"
@@ -215,7 +216,7 @@ done
 echo "== E14 smoke (one-connection queue-depth sweep over loopback TCP; every depth >= 8 must beat QD 1)"
 go run ./cmd/purity-bench -experiment E14 -quick > /dev/null
 
-echo "== HA (-race: chaos injector, session exactly-once, client reconnect/replay, server drain + failover)"
+echo "== HA (-race: chaos injector, session exactly-once, client reconnect/replay and write deadline, server drain, idle reap + failover)"
 go test -race ./internal/chaos/ ./internal/controller/
 go test -race -run 'TestHA' ./internal/client/
 go test -race -run 'TestGracefulDrain|TestWriterDeadline|TestIdleTimeout|TestAcceptBackoffResets|TestSessionIdempotentWriteOverWire|TestHeartbeatFailover' ./internal/server/
