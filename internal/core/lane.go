@@ -61,16 +61,14 @@ func (a *Array) laneFor(vol VolumeID) *commitLane {
 
 // --- Lane commit path ---------------------------------------------------
 
-// commitWriteLane is the commit half of a write, and the one place a
-// write's scratch is taken and put back (writeScratch). The whole commit
-// runs under the world lock in read mode, which also settles the volume
-// row and keeps what the dedup candidate search reads from changing under
-// it; the engine mutex is taken only for the brief sections that
-// genuinely share state across lanes (segment allocation, fact
-// application), and the lane mutex covers the lane's own open segment.
-func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byte) (sim.Time, error) {
-	sc := writeScratchPool.Get().(*writeScratch)
-	a.prepareWrite(sc, data)
+// commitWriteLane is the commit half of the write prepared into sc, which
+// the caller owns and puts back (writeScratch). The whole commit runs
+// under the world lock in read mode, which also settles the volume row
+// and keeps what the dedup candidate search reads from changing under it;
+// the engine mutex is taken only for the brief sections that genuinely
+// share state across lanes (segment allocation, fact application), and
+// the lane mutex covers the lane's own open segment.
+func (a *Array) commitWriteLane(sc *writeScratch, at sim.Time, vol VolumeID, off int64, data []byte) (sim.Time, error) {
 	ln := a.laneFor(vol)
 	a.world.RLock()
 
@@ -84,7 +82,6 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 	}
 	if err != nil {
 		a.world.RUnlock()
-		writeScratchPool.Put(sc.reset())
 		return done, err
 	}
 
@@ -103,7 +100,6 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 		allocated += n
 		if err != nil {
 			a.world.RUnlock()
-			writeScratchPool.Put(sc.reset())
 			return done, err
 		}
 	}
@@ -125,9 +121,7 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 	done2, err := a.nvramAppend(done, ln, sc.rec)
 	if err != nil {
 		a.world.RUnlock()
-		done, err = a.laneCommitExclusive(done, ln, sc)
-		writeScratchPool.Put(sc.reset())
-		return done, err
+		return a.laneCommitExclusive(done, ln, sc)
 	}
 	done = done2
 	ln.commits.Add(1)
@@ -146,7 +140,6 @@ func (a *Array) commitWriteLane(at sim.Time, vol VolumeID, off int64, data []byt
 	}
 	a.mu.Unlock()
 	a.world.RUnlock()
-	writeScratchPool.Put(sc.reset())
 	if err != nil {
 		return ackAt, err
 	}

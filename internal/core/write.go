@@ -49,9 +49,9 @@ type preparedExtent struct {
 // The segio append copies each frame into its stripe, the NVRAM append
 // copies the record into the log, and the memtable copies each fact's
 // header. What the memtable keeps — the facts' Cols — is not borrowed:
-// factCols carves them from one allocation per write. commitWriteLane
-// takes a scratch from writeScratchPool and puts it back on every return
-// path, so nothing in it outlives the write.
+// factCols carves them from one allocation per write. WriteAt takes a
+// scratch from writeScratchPool and puts it back once, after the commit
+// returns on whichever path, so nothing in it outlives the write.
 type writeScratch struct {
 	prep   []preparedExtent
 	hashes []uint64     // prep's block hashes, back to back
@@ -144,7 +144,11 @@ func (a *Array) WriteAt(at sim.Time, vol VolumeID, off int64, data []byte) (sim.
 	if off%cblock.SectorSize != 0 || len(data)%cblock.SectorSize != 0 || len(data) == 0 {
 		return at, ErrUnaligned
 	}
-	return a.commitWriteLane(at, vol, off, data)
+	sc := writeScratchPool.Get().(*writeScratch)
+	a.prepareWrite(sc, data)
+	done, err := a.commitWriteLane(sc, at, vol, off, data)
+	writeScratchPool.Put(sc.reset())
+	return done, err
 }
 
 // findDuplicate looks every block hash up in the recent index and the

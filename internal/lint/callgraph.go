@@ -59,9 +59,9 @@ type graphFunc struct {
 
 	// ownCalls are callees invoked as methods on this body's own receiver
 	// (r.helper() inside a method with receiver r), the edges along which
-	// receiver-keyed effects — lock acquisition, slot release — propagate.
-	// For declarations this is collected over the full body including
-	// nested literals (a deferred literal still runs on the same receiver).
+	// lock acquisition on the receiver propagates. For declarations this is
+	// collected over the full body including nested literals (a deferred
+	// literal still runs on the same receiver).
 	ownCalls []funcNode
 
 	// syncCallees are the callees that run *synchronously* in this body's
@@ -72,11 +72,6 @@ type graphFunc struct {
 	// an async commit does not dominate anything. The ordering-sensitive
 	// summaries (lockorder, commitorder) propagate along these edges only.
 	syncCallees []funcNode
-
-	// recursive marks membership in a call-graph cycle, including direct
-	// self-calls. Summaries collapse recursive nodes to a conservative top
-	// where a bottom-up pass cannot terminate.
-	recursive bool
 }
 
 // callGraph is the whole-program graph plus a deterministic node order
@@ -102,7 +97,6 @@ func buildCallGraph(prog *Program) *callGraph {
 			cg.order = append(cg.order, node)
 		}
 	}
-	cg.markRecursion()
 	return cg
 }
 
@@ -281,36 +275,9 @@ func directLits(body *ast.BlockStmt) []*ast.FuncLit {
 	return out
 }
 
-// markRecursion flags every node on a call-graph cycle (SCCs plus direct
-// self-edges).
-func (cg *callGraph) markRecursion() {
-	callees := func(n funcNode) []funcNode {
-		if gf := cg.funcs[n]; gf != nil {
-			return gf.callees
-		}
-		return nil // dangling edge (no body): interface method, other module
-	}
-	for _, scc := range stronglyConnected(cg.order, callees) {
-		if len(scc) > 1 {
-			for _, n := range scc {
-				cg.funcs[n].recursive = true
-			}
-		}
-	}
-	// Direct self-calls form singleton SCCs; catch them separately.
-	for _, n := range cg.order {
-		for _, w := range cg.funcs[n].callees {
-			if w == n {
-				cg.funcs[n].recursive = true
-			}
-		}
-	}
-}
-
 // stronglyConnected returns the strongly connected components of the graph
 // given by succs (Tarjan's algorithm), starting a search from each of
-// nodes in order. The call graph's recursion marking and the lock-order
-// graph's cycle detection both run on it.
+// nodes in order. The lock-order graph's cycle detection runs on it.
 func stronglyConnected[N comparable](nodes []N, succs func(N) []N) [][]N {
 	index := map[N]int{}
 	low := map[N]int{}

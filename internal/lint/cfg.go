@@ -46,7 +46,7 @@ const (
 
 // Edge is one successor link. When Cond is non-nil the edge is taken only
 // when Cond evaluates to CondTrue, which lets rules refine state along
-// branches (releasepair resolves `if !c.claimTag(tag)` on the guard's arm).
+// branches (lockflow resolves `if !mu.TryLock()` on the guard's arm).
 type Edge struct {
 	To       *Block
 	Cond     ast.Expr

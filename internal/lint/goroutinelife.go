@@ -78,9 +78,9 @@ func (gl *GoroutineLife) spawnTarget(prog *Program, pkg *Package, gs *ast.GoStmt
 }
 
 // reachableForeverLoops unions foreverLoops over everything the spawned
-// body can statically reach. Recursive/top nodes keep their syntactic loop
-// inventory (localForeverLoops is per-body syntax, not a fixpoint), so
-// collapsed summaries still contribute.
+// body can statically reach. Each body's loops are its own syntax
+// (localForeverLoops), not a fixpoint, so a node on a call cycle
+// contributes its loops like any other.
 func reachableForeverLoops(sums *summaries, root funcNode) []token.Pos {
 	var out []token.Pos
 	visited := map[funcNode]bool{}

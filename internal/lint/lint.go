@@ -49,11 +49,10 @@ func (r *Reporter) Reportf(rule string, pos token.Pos, format string, args ...an
 	})
 }
 
-// DefaultRules returns the full rule set in reporting order. The two
-// summary-based concurrency-lifetime rules are scoped to the HA front end
-// (the packages whose goroutines hold connections and admission slots) and
-// to internal/core, whose writes borrow a pooled scratch (releasepair) and
-// whose lanes run goroutines (goroutinelife); fixture loads construct them
+// DefaultRules returns the full rule set in reporting order. goroutinelife
+// is scoped to the HA front end (the packages whose goroutines hold
+// connections and admission slots) and to internal/core, whose lanes run
+// goroutines; commitorder to internal/core. Fixture loads construct them
 // with a nil Scope to run everywhere.
 func DefaultRules() []Rule {
 	return []Rule{
@@ -61,7 +60,6 @@ func DefaultRules() []Rule {
 		&SeqMono{},
 		&CrashPointCheck{},
 		&ErrDrop{},
-		&ReleasePair{Scope: []string{"internal/server", "internal/controller", "internal/client", "internal/core"}},
 		&GoroutineLife{Scope: []string{"internal/server", "internal/controller", "internal/client", "internal/core"}},
 		&LockOrder{},
 		&CommitOrder{Scope: []string{"internal/core"}},

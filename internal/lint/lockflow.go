@@ -294,6 +294,16 @@ func (p *lockProblem) Refine(e Edge, s lockState) lockState {
 	return s
 }
 
+// condPolarity: does this edge mean the condition held? A negated guard
+// flips it.
+func condPolarity(e Edge) bool {
+	c := ast.Unparen(e.Cond)
+	if u, ok := c.(*ast.UnaryExpr); ok && u.Op == token.NOT {
+		return !e.CondTrue
+	}
+	return e.CondTrue
+}
+
 func (p *lockProblem) Join(a, b lockState) lockState {
 	out := lockState{}
 	seen := map[string]bool{}

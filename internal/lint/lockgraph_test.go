@@ -80,19 +80,17 @@ func TestCallGraphDump(t *testing.T) {
 	d := DumpCallGraph(loadFixture(t, "summary"))
 	want := &CallGraphDump{
 		Nodes: []string{
-			"func@summary.go:48", "summary.ReadRec", "summary.looper.Read",
-			"summary.looper.SetReadDeadline", "summary.rec.Cleanup", "summary.rec.Finish",
+			"func@summary.go:40", "summary.ReadRec", "summary.looper.Read",
 			"summary.rec.Forever", "summary.rec.LockHelper", "summary.rec.LockViaHelper",
 			"summary.rec.Ping", "summary.rec.Pong", "summary.rec.Start", "summary.rec.Tick",
 		},
 		Edges: []CallEdgeDump{
 			{From: "summary.ReadRec", To: "summary.ReadRec", Sync: true},
 			{From: "summary.ReadRec", To: "summary.looper.Read", Sync: true},
-			{From: "summary.rec.Finish", To: "summary.rec.Cleanup", Sync: true},
 			{From: "summary.rec.LockViaHelper", To: "summary.rec.LockHelper", Sync: true},
 			{From: "summary.rec.Ping", To: "summary.rec.Pong", Sync: true},
 			{From: "summary.rec.Pong", To: "summary.rec.Ping", Sync: true},
-			{From: "summary.rec.Start", To: "func@summary.go:48", Sync: true},
+			{From: "summary.rec.Start", To: "func@summary.go:40", Sync: true},
 			{From: "summary.rec.Start", To: "summary.rec.Tick"},
 		},
 	}

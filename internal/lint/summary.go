@@ -1,28 +1,21 @@
 package lint
 
 // Per-function effect summaries, computed bottom-up over the call graph —
-// the interprocedural layer the v3 rules (releasepair, goroutinelife) and
-// the summary-based lockflow consume. Each summary records what *calling*
-// the function does, checked from its body rather than trusted from its
-// comments:
+// the interprocedural layer goroutinelife and the summary-based lockflow
+// consume. Each summary records what *calling* the function does, checked
+// from its body rather than trusted from its comments:
 //
 //   - lock effects: may the body (transitively, through calls on its own
 //     receiver and through nested literals) acquire its receiver's mu?
 //     This is the checked replacement for the "Caller holds mu."
 //     annotation: lockflow consults the summary, so a mis-annotated
 //     function is a finding at its call sites, not a blind spot.
-//   - slot effects: does calling the function release (or acquire) an
-//     admission-slot-like resource rooted at its receiver — how
-//     abortAdmission-style helpers count as releases at their call sites.
 //   - goroutine-lifetime effects: infinite loops with no exit tied to a
 //     shutdown signal or an error path, which goroutinelife chases
 //     transitively from every `go` statement.
 //
-// Boolean may-effects (locks, slot release) are solved by a worklist
-// fixpoint over the graph, so recursion converges exactly. A recursive
-// node is still marked top (⊤), the summary a path-sensitive fact would
-// collapse to around a cycle: no claims, on which a consumer stays silent.
-// Lossy toward silence, like every join in this package.
+// The lock effect is a boolean may-effect solved by a worklist fixpoint
+// over the graph, so recursion converges exactly.
 
 import (
 	"go/ast"
@@ -36,20 +29,10 @@ type funcSummary struct {
 	// via a call on the same receiver, or inside a nested literal).
 	locksOwnMu bool
 
-	// releasesRecv / acquiresRecv: the body releases (acquires) a
-	// slot-like resource rooted at its receiver — a semaphore-channel
-	// op or a call matching the acquire/release name families.
-	releasesRecv bool
-	acquiresRecv bool
-
 	// foreverLoops are infinite loops in this body (literals excluded —
 	// they are their own nodes) with no accepted exit: no return, panic,
 	// or labeled break that is tied to a channel signal or an error check.
 	foreverLoops []token.Pos
-
-	// top marks a summary collapsed by recursion: no claims, consumers
-	// stay silent.
-	top bool
 }
 
 // summaries is the whole-program summary table, built once per Run and
@@ -84,11 +67,11 @@ func computeSummaries(prog *Program) *summaries {
 		locks: map[funcNode]*lockBody{}}
 	for _, n := range s.cg.order {
 		gf := s.cg.funcs[n]
-		sum := &funcSummary{top: gf.recursive}
+		sum := &funcSummary{}
 		s.localEffects(gf, sum)
 		s.by[n] = sum
 	}
-	s.fixpointBooleans()
+	s.fixpointLocks()
 	return s
 }
 
@@ -108,183 +91,23 @@ func (s *summaries) localEffects(gf *graphFunc, sum *funcSummary) {
 	if gf.fb.lit == nil && gf.recvName != "" {
 		sum.locksOwnMu = acquiresOwnMu(pkg, gf.fb.decl, gf.recvName)
 	}
-	// Slot effects: walk the body without literals (an escaping literal's
-	// releases are the *holder's* obligation, not this function's), but
-	// include literals that provably run before return: deferred literal
-	// calls and immediately-invoked literals.
-	scanSlot := func(root ast.Node) {
-		inspectNoFuncLit(root, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.SendStmt:
-				if isSlotChan(pkg, m.Chan) && rootIdentName(m.Chan) == gf.recvName && gf.recvName != "" {
-					sum.acquiresRecv = true
-				}
-			case *ast.UnaryExpr:
-				if m.Op == token.ARROW && isSlotChan(pkg, m.X) && rootIdentName(m.X) == gf.recvName && gf.recvName != "" {
-					sum.releasesRecv = true
-				}
-			case *ast.CallExpr:
-				if sel, ok := ast.Unparen(m.Fun).(*ast.SelectorExpr); ok &&
-					rootIdentName(sel.X) == gf.recvName && gf.recvName != "" {
-					switch classifyPair(pkg.Info, sel) {
-					case pairAcquire:
-						sum.acquiresRecv = true
-					case pairRelease:
-						sum.releasesRecv = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	scanSlot(gf.fb.body)
-	for _, lit := range runBeforeReturnLits(gf.fb.body) {
-		scanSlot(lit.Body)
-	}
 	// Goroutine-lifetime effect: this body's own loops.
 	sum.foreverLoops = localForeverLoops(gf.fb.body)
 }
 
-// rootIdentName returns the leftmost identifier of a selector chain, or
-// "" when the expression is not rooted in a plain identifier.
-func rootIdentName(e ast.Expr) string {
-	for {
-		switch t := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return t.Name
-		case *ast.SelectorExpr:
-			e = t.X
-		case *ast.StarExpr:
-			e = t.X
-		default:
-			return ""
-		}
-	}
-}
+// --- Lock-effect fixpoint over the call graph --------------------------
 
-// runBeforeReturnLits lists literals that provably execute before the
-// enclosing body returns: `defer func(){...}()` and immediately-invoked
-// `func(){...}()`.
-func runBeforeReturnLits(body *ast.BlockStmt) []*ast.FuncLit {
-	var out []*ast.FuncLit
-	inspectNoFuncLit(body, func(n ast.Node) bool {
-		var call *ast.CallExpr
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			call = n.Call
-		case *ast.CallExpr:
-			call = n
-		default:
+// fixpointLocks propagates locksOwnMu along own-receiver call edges to a
+// fixpoint. It only grows, so recursion converges exactly.
+func (s *summaries) fixpointLocks() {
+	s.cg.unionFixpoint(ownCallEdges, func(n, callee funcNode) bool {
+		sum := s.by[n]
+		if s.by[callee].locksOwnMu && !sum.locksOwnMu {
+			sum.locksOwnMu = true
 			return true
 		}
-		if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-			out = append(out, lit)
-		}
-		return true
+		return false
 	})
-	return out
-}
-
-// --- Boolean fixpoint over the call graph ------------------------------
-
-// fixpointBooleans propagates the monotone boolean effects (locksOwnMu,
-// releasesRecv, acquiresRecv) along own-receiver call edges to a
-// fixpoint. Booleans only grow, so recursion converges exactly — this is
-// the "fixpoint to top" half the lattice-valued summaries approximate by
-// collapsing.
-func (s *summaries) fixpointBooleans() {
-	s.cg.unionFixpoint(ownCallEdges, func(n, callee funcNode) bool {
-		sum, cs := s.by[n], s.by[callee]
-		changed := false
-		grow := func(dst *bool, src bool) {
-			if src && !*dst {
-				*dst = true
-				changed = true
-			}
-		}
-		grow(&sum.locksOwnMu, cs.locksOwnMu)
-		grow(&sum.releasesRecv, cs.releasesRecv)
-		grow(&sum.acquiresRecv, cs.acquiresRecv)
-		return changed
-	})
-}
-
-// --- Slot-pair vocabulary ----------------------------------------------
-
-type pairKind uint8
-
-const (
-	pairNone pairKind = iota
-	pairAcquire
-	pairRelease
-)
-
-// classifyPair maps a method call onto the repo's acquire/release
-// vocabulary. The families are deliberately narrow: admission slots and
-// ledger claims (acquire/claim/reserve) against their releases
-// (release/drop/unclaim/abort is NOT here — abortAdmission counts via its
-// summary, because its body calls dropTag), and pooled buffers: get
-// against put on a receiver whose type has both (sync.Pool, the server's
-// request-body pool), which keeps a Get that is a lookup out of it.
-func classifyPair(info *types.Info, sel *ast.SelectorExpr) pairKind {
-	switch name := sel.Sel.Name; {
-	case name == "acquire" || name == "Acquire" ||
-		hasNamePrefix(name, "claim") || hasNamePrefix(name, "reserve"):
-		return pairAcquire
-	case name == "release" || name == "Release" ||
-		hasNamePrefix(name, "drop") || hasNamePrefix(name, "unclaim"):
-		return pairRelease
-	case (name == "get" || name == "Get") && poolShaped(info, sel.X):
-		return pairAcquire
-	case (name == "put" || name == "Put") && poolShaped(info, sel.X):
-		return pairRelease
-	}
-	return pairNone
-}
-
-// poolShaped reports whether e's type has a get and a put method of the
-// same case: a pool lends with one and takes back with the other.
-func poolShaped(info *types.Info, e ast.Expr) bool {
-	t := typeOfExpr(info, e)
-	if t == nil {
-		return false
-	}
-	var pkg *types.Package // unexported methods are looked up in their own package
-	if n := derefNamed(t); n != nil {
-		pkg = n.Obj().Pkg()
-	}
-	has := func(name string) bool {
-		obj, _, _ := types.LookupFieldOrMethod(t, true, pkg, name)
-		_, ok := obj.(*types.Func)
-		return ok
-	}
-	return (has("get") && has("put")) || (has("Get") && has("Put"))
-}
-
-// hasNamePrefix matches prefix case-insensitively on the first rune only
-// (claimTag, ClaimTag), without matching unrelated words (claims… is fine;
-// the families above are short verbs).
-func hasNamePrefix(name, prefix string) bool {
-	if len(name) < len(prefix) {
-		return false
-	}
-	head := name[:len(prefix)]
-	return head == prefix || head == string(prefix[0]-'a'+'A')+prefix[1:]
-}
-
-// isSlotChan reports whether e is a `chan struct{}` — the repo's semaphore
-// idiom (tenant windows). Sends acquire a slot, receives release one.
-func isSlotChan(pkg *Package, e ast.Expr) bool {
-	tv, ok := pkg.Info.Types[e]
-	if !ok {
-		return false
-	}
-	ch, ok := tv.Type.Underlying().(*types.Chan)
-	if !ok {
-		return false
-	}
-	st, ok := ch.Elem().Underlying().(*types.Struct)
-	return ok && st.NumFields() == 0
 }
 
 // --- Goroutine-lifetime analysis ---------------------------------------

@@ -28,6 +28,12 @@ const (
 	flagHasBlob = 0x01
 )
 
+// maxRows is the most rows a page may hold. Encode refuses more and Open
+// rejects a header that declares more: rows that take no bits cost no
+// bytes, so only this bound keeps a damaged four-byte count from sizing
+// the key cache at billions of rows.
+const maxRows = 1 << 16
+
 // Errors returned by Open.
 var (
 	ErrCorrupt  = errors.New("pagecodec: corrupt page")
@@ -41,6 +47,9 @@ var (
 func Encode(s tuple.Schema, facts []tuple.Fact) ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
+	}
+	if len(facts) > maxRows {
+		return nil, fmt.Errorf("pagecodec: %d facts exceed a page's %d rows", len(facts), maxRows)
 	}
 	totalCols := s.Cols + 1 // + seq column
 	if s.HasBlob {
@@ -179,6 +188,9 @@ func Open(s tuple.Schema, raw []byte) (*Page, error) {
 	}
 	hasBlob := raw[3]&flagHasBlob != 0
 	rowCount := int(binary.LittleEndian.Uint32(raw[4:]))
+	if rowCount > maxRows {
+		return nil, ErrCorrupt
+	}
 	cols, keyCols := int(raw[8]), int(raw[9])
 	if cols != s.Cols || keyCols != s.KeyCols || hasBlob != s.HasBlob {
 		return nil, ErrSchema

@@ -2,6 +2,9 @@ package pagecodec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"reflect"
 	"sort"
 	"testing"
@@ -270,6 +273,56 @@ func TestFirstGE(t *testing.T) {
 	// Before all keys.
 	if got := p.FirstGE([]uint64{0, 0}); got != 0 {
 		t.Fatalf("FirstGE(0) = %d, want 0", got)
+	}
+}
+
+// zeroBitPage is a checksummed page header for the {Cols: 4, KeyCols: 2}
+// schema that declares rowCount rows, every column constant, so its rows
+// take no bits and no bytes.
+func zeroBitPage(rowCount uint32) []byte {
+	raw := []byte{'P', 'P', version, 0}
+	raw = binary.LittleEndian.AppendUint32(raw, rowCount)
+	raw = append(raw, 4, 2, 0, 0)
+	for c := 0; c < 5; c++ { // four columns and the seq column
+		raw = append(raw, 0, 1, 0) // width 0, one base
+		raw = binary.LittleEndian.AppendUint64(raw, 0)
+	}
+	return binary.LittleEndian.AppendUint32(raw, crc32.ChecksumIEEE(raw))
+}
+
+// TestOpenRejectsRowsPastMax: a header whose rows take no bits can declare
+// any count in four bytes. Open must refuse one past maxRows before a key
+// lookup sizes its cache by it — the two counts are the FuzzOpen crashers
+// in testdata/fuzz/FuzzOpen — and still open one at maxRows.
+func TestOpenRejectsRowsPastMax(t *testing.T) {
+	s := tuple.Schema{Cols: 4, KeyCols: 2}
+	for _, n := range []uint32{0xca000001, 0xffe50001, maxRows + 1} {
+		if _, err := Open(s, zeroBitPage(n)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("rowCount %#x: Open err = %v, want ErrCorrupt", n, err)
+		}
+	}
+	p, err := Open(s, zeroBitPage(maxRows))
+	if err != nil {
+		t.Fatalf("rowCount maxRows: %v", err)
+	}
+	if got := p.FirstGE([]uint64{0, 0}); got != 0 {
+		t.Fatalf("FirstGE on %d equal rows = %d, want 0", maxRows, got)
+	}
+}
+
+// TestEncodeRefusesRowsPastMax: Encode writes no page Open would reject.
+func TestEncodeRefusesRowsPastMax(t *testing.T) {
+	s := tuple.Schema{Cols: 4, KeyCols: 2}
+	cols := []uint64{1, 2, 3, 4}
+	facts := make([]tuple.Fact, maxRows+1)
+	for i := range facts {
+		facts[i] = tuple.Fact{Seq: 1, Cols: cols}
+	}
+	if _, err := Encode(s, facts); err == nil {
+		t.Fatalf("Encode accepted %d facts, past maxRows", len(facts))
+	}
+	if _, err := Encode(s, facts[:maxRows]); err != nil {
+		t.Fatalf("Encode of maxRows facts: %v", err)
 	}
 }
 

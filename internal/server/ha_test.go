@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -89,12 +90,7 @@ func TestGracefulDrainFinishesInflight(t *testing.T) {
 	if s.Frontend().Drains.Load() != 1 || s.Frontend().DrainNanos.Load() <= 0 {
 		t.Fatalf("drain not recorded: %s", s.Frontend().Summary())
 	}
-	s.budget.mu.Lock()
-	used := s.budget.used
-	s.budget.mu.Unlock()
-	if used != 0 {
-		t.Fatalf("byte budget leaked %d bytes across drain", used)
-	}
+	assertReleased(t, s, nil)
 }
 
 // TestWriterDeadlineFreesAdmission is the admission-slot-leak regression:
@@ -122,9 +118,10 @@ func TestWriterDeadlineFreesAdmission(t *testing.T) {
 	// write blocks until the peer reads — and this peer never will.
 	cli, srv := net.Pipe()
 	defer cli.Close()
+	c := s.newPconn(wire.NewConn(srv), nil)
 	done := make(chan struct{})
 	go func() {
-		s.servePipelined(wire.NewConn(srv), nil)
+		c.serve()
 		close(done)
 	}()
 	// Two requests on the control tenant (window 1): the first parks in a
@@ -150,11 +147,178 @@ func TestWriterDeadlineFreesAdmission(t *testing.T) {
 	if s.Frontend().WriteTimeouts.Load() == 0 {
 		t.Fatalf("write deadline not attributed: %s", s.Frontend().Summary())
 	}
-	s.budget.mu.Lock()
-	used := s.budget.used
-	s.budget.mu.Unlock()
-	if used != 0 {
-		t.Fatalf("byte budget leaked %d bytes", used)
+	assertReleased(t, s, c)
+}
+
+// TestEveryAdmissionExitReleases drives each way the reader can stop with
+// a frame it has not admitted — a failed payload read, a frame read after
+// the drain began, a duplicate tag, a tenant-window wait cut short by the
+// connection's teardown or by a drain, and a byte-budget wait denied by a
+// drain — and checks that the frame's request gave back everything it
+// took. Where the exit needs a parked wait, the first request holds the
+// tenant window's only slot, or the whole byte budget, in a worker until
+// the exit has happened.
+func TestEveryAdmissionExitReleases(t *testing.T) {
+	send := func(t *testing.T, cli net.Conn, tags ...uint32) {
+		t.Helper()
+		if _, err := cli.Write(frames(t, wire.OpListVolumes, tags...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parked := func(s *Server) func() bool {
+		return func() bool { return s.Frontend().AdmissionWaits.Load() >= 1 }
+	}
+	cases := []struct {
+		name   string
+		cfg    Config
+		aborts int64 // AdmissionAborts the exit counts
+		exit   func(t *testing.T, s *Server, c *pconn, cli net.Conn)
+	}{
+		{name: "payload read fails", exit: func(t *testing.T, s *Server, c *pconn, cli net.Conn) {
+			var b bytes.Buffer
+			if err := wire.WriteTaggedFrame(&b, wire.OpWrite, 1, make([]byte, 100)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cli.Write(b.Bytes()[:wire.HeaderLen+10]); err != nil {
+				t.Fatal(err)
+			}
+			cli.Close()
+		}},
+		{name: "draining", exit: func(t *testing.T, s *Server, c *pconn, cli net.Conn) {
+			if err := s.Shutdown(time.Second); err != nil {
+				t.Fatal(err)
+			}
+			send(t, cli, 1)
+		}},
+		{name: "duplicate tag", exit: func(t *testing.T, s *Server, c *pconn, cli net.Conn) {
+			send(t, cli, 1, 1)
+			waitFor(t, "the duplicate tag", func() bool { return s.Frontend().DuplicateTags.Load() == 1 })
+		}},
+		{name: "down abort", cfg: Config{TenantWindow: 1}, aborts: 1, exit: func(t *testing.T, s *Server, c *pconn, cli net.Conn) {
+			send(t, cli, 1, 2)
+			waitFor(t, "the second request parked on the tenant window", parked(s))
+			c.teardown()
+		}},
+		{name: "drain abort", cfg: Config{TenantWindow: 1}, aborts: 1, exit: func(t *testing.T, s *Server, c *pconn, cli net.Conn) {
+			send(t, cli, 1, 2)
+			waitFor(t, "the second request parked on the tenant window", parked(s))
+			if err := s.Shutdown(time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "budget denied", cfg: Config{MaxInflightBytes: admissionCost(wire.OpListVolumes, nil)}, aborts: 1,
+			exit: func(t *testing.T, s *Server, c *pconn, cli net.Conn) {
+				send(t, cli, 1, 2)
+				// Tag 2 is claimed and its tenant slot taken; the budget, all
+				// of it granted to tag 1, is what it waits on.
+				waitFor(t, "the second request past its tag claim", func() bool {
+					c.tagMu.Lock()
+					defer c.tagMu.Unlock()
+					return len(c.tags) == 2
+				})
+				if err := s.Shutdown(time.Second); err != nil {
+					t.Fatal(err)
+				}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pair, err := controller.NewPair(controller.DefaultConfig(), core.TestConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewWithConfig(pair, controller.Primary, tc.cfg)
+			gate := make(chan struct{})
+			var dispatched atomic.Int64
+			s.stall = func(op byte, payload []byte) {
+				if dispatched.Add(1) == 1 {
+					<-gate
+				}
+			}
+			cli, srv := tcpPair(t)
+			c := s.newPconn(wire.NewConn(srv), nil)
+			served := make(chan struct{})
+			go func() {
+				c.serve()
+				close(served)
+			}()
+			tc.exit(t, s, c, cli)
+			if tc.aborts > 0 {
+				// Until the gate opens nothing frees the slot or the bytes the
+				// wait is for, so the abort is the only way out of it.
+				waitFor(t, "the admission abort", func() bool {
+					return s.Frontend().AdmissionAborts.Load() >= tc.aborts
+				})
+			}
+			close(gate)
+			select {
+			case <-served:
+			case <-time.After(5 * time.Second):
+				t.Fatal("connection did not finish after the exit")
+			}
+			if got := s.Frontend().AdmissionAborts.Load(); got != tc.aborts {
+				t.Errorf("AdmissionAborts = %d, want %d", got, tc.aborts)
+			}
+			assertReleased(t, s, c)
+		})
+	}
+}
+
+// TestReleaseTwiceReturnsNothing: a request's second release finds nothing
+// left to return — the budget, the body pool and the tenant window stay
+// where the first left them, and the call does not block on the empty
+// window.
+func TestReleaseTwiceReturnsNothing(t *testing.T) {
+	pair, err := controller.NewPair(controller.DefaultConfig(), core.TestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewWithConfig(pair, controller.Primary, Config{})
+	_, srv := tcpPair(t)
+	c := s.newPconn(wire.NewConn(srv), nil)
+	r := &request{c: c, op: wire.OpListVolumes, tag: 7, payload: s.bodies.get(0)}
+	if !c.claimTag(r.tag) {
+		t.Fatal("tag already claimed")
+	}
+	r.tagged = true
+	r.ten = c.tenantWindow(0)
+	r.ten <- struct{}{}
+	r.cost = admissionCost(r.op, r.payload)
+	if granted, _ := s.budget.acquire(r.cost); !granted {
+		t.Fatal("budget not granted")
+	}
+	ten := r.ten
+	type state struct {
+		used         int64
+		lent, free   int
+		slots, inTag int
+	}
+	snap := func() state {
+		s.budget.mu.Lock()
+		defer s.budget.mu.Unlock()
+		s.bodies.mu.Lock()
+		defer s.bodies.mu.Unlock()
+		c.tagMu.Lock()
+		defer c.tagMu.Unlock()
+		return state{s.budget.used, s.bodies.lent, len(s.bodies.free), len(ten), len(c.tags)}
+	}
+	r.release()
+	once := snap()
+	if once != (state{free: 1}) {
+		t.Fatalf("after one release: %+v", once)
+	}
+	done := make(chan struct{})
+	go func() {
+		r.release()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("second release blocked")
+	}
+	if twice := snap(); twice != once {
+		t.Fatalf("second release moved state: %+v, after one %+v", twice, once)
 	}
 }
 

@@ -11,24 +11,41 @@ import (
 	"purity/internal/wire"
 )
 
-// request is one admitted request.
+// request is one frame from the moment its header is read. Admission
+// records on it each resource it takes, so release, which returns exactly
+// what the request holds, is the one place any of them goes back.
 type request struct {
 	c       *pconn
 	op      byte
 	tag     uint32
 	payload []byte        // the frame's body, from the server's body pool
+	tagged  bool          // tag is claimed in c.tags
 	ten     chan struct{} // the tenant window the request holds a slot in
 	cost    int64         // its grant from the byte budget
 }
 
-// release returns the request's admission resources (tenant window slot,
-// byte budget, tag) and its body. Called exactly once, after the response
-// is written or discarded.
+// release returns what the request holds — its tenant window slot, its
+// byte-budget grant, its tag and its body — and clears each, so a second
+// call returns nothing. An admitted request is released by the writer,
+// after its response is written or discarded; one that fails admission,
+// by the reader.
 func (r *request) release() {
-	<-r.ten
-	r.c.s.budget.release(r.cost)
-	r.c.dropTag(r.tag)
-	r.c.s.bodies.put(r.payload)
+	if r.ten != nil {
+		<-r.ten
+		r.ten = nil
+	}
+	if r.cost != 0 {
+		r.c.s.budget.release(r.cost)
+		r.cost = 0
+	}
+	if r.tagged {
+		r.c.dropTag(r.tag)
+		r.tagged = false
+	}
+	if r.payload != nil {
+		r.c.s.bodies.put(r.payload)
+		r.payload = nil
+	}
 }
 
 // outFrame is one completed response bound for the writer goroutine. The
@@ -156,7 +173,7 @@ func (c *pconn) serve() {
 // Config.IdleTimeout of the reader asking for it. Frames are read through
 // the connection's buffered reader, so a socket read takes in every frame
 // that has arrived and the frames behind the first cost no syscall. That
-// is also why the loop checks for a drain itself: Shutdown's expired read
+// is also why admission checks for a drain itself: Shutdown's expired read
 // deadline stops only a read that reaches the socket, and a frame already
 // in the buffer never does.
 func (c *pconn) readLoop() {
@@ -167,62 +184,11 @@ func (c *pconn) readLoop() {
 			c.s.countReadErr(err)
 			return
 		}
-		payload := c.s.bodies.get(n)
-		if err := c.conn.ReadPayload(payload); err != nil {
-			c.s.bodies.put(payload)
-			c.s.countReadErr(err)
+		r := &request{c: c, op: op, tag: tag, payload: c.s.bodies.get(n)}
+		if !c.admit(r) {
+			r.release()
 			return
 		}
-		if c.s.draining() {
-			// Not admitted: the client's reconnect path replays it.
-			c.s.bodies.put(payload)
-			return
-		}
-		if !c.claimTag(tag) {
-			// A tag reused while still in flight would make two responses
-			// carry the same tag — the initiator could never match them.
-			// Report once, then kill the connection (the stream is
-			// unsynchronized from the server's point of view).
-			c.s.bodies.put(payload)
-			c.s.tel.DuplicateTags.Add(1)
-			c.out <- outFrame{op: op, tag: tag,
-				resp: wire.ErrResponse(wire.CodeDuplicateTag, "tag already in flight")}
-			return
-		}
-		waited := false
-		ten := c.tenantWindow(tenantOf(op, payload))
-		select {
-		case ten <- struct{}{}:
-		default:
-			waited = true
-			c.s.tel.AdmissionWaits.Add(1)
-			// The wait is abortable: a connection torn down by its writer,
-			// or a server drain, must not leave this goroutine parked on a
-			// slot that will never free (the admission-slot leak).
-			select {
-			case ten <- struct{}{}:
-			case <-c.down:
-				c.abortAdmission(tag)
-				c.s.bodies.put(payload)
-				return
-			case <-c.s.drainCh:
-				c.abortAdmission(tag)
-				c.s.bodies.put(payload)
-				return
-			}
-		}
-		cost := admissionCost(op, payload)
-		granted, budgetWaited := c.s.budget.acquire(cost, c.down, c.s.drainCh)
-		if budgetWaited && !waited {
-			c.s.tel.AdmissionWaits.Add(1)
-		}
-		if !granted {
-			<-ten
-			c.abortAdmission(tag)
-			c.s.bodies.put(payload)
-			return
-		}
-		r := &request{c: c, op: op, tag: tag, payload: payload, ten: ten, cost: cost}
 		if op == wire.OpRead {
 			c.hi <- r
 		} else {
@@ -231,12 +197,63 @@ func (c *pconn) readLoop() {
 	}
 }
 
-// abortAdmission unwinds a partially-admitted request when the wait is cut
-// short; the un-responded request is dropped (the client's reconnect path
-// replays it).
-func (c *pconn) abortAdmission(tag uint32) {
-	c.s.tel.AdmissionAborts.Add(1)
-	c.dropTag(tag)
+// admit reads r's body and takes, in order, its tag, a slot in its
+// tenant's window and its grant from the byte budget, recording each on r
+// as it is taken. false means the frame is not admitted and the reader
+// stops; the caller's release then returns whatever admit took. Only a
+// duplicate tag is answered; any other frame dropped unadmitted is
+// replayed by the client's reconnect path.
+func (c *pconn) admit(r *request) bool {
+	if err := c.conn.ReadPayload(r.payload); err != nil {
+		c.s.countReadErr(err)
+		return false
+	}
+	if c.s.draining() {
+		return false
+	}
+	if !c.claimTag(r.tag) {
+		// A tag reused while still in flight would make two responses
+		// carry the same tag — the initiator could never match them.
+		// Report once, then kill the connection (the stream is
+		// unsynchronized from the server's point of view).
+		c.s.tel.DuplicateTags.Add(1)
+		c.out <- outFrame{op: r.op, tag: r.tag,
+			resp: wire.ErrResponse(wire.CodeDuplicateTag, "tag already in flight")}
+		return false
+	}
+	r.tagged = true
+	waited := false
+	ten := c.tenantWindow(tenantOf(r.op, r.payload))
+	select {
+	case ten <- struct{}{}:
+	default:
+		waited = true
+		c.s.tel.AdmissionWaits.Add(1)
+		// The wait is abortable: a connection torn down by its writer,
+		// or a server drain, must not leave this goroutine parked on a
+		// slot that will never free (the admission-slot leak).
+		select {
+		case ten <- struct{}{}:
+		case <-c.down:
+			c.s.tel.AdmissionAborts.Add(1)
+			return false
+		case <-c.s.drainCh:
+			c.s.tel.AdmissionAborts.Add(1)
+			return false
+		}
+	}
+	r.ten = ten
+	cost := admissionCost(r.op, r.payload)
+	granted, budgetWaited := c.s.budget.acquire(cost, c.down, c.s.drainCh)
+	if budgetWaited && !waited {
+		c.s.tel.AdmissionWaits.Add(1)
+	}
+	if !granted {
+		c.s.tel.AdmissionAborts.Add(1)
+		return false
+	}
+	r.cost = cost
+	return true
 }
 
 // worker dispatches admitted requests. While the engine's SLO governor
@@ -461,9 +478,9 @@ const pooledBody = 4<<10 + 64
 // poolCap bounds the bodies the pool keeps idle (about 1 MiB).
 const poolCap = 256
 
-// bodyPool lends request bodies. A body goes back exactly once: in its
-// request's release, after the response is written, or on the reader's
-// path that drops a frame unadmitted. It is a mutex and a stack rather
+// bodyPool lends request bodies. A body goes back exactly once, in its
+// request's release: after the response is written, or when the frame
+// fails admission. It is a mutex and a stack rather
 // than a sync.Pool so that the most recently returned body is the next
 // one lent, and so that lent can prove every body came back.
 type bodyPool struct {
