@@ -1,15 +1,17 @@
-// Command purity-lint runs the repo's invariant checker: seven rules
+// Command purity-lint runs the repo's invariant checker: six rules
 // that enforce the conventions Purity's correctness argument rests on —
 // lock annotations and path-sensitive lock states (backed by checked
-// callee summaries), allocator-only seqnos, crash-sweep coverage of
-// durable writes, no dropped errors, plus the interprocedural rules:
+// callee summaries), crash-sweep coverage of durable writes, no dropped
+// errors, plus the interprocedural rules:
 // goroutinelife (no goroutine spawns a provably unexitable loop),
 // lockorder (the whole-module lock-acquisition graph is acyclic and
 // matches the declared //lint:lockorder hierarchy), and commitorder (every
 // durable-state apply is dominated by an NVRAM append on every path —
-// persist before apply). Connection deadlines and admission releases need
-// no rule: wire.Conn arms its own deadlines, and a server request returns
-// what admission took in its one release. See internal/lint and the
+// persist before apply). Connection deadlines, admission releases and
+// sequence numbers need no rule: wire.Conn arms its own deadlines, a
+// server request returns what admission took in its one release, a
+// tuple.Watermark cannot be stamped into a fact, and the crash sweep
+// checks that no seq is carried by two keys. See internal/lint and the
 // "Machine-checked invariants" section of DESIGN.md.
 //
 // Usage:

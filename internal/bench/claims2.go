@@ -40,7 +40,7 @@ func runE5(o Options) error {
 		if err := p.Insert(batch); err != nil {
 			return nil, nil, err
 		}
-		if _, err := p.Flush(0, seqs.Current()); err != nil {
+		if _, err := p.Flush(0, tuple.Seq(seqs.Current())); err != nil {
 			return nil, nil, err
 		}
 		if _, err := p.Maintain(0, 1); err != nil {
@@ -64,7 +64,7 @@ func runE5(o Options) error {
 	if err := pe.Insert([]tuple.Fact{{Seq: peSeqs.Next(), Cols: []uint64{uint64(n + 1), 0, 0}}}); err != nil {
 		return err
 	}
-	if _, err := pe.Flush(0, peSeqs.Current()); err != nil {
+	if _, err := pe.Flush(0, tuple.Seq(peSeqs.Current())); err != nil {
 		return err
 	}
 	if _, err := pe.Maintain(0, 1); err != nil {
@@ -94,7 +94,7 @@ func runE5(o Options) error {
 	if err := pt.Insert(batch); err != nil {
 		return err
 	}
-	if _, err := pt.Flush(0, ptSeqs.Current()); err != nil {
+	if _, err := pt.Flush(0, tuple.Seq(ptSeqs.Current())); err != nil {
 		return err
 	}
 	if _, err := pt.Maintain(0, 1); err != nil {

@@ -163,7 +163,7 @@ type Array struct {
 	rdMu    sync.Mutex
 	cblocks *cblockCache
 
-	persistedSeq tuple.Seq // highest seq durable in NVRAM
+	persistedSeq tuple.Watermark // highest seq durable in NVRAM
 	opsSinceBG   int
 	bgSinceCkpt  int
 

@@ -282,7 +282,7 @@ func (a *Array) backgroundStepLocked(at sim.Time) (sim.Time, error) {
 	for _, id := range a.relationIDs() {
 		p := a.pyr[id]
 		if p.MemRows() >= a.cfg.MemtableFlushRows {
-			d, err := p.Flush(done, a.persistedSeq)
+			d, err := p.Flush(done, tuple.Seq(a.persistedSeq))
 			if err != nil {
 				return d, err
 			}
@@ -325,7 +325,7 @@ func (a *Array) checkpointLocked(at sim.Time) (sim.Time, error) {
 	// merge toward the patch target.
 	for _, id := range a.relationIDs() {
 		p := a.pyr[id]
-		d, err := p.Flush(done, a.persistedSeq)
+		d, err := p.Flush(done, tuple.Seq(a.persistedSeq))
 		if err != nil {
 			return d, err
 		}

@@ -28,11 +28,13 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"purity/internal/crashpoint"
 	"purity/internal/layout"
+	"purity/internal/relation"
 	"purity/internal/shelf"
 	"purity/internal/sim"
 	"purity/internal/tuple"
@@ -536,6 +538,10 @@ func (run *sweepRun) verify(a *Array) error {
 //     and decodable.
 //   - Recovery issues no sequence number past what it read back: the
 //     persisted watermark is the current sequence number.
+//   - Every address-map and dedup version names a segment below
+//     nextSegment (checkSegmentBound).
+//   - Each sequence number is carried by the facts of one (relation, key)
+//     only (checkSeqsUnique).
 func (run *sweepRun) checkInvariants(a *Array) error {
 	a.mu.Lock()
 	persisted := a.persistedSeq
@@ -562,14 +568,17 @@ func (run *sweepRun) checkInvariants(a *Array) error {
 	}
 	for _, relID := range a.relationIDs() {
 		p := a.pyr[relID]
-		if ft := p.FlushedThrough(); ft > persisted {
+		if ft := p.FlushedThrough(); !persisted.Covers(ft) {
 			return fmt.Errorf("relation %d flushed through %d, ahead of persisted %d", relID, ft, persisted)
 		}
 		if _, err := p.VerifyPages(run.now); err != nil {
 			return fmt.Errorf("patch page verify: %w", err)
 		}
 	}
-	return a.checkSegmentBound(run.now)
+	if err := a.checkSegmentBound(run.now); err != nil {
+		return err
+	}
+	return a.checkSeqsUnique(run.now)
 }
 
 // checkSegmentBound is the oracle for recovery's segment-ID bound
@@ -590,6 +599,47 @@ func (a *Array) checkSegmentBound(at sim.Time) error {
 		return fmt.Errorf("segment-bound scan: %w", err)
 	}
 	return bad
+}
+
+// checkSeqsUnique is the oracle for the allocator discipline: every
+// version in every relation — live, shadowed or stale — carries a sequence
+// number no fact of another (relation, key) carries. One key may hold a seq
+// more than once: an exact replay is a duplicate, and replay's RemapAddr
+// and RemapDedup move a fact to a new location under its own seq and key.
+// A seq two keys share was issued twice, or stamped into two facts.
+func (a *Array) checkSeqsUnique(at sim.Time) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	type owner struct {
+		relID uint32
+		key   []uint64
+	}
+	owners := map[tuple.Seq]owner{}
+	var bad error
+	for _, relID := range a.relationIDs() {
+		schema, ok := relation.SchemaFor(relID)
+		if !ok {
+			return fmt.Errorf("relation %d has no schema", relID)
+		}
+		if _, err := a.pyr[relID].Visit(at, nil, nil, true, func(f tuple.Fact) bool {
+			key := f.Cols[:schema.KeyCols]
+			o, seen := owners[f.Seq]
+			if !seen {
+				owners[f.Seq] = owner{relID, slices.Clone(key)}
+				return true
+			}
+			if o.relID != relID || !slices.Equal(o.key, key) {
+				bad = fmt.Errorf("seq %d carried by relation %d key %v and relation %d key %v", f.Seq, o.relID, o.key, relID, key)
+			}
+			return bad == nil
+		}); err != nil {
+			return fmt.Errorf("seq-uniqueness scan: %w", err)
+		}
+		if bad != nil {
+			return bad
+		}
+	}
+	return nil
 }
 
 // openRecovered reopens from the shelf, tolerating one armed-crash panic

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"purity/internal/crashpoint"
+	"purity/internal/relation"
+	"purity/internal/tuple"
 )
 
 // censusPoints is every crash point the sweep workload hits at its default
@@ -259,6 +261,60 @@ func TestCrashDuringRecovery(t *testing.T) {
 			}
 			if string(got) != string(acked) {
 				t.Fatal("acknowledged write lost after double recovery")
+			}
+		})
+	}
+}
+
+// TestSeqOracle pins the sweep's seq-uniqueness oracle from both sides: a
+// seq stamped into the facts of two keys is reported, while an exact
+// re-insert of a fact and a RemapAddr copy of it (same seq and key, new
+// location, as replay makes) are accepted.
+func TestSeqOracle(t *testing.T) {
+	cases := []struct {
+		name    string
+		second  func(first tuple.Fact) tuple.Fact
+		wantErr bool
+	}{
+		{name: "two keys, one seq", wantErr: true, second: func(first tuple.Fact) tuple.Fact {
+			r := relation.AddrFromFact(first)
+			r.Sector += r.Sectors
+			return r.Fact(first.Seq)
+		}},
+		{name: "exact re-insert", second: tuple.Fact.Clone},
+		{name: "remapped", second: func(first tuple.Fact) tuple.Fact {
+			return relation.RemapAddr(first, 9, 4096, 1024)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := Format(TestConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			plant := func(f tuple.Fact) {
+				t.Helper()
+				a.world.Lock()
+				a.mu.Lock()
+				defer a.mu.Unlock()
+				defer a.world.Unlock()
+				if _, err := a.commitFactsLocked(0, relation.IDAddrs, []tuple.Fact{f}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			first := relation.AddrRow{Medium: 1, Sector: 8, Segment: 1, PhysLen: 512, Sectors: 8}.Fact(a.seqs.Next())
+			plant(first)
+			plant(tc.second(first))
+			versions := 0
+			if _, err := a.pyr[relation.IDAddrs].Visit(0, nil, nil, true, func(tuple.Fact) bool { versions++; return true }); err != nil {
+				t.Fatal(err)
+			}
+			if versions != 2 {
+				t.Fatalf("the oracle's scan sees %d versions, want both planted facts", versions)
+			}
+			err = a.checkSeqsUnique(0)
+			if got := err != nil; got != tc.wantErr {
+				t.Fatalf("checkSeqsUnique = %v, want an error: %v", err, tc.wantErr)
 			}
 		})
 	}

@@ -88,9 +88,9 @@ func (a *Array) commitWriteLane(sc *writeScratch, at sim.Time, vol VolumeID, off
 	seqStart := a.seqs.Current()
 
 	// Placement never appends to NVRAM (segment allocation and sealing
-	// insert their facts directly; recovery re-derives them from the
-	// frontier and AU trailers), so a full log can only surface at the
-	// commit point below.
+	// make no facts; recovery re-derives the segment table from the
+	// checkpoint's segment map and the AU trailers), so a full log can
+	// only surface at the commit point below.
 	w := &sc.w
 	w.at, w.size = at, int64(len(data))
 	var allocated uint64

@@ -68,7 +68,7 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 	a.nextMedium = ckpt.NextMedium
 	a.nextVolume = ckpt.NextVolume
 	a.nextSegment = ckpt.NextSegment
-	a.seqs.AdvanceTo(ckpt.SeqWatermark)
+	a.seqs.AdvanceTo(tuple.Seq(ckpt.SeqWatermark))
 	a.crash.Hit("recover.ckpt-loaded")
 
 	// 2. Segment map and allocator state. Segments open at the crash will

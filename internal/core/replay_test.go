@@ -111,7 +111,7 @@ func flushMeta(t *testing.T, a *Array, now sim.Time, relID uint32) (layout.Segme
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.persistedSeq = a.seqs.Current()
-	now, err := a.pyr[relID].Flush(now, a.persistedSeq)
+	now, err := a.pyr[relID].Flush(now, tuple.Seq(a.persistedSeq))
 	if err != nil {
 		t.Fatal(err)
 	}

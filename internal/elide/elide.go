@@ -28,12 +28,12 @@ import (
 type Predicate struct {
 	Col    int
 	Lo, Hi uint64
-	MaxSeq tuple.Seq
+	MaxSeq tuple.Watermark
 }
 
 // Matches reports whether the fact is deleted by this predicate.
 func (p Predicate) Matches(f tuple.Fact) bool {
-	if f.Seq > p.MaxSeq {
+	if !p.MaxSeq.Covers(f.Seq) {
 		return false
 	}
 	v := f.Cols[p.Col]

@@ -131,7 +131,7 @@ func TestElidedAgreesWithLinearScan(t *testing.T) {
 				Col:    r.Intn(2),
 				Lo:     lo,
 				Hi:     lo + uint64(r.Intn(50)),
-				MaxSeq: tuple.Seq(r.Intn(500)),
+				MaxSeq: tuple.Watermark(r.Intn(500)),
 			}
 			preds = append(preds, p)
 			tab.Add(p)

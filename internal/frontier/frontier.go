@@ -28,7 +28,7 @@ import (
 // the frontier scan and the NVRAM replay.
 type Checkpoint struct {
 	Epoch        uint64
-	SeqWatermark tuple.Seq // facts ≤ this are in patches below
+	SeqWatermark tuple.Watermark // facts ≤ this are in patches below
 	NextMedium   uint64
 	NextVolume   uint64
 	NextSegment  uint64
@@ -124,7 +124,7 @@ func Unmarshal(raw []byte) (*Checkpoint, error) {
 	if v, err = next(); err != nil {
 		return nil, err
 	}
-	c.SeqWatermark = tuple.Seq(v)
+	c.SeqWatermark = tuple.Watermark(v)
 	if c.NextMedium, err = next(); err != nil {
 		return nil, err
 	}

@@ -1,7 +1,7 @@
 package lint
 
-// Per-function control-flow graphs for the path-sensitive rules (lockflow,
-// seqmono, and the summary-based rules). The graph is built
+// Per-function control-flow graphs for the path-sensitive rules (lockflow
+// and the summary-based rules: lockorder, commitorder). The graph is built
 // from syntax alone — no type information — so it can be unit-tested on
 // bare parsed snippets.
 //

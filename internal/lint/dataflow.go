@@ -42,8 +42,8 @@ func (sol *Solution[S]) Reached(blk *Block) bool {
 }
 
 // maxVisitsPerBlock bounds fixpoint iteration. The rule lattices are
-// finite (lock modes, deadline bits, seq flags over a function's objects), so
-// the bound is a backstop against a non-monotone Problem bug, not a limit
+// finite (lock modes per mutex chain, commitorder's appended bit), so the
+// bound is a backstop against a non-monotone Problem bug, not a limit
 // reached in practice.
 const maxVisitsPerBlock = 64
 
@@ -97,9 +97,7 @@ func (sol *Solution[S]) Replay(p Problem[S], visit func(n ast.Node, before S)) {
 			continue
 		}
 		for _, n := range blk.Nodes {
-			if visit != nil {
-				visit(n, s)
-			}
+			visit(n, s)
 			s = p.Transfer(n, s)
 		}
 	}

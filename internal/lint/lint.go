@@ -57,7 +57,6 @@ func (r *Reporter) Reportf(rule string, pos token.Pos, format string, args ...an
 func DefaultRules() []Rule {
 	return []Rule{
 		&LockFlow{},
-		&SeqMono{},
 		&CrashPointCheck{},
 		&ErrDrop{},
 		&GoroutineLife{Scope: []string{"internal/server", "internal/controller", "internal/client", "internal/core"}},
@@ -338,56 +337,6 @@ type methodRef struct {
 	pkg, recv, name string
 }
 
-// matchFunc extends isMethod to package-level functions (empty recv).
-func matchFunc(fn *types.Func, ref methodRef) bool {
-	if fn == nil || fn.Name() != ref.name {
-		return false
-	}
-	if ref.recv != "" {
-		return isMethod(fn, ref.pkg, ref.recv, ref.name)
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() != nil {
-		return false
-	}
-	return fn.Pkg() != nil && fn.Pkg().Path() == ref.pkg
-}
-
-// rootIdentObj unwraps slicing/indexing/derefs to the underlying
-// identifier's object, or nil for anything more structured.
-func rootIdentObj(pkg *Package, e ast.Expr) types.Object {
-	for {
-		switch t := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return pkg.Info.ObjectOf(t)
-		case *ast.SliceExpr:
-			e = t.X
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.StarExpr:
-			e = t.X
-		default:
-			return nil
-		}
-	}
-}
-
-// identObj resolves a plain (non-blank) identifier to its object.
-func identObj(pkg *Package, e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	return pkg.Info.ObjectOf(id)
-}
-
-func typeOfExpr(info *types.Info, e ast.Expr) types.Type {
-	if tv, ok := info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
-}
-
 // inScope reports whether a package's module-relative directory falls
 // under one of the scope roots. A nil scope means everywhere.
 func inScope(scope []string, relDir string) bool {
@@ -402,8 +351,8 @@ func inScope(scope []string, relDir string) bool {
 	return false
 }
 
-// derefStruct unwraps pointers and names down to the underlying struct
-// type, returning the named type carrying it (or nil).
+// derefNamed unwraps pointers down to a named type, returning it (or nil
+// when the type underneath is not named).
 func derefNamed(t types.Type) *types.Named {
 	for {
 		switch tt := t.(type) {

@@ -95,8 +95,6 @@ func TestLockCheckFixture(t *testing.T) { runFixture(t, "lockcheck", []Rule{&Loc
 
 func TestLockFlowFixture(t *testing.T) { runFixture(t, "lockflow", []Rule{&LockFlow{}}) }
 
-func TestSeqMonoFixture(t *testing.T) { runFixture(t, "seqmono", []Rule{&SeqMono{}}) }
-
 func TestCrashPointCheckFixture(t *testing.T) {
 	runFixture(t, "crashpointcheck", []Rule{&CrashPointCheck{}})
 }

@@ -162,7 +162,7 @@ func diffBatch(t *testing.T, cachePages int, seed uint64) {
 			})
 		default: // elide older versions by the value column
 			v := uint64(r.Intn(6))
-			pred := elide.Predicate{Col: 2, Lo: v, Hi: v, MaxSeq: seq - tuple.Seq(r.Intn(40))}
+			pred := elide.Predicate{Col: 2, Lo: v, Hi: v, MaxSeq: tuple.Watermark(seq - tuple.Seq(r.Intn(40)))}
 			ref.et.Add(pred)
 			got.et.Add(pred)
 		}

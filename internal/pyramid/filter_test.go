@@ -97,7 +97,7 @@ func diffGet(t *testing.T, keyCols int, seed uint64) {
 			}
 		default: // elide versions by their last column
 			v := uint64(r.Intn(4))
-			et.Add(elide.Predicate{Col: keyCols + 1, Lo: v, Hi: v, MaxSeq: seq - tuple.Seq(r.Intn(40))})
+			et.Add(elide.Predicate{Col: keyCols + 1, Lo: v, Hi: v, MaxSeq: tuple.Watermark(seq - tuple.Seq(r.Intn(40)))})
 		}
 		if step == 40 {
 			p = recovered(t, p, et)

@@ -181,10 +181,10 @@ func mergeKeepsEveryAnswer(t *testing.T, shadowed func(tuple.Fact, []tuple.Fact)
 			// of now: over key columns, elision within a key stays
 			// monotone in sequence number.
 			lo := uint64(r.Intn(starts))
-			pred := elide.Predicate{Col: 1, Lo: lo, Hi: lo + uint64(r.Intn(4)), MaxSeq: seq}
+			pred := elide.Predicate{Col: 1, Lo: lo, Hi: lo + uint64(r.Intn(4)), MaxSeq: tuple.Watermark(seq)}
 			if r.Intn(4) == 0 {
 				pre := uint64(r.Intn(prefixes))
-				pred = elide.Predicate{Col: 0, Lo: pre, Hi: pre, MaxSeq: seq}
+				pred = elide.Predicate{Col: 0, Lo: pre, Hi: pre, MaxSeq: tuple.Watermark(seq)}
 			}
 			et.Add(pred)
 		}

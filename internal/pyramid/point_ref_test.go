@@ -553,12 +553,12 @@ func diffPoint(t *testing.T, keyCols, cachePages int, seed uint64) {
 			if keyCols == 2 {
 				lo %= 100
 			}
-			pred := elide.Predicate{Col: keyCols - 1, Lo: lo, Hi: lo + uint64(r.Intn(8)), MaxSeq: seq}
+			pred := elide.Predicate{Col: keyCols - 1, Lo: lo, Hi: lo + uint64(r.Intn(8)), MaxSeq: tuple.Watermark(seq)}
 			ref.et.Add(pred)
 			got.et.Add(pred)
 		default: // elide older versions by a value column: Get looks past them
 			v := uint64(r.Intn(4))
-			pred := elide.Predicate{Col: keyCols + 1, Lo: v, Hi: v, MaxSeq: seq - tuple.Seq(r.Intn(40))}
+			pred := elide.Predicate{Col: keyCols + 1, Lo: v, Hi: v, MaxSeq: tuple.Watermark(seq - tuple.Seq(r.Intn(40)))}
 			ref.et.Add(pred)
 			got.et.Add(pred)
 		}

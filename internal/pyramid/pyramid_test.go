@@ -438,7 +438,7 @@ func TestPyramidAgainstModel(t *testing.T) {
 		case 9:
 			// Elide a small prefix of the key space as of now.
 			hi := uint64(r.Intn(50))
-			et.Add(elide.Predicate{Col: 0, Lo: 0, Hi: hi, MaxSeq: seq})
+			et.Add(elide.Predicate{Col: 0, Lo: 0, Hi: hi, MaxSeq: tuple.Watermark(seq)})
 			if hi+1 > elidedBelow {
 				elidedBelow = hi + 1
 			}

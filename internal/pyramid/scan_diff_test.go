@@ -315,7 +315,7 @@ func diffScan(t *testing.T, keyCols, cachePages int, seed uint64) {
 			if keyCols == 2 {
 				lo /= 100
 			}
-			pred := elide.Predicate{Col: 0, Lo: lo, Hi: lo + uint64(r.Intn(3)), MaxSeq: seq}
+			pred := elide.Predicate{Col: 0, Lo: lo, Hi: lo + uint64(r.Intn(3)), MaxSeq: tuple.Watermark(seq)}
 			ref.et.Add(pred)
 			got.et.Add(pred)
 		}

@@ -268,7 +268,7 @@ type ElideRow struct {
 	Table  uint32 // relation ID the predicate applies to
 	Col    uint64
 	Lo, Hi uint64
-	MaxSeq tuple.Seq
+	MaxSeq tuple.Watermark
 }
 
 // Fact encodes the row with a sequence number.
@@ -279,7 +279,7 @@ func (r ElideRow) Fact(seq tuple.Seq) tuple.Fact {
 // ElideFromFact decodes a persisted elide predicate.
 func ElideFromFact(f tuple.Fact) ElideRow {
 	return ElideRow{
-		Table: uint32(f.Cols[0]), Col: f.Cols[1], Lo: f.Cols[2], Hi: f.Cols[3], MaxSeq: tuple.Seq(f.Cols[4]),
+		Table: uint32(f.Cols[0]), Col: f.Cols[1], Lo: f.Cols[2], Hi: f.Cols[3], MaxSeq: tuple.Watermark(f.Cols[4]),
 	}
 }
 

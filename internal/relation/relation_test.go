@@ -71,7 +71,7 @@ func TestVolumeRowRoundTrip(t *testing.T) {
 }
 
 func TestElideRowRoundTrip(t *testing.T) {
-	in := ElideRow{Table: IDAddrs, Col: 0, Lo: 17, Hi: 17, MaxSeq: tuple.Seq(1 << 40)}
+	in := ElideRow{Table: IDAddrs, Col: 0, Lo: 17, Hi: 17, MaxSeq: tuple.Watermark(1 << 40)}
 	if got := ElideFromFact(in.Fact(6)); got != in {
 		t.Fatalf("round trip: %+v != %+v", got, in)
 	}

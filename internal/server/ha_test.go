@@ -222,46 +222,85 @@ func TestEveryAdmissionExitReleases(t *testing.T) {
 			}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			pair, err := controller.NewPair(controller.DefaultConfig(), core.TestConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := NewWithConfig(pair, controller.Primary, tc.cfg)
-			gate := make(chan struct{})
-			var dispatched atomic.Int64
-			s.stall = func(op byte, payload []byte) {
-				if dispatched.Add(1) == 1 {
-					<-gate
-				}
-			}
-			cli, srv := tcpPair(t)
-			c := s.newPconn(wire.NewConn(srv), nil)
-			served := make(chan struct{})
-			go func() {
-				c.serve()
-				close(served)
-			}()
-			tc.exit(t, s, c, cli)
-			if tc.aborts > 0 {
-				// Until the gate opens nothing frees the slot or the bytes the
-				// wait is for, so the abort is the only way out of it.
-				waitFor(t, "the admission abort", func() bool {
-					return s.Frontend().AdmissionAborts.Load() >= tc.aborts
-				})
-			}
-			close(gate)
-			select {
-			case <-served:
-			case <-time.After(5 * time.Second):
-				t.Fatal("connection did not finish after the exit")
-			}
-			if got := s.Frontend().AdmissionAborts.Load(); got != tc.aborts {
-				t.Errorf("AdmissionAborts = %d, want %d", got, tc.aborts)
-			}
-			assertReleased(t, s, c)
+		t.Run(tc.name, func(t *testing.T) { runAdmissionExit(t, tc.cfg, tc.aborts, tc.exit) })
+	}
+}
+
+// runAdmissionExit serves one pconn over a TCP pair, with the stall hook
+// holding the first dispatched request on a gate, and calls exit to drive
+// the reader to an unadmitted exit. Once the exit has counted aborts
+// AdmissionAborts the gate opens; the connection must then finish, having
+// counted no more, with everything admission took given back.
+func runAdmissionExit(t *testing.T, cfg Config, aborts int64, exit func(t *testing.T, s *Server, c *pconn, cli net.Conn)) {
+	t.Helper()
+	pair, err := controller.NewPair(controller.DefaultConfig(), core.TestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewWithConfig(pair, controller.Primary, cfg)
+	gate := make(chan struct{})
+	var dispatched atomic.Int64
+	s.stall = func(op byte, payload []byte) {
+		if dispatched.Add(1) == 1 {
+			<-gate
+		}
+	}
+	cli, srv := tcpPair(t)
+	c := s.newPconn(wire.NewConn(srv), nil)
+	served := make(chan struct{})
+	go func() {
+		c.serve()
+		close(served)
+	}()
+	exit(t, s, c, cli)
+	if aborts > 0 {
+		// Until the gate opens nothing frees the slot or the bytes the
+		// wait is for, so the abort is the only way out of it.
+		waitFor(t, "the admission abort", func() bool {
+			return s.Frontend().AdmissionAborts.Load() >= aborts
 		})
 	}
+	close(gate)
+	select {
+	case <-served:
+	case <-time.After(5 * time.Second):
+		t.Fatal("connection did not finish after the exit")
+	}
+	if got := s.Frontend().AdmissionAborts.Load(); got != aborts {
+		t.Errorf("AdmissionAborts = %d, want %d", got, aborts)
+	}
+	assertReleased(t, s, c)
+}
+
+// TestBudgetWaitAbortsAfterDrainBegan: bytes a release frees after
+// Shutdown began do not admit a frame parked on the byte budget. The test
+// holds the whole budget itself, so the frame waits in acquire; then it
+// holds the budget's lock from before the drain begins until it has
+// returned its own grant, so the freed bytes are there before the parked
+// reader can look again. The frame must be aborted, not admitted.
+func TestBudgetWaitAbortsAfterDrainBegan(t *testing.T) {
+	cost := admissionCost(wire.OpListVolumes, nil)
+	runAdmissionExit(t, Config{MaxInflightBytes: cost}, 1, func(t *testing.T, s *Server, c *pconn, cli net.Conn) {
+		if !s.budget.acquire(cost, nil, nil) {
+			t.Fatal("budget not granted")
+		}
+		if _, err := cli.Write(frames(t, wire.OpListVolumes, 1)); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the request parked on the budget", func() bool {
+			return s.Frontend().AdmissionWaits.Load() >= 1
+		})
+		s.budget.mu.Lock()
+		shut := make(chan error, 1)
+		go func() { shut <- s.Shutdown(time.Second) }()
+		waitFor(t, "the drain", s.draining)
+		s.budget.used -= cost // the release, under the lock as release takes it
+		s.budget.cond.Broadcast()
+		s.budget.mu.Unlock()
+		if err := <-shut; err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestReleaseTwiceReturnsNothing: a request's second release finds nothing
@@ -284,7 +323,7 @@ func TestReleaseTwiceReturnsNothing(t *testing.T) {
 	r.ten = c.tenantWindow(0)
 	r.ten <- struct{}{}
 	r.cost = admissionCost(r.op, r.payload)
-	if granted, _ := s.budget.acquire(r.cost); !granted {
+	if !s.budget.acquire(r.cost, nil, nil) {
 		t.Fatal("budget not granted")
 	}
 	ten := r.ten

@@ -226,6 +226,7 @@ func (c *pconn) admit(r *request) bool {
 	ten := c.tenantWindow(tenantOf(r.op, r.payload))
 	select {
 	case ten <- struct{}{}:
+		r.ten = ten
 	default:
 		waited = true
 		c.s.tel.AdmissionWaits.Add(1)
@@ -234,26 +235,42 @@ func (c *pconn) admit(r *request) bool {
 		// slot that will never free (the admission-slot leak).
 		select {
 		case ten <- struct{}{}:
+			r.ten = ten
 		case <-c.down:
-			c.s.tel.AdmissionAborts.Add(1)
-			return false
 		case <-c.s.drainCh:
+		}
+		// select picks at random among ready cases, so the slot may have
+		// won against an abort; a frame that waited is not admitted past
+		// one, and release gives the slot back.
+		if c.aborted() {
 			c.s.tel.AdmissionAborts.Add(1)
 			return false
 		}
 	}
-	r.ten = ten
 	cost := admissionCost(r.op, r.payload)
-	granted, budgetWaited := c.s.budget.acquire(cost, c.down, c.s.drainCh)
-	if budgetWaited && !waited {
-		c.s.tel.AdmissionWaits.Add(1)
-	}
-	if !granted {
+	if !c.s.budget.acquire(cost, func() {
+		if !waited {
+			c.s.tel.AdmissionWaits.Add(1)
+		}
+	}, c.aborted) {
 		c.s.tel.AdmissionAborts.Add(1)
 		return false
 	}
 	r.cost = cost
 	return true
+}
+
+// aborted reports whether the connection went down or a server drain
+// began: either ends an admission wait unadmitted.
+func (c *pconn) aborted() bool {
+	select {
+	case <-c.down:
+		return true
+	case <-c.s.drainCh:
+		return true
+	default:
+		return false
+	}
 }
 
 // worker dispatches admitted requests. While the engine's SLO governor
@@ -546,38 +563,37 @@ func (b *byteBudget) clamp(n int64) int64 {
 	return n
 }
 
-// acquire blocks until n bytes fit, or until any abort channel closes (a
-// dead connection or a server drain — the waiter is woken by wake and gives
-// up instead of pinning budget it will never use). It reports whether the
-// bytes were granted and whether it had to wait.
-func (b *byteBudget) acquire(n int64, abort ...<-chan struct{}) (granted, waited bool) {
+// acquire grants n bytes at once if they fit. Otherwise it calls parked,
+// then waits until they fit or aborted reports true (a dead connection or
+// a server drain — the waiter is woken by wake and gives up instead of
+// pinning budget it will never use). A waiter looks at aborted again
+// before it takes bytes a release freed, so a wait that outlives an abort
+// is never granted. It reports whether the bytes were granted.
+func (b *byteBudget) acquire(n int64, parked func(), aborted func() bool) bool {
 	n = b.clamp(n)
-	aborted := func() bool {
-		for _, ch := range abort {
-			select {
-			case <-ch:
-				return true
-			default:
-			}
-		}
-		return false
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for b.used+n > b.cap {
-		if aborted() {
-			return false, waited
+	if b.used+n > b.cap {
+		parked()
+		for b.used+n > b.cap && !aborted() {
+			b.cond.Wait()
 		}
-		waited = true
-		b.cond.Wait()
+		if aborted() {
+			return false
+		}
 	}
 	b.used += n
-	return true, waited
+	return true
 }
 
-// wake re-checks every parked acquire. Called when an abort channel closes,
-// since cond waiters can't select on it.
-func (b *byteBudget) wake() { b.cond.Broadcast() }
+// wake re-checks every parked acquire. Called once an abort holds, since
+// cond waiters can't select on it; it broadcasts under mu, so a waiter
+// between its abort check and cond.Wait cannot miss it.
+func (b *byteBudget) wake() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.cond.Broadcast()
+}
 
 // release returns n bytes to the budget.
 func (b *byteBudget) release(n int64) {

@@ -26,6 +26,16 @@ type Seq uint64
 // MaxSeq is the largest representable sequence number.
 const MaxSeq = Seq(^uint64(0))
 
+// Watermark is a read of the sequence source: every sequence number at or
+// below it has been issued. It bounds facts (a flush through it, an elide
+// predicate's reach, a checkpoint's recovery floor) and is never a fact's
+// own sequence number — a distinct type, so stamping one into a fact does
+// not compile; a fact's Seq comes only from SeqSource.Next.
+type Watermark uint64
+
+// Covers reports whether seq was issued at or before the watermark.
+func (w Watermark) Covers(seq Seq) bool { return uint64(seq) <= uint64(w) }
+
 // Schema describes the shape of facts in one relation.
 type Schema struct {
 	Cols    int  // number of uint64 columns
@@ -194,8 +204,9 @@ func NewSeqSource(start Seq) *SeqSource {
 // Next returns the next sequence number.
 func (s *SeqSource) Next() Seq { return Seq(s.last.Add(1)) }
 
-// Current returns the most recently issued sequence number.
-func (s *SeqSource) Current() Seq { return Seq(s.last.Load()) }
+// Current returns the watermark of everything issued so far: the most
+// recently issued sequence number, as a bound rather than a fact's seq.
+func (s *SeqSource) Current() Watermark { return Watermark(s.last.Load()) }
 
 // AdvanceTo moves the source forward to at least seq. Recovery uses this to
 // resume numbering past everything found in NVRAM and segments.

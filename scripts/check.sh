@@ -179,8 +179,8 @@ go test -run '^$' -bench 'Dot7x128K' -benchtime 1x ./internal/erasure/
 echo "== commit lanes (-race: multi-lane writers, one record order on every NVRAM mirror (TestLaneMirrorsAgreeOnRecordOrder), the log-full fallback under concurrent writers and catalog/GC steps, its shared-lock guard, the short crash sweep at lanes 1 and 4, and four writers' pooled write scratch against the caller-buffer contract)"
 go test -race -short -run 'TestLane|TestCrashSweep|TestCheckpointSurvivesNVRAMPressure|TestLogFullRefusesSharedWorld|TestWriteAtKeepsNoCallerBuffer' ./internal/core/
 
-echo "== pipelined front end (-race: out-of-order completion, 64 in-flight on one conn, first-frame rule, torn request, drain at a buffered frame, a batch failing mid-write, pooled bodies at QD 64, every unadmitted frame's exit giving back what admission took, SLO scrub deferral)"
-go test -race -run 'TestPipelined|TestOutOfOrderCompletion|TestDuplicateTagKillsConnection|TestAdmissionWindowBackpressure|TestWireHealthCounters|TestServeSurvivesTransientAcceptErrors|TestFirstFrameMustBeHello|TestTornRequestCondemnsConnection|TestDrainStopsAtBufferedFrame|TestBatchWriteFailureReleasesEveryFrame|TestPooledBodiesManyWriters|TestEveryAdmissionExitReleases' ./internal/server/
+echo "== pipelined front end (-race: out-of-order completion, 64 in-flight on one conn, first-frame rule, torn request, drain at a buffered frame, a batch failing mid-write, pooled bodies at QD 64, every unadmitted frame's exit giving back what admission took, a budget wait not granted once a drain began, SLO scrub deferral)"
+go test -race -run 'TestPipelined|TestOutOfOrderCompletion|TestDuplicateTagKillsConnection|TestAdmissionWindowBackpressure|TestWireHealthCounters|TestServeSurvivesTransientAcceptErrors|TestFirstFrameMustBeHello|TestTornRequestCondemnsConnection|TestDrainStopsAtBufferedFrame|TestBatchWriteFailureReleasesEveryFrame|TestPooledBodiesManyWriters|TestEveryAdmissionExitReleases|TestBudgetWaitAbortsAfterDrainBegan' ./internal/server/
 go test -run 'TestScrubDefersUnderSLOPressure|TestScrubRunsWithSLODisabled' ./internal/core/
 
 echo "== wire codec, NVRAM record, patch descriptor, index page, compress frame, cblock frame, segment trailer and boot checkpoint fuzz (5 s each; the seed corpora already ran as plain tests above)"
