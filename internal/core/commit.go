@@ -139,16 +139,16 @@ func decodeWriteRecord(b []byte) ([]writeChunk, error) {
 // record (commitExclusiveLocked) passes nil. The mutex is released on the
 // straight line, not deferred: a crashpoint panic inside the append leaves
 // later appends blocked, so no record lands after a simulated power loss.
-func (a *Array) nvramAppend(at sim.Time, ln *commitLane, rec []byte) (sim.Time, error) {
+func (a *Array) nvramAppend(at sim.Time, ln *commitLane, rec []byte) (nvram.Receipt, sim.Time, error) {
 	if !a.nvAppendMu.TryLock() {
 		if ln != nil {
 			ln.queueWaits.Add(1)
 		}
 		a.nvAppendMu.Lock()
 	}
-	done, err := a.nvramAppendOnce(at, rec)
+	rc, done, err := a.nvramAppendOnce(at, rec)
 	a.nvAppendMu.Unlock()
-	return done, err
+	return rc, done, err
 }
 
 // nvramAppendOnce mirrors one record to the surviving NVRAM devices; the
@@ -157,12 +157,13 @@ func (a *Array) nvramAppend(at sim.Time, ln *commitLane, rec []byte) (sim.Time, 
 // nvramAppend, holding nvAppendMu, is its one caller. A lane write holds
 // world shared here and no other lock (device I/O never blocks other
 // lanes' placement work); an exclusive record's caller holds world
-// exclusively and mu (commitExclusiveLocked).
-func (a *Array) nvramAppendOnce(at sim.Time, rec []byte) (sim.Time, error) {
+// exclusively and mu (commitExclusiveLocked). It returns the receipt of
+// the first mirror the record landed on.
+func (a *Array) nvramAppendOnce(at sim.Time, rec []byte) (nvram.Receipt, sim.Time, error) {
+	var rc nvram.Receipt
 	done := at
 	// A crash here loses the record entirely: the op was never acked.
 	a.crash.Hit("nvram.append.before")
-	landed := 0
 	for i := 0; i < a.shelf.NumNVRAM(); i++ {
 		nv := a.shelf.NVRAM(i)
 		if nv.Failed() {
@@ -171,14 +172,16 @@ func (a *Array) nvramAppendOnce(at sim.Time, rec []byte) (sim.Time, error) {
 			// surviving device.
 			continue
 		}
-		_, d, err := nv.Append(at, rec)
+		mrc, d, err := nv.Append(at, rec)
 		if err != nil {
 			if errors.Is(err, nvram.ErrFailed) {
 				continue
 			}
-			return done, err
+			return nvram.Receipt{}, done, err
 		}
-		landed++
+		if !rc.Valid() {
+			rc = mrc
+		}
 		if d > done {
 			done = d
 		}
@@ -186,8 +189,8 @@ func (a *Array) nvramAppendOnce(at sim.Time, rec []byte) (sim.Time, error) {
 		// reads the surviving device with the longest log, which has it.
 		a.crash.Hit("nvram.append.mirror")
 	}
-	if landed == 0 {
-		return done, nvram.ErrFailed
+	if !rc.Valid() {
+		return rc, done, nvram.ErrFailed
 	}
 	// The torn/corrupt points fire with the record fully appended; the sweep
 	// harness recognizes them by name and applies Device.TornTail /
@@ -196,59 +199,86 @@ func (a *Array) nvramAppendOnce(at sim.Time, rec []byte) (sim.Time, error) {
 	a.crash.Hit("nvram.append.torn")
 	a.crash.Hit("nvram.append.corrupt")
 	a.crash.Hit("nvram.append.after")
-	return done, nil
+	return rc, done, nil
 }
 
 // commitFactsLocked persists facts for one relation through NVRAM and
 // inserts them into the relation's pyramid, in records of at most 512 facts
-// (so a GC or dedup batch never outgrows a small log), each applied after
-// its own append. Caller holds mu and the world lock exclusively.
-func (a *Array) commitFactsLocked(at sim.Time, relID uint32, facts []tuple.Fact) (sim.Time, error) {
+// (so a GC or dedup batch never outgrows a small log), each applied with
+// the receipt of its own append. It returns the last record's receipt.
+// Caller holds mu and the world lock exclusively.
+func (a *Array) commitFactsLocked(at sim.Time, relID uint32, facts []tuple.Fact) (nvram.Receipt, sim.Time, error) {
+	var last nvram.Receipt
 	done := at
 	for len(facts) > 0 {
 		batch := facts[:min(len(facts), 512)]
 		facts = facts[len(batch):]
-		var err error
-		if done, err = a.commitExclusiveLocked(done, encodeFactsRecord(relID, batch)); err != nil {
-			return done, err
+		rc, d, err := a.commitExclusiveLocked(done, encodeFactsRecord(relID, batch))
+		done = d
+		if err != nil {
+			return last, done, err
 		}
-		if err = a.applyFactsLocked(relID, batch); err != nil {
-			return done, err
+		if err = a.applyFactsLocked(rc, relID, batch); err != nil {
+			return last, done, err
 		}
-		a.persistedSeq = a.seqs.Current()
+		last = rc
+		a.advanceWatermark()
 	}
-	return done, nil
+	return last, done, nil
 }
 
 // commitExclusiveLocked commits one record from a world-exclusive section;
 // it finds nvAppendMu free, as every lane commit holds world shared until
 // its own append is done. It is the one log-full fallback: on a failed
 // append it checkpoints and retries once. The checkpoint trims the whole
-// log, so if world can be read-locked (the caller does not hold it
-// exclusively; TryRLock also fails while a writer waits, so this catches a
-// wrong caller, it is not the lock) it returns the error instead. Caller
-// holds mu and the world lock exclusively.
-func (a *Array) commitExclusiveLocked(at sim.Time, rec []byte) (sim.Time, error) {
-	done, err := a.nvramAppend(at, nil, rec)
-	if err == nil {
-		return done, nil
-	}
-	if a.world.TryRLock() {
-		a.world.RUnlock()
-		return done, err
+// log, so if the caller does not hold world exclusively (worldExclusive)
+// it returns the error instead. Caller holds mu and the world lock
+// exclusively.
+func (a *Array) commitExclusiveLocked(at sim.Time, rec []byte) (nvram.Receipt, sim.Time, error) {
+	rc, done, err := a.nvramAppend(at, nil, rec)
+	if err == nil || !a.worldExclusive() {
+		return rc, done, err
 	}
 	if done, err = a.checkpointLocked(done); err != nil {
-		return done, err
+		return nvram.Receipt{}, done, err
 	}
 	return a.nvramAppend(done, nil, rec)
 }
 
+// worldExclusive reports whether world cannot be read-locked, as when the
+// caller holds it exclusively. TryRLock also fails while a writer waits,
+// so this catches a wrong caller; it is not the lock.
+func (a *Array) worldExclusive() bool {
+	if a.world.TryRLock() {
+		a.world.RUnlock()
+		return false
+	}
+	return true
+}
+
+// advanceWatermark moves the flush watermark to the current seq. Only a
+// world-exclusive point may: no lane commit is then in flight, so every
+// seq issued so far whose facts reached a pyramid is durable in NVRAM,
+// and abandoned seqs from failed writes are harmless holes. Under a lane's
+// shared hold, other lanes' seqs may be allocated but not yet appended, so
+// it panics unless world is held exclusively.
+func (a *Array) advanceWatermark() {
+	if !a.worldExclusive() {
+		panic("core: flush watermark advanced without the world lock held exclusively")
+	}
+	a.persistedSeq = a.seqs.Current()
+}
+
 // applyFactsLocked inserts facts into a pyramid, materializing elide
-// predicates into their in-memory tables as a side effect. Used by both
-// the commit path and NVRAM replay; replay treats a SchemaError as a
-// malformed record and rejects it rather than aborting recovery. Caller
-// holds mu.
-func (a *Array) applyFactsLocked(relID uint32, facts []tuple.Fact) error {
+// predicates into their in-memory tables as a side effect. rc is the
+// receipt of the NVRAM record that holds the facts: the append that
+// committed them, or the read-back that replays them. Used by both the
+// commit path and NVRAM replay; replay treats a SchemaError as a malformed
+// record and rejects it rather than aborting recovery. Caller holds mu.
+func (a *Array) applyFactsLocked(rc nvram.Receipt, relID uint32, facts []tuple.Fact) error {
+	if !rc.Valid() {
+		panic("core: facts applied without the receipt of the NVRAM record that holds them")
+	}
 	if err := a.pyr[relID].Insert(facts); err != nil {
 		return err
 	}
@@ -308,12 +338,8 @@ func (a *Array) backgroundStepLocked(at sim.Time) (sim.Time, error) {
 // Caller holds mu.
 func (a *Array) checkpointLocked(at sim.Time) (sim.Time, error) {
 	// A write's apply does not move the flush watermark; it advances only
-	// here and at the other world-exclusive points, where no lane commit is
-	// in flight: every sequence number issued so far whose facts reached a
-	// pyramid is durable in NVRAM (append precedes apply), and abandoned
-	// numbers from failed writes are harmless holes.
-	//lint:ignore commitorder world-exclusive point with no lane commit in flight: every issued seq whose facts were applied had its record appended by the lane drain first, so the watermark claims nothing the log does not hold
-	a.persistedSeq = a.seqs.Current()
+	// at world-exclusive points (advanceWatermark).
+	a.advanceWatermark()
 	a.crash.Hit("ckpt.begin")
 	// 1. Data durability: flush open segios of data-bearing classes.
 	done, err := a.flushOpenSegiosLocked(at)

@@ -298,7 +298,7 @@ func TestSeqOracle(t *testing.T) {
 				a.mu.Lock()
 				defer a.mu.Unlock()
 				defer a.world.Unlock()
-				if _, err := a.commitFactsLocked(0, relation.IDAddrs, []tuple.Fact{f}); err != nil {
+				if _, _, err := a.commitFactsLocked(0, relation.IDAddrs, []tuple.Fact{f}); err != nil {
 					t.Fatal(err)
 				}
 			}

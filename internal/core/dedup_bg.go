@@ -124,6 +124,6 @@ func (a *Array) BackgroundDedup(at sim.Time) (BackgroundDedupReport, sim.Time, e
 		}
 	}
 
-	done, err = a.commitFactsLocked(done, relation.IDAddrs, newFacts)
+	_, done, err = a.commitFactsLocked(done, relation.IDAddrs, newFacts)
 	return rep, done, err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -608,7 +609,7 @@ func fillLog(t *testing.T, a *Array) {
 	a.world.Lock()
 	defer a.world.Unlock()
 	for {
-		_, err := a.nvramAppend(0, nil, rec)
+		_, _, err := a.nvramAppend(0, nil, rec)
 		if errors.Is(err, nvram.ErrFull) {
 			return
 		}
@@ -637,7 +638,7 @@ func TestLogFullRefusesSharedWorld(t *testing.T) {
 
 	a.world.RLock()
 	a.mu.Lock()
-	_, err = a.commitExclusiveLocked(0, rec)
+	_, _, err = a.commitExclusiveLocked(0, rec)
 	a.mu.Unlock()
 	a.world.RUnlock()
 	if !errors.Is(err, nvram.ErrFull) {
@@ -650,7 +651,7 @@ func TestLogFullRefusesSharedWorld(t *testing.T) {
 
 	a.world.Lock()
 	a.mu.Lock()
-	_, err = a.commitExclusiveLocked(0, rec)
+	_, _, err = a.commitExclusiveLocked(0, rec)
 	a.mu.Unlock()
 	a.world.Unlock()
 	if err != nil {
@@ -659,6 +660,44 @@ func TestLogFullRefusesSharedWorld(t *testing.T) {
 	if a.Stats().Checkpoints != ckpts+1 || nv.Base() != head {
 		t.Fatalf("log full under the exclusive world lock: checkpoints %d→%d, base %d→%d, want one checkpoint trimming to %d",
 			ckpts, a.Stats().Checkpoints, base, nv.Base(), head)
+	}
+}
+
+// TestCommitPointGuardsPanic pins the commit point's checked preconditions:
+// a fact apply or a rebuild's shard copy with the zero receipt (no append
+// and no read-back vouches for it) panics, and so does a flush watermark
+// advance while world is held only shared, as a lane holds it — other
+// lanes' seqs may then be allocated but not yet in the log.
+func TestCommitPointGuardsPanic(t *testing.T) {
+	a := newArray(t)
+	for _, tc := range []struct {
+		name, want string
+		fn         func()
+	}{
+		{"apply without receipt", "without the receipt", func() {
+			a.mu.Lock()
+			defer a.mu.Unlock()
+			_ = a.applyFactsLocked(nvram.Receipt{}, relation.IDVolumes, nil)
+		}},
+		{"watermark under shared world", "without the world lock held exclusively", func() {
+			a.world.RLock()
+			defer a.world.RUnlock()
+			a.mu.Lock()
+			defer a.mu.Unlock()
+			a.advanceWatermark()
+		}},
+		{"shard rewrite without receipt", "without the receipt", func() {
+			_, _ = layout.RewriteShard(nvram.Receipt{}, 0, a.cfg.Layout, a.shelf.Drive(0), layout.AU{}, layout.AUTrailer{}, nil)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), tc.want) {
+					t.Fatalf("recovered %v, want a panic containing %q", r, tc.want)
+				}
+			}()
+			tc.fn()
+		})
 	}
 }
 

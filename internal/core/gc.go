@@ -292,7 +292,7 @@ func (a *Array) evacuateSegmentLocked(at sim.Time, id layout.SegmentID, blocks m
 		done = d
 	}
 	a.crash.Hit("gc.evac.sealed")
-	done, err := a.commitFactsLocked(done, relation.IDAddrs, newFacts)
+	_, done, err := a.commitFactsLocked(done, relation.IDAddrs, newFacts)
 	if err != nil {
 		return done, err
 	}
@@ -302,7 +302,7 @@ func (a *Array) evacuateSegmentLocked(at sim.Time, id layout.SegmentID, blocks m
 	a.crash.Hit("gc.evac.redirected")
 
 	// Retire the segment: dead fact, erase, free.
-	if done, err = a.commitFactsLocked(done, relation.IDSegments, []tuple.Fact{relation.SegmentRow{
+	if _, done, err = a.commitFactsLocked(done, relation.IDSegments, []tuple.Fact{relation.SegmentRow{
 		Segment: uint64(id), State: relation.SegmentDead,
 	}.Fact(a.seqs.Next())}); err != nil {
 		return done, err
@@ -448,12 +448,12 @@ func (a *Array) flattenDeepMediumsLocked(at sim.Time, rep *GCReport) (sim.Time, 
 			}
 			sector += ext.Sectors
 		}
-		if done, err = a.commitFactsLocked(done, relation.IDAddrs, facts); err != nil {
+		if _, done, err = a.commitFactsLocked(done, relation.IDAddrs, facts); err != nil {
 			return done, err
 		}
 		if durable {
 			// Every mapped extent is materialized: cut the chain.
-			if done, err = a.commitFactsLocked(done, relation.IDMediums, []tuple.Fact{relation.MediumRow{
+			if _, done, err = a.commitFactsLocked(done, relation.IDMediums, []tuple.Fact{relation.MediumRow{
 				Source: lf.medium, Start: 0, End: lf.sectors - 1,
 				Target: relation.NoMedium, Status: relation.MediumRW,
 			}.Fact(a.seqs.Next())}); err != nil {

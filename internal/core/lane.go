@@ -7,6 +7,7 @@ import (
 	"purity/internal/cblock"
 	"purity/internal/dedup"
 	"purity/internal/layout"
+	"purity/internal/nvram"
 	"purity/internal/relation"
 	"purity/internal/sim"
 	"purity/internal/tuple"
@@ -118,7 +119,7 @@ func (a *Array) commitWriteLane(sc *writeScratch, at sim.Time, vol VolumeID, off
 	// path, which can checkpoint to free log space — safe to take the world
 	// lock there because we have fully released it here.
 	sc.rec = appendWriteRecord(sc.rec[:0], w.chunks)
-	done2, err := a.nvramAppend(done, ln, sc.rec)
+	rc, done2, err := a.nvramAppend(done, ln, sc.rec)
 	if err != nil {
 		a.world.RUnlock()
 		return a.laneCommitExclusive(done, ln, sc)
@@ -132,7 +133,7 @@ func (a *Array) commitWriteLane(sc *writeScratch, at sim.Time, vol VolumeID, off
 	a.crash.Hit("lane.apply.before")
 
 	a.mu.Lock()
-	ackAt, err := a.laneApplyLocked(done, *w)
+	ackAt, err := a.laneApplyLocked(rc, done, *w)
 	needBG := false
 	if err == nil {
 		a.opsSinceBG++
@@ -165,19 +166,19 @@ type laneWrite struct {
 }
 
 // laneApplyLocked acknowledges a committed write: it charges the op's CPU
-// cost, applies the facts and records the stats. done is when the write's
-// record became durable. persistedSeq is NOT advanced here — only
-// world-exclusive points move the watermark, when no lane commit is in
-// flight (see checkpointLocked). Caller holds mu.
-func (a *Array) laneApplyLocked(done sim.Time, w laneWrite) (sim.Time, error) {
+// cost, applies the facts and records the stats. rc is the receipt of the
+// write's record and done is when it became durable. The flush watermark
+// is NOT advanced here: a lane holds world shared, so other lanes' seqs may
+// not be in the log yet (advanceWatermark). Caller holds mu.
+func (a *Array) laneApplyLocked(rc nvram.Receipt, done sim.Time, w laneWrite) (sim.Time, error) {
 	cpuCost := sim.Time(a.cfg.CPUOverhead + a.cfg.CPUPerKiBWrite*w.size/1024)
 	ackAt := a.cpuLocked(done, cpuCost)
 	for _, ch := range w.chunks {
-		if err := a.applyFactsLocked(relation.IDAddrs, []tuple.Fact{ch.addr}); err != nil {
+		if err := a.applyFactsLocked(rc, relation.IDAddrs, []tuple.Fact{ch.addr}); err != nil {
 			return ackAt, err
 		}
 		if len(ch.dedup) > 0 {
-			if err := a.applyFactsLocked(relation.IDDedup, ch.dedup); err != nil {
+			if err := a.applyFactsLocked(rc, relation.IDDedup, ch.dedup); err != nil {
 				return ackAt, err
 			}
 		}
@@ -214,12 +215,12 @@ func (a *Array) laneCommitExclusive(done sim.Time, ln *commitLane, sc *writeScra
 		}
 	}
 	sc.rec = appendWriteRecord(sc.rec[:0], w.chunks)
-	done, err := a.commitExclusiveLocked(done, sc.rec)
+	rc, done, err := a.commitExclusiveLocked(done, sc.rec)
 	if err != nil {
 		return done, err
 	}
 	ln.commits.Add(1)
-	ackAt, err := a.laneApplyLocked(done, w)
+	ackAt, err := a.laneApplyLocked(rc, done, w)
 	if err != nil {
 		return ackAt, err
 	}
@@ -242,8 +243,7 @@ func (a *Array) laneBackground(at sim.Time) (sim.Time, error) {
 		return at, nil
 	}
 	a.opsSinceBG = 0
-	// World-exclusive point: safe to advance the flush watermark.
-	a.persistedSeq = a.seqs.Current()
+	a.advanceWatermark()
 	return a.backgroundStepLocked(at)
 }
 

@@ -181,7 +181,7 @@ func (a *Array) rebuildSegmentLocked(at sim.Time, id layout.SegmentID, drive int
 		}
 	}
 
-	d, err := a.commitFactsLocked(done, relation.IDSegmentAUs, []tuple.Fact{relation.SegmentAURow{
+	rc, d, err := a.commitFactsLocked(done, relation.IDSegmentAUs, []tuple.Fact{relation.SegmentAURow{
 		Segment: uint64(id), Shard: uint64(slot),
 		Drive: uint64(newAU.Drive), AUIndex: uint64(newAU.Index),
 	}.Fact(a.seqs.Next())})
@@ -240,7 +240,7 @@ func (a *Array) rebuildSegmentLocked(at sim.Time, id layout.SegmentID, drive int
 	trailer.Shard = slot
 	trailer.AUs = newAUs
 
-	d2, err := layout.RewriteShard(done, a.cfg.Layout, a.shelf.Drive(newAU.Drive), newAU, trailer, wus)
+	d2, err := layout.RewriteShard(rc, done, a.cfg.Layout, a.shelf.Drive(newAU.Drive), newAU, trailer, wus)
 	done = d2
 	if err != nil {
 		return done, err

@@ -183,9 +183,12 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 	rs.ScanTime = done - scanStart
 	a.crash.Hit("recover.scanned")
 
-	// 5. Materialize elide tables from the recovered elide relation.
-	//lint:ignore commitorder recovery baseline: the watermark is derived from state already read back from the log and checkpoint — nothing is applied that durable media does not hold
-	a.persistedSeq = a.seqs.Current()
+	// 5. Materialize elide tables from the recovered elide relation. The
+	// watermark covers state already read back from the log and checkpoint.
+	// The array is not yet published, so taking world waits on no one.
+	a.world.Lock()
+	a.advanceWatermark()
+	a.world.Unlock()
 	if _, err := a.pyr[relation.IDElide].Visit(done, nil, nil, true, func(f tuple.Fact) bool {
 		a.applyElideFact(f)
 		return true
@@ -204,8 +207,8 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 	//     every checkpoint persists NextSegment: an ID allocated before the
 	//     loaded checkpoint is below it.
 	//   - An addr or dedup fact created after that checkpoint reached its
-	//     pyramid only through an NVRAM record (append precedes apply, which
-	//     purity-lint's commitorder checks), and only a later checkpoint
+	//     pyramid only through an NVRAM record (append precedes apply: an
+	//     apply takes the record's receipt), and only a later checkpoint
 	//     trims the log: the records loop below bumps past every segment a
 	//     record names.
 	//   - The one fact no record names is one an earlier recovery's replay
@@ -246,7 +249,9 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 	logged, wholeLog := replayRecords(sh)
 	var records []replayRec
 	for _, r := range logged {
-		records = append(records, decodeRecord(r.Payload))
+		rec := decodeRecord(r.Payload)
+		rec.rc = r.Receipt()
+		records = append(records, rec)
 	}
 	for _, rec := range records {
 		if rec.err != nil {
@@ -307,8 +312,10 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 		}
 	}
 	a.crash.Hit("recover.replayed")
-	//lint:ignore commitorder recovery baseline after replay: every replayed fact came out of the NVRAM log itself, so the watermark claims nothing the log does not hold
-	a.persistedSeq = a.seqs.Current()
+	// Every replayed fact came out of the NVRAM log itself.
+	a.world.Lock()
+	a.advanceWatermark()
+	a.world.Unlock()
 
 	// 7b. Rebuild AU swaps. A rebuild commits each shard's SegmentAUs fact
 	// through NVRAM *before* copying data (fact-first), so the latest fact
@@ -535,13 +542,14 @@ func (a *Array) applyElideFact(f tuple.Fact) {
 
 // replayRec is one NVRAM record decoded for replay: by kind, the facts of
 // one relation or the chunks of a data write; or the reason the record is
-// malformed.
+// malformed. rc is the record's read-back receipt, which its applies take.
 type replayRec struct {
 	kind   byte
 	relID  uint32
 	facts  []tuple.Fact
 	chunks []writeChunk
 	err    error // wraps errBadRecord
+	rc     nvram.Receipt
 }
 
 // decodeRecord parses one NVRAM record. Undecodable bytes and unknown
@@ -580,8 +588,8 @@ func (a *Array) replayRecord(at sim.Time, rec replayRec) (sim.Time, error) {
 		for _, f := range rec.facts {
 			a.seqs.AdvanceTo(f.Seq)
 		}
-		//lint:ignore lockflow,commitorder recovery replay: single-threaded before the array is published, and every fact applied here was just read back out of the NVRAM log itself
-		if err := a.applyFactsLocked(rec.relID, rec.facts); err != nil {
+		//lint:ignore lockflow recovery replay: single-threaded before the array is published
+		if err := a.applyFactsLocked(rec.rc, rec.relID, rec.facts); err != nil {
 			return at, fmt.Errorf("%w: %v", errBadRecord, err)
 		}
 		return at, nil
@@ -609,12 +617,12 @@ func (a *Array) replayRecord(at sim.Time, rec replayRec) (sim.Time, error) {
 					ch.dedup[i] = relation.RemapDedup(ch.dedup[i], uint64(seg), uint64(off), physLen)
 				}
 			}
-			//lint:ignore lockflow,commitorder recovery replay: single-threaded before the array is published, and the remapped addr facts come from a record the NVRAM log already holds
-			if err := a.applyFactsLocked(relation.IDAddrs, []tuple.Fact{ch.addr}); err != nil {
+			//lint:ignore lockflow recovery replay: single-threaded before the array is published
+			if err := a.applyFactsLocked(rec.rc, relation.IDAddrs, []tuple.Fact{ch.addr}); err != nil {
 				return done, fmt.Errorf("%w: %v", errBadRecord, err)
 			}
-			//lint:ignore lockflow,commitorder recovery replay: single-threaded before the array is published, and the dedup facts come from a record the NVRAM log already holds
-			if err := a.applyFactsLocked(relation.IDDedup, ch.dedup); err != nil {
+			//lint:ignore lockflow recovery replay: single-threaded before the array is published
+			if err := a.applyFactsLocked(rec.rc, relation.IDDedup, ch.dedup); err != nil {
 				return done, fmt.Errorf("%w: %v", errBadRecord, err)
 			}
 		}

@@ -43,13 +43,13 @@ func (a *Array) CreateVolume(at sim.Time, name string, sizeBytes int64) (VolumeI
 	v := a.nextVolume
 	a.nextVolume++
 
-	done, err = a.commitFactsLocked(done, relation.IDMediums, []tuple.Fact{
+	_, done, err = a.commitFactsLocked(done, relation.IDMediums, []tuple.Fact{
 		relation.MediumRow{Source: m, Start: 0, End: sectors - 1, Target: relation.NoMedium, Status: relation.MediumRW}.Fact(a.seqs.Next()),
 	})
 	if err != nil {
 		return 0, done, err
 	}
-	done, err = a.commitFactsLocked(done, relation.IDVolumes, []tuple.Fact{
+	_, done, err = a.commitFactsLocked(done, relation.IDVolumes, []tuple.Fact{
 		relation.VolumeRow{Volume: v, Medium: m, SizeSectors: sectors, State: relation.VolumeActive, Name: name}.Fact(a.seqs.Next()),
 	})
 	if err != nil {
@@ -176,7 +176,7 @@ func (a *Array) Snapshot(at sim.Time, id VolumeID, name string) (VolumeID, sim.T
 		Source: newM, Start: 0, End: row.SizeSectors - 1,
 		Target: oldM, TargetOff: 0, Status: relation.MediumRW,
 	}.Fact(a.seqs.Next()))
-	if done, err = a.commitFactsLocked(done, relation.IDMediums, mediumFacts); err != nil {
+	if _, done, err = a.commitFactsLocked(done, relation.IDMediums, mediumFacts); err != nil {
 		return 0, done, err
 	}
 
@@ -184,7 +184,7 @@ func (a *Array) Snapshot(at sim.Time, id VolumeID, name string) (VolumeID, sim.T
 		relation.VolumeRow{Volume: snapID, Medium: oldM, SizeSectors: row.SizeSectors, State: relation.VolumeSnapshot, Name: name}.Fact(a.seqs.Next()),
 		relation.VolumeRow{Volume: row.Volume, Medium: newM, SizeSectors: row.SizeSectors, State: relation.VolumeActive, Name: row.Name}.Fact(a.seqs.Next()),
 	}
-	if done, err = a.commitFactsLocked(done, relation.IDVolumes, volFacts); err != nil {
+	if _, done, err = a.commitFactsLocked(done, relation.IDVolumes, volFacts); err != nil {
 		return 0, done, err
 	}
 	done, err = a.maybeBackgroundLocked(done)
@@ -213,7 +213,7 @@ func (a *Array) Clone(at sim.Time, snapID VolumeID, name string) (VolumeID, sim.
 	v := a.nextVolume
 	a.nextVolume++
 
-	if done, err = a.commitFactsLocked(done, relation.IDMediums, []tuple.Fact{
+	if _, done, err = a.commitFactsLocked(done, relation.IDMediums, []tuple.Fact{
 		relation.MediumRow{
 			Source: newM, Start: 0, End: row.SizeSectors - 1,
 			Target: row.Medium, TargetOff: 0, Status: relation.MediumRW,
@@ -221,7 +221,7 @@ func (a *Array) Clone(at sim.Time, snapID VolumeID, name string) (VolumeID, sim.
 	}); err != nil {
 		return 0, done, err
 	}
-	if done, err = a.commitFactsLocked(done, relation.IDVolumes, []tuple.Fact{
+	if _, done, err = a.commitFactsLocked(done, relation.IDVolumes, []tuple.Fact{
 		relation.VolumeRow{Volume: v, Medium: newM, SizeSectors: row.SizeSectors, State: relation.VolumeActive, Name: name}.Fact(a.seqs.Next()),
 	}); err != nil {
 		return 0, done, err
@@ -244,7 +244,7 @@ func (a *Array) Delete(at sim.Time, id VolumeID) (sim.Time, error) {
 	if err != nil {
 		return done, err
 	}
-	if done, err = a.commitFactsLocked(done, relation.IDVolumes, []tuple.Fact{
+	if _, done, err = a.commitFactsLocked(done, relation.IDVolumes, []tuple.Fact{
 		relation.VolumeRow{Volume: row.Volume, Medium: row.Medium, SizeSectors: row.SizeSectors, State: relation.VolumeDeleted, Name: row.Name}.Fact(a.seqs.Next()),
 	}); err != nil {
 		return done, err
@@ -271,5 +271,6 @@ func (a *Array) elideMediumLocked(at sim.Time, m uint64) (sim.Time, error) {
 	for i, r := range rows {
 		facts[i] = r.Fact(a.seqs.Next())
 	}
-	return a.commitFactsLocked(at, relation.IDElide, facts)
+	_, done, err := a.commitFactsLocked(at, relation.IDElide, facts)
+	return done, err
 }

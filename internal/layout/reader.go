@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"purity/internal/erasure"
+	"purity/internal/nvram"
 	"purity/internal/sim"
 	"purity/internal/ssd"
 )
@@ -659,8 +660,14 @@ func (r *Reader) VerifyShard(at sim.Time, info SegmentInfo, slot int) (bool, sim
 // drive sees a pure sequential append, followed by the shard's AU trailer.
 // Rebuild uses it to place a reconstructed shard on a replacement drive;
 // the caller supplies a trailer whose Shard/AUs fields reflect the new
-// placement.
-func RewriteShard(at sim.Time, cfg Config, drive *ssd.Device, au AU, t AUTrailer, wus [][]byte) (sim.Time, error) {
+// placement. rc is the receipt of the NVRAM record that committed the
+// placement swap: the copy follows that commit, so after a crash mid-copy
+// the committed swap names the AU, and verified reads repair it. It panics
+// on the zero receipt.
+func RewriteShard(rc nvram.Receipt, at sim.Time, cfg Config, drive *ssd.Device, au AU, t AUTrailer, wus [][]byte) (sim.Time, error) {
+	if !rc.Valid() {
+		panic("layout: shard rewritten without the receipt of its placement-swap commit")
+	}
 	done := at
 	base := au.Offset(cfg)
 	for s, wu := range wus {

@@ -68,9 +68,9 @@ type graphFunc struct {
 	// goroutine: resolved direct calls outside `go` statements, plus
 	// literals that provably run before return (deferred or immediately
 	// invoked). Work spawned with `go` is excluded — a goroutine that
-	// acquires mu while its spawner holds mu is not a lock-order edge, and
-	// an async commit does not dominate anything. The ordering-sensitive
-	// summaries (lockorder, commitorder) propagate along these edges only.
+	// acquires mu while its spawner holds mu is not a lock-order edge. The
+	// ordering-sensitive summary, lockorder's, propagates along these
+	// edges only.
 	syncCallees []funcNode
 }
 
@@ -192,8 +192,7 @@ func (cg *callGraph) collectEdges(gf *graphFunc, modPath string) {
 }
 
 // unionFixpoint solves a monotone union problem over the graph — the shape
-// of every may-effect summary (lock effects, commit reachability, lock
-// acquisition sets). edges picks the edge set effects travel along;
+// of every may-effect summary (lock effects, lock acquisition sets). edges picks the edge set effects travel along;
 // absorb(n, callee) folds the callee's facts into n's and reports whether
 // n's grew, and the callers of a node that grew are revisited until nothing
 // changes. Facts only grow, so recursion converges exactly. The visit order
@@ -231,30 +230,6 @@ func (cg *callGraph) unionFixpoint(edges func(*graphFunc) []funcNode, absorb fun
 				}
 			}
 		}
-	}
-}
-
-// postorder calls visit on every node after the nodes its edges reach —
-// callees before callers, the order of every summary that consults its
-// callees' finished summaries. A cycle is cut where the walk re-enters a
-// node still in progress, so that callee's summary is not finished yet
-// when its caller is visited. Dangling callees (no body) are skipped.
-func (cg *callGraph) postorder(edges func(*graphFunc) []funcNode, visit func(gf *graphFunc)) {
-	seen := map[funcNode]bool{}
-	var walk func(n funcNode)
-	walk = func(n funcNode) {
-		gf := cg.funcs[n]
-		if gf == nil || seen[n] {
-			return
-		}
-		seen[n] = true
-		for _, c := range edges(gf) {
-			walk(c)
-		}
-		visit(gf)
-	}
-	for _, n := range cg.order {
-		walk(n)
 	}
 }
 

@@ -42,9 +42,8 @@ func (sol *Solution[S]) Reached(blk *Block) bool {
 }
 
 // maxVisitsPerBlock bounds fixpoint iteration. The rule lattices are
-// finite (lock modes per mutex chain, commitorder's appended bit), so the
-// bound is a backstop against a non-monotone Problem bug, not a limit
-// reached in practice.
+// finite (lock modes per mutex chain), so the bound is a backstop against
+// a non-monotone Problem bug, not a limit reached in practice.
 const maxVisitsPerBlock = 64
 
 // Solve runs the worklist to fixpoint and returns the per-block states.

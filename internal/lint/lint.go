@@ -52,8 +52,8 @@ func (r *Reporter) Reportf(rule string, pos token.Pos, format string, args ...an
 // DefaultRules returns the full rule set in reporting order. goroutinelife
 // is scoped to the HA front end (the packages whose goroutines hold
 // connections and admission slots) and to internal/core, whose lanes run
-// goroutines; commitorder to internal/core. Fixture loads construct them
-// with a nil Scope to run everywhere.
+// goroutines. Fixture loads construct it with a nil Scope to run
+// everywhere.
 func DefaultRules() []Rule {
 	return []Rule{
 		&LockFlow{},
@@ -61,7 +61,6 @@ func DefaultRules() []Rule {
 		&ErrDrop{},
 		&GoroutineLife{Scope: []string{"internal/server", "internal/controller", "internal/client", "internal/core"}},
 		&LockOrder{},
-		&CommitOrder{Scope: []string{"internal/core"}},
 	}
 }
 
@@ -72,11 +71,7 @@ func DefaultRules() []Rule {
 // disable a check.
 func Run(prog *Program, rules []Rule) []Diagnostic {
 	rep := &Reporter{fset: prog.Fset}
-	// The suppression table exists before any rule prepares: commitorder
-	// discharges suppressed obligations while it builds its summaries and
-	// marks the entry it used here, so summaries are rebuilt per Run.
-	prog.ignores = collectSuppressions(prog, rules, rep)
-	prog.sums = nil
+	ignores := collectSuppressions(prog, rules, rep)
 	for _, r := range rules {
 		if p, ok := r.(preparer); ok {
 			p.Prepare(prog)
@@ -92,11 +87,11 @@ func Run(prog *Program, rules []Rule) []Diagnostic {
 	}
 	var out []Diagnostic
 	for _, d := range rep.diags {
-		if !prog.ignores.use(d.Pos, d.Rule) {
+		if !ignores.use(d.Pos, d.Rule) {
 			out = append(out, d)
 		}
 	}
-	out = append(out, auditStale(prog.ignores)...)
+	out = append(out, auditStale(ignores)...)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -124,9 +119,9 @@ func Run(prog *Program, rules []Rule) []Diagnostic {
 
 // supEntry is one (comment, rule) pair. A comma list makes one entry per
 // named rule, all sharing the comment position. used flips when the entry
-// suppresses a diagnostic (or discharged one at summary time); active
-// entries that never fire are reported as stale by auditStale, so a
-// suppression cannot outlive the finding it was written for.
+// suppresses a diagnostic; active entries that never fire are reported as
+// stale by auditStale, so a suppression cannot outlive the finding it was
+// written for.
 type supEntry struct {
 	pos    token.Position
 	rule   string
@@ -141,8 +136,7 @@ type suppressions struct {
 }
 
 // use marks the entry suppressing rule at pos as used and reports whether
-// there is one: Run asks it of every diagnostic, commitorder of every
-// obligation it discharges at summary time.
+// there is one: Run asks it of every diagnostic.
 func (s suppressions) use(pos token.Position, rule string) bool {
 	e := s.byLine[pos.Filename][pos.Line][rule]
 	if e == nil {
@@ -226,9 +220,8 @@ func eachIgnore(pkg *Package, fn func(c *ast.Comment, names []string)) {
 }
 
 // auditStale reports every active suppression entry that was never used
-// this run: the rule it names ran and stayed silent at that position (and,
-// for commitorder, discharged nothing there at summary time), so the
-// comment documents an exception that no longer exists. Entries are
+// this run: the rule it names ran and stayed silent at that position, so
+// the comment documents an exception that no longer exists. Entries are
 // judged one rule at a time, so a live rule on a comma list does not vouch
 // for a stale one. Stale reports carry the pseudo-rule "ignore" and are
 // appended after suppression filtering, so a stale comment cannot

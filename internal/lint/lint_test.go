@@ -109,21 +109,12 @@ func TestGoroutineLifeFixture(t *testing.T) {
 
 func TestLockOrderFixture(t *testing.T) { runFixture(t, "lockorder", []Rule{&LockOrder{}}) }
 
-func TestCommitOrderFixture(t *testing.T) { runFixture(t, "commitorder", []Rule{&CommitOrder{}}) }
-
-// TestCommitOrderRevertFixture pins the lane-commit hoist hazard: if the
-// per-lane apply is ever moved above the NVRAM append (the shape this
-// fixture reconstructs), the lint gate fails the build.
-func TestCommitOrderRevertFixture(t *testing.T) {
-	runFixture(t, "commitorderrevert", []Rule{&CommitOrder{}})
-}
-
 // TestStaleIgnoreFixture runs the stale-suppression audit: a suppression
 // whose rule no longer fires at that position is itself reported, one rule
-// at a time — a commitorder entry discharged at summary time does not keep
-// a stale errdrop entry on the same comment alive.
+// at a time — a live lockflow entry does not keep a stale errdrop entry on
+// the same comment alive.
 func TestStaleIgnoreFixture(t *testing.T) {
-	runFixture(t, "staleignore", []Rule{&CommitOrder{}, &ErrDrop{}})
+	runFixture(t, "staleignore", []Rule{&LockFlow{}, &ErrDrop{}})
 }
 
 // TestLockOrderDeclFixture checks the declaration diagnostics, which all

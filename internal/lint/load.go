@@ -49,8 +49,7 @@ type Program struct {
 	Pkgs    []*Package // in type-check (dependency) order
 	ByPath  map[string]*Package
 
-	sums    *summaries   // lazily-built interprocedural summary table (summary.go)
-	ignores suppressions // the current Run's //lint:ignore table (lint.go)
+	sums *summaries // lazily-built interprocedural summary table (summary.go)
 }
 
 // FindModuleRoot walks up from dir to the directory holding go.mod and

@@ -43,8 +43,9 @@ import (
 //     disagrees with its actual body becomes a finding, not a blind spot;
 //   - durable I/O (nvram.Append, ssd.WriteAt, ssd.Erase) issued while a
 //     write lock is held: the latency invariant PR 1's prepare/commit
-//     split fought for. The intentional exception — the NVRAM append that
-//     IS the commit point — carries a //lint:ignore with its reason.
+//     split fought for. The check is per body, not through calls: the
+//     NVRAM append at the commit point runs in a function that holds
+//     nothing on entry, so it needs no exception.
 //
 // Joins are deliberately lossy toward silence: a mutex held on only some
 // incoming paths goes to lockSome, and no check fires on lockSome, so
@@ -92,7 +93,7 @@ func (lf *LockFlow) Check(prog *Program, pkg *Package, rep *Reporter) {
 	}
 }
 
-// lockBody is one body's solved lock lattice: solved once per Run, then
+// lockBody is one body's solved lock lattice: solved once per Program, then
 // replayed by lockflow to report and by lockorder to collect edges.
 type lockBody struct {
 	p   *lockProblem

@@ -35,7 +35,7 @@ type funcSummary struct {
 	foreverLoops []token.Pos
 }
 
-// summaries is the whole-program summary table, built once per Run and
+// summaries is the whole-program summary table, built once per Program and
 // shared by every rule that implements preparer.
 type summaries struct {
 	prog *Program
@@ -49,9 +49,6 @@ type summaries struct {
 	// lg caches the module lock-order graph (lockgraph.go), built on first
 	// use by the lockorder rule or the -graph exporter.
 	lg *lockGraph
-
-	// commit caches the durability-ordering summaries (commitorder.go).
-	commit map[funcNode]*commitSummary
 }
 
 // summaries builds (once) and returns the program's summary table.

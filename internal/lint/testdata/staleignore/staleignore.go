@@ -9,9 +9,7 @@ package fixstaleignore
 
 import (
 	"errors"
-
-	"purity/internal/pyramid"
-	"purity/internal/tuple"
+	"sync"
 )
 
 func fail() error { return errors.New("boom") }
@@ -30,11 +28,18 @@ func fixed() error {
 	return fail()
 }
 
-// replayed applies facts the log already holds. The commitorder entry is
-// live — it discharges the apply below at summary time, before any
-// diagnostic exists to match — but nothing here drops an error, so the
-// errdrop entry beside it is stale all the same.
-func replayed(p *pyramid.Pyramid, facts []tuple.Fact) error {
-	//lint:ignore commitorder,errdrop fixture: replayed from the log // want "stale //lint:ignore"
-	return p.Insert(facts)
+type box struct {
+	mu sync.Mutex
+	n  int
+}
+
+// bump adds one. Caller holds mu.
+func (b *box) bump() { b.n++ }
+
+// unshared calls bump without the lock, which lockflow reports. The
+// lockflow entry is live, but nothing here drops an error, so the errdrop
+// entry beside it is stale all the same.
+func (b *box) unshared() {
+	//lint:ignore lockflow,errdrop fixture: the box is not yet shared // want "stale //lint:ignore"
+	b.bump()
 }

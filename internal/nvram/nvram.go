@@ -57,6 +57,26 @@ type Record struct {
 	Payload []byte
 }
 
+// Receipt is the proof that a record is in the log: Append returns one for
+// the record it persisted, and Record.Receipt returns one for a record read
+// back from the log. These are its only constructors, and its zero value
+// proves nothing, for LSN 0 too, so a function that may only run after a
+// record's append takes its Receipt and rejects the zero value.
+type Receipt struct {
+	lsn   LSN
+	valid bool
+}
+
+// LSN returns the record's LSN.
+func (r Receipt) LSN() LSN { return r.lsn }
+
+// Valid reports whether r came from an append or a read-back, rather than
+// being the zero value.
+func (r Receipt) Valid() bool { return r.valid }
+
+// Receipt returns the proof that r is in the log it was read back from.
+func (r Record) Receipt() Receipt { return Receipt{lsn: r.LSN, valid: true} }
+
 const recordOverhead = 8 // uint32 length + uint32 crc
 
 // Device is one NVRAM log. It is dual-ported: both controllers hold a
@@ -87,22 +107,22 @@ func New(cfg Config) (*Device, error) {
 	return &Device{cfg: cfg}, nil
 }
 
-// Append persists payload as one record, returning its LSN and the simulated
-// completion time. The payload is copied. Append fails with ErrFull when the
+// Append persists payload as one record, returning its receipt and the
+// simulated completion time. The payload is copied. Append fails with ErrFull when the
 // log has no room; callers must Release old records (after flushing them to
 // segments) to make space.
-func (d *Device) Append(at sim.Time, payload []byte) (LSN, sim.Time, error) {
+func (d *Device) Append(at sim.Time, payload []byte) (Receipt, sim.Time, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.failed {
-		return 0, at, ErrFailed
+		return Receipt{}, at, ErrFailed
 	}
 	need := int64(len(payload)) + recordOverhead
 	if need > d.cfg.Capacity {
-		return 0, at, ErrTooLarge
+		return Receipt{}, at, ErrTooLarge
 	}
 	if d.used+need > d.cfg.Capacity {
-		return 0, at, ErrFull
+		return Receipt{}, at, ErrFull
 	}
 	if len(payload) > cap(d.log)-len(d.log) {
 		// Double, up to the device's capacity: a log that grows to its
@@ -117,12 +137,12 @@ func (d *Device) Append(at sim.Time, payload []byte) (LSN, sim.Time, error) {
 	d.ends = append(d.ends, len(d.log))
 	d.used += need
 	d.appends++
-	lsn := d.base + LSN(len(d.ends)-1)
+	rc := Receipt{lsn: d.base + LSN(len(d.ends)-1), valid: true}
 
 	start := sim.Max(at, d.busy)
 	done := start + d.cfg.PersistLatency + sim.Time(int64(d.cfg.PerByte)*int64(len(payload)))
 	d.busy = done
-	return lsn, done, nil
+	return rc, done, nil
 }
 
 // Release discards all records with LSN < upTo, freeing their space. It is

@@ -21,16 +21,46 @@ func newDevice(t *testing.T) *Device {
 func TestAppendAssignsDenseLSNs(t *testing.T) {
 	d := newDevice(t)
 	for i := 0; i < 10; i++ {
-		lsn, _, err := d.Append(0, []byte{byte(i)})
+		rc, _, err := d.Append(0, []byte{byte(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lsn != LSN(i) {
-			t.Fatalf("append %d got LSN %d", i, lsn)
+		if rc.LSN() != LSN(i) {
+			t.Fatalf("append %d got LSN %d", i, rc.LSN())
 		}
 	}
 	if d.Head() != 10 {
 		t.Fatalf("Head = %d, want 10", d.Head())
+	}
+}
+
+// TestReceiptRoundTrip: Append's receipt names the record's LSN, the
+// record read back hands out an equal receipt, and neither the zero value
+// nor a failed append's receipt is valid.
+func TestReceiptRoundTrip(t *testing.T) {
+	d := newDevice(t)
+	var rcs []Receipt
+	for _, p := range []string{"alpha", "beta"} {
+		rc, _, err := d.Append(0, []byte(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rcs = append(rcs, rc)
+	}
+	for i, r := range d.Records() {
+		if !rcs[i].Valid() || rcs[i].LSN() != r.LSN {
+			t.Fatalf("append %d: receipt %+v, record LSN %d", i, rcs[i], r.LSN)
+		}
+		if r.Receipt() != rcs[i] {
+			t.Fatalf("record %d: read-back receipt %+v, append's %+v", i, r.Receipt(), rcs[i])
+		}
+	}
+	if (Receipt{}).Valid() {
+		t.Fatal("the zero receipt is valid")
+	}
+	d.Fail()
+	if rc, _, err := d.Append(0, []byte("gamma")); err != ErrFailed || rc.Valid() {
+		t.Fatalf("append to a failed device: receipt %+v, err %v", rc, err)
 	}
 }
 
