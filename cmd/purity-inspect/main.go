@@ -6,6 +6,7 @@
 //
 // With -health it instead tells the drive-failure story: latent corruption
 // is injected and scrubbed away, one drive is pulled, replaced and rebuilt,
+// the rebuilt array passes the engine's consistency check (Array.Check),
 // and the per-drive health table and the stats document are dumped at the
 // end.
 //
@@ -119,7 +120,7 @@ func main() {
 	fmt.Println("\n=== segment inventory ===")
 	fmt.Printf("%-6s %-8s %-8s %s\n", "ID", "sealed", "stripes", "AUs")
 	for _, s := range arr.Segments() {
-		fmt.Printf("%-6d %-8v %-8d %d\n", s.ID, s.Sealed, s.Stripes, s.AUs)
+		fmt.Printf("%-6d %-8v %-8d %d\n", s.ID, s.Sealed, s.Stripes, len(s.AUs))
 	}
 
 	fmt.Println("\n=== pyramid (LSM) row counts per relation ===")
@@ -134,8 +135,9 @@ func main() {
 }
 
 // inspectHealth runs the drive-failure lifecycle — latent corruption,
-// scrub, a pulled drive, replacement and online rebuild — then dumps the
-// per-drive health table and every repair counter.
+// scrub, a pulled drive, replacement and online rebuild — checks the
+// rebuilt array's invariants, then dumps the per-drive health table and
+// every repair counter.
 func inspectHealth(arr *core.Array) {
 	now := sim.Time(0)
 	vol, now, err := arr.CreateVolume(now, "health-demo", 64<<20)
@@ -159,6 +161,9 @@ func inspectHealth(arr *core.Array) {
 	check(err)
 	fmt.Printf("rebuild drive %d: %d segments, %d write units, %d MiB reconstructed, %d intact\n",
 		victim, rrep.SegmentsRebuilt, rrep.WriteUnitsMoved, rrep.BytesMoved>>20, rrep.SkippedIntact)
+	now, err = arr.Check(now)
+	check(err)
+	fmt.Println("check: every structural invariant holds")
 
 	// Light read traffic after the lifecycle so the read-path counters show
 	// the verified-read machinery at work.

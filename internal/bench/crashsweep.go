@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"purity/internal/core"
+	"purity/internal/crashsweep"
 )
 
 // runCS is the opt-in crash-consistency sweep: the exhaustive counterpart
@@ -12,11 +12,12 @@ import (
 // the deterministic mixed workload, then for every named crash point
 // simulates a hard crash at each pass of that point (full run) or a
 // bounded sample (-quick), recovers from the shared shelf — twice — and
-// verifies the array against a flat model plus structural invariants. Any
-// failure prints the seed, lane count, point and hit count for a
-// one-command reproduction under TestCrashSweep.
+// holds the array to core.Array.Check and a flat model. Any failure prints
+// the seed, lane count, point and hit count for a one-command reproduction
+// under TestCrashSweep, which runs in internal/core's external test
+// package.
 func runCS(o Options) error {
-	for _, lanes := range core.SweepLanes {
+	for _, lanes := range crashsweep.Lanes {
 		fmt.Fprintf(o.Out, "=== lanes = %d ===\n", lanes)
 		if err := runCSLanes(o, lanes); err != nil {
 			return err
@@ -26,7 +27,7 @@ func runCS(o Options) error {
 }
 
 func runCSLanes(o Options, lanes int) error {
-	opts := core.SweepOptions{
+	opts := crashsweep.Options{
 		Seed:            o.Seed,
 		Lanes:           lanes,
 		MaxHitsPerPoint: 0, // exhaustive: every (point, hit) pair
@@ -39,7 +40,7 @@ func runCSLanes(o Options, lanes int) error {
 		opts.MaxHitsPerPoint = 4
 	}
 
-	rep, err := core.RunCrashSweep(opts)
+	rep, err := crashsweep.Run(opts)
 	if err != nil {
 		return err
 	}

@@ -16,7 +16,8 @@ import (
 // goroutines against a flat byte model, then crash-recover and verify
 // byte for byte. Run under -race by scripts/check.sh. (The crash window
 // between a write's NVRAM append and its apply is swept by
-// TestCrashSweep/lanes=L/lane.apply.before, which requires the write to
+// TestCrashSweep/lanes=L/lane.apply.before in this directory's external
+// test package, over internal/crashsweep, which requires the write to
 // survive.)
 
 func laneTestConfig(lanes int) Config {

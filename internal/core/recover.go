@@ -225,8 +225,8 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 	// a patch sealed since the checkpoint may name a data segment that was
 	// open at the crash and that nothing else names. Only then does recovery
 	// fall back to scanning every addrs/dedup version (scanSegmentRefs) —
-	// most of recovery's CPU when it runs. checkSegmentBound runs the same
-	// scan as the crash sweep's oracle.
+	// most of recovery's CPU when it runs. Check runs the same scan as an
+	// invariant.
 	bumpSeg := func(id uint64) {
 		if id >= a.nextSegment {
 			a.nextSegment = id + 1
@@ -479,6 +479,13 @@ func OpenAt(cfg Config, sh *shelf.Shelf, at sim.Time, fullScan bool) (*Array, Re
 		}
 	}
 
+	// Recovery advanced the watermark once replay was done and issues no
+	// seq after it: every fact it holds came from the checkpoint, a patch
+	// or the log.
+	if current := a.seqs.Current(); a.persistedSeq != current {
+		return nil, rs, fmt.Errorf("core: recovery issued a seq past its watermark: persisted %d, current %d", a.persistedSeq, current)
+	}
+
 	rs.TotalTime = done - at
 	return a, rs, nil
 }
@@ -511,8 +518,8 @@ func replayRecords(sh *shelf.Shelf) (recs []nvram.Record, survived bool) {
 // scanSegmentRefs calls fn with the segment every addrs and dedup version
 // names — live, shadowed or stale — until fn returns false. The fact is
 // borrowed (pyramid.Visit): valid only during fn. Recovery runs it only
-// when the NVRAM log cannot bound segment IDs (step 6); checkSegmentBound
-// runs it as the crash sweep's oracle.
+// when the NVRAM log cannot bound segment IDs (step 6); Check runs it as an
+// invariant.
 func (a *Array) scanSegmentRefs(at sim.Time, fn func(relID uint32, f tuple.Fact, seg uint64) bool) error {
 	for _, rel := range []struct {
 		id  uint32

@@ -200,7 +200,7 @@ func TestRemappedFactSurvivesSecondCrash(t *testing.T) {
 	if y := a2.slots[classData].w.Info().ID; y <= x {
 		t.Fatalf("second recovery replayed into segment %d, reusing an ID at or below X = %d", y, x)
 	}
-	if err := a2.checkSegmentBound(now); err != nil {
+	if _, err := a2.Check(now); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := a2.ReadAt(now, vol, 0, len(data))
@@ -286,7 +286,7 @@ func (c laneSegmentsCrash) recoverAndCheck(t *testing.T, want [2][]byte) *Array 
 	if a2.nextSegment <= uint64(c.segs[1]) {
 		t.Fatalf("nextSegment %d after recovery, want > S2 = %d", a2.nextSegment, c.segs[1])
 	}
-	if err := a2.checkSegmentBound(c.now); err != nil {
+	if _, err := a2.Check(c.now); err != nil {
 		t.Fatal(err)
 	}
 	c.readBack(t, a2, want)
@@ -380,7 +380,7 @@ func TestSegmentBoundWithoutWholeLog(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := a2.checkSegmentBound(now); err != nil {
+			if _, err := a2.Check(now); err != nil {
 				t.Fatal(err)
 			}
 			c.readBack(t, a2, want)

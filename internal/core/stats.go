@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"purity/internal/elide"
+	"purity/internal/layout"
 	"purity/internal/relation"
 	"purity/internal/sim"
 	"purity/internal/ssd"
@@ -143,7 +145,7 @@ type SegmentInventory struct {
 	ID      uint64
 	Sealed  bool
 	Stripes int
-	AUs     int
+	AUs     []layout.AU // shard slot order
 }
 
 // Segments returns the segment inventory sorted by ID.
@@ -154,7 +156,7 @@ func (a *Array) Segments() []SegmentInventory {
 	for id := range a.segMap {
 		info, _ := a.segInfo(id)
 		out = append(out, SegmentInventory{
-			ID: uint64(id), Sealed: info.Sealed, Stripes: info.Stripes, AUs: len(info.AUs),
+			ID: uint64(id), Sealed: info.Sealed, Stripes: info.Stripes, AUs: slices.Clone(info.AUs),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

@@ -1,11 +1,10 @@
-package core
-
-// Crash-point sweep: systematic crash-consistency enumeration.
+// Package crashsweep is the crash-point sweep: systematic crash-consistency
+// enumeration over the engine's exported API.
 //
 // Purity's correctness claim is logical monotonicity — recovery is a set
 // union of immutable facts, so a hard crash at *any* instant in the
 // write/commit/checkpoint/GC path must recover to a correct array (§3.2,
-// §4.3 of the paper). This file turns that claim into a checked property:
+// §4.3 of the paper). This package turns that claim into a checked property:
 //
 //  1. Census: run a deterministic mixed workload (writes, overwrites,
 //     snapshots, clones, deletes, GC, dedup, checkpoints, reopens) with a
@@ -15,8 +14,9 @@ package core
 //     workload with the registry armed to panic at exactly that pass —
 //     a simulated power loss. Everything on the simulated devices
 //     survives; the Array instance (all DRAM state) is abandoned.
-//  3. Recover and verify: reopen from the shared shelf and check the
-//     full array against a flat model, plus structural invariants.
+//  3. Recover and verify: reopen from the shared shelf, run the array's
+//     own consistency checker (core.Array.Check), and check the full
+//     array against a flat model.
 //
 // The only tolerated divergence is the single in-flight operation — it
 // never acknowledged, so it may be wholly present or wholly absent.
@@ -24,25 +24,23 @@ package core
 // seed, point id and hit count needed to reproduce in one command:
 //
 //	go test -run 'TestCrashSweep/lanes=L/<point>/hit=N' ./internal/core/
+package crashsweep
 
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
+	"purity/internal/core"
 	"purity/internal/crashpoint"
-	"purity/internal/layout"
-	"purity/internal/relation"
 	"purity/internal/shelf"
 	"purity/internal/sim"
-	"purity/internal/tuple"
 )
 
-// SweepOptions configures a crash sweep. The zero value gets defaults from
-// withDefaults.
-type SweepOptions struct {
+// Options configures a crash sweep. The zero value gets defaults from
+// WithDefaults.
+type Options struct {
 	Seed  uint64 // workload RNG seed
 	Ops   int    // workload steps per run
 	Lanes int    // commit lanes the swept array runs with (default 1)
@@ -63,7 +61,8 @@ type SweepOptions struct {
 	Log func(format string, args ...any) // optional progress sink
 }
 
-func (o SweepOptions) withDefaults() SweepOptions {
+// WithDefaults fills the zero fields: the default seed, 80 steps, one lane.
+func (o Options) WithDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 20260806
 	}
@@ -76,41 +75,41 @@ func (o SweepOptions) withDefaults() SweepOptions {
 	return o
 }
 
-func (o SweepOptions) logf(format string, args ...any) {
+func (o Options) logf(format string, args ...any) {
 	if o.Log != nil {
 		o.Log(format, args...)
 	}
 }
 
-// SweepFailure is one (point, hit) case that did not recover to model
+// Failure is one (point, hit) case that did not recover to model
 // equivalence.
-type SweepFailure struct {
+type Failure struct {
 	Point string
 	Hit   int
 	Err   string
 }
 
-// SweepReport summarizes a full sweep.
-type SweepReport struct {
+// Report summarizes a full sweep.
+type Report struct {
 	Seed     uint64
 	Lanes    int
 	Census   map[string]int // point -> hits per workload run
 	Points   int            // distinct points
 	Cases    int            // (point, hit) cases executed
-	Failures []SweepFailure
+	Failures []Failure
 }
 
-// SweepLanes are the commit-lane counts every sweep runs at: the one-lane
+// Lanes are the commit-lane counts every sweep runs at: the one-lane
 // case and the count purity-server, purity-inspect and the benchmark use.
-var SweepLanes = []int{1, 4}
+var Lanes = []int{1, 4}
 
-// SweepEngineConfig is the array configuration the sweep workload runs
+// EngineConfig is the array configuration the sweep workload runs
 // under: small and aggressive, so every background mechanism (flush,
 // merge, checkpoint, frontier refill, GC evacuation) triggers within a
 // short workload. lanes is the commit-lane count: the sweep runs the one
 // write path at one lane and at the count the server ships with.
-func SweepEngineConfig(lanes int) Config {
-	cfg := TestConfig()
+func EngineConfig(lanes int) core.Config {
+	cfg := core.TestConfig()
 	cfg.CommitLanes = lanes
 	cfg.Shelf.DriveConfig.Capacity = 160 * cfg.Layout.AUSize()
 	cfg.BackgroundEvery = 6
@@ -145,7 +144,7 @@ const (
 // name; IDs are recorded once the engine returns them.
 type sweepVol struct {
 	name    string
-	id      VolumeID
+	id      core.VolumeID
 	data    []byte
 	snap    bool
 	deleted bool
@@ -159,7 +158,7 @@ type sweepVol struct {
 type sweepPending struct {
 	kind string // "", "write", "create", "snapshot", "clone", "delete"
 	// durable: the crash point sits after the NVRAM append (set by
-	// RunCrashCase), so replay must land the op.
+	// RunCase), so replay must land the op.
 	durable bool
 	vol     string // target volume name (write/snapshot source/delete)
 	name    string // new volume name (create/snapshot/clone)
@@ -170,8 +169,8 @@ type sweepPending struct {
 
 // sweepRun is one workload execution against one freshly formatted shelf.
 type sweepRun struct {
-	cfg     Config
-	a       *Array
+	cfg     core.Config
+	a       *core.Array
 	sh      *shelf.Shelf
 	now     sim.Time
 	r       *sim.Rand
@@ -179,8 +178,8 @@ type sweepRun struct {
 	pending sweepPending
 }
 
-func newSweepRun(cfg Config, seed uint64) (*sweepRun, error) {
-	a, err := Format(cfg)
+func newSweepRun(cfg core.Config, seed uint64) (*sweepRun, error) {
+	a, err := core.Format(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -297,7 +296,7 @@ func (run *sweepRun) workload(ops int) error {
 		default:
 			// Clean crash + reopen: exercises recovery (and, when a
 			// recover.* point is armed, crash-during-recovery).
-			a2, _, err := OpenAt(run.cfg, run.sh, run.now, false)
+			a2, _, err := core.OpenAt(run.cfg, run.sh, run.now, false)
 			if err != nil {
 				return fmt.Errorf("step %d: reopen: %w", step, err)
 			}
@@ -390,21 +389,22 @@ func (run *sweepRun) opDriveLifecycle() error {
 // and repair. Only sealed segments are targeted: their trailer CRCs are
 // what makes the damage detectable shard-by-shard.
 func (run *sweepRun) opCorrupt() {
-	a := run.a
-	a.mu.Lock()
-	ids := a.sealedIDsLocked()
-	if len(ids) == 0 {
-		a.mu.Unlock()
+	var sealed []core.SegmentInventory
+	for _, seg := range run.a.Segments() {
+		if seg.Sealed {
+			sealed = append(sealed, seg)
+		}
+	}
+	if len(sealed) == 0 {
 		return
 	}
-	info := a.segMap[ids[run.r.Intn(len(ids))]]
-	a.mu.Unlock()
-	if info.Stripes == 0 {
+	seg := sealed[run.r.Intn(len(sealed))]
+	if seg.Stripes == 0 {
 		return
 	}
-	au := info.AUs[run.r.Intn(len(info.AUs))]
+	au := seg.AUs[run.r.Intn(len(seg.AUs))]
 	drv := run.sh.Drive(au.Drive)
-	s := run.r.Intn(info.Stripes)
+	s := run.r.Intn(seg.Stripes)
 	off := au.Offset(run.cfg.Layout) + int64(s)*int64(run.cfg.Layout.WriteUnit) +
 		int64(run.r.Intn(run.cfg.Layout.WriteUnit))
 	drv.FlipBit(off, uint(run.r.Intn(8)))
@@ -422,10 +422,10 @@ func (run *sweepRun) opDelete(v *sweepVol) error {
 	return nil
 }
 
-// verify checks a recovered array against the model: structural
-// invariants first, then full content of every volume.
-func (run *sweepRun) verify(a *Array) error {
-	if err := run.checkInvariants(a); err != nil {
+// verify checks a recovered array against the model: the array's own
+// invariants first (core.Array.Check), then full content of every volume.
+func (run *sweepRun) verify(a *core.Array) error {
+	if _, err := a.Check(run.now); err != nil {
 		return err
 	}
 
@@ -434,7 +434,7 @@ func (run *sweepRun) verify(a *Array) error {
 		return fmt.Errorf("listing volumes: %w", err)
 	}
 	run.now = d
-	byName := make(map[string]VolumeInfo, len(infos))
+	byName := make(map[string]core.VolumeInfo, len(infos))
 	for _, info := range infos {
 		if _, dup := byName[info.Name]; dup {
 			return fmt.Errorf("duplicate volume name %q in catalog", info.Name)
@@ -443,7 +443,7 @@ func (run *sweepRun) verify(a *Array) error {
 	}
 
 	p := run.pending
-	readBack := func(id VolumeID) ([]byte, error) {
+	readBack := func(id core.VolumeID) ([]byte, error) {
 		got, d, err := a.ReadAt(run.now, id, 0, sweepVolBytes)
 		if err != nil {
 			return nil, err
@@ -463,7 +463,7 @@ func (run *sweepRun) verify(a *Array) error {
 			if present {
 				return fmt.Errorf("deleted volume %q still listed", v.name)
 			}
-			if _, _, err := a.ReadAt(run.now, v.id, 0, 512); err != ErrVolumeDeleted && err != ErrNoSuchVolume {
+			if _, _, err := a.ReadAt(run.now, v.id, 0, 512); err != core.ErrVolumeDeleted && err != core.ErrNoSuchVolume {
 				return fmt.Errorf("deleted volume %q readable: %v", v.name, err)
 			}
 			continue
@@ -479,7 +479,7 @@ func (run *sweepRun) verify(a *Array) error {
 		}
 		got, err := readBack(info.ID)
 		if err != nil {
-			if p.kind == "delete" && p.vol == v.name && err == ErrVolumeDeleted {
+			if p.kind == "delete" && p.vol == v.name && err == core.ErrVolumeDeleted {
 				continue
 			}
 			return fmt.Errorf("reading volume %q: %w", v.name, err)
@@ -526,128 +526,12 @@ func (run *sweepRun) verify(a *Array) error {
 	return nil
 }
 
-// checkInvariants verifies the structural recovery invariants:
-//
-//   - No index entry ahead of NVRAM: every pyramid's flushed watermark is
-//     bounded by the persisted sequence number (the Figure 4 write-ahead
-//     invariant, at rest).
-//   - The allocation frontier and in-use segment AUs are disjoint — the
-//     frontier bounds the recovery scan, so an in-use AU inside it would
-//     mean data sitting where new segments will be written.
-//   - Every page referenced by a recovered patch descriptor is readable
-//     and decodable.
-//   - Recovery issues no sequence number past what it read back: the
-//     persisted watermark is the current sequence number.
-//   - Every address-map and dedup version names a segment below
-//     nextSegment (checkSegmentBound).
-//   - Each sequence number is carried by the facts of one (relation, key)
-//     only (checkSeqsUnique).
-func (run *sweepRun) checkInvariants(a *Array) error {
-	a.mu.Lock()
-	persisted := a.persistedSeq
-	current := a.seqs.Current()
-	inUse := map[layout.AU]layout.SegmentID{}
-	for id, info := range a.segMap {
-		for _, au := range info.AUs {
-			inUse[au] = id
-		}
-	}
-	frontier := append(a.alloc.Frontier(), a.alloc.Speculative()...)
-	a.mu.Unlock()
-
-	// Recovery sets the persisted watermark once replay is done and issues
-	// no sequence number after it: every fact it holds came from the
-	// checkpoint, a patch or the log.
-	if persisted != current {
-		return fmt.Errorf("persistedSeq %d is not the current seq %d after recovery", persisted, current)
-	}
-	for _, au := range frontier {
-		if id, clash := inUse[au]; clash {
-			return fmt.Errorf("frontier AU %+v belongs to live segment %d", au, id)
-		}
-	}
-	for _, relID := range a.relationIDs() {
-		p := a.pyr[relID]
-		if ft := p.FlushedThrough(); !persisted.Covers(ft) {
-			return fmt.Errorf("relation %d flushed through %d, ahead of persisted %d", relID, ft, persisted)
-		}
-		if _, err := p.VerifyPages(run.now); err != nil {
-			return fmt.Errorf("patch page verify: %w", err)
-		}
-	}
-	if err := a.checkSegmentBound(run.now); err != nil {
-		return err
-	}
-	return a.checkSeqsUnique(run.now)
-}
-
-// checkSegmentBound is the oracle for recovery's segment-ID bound
-// (recover.go, step 6): every version in the addrs and dedup pyramids —
-// live, shadowed or stale — names a segment below nextSegment, so no
-// segment recovery or the engine opens next can take an ID a surviving fact
-// already names.
-func (a *Array) checkSegmentBound(at sim.Time) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var bad error
-	if err := a.scanSegmentRefs(at, func(relID uint32, f tuple.Fact, seg uint64) bool {
-		if seg >= a.nextSegment {
-			bad = fmt.Errorf("relation %d fact seq %d names segment %d, not below nextSegment %d", relID, f.Seq, seg, a.nextSegment)
-		}
-		return bad == nil
-	}); err != nil {
-		return fmt.Errorf("segment-bound scan: %w", err)
-	}
-	return bad
-}
-
-// checkSeqsUnique is the oracle for the allocator discipline: every
-// version in every relation — live, shadowed or stale — carries a sequence
-// number no fact of another (relation, key) carries. One key may hold a seq
-// more than once: an exact replay is a duplicate, and replay's RemapAddr
-// and RemapDedup move a fact to a new location under its own seq and key.
-// A seq two keys share was issued twice, or stamped into two facts.
-func (a *Array) checkSeqsUnique(at sim.Time) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	type owner struct {
-		relID uint32
-		key   []uint64
-	}
-	owners := map[tuple.Seq]owner{}
-	var bad error
-	for _, relID := range a.relationIDs() {
-		schema, ok := relation.SchemaFor(relID)
-		if !ok {
-			return fmt.Errorf("relation %d has no schema", relID)
-		}
-		if _, err := a.pyr[relID].Visit(at, nil, nil, true, func(f tuple.Fact) bool {
-			key := f.Cols[:schema.KeyCols]
-			o, seen := owners[f.Seq]
-			if !seen {
-				owners[f.Seq] = owner{relID, slices.Clone(key)}
-				return true
-			}
-			if o.relID != relID || !slices.Equal(o.key, key) {
-				bad = fmt.Errorf("seq %d carried by relation %d key %v and relation %d key %v", f.Seq, o.relID, o.key, relID, key)
-			}
-			return bad == nil
-		}); err != nil {
-			return fmt.Errorf("seq-uniqueness scan: %w", err)
-		}
-		if bad != nil {
-			return bad
-		}
-	}
-	return nil
-}
-
 // openRecovered reopens from the shelf, tolerating one armed-crash panic
 // (the fired latch guarantees the immediate retry cannot fire again —
 // that retry is the "crash during recovery, recover again" path).
-func (run *sweepRun) openRecovered(fullScan bool) (a *Array, crashed bool, err error) {
+func (run *sweepRun) openRecovered(fullScan bool) (a *core.Array, crashed bool, err error) {
 	for attempt := 0; attempt < 2; attempt++ {
-		a, err = func() (out *Array, err error) {
+		a, err = func() (out *core.Array, err error) {
 			defer func() {
 				if v := recover(); v != nil {
 					if _, ok := crashpoint.AsCrash(v); ok {
@@ -658,7 +542,7 @@ func (run *sweepRun) openRecovered(fullScan bool) (a *Array, crashed bool, err e
 					panic(v)
 				}
 			}()
-			out, _, err = OpenAt(run.cfg, run.sh, run.now, fullScan)
+			out, _, err = core.OpenAt(run.cfg, run.sh, run.now, fullScan)
 			return out, err
 		}()
 		if err == nil {
@@ -671,13 +555,13 @@ func (run *sweepRun) openRecovered(fullScan bool) (a *Array, crashed bool, err e
 	return nil, crashed, err
 }
 
-// CrashCensus runs the workload once with an unarmed registry and returns
+// Census runs the workload once with an unarmed registry and returns
 // how many times each crash point was passed. Genesis (Format) hits are
 // excluded, exactly as in armed runs.
-func CrashCensus(opts SweepOptions) (map[string]int, error) {
-	opts = opts.withDefaults()
+func Census(opts Options) (map[string]int, error) {
+	opts = opts.WithDefaults()
 	reg := crashpoint.New()
-	cfg := SweepEngineConfig(opts.Lanes)
+	cfg := EngineConfig(opts.Lanes)
 	cfg.Crash = reg
 	run, err := newSweepRun(cfg, opts.Seed)
 	if err != nil {
@@ -696,17 +580,17 @@ func CrashCensus(opts SweepOptions) (map[string]int, error) {
 	return census, nil
 }
 
-// RunCrashCase executes one (point, hit) case: identical workload, crash
+// RunCase executes one (point, hit) case: identical workload, crash
 // at exactly that pass, recover, verify. A nil return means the array
 // recovered to model equivalence and every invariant held.
-func RunCrashCase(opts SweepOptions, point string, hit int) error {
-	opts = opts.withDefaults()
+func RunCase(opts Options, point string, hit int) error {
+	opts = opts.WithDefaults()
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("crash case lanes=%d point=%s hit=%d seed=%d: %s",
 			opts.Lanes, point, hit, opts.Seed, fmt.Sprintf(format, args...))
 	}
 	reg := crashpoint.New()
-	cfg := SweepEngineConfig(opts.Lanes)
+	cfg := EngineConfig(opts.Lanes)
 	cfg.Crash = reg
 	run, err := newSweepRun(cfg, opts.Seed)
 	if err != nil {
@@ -779,8 +663,8 @@ func RunCrashCase(opts SweepOptions, point string, hit int) error {
 	return nil
 }
 
-// sweepHits returns the hit counts to enumerate for one point.
-func sweepHits(count, cap int) []int {
+// Hits returns the hit counts to enumerate for one point.
+func Hits(count, cap int) []int {
 	if cap <= 0 || count <= cap {
 		hits := make([]int, count)
 		for i := range hits {
@@ -796,7 +680,7 @@ func sweepHits(count, cap int) []int {
 }
 
 // selectedPoint applies the Points prefix filter.
-func selectedPoint(opts SweepOptions, point string) bool {
+func selectedPoint(opts Options, point string) bool {
 	if len(opts.Points) == 0 {
 		return true
 	}
@@ -808,14 +692,14 @@ func selectedPoint(opts SweepOptions, point string) bool {
 	return false
 }
 
-// RunCrashSweep runs the census and then every selected (point, hit)
+// Run runs the census and then every selected (point, hit)
 // case. The bench CS experiment and opt-in full sweeps call this; the
 // tier-1 test enumerates the same cases as subtests instead, for
 // one-command reproduction.
-func RunCrashSweep(opts SweepOptions) (SweepReport, error) {
-	opts = opts.withDefaults()
-	rep := SweepReport{Seed: opts.Seed, Lanes: opts.Lanes}
-	census, err := CrashCensus(opts)
+func Run(opts Options) (Report, error) {
+	opts = opts.WithDefaults()
+	rep := Report{Seed: opts.Seed, Lanes: opts.Lanes}
+	census, err := Census(opts)
 	if err != nil {
 		return rep, err
 	}
@@ -830,13 +714,13 @@ func RunCrashSweep(opts SweepOptions) (SweepReport, error) {
 		if !selectedPoint(opts, point) {
 			continue
 		}
-		hits := sweepHits(census[point], opts.MaxHitsPerPoint)
+		hits := Hits(census[point], opts.MaxHitsPerPoint)
 		opts.logf("sweep %-28s %d hits, %d cases", point, census[point], len(hits))
 		for _, hit := range hits {
 			rep.Cases++
-			if err := RunCrashCase(opts, point, hit); err != nil {
+			if err := RunCase(opts, point, hit); err != nil {
 				opts.logf("FAIL %v", err)
-				rep.Failures = append(rep.Failures, SweepFailure{Point: point, Hit: hit, Err: err.Error()})
+				rep.Failures = append(rep.Failures, Failure{Point: point, Hit: hit, Err: err.Error()})
 			}
 		}
 	}

@@ -191,9 +191,9 @@ func (p *Pyramid) Patches() []*Patch {
 }
 
 // VerifyPages reads and decodes every page of every installed patch,
-// returning the first failure. Crash sweeps use it as a post-recovery
-// invariant: any page a recovered patch descriptor references must be
-// present, checksummed, and decodable.
+// returning the first failure. The engine's consistency check runs it: any
+// page an installed patch references must be present, checksummed, and
+// decodable.
 func (p *Pyramid) VerifyPages(at sim.Time) (sim.Time, error) {
 	p.mu.RLock()
 	patches := p.patches // copy-on-write: the header is the snapshot
@@ -213,8 +213,8 @@ func (p *Pyramid) VerifyPages(at sim.Time) (sim.Time, error) {
 
 // VerifyCachedPages re-checks the checksum of every page in the page cache.
 // Visit lends rows whose blobs alias cached page bytes, so a write through
-// a borrowed fact would corrupt a page every later reader trusts; tests run
-// this after concurrent and model workloads to catch one.
+// a borrowed fact would corrupt a page every later reader trusts; the
+// engine's consistency check runs this to catch one.
 func (p *Pyramid) VerifyCachedPages() error {
 	if err := p.cache.verify(); err != nil {
 		return fmt.Errorf("pyramid %s: %w", p.cfg.Name, err)

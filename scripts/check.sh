@@ -162,8 +162,8 @@ if ! ledger_gate "$ledger" "$tmpdir/run.json"; then
 fi
 echo "ledger gate: $(wc -l < "$tmpdir/model.new") model-clock numbers identical to $ledger"
 
-echo "== crash-consistency sweep (short, lanes 1 and 4, incl. rebuild fault points; full sweep: purity-bench -experiment CS)"
-go test -short -run 'TestCrashSweep|TestTornTailRecovery|TestCorruptTailRecovery|TestCrashDuringRecovery' ./internal/core/
+echo "== crash-consistency sweep (short, lanes 1 and 4, incl. rebuild fault points; full sweep: purity-bench -experiment CS) and the consistency checker it runs (Array.Check against one planted fault per invariant)"
+go test -short -run 'TestCrashSweep|TestTornTailRecovery|TestCorruptTailRecovery|TestCrashDuringRecovery|TestCheckCatches' ./internal/core/
 
 echo "== drive-failure lifecycle (scrub repair + online rebuild)"
 go test -run 'TestScrubRepairsAllInjectedCorruption|TestScrubStepPacedWalkerCoversEverything|TestRebuildRestoresRedundancyAndBootRegion|TestRebuildSurvivesSecondFailure|TestOpenAtWithOneNVRAMFailed' ./internal/core/
