@@ -190,7 +190,7 @@ type Array struct {
 	// front end's priority queues. Never nil; a negative Config.SLOBudget
 	// leaves it permanently unthreatened.
 	gov  *iosched.Governor
-	cpus []sim.Time // per-core busyUntil (§4.4's pinned event cores)
+	cpus [cpuCores]sim.Time // per-core busyUntil (§4.4's pinned event cores)
 
 	// provisioned sums the sizes of active volumes (StatsSnapshot's
 	// ProvisionedBytes): kept by CreateVolume, Clone and Delete, set by
@@ -326,7 +326,7 @@ func newSkeleton(cfg Config, sh *shelf.Shelf) (*Array, error) {
 		openByID: make(map[layout.SegmentID]openRef),
 		segMap:   make(map[layout.SegmentID]layout.SegmentInfo),
 		lost:     make(map[layout.SegmentID]map[int]bool),
-		recent:   dedup.NewRecentIndex(cfg.RecentIndexSize),
+		recent:   dedup.NewRecentIndex(recentIndexSize),
 		cblocks:  newCBlockCache(cfg.CBlockCacheEntries),
 		stats: Stats{Counters: Counters{
 			WriteLatency: telemetry.NewHistogram(),
@@ -334,7 +334,6 @@ func newSkeleton(cfg Config, sh *shelf.Shelf) (*Array, error) {
 		}},
 		readTracker: iosched.NewTracker(1024),
 		gov:         iosched.NewGovernor(cfg.SLOBudget, 4096),
-		cpus:        make([]sim.Time, cfg.CPUCores),
 		crash:       cfg.Crash,
 	}
 	a.boot.SetCrash(cfg.Crash)

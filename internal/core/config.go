@@ -25,8 +25,6 @@ type Config struct {
 	CompressionEnabled bool
 	DedupEnabled       bool
 	DedupSampling      int // record 1 in N block hashes (paper: 8)
-	DedupMinRunBlocks  int // shortest duplicate run worth mapping (paper: 8)
-	RecentIndexSize    int // in-memory recent-hash entries
 
 	// Read scheduling (§4.4).
 	ReadPolicy iosched.Policy
@@ -74,16 +72,21 @@ type Config struct {
 	// pyramid persists, checkpoints, GC retirement, recovery). Nil — the
 	// production default — makes every point a no-op.
 	Crash *crashpoint.Registry
+}
+
+const (
+	dedupMinRunBlocks = 8       // shortest duplicate run worth mapping (paper: 8)
+	recentIndexSize   = 1 << 16 // in-memory recent-hash entries
 
 	// CPU model: the paper stresses that all-flash arrays are CPU-bound,
-	// not I/O bound (§4). Every client op occupies one of CPUCores event
-	// cores for CPUOverhead plus a per-KiB cost (hashing, compression,
+	// not I/O bound (§4). Every client op occupies one of cpuCores event
+	// cores for cpuOverhead plus a per-KiB cost (hashing, compression,
 	// checksums); ops queue when all cores are busy.
-	CPUOverhead    int64 // base handler cost, nanoseconds
-	CPUCores       int
-	CPUPerKiBWrite int64 // nanoseconds per KiB written (hash + compress)
-	CPUPerKiBRead  int64 // nanoseconds per KiB read (decompress + copy)
-}
+	cpuOverhead    = 50_000 // base handler cost, nanoseconds (50 µs)
+	cpuCores       = 16
+	cpuPerKiBWrite = 1_000 // nanoseconds per KiB written (hash + compress)
+	cpuPerKiBRead  = 200   // nanoseconds per KiB read (decompress + copy)
+)
 
 // DefaultConfig returns the scaled-down production configuration.
 func DefaultConfig() Config {
@@ -93,8 +96,6 @@ func DefaultConfig() Config {
 		CompressionEnabled: true,
 		DedupEnabled:       true,
 		DedupSampling:      8,
-		DedupMinRunBlocks:  8,
-		RecentIndexSize:    1 << 16,
 		ReadPolicy:         iosched.DefaultPolicy(),
 		SLOBudget:          sim.Millisecond,
 		BackgroundEvery:    256,
@@ -104,10 +105,6 @@ func DefaultConfig() Config {
 		FrontierBatch:      24,
 		GCLiveThreshold:    0.5,
 		CBlockCacheEntries: 4096,
-		CPUOverhead:        50_000, // 50 µs
-		CPUCores:           16,
-		CPUPerKiBWrite:     1_000,
-		CPUPerKiBRead:      200,
 	}
 }
 
@@ -140,9 +137,6 @@ func (c Config) normalize() Config {
 	if c.DedupSampling <= 0 {
 		c.DedupSampling = 8
 	}
-	if c.DedupMinRunBlocks <= 0 {
-		c.DedupMinRunBlocks = 8
-	}
 	if c.BackgroundEvery <= 0 {
 		c.BackgroundEvery = 256
 	}
@@ -163,9 +157,6 @@ func (c Config) normalize() Config {
 	}
 	if c.CBlockCacheEntries <= 0 {
 		c.CBlockCacheEntries = 4096
-	}
-	if c.CPUCores <= 0 {
-		c.CPUCores = 16
 	}
 	if c.CommitLanes <= 0 {
 		c.CommitLanes = 1

@@ -171,7 +171,7 @@ type laneWrite struct {
 // is NOT advanced here: a lane holds world shared, so other lanes' seqs may
 // not be in the log yet (advanceWatermark). Caller holds mu.
 func (a *Array) laneApplyLocked(rc nvram.Receipt, done sim.Time, w laneWrite) (sim.Time, error) {
-	cpuCost := sim.Time(a.cfg.CPUOverhead + a.cfg.CPUPerKiBWrite*w.size/1024)
+	cpuCost := sim.Time(cpuOverhead + cpuPerKiBWrite*w.size/1024)
 	ackAt := a.cpuLocked(done, cpuCost)
 	for _, ch := range w.chunks {
 		if err := a.applyFactsLocked(rc, relation.IDAddrs, []tuple.Fact{ch.addr}); err != nil {
@@ -276,7 +276,7 @@ func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, startSector
 	if a.cfg.DedupEnabled {
 		run, d, found := a.findDuplicate(done, pe.part, pe.hashes, &sc.batch)
 		done = d
-		hit := found && (run.Count >= a.cfg.DedupMinRunBlocks || run.Count == sectors)
+		hit := found && (run.Count >= dedupMinRunBlocks || run.Count == sectors)
 		if hit {
 			sc.w.dedupHits++
 			sc.w.inlineDupBlocks += int64(run.Count)

@@ -141,7 +141,7 @@ func (a *Array) ReadAt(at sim.Time, vol VolumeID, off int64, n int) ([]byte, sim
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	ready := a.hedgeLocked(at, metaDone, slowest, exts, extDone)
-	cpuCost := sim.Time(a.cfg.CPUOverhead + a.cfg.CPUPerKiBRead*int64(n)/1024)
+	cpuCost := sim.Time(cpuOverhead + cpuPerKiBRead*int64(n)/1024)
 	ackAt := a.cpuLocked(ready, cpuCost)
 
 	lat := ackAt - at

@@ -95,17 +95,6 @@ func (r *Registry) Arm(point string, hit int) {
 	r.firedC = Crash{}
 }
 
-// Disarm removes the trigger. Counters keep counting.
-func (r *Registry) Disarm() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.armed = ""
-	r.armHit = 0
-}
-
 // Fired reports whether the armed crash has fired, and at what.
 func (r *Registry) Fired() (Crash, bool) {
 	if r == nil {

@@ -49,17 +49,14 @@ func (r *Reporter) Reportf(rule string, pos token.Pos, format string, args ...an
 	})
 }
 
-// DefaultRules returns the full rule set in reporting order. goroutinelife
-// is scoped to the HA front end (the packages whose goroutines hold
-// connections and admission slots) and to internal/core, whose lanes run
-// goroutines. Fixture loads construct it with a nil Scope to run
-// everywhere.
+// DefaultRules returns the full rule set in reporting order. Goroutine
+// lifetimes are not a rule: internal/leakcheck checks them at run time, in
+// the TestMain of the packages that start or drive goroutines.
 func DefaultRules() []Rule {
 	return []Rule{
 		&LockFlow{},
 		&CrashPointCheck{},
 		&ErrDrop{},
-		&GoroutineLife{Scope: []string{"internal/server", "internal/controller", "internal/client", "internal/core"}},
 		&LockOrder{},
 	}
 }
@@ -328,20 +325,6 @@ func isMethod(fn *types.Func, pkgPath, recvName, method string) bool {
 // and method name.
 type methodRef struct {
 	pkg, recv, name string
-}
-
-// inScope reports whether a package's module-relative directory falls
-// under one of the scope roots. A nil scope means everywhere.
-func inScope(scope []string, relDir string) bool {
-	if scope == nil {
-		return true
-	}
-	for _, s := range scope {
-		if relDir == s || (len(relDir) > len(s) && relDir[:len(s)] == s && relDir[len(s)] == '/') {
-			return true
-		}
-	}
-	return false
 }
 
 // derefNamed unwraps pointers down to a named type, returning it (or nil

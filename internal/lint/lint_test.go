@@ -101,12 +101,6 @@ func TestCrashPointCheckFixture(t *testing.T) {
 
 func TestErrDropFixture(t *testing.T) { runFixture(t, "errdrop", []Rule{&ErrDrop{}}) }
 
-// The v3 summary-based rules run with a nil Scope on fixtures, so the
-// scoping applied in DefaultRules does not hide the testdata package.
-func TestGoroutineLifeFixture(t *testing.T) {
-	runFixture(t, "goroutinelife", []Rule{&GoroutineLife{}})
-}
-
 func TestLockOrderFixture(t *testing.T) { runFixture(t, "lockorder", []Rule{&LockOrder{}}) }
 
 // TestStaleIgnoreFixture runs the stale-suppression audit: a suppression

@@ -30,7 +30,6 @@ import (
 type Package struct {
 	Path      string // import path ("purity/internal/core")
 	Dir       string // absolute directory
-	RelDir    string // directory relative to the module root ("" for root)
 	Requested bool   // matched a load pattern (rules only run on these)
 	Files     []*ast.File
 	Types     *types.Package
@@ -221,9 +220,6 @@ func (prog *Program) parseDir(dir string, requested bool) (*Package, error) {
 		return nil, err
 	}
 	pkg := &Package{Path: path, Dir: dir, Requested: requested, fset: prog.Fset}
-	if rel != "." {
-		pkg.RelDir = filepath.ToSlash(rel)
-	}
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||

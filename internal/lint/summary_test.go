@@ -110,15 +110,3 @@ func TestCallGraphMethodValuesAndFuncLits(t *testing.T) {
 		t.Error("nested literal: want its own call-graph node")
 	}
 }
-
-func TestSummaryForeverLoops(t *testing.T) {
-	_, pkg, sums := loadSummaryFixture(t)
-	if sum := sums.ofFunc(fixtureFunc(t, pkg, "rec.Forever")); len(sum.foreverLoops) != 1 {
-		t.Errorf("rec.Forever: want exactly 1 unexitable loop, got %d", len(sum.foreverLoops))
-	}
-	for _, name := range []string{"rec.Ping", "rec.Start", "ReadRec"} {
-		if sum := sums.ofFunc(fixtureFunc(t, pkg, name)); len(sum.foreverLoops) != 0 {
-			t.Errorf("%s: want no unexitable loops, got %d", name, len(sum.foreverLoops))
-		}
-	}
-}

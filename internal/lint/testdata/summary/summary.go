@@ -43,8 +43,8 @@ func (r *rec) Start() func() {
 
 func (r *rec) Tick() {}
 
-// Forever is an unexitable loop: its summary must carry the loop even
-// though nothing spawns it here.
+// Forever calls nothing in the module: the graph keeps it as a node with
+// no edges out.
 func (r *rec) Forever() {
 	for {
 		time.Sleep(time.Second)

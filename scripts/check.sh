@@ -216,7 +216,7 @@ done
 echo "== E14 smoke (one-connection queue-depth sweep over loopback TCP; every depth >= 8 must beat QD 1)"
 go run ./cmd/purity-bench -experiment E14 -quick > /dev/null
 
-echo "== HA (-race: chaos injector, session exactly-once, client reconnect/replay and write deadline, server drain, idle reap + failover)"
+echo "== HA (-race: chaos injector, session exactly-once, client reconnect/replay and write deadline, server drain, idle reap + failover; the controller, client and server binaries fail when a goroutine outlives their tests (internal/leakcheck))"
 go test -race ./internal/chaos/ ./internal/controller/
 go test -race -run 'TestHA' ./internal/client/
 go test -race -run 'TestGracefulDrain|TestWriterDeadline|TestIdleTimeout|TestAcceptBackoffResets|TestSessionIdempotentWriteOverWire|TestHeartbeatFailover' ./internal/server/
