@@ -172,7 +172,7 @@ func TestMergeAllocatesPerPage(t *testing.T) {
 // TestHotKeyFloorCeilAllocate: GetFloor and GetCeil take only a key's newest
 // memtable version, so a key with more versions in the memtable than the
 // search's stack array holds still costs one allocation, the returned
-// Clone — with the versions in the unsorted suffix and in the sorted prefix.
+// Clone.
 func TestHotKeyFloorCeilAllocate(t *testing.T) {
 	if raceBuild() {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
@@ -184,39 +184,32 @@ func TestHotKeyFloorCeilAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, sorted := range []bool{false, true} {
-		if sorted {
-			p.mu.Lock()
-			p.sortMemLocked()
-			p.mu.Unlock()
+	for _, c := range []struct {
+		name   string
+		lookup func() (tuple.Fact, bool, error)
+	}{
+		{"GetFloor", func() (tuple.Fact, bool, error) {
+			f, ok, _, err := p.GetFloor(0, []uint64{1}, 1006)
+			return f, ok, err
+		}},
+		{"GetCeil", func() (tuple.Fact, bool, error) {
+			f, ok, _, err := p.GetCeil(0, []uint64{1}, 1003)
+			return f, ok, err
+		}},
+	} {
+		var got tuple.Fact
+		n := testing.AllocsPerRun(100, func() {
+			f, ok, err := c.lookup()
+			if err != nil || !ok {
+				t.Fatalf("%s: ok=%v err=%v", c.name, ok, err)
+			}
+			got = f
+		})
+		if n > 1 {
+			t.Errorf("%s: %v allocations on a key with 17 memtable versions, want at most 1", c.name, n)
 		}
-		for _, c := range []struct {
-			name   string
-			lookup func() (tuple.Fact, bool, error)
-		}{
-			{"GetFloor", func() (tuple.Fact, bool, error) {
-				f, ok, _, err := p.GetFloor(0, []uint64{1}, 1006)
-				return f, ok, err
-			}},
-			{"GetCeil", func() (tuple.Fact, bool, error) {
-				f, ok, _, err := p.GetCeil(0, []uint64{1}, 1003)
-				return f, ok, err
-			}},
-		} {
-			var got tuple.Fact
-			n := testing.AllocsPerRun(100, func() {
-				f, ok, err := c.lookup()
-				if err != nil || !ok {
-					t.Fatalf("%s: ok=%v err=%v", c.name, ok, err)
-				}
-				got = f
-			})
-			if n > 1 {
-				t.Errorf("%s, sorted=%v: %v allocations on a key with 17 memtable versions, want at most 1", c.name, sorted, n)
-			}
-			if got.Cols[1] != 1003 || got.Seq != newest {
-				t.Errorf("%s, sorted=%v: found sector %d seq %d, want 1003 seq %d", c.name, sorted, got.Cols[1], got.Seq, newest)
-			}
+		if got.Cols[1] != 1003 || got.Seq != newest {
+			t.Errorf("%s: found sector %d seq %d, want 1003 seq %d", c.name, got.Cols[1], got.Seq, newest)
 		}
 	}
 }

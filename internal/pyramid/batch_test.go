@@ -19,10 +19,9 @@ import (
 // same fact or the same miss, the same PageStore reads in the same order and
 // the same completion time, from a cold and from a warm page cache.
 //
-// The memtable is left with sorted prefixes and unsorted suffixes on both
-// sides of memSuffixMax. Some inserts repeat an earlier fact's key and
-// sequence number with another value — a tie, which Get gives to the
-// prefix and then to the earlier insertion — and elisions of a value column
+// The memtable is left with one run and with several. Some inserts repeat
+// an earlier fact's key and sequence number with another value — a tie,
+// which Get gives to the earlier insertion — and elisions of a value column
 // make both look past dead versions. A batch repeats some keys and holds
 // some no step inserts.
 func TestBatchMatchesGet(t *testing.T) {
@@ -52,11 +51,11 @@ func diffBatch(t *testing.T, cachePages int, seed uint64) {
 		at = d1
 	}
 
-	// What the run covered: keys the memtable answered with a long or a
-	// short unsorted suffix, keys whose answer was a tie with a suffix fact,
+	// What the run covered: keys the memtable answered from two runs or
+	// more and from one, keys whose answer was a tie spanning two runs,
 	// keys with an elided memtable version, patch hits and misses, and
 	// probes of a patch with no filter.
-	var longSuffix, shortSuffix, ties, elided, patchHits, misses, unfiltered int
+	var multiRun, oneRun, ties, elided, patchHits, misses, unfiltered int
 	var b Batch
 	compare := func(step int) {
 		t.Helper()
@@ -72,7 +71,7 @@ func diffBatch(t *testing.T, cachePages int, seed uint64) {
 			ref.p.cache, got.p.cache = newPageCache(cachePages), newPageCache(cachePages)
 		}
 		got.p.mu.RLock()
-		suffix := len(got.p.mem) - got.p.sortedLen
+		runs := len(got.p.runEnds)
 		got.p.mu.RUnlock()
 		memLive, memTie, memElided := memShape(got)
 		for _, patch := range got.p.Patches() {
@@ -113,10 +112,10 @@ func diffBatch(t *testing.T, cachePages int, seed uint64) {
 				misses++
 			case !memLive[key]:
 				patchHits++
-			case suffix > memSuffixMax:
-				longSuffix++
+			case runs >= 2:
+				multiRun++
 			default:
-				shortSuffix++
+				oneRun++
 			}
 			if memTie[key] {
 				ties++
@@ -168,44 +167,47 @@ func diffBatch(t *testing.T, cachePages int, seed uint64) {
 		}
 		compare(step)
 	}
-	t.Logf("memtable answers with suffix > memSuffixMax %d, ≤ memSuffixMax %d; ties %d; elided versions %d; patch hits %d; misses %d; steps with an unfiltered patch %d",
-		longSuffix, shortSuffix, ties, elided, patchHits, misses, unfiltered)
-	if longSuffix == 0 || shortSuffix == 0 || ties == 0 || elided == 0 || patchHits == 0 || misses == 0 || unfiltered == 0 {
+	t.Logf("memtable answers from ≥ 2 runs %d, from one run %d; ties %d; elided versions %d; patch hits %d; misses %d; steps with an unfiltered patch %d",
+		multiRun, oneRun, ties, elided, patchHits, misses, unfiltered)
+	if multiRun == 0 || oneRun == 0 || ties == 0 || elided == 0 || patchHits == 0 || misses == 0 || unfiltered == 0 {
 		t.Fatal("the run covered too little")
 	}
 }
 
 // memShape reports, per key in tw's memtable, whether it has a live
-// version, whether its newest live versions are a tie that involves an
-// unsorted-suffix fact, and whether any of its versions is elided.
+// version, whether its newest live versions are a tie that spans two runs,
+// and whether any of its versions is elided.
 func memShape(tw *twin) (live, tie, elided map[uint64]bool) {
 	tw.p.mu.RLock()
 	defer tw.p.mu.RUnlock()
 	type best struct {
-		seq      tuple.Seq
-		n        int
-		inSuffix bool
+		seq   tuple.Seq
+		run   int  // the run of the first version at seq
+		spans bool // another version at seq lies in a later run
 	}
 	newest := map[uint64]best{}
 	elided = map[uint64]bool{}
-	for i, f := range tw.p.mem {
-		key := f.Cols[0]
-		if tw.p.elided(f) {
-			elided[key] = true
-			continue
-		}
-		cur, ok := newest[key]
-		switch {
-		case !ok || f.Seq > cur.seq:
-			newest[key] = best{seq: f.Seq, n: 1, inSuffix: i >= tw.p.sortedLen}
-		case f.Seq == cur.seq:
-			newest[key] = best{seq: f.Seq, n: cur.n + 1, inSuffix: cur.inSuffix || i >= tw.p.sortedLen}
+	for r := range tw.p.runEnds {
+		for _, f := range tw.p.run(r) {
+			key := f.Cols[0]
+			if tw.p.elided(f) {
+				elided[key] = true
+				continue
+			}
+			cur, ok := newest[key]
+			switch {
+			case !ok || f.Seq > cur.seq:
+				newest[key] = best{seq: f.Seq, run: r}
+			case f.Seq == cur.seq:
+				cur.spans = cur.spans || r != cur.run
+				newest[key] = cur
+			}
 		}
 	}
 	live, tie = map[uint64]bool{}, map[uint64]bool{}
 	for key, b := range newest {
 		live[key] = true
-		tie[key] = b.n > 1 && b.inSuffix
+		tie[key] = b.spans
 	}
 	return live, tie, elided
 }

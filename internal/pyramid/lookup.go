@@ -13,12 +13,6 @@ import (
 
 func seqOf(v uint64) tuple.Seq { return tuple.Seq(v) }
 
-// memSuffixMax bounds how many unsorted memtable facts a point lookup will
-// scan linearly before forcing a (incremental) re-sort. Point lookups — the
-// dedup index is probed once per 512 B block of every write — would
-// otherwise pay a full memtable merge after every insert batch.
-const memSuffixMax = 64
-
 // stackCols is the widest schema's column count (the address map's): the
 // point lookups below keep their target key and row buffers in arrays of
 // this size on the stack, and only a wider schema spills them to the heap.
@@ -91,22 +85,11 @@ func (p *Pyramid) getFromPatches(at sim.Time, patches []*Patch, key, cols []uint
 	return tuple.Fact{}, false, at, nil
 }
 
-// memRun is memRunLocked under mu, with the patch list's header: the
-// list is copy-on-write, so the header is the snapshot. It reads in read
-// mode with the memtable's unsorted suffix at most memSuffixMax facts: a
-// longer one is sorted first, under mu exclusively. An Insert between the
-// two may lengthen the suffix again, which costs a longer scan and nothing
-// else. The rows are copied out (a later sort reuses the memtable's
-// buffers).
+// memRun is memRunLocked under mu in read mode, with the patch list's
+// header: the list is copy-on-write, so the header is the snapshot. The rows
+// are copied out (a later Insert reorders the memtable's headers in place).
 func (p *Pyramid) memRun(dst []tuple.Fact, tk []uint64, d direction) ([]tuple.Fact, []*Patch) {
 	p.mu.RLock()
-	if len(p.mem)-p.sortedLen > memSuffixMax {
-		p.mu.RUnlock()
-		p.mu.Lock()
-		p.sortMemLocked()
-		p.mu.Unlock()
-		p.mu.RLock()
-	}
 	dst = p.memRunLocked(dst, tk, d)
 	patches := p.patches
 	p.mu.RUnlock()
@@ -208,55 +191,74 @@ func (p *Pyramid) search(at sim.Time, tk []uint64, d direction) (tuple.Fact, boo
 
 // memRunLocked appends to dst the memtable's versions of the key d lands on
 // from tk: for exact all of them, newest first, and for floor and ceil only
-// the newest. The sorted prefix is binary-searched and the unsorted suffix,
-// which the caller has bounded by memSuffixMax, is scanned. The order is
-// (seq desc, insertion asc), as a full stable sort would give: prefix facts
-// were inserted before suffix facts, and the sort below is stable. Caller
+// the newest. Each run is binary-searched twice: for floor and ceil first to
+// find the key it lands on, the nearest over all runs winning, and then for
+// that key's versions. The order is (seq desc, insertion asc), as one stable
+// sort of the memtable would give: runs are visited oldest first, each holds
+// its versions of a key in that order, and the sort below is stable. Caller
 // holds mu.
 func (p *Pyramid) memRunLocked(dst []tuple.Fact, tk []uint64, d direction) []tuple.Fact {
 	k := p.cfg.Schema.KeyCols
-	prefix, suffix := p.mem[:p.sortedLen], p.mem[p.sortedLen:]
-	i := sort.Search(len(prefix), func(i int) bool { return tuple.CompareKeys(prefix[i].Cols, tk, k) >= 0 })
 	land := tk
 	if d != exact {
-		// The prefix's ceiling is row i, and so is its floor if row i is
-		// tk; otherwise the floor is the run ending at row i-1. A nearer
-		// key in the suffix overrides it.
+		// A run's ceiling is row i, and so is its floor if row i is tk;
+		// otherwise the floor is row i-1.
 		land = nil
-		if d == floor && (i == len(prefix) || tuple.CompareKeys(prefix[i].Cols, tk, k) != 0) {
-			for i--; i > 0 && tuple.CompareKeys(prefix[i-1].Cols, prefix[i].Cols, k) == 0; i-- {
+		for r := range p.runEnds {
+			run := p.run(r)
+			i := firstGE(run, tk, k)
+			if d == floor && (i == len(run) || tuple.CompareKeys(run[i].Cols, tk, k) != 0) {
+				i--
 			}
-		}
-		if i >= 0 && i < len(prefix) {
-			land = prefix[i].Cols
-		}
-		for _, f := range suffix {
-			if int(d)*tuple.CompareKeys(f.Cols, tk, k) >= 0 && (land == nil || int(d)*tuple.CompareKeys(f.Cols, land, k) < 0) {
-				land = f.Cols
+			if i >= 0 && i < len(run) && (land == nil || int(d)*tuple.CompareKeys(run[i].Cols, land, k) < 0) {
+				land = run[i].Cols
 			}
 		}
 		if land == nil {
 			return dst
 		}
 	}
-	for i = max(i, 0); i < len(prefix) && (d == exact || len(dst) == 0) && tuple.CompareKeys(prefix[i].Cols, land, k) == 0; i++ {
-		dst = append(dst, prefix[i])
-	}
-	for j := range suffix {
-		f := &suffix[j]
-		switch {
-		case f.Cols[0] != land[0] || tuple.CompareKeys(f.Cols, land, k) != 0:
-			// Not land's: column 0 alone tells most facts apart.
-		case d == exact || len(dst) == 0:
-			dst = append(dst, *f)
-		case f.Seq > dst[0].Seq:
-			dst[0] = *f
+	for r := range p.runEnds {
+		run := p.run(r)
+		for i := firstGE(run, land, k); i < len(run) && tuple.CompareKeys(run[i].Cols, land, k) == 0; i++ {
+			if d == exact || len(dst) == 0 {
+				dst = append(dst, run[i])
+			} else if run[i].Seq > dst[0].Seq {
+				dst[0] = run[i]
+			}
+			if d != exact {
+				break // a run's first version of a key is its newest
+			}
 		}
 	}
 	if len(dst) > 1 {
 		slices.SortStableFunc(dst, func(a, b tuple.Fact) int { return cmp.Compare(b.Seq, a.Seq) })
 	}
 	return dst
+}
+
+// run returns the memtable's run r, oldest first. Caller holds mu.
+func (p *Pyramid) run(r int) []tuple.Fact {
+	lo := 0
+	if r > 0 {
+		lo = p.runEnds[r-1]
+	}
+	return p.mem[lo:p.runEnds[r]]
+}
+
+// firstGE returns the first row of run, which is in key order, whose key is
+// ≥ tk.
+func firstGE(run []tuple.Fact, tk []uint64, k int) int {
+	lo, hi := 0, len(run)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c := run[mid].Cols; c[0] < tk[0] || c[0] == tk[0] && tuple.CompareKeys(c, tk, k) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // --- The patch cursor and merged scans ----------------------------------
@@ -471,21 +473,31 @@ func (p *Pyramid) Visit(at sim.Time, loKey, hiKey []uint64, allVersions bool, fn
 	sc := visitScratchPool.Get().(*visitScratch)
 	defer sc.release()
 
-	p.mu.Lock()
-	p.sortMemLocked()
-	lo, hi := 0, len(p.mem)
-	if loKey != nil {
-		lo = sort.Search(hi, func(i int) bool { return tuple.CompareKeys(p.mem[i].Cols, loKey, k) >= 0 })
+	// Each run's window is copied under mu in read mode (a later Insert
+	// reorders the memtable's headers in place; the facts they name are
+	// never written), and the copy is sorted when two runs or more fed it.
+	p.mu.RLock()
+	fed := 0
+	for r := range p.runEnds {
+		run := p.run(r)
+		lo, hi := 0, len(run)
+		if loKey != nil {
+			lo = firstGE(run, loKey, k)
+		}
+		if hiKey != nil {
+			hi = lo + sort.Search(hi-lo, func(i int) bool { return tuple.CompareKeys(run[lo+i].Cols, hiKey, k) > 0 })
+		}
+		if lo < hi {
+			sc.mem = append(sc.mem, run[lo:hi]...)
+			fed++
+		}
 	}
-	if hiKey != nil {
-		hi = lo + sort.Search(hi-lo, func(i int) bool { return tuple.CompareKeys(p.mem[lo+i].Cols, hiKey, k) > 0 })
-	}
-	// A later sort reorders the memtable's headers in place, so the
-	// window's are copied; the facts they name are never written.
-	sc.mem = append(sc.mem, p.mem[lo:hi]...)
 	// The patch list is copy-on-write: the header is the snapshot.
 	patches := p.patches
-	p.mu.Unlock()
+	p.mu.RUnlock()
+	if fed > 1 {
+		slices.SortStableFunc(sc.mem, factOrder(k))
+	}
 	mem := sc.mem // the window's facts not yet taken
 
 	// Bounded streams stop at a copy of hiKey and decode rows one at a

@@ -1,7 +1,6 @@
 package pyramid
 
 import (
-	"cmp"
 	"fmt"
 	"reflect"
 	"slices"
@@ -23,13 +22,8 @@ func refGet(p *Pyramid, at sim.Time, key []uint64) (tuple.Fact, bool, sim.Time, 
 	done := at
 
 	var versionBuf [4]tuple.Fact
-	p.mu.Lock()
-	if len(p.mem)-p.sortedLen > memSuffixMax {
-		p.sortMemLocked()
-	}
-	versions := refMemVersionsLocked(p, versionBuf[:0], key)
-	patches := p.patches
-	p.mu.Unlock()
+	mem, patches := sortedMem(p)
+	versions := refMemVersions(p, mem, versionBuf[:0], key)
 
 	for _, f := range versions {
 		if !p.elided(f) {
@@ -62,44 +56,40 @@ func refGet(p *Pyramid, at sim.Time, key []uint64) (tuple.Fact, bool, sim.Time, 
 	return tuple.Fact{}, false, done, nil
 }
 
-func refMemVersionsLocked(p *Pyramid, dst []tuple.Fact, key []uint64) []tuple.Fact {
+// sortedMem returns, under mu, the memtable as one stable-sorted copy and
+// the patch list's header.
+func sortedMem(p *Pyramid) ([]tuple.Fact, []*Patch) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	mem := slices.Clone(p.mem)
+	slices.SortStableFunc(mem, factOrder(p.cfg.Schema.KeyCols))
+	return mem, p.patches
+}
+
+func refMemVersions(p *Pyramid, mem, dst []tuple.Fact, key []uint64) []tuple.Fact {
 	k := p.cfg.Schema.KeyCols
-	prefix, suffix := p.mem[:p.sortedLen], p.mem[p.sortedLen:]
 	out := dst
 	if k == 1 {
 		key0 := key[0]
-		lo, hi := 0, len(prefix)
+		lo, hi := 0, len(mem)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if prefix[mid].Cols[0] < key0 {
+			if mem[mid].Cols[0] < key0 {
 				lo = mid + 1
 			} else {
 				hi = mid
 			}
 		}
-		for ; lo < len(prefix) && prefix[lo].Cols[0] == key0; lo++ {
-			out = append(out, prefix[lo])
-		}
-		for _, f := range suffix {
-			if f.Cols[0] == key0 {
-				out = append(out, f)
-			}
+		for ; lo < len(mem) && mem[lo].Cols[0] == key0; lo++ {
+			out = append(out, mem[lo])
 		}
 	} else {
-		i := sort.Search(len(prefix), func(i int) bool {
-			return tuple.CompareKeys(prefix[i].Cols, key, k) >= 0
+		i := sort.Search(len(mem), func(i int) bool {
+			return tuple.CompareKeys(mem[i].Cols, key, k) >= 0
 		})
-		for ; i < len(prefix) && tuple.CompareKeys(prefix[i].Cols, key, k) == 0; i++ {
-			out = append(out, prefix[i])
+		for ; i < len(mem) && tuple.CompareKeys(mem[i].Cols, key, k) == 0; i++ {
+			out = append(out, mem[i])
 		}
-		for _, f := range suffix {
-			if tuple.CompareKeys(f.Cols, key, k) == 0 {
-				out = append(out, f)
-			}
-		}
-	}
-	if len(out) > 1 {
-		slices.SortStableFunc(out, func(a, b tuple.Fact) int { return cmp.Compare(b.Seq, a.Seq) })
 	}
 	return out
 }
@@ -189,11 +179,8 @@ func refGetFloor(p *Pyramid, at sim.Time, prefix []uint64, col uint64) (tuple.Fa
 	bestCols := rowBuf(bestBuf[:], p.cfg.Schema.Cols)
 
 	for {
-		p.mu.Lock()
-		p.sortMemLocked()
-		best, found := refFloorInMem(p.mem, tk, len(prefix))
-		patches := p.patches
-		p.mu.Unlock()
+		mem, patches := sortedMem(p)
+		best, found := refFloorInMem(mem, tk, len(prefix))
 
 		for _, patch := range patches {
 			f, ok, d, err := refFloorInPatch(p, done, patch, tk, len(prefix), cand)
@@ -286,11 +273,8 @@ func refGetCeil(p *Pyramid, at sim.Time, prefix []uint64, col uint64) (tuple.Fac
 	bestCols := rowBuf(bestBuf[:], p.cfg.Schema.Cols)
 
 	for {
-		p.mu.Lock()
-		p.sortMemLocked()
-		best, found := refCeilInMem(p.mem, tk, len(prefix))
-		patches := p.patches
-		p.mu.Unlock()
+		mem, patches := sortedMem(p)
+		best, found := refCeilInMem(mem, tk, len(prefix))
 
 		for _, patch := range patches {
 			f, ok, d, err := refCeilInPatch(p, done, patch, tk, len(prefix), cand)
@@ -411,8 +395,8 @@ type pointResult struct {
 // patch from its descriptor, without a key filter), and after every step
 // compares them on random keys: the same fact or the same miss, the same
 // PageStore reads in the same order from a cold and from a warm page cache,
-// the same completion time. Memtable batches leave the unsorted suffix on
-// both sides of memSuffixMax; elided runs of keys make GetFloor and GetCeil
+// the same completion time. Lookups meet memtables of one run and of
+// several; elided runs of keys make GetFloor and GetCeil
 // step past dead keys, and elided versions make Get look past them.
 func TestPointLookupsMatchReference(t *testing.T) {
 	seeds := uint64(3)
@@ -459,7 +443,7 @@ func diffPoint(t *testing.T, keyCols, cachePages int, seed uint64) {
 		return res
 	}
 
-	var lookups, hits, stepped, longSuffix, shortSuffix [3]int
+	var lookups, hits, stepped, multiRun, oneRun [3]int
 	names := [3]string{"Get", "GetFloor", "GetCeil"}
 	compare := func(step int) {
 		t.Helper()
@@ -473,9 +457,9 @@ func diffPoint(t *testing.T, keyCols, cachePages int, seed uint64) {
 			if cold {
 				ref.p.cache, got.p.cache = newPageCache(cachePages), newPageCache(cachePages)
 			}
-			got.p.mu.Lock()
-			suffix := len(got.p.mem) - got.p.sortedLen
-			got.p.mu.Unlock()
+			got.p.mu.RLock()
+			runs := len(got.p.runEnds)
+			got.p.mu.RUnlock()
 			// Twice: from whatever the cache holds (nothing, if cold), then warm.
 			for pass := 0; pass < 2; pass++ {
 				var want, have pointResult
@@ -511,10 +495,10 @@ func diffPoint(t *testing.T, keyCols, cachePages int, seed uint64) {
 							stepped[op]++
 						}
 					}
-					if suffix > memSuffixMax {
-						longSuffix[op]++
-					} else if suffix > 0 {
-						shortSuffix[op]++
+					if runs >= 2 {
+						multiRun[op]++
+					} else if runs == 1 {
+						oneRun[op]++
 					}
 				}
 			}
@@ -564,10 +548,10 @@ func diffPoint(t *testing.T, keyCols, cachePages int, seed uint64) {
 		}
 		compare(step)
 	}
-	t.Logf("lookups %v, hits %v, stepped past a dead key %v, suffix > memSuffixMax %v, 0 < suffix ≤ memSuffixMax %v",
-		lookups, hits, stepped, longSuffix, shortSuffix)
+	t.Logf("lookups %v, hits %v, stepped past a dead key %v, memtable of ≥ 2 runs %v, of one run %v",
+		lookups, hits, stepped, multiRun, oneRun)
 	for op := range names {
-		if hits[op] == 0 || hits[op] == lookups[op] || longSuffix[op] == 0 || shortSuffix[op] == 0 || (op > 0 && stepped[op] == 0) {
+		if hits[op] == 0 || hits[op] == lookups[op] || multiRun[op] == 0 || oneRun[op] == 0 || (op > 0 && stepped[op] == 0) {
 			t.Fatalf("%s: the run covered too little", names[op])
 		}
 	}

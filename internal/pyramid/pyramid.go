@@ -71,33 +71,35 @@ type Patch struct {
 func (pt *Patch) unfiltered() bool { return pt.filter == nil && pt.Rows > 0 }
 
 // Pyramid is one LSM index. Its levels are the memtable and the patches,
-// newest first. The point lookups read them in one way: memRunLocked (or,
-// for a batch of keys, GetBatch's one pass) on the memtable, then
-// patchSource.find on each patch — Get, GetRow and Batch.Get through one
-// exact patch walk (getFromPatches), GetFloor and GetCeil through one
-// directed search; Visit, which Scan and ScanVersions wrap, and merges step
-// the same patch cursor forward. The readers (the lookups and the scans)
-// are safe to run concurrently with each other and with a mutator. A
-// reader holds mu only to copy out the memtable rows it needs and the
-// patch list's header (a point lookup in read mode unless the memtable's
-// unsorted suffix is long, Visit exclusively, as it sorts the memtable);
-// the list is copy-on-write and every patch, its key filter included, is
-// immutable once installed, so the pages are read without the lock and a
-// merge never blocks a reader (§4.8: "everything below the top level...
-// lock-free"). Mutators (Insert, Flush, MergeStep,
-// AddPatch) must not overlap one another: Flush rebuilds the memtable from
-// what it saw before writing its patch. The engine runs them under
-// Array.mu.
+// newest first. The memtable is a stack of sorted runs laid end to end in
+// mem, oldest first; only the mutators reorder it. The point lookups read
+// the levels in one way: memRunLocked (or, for a batch of keys, GetBatch)
+// binary-searches each run, then patchSource.find searches each patch —
+// Get, GetRow and Batch.Get through one exact patch walk (getFromPatches),
+// GetFloor and GetCeil through one directed search; Visit, which Scan and
+// ScanVersions wrap, and merges step the same patch cursor forward. The
+// readers (the lookups and the scans) are safe to run concurrently with
+// each other and with a mutator. A reader holds mu in read mode only, to
+// copy out the memtable rows it needs and the patch list's header; the list
+// is copy-on-write and every patch, its key filter included, is immutable
+// once installed, so the pages are read without the lock and a merge never
+// blocks a reader (§4.8: "everything below the top level... lock-free").
+// Mutators (Insert, Flush, MergeStep, AddPatch) must not overlap one
+// another: Flush rebuilds the memtable from what it saw before writing its
+// patch. The engine runs them under Array.mu.
 type Pyramid struct {
 	cfg   Config
 	store PageStore
 	elide *elide.Table // optional; nil means no elision for this relation
 
-	mu             sync.RWMutex
-	mem            []tuple.Fact // unsorted recent facts (durable in NVRAM)
-	memSorted      bool
-	sortedLen      int          // prefix of mem already in stable-sorted order
-	memScratch     []tuple.Fact // reused merge buffer for incremental sorts
+	mu sync.RWMutex
+	// mem is the recent facts (durable in NVRAM) as sorted runs, oldest
+	// first: run i is mem[runEnds[i-1]:runEnds[i]] (run 0 starts at 0).
+	// Each run is in (key asc, seq desc, insertion asc) order and more than
+	// twice the size of the next.
+	mem            []tuple.Fact
+	runEnds        []int
+	memScratch     []tuple.Fact // reused copy of the newer run in a merge
 	patches        []*Patch     // sorted by SeqHi descending (newest first)
 	flushedThrough tuple.Seq
 
@@ -143,8 +145,12 @@ func (e *SchemaError) Error() string {
 // Re-inserting facts already flushed (recovery replay) is harmless: lookups
 // take the newest version and merges drop exact duplicates.
 //
-// Every fact is validated against the schema before any is appended, so a
-// SchemaError leaves the memtable untouched.
+// The batch, stably sorted, becomes the newest run, and then the newest run
+// is merged into the one before it while that one is at most twice its size:
+// a binary counter's carry (Bentley and Saxe's logarithmic method), so a
+// memtable of n facts holds at most ⌊log₂ n⌋ + 1 runs and each fact moves
+// O(log n) times. Every fact is validated against the schema before any is
+// appended, so a SchemaError leaves the memtable untouched.
 func (p *Pyramid) Insert(facts []tuple.Fact) error {
 	if len(facts) == 0 {
 		return nil
@@ -156,9 +162,62 @@ func (p *Pyramid) Insert(facts []tuple.Fact) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	start := len(p.mem)
 	p.mem = append(p.mem, facts...)
-	p.memSorted = false
+	slices.SortStableFunc(p.mem[start:], factOrder(p.cfg.Schema.KeyCols))
+	p.runEnds = append(p.runEnds, len(p.mem))
+	for n := len(p.runEnds); n > 1 && len(p.run(n-2)) <= 2*len(p.run(n-1)); n-- {
+		p.mergeNewestRunsLocked()
+	}
 	return nil
+}
+
+// mergeNewestRunsLocked merges the newest run into the one before it, in
+// place: the newer run is copied out and the pair is filled from its end, so
+// the older run's facts below the newer run's least never move. On a tie the
+// older run's fact goes first, which keeps every run in insertion order
+// within a (key, seq). Caller holds mu exclusively.
+func (p *Pyramid) mergeNewestRunsLocked() {
+	n := len(p.runEnds)
+	lo := 0
+	if n > 2 {
+		lo = p.runEnds[n-3]
+	}
+	mid, hi := p.runEnds[n-2], p.runEnds[n-1]
+	p.runEnds = append(p.runEnds[:n-2], hi)
+	k := p.cfg.Schema.KeyCols
+	if !factBefore(&p.mem[mid], &p.mem[mid-1], k) {
+		return // the pair is in order already
+	}
+	newer := append(p.memScratch[:0], p.mem[mid:hi]...)
+	p.memScratch = newer
+	mem := p.mem[lo:hi]
+	i, w := mid-lo-1, hi-lo-1
+	for j := len(newer) - 1; j >= 0; j-- {
+		f := &newer[j]
+		for ; i >= 0 && factBefore(f, &mem[i], k); i-- {
+			mem[w] = mem[i]
+			w--
+		}
+		mem[w] = *f
+		w--
+	}
+}
+
+// factBefore is tuple.Less on pointers, which spares the merge copying two
+// facts per comparison.
+func factBefore(a, b *tuple.Fact, k int) bool {
+	c := tuple.CompareKeys(a.Cols, b.Cols, k)
+	return c < 0 || c == 0 && a.Seq > b.Seq
+}
+
+// setMemLocked makes facts, which are sorted, the memtable's one run.
+// Caller holds mu exclusively.
+func (p *Pyramid) setMemLocked(facts []tuple.Fact) {
+	p.mem, p.runEnds = facts, p.runEnds[:0]
+	if len(facts) > 0 {
+		p.runEnds = append(p.runEnds, len(facts))
+	}
 }
 
 // MemRows returns the number of facts in the memtable.
@@ -232,54 +291,6 @@ func factOrder(keyCols int) func(a, b tuple.Fact) int {
 	}
 }
 
-// sortMemLocked sorts the memtable (key asc, seq desc) if needed. The
-// result is exactly a stable sort over the whole slice; since lookups
-// re-sort after every small Insert batch, the work is done incrementally —
-// only the appended suffix is sorted and then stably merged with the
-// already-sorted prefix (ties take the prefix element, which was inserted
-// earlier, preserving stable order). Caller holds mu.
-func (p *Pyramid) sortMemLocked() {
-	if p.memSorted {
-		return
-	}
-	k := p.cfg.Schema.KeyCols
-	if p.sortedLen > 0 && p.sortedLen < len(p.mem) {
-		slices.SortStableFunc(p.mem[p.sortedLen:], factOrder(k))
-		p.mergeSortedMemLocked(k)
-	} else {
-		slices.SortStableFunc(p.mem, factOrder(k))
-	}
-	p.memSorted = true
-	p.sortedLen = len(p.mem)
-}
-
-// mergeSortedMemLocked merges mem's sorted prefix [0:sortedLen) with its
-// sorted suffix into the scratch buffer, then swaps buffers so the old
-// backing array is reused next time. Caller holds mu.
-func (p *Pyramid) mergeSortedMemLocked(k int) {
-	prefix := p.mem[:p.sortedLen]
-	suffix := p.mem[p.sortedLen:]
-	if cap(p.memScratch) < len(p.mem) {
-		p.memScratch = make([]tuple.Fact, 0, len(p.mem)*2)
-	}
-	out := p.memScratch[:0]
-	i, j := 0, 0
-	for i < len(prefix) && j < len(suffix) {
-		if tuple.Less(suffix[j], prefix[i], k) {
-			out = append(out, suffix[j])
-			j++
-		} else {
-			out = append(out, prefix[i])
-			i++
-		}
-	}
-	out = append(out, prefix[i:]...)
-	out = append(out, suffix[j:]...)
-	old := p.mem
-	p.mem = out
-	p.memScratch = old[:0]
-}
-
 // Flush writes every memtable fact with Seq ≤ persistedThrough into a new
 // patch and installs it. Facts newer than persistedThrough stay in the
 // memtable — this is the Figure 4 write-ahead invariant: an index never
@@ -287,7 +298,10 @@ func (p *Pyramid) mergeSortedMemLocked(k int) {
 // Flushing with nothing eligible is a no-op.
 func (p *Pyramid) Flush(at sim.Time, persistedThrough tuple.Seq) (sim.Time, error) {
 	p.mu.Lock()
-	// Partition memtable into eligible and retained.
+	// One run, partitioned: eligible and retained both come out sorted.
+	for len(p.runEnds) > 1 {
+		p.mergeNewestRunsLocked()
+	}
 	var eligible, retained []tuple.Fact
 	for _, f := range p.mem {
 		if f.Seq <= persistedThrough {
@@ -300,8 +314,6 @@ func (p *Pyramid) Flush(at sim.Time, persistedThrough tuple.Seq) (sim.Time, erro
 		p.mu.Unlock()
 		return at, nil
 	}
-	k := p.cfg.Schema.KeyCols
-	slices.SortStableFunc(eligible, factOrder(k))
 	seqLo := p.flushedThrough + 1
 	seqHi := p.flushedThrough
 	for _, f := range eligible {
@@ -312,9 +324,7 @@ func (p *Pyramid) Flush(at sim.Time, persistedThrough tuple.Seq) (sim.Time, erro
 	if seqHi < seqLo {
 		// Every eligible fact is a replay of something already flushed;
 		// dropping them from the memtable is the whole job.
-		p.mem = retained
-		p.memSorted = false
-		p.sortedLen = 0
+		p.setMemLocked(retained)
 		p.mu.Unlock()
 		return at, nil
 	}
@@ -327,9 +337,7 @@ func (p *Pyramid) Flush(at sim.Time, persistedThrough tuple.Seq) (sim.Time, erro
 	p.flushRows.Add(int64(len(eligible)))
 
 	p.mu.Lock()
-	p.mem = retained
-	p.memSorted = false
-	p.sortedLen = 0
+	p.setMemLocked(retained)
 	p.installPatchLocked(patch)
 	if seqHi > p.flushedThrough {
 		p.flushedThrough = seqHi

@@ -63,11 +63,7 @@ func refScan(p *Pyramid, at sim.Time, loKey, hiKey []uint64, allVersions bool, f
 	k := p.cfg.Schema.KeyCols
 	done := at
 
-	p.mu.Lock()
-	p.sortMemLocked()
-	memCopy := append([]tuple.Fact(nil), p.mem...)
-	patches := append([]*Patch(nil), p.patches...)
-	p.mu.Unlock()
+	memCopy, patches := sortedMem(p)
 
 	sources := make([]factSource, 0, len(patches)+1)
 	sources = append(sources, &memSource{facts: memCopy})

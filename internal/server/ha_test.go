@@ -390,6 +390,7 @@ func TestIdleTimeoutReapsPipelinedConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second)) // a hung hello fails, not hangs
 	if err := wire.WriteTaggedFrame(conn, wire.OpHello, 0, wire.EncodeHello(wire.ProtoTagged, 0, false)); err != nil {
 		t.Fatal(err)
 	}

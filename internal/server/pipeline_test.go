@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -277,6 +278,9 @@ func TestDuplicateTagKillsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	// A server that keeps the connection open fails the test here rather
+	// than hanging the binary.
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
 	if err := wire.WriteTaggedFrame(conn, wire.OpHello, 0, wire.EncodeHello(wire.ProtoTagged, 0, false)); err != nil {
 		t.Fatal(err)
 	}
@@ -312,8 +316,8 @@ func TestDuplicateTagKillsConnection(t *testing.T) {
 	if _, _, _, err := wire.ReadTaggedFrame(conn); err != nil {
 		t.Fatalf("parked request's response lost: %v", err)
 	}
-	if _, _, _, err := wire.ReadTaggedFrame(conn); err == nil {
-		t.Fatal("connection survived a duplicate tag")
+	if _, _, _, err := wire.ReadTaggedFrame(conn); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("connection survived a duplicate tag: %v", err)
 	}
 }
 
