@@ -237,6 +237,19 @@ type Counters struct {
 	Rebuilds        int64
 	RebuildSegments int64
 	RebuildBytes    int64
+
+	// The inline duplicate search by tier (§4.7): hits that the recent
+	// index verified and the blocks they deduplicated, keys asked of the
+	// dedup relation, hits that the relation verified and their blocks,
+	// and candidates from either tier that failed byte verification. A hit
+	// is counted in exactly one tier, so the tiers' hits sum to DedupHits
+	// and their blocks to InlineDupBlocks.
+	DedupRecentHits      int64
+	DedupRecentBlocks    int64
+	DedupRelationProbes  int64
+	DedupRelationHits    int64
+	DedupRelationBlocks  int64
+	DedupFalseCandidates int64
 }
 
 // Stats aggregates engine counters: Counters under mu (and rdMu, see

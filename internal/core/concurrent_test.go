@@ -234,9 +234,10 @@ func TestConcurrentWritersWithReaders(t *testing.T) {
 // written with unique data. BackgroundEvery and MemtableFlushRows are
 // small, so the dedup pyramid is flushed and merged while searches read
 // it. Meanwhile a reader checks that every extent of the sharing volumes
-// holds zeros or a whole template. Afterwards every committed extent was counted once, as a dedup
-// hit or a miss; every volume reads back its writer's last acknowledged
-// bytes; and every pyramid's cached pages match their checksums.
+// holds zeros or a whole template. Afterwards every committed extent was
+// counted once, as a recent-index hit, a relation hit or a miss; every
+// volume reads back its writer's last acknowledged bytes; and every
+// pyramid's cached pages match their checksums.
 func TestDedupSearchBesideLanes(t *testing.T) {
 	const (
 		writers   = 4
@@ -334,11 +335,19 @@ func TestDedupSearchBesideLanes(t *testing.T) {
 	}
 
 	st := a.Stats()
-	if st.DedupHits+st.DedupMisses != extents.Load() {
-		t.Errorf("dedup hits %d + misses %d = %d, want the %d extents committed",
-			st.DedupHits, st.DedupMisses, st.DedupHits+st.DedupMisses, extents.Load())
+	if got := st.DedupRecentHits + st.DedupRelationHits + st.DedupMisses; got != extents.Load() {
+		t.Errorf("recent hits %d + relation hits %d + misses %d = %d, want the %d extents committed",
+			st.DedupRecentHits, st.DedupRelationHits, st.DedupMisses, got, extents.Load())
 	}
-	t.Logf("%d extents: %d dedup hits, %d misses", extents.Load(), st.DedupHits, st.DedupMisses)
+	if st.DedupRecentHits+st.DedupRelationHits != st.DedupHits ||
+		st.DedupRecentBlocks+st.DedupRelationBlocks != st.InlineDupBlocks {
+		t.Errorf("the tiers count %d+%d hits of %d+%d blocks, the totals %d hits of %d blocks",
+			st.DedupRecentHits, st.DedupRelationHits, st.DedupRecentBlocks, st.DedupRelationBlocks,
+			st.DedupHits, st.InlineDupBlocks)
+	}
+	t.Logf("%d extents: %d recent hits, %d relation hits, %d misses; %d relation probes, %d false candidates",
+		extents.Load(), st.DedupRecentHits, st.DedupRelationHits, st.DedupMisses,
+		st.DedupRelationProbes, st.DedupFalseCandidates)
 	if st.DedupHits == 0 || st.DedupMisses == 0 {
 		t.Errorf("dedup hits %d, misses %d: the writers shared too little, or too much", st.DedupHits, st.DedupMisses)
 	}

@@ -163,6 +163,10 @@ type laneWrite struct {
 	// The duplicate search's outcomes: it runs without a.mu, so they are
 	// counted at apply.
 	dedupHits, dedupMisses, inlineDupBlocks int64
+	recentHits, recentBlocks                int64
+	relationProbes                          int64
+	relationHits, relationBlocks            int64
+	falseCandidates                         int64
 }
 
 // laneApplyLocked acknowledges a committed write: it charges the op's CPU
@@ -191,6 +195,12 @@ func (a *Array) laneApplyLocked(rc nvram.Receipt, done sim.Time, w laneWrite) (s
 	a.stats.DedupHits += w.dedupHits
 	a.stats.DedupMisses += w.dedupMisses
 	a.stats.InlineDupBlocks += w.inlineDupBlocks
+	a.stats.DedupRecentHits += w.recentHits
+	a.stats.DedupRecentBlocks += w.recentBlocks
+	a.stats.DedupRelationProbes += w.relationProbes
+	a.stats.DedupRelationHits += w.relationHits
+	a.stats.DedupRelationBlocks += w.relationBlocks
+	a.stats.DedupFalseCandidates += w.falseCandidates
 	return ackAt, nil
 }
 
@@ -274,12 +284,22 @@ func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, startSector
 		return err
 	}
 	if a.cfg.DedupEnabled {
-		run, d, found := a.findDuplicate(done, pe.part, pe.hashes, &sc.batch)
+		s, d := a.findDuplicate(done, pe.part, pe.hashes, &sc.batch)
 		done = d
-		hit := found && (run.Count >= dedupMinRunBlocks || run.Count == sectors)
+		run := s.run
+		hit := s.tier != tierNone && (run.Count >= dedupMinRunBlocks || run.Count == sectors)
+		sc.w.relationProbes += s.probes
+		sc.w.falseCandidates += s.falseCands
 		if hit {
 			sc.w.dedupHits++
 			sc.w.inlineDupBlocks += int64(run.Count)
+			if s.tier == tierRecent {
+				sc.w.recentHits++
+				sc.w.recentBlocks += int64(run.Count)
+			} else {
+				sc.w.relationHits++
+				sc.w.relationBlocks += int64(run.Count)
+			}
 		} else {
 			sc.w.dedupMisses++
 		}
@@ -339,15 +359,14 @@ func (a *Array) laneLiteralChunk(at sim.Time, ln *commitLane, medium, sector uin
 	}
 	allocated := uint64(1)
 
-	// Record a sample of the block hashes persistently, everything recently.
+	// Record every block hash recently, a sample of them persistently.
+	a.recent.AddCBlock(hashes, dedup.Candidate{Segment: uint64(seg), SegOff: uint64(segOff), PhysLen: uint64(len(frame))})
 	d := len(sc.dedup)
 	for i, h := range hashes {
-		cand := dedup.Candidate{Segment: uint64(seg), SegOff: uint64(segOff), PhysLen: uint64(len(frame)), SectorIdx: uint64(i)}
-		a.recent.Add(h, cand)
 		if a.cfg.DedupEnabled && dedup.ShouldRecord(i, a.cfg.DedupSampling) {
 			sc.dedup = append(sc.dedup, relation.DedupRow{
-				Hash: h, Segment: cand.Segment, SegOff: cand.SegOff,
-				PhysLen: cand.PhysLen, SectorIdx: cand.SectorIdx,
+				Hash: h, Segment: uint64(seg), SegOff: uint64(segOff),
+				PhysLen: uint64(len(frame)), SectorIdx: uint64(i),
 			}.FactIn(sc.factCols(relation.DedupSchema.Cols), a.seqs.Next()))
 			allocated++
 		}

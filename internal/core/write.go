@@ -151,18 +151,44 @@ func (a *Array) WriteAt(at sim.Time, vol VolumeID, off int64, data []byte) (sim.
 	return done, err
 }
 
-// findDuplicate looks every block hash up in the recent index and the
-// persistent dedup relation, byte-verifies the first candidate that pans
-// out, and extends it into a run (§4.7). hashes are part's precomputed
-// block hashes; b is the write's batch, which reads the relation's
-// memtable once for all of them and probes its patches for a hash only
-// when the search reaches it. It needs no a.mu, only world held shared:
-// the pyramid's readers are safe beside its inserts, the recent index
-// locks itself, fetchDurableCBlock is correct with or without a.mu, and
-// what would change a candidate under it — GC, background dedup, flush and
-// merge — holds world exclusively.
-func (a *Array) findDuplicate(at sim.Time, part []byte, hashes []uint64, b *pyramid.Batch) (dedup.Run, sim.Time, bool) {
-	a.pyr[relation.IDDedup].GetBatch(b, hashes)
+// dupTier names the tier of §4.7's duplicate search that found a run.
+type dupTier uint8
+
+const (
+	tierNone     dupTier = iota // no candidate verified
+	tierRecent                  // the recent index
+	tierRelation                // the persistent dedup relation
+)
+
+// dupSearch is findDuplicate's outcome: the verified run and the tier that
+// found it, and the work the search did on the way.
+type dupSearch struct {
+	run  dedup.Run
+	tier dupTier
+	// probes is how many keys the search asked of the dedup relation: the
+	// extent's hash count if it read the relation's memtable, else 0.
+	probes int64
+	// falseCands is how many candidates failed byte verification.
+	falseCands int64
+}
+
+// findDuplicate searches the extent part for a duplicate run (§4.7), each
+// tier read only after the one before it missed: for each block hash in
+// sector order, the recent index first, then the persistent dedup relation
+// if the recent index did not verify it. The first candidate that
+// byte-verifies is extended into a run. hashes are part's precomputed
+// block hashes. b, the write's batch, reads the relation's memtable once
+// for all of them when the first hash reaches the relation — an extent
+// whose first hash verifies in the recent index never reads the dedup
+// pyramid — and probes the patches for a hash only when the search
+// reaches it. When the memtable pass runs is invisible to the device
+// model: GetBatch charges no simulated time. It needs no a.mu, only world
+// held shared: the pyramid's readers are safe beside its inserts, the
+// recent index locks itself, fetchDurableCBlock is correct with or
+// without a.mu, and what would change a candidate under it — GC,
+// background dedup, flush and merge — holds world exclusively.
+func (a *Array) findDuplicate(at sim.Time, part []byte, hashes []uint64, b *pyramid.Batch) (dupSearch, sim.Time) {
+	var s dupSearch
 	done := at
 	fetch := func(c dedup.Candidate) ([]byte, bool) {
 		sectors, d, err := a.fetchDurableCBlock(done, c.Segment, c.SegOff, int(c.PhysLen))
@@ -172,11 +198,23 @@ func (a *Array) findDuplicate(at sim.Time, part []byte, hashes []uint64, b *pyra
 		}
 		return sectors, true
 	}
+	// verify byte-verifies cand at block i and extends it into s.run.
+	verify := func(i int, cand dedup.Candidate, tier dupTier) bool {
+		run, ok := dedup.ExtendAnchor(part, i, cand, fetch)
+		if !ok {
+			s.falseCands++
+			return false
+		}
+		s.run, s.tier = run, tier
+		return true
+	}
 	for i, h := range hashes {
-		if cand, ok := a.recent.Lookup(h); ok {
-			if run, ok := dedup.ExtendAnchor(part, i, cand, fetch); ok {
-				return run, done, true
-			}
+		if cand, ok := a.recent.Lookup(h); ok && verify(i, cand, tierRecent) {
+			return s, done
+		}
+		if s.probes == 0 { // the first hash to reach the relation
+			a.pyr[relation.IDDedup].GetBatch(b, hashes)
+			s.probes = int64(len(hashes))
 		}
 		f, ok, d, err := b.Get(done, i)
 		done = d
@@ -185,11 +223,11 @@ func (a *Array) findDuplicate(at sim.Time, part []byte, hashes []uint64, b *pyra
 		}
 		row := relation.DedupFromFact(f)
 		cand := dedup.Candidate{Segment: row.Segment, SegOff: row.SegOff, PhysLen: row.PhysLen, SectorIdx: row.SectorIdx}
-		if run, ok := dedup.ExtendAnchor(part, i, cand, fetch); ok {
-			return run, done, true
+		if verify(i, cand, tierRelation) {
+			return s, done
 		}
 	}
-	return dedup.Run{}, done, false
+	return s, done
 }
 
 // fetchDurableCBlock reads and decompresses a cblock, but only if its

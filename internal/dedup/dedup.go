@@ -281,6 +281,43 @@ func (r *recentStripe) add(hash uint64, c Candidate) {
 	r.n++
 }
 
+// maxCBlockBlocks is the most blocks a cblock holds: 32 KiB of 512 B
+// blocks.
+const maxCBlockBlocks = 64
+
+// AddCBlock records every block of one cblock: hashes[i] at sector i of c
+// (c's own SectorIdx is ignored). It leaves the index as Add for each hash
+// in order would, but takes each stripe's lock once for the hashes routed
+// to it, where Add takes one lock per hash: it threads the hashes into one
+// list per stripe, in order, so each stripe's FIFO evicts what Add's
+// would. More hashes than a cblock has blocks is a caller bug.
+func (x *RecentIndex) AddCBlock(hashes []uint64, c Candidate) {
+	if len(hashes) > maxCBlockBlocks {
+		panic("dedup: AddCBlock takes one cblock")
+	}
+	var head [maxRecentStripes]int8
+	var next [maxCBlockBlocks]int8
+	for s := range head {
+		head[s] = -1
+	}
+	for i := len(hashes) - 1; i >= 0; i-- {
+		s := hashes[i] & x.mask
+		next[i], head[s] = head[s], int8(i)
+	}
+	for s, i := range head[:len(x.stripes)] {
+		if i < 0 {
+			continue
+		}
+		r := x.stripes[s]
+		r.mu.Lock()
+		for ; i >= 0; i = next[i] {
+			c.SectorIdx = uint64(i)
+			r.add(hashes[i], c)
+		}
+		r.mu.Unlock()
+	}
+}
+
 // Lookup returns the candidate for a hash, if present.
 func (x *RecentIndex) Lookup(hash uint64) (Candidate, bool) {
 	r := x.stripe(hash)

@@ -382,8 +382,10 @@ func TestRecentIndexAgainstStripedModel(t *testing.T) {
 }
 
 // TestRecentIndexConcurrent hammers the striped index from many goroutines
-// with overlapping key ranges — run under -race by scripts/check.sh. Every
-// hit must return a value some goroutine actually stored for that hash.
+// with overlapping key ranges — run under -race by scripts/check.sh. Even
+// workers Add one hash at a time; odd ones AddCBlock a run of consecutive
+// keys, carrying the run's first key in PhysLen. Every hit must return a
+// value some goroutine actually stored for that hash.
 func TestRecentIndexConcurrent(t *testing.T) {
 	idx := NewRecentIndex(1 << 10)
 	const (
@@ -399,15 +401,30 @@ func TestRecentIndexConcurrent(t *testing.T) {
 			defer wg.Done()
 			rng := sim.NewRand(uint64(w+1) * 31337)
 			for i := 0; i < steps; i++ {
-				h := uint64(rng.Intn(keys)) * 0x9E3779B9
+				k := uint64(rng.Intn(keys))
+				h := k * 0x9E3779B9
 				if i%3 == 0 {
-					if c, ok := idx.Lookup(h); ok && c.SectorIdx != h {
-						t.Errorf("worker %d: Lookup(%d) returned candidate for wrong hash %d", w, h, c.SectorIdx)
+					c, ok := idx.Lookup(h)
+					stored := c.SectorIdx
+					if c.Segment%2 == 1 {
+						stored = (c.PhysLen + c.SectorIdx) * 0x9E3779B9
+					}
+					if ok && stored != h {
+						t.Errorf("worker %d: Lookup(%d) returned candidate for wrong hash %d", w, h, stored)
 						return
 					}
 					continue
 				}
-				idx.Add(h, Candidate{Segment: uint64(w), SectorIdx: h})
+				if w%2 == 0 {
+					idx.Add(h, Candidate{Segment: uint64(w), SectorIdx: h})
+					continue
+				}
+				n := 1 + rng.Intn(min(maxCBlockBlocks, keys-int(k)))
+				hashes := make([]uint64, n)
+				for j := range hashes {
+					hashes[j] = (k + uint64(j)) * 0x9E3779B9
+				}
+				idx.AddCBlock(hashes, Candidate{Segment: uint64(w), PhysLen: k})
 			}
 		}()
 	}
@@ -438,5 +455,41 @@ func TestNewRecentIndexDefersTables(t *testing.T) {
 	}
 	if x.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", x.Len())
+	}
+}
+
+// TestAddCBlockMatchesAdd: recording cblocks with AddCBlock leaves the index
+// as Add for each of their hashes in order does — the same Len after every
+// cblock and the same Lookup answer for every key — through stripe FIFO
+// evictions and repeated hashes within a cblock.
+func TestAddCBlockMatchesAdd(t *testing.T) {
+	for _, capacity := range []int{16, 64, 1 << 10} {
+		for _, keySpace := range []int{40, 300, 5000} {
+			batched, single := NewRecentIndex(capacity), NewRecentIndex(capacity)
+			rng := sim.NewRand(uint64(capacity*keySpace) + 1)
+			for step := 0; step < 400; step++ {
+				hashes := make([]uint64, 1+rng.Intn(maxCBlockBlocks))
+				for i := range hashes {
+					hashes[i] = uint64(rng.Intn(keySpace)) * 0x9E3779B97F4A7C15
+				}
+				c := Candidate{Segment: uint64(step), SegOff: uint64(rng.Intn(1 << 20)), PhysLen: uint64(len(hashes))}
+				batched.AddCBlock(hashes, c)
+				for i, h := range hashes {
+					c.SectorIdx = uint64(i)
+					single.Add(h, c)
+				}
+				if b, s := batched.Len(), single.Len(); b != s {
+					t.Fatalf("capacity %d keySpace %d step %d: Len %d after AddCBlock, %d after Adds", capacity, keySpace, step, b, s)
+				}
+			}
+			for k := 0; k < keySpace; k++ {
+				h := uint64(k) * 0x9E3779B97F4A7C15
+				bc, bok := batched.Lookup(h)
+				sc, sok := single.Lookup(h)
+				if bc != sc || bok != sok {
+					t.Fatalf("capacity %d keySpace %d: Lookup(%#x) = %+v,%v after AddCBlock, %+v,%v after Adds", capacity, keySpace, h, bc, bok, sc, sok)
+				}
+			}
+		}
 	}
 }
