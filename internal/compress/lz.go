@@ -9,14 +9,24 @@
 // every write — and a stored-raw escape guarantees incompressible data costs
 // only the frame header.
 //
-// Each byte's work is done once. The encoder extends a match by comparing 8
-// bytes at a time (the first differing byte is the lowest set byte of their
-// XOR), then byte by byte for the last few. The decoder writes into an output
-// sized from the frame header: a literal run is one copy, a match that does
-// not overlap its own output is one copy, and a match that does (a run,
-// offset < length) is copied from output already written in chunks that
-// start at offset bytes and double. Neither changes a frame: the token stream
-// is the one the byte-at-a-time codec produced.
+// Each byte's work is done once. The match search accelerates as LZ4's block
+// compressor does: after a run of misses it steps over more bytes per probe
+// (skipTrigger), so the random words in a sector cost a few probes, not one
+// per byte. A match it finds is first walked back over the pending literals,
+// which recovers the start a skip jumped past, then extended forward 8 bytes
+// per compare (the first differing byte is the lowest set byte of their XOR),
+// then byte by byte for the last few. The decoder writes into an output sized
+// from the frame header: a literal run is one copy, a match that does not
+// overlap its own output is one copy, and a match that does (a run, offset <
+// length) is copied from output already written in chunks that start at
+// offset bytes and double.
+//
+// The format, not the bytes, is the contract. The encoder may choose other
+// matches than an earlier encoder did, so the same block can frame to other
+// bytes; the token grammar, the frame header and the decoder do not change,
+// so every frame already on flash still reads and any reader of the format
+// reads new frames. lz_ref_test.go keeps the byte-at-a-time codec as the
+// reference both directions are tested against.
 package compress
 
 import (
@@ -38,6 +48,11 @@ const (
 	hashBits  = 13      // 8K-entry match table
 	maxOffset = 1 << 16 // 16-bit back references
 	maxBlock  = 8 << 20 // sanity cap on a single frame
+
+	// skipTrigger sets how fast the match search speeds up through data
+	// that does not match: after m misses in a row it steps 1+m>>skipTrigger
+	// bytes, so every 1<<skipTrigger misses lengthen the step by one.
+	skipTrigger = 4
 )
 
 // Errors returned by Decompress.
@@ -64,7 +79,7 @@ func Compress(dst, src []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(src)))
 	payloadAt := len(dst)
 
-	dst = appendLZ(dst, src)
+	dst, _ = appendLZ(dst, src)
 	if len(dst)-payloadAt >= len(src) {
 		// Incompressible: rewrite the frame as raw.
 		dst = AppendRaw(dst[:headerAt], src)
@@ -86,7 +101,9 @@ func hash4(v uint32) uint32 {
 	return (v * 2654435761) >> (32 - hashBits)
 }
 
-// appendLZ appends the LZ payload for src to dst.
+// appendLZ appends the LZ payload for src to dst and returns it with the
+// number of hash-table probes it made, one per position it tried as a
+// match start.
 //
 // Payload grammar, repeated until input is consumed:
 //
@@ -97,17 +114,26 @@ func hash4(v uint32) uint32 {
 //
 // A token with matchLen nibble 0 and no trailing offset ends the stream
 // (final literals).
-func appendLZ(dst, src []byte) []byte {
+func appendLZ(dst, src []byte) ([]byte, int) {
 	var table [1 << hashBits]int32 // position+1 of last occurrence; 0 = none
 	n := len(src)
 	i := 0
 	litStart := 0
+	probes := 0
+	misses := 0 // probes since the last match
 	for i+minMatch <= n {
 		v := binary.LittleEndian.Uint32(src[i:])
 		h := hash4(v)
 		cand := int(table[h]) - 1
 		table[h] = int32(i + 1)
+		probes++
 		if cand >= 0 && i-cand < maxOffset && binary.LittleEndian.Uint32(src[cand:]) == v {
+			// Walk the match back over the pending literals: a skip may
+			// have jumped past where it starts.
+			for i > litStart && cand > 0 && src[i-1] == src[cand-1] {
+				i--
+				cand--
+			}
 			matchLen := extendMatch(src, cand, i)
 			dst = appendSequence(dst, src[litStart:i], i-cand, matchLen)
 			// Seed the table inside the match so long runs stay findable.
@@ -117,15 +143,17 @@ func appendLZ(dst, src []byte) []byte {
 			}
 			i = end
 			litStart = i
+			misses = 0
 			continue
 		}
-		i++
+		misses++
+		i += 1 + misses>>skipTrigger
 	}
 	// Trailing literals, marked by a token with no match.
 	lits := src[litStart:]
 	dst = appendToken(dst, len(lits), 0)
 	dst = append(dst, lits...)
-	return dst
+	return dst, probes
 }
 
 // extendMatch returns the length of the match at i against cand < i, whose

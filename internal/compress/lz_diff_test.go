@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 
 	"purity/internal/sim"
@@ -24,10 +25,9 @@ func sameAsReference(t *testing.T, name string, frame []byte) {
 	}
 }
 
-// referenceInputs are the blocks Compress must frame exactly as the
-// reference does: both content classes at every cblock size the traffic
-// uses, random bytes, zeros, and TestRoundTripFarOffsets' inputs past the
-// 64 KiB window.
+// referenceInputs are the blocks the encoder is held to the reference on:
+// both content classes at every cblock size the traffic uses, random bytes,
+// zeros, and TestRoundTripFarOffsets' inputs past the 64 KiB window.
 func referenceInputs() map[string][]byte {
 	in := map[string][]byte{}
 	for _, c := range contentClasses {
@@ -55,14 +55,54 @@ func referenceInputs() map[string][]byte {
 	return in
 }
 
-func TestCompressMatchesReference(t *testing.T) {
+// readsBothWays fails unless frame, Compress's or the reference's frame of
+// src, decodes to src in both decoders. The encoders may choose different
+// matches; the format they write is the one contract.
+func readsBothWays(t *testing.T, name string, frame, src []byte) {
+	t.Helper()
+	for _, d := range []struct {
+		name   string
+		decode func(dst, src []byte) ([]byte, int, error)
+	}{{"Decompress", Decompress}, {"reference", refDecompress}} {
+		got, n, err := d.decode(nil, frame)
+		if err != nil || n != len(frame) || !bytes.Equal(got, src) {
+			t.Fatalf("%s: %s decode: %d bytes, consumed %d of %d, %v; input back %v",
+				name, d.name, len(got), n, len(frame), err, bytes.Equal(got, src))
+		}
+	}
+}
+
+// maxClassGrowth bounds how much longer than the reference's frame
+// Compress's may be on a database or VDI block: the acceleration skips
+// match starts the reference tries. Measured over referenceInputs' class
+// blocks, the most is 3.5 % on a lone 512 B VDI sector (380 bytes against
+// 367), and 1.2 % at 4 KiB and over; some blocks frame shorter.
+const maxClassGrowth = 1.04
+
+// TestCompressKeepsReferenceFormat holds the encoder to the format, not to
+// the reference's bytes, on every reference input: (a) the reference
+// decoder reads Compress's frame, so old readers read new frames; (b)
+// Decompress reads the reference's frame, so frames already on flash still
+// read; (c) on the content classes the frame is at most maxClassGrowth
+// times the reference's.
+func TestCompressKeepsReferenceFormat(t *testing.T) {
 	for name, src := range referenceInputs() {
 		got := Compress([]byte("keep"), src)
-		want := refCompress([]byte("keep"), src)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: frame differs from the reference (%d vs %d bytes)", name, len(got), len(want))
+		if !bytes.HasPrefix(got, []byte("keep")) {
+			t.Fatalf("%s: Compress clobbered dst", name)
 		}
-		sameAsReference(t, name, want[len("keep"):])
+		got = got[len("keep"):]
+		want := refCompress(nil, src)
+		readsBothWays(t, name+" (Compress)", got, src)
+		readsBothWays(t, name+" (reference)", want, src)
+		sameAsReference(t, name, got)
+		sameAsReference(t, name, want)
+		if strings.HasPrefix(name, "database/") || strings.HasPrefix(name, "vdi/") {
+			if g, w := len(got), len(want); float64(g) > maxClassGrowth*float64(w) {
+				t.Errorf("%s: frame %d bytes, %.2f %% over the reference's %d (bound %.0f %%)",
+					name, g, 100*(float64(g)/float64(w)-1), w, 100*(maxClassGrowth-1))
+			}
+		}
 	}
 }
 
@@ -152,11 +192,10 @@ func TestDecodeErrorsMatchReference(t *testing.T) {
 
 // FuzzDecompress feeds both decoders the same bytes. They must agree on
 // error or none, on the output and on the bytes consumed, and neither may
-// panic. A block that decodes is then framed again: Compress must emit the
-// reference's frame, and the reference decoder must return the block from
-// it. The seeds include the frames FuzzUnpack (internal/cblock) starts from,
-// without their CRC: 1, 3 and 64 sectors, half random and half zeros,
-// compressed and raw.
+// panic. A block that decodes is then framed again by both encoders, and
+// each frame must read back in both decoders. The seeds include the frames
+// FuzzUnpack (internal/cblock) starts from, without their CRC: 1, 3 and 64
+// sectors, half random and half zeros, compressed and raw.
 func FuzzDecompress(f *testing.F) {
 	for _, n := range []int{1, 3, 64} {
 		data := make([]byte, n*512)
@@ -181,13 +220,28 @@ func FuzzDecompress(f *testing.F) {
 		if gerr != nil {
 			return
 		}
-		again := Compress(nil, got)
-		if ref := refCompress(nil, got); !bytes.Equal(again, ref) {
-			t.Fatalf("Compress of the decoded block differs from the reference (%d vs %d bytes)", len(again), len(ref))
+		readsBothWays(t, "Compress of the decoded block", Compress(nil, got), got)
+		readsBothWays(t, "reference frame of the decoded block", refCompress(nil, got), got)
+	})
+}
+
+// FuzzCompress frames any input: both decoders must return it, and the
+// frame must fit MaxCompressedLen.
+func FuzzCompress(f *testing.F) {
+	for _, c := range contentClasses {
+		f.Add(renderClass(c.noiseWords, 4<<10, 1, 1))
+	}
+	random := make([]byte, 1000)
+	sim.NewRand(5).Bytes(random)
+	f.Add(random)
+	f.Add(bytes.Repeat([]byte("abc"), 100))
+	f.Add(make([]byte, 300))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, src []byte) {
+		frame := Compress(nil, src)
+		if len(frame) > MaxCompressedLen(len(src)) {
+			t.Fatalf("frame %d bytes exceeds MaxCompressedLen(%d) = %d", len(frame), len(src), MaxCompressedLen(len(src)))
 		}
-		back, n, err := refDecompress(nil, again)
-		if err != nil || n != len(again) || !bytes.Equal(back, got) {
-			t.Fatalf("reference decode of the re-framed block: %d bytes, consumed %d of %d, %v", len(back), n, len(again), err)
-		}
+		readsBothWays(t, "Compress", frame, src)
 	})
 }

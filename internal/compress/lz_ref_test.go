@@ -7,10 +7,13 @@ import (
 
 // refCompress, refDecompress and the functions they call are the codec as it
 // stood before its hot loops were rewritten, kept verbatim (renamed only) as
-// the executable specification of the rewrite: Compress must emit the same
-// frame byte for byte, and Decompress must return the same bytes, the same
-// consumed count and the same error on every input. The reference extends a
-// match one byte at a time and decodes a match with one append per byte.
+// the executable specification of the format: each decoder must read the
+// other encoder's frames, Compress's frames must stay close to the
+// reference's in size (TestCompressKeepsReferenceFormat), and Decompress must
+// return the same bytes, the same consumed count and the same error as
+// refDecompress on every input. The reference tries every byte as a match
+// start, extends a match one byte at a time and decodes a match with one
+// append per byte.
 
 func refCompress(dst, src []byte) []byte {
 	if len(src) > maxBlock {

@@ -241,15 +241,17 @@ type Counters struct {
 	// The inline duplicate search by tier (§4.7): hits that the recent
 	// index verified and the blocks they deduplicated, keys asked of the
 	// dedup relation, hits that the relation verified and their blocks,
-	// and candidates from either tier that failed byte verification. A hit
-	// is counted in exactly one tier, so the tiers' hits sum to DedupHits
-	// and their blocks to InlineDupBlocks.
+	// candidates from either tier that failed byte verification, and
+	// candidates turned down unread because their segment is not yet sealed
+	// (fetchDurableCBlock). A hit is counted in exactly one tier, so the
+	// tiers' hits sum to DedupHits and their blocks to InlineDupBlocks.
 	DedupRecentHits      int64
 	DedupRecentBlocks    int64
 	DedupRelationProbes  int64
 	DedupRelationHits    int64
 	DedupRelationBlocks  int64
 	DedupFalseCandidates int64
+	DedupUnsealedRejects int64
 }
 
 // Stats aggregates engine counters: Counters under mu (and rdMu, see

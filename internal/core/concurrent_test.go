@@ -345,9 +345,9 @@ func TestDedupSearchBesideLanes(t *testing.T) {
 			st.DedupRecentHits, st.DedupRelationHits, st.DedupRecentBlocks, st.DedupRelationBlocks,
 			st.DedupHits, st.InlineDupBlocks)
 	}
-	t.Logf("%d extents: %d recent hits, %d relation hits, %d misses; %d relation probes, %d false candidates",
+	t.Logf("%d extents: %d recent hits, %d relation hits, %d misses; %d relation probes, %d false candidates, %d unsealed rejects",
 		extents.Load(), st.DedupRecentHits, st.DedupRelationHits, st.DedupMisses,
-		st.DedupRelationProbes, st.DedupFalseCandidates)
+		st.DedupRelationProbes, st.DedupFalseCandidates, st.DedupUnsealedRejects)
 	if st.DedupHits == 0 || st.DedupMisses == 0 {
 		t.Errorf("dedup hits %d, misses %d: the writers shared too little, or too much", st.DedupHits, st.DedupMisses)
 	}

@@ -18,6 +18,7 @@ type tierDelta struct {
 	relationProbes               int64
 	relationHits, relationBlocks int64
 	falseCandidates              int64
+	unsealedRejects              int64
 }
 
 func tierCounts(before, after StatsSnapshot) tierDelta {
@@ -31,14 +32,16 @@ func tierCounts(before, after StatsSnapshot) tierDelta {
 		relationHits:    after.DedupRelationHits - before.DedupRelationHits,
 		relationBlocks:  after.DedupRelationBlocks - before.DedupRelationBlocks,
 		falseCandidates: after.DedupFalseCandidates - before.DedupFalseCandidates,
+		unsealedRejects: after.DedupUnsealedRejects - before.DedupUnsealedRejects,
 	}
 }
 
 // TestDedupTierRecentFirst pins the search's tier order: an extent whose
 // first block hash verifies in the recent index asks the dedup relation
 // nothing, and counts as a recent hit. Before the flush the same extent's
-// candidates all sit in an unsealed segment: every one fails verification,
-// in both tiers, and the relation is asked for every hash.
+// candidates all sit in an unsealed segment: every one, in both tiers, is
+// rejected unread as unsealed (none counts as a false candidate), and the
+// relation is asked for every hash.
 func TestDedupTierRecentFirst(t *testing.T) {
 	a := newArray(t)
 	vol := mustCreate(t, a, "v", 2<<20)
@@ -49,7 +52,7 @@ func TestDedupTierRecentFirst(t *testing.T) {
 	before := a.Stats()
 	mustWrite(t, a, vol, cblock.MaxBytes, img)
 	sampled := int64(dedup.Recorded(blocks, a.cfg.DedupSampling))
-	want := tierDelta{misses: 1, relationProbes: blocks, falseCandidates: blocks + sampled}
+	want := tierDelta{misses: 1, relationProbes: blocks, unsealedRejects: blocks + sampled}
 	if got := tierCounts(before, a.Stats()); got != want {
 		t.Fatalf("repeat into an unsealed segment counted %+v, want %+v", got, want)
 	}
@@ -155,9 +158,9 @@ func tierModelRun(t *testing.T, probe bool) ([]sim.Time, string) {
 		step(a.FlushAll(now))
 	}
 	st := a.Stats()
-	if st.DedupRecentHits == 0 || st.DedupRelationHits == 0 || st.DedupFalseCandidates == 0 {
-		t.Fatalf("the script exercised too few tiers: %d recent hits, %d relation hits, %d false candidates",
-			st.DedupRecentHits, st.DedupRelationHits, st.DedupFalseCandidates)
+	if st.DedupRecentHits == 0 || st.DedupRelationHits == 0 || st.DedupUnsealedRejects == 0 {
+		t.Fatalf("the script exercised too few tiers: %d recent hits, %d relation hits, %d unsealed rejects",
+			st.DedupRecentHits, st.DedupRelationHits, st.DedupUnsealedRejects)
 	}
 	doc, err := json.MarshalIndent(st, "", " ")
 	if err != nil {
@@ -180,7 +183,7 @@ func TestDedupTierCountersDoNotMoveModel(t *testing.T) {
 		t.Fatalf("stats document moved under Stats() probes:\n--- without\n%s\n--- with\n%s", plainDoc, probedDoc)
 	}
 	for _, key := range []string{"DedupRecentHits", "DedupRecentBlocks", "DedupRelationProbes",
-		"DedupRelationHits", "DedupRelationBlocks", "DedupFalseCandidates"} {
+		"DedupRelationHits", "DedupRelationBlocks", "DedupFalseCandidates", "DedupUnsealedRejects"} {
 		if !bytes.Contains([]byte(plainDoc), []byte(`"`+key+`"`)) {
 			t.Errorf("the engine stats document has no %s", key)
 		}

@@ -166,7 +166,7 @@ type laneWrite struct {
 	recentHits, recentBlocks                int64
 	relationProbes                          int64
 	relationHits, relationBlocks            int64
-	falseCandidates                         int64
+	falseCandidates, unsealedRejects        int64
 }
 
 // laneApplyLocked acknowledges a committed write: it charges the op's CPU
@@ -201,6 +201,7 @@ func (a *Array) laneApplyLocked(rc nvram.Receipt, done sim.Time, w laneWrite) (s
 	a.stats.DedupRelationHits += w.relationHits
 	a.stats.DedupRelationBlocks += w.relationBlocks
 	a.stats.DedupFalseCandidates += w.falseCandidates
+	a.stats.DedupUnsealedRejects += w.unsealedRejects
 	return ackAt, nil
 }
 
@@ -290,6 +291,7 @@ func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, startSector
 		hit := s.tier != tierNone && (run.Count >= dedupMinRunBlocks || run.Count == sectors)
 		sc.w.relationProbes += s.probes
 		sc.w.falseCandidates += s.falseCands
+		sc.w.unsealedRejects += s.unsealedRejects
 		if hit {
 			sc.w.dedupHits++
 			sc.w.inlineDupBlocks += int64(run.Count)

@@ -8,15 +8,15 @@ import (
 	"purity/internal/tuple"
 )
 
-// lookupOracle is the safety net of the ROADMAP item "Address-map lookup:
-// pin it with an oracle, then stop scanning": the address map and medium
-// table as plain slices, and sector resolution stated in a dozen lines —
-// the newest valid, non-elided address fact covering the sector, else the
-// same question one hop down the medium chain. It is filled by unbounded
-// scans (whole-page decode, no window, no seek, no floor or ceiling query),
-// so it shares nothing with the bounded lookups it checks except the merge
-// loop. Whatever the read path's lookup becomes — seek, fences, a floor
-// query — it has to agree with this.
+// lookupOracle is the safety net the ROADMAP item "Logical monotonicity as
+// a checked property" builds its replay and merge properties on: the
+// address map and medium table as plain slices, and sector resolution
+// stated in a dozen lines — the newest valid, non-elided address fact
+// covering the sector, else the same question one hop down the medium
+// chain. It is filled by unbounded scans (whole-page decode, no window, no
+// seek, no floor or ceiling query), so it shares nothing with the bounded
+// lookups it checks except the merge loop. Whatever the read path's lookup
+// becomes — seek, fences, a floor query — it has to agree with this.
 type lookupOracle struct {
 	addrs   map[uint64][]oracleAddr         // by medium: every live version
 	mediums map[uint64][]relation.MediumRow // by source medium: newest version per start

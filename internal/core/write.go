@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -168,8 +169,10 @@ type dupSearch struct {
 	// probes is how many keys the search asked of the dedup relation: the
 	// extent's hash count if it read the relation's memtable, else 0.
 	probes int64
-	// falseCands is how many candidates failed byte verification.
-	falseCands int64
+	// falseCands is how many candidates failed byte verification, and
+	// unsealedRejects how many were turned down unread because their
+	// cblock's segment is not yet sealed.
+	falseCands, unsealedRejects int64
 }
 
 // findDuplicate searches the extent part for a duplicate run (§4.7), each
@@ -190,9 +193,11 @@ type dupSearch struct {
 func (a *Array) findDuplicate(at sim.Time, part []byte, hashes []uint64, b *pyramid.Batch) (dupSearch, sim.Time) {
 	var s dupSearch
 	done := at
+	unsealed := false // the last fetch found its segment unsealed
 	fetch := func(c dedup.Candidate) ([]byte, bool) {
 		sectors, d, err := a.fetchDurableCBlock(done, c.Segment, c.SegOff, int(c.PhysLen))
 		done = d
+		unsealed = errors.Is(err, errUnsealed)
 		if err != nil {
 			return nil, false
 		}
@@ -202,7 +207,11 @@ func (a *Array) findDuplicate(at sim.Time, part []byte, hashes []uint64, b *pyra
 	verify := func(i int, cand dedup.Candidate, tier dupTier) bool {
 		run, ok := dedup.ExtendAnchor(part, i, cand, fetch)
 		if !ok {
-			s.falseCands++
+			if unsealed {
+				s.unsealedRejects++
+			} else {
+				s.falseCands++
+			}
 			return false
 		}
 		s.run, s.tier = run, tier
@@ -230,6 +239,10 @@ func (a *Array) findDuplicate(at sim.Time, part []byte, hashes []uint64, b *pyra
 	return s, done
 }
 
+// errUnsealed is fetchDurableCBlock's refusal of a cblock whose segment is
+// not yet sealed.
+var errUnsealed = errors.New("core: dedup candidate not yet sealed")
+
 // fetchDurableCBlock reads and decompresses a cblock, but only if its
 // segment is SEALED. Cross-references — dedup mappings, flattened chains,
 // GC redirects — must only point at sealed segments: those are
@@ -243,7 +256,7 @@ func (a *Array) fetchDurableCBlock(at sim.Time, seg, segOff uint64, physLen int)
 		return nil, at, fmt.Errorf("core: dedup candidate in unknown segment %d", seg)
 	}
 	if !info.Sealed {
-		return nil, at, fmt.Errorf("core: dedup candidate not yet sealed")
+		return nil, at, errUnsealed
 	}
 	return a.readCBlock(at, seg, segOff, physLen)
 }

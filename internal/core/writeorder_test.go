@@ -61,19 +61,32 @@ import (
 // The values recorded with one segment table above were, at lanes 1: final
 // ack 275824404, write sim sum 189639556, HostBytesRead 8873353; at lanes
 // 4: final ack 311617294, write sim sum 189367604.
+//
+// Re-recorded with the accelerated match search, together with
+// modelFingerprint and for the same reason: compress.Compress frames the
+// same blocks to other sizes. This script's blocks frame shorter, so the
+// NVRAM records are smaller and the writes ack sooner, and the dedup
+// byte-verifies read shorter frames (HostBytesRead −1.6 % at lanes 1,
+// −2.1 % at lanes 4). What was deduplicated and rotated, and the bytes
+// written to the drives, are unchanged; the reduction ratio rises by
+// 0.02 %. The values recorded with the XXH64 block hash above were, at
+// lanes 1: final ack 275824366, write sim sum 189639522, HostBytesRead
+// 8850677, reduction ratio 1.973473710; at lanes 4: final ack 311617212,
+// write sim sum 189367470, HostBytesRead 6554754, reduction ratio
+// 1.918704513.
 var multiExtentFingerprint = map[int]string{
-	1: `final ack        275824366
-write sim sum    189639522
-flash            {HostBytesRead:8850677 HostBytesWritten:52247403 FlashBytesWritten:52277040 Erases:0 RandomWrites:9 StalledReads:6 QueuedReads:0 MaxWear:3 BadBlocks:0 BitFlips:0}
+	1: `final ack        275637650
+write sim sum    189454318
+flash            {HostBytesRead:8713336 HostBytesWritten:52247403 FlashBytesWritten:52277040 Erases:0 RandomWrites:9 StalledReads:6 QueuedReads:0 MaxWear:3 BadBlocks:0 BitFlips:0}
 dedup            1201 hits, 895 misses, 52800 inline dup blocks
-reduction ratio  1.973473710
+reduction ratio  1.973844176
 rotations        4
 `,
-	4: `final ack        311617212
-write sim sum    189367470
-flash            {HostBytesRead:6554754 HostBytesWritten:55857594 FlashBytesWritten:55879788 Erases:0 RandomWrites:6 StalledReads:8 QueuedReads:0 MaxWear:2 BadBlocks:0 BitFlips:0}
+	4: `final ack        311442930
+write sim sum    189176154
+flash            {HostBytesRead:6415371 HostBytesWritten:55857594 FlashBytesWritten:55879788 Erases:0 RandomWrites:6 StalledReads:8 QueuedReads:0 MaxWear:2 BadBlocks:0 BitFlips:0}
 dedup            1165 hits, 931 misses, 50560 inline dup blocks
-reduction ratio  1.918704513
+reduction ratio  1.919062100
 rotations        4
 `,
 }
@@ -92,7 +105,7 @@ func TestMultiExtentFingerprint(t *testing.T) {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
 			got := runMultiExtentScript(t, lanes)
 			if want := multiExtentFingerprint[lanes]; got != want {
-				t.Errorf("the device model noticed this change.\n--- got\n%s--- want (recorded with the XXH64 block hash)\n%s", got, want)
+				t.Errorf("the device model noticed this change.\n--- got\n%s--- want (recorded with the accelerated match search)\n%s", got, want)
 			}
 		})
 	}

@@ -172,9 +172,10 @@ echo "== go test -race (concurrency-bearing packages)"
 go test -race -short ./internal/wire/ ./internal/server/ ./internal/dedup/ ./internal/layout/ ./internal/shelf/ ./internal/pyramid/ ./internal/iosched/ ./internal/erasure/
 go test -race -short -run 'TestConcurrentWriters|TestConcurrentScrubRebuildForeground|TestConcurrentReadersWriterGC|TestReadsAcrossSealWindow|TestStatsMarshalBesideLanes|TestDedupSearchBesideLanes|TestDedupTier' ./internal/core/
 
-echo "== kernel benchmarks (one iteration each, so they cannot rot: dedup's hash and byte-verify, erasure's dot product)"
+echo "== kernel benchmarks (one iteration each, so they cannot rot: dedup's hash and byte-verify, erasure's dot product, the codec per content class)"
 go test -run '^$' -bench 'HashBlocks32K|ExtendAnchor32K' -benchtime 1x ./internal/dedup/
 go test -run '^$' -bench 'Dot7x128K' -benchtime 1x ./internal/erasure/
+go test -run '^$' -bench 'CompressClass' -benchtime 1x ./internal/compress/
 
 echo "== commit lanes (-race: multi-lane writers, one record order on every NVRAM mirror (TestLaneMirrorsAgreeOnRecordOrder), the log-full fallback under concurrent writers and catalog/GC steps, its shared-lock guard, the commit point's panics on a receiptless apply or shard copy and on a watermark advance under a shared world hold (TestCommitPointGuardsPanic), the short crash sweep at lanes 1 and 4, and four writers' pooled write scratch against the caller-buffer contract)"
 go test -race -short -run 'TestLane|TestCrashSweep|TestCheckpointSurvivesNVRAMPressure|TestLogFullRefusesSharedWorld|TestCommitPointGuardsPanic|TestWriteAtKeepsNoCallerBuffer' ./internal/core/
@@ -183,14 +184,17 @@ echo "== pipelined front end (-race: out-of-order completion, 64 in-flight on on
 go test -race -run 'TestPipelined|TestOutOfOrderCompletion|TestDuplicateTagKillsConnection|TestAdmissionWindowBackpressure|TestWireHealthCounters|TestServeSurvivesTransientAcceptErrors|TestFirstFrameMustBeHello|TestTornRequestCondemnsConnection|TestDrainStopsAtBufferedFrame|TestBatchWriteFailureReleasesEveryFrame|TestPooledBodiesManyWriters|TestEveryAdmissionExitReleases|TestBudgetWaitAbortsAfterDrainBegan' ./internal/server/
 go test -run 'TestScrubDefersUnderSLOPressure|TestScrubRunsWithSLODisabled' ./internal/core/
 
-echo "== wire codec, NVRAM record, patch descriptor, index page, compress frame, cblock frame, segment trailer and boot checkpoint fuzz (5 s each; the seed corpora already ran as plain tests above)"
+echo "== wire codec, NVRAM record, patch descriptor, index page, compress frame (decode and encode), cblock frame, segment trailer and boot checkpoint fuzz (5 s each; the seed corpora already ran as plain tests above)"
 go test -run '^$' -fuzz FuzzTaggedFrame -fuzztime 5s ./internal/wire/
 go test -run '^$' -fuzz FuzzFrameStream -fuzztime 5s ./internal/wire/
 go test -run '^$' -fuzz FuzzUnmarshalPatch -fuzztime 5s -fuzzminimizetime 1s ./internal/pyramid/
 go test -run '^$' -fuzz FuzzOpen -fuzztime 5s -fuzzminimizetime 1s ./internal/pagecodec/
-# FuzzDecompress holds the codec to its reference (lz_ref_test.go): the
-# same output, consumed count and error on any input.
+# FuzzDecompress holds the decoder to its reference (lz_ref_test.go): the
+# same output, consumed count and error on any input, and a decoded block
+# framed again by either encoder reads back in both decoders. FuzzCompress
+# frames any input: both decoders return it, within MaxCompressedLen.
 go test -run '^$' -fuzz FuzzDecompress -fuzztime 5s -fuzzminimizetime 1s ./internal/compress/
+go test -run '^$' -fuzz FuzzCompress -fuzztime 5s -fuzzminimizetime 1s ./internal/compress/
 go test -run '^$' -fuzz FuzzUnpack -fuzztime 5s -fuzzminimizetime 1s ./internal/cblock/
 go test -run '^$' -fuzz FuzzParseAUTrailer -fuzztime 5s -fuzzminimizetime 1s ./internal/layout/
 go test -run '^$' -fuzz FuzzParseSegioTrailer -fuzztime 5s -fuzzminimizetime 1s ./internal/layout/
