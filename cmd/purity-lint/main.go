@@ -1,32 +1,26 @@
-// Command purity-lint runs the repo's invariant checker: four rules
+// Command purity-lint runs the repo's invariant checker: three rules
 // that enforce the conventions Purity's correctness argument rests on —
 // lock annotations and path-sensitive lock states (backed by checked
-// callee summaries), crash-sweep coverage of durable writes, no dropped
-// errors, plus the interprocedural lockorder (the whole-module
-// lock-acquisition graph is acyclic and matches the declared
-// //lint:lockorder hierarchy). Connection deadlines, admission releases,
-// sequence numbers, the commit point and goroutine lifetimes need no
-// rule: wire.Conn arms its own deadlines, a server request returns what
-// admission took in its one release, a tuple.Watermark cannot be stamped
-// into a fact, the crash sweep checks that no seq is carried by two keys,
-// a fact apply takes the nvram.Receipt of its record's append, the flush
-// watermark advances only under the exclusive world lock, and the front
-// end's and engine's tests fail when a goroutine outlives them
-// (internal/leakcheck). See internal/lint and the "Machine-checked
-// invariants" section of DESIGN.md.
+// callee summaries), crash-sweep coverage of durable writes, and no
+// dropped errors. Lock order, connection deadlines, admission releases,
+// sequence numbers, the commit point and goroutine lifetimes need no rule:
+// every lock acquisition in a test binary is checked against
+// internal/lockrank's rank table, wire.Conn arms its own deadlines, a
+// server request returns what admission took in its one release, a
+// tuple.Watermark cannot be stamped into a fact, the crash sweep checks
+// that no seq is carried by two keys, a fact apply takes the nvram.Receipt
+// of its record's append, the flush watermark advances only under the
+// exclusive world lock, and the front end's and engine's tests fail when a
+// goroutine outlives them (internal/leakcheck). See internal/lint and the
+// "Machine-checked invariants" section of DESIGN.md.
 //
 // Usage:
 //
 //	go run ./cmd/purity-lint ./...
 //	go run ./cmd/purity-lint -list
 //	go run ./cmd/purity-lint -json ./... > findings.json
-//	go run ./cmd/purity-lint -graph lock ./... > lockorder.dot
-//	go run ./cmd/purity-lint -graph calls -json ./... > callgraph.json
 //
-// -list prints the rules. -graph skips rule checking and instead emits the
-// inferred lock-order graph ("lock") or the module call graph ("calls") as
-// Graphviz DOT, or as JSON with -json — DESIGN.md's lock-hierarchy section
-// is regenerated from this output.
+// -list prints the rules.
 //
 // Exit status 0 when clean, 1 when any diagnostic survives suppression,
 // 2 on load or usage errors.
@@ -57,11 +51,10 @@ type jsonDiag struct {
 func main() {
 	var (
 		list   = flag.Bool("list", false, "list the rules and exit")
-		asJSON = flag.Bool("json", false, "emit diagnostics (or -graph output) as JSON on stdout")
-		graph  = flag.String("graph", "", "emit a graph instead of diagnostics: \"lock\" (lock-order graph) or \"calls\" (call graph); DOT by default, JSON with -json")
+		asJSON = flag.Bool("json", false, "emit diagnostics as JSON on stdout")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: purity-lint [-list] [-json] [-graph lock|calls] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: purity-lint [-list] [-json] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -87,29 +80,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "purity-lint: %v\n", err)
 		os.Exit(2)
-	}
-	if *graph != "" {
-		var dump interface{ DOT() string }
-		switch *graph {
-		case "lock":
-			dump = lint.DumpLockGraph(prog)
-		case "calls":
-			dump = lint.DumpCallGraph(prog)
-		default:
-			fmt.Fprintf(os.Stderr, "purity-lint: unknown graph %q (want \"lock\" or \"calls\")\n", *graph)
-			os.Exit(2)
-		}
-		if *asJSON {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(dump); err != nil {
-				fmt.Fprintf(os.Stderr, "purity-lint: %v\n", err)
-				os.Exit(2)
-			}
-		} else {
-			fmt.Print(dump.DOT())
-		}
-		return
 	}
 	diags := lint.Run(prog, rules)
 	relName := func(name string) string {

@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"purity/internal/lockrank"
 	"purity/internal/sim"
 )
 
@@ -67,7 +68,7 @@ type Stats struct {
 
 // Injector hands out fault-wrapped connections and listeners.
 type Injector struct {
-	mu    sync.Mutex
+	mu    lockrank.Mutex[lockrank.ChaosInjectorMu]
 	cfg   Config
 	conns uint64
 	stats Stats
@@ -122,10 +123,10 @@ type conn struct {
 	cfg   Config
 	stats *Stats
 
-	mu  sync.Mutex // guards rng (Read and Write may race)
+	mu  lockrank.Mutex[lockrank.ChaosConnMu] // guards rng (Read and Write may race)
 	rng *sim.Rand
 
-	dmu          sync.Mutex // guards readDeadline
+	dmu          lockrank.Mutex[lockrank.ChaosConnDmu] // guards readDeadline
 	readDeadline time.Time
 
 	closeOnce sync.Once

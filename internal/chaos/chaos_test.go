@@ -128,6 +128,22 @@ func TestBlackholeHonorsReadDeadline(t *testing.T) {
 	}
 }
 
+// SetDeadline bounds a blackholed read as SetReadDeadline does.
+func TestBlackholeHonorsDeadline(t *testing.T) {
+	inj := New(Config{Seed: 7, BlackholeProb: 1})
+	cl, _ := pipePair(t, inj)
+	if err := cl.SetDeadline(time.Now().Add(30 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := cl.Read(make([]byte, 16)); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("blackholed read under SetDeadline: %v", err)
+	}
+	if time.Since(start) < 20*time.Millisecond {
+		t.Fatal("blackhole returned before the deadline")
+	}
+}
+
 // A blackholed read with no deadline unblocks when the connection closes.
 func TestBlackholeUnblocksOnClose(t *testing.T) {
 	inj := New(Config{Seed: 9, BlackholeProb: 1})

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"purity/internal/lockrank"
 	"purity/internal/wire"
 )
 
@@ -36,12 +37,12 @@ type Client struct {
 	// wmu serializes request writes and guards the scratch they are built
 	// in: head (frame header and fixed fields), vec and bufs (the vectored
 	// write).
-	wmu  sync.Mutex
+	wmu  lockrank.Mutex[lockrank.ClientClientWmu]
 	head [headCap]byte
 	vec  [2][]byte
 	bufs net.Buffers
 
-	pmu     sync.Mutex // guards pending, nextTag, readErr
+	pmu     lockrank.Mutex[lockrank.ClientClientPmu] // guards pending, nextTag, readErr
 	pending map[uint32]chan taggedResp
 	nextTag uint32 // tags start at 1; 0 is the hello's
 	readErr error  // set once the reader goroutine dies; fails all calls

@@ -20,10 +20,10 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"purity/internal/lockrank"
 	"purity/internal/sim"
 	"purity/internal/wire"
 )
@@ -92,7 +92,7 @@ type HAClient struct {
 	seq   atomic.Uint64 // idempotency sequence numbers, one per logical write
 	stats HAStats
 
-	mu      sync.Mutex
+	mu      lockrank.Mutex[lockrank.ClientHAClientMu]
 	c       *Client // live connection, nil while down
 	addrIdx int
 	session uint64

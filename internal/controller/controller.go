@@ -14,10 +14,10 @@ package controller
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"purity/internal/core"
+	"purity/internal/lockrank"
 	"purity/internal/shelf"
 	"purity/internal/sim"
 )
@@ -75,7 +75,7 @@ type Pair struct {
 	arrayCfg core.Config
 	shelf    *shelf.Shelf
 
-	mu           sync.RWMutex
+	mu           lockrank.RWMutex[lockrank.ControllerPairMu]
 	array        *core.Array // live engine, owned by the current primary
 	primaryAlive bool
 	active       Role    // which role currently owns the array
@@ -85,7 +85,7 @@ type Pair struct {
 
 	// Wall-clock heartbeat state, written by the active server's beater and
 	// read by the peer's failover monitor (see server.StartBeat/StartMonitor).
-	hbMu     sync.Mutex
+	hbMu     lockrank.Mutex[lockrank.ControllerPairHbMu]
 	lastBeat [2]time.Time
 
 	sessions *Sessions

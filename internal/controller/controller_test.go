@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"purity/internal/core"
+	"purity/internal/crashpoint"
 	"purity/internal/sim"
 )
 
@@ -142,6 +143,54 @@ func TestFailoverRequiresDeadPrimary(t *testing.T) {
 	p := newPair(t)
 	if _, _, err := p.Failover(0); err == nil {
 		t.Fatal("failover with live primary accepted")
+	}
+}
+
+// TestFailoverReplaysDeletion fails over with a volume deletion still in
+// the NVRAM log and a crashpoint registry configured, so the takeover's
+// recovery runs under the pair's lock the two paths no other test drives:
+// an elide predicate replayed into its table, and the registry's fault
+// points passed unarmed.
+func TestFailoverReplaysDeletion(t *testing.T) {
+	cfg := core.TestConfig()
+	cfg.Crash = crashpoint.New()
+	p, err := NewPair(DefaultConfig(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := p.Array()
+	keep, done, err := a.CreateVolume(0, "keep", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, done, err := a.CreateVolume(done, "gone", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 8192)
+	sim.NewRand(3).Bytes(data)
+	for _, vol := range []core.VolumeID{keep, gone} {
+		if done, err = a.WriteAt(done, vol, 0, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if done, err = a.Delete(done, gone); err != nil {
+		t.Fatal(err)
+	}
+
+	p.KillPrimary()
+	if _, done, err = p.Failover(done); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := p.Array().Lookup(done, gone); err == nil {
+		t.Fatal("deleted volume came back after failover")
+	}
+	got, _, err := p.ReadAt(done, Secondary, keep, 0, len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("surviving volume lost data across failover")
 	}
 }
 

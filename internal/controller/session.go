@@ -20,9 +20,9 @@ package controller
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
+	"purity/internal/lockrank"
 	"purity/internal/telemetry"
 )
 
@@ -41,7 +41,7 @@ var ErrIdemEvicted = errors.New("controller: idempotency window evicted this seq
 
 // Sessions is the array-wide session table, shared by both controllers.
 type Sessions struct {
-	mu     sync.Mutex
+	mu     lockrank.Mutex[lockrank.ControllerSessionsMu]
 	nextID uint64
 	m      map[uint64]*Session
 	window int
@@ -100,20 +100,13 @@ func (t *Sessions) Resume(id uint64) *Session {
 	return s
 }
 
-// Count returns the number of live sessions.
-func (t *Sessions) Count() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.m)
-}
-
 // Session is one initiator's identity: a window of completed write
 // outcomes keyed by the client-assigned sequence number.
 type Session struct {
 	ID  uint64
 	tab *Sessions
 
-	mu      sync.Mutex
+	mu      lockrank.Mutex[lockrank.ControllerSessionMu]
 	results map[uint64]*opResult
 	floor   uint64 // seqs <= floor have been evicted; replays there are refused
 	maxSeq  uint64

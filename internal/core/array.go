@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"purity/internal/crashpoint"
@@ -14,6 +13,7 @@ import (
 	"purity/internal/frontier"
 	"purity/internal/iosched"
 	"purity/internal/layout"
+	"purity/internal/lockrank"
 	"purity/internal/pagecodec"
 	"purity/internal/pyramid"
 	"purity/internal/relation"
@@ -43,19 +43,18 @@ const (
 // under mu — appends, flushes and the seal alike; installing or detaching a
 // writer additionally holds Array.mu, so a holder of Array.mu sees a slot
 // that does not change hands; Array.mu is never taken while a slot mutex is
-// held. The declaration below is checked, not trusted: purity-lint's
-// lockorder rule rebuilds the acquisition graph from every body in the
-// module and reports any blocking edge that runs against it.
-//
-//lint:lockorder Array.world < Array.mu < Array.segMu < openSeg.mu < Array.rdMu
+// held. The order is checked, not trusted: in every test binary each
+// acquisition is held to internal/lockrank's table, which ranks
+// Array.world < Array.mu < Array.segMu < openSeg.mu < Array.rdMu.
 type openSeg struct {
-	mu sync.Mutex
+	mu lockrank.Mutex[lockrank.CoreOpenSegMu]
 	w  *layout.Writer
 	// rotations counts the segments this slot sealed because they filled.
 	rotations atomic.Int64
 	// Slots sit side by side in Array.slots and lanes lock theirs on every
 	// append from different cores: pad to a cache line so they do not share
-	// one.
+	// one: mu, w and rotations take 8 bytes each (a lockrank.Mutex is a
+	// bare sync.Mutex; its class is in its type).
 	_ [40]byte
 }
 
@@ -104,7 +103,7 @@ type Array struct {
 	// tracker and the counters not named under rdMu. A read takes it only
 	// for its last lines (ReadAt): the pyramids, the segment table, the
 	// cblock cache and the drives are all safe without it.
-	mu sync.Mutex
+	mu lockrank.Mutex[lockrank.CoreArrayMu]
 
 	// world gates the commit and read paths: write commits and reads hold
 	// it in read mode for their whole duration, and every maintenance or
@@ -115,7 +114,7 @@ type Array struct {
 	// commitExclusiveLocked trim the NVRAM log: no lane then holds a durable
 	// record it has yet to apply. Lock order: world → mu → segMu →
 	// openSeg.mu → rdMu.
-	world sync.RWMutex
+	world lockrank.RWMutex[lockrank.CoreArrayWorld]
 	// lanes are the commit shards (Config.CommitLanes of them, at least
 	// one).
 	lanes []*commitLane
@@ -124,7 +123,7 @@ type Array struct {
 	// every mirror sees one record order. It is taken last: only the
 	// storage leaves (the NVRAM devices, the shelf, the crashpoint
 	// registry) are locked under it.
-	nvAppendMu sync.Mutex
+	nvAppendMu lockrank.Mutex[lockrank.CoreArrayNvAppendMu]
 
 	seqs        *tuple.SeqSource
 	nextMedium  uint64
@@ -146,7 +145,7 @@ type Array struct {
 	// either holds mu and segMu (recovery, before the array is shared,
 	// holds neither), so a holder of mu reads them bare and a read without
 	// mu takes segMu in read mode (segEntry).
-	segMu sync.RWMutex
+	segMu lockrank.RWMutex[lockrank.CoreArraySegMu]
 	// openByID indexes the occupied slots by segment; an entry is added
 	// where a writer is installed and removed only after its seal finished
 	// and the sealed info is in segMap, so a segment is always findable.
@@ -160,7 +159,7 @@ type Array struct {
 	recent *dedup.RecentIndex
 	// rdMu is a leaf lock over the cblock cache and the read counters every
 	// segment read bumps (Counters.CacheHits, CacheMisses and SegRead).
-	rdMu    sync.Mutex
+	rdMu    lockrank.Mutex[lockrank.CoreArrayRdMu]
 	cblocks *cblockCache
 
 	persistedSeq tuple.Watermark // highest seq durable in NVRAM
@@ -172,7 +171,7 @@ type Array struct {
 	// them (as home and as donor) and serves those shards from parity.
 	// Guarded by lostMu, not mu: the reader consults it through a callback
 	// while mu is already held.
-	lostMu sync.Mutex
+	lostMu lockrank.Mutex[lockrank.CoreArrayLostMu]
 	lost   map[layout.SegmentID]map[int]bool
 
 	scrubCursor layout.SegmentID // resume point for the paced scrub walker

@@ -261,9 +261,11 @@ func (a *Array) worldExclusive() bool {
 // seq issued so far whose facts reached a pyramid is durable in NVRAM,
 // and abandoned seqs from failed writes are harmless holes. Under a lane's
 // shared hold, other lanes' seqs may be allocated but not yet appended, so
-// it panics unless world is held exclusively.
+// it panics unless world is held exclusively. worldExclusive alone cannot
+// tell a shared hold beside a waiting writer from an exclusive one; in
+// test binaries the lock-order check's held set can (HeldExclusive).
 func (a *Array) advanceWatermark() {
-	if !a.worldExclusive() {
+	if !a.worldExclusive() || !a.world.HeldExclusive() {
 		panic("core: flush watermark advanced without the world lock held exclusively")
 	}
 	a.persistedSeq = a.seqs.Current()

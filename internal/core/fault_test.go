@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -698,6 +699,41 @@ func TestCommitPointGuardsPanic(t *testing.T) {
 			}()
 			tc.fn()
 		})
+	}
+}
+
+// TestWatermarkGuardBesideWaitingWriter: a shared world hold beside a
+// writer waiting on world.Lock makes worldExclusive's TryRLock probe fail
+// as an exclusive hold does, so the probe alone lets a lane-like caller
+// advance the watermark. The held set of the lock-order check knows the
+// caller holds world only shared, and the advance panics.
+func TestWatermarkGuardBesideWaitingWriter(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the lock-order check, whose held set this guard reads, runs on amd64 only")
+	}
+	a := newArray(t)
+	a.world.RLock()
+	writerDone := make(chan struct{})
+	go func() {
+		a.world.Lock()
+		a.world.Unlock()
+		close(writerDone)
+	}()
+	for a.world.TryRLock() { // until the writer waits
+		a.world.RUnlock()
+		runtime.Gosched()
+	}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		a.advanceWatermark()
+		return nil
+	}()
+	a.world.RUnlock()
+	<-writerDone
+	if want := "without the world lock held exclusively"; !strings.Contains(fmt.Sprint(got), want) {
+		t.Fatalf("watermark advanced under a shared hold beside a waiting writer: recovered %v, want a panic containing %q", got, want)
 	}
 }
 

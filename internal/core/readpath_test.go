@@ -143,6 +143,21 @@ func TestStatsDoesNotMoveModel(t *testing.T) {
 	}
 }
 
+// TestRelationRows: the row count grows with the facts a relation's
+// pyramid takes, and an unknown relation has none.
+func TestRelationRows(t *testing.T) {
+	a := newArray(t)
+	before := a.RelationRows(relation.IDAddrs)
+	vol := mustCreate(t, a, "v", 1<<20)
+	mustWrite(t, a, vol, 0, pattern(1, 32<<10))
+	if after := a.RelationRows(relation.IDAddrs); after <= before {
+		t.Fatalf("address-map rows %d → %d after a write, want growth", before, after)
+	}
+	if n := a.RelationRows(1 << 30); n != 0 {
+		t.Fatalf("unknown relation has %d rows, want 0", n)
+	}
+}
+
 // TestExtentReadErrorsCounted: a read whose cblock cannot be read or
 // rebuilt fails, and the failure is in the snapshot. The first reads bring
 // the metadata pages into their cache, so it is the cblock that fails;

@@ -22,7 +22,8 @@ package crashpoint
 import (
 	"fmt"
 	"sort"
-	"sync"
+
+	"purity/internal/lockrank"
 )
 
 // Crash is the panic value thrown by an armed point. Sweeps recover() it
@@ -37,8 +38,14 @@ func (c Crash) String() string {
 }
 
 // AsCrash reports whether a recovered panic value is a simulated crash.
+// When it is, the calling goroutine — the one that recovered it — forgets
+// the locks the crash unwound past (lockrank.DropHeld): a crash leaves
+// them held on purpose, and the array they belong to is never used again.
 func AsCrash(v any) (Crash, bool) {
 	c, ok := v.(Crash)
+	if ok {
+		lockrank.DropHeld()
+	}
 	return c, ok
 }
 
@@ -47,7 +54,7 @@ func AsCrash(v any) (Crash, bool) {
 // called from engine code that may run under locks, so the registry never
 // calls back into anything.
 type Registry struct {
-	mu     sync.Mutex
+	mu     lockrank.Mutex[lockrank.CrashpointRegistryMu]
 	counts map[string]int
 	armed  string
 	armHit int

@@ -1,6 +1,10 @@
 package crashpoint
 
-import "testing"
+import (
+	"testing"
+
+	"purity/internal/lockrank"
+)
 
 func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
@@ -67,4 +71,24 @@ func TestResetCountsGivesFreshCensus(t *testing.T) {
 		}
 	}()
 	r.Hit("a")
+}
+
+// TestAsCrashDropsHeldLocks: a crash unwinds past locks it leaves held on
+// purpose. Recognising the crash drops them from the recovering
+// goroutine's held set, so its next lock — the next array's first, ranked
+// below them — is not reported as an inversion.
+func TestAsCrashDropsHeldLocks(t *testing.T) {
+	var dev lockrank.Mutex[lockrank.SsdDeviceMu]
+	var world lockrank.RWMutex[lockrank.CoreArrayWorld]
+	func() {
+		defer func() {
+			if _, ok := AsCrash(recover()); !ok {
+				t.Fatal("the crash was not recognised")
+			}
+		}()
+		dev.Lock()
+		panic(Crash{Point: "p", Hit: 1})
+	}()
+	world.Lock()
+	world.Unlock()
 }

@@ -11,7 +11,8 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"slices"
-	"sync"
+
+	"purity/internal/lockrank"
 )
 
 // Sampling is the default recording rate: one in eight block hashes is
@@ -141,7 +142,7 @@ const (
 // key has exactly one live ring slot and occupancy never exceeds cap; the
 // table is sized 2·cap for a ≤ 0.5 load factor.
 type recentStripe struct {
-	mu    sync.Mutex
+	mu    lockrank.Mutex[lockrank.DedupRecentStripeMu]
 	cap   int
 	n     int
 	mask  uint64

@@ -16,8 +16,8 @@ package elide
 
 import (
 	"sort"
-	"sync"
 
+	"purity/internal/lockrank"
 	"purity/internal/tuple"
 )
 
@@ -44,7 +44,7 @@ func (p Predicate) Matches(f tuple.Fact) bool {
 // is rebuilt from the persisted elide relation at recovery and updated as
 // new elide facts commit. Safe for concurrent use.
 type Table struct {
-	mu   sync.RWMutex
+	mu   lockrank.RWMutex[lockrank.ElideTableMu]
 	cols map[int][]Predicate // per column, sorted by Lo, collapsed
 }
 

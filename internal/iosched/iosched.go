@@ -8,9 +8,9 @@ package iosched
 
 import (
 	"slices"
-	"sync"
 	"sync/atomic"
 
+	"purity/internal/lockrank"
 	"purity/internal/sim"
 )
 
@@ -22,7 +22,7 @@ import (
 // a percentile, so Record pays for the order (two binary searches and one
 // move of the elements between them) and Percentile pays nothing.
 type Tracker struct {
-	mu     sync.Mutex
+	mu     lockrank.Mutex[lockrank.IoschedTrackerMu]
 	window []sim.Time // ring, arrival order; full once len(sorted) reaches it
 	pos    int        // next ring slot to overwrite
 	sorted []sim.Time // the window's observations, ascending

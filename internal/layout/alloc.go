@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
-	"sync"
+
+	"purity/internal/lockrank"
 )
 
 func crcOf(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
@@ -26,7 +27,7 @@ var (
 type Allocator struct {
 	cfg Config
 
-	mu          sync.Mutex
+	mu          lockrank.Mutex[lockrank.LayoutAllocatorMu]
 	free        [][]int64 // per-drive sorted free AU indexes
 	frontier    []AU      // allocation window, in allocation order
 	speculative []AU      // pre-persisted approximation of the next window

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"purity/internal/erasure"
+	"purity/internal/lockrank"
 	"purity/internal/nvram"
 	"purity/internal/sim"
 	"purity/internal/ssd"
@@ -98,7 +99,7 @@ type Reader struct {
 	// and nothing reads one whose ReadAt failed.
 	wuPool sync.Pool
 
-	mu       sync.Mutex
+	mu       lockrank.Mutex[lockrank.LayoutReaderMu]
 	crcCache map[SegmentID][][]uint32 // sealed segments' WUCRCs, from any shard's trailer; nil for one with no trailer
 	// shardLost, when set, reports shards whose current AU holds no valid
 	// data yet (a rebuild target mid-reconstruction). Such shards are read

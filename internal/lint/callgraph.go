@@ -63,15 +63,6 @@ type graphFunc struct {
 	// collected over the full body including nested literals (a deferred
 	// literal still runs on the same receiver).
 	ownCalls []funcNode
-
-	// syncCallees are the callees that run *synchronously* in this body's
-	// goroutine: resolved direct calls outside `go` statements, plus
-	// literals that provably run before return (deferred or immediately
-	// invoked). Work spawned with `go` is excluded — a goroutine that
-	// acquires mu while its spawner holds mu is not a lock-order edge. The
-	// ordering-sensitive summary, lockorder's, propagates along these
-	// edges only.
-	syncCallees []funcNode
 }
 
 // callGraph is the whole-program graph plus a deterministic node order
@@ -138,33 +129,6 @@ func (cg *callGraph) collectEdges(gf *graphFunc, modPath string) {
 	for _, lit := range directLits(gf.fb.body) {
 		add(funcNode{Lit: lit})
 	}
-	// Synchronous call edges: resolved calls outside `go` subtrees, plus
-	// run-before-return literals. Method values and escaping literals are
-	// excluded — where they run is unknown (lossy toward silence).
-	syncSeen := map[funcNode]bool{}
-	addSync := func(n funcNode) {
-		if !syncSeen[n] {
-			syncSeen[n] = true
-			gf.syncCallees = append(gf.syncCallees, n)
-		}
-	}
-	ast.Inspect(gf.fb.body, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.FuncLit, *ast.GoStmt:
-			return false
-		case *ast.DeferStmt:
-			if lit, ok := ast.Unparen(m.Call.Fun).(*ast.FuncLit); ok {
-				addSync(funcNode{Lit: lit})
-			}
-		case *ast.CallExpr:
-			if lit, ok := ast.Unparen(m.Fun).(*ast.FuncLit); ok {
-				addSync(funcNode{Lit: lit}) // immediately invoked
-			} else if fn := calleeFunc(gf.pkg.Info, m); moduleFunc(fn, modPath) {
-				addSync(funcNode{Fn: fn})
-			}
-		}
-		return true
-	})
 	// Own-receiver calls: full body including literals, declarations only.
 	if gf.fb.lit == nil && gf.recvName != "" {
 		ownSeen := map[funcNode]bool{}
@@ -191,17 +155,17 @@ func (cg *callGraph) collectEdges(gf *graphFunc, modPath string) {
 	}
 }
 
-// unionFixpoint solves a monotone union problem over the graph — the shape
-// of every may-effect summary (lock effects, lock acquisition sets). edges picks the edge set effects travel along;
+// unionFixpoint solves a monotone union problem along the own-receiver
+// call edges — the shape of a may-effect summary such as the lock effect.
 // absorb(n, callee) folds the callee's facts into n's and reports whether
 // n's grew, and the callers of a node that grew are revisited until nothing
 // changes. Facts only grow, so recursion converges exactly. The visit order
-// is deterministic (cg.order first, then first-in first-out), which
-// witness-keeping clients rely on; dangling callees (no body) are skipped.
-func (cg *callGraph) unionFixpoint(edges func(*graphFunc) []funcNode, absorb func(n, callee funcNode) bool) {
+// is deterministic (cg.order first, then first-in first-out); dangling
+// callees (no body) are skipped.
+func (cg *callGraph) unionFixpoint(absorb func(n, callee funcNode) bool) {
 	callersOf := map[funcNode][]funcNode{}
 	for _, n := range cg.order {
-		for _, callee := range edges(cg.funcs[n]) {
+		for _, callee := range cg.funcs[n].ownCalls {
 			if cg.funcs[callee] != nil {
 				callersOf[callee] = append(callersOf[callee], n)
 			}
@@ -217,7 +181,7 @@ func (cg *callGraph) unionFixpoint(edges func(*graphFunc) []funcNode, absorb fun
 		worklist = worklist[1:]
 		queued[n] = false
 		changed := false
-		for _, callee := range edges(cg.funcs[n]) {
+		for _, callee := range cg.funcs[n].ownCalls {
 			if cg.funcs[callee] != nil && absorb(n, callee) {
 				changed = true
 			}
@@ -233,9 +197,6 @@ func (cg *callGraph) unionFixpoint(edges func(*graphFunc) []funcNode, absorb fun
 	}
 }
 
-func ownCallEdges(gf *graphFunc) []funcNode  { return gf.ownCalls }
-func syncCallEdges(gf *graphFunc) []funcNode { return gf.syncCallees }
-
 // directLits lists the literals nested immediately in body (not inside a
 // deeper literal), each of which is its own graph node.
 func directLits(body *ast.BlockStmt) []*ast.FuncLit {
@@ -248,49 +209,4 @@ func directLits(body *ast.BlockStmt) []*ast.FuncLit {
 		return true
 	})
 	return out
-}
-
-// stronglyConnected returns the strongly connected components of the graph
-// given by succs (Tarjan's algorithm), starting a search from each of
-// nodes in order. The lock-order graph's cycle detection runs on it.
-func stronglyConnected[N comparable](nodes []N, succs func(N) []N) [][]N {
-	index := map[N]int{}
-	low := map[N]int{}
-	onStack := map[N]bool{}
-	var stack []N
-	var sccs [][]N
-	var strongconnect func(v N)
-	strongconnect = func(v N) {
-		index[v] = len(index)
-		low[v] = index[v]
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range succs(v) {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				low[v] = min(low[v], low[w])
-			} else if onStack[w] {
-				low[v] = min(low[v], index[w])
-			}
-		}
-		if low[v] == index[v] {
-			var scc []N
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			sccs = append(sccs, scc)
-		}
-	}
-	for _, v := range nodes {
-		if _, seen := index[v]; !seen {
-			strongconnect(v)
-		}
-	}
-	return sccs
 }

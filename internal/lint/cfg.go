@@ -1,9 +1,8 @@
 package lint
 
-// Per-function control-flow graphs for the path-sensitive rules (lockflow
-// and the summary-based lockorder). The graph is built
-// from syntax alone — no type information — so it can be unit-tested on
-// bare parsed snippets.
+// Per-function control-flow graphs for the path-sensitive rule, lockflow.
+// The graph is built from syntax alone — no type information — so it can
+// be unit-tested on bare parsed snippets.
 //
 // Granularity: a Block holds *simple* statements and control expressions
 // (if/for conditions, switch tags, range operands) in execution order.

@@ -101,8 +101,6 @@ func TestCrashPointCheckFixture(t *testing.T) {
 
 func TestErrDropFixture(t *testing.T) { runFixture(t, "errdrop", []Rule{&ErrDrop{}}) }
 
-func TestLockOrderFixture(t *testing.T) { runFixture(t, "lockorder", []Rule{&LockOrder{}}) }
-
 // TestStaleIgnoreFixture runs the stale-suppression audit: a suppression
 // whose rule no longer fires at that position is itself reported, one rule
 // at a time — a live lockflow entry does not keep a stale errdrop entry on
@@ -111,49 +109,18 @@ func TestStaleIgnoreFixture(t *testing.T) {
 	runFixture(t, "staleignore", []Rule{&LockFlow{}, &ErrDrop{}})
 }
 
-// TestLockOrderDeclFixture checks the declaration diagnostics, which all
-// anchor on comment-only lines where want comments cannot trail (an
-// annotation inside a //lint:lockorder comment would parse as a class
-// name), so the diagnostics are asserted directly.
-func TestLockOrderDeclFixture(t *testing.T) {
-	prog, err := Load(".", []string{filepath.Join("testdata", "lockorderdecl")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Run(prog, []Rule{&LockOrder{}})
-	counts := map[string]int{}
-	for _, d := range diags {
-		switch {
-		case strings.Contains(d.Message, "contradicts the declared lock order"):
-			counts["violation"]++
-		case strings.Contains(d.Message, "never acquired"):
-			counts["never"]++
-		case strings.Contains(d.Message, "contradictory //lint:lockorder"):
-			counts["contradiction"]++
-		case strings.Contains(d.Message, "malformed //lint:lockorder"):
-			counts["malformed"]++
-		default:
-			t.Errorf("unexpected diagnostic: %s", d)
-		}
-	}
-	for kind, want := range map[string]int{"violation": 1, "never": 1, "contradiction": 1, "malformed": 1} {
-		if counts[kind] != want {
-			t.Errorf("got %d %s diagnostics, want %d; all: %v", counts[kind], kind, want, diags)
-		}
-	}
-}
-
 // TestRunDeterministic pins the output contract the -json consumers and
 // CI diffing rely on: two runs over the same tree produce byte-identical,
-// (file, line, column, rule)-sorted diagnostics. The lockorder fixture
-// exercises the map-heavy graph code where iteration order could leak.
+// (file, line, column, rule)-sorted diagnostics. The lockflow fixture
+// exercises the map-heavy lock lattice and the summary table, where
+// iteration order could leak.
 func TestRunDeterministic(t *testing.T) {
 	render := func() ([]Diagnostic, []string) {
-		prog, err := Load(".", []string{filepath.Join("testdata", "lockorder")})
+		prog, err := Load(".", []string{filepath.Join("testdata", "lockflow")})
 		if err != nil {
 			t.Fatal(err)
 		}
-		diags := Run(prog, []Rule{&LockOrder{}})
+		diags := Run(prog, []Rule{&LockFlow{}})
 		var out []string
 		for _, d := range diags {
 			out = append(out, d.String())

@@ -74,41 +74,23 @@ func (lf *LockFlow) Check(prog *Program, pkg *Package, rep *Reporter) {
 		if fb.lit == nil {
 			checkLockedName(gf, rep)
 		}
-		lb := sums.lockBody(gf)
-		p := *lb.p
+		p := &lockProblem{pkg: gf.pkg, entry: entryLockState(gf), sums: sums}
+		sol := Solve[lockState](BuildCFG(fb.body), p)
 		p.report = func(pos token.Pos, format string, args ...any) {
 			rep.Reportf("lockflow", pos, format, args...)
 		}
-		lb.sol.Replay(&p, func(n ast.Node, before lockState) { p.checkAnnotatedCalls(gf, n, before) })
-		for _, blk := range lb.sol.CFG.Blocks {
-			if !lb.sol.Reached(blk) {
+		sol.Replay(p, func(n ast.Node, before lockState) { p.checkAnnotatedCalls(gf, n, before) })
+		for _, blk := range sol.CFG.Blocks {
+			if !sol.Reached(blk) {
 				continue
 			}
 			for _, e := range blk.Succs {
 				if e.Kind == EdgeImplicitReturn {
-					p.checkExit(fb.body.Rbrace, lb.sol.Out[blk])
+					p.checkExit(fb.body.Rbrace, sol.Out[blk])
 				}
 			}
 		}
 	}
-}
-
-// lockBody is one body's solved lock lattice: solved once per Program, then
-// replayed by lockflow to report and by lockorder to collect edges.
-type lockBody struct {
-	p   *lockProblem
-	sol *Solution[lockState]
-}
-
-// lockBody returns gf's solved lock lattice, solving it on first use.
-func (s *summaries) lockBody(gf *graphFunc) *lockBody {
-	lb := s.locks[gf.node]
-	if lb == nil {
-		p := &lockProblem{pkg: gf.pkg, entry: entryLockState(gf), sums: s}
-		lb = &lockBody{p: p, sol: Solve[lockState](BuildCFG(gf.fb.body), p)}
-		s.locks[gf.node] = lb
-	}
-	return lb
 }
 
 // callerHoldsRE tolerates historical drift ("Caller must hold mu") and,
@@ -172,9 +154,16 @@ func isMutexType(t types.Type) bool {
 	if n == nil || n.Obj().Pkg() == nil {
 		return false
 	}
-	return n.Obj().Pkg().Path() == "sync" &&
+	return isSyncPkg(n.Obj().Pkg().Path()) &&
 		(n.Obj().Name() == "Mutex" || n.Obj().Name() == "RWMutex")
 }
+
+// lockrankPath is the module's ranked mutex wrappers (internal/lockrank),
+// whose Lock, Unlock, TryLock and R* methods lockflow tracks as it tracks
+// package sync's.
+const lockrankPath = "purity/internal/lockrank"
+
+func isSyncPkg(path string) bool { return path == "sync" || path == lockrankPath }
 
 // acquiresOwnMu reports whether the body takes its own receiver's mu
 // field specifically — a.lostMu and other sibling mutexes do not count.
@@ -197,12 +186,13 @@ func acquiresOwnMu(pkg *Package, fd *ast.FuncDecl, recvName string) bool {
 	return found
 }
 
-// syncCall recognises a method call into package sync — mu.Lock(),
-// a.mu.RUnlock(), wg.Add(1) — and returns the method name and the receiver
-// expression, whose exprKey is the lock chain. op is "" for any other call.
+// syncCall recognises a method call into package sync or lockrank —
+// mu.Lock(), a.mu.RUnlock(), wg.Add(1) — and returns the method name and
+// the receiver expression, whose exprKey is the lock chain. op is "" for
+// any other call.
 func syncCall(pkg *Package, call *ast.CallExpr) (op string, recv ast.Expr) {
 	fn := calleeFunc(pkg.Info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+	if fn == nil || fn.Pkg() == nil || !isSyncPkg(fn.Pkg().Path()) {
 		return "", nil
 	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
@@ -243,15 +233,13 @@ func (s lockState) with(chain string, v lockVal) lockState {
 	return out
 }
 
-// lockProblem is the lock dataflow of one body; summaries.lockBody caches
-// its solution.
+// lockProblem is the lock dataflow of one body.
 type lockProblem struct {
 	pkg   *Package
 	entry lockState
 	sums  *summaries
-	// report is nil while solving and during lockorder's replay; lockflow's
-	// replay sets it on a copy, so each diagnostic is emitted exactly once,
-	// from the fixpoint state.
+	// report is nil while solving; lockflow sets it for the replay, so each
+	// diagnostic is emitted exactly once, from the fixpoint state.
 	report func(pos token.Pos, format string, args ...any)
 }
 

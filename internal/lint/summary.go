@@ -1,8 +1,7 @@
 package lint
 
 // Per-function effect summaries, computed bottom-up over the call graph —
-// the interprocedural layer the summary-based lockflow and lockorder
-// consume. Each summary records what *calling* the function does, checked
+// the interprocedural layer lockflow consumes. Each summary records what *calling* the function does, checked
 // from its body rather than trusted from its comments: may the body
 // (transitively, through calls on its own receiver and through nested
 // literals) acquire its receiver's mu? This is the checked replacement
@@ -28,14 +27,6 @@ type summaries struct {
 	prog *Program
 	cg   *callGraph
 	by   map[funcNode]*funcSummary
-
-	// locks caches each body's solved lock lattice (lockflow.go), shared by
-	// lockflow's reporting and lockorder's edge collection.
-	locks map[funcNode]*lockBody
-
-	// lg caches the module lock-order graph (lockgraph.go), built on first
-	// use by the lockorder rule or the -graph exporter.
-	lg *lockGraph
 }
 
 // summaries builds (once) and returns the program's summary table.
@@ -47,8 +38,7 @@ func (prog *Program) summaries() *summaries {
 }
 
 func computeSummaries(prog *Program) *summaries {
-	s := &summaries{prog: prog, cg: buildCallGraph(prog), by: map[funcNode]*funcSummary{},
-		locks: map[funcNode]*lockBody{}}
+	s := &summaries{prog: prog, cg: buildCallGraph(prog), by: map[funcNode]*funcSummary{}}
 	for _, n := range s.cg.order {
 		gf := s.cg.funcs[n]
 		sum := &funcSummary{}
@@ -82,7 +72,7 @@ func (s *summaries) localEffects(gf *graphFunc, sum *funcSummary) {
 // fixpointLocks propagates locksOwnMu along own-receiver call edges to a
 // fixpoint. It only grows, so recursion converges exactly.
 func (s *summaries) fixpointLocks() {
-	s.cg.unionFixpoint(ownCallEdges, func(n, callee funcNode) bool {
+	s.cg.unionFixpoint(func(n, callee funcNode) bool {
 		sum := s.by[n]
 		if s.by[callee].locksOwnMu && !sum.locksOwnMu {
 			sum.locksOwnMu = true

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"path/filepath"
 	"testing"
 )
 
@@ -10,7 +11,10 @@ import (
 // fixture package, and the built summary table.
 func loadSummaryFixture(t *testing.T) (*Program, *Package, *summaries) {
 	t.Helper()
-	prog := loadFixture(t, "summary")
+	prog, err := Load(".", []string{filepath.Join("testdata", "summary")})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var pkg *Package
 	for _, p := range prog.Pkgs {
 		if p.Requested {

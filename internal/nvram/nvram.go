@@ -17,8 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sync"
 
+	"purity/internal/lockrank"
 	"purity/internal/sim"
 )
 
@@ -85,7 +85,7 @@ const recordOverhead = 8 // uint32 length + uint32 crc
 type Device struct {
 	cfg Config
 
-	mu     sync.Mutex
+	mu     lockrank.Mutex[lockrank.NvramDeviceMu]
 	failed bool
 	// The live records' payloads lie back to back in log; record i (LSN
 	// base+i) is log[ends[i-1]:ends[i]], from 0 for the first. Appends

@@ -3,8 +3,8 @@ package pyramid
 import (
 	"container/list"
 	"fmt"
-	"sync"
 
+	"purity/internal/lockrank"
 	"purity/internal/pagecodec"
 )
 
@@ -14,7 +14,7 @@ import (
 // reads in exchange for space), so keeping hot index pages open in DRAM is
 // what makes medium-chain resolution cheap.
 type pageCache struct {
-	mu    sync.Mutex
+	mu    lockrank.Mutex[lockrank.PyramidPageCacheMu]
 	cap   int
 	items map[Ref]*list.Element
 	order *list.List // front = hottest

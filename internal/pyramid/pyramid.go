@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"purity/internal/crashpoint"
 	"purity/internal/elide"
+	"purity/internal/lockrank"
 	"purity/internal/pagecodec"
 	"purity/internal/sim"
 	"purity/internal/tuple"
@@ -92,7 +92,7 @@ type Pyramid struct {
 	store PageStore
 	elide *elide.Table // optional; nil means no elision for this relation
 
-	mu sync.RWMutex
+	mu lockrank.RWMutex[lockrank.PyramidPyramidMu]
 	// mem is the recent facts (durable in NVRAM) as sorted runs, oldest
 	// first: run i is mem[runEnds[i-1]:runEnds[i]] (run 0 starts at 0).
 	// Each run is in (key asc, seq desc, insertion asc) order and more than

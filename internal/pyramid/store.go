@@ -14,8 +14,8 @@ package pyramid
 import (
 	"errors"
 	"fmt"
-	"sync"
 
+	"purity/internal/lockrank"
 	"purity/internal/sim"
 )
 
@@ -41,7 +41,7 @@ type PageStore interface {
 
 // MemStore is an in-memory PageStore for unit tests.
 type MemStore struct {
-	mu          sync.Mutex
+	mu          lockrank.Mutex[lockrank.PyramidMemStoreMu]
 	pages       map[Ref][]byte
 	next        int64
 	Descriptors [][]byte

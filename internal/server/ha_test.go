@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -91,6 +92,50 @@ func TestGracefulDrainFinishesInflight(t *testing.T) {
 		t.Fatalf("drain not recorded: %s", s.Frontend().Summary())
 	}
 	assertReleased(t, s, nil)
+}
+
+// TestDrainForceClosesAfterDeadline: a request still running when the
+// drain's deadline passes does not hold the connection open: Shutdown
+// force-closes it, waits for the request's worker, and reports the
+// overrun.
+func TestDrainForceClosesAfterDeadline(t *testing.T) {
+	s, addr := startServer(t, Config{})
+	c, err := client.DialPipelined(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	vol, err := c.CreateVolume("v", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteAt(vol, 0, make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	s.stall = func(op byte, payload []byte) {
+		if op == wire.OpRead {
+			entered <- struct{}{}
+			<-gate
+		}
+	}
+	defer func() { s.stall = nil }()
+	read := make(chan error, 1)
+	go func() { _, err := c.ReadAt(vol, 0, 4096); read <- err }()
+	<-entered
+
+	shutDone := make(chan error, 1)
+	go func() { shutDone <- s.Shutdown(20 * time.Millisecond) }()
+	// Only the force-close ends the stalled read's call.
+	if err := <-read; err == nil {
+		t.Fatal("a read parked past the drain deadline succeeded")
+	}
+	close(gate)
+	if err := <-shutDone; err == nil || !strings.Contains(err.Error(), "force-closed") {
+		t.Fatalf("Shutdown past its deadline: err = %v, want the force-close report", err)
+	}
 }
 
 // TestWriterDeadlineFreesAdmission is the admission-slot-leak regression:

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"purity/internal/controller"
+	"purity/internal/lockrank"
 	"purity/internal/wire"
 )
 
@@ -112,7 +113,7 @@ type pconn struct {
 	// tags tracks in-flight request tags for duplicate detection. Guarded
 	// by tagMu (claimed by the reader, dropped at completion by the
 	// requests' releases, which the writer runs).
-	tagMu sync.Mutex
+	tagMu lockrank.Mutex[lockrank.ServerPconnTagMu]
 	tags  map[uint32]struct{}
 
 	// tenants maps volume → in-flight window semaphore. The map itself is
@@ -501,7 +502,7 @@ const poolCap = 256
 // than a sync.Pool so that the most recently returned body is the next
 // one lent, and so that lent can prove every body came back.
 type bodyPool struct {
-	mu   sync.Mutex
+	mu   lockrank.Mutex[lockrank.ServerBodyPoolMu]
 	free [][]byte // idle bodies, each of capacity pooledBody; at most poolCap
 	lent int      // pooled bodies currently out
 }
@@ -544,7 +545,7 @@ func (p *bodyPool) put(b []byte) {
 // granting n would exceed the cap; a single request larger than the whole
 // cap is clamped so it can still run (alone).
 type byteBudget struct {
-	mu   sync.Mutex
+	mu   lockrank.Mutex[lockrank.ServerByteBudgetMu]
 	cond *sync.Cond
 	cap  int64
 	used int64

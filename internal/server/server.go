@@ -42,6 +42,7 @@ import (
 	"purity/internal/controller"
 	"purity/internal/core"
 	"purity/internal/iosched"
+	"purity/internal/lockrank"
 	"purity/internal/sim"
 	"purity/internal/telemetry"
 	"purity/internal/wire"
@@ -124,7 +125,7 @@ type Server struct {
 	// Lifecycle state for graceful drain: every listener Serve is running on
 	// and every live connection, so Shutdown can stop accepts and wake
 	// parked readers. handlers counts connection goroutines.
-	mu        sync.Mutex
+	mu        lockrank.Mutex[lockrank.ServerServerMu]
 	listeners map[net.Listener]struct{}
 	conns     map[*wire.Conn]struct{}
 	closed    bool

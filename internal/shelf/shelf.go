@@ -11,8 +11,8 @@ package shelf
 
 import (
 	"fmt"
-	"sync"
 
+	"purity/internal/lockrank"
 	"purity/internal/nvram"
 	"purity/internal/ssd"
 )
@@ -67,7 +67,7 @@ type Shelf struct {
 	drives []*ssd.Device
 	nvrams []*nvram.Device
 
-	mu       sync.Mutex
+	mu       lockrank.Mutex[lockrank.ShelfShelfMu]
 	states   []DriveState
 	replaced []int // per-slot replacement count, for seed derivation
 	baseCfg  ssd.Config

@@ -23,8 +23,8 @@ package ssd
 import (
 	"errors"
 	"fmt"
-	"sync"
 
+	"purity/internal/lockrank"
 	"purity/internal/sim"
 )
 
@@ -147,7 +147,7 @@ type Device struct {
 	cfg Config
 	id  string
 
-	mu      sync.Mutex
+	mu      lockrank.Mutex[lockrank.SsdDeviceMu]
 	failed  bool
 	data    map[int64][]byte // erase-block index -> contents (lazily allocated)
 	free    [][]byte         // up to freeBlocksMax erased blocks' buffers, never cleared

@@ -9,9 +9,9 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 
+	"purity/internal/lockrank"
 	"purity/internal/sim"
 )
 
@@ -85,7 +85,7 @@ func (f *Frontend) MarshalJSON() ([]byte, error) { return []byte(Render(f)), nil
 // Histogram records durations in logarithmic buckets (about 24 buckets per
 // decade) for cheap, accurate-enough percentiles. Safe for concurrent use.
 type Histogram struct {
-	mu     sync.Mutex
+	mu     lockrank.Mutex[lockrank.TelemetryHistogramMu]
 	counts []uint64
 	total  uint64
 	sum    sim.Time

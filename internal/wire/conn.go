@@ -3,8 +3,9 @@ package wire
 import (
 	"bufio"
 	"net"
-	"sync"
 	"time"
+
+	"purity/internal/lockrank"
 )
 
 // Conn is a connection's frame stream: a net.Conn and the ReadBufSize
@@ -18,8 +19,8 @@ type Conn struct {
 	nc net.Conn
 	br *bufio.Reader
 
-	mu      sync.Mutex // orders read arms against Expire
-	expired bool       // Expire ran: every later read fails at once
+	mu      lockrank.Mutex[lockrank.WireConnMu] // orders read arms against Expire
+	expired bool                                // Expire ran: every later read fails at once
 }
 
 // NewConn wraps nc. Its reads go through the Conn's buffer from now on.

@@ -22,9 +22,8 @@
 package purity
 
 import (
-	"sync"
-
 	"purity/internal/core"
+	"purity/internal/lockrank"
 	"purity/internal/shelf"
 	"purity/internal/sim"
 )
@@ -42,7 +41,7 @@ import (
 // snapshot (they are concurrent on the simulated timeline too) and the
 // clock advances to the latest completion.
 type Array struct {
-	mu   sync.Mutex
+	mu   lockrank.Mutex[lockrank.PurityArrayMu]
 	core *core.Array
 	now  sim.Time
 }

@@ -11,8 +11,9 @@
 # the wire connection's deadline contract, the TCP server's
 # per-connection goroutines, the allocator/shelf locking,
 # layout's Reader, its pooled scratch and its seeded fault property test
-# (TestReadRangeUnderFaults), and the three packages whose types promise
-# concurrent use: pyramid, iosched, erasure),
+# (TestReadRangeUnderFaults), the three packages whose types promise
+# concurrent use: pyramid, iosched, erasure, and the lock-order check's
+# per-goroutine held sets),
 # and a smoke run of every program under examples/.
 #
 # Usage: scripts/check.sh            from the repo root
@@ -37,10 +38,7 @@ echo "== purity-lint (repo invariants)"
 # seconds wall-clock, asserted below so a regression in the summary
 # fixpoint fails loudly instead of slowly.
 # LINT_FINDINGS, when set, receives the machine-readable findings (-json)
-# for CI to archive as a build artifact; LINT_GRAPHS, when set, names a
-# directory that receives the inferred lock-order and call graphs as DOT,
-# archived next to the findings (DESIGN.md's lock hierarchy is this
-# output).
+# for CI to archive as a build artifact.
 LINT_BUDGET="${LINT_BUDGET:-60}"
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
@@ -57,11 +55,6 @@ if [ -n "${LINT_FINDINGS:-}" ]; then
 	fi
 else
 	"$tmpdir/purity-lint" ./...
-fi
-if [ -n "${LINT_GRAPHS:-}" ]; then
-	mkdir -p "$LINT_GRAPHS"
-	"$tmpdir/purity-lint" -graph lock ./... > "$LINT_GRAPHS/lockorder.dot"
-	"$tmpdir/purity-lint" -graph calls ./... > "$LINT_GRAPHS/callgraph.dot"
 fi
 lint_elapsed=$(( $(date +%s) - lint_start ))
 echo "purity-lint: clean in ${lint_elapsed}s (budget ${LINT_BUDGET}s)"
@@ -169,7 +162,7 @@ echo "== drive-failure lifecycle (scrub repair + online rebuild)"
 go test -run 'TestScrubRepairsAllInjectedCorruption|TestScrubStepPacedWalkerCoversEverything|TestRebuildRestoresRedundancyAndBootRegion|TestRebuildSurvivesSecondFailure|TestOpenAtWithOneNVRAMFailed' ./internal/core/
 
 echo "== go test -race (concurrency-bearing packages)"
-go test -race -short ./internal/wire/ ./internal/server/ ./internal/dedup/ ./internal/layout/ ./internal/shelf/ ./internal/pyramid/ ./internal/iosched/ ./internal/erasure/
+go test -race -short ./internal/wire/ ./internal/server/ ./internal/dedup/ ./internal/layout/ ./internal/shelf/ ./internal/pyramid/ ./internal/iosched/ ./internal/erasure/ ./internal/lockrank/
 go test -race -short -run 'TestConcurrentWriters|TestConcurrentScrubRebuildForeground|TestConcurrentReadersWriterGC|TestReadsAcrossSealWindow|TestStatsMarshalBesideLanes|TestDedupSearchBesideLanes|TestDedupTier' ./internal/core/
 
 echo "== kernel benchmarks (one iteration each, so they cannot rot: dedup's hash and byte-verify, erasure's dot product, the codec per content class)"
@@ -177,8 +170,8 @@ go test -run '^$' -bench 'HashBlocks32K|ExtendAnchor32K' -benchtime 1x ./interna
 go test -run '^$' -bench 'Dot7x128K' -benchtime 1x ./internal/erasure/
 go test -run '^$' -bench 'CompressClass' -benchtime 1x ./internal/compress/
 
-echo "== commit lanes (-race: multi-lane writers, one record order on every NVRAM mirror (TestLaneMirrorsAgreeOnRecordOrder), the log-full fallback under concurrent writers and catalog/GC steps, its shared-lock guard, the commit point's panics on a receiptless apply or shard copy and on a watermark advance under a shared world hold (TestCommitPointGuardsPanic), the short crash sweep at lanes 1 and 4, and four writers' pooled write scratch against the caller-buffer contract)"
-go test -race -short -run 'TestLane|TestCrashSweep|TestCheckpointSurvivesNVRAMPressure|TestLogFullRefusesSharedWorld|TestCommitPointGuardsPanic|TestWriteAtKeepsNoCallerBuffer' ./internal/core/
+echo "== commit lanes (-race: multi-lane writers, one record order on every NVRAM mirror (TestLaneMirrorsAgreeOnRecordOrder), the log-full fallback under concurrent writers and catalog/GC steps, its shared-lock guard, the commit point's panics on a receiptless apply or shard copy and on a watermark advance under a shared world hold, also beside a waiting writer (TestCommitPointGuardsPanic, TestWatermarkGuardBesideWaitingWriter), the short crash sweep at lanes 1 and 4, and four writers' pooled write scratch against the caller-buffer contract)"
+go test -race -short -run 'TestLane|TestCrashSweep|TestCheckpointSurvivesNVRAMPressure|TestLogFullRefusesSharedWorld|TestCommitPointGuardsPanic|TestWatermarkGuardBesideWaitingWriter|TestWriteAtKeepsNoCallerBuffer' ./internal/core/
 
 echo "== pipelined front end (-race: out-of-order completion, 64 in-flight on one conn, first-frame rule, torn request, drain at a buffered frame, a batch failing mid-write, pooled bodies at QD 64, every unadmitted frame's exit giving back what admission took, a budget wait not granted once a drain began, SLO scrub deferral)"
 go test -race -run 'TestPipelined|TestOutOfOrderCompletion|TestDuplicateTagKillsConnection|TestAdmissionWindowBackpressure|TestWireHealthCounters|TestServeSurvivesTransientAcceptErrors|TestFirstFrameMustBeHello|TestTornRequestCondemnsConnection|TestDrainStopsAtBufferedFrame|TestBatchWriteFailureReleasesEveryFrame|TestPooledBodiesManyWriters|TestEveryAdmissionExitReleases|TestBudgetWaitAbortsAfterDrainBegan' ./internal/server/
