@@ -239,7 +239,8 @@ type Counters struct {
 
 	// The inline duplicate search by tier (§4.7): hits that the recent
 	// index verified and the blocks they deduplicated, keys asked of the
-	// dedup relation, hits that the relation verified and their blocks,
+	// dedup relation and those of them its memtable's key filter ruled out
+	// (no run was searched), hits that the relation verified and their blocks,
 	// candidates from either tier that failed byte verification, and
 	// candidates turned down unread because their segment is not yet sealed
 	// (fetchDurableCBlock). A hit is counted in exactly one tier, so the
@@ -247,6 +248,7 @@ type Counters struct {
 	DedupRecentHits      int64
 	DedupRecentBlocks    int64
 	DedupRelationProbes  int64
+	DedupMemFiltered     int64
 	DedupRelationHits    int64
 	DedupRelationBlocks  int64
 	DedupFalseCandidates int64

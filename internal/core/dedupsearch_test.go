@@ -158,9 +158,9 @@ func tierModelRun(t *testing.T, probe bool) ([]sim.Time, string) {
 		step(a.FlushAll(now))
 	}
 	st := a.Stats()
-	if st.DedupRecentHits == 0 || st.DedupRelationHits == 0 || st.DedupUnsealedRejects == 0 {
-		t.Fatalf("the script exercised too few tiers: %d recent hits, %d relation hits, %d unsealed rejects",
-			st.DedupRecentHits, st.DedupRelationHits, st.DedupUnsealedRejects)
+	if st.DedupRecentHits == 0 || st.DedupRelationHits == 0 || st.DedupUnsealedRejects == 0 || st.DedupMemFiltered == 0 {
+		t.Fatalf("the script exercised too few tiers: %d recent hits, %d relation hits, %d unsealed rejects, %d keys the memtable filter ruled out",
+			st.DedupRecentHits, st.DedupRelationHits, st.DedupUnsealedRejects, st.DedupMemFiltered)
 	}
 	doc, err := json.MarshalIndent(st, "", " ")
 	if err != nil {
@@ -171,8 +171,9 @@ func tierModelRun(t *testing.T, probe bool) ([]sim.Time, string) {
 
 // TestDedupTierCountersDoNotMoveModel: reading the tier counters — taking
 // and marshalling the stats document after every op of a script that hits
-// in both tiers — leaves every completion time and every figure of the
-// final document exactly as it is without. The document carries them.
+// in both tiers, and whose memtable filter rules keys out — leaves every
+// completion time and every figure of the final document exactly as it is
+// without. The document carries them.
 func TestDedupTierCountersDoNotMoveModel(t *testing.T) {
 	plain, plainDoc := tierModelRun(t, false)
 	probed, probedDoc := tierModelRun(t, true)
@@ -182,7 +183,7 @@ func TestDedupTierCountersDoNotMoveModel(t *testing.T) {
 	if plainDoc != probedDoc {
 		t.Fatalf("stats document moved under Stats() probes:\n--- without\n%s\n--- with\n%s", plainDoc, probedDoc)
 	}
-	for _, key := range []string{"DedupRecentHits", "DedupRecentBlocks", "DedupRelationProbes",
+	for _, key := range []string{"DedupRecentHits", "DedupRecentBlocks", "DedupRelationProbes", "DedupMemFiltered",
 		"DedupRelationHits", "DedupRelationBlocks", "DedupFalseCandidates", "DedupUnsealedRejects"} {
 		if !bytes.Contains([]byte(plainDoc), []byte(`"`+key+`"`)) {
 			t.Errorf("the engine stats document has no %s", key)

@@ -164,7 +164,7 @@ type laneWrite struct {
 	// counted at apply.
 	dedupHits, dedupMisses, inlineDupBlocks int64
 	recentHits, recentBlocks                int64
-	relationProbes                          int64
+	relationProbes, memFiltered             int64
 	relationHits, relationBlocks            int64
 	falseCandidates, unsealedRejects        int64
 }
@@ -198,6 +198,7 @@ func (a *Array) laneApplyLocked(rc nvram.Receipt, done sim.Time, w laneWrite) (s
 	a.stats.DedupRecentHits += w.recentHits
 	a.stats.DedupRecentBlocks += w.recentBlocks
 	a.stats.DedupRelationProbes += w.relationProbes
+	a.stats.DedupMemFiltered += w.memFiltered
 	a.stats.DedupRelationHits += w.relationHits
 	a.stats.DedupRelationBlocks += w.relationBlocks
 	a.stats.DedupFalseCandidates += w.falseCandidates
@@ -290,6 +291,7 @@ func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, startSector
 		run := s.run
 		hit := s.tier != tierNone && (run.Count >= dedupMinRunBlocks || run.Count == sectors)
 		sc.w.relationProbes += s.probes
+		sc.w.memFiltered += s.memFiltered
 		sc.w.falseCandidates += s.falseCands
 		sc.w.unsealedRejects += s.unsealedRejects
 		if hit {

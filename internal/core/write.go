@@ -167,8 +167,9 @@ type dupSearch struct {
 	run  dedup.Run
 	tier dupTier
 	// probes is how many keys the search asked of the dedup relation: the
-	// extent's hash count if it read the relation's memtable, else 0.
-	probes int64
+	// extent's hash count if it read the relation's memtable, else 0; and
+	// memFiltered how many of them the memtable's key filter ruled out.
+	probes, memFiltered int64
 	// falseCands is how many candidates failed byte verification, and
 	// unsealedRejects how many were turned down unread because their
 	// cblock's segment is not yet sealed.
@@ -223,7 +224,7 @@ func (a *Array) findDuplicate(at sim.Time, part []byte, hashes []uint64, b *pyra
 		}
 		if s.probes == 0 { // the first hash to reach the relation
 			a.pyr[relation.IDDedup].GetBatch(b, hashes)
-			s.probes = int64(len(hashes))
+			s.probes, s.memFiltered = int64(len(hashes)), int64(b.Filtered())
 		}
 		f, ok, d, err := b.Get(done, i)
 		done = d

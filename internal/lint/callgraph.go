@@ -4,22 +4,15 @@ package lint
 // the interprocedural summary layer (summary.go). Nodes are function
 // bodies: declared functions and methods, plus every function literal as
 // its own node (matching BuildCFG's decision not to descend into
-// literals). Edges are *static* only:
+// literals), which lockflow looks up for its receiver and its "Caller
+// holds mu." annotation. Edges are the one kind the lock summary
+// propagates along: a method's calls on its own receiver (r.helper()
+// inside a method with receiver r), collected over the whole body,
+// nested literals included, and resolved statically by calleeFunc.
 //
-//   - a call or method call that calleeFunc can resolve to a module
-//     function (interface method calls resolve to the interface's method
-//     object, which has no body and therefore no node — such edges simply
-//     dangle and lookups skip them);
-//   - a *reference* to a module function — a method value (`h := c.beat`)
-//     or a function value passed as an argument — since the referenced
-//     body may run wherever the value flows;
-//   - an edge to each directly-nested function literal, since the literal
-//     may run whenever its creator does.
-//
-// Calls through plain function-typed variables are not resolved (no edge).
-// That is the usual lightweight-linter trade: rules built on the graph are
-// lossy toward silence on indirect calls, and the reference edges above
-// keep the common "named function handed to go/defer" cases covered.
+// Calls through interfaces, function-typed variables and method values
+// make no edge. That is the usual lightweight-linter trade: rules built on
+// the graph are lossy toward silence on indirect calls.
 
 import (
 	"go/ast"
@@ -43,10 +36,6 @@ type graphFunc struct {
 	node funcNode
 	pkg  *Package
 	fb   funcBody
-
-	// callees are the static call/reference/literal edges, deduplicated,
-	// in first-occurrence source order.
-	callees []funcNode
 
 	// recvName is the receiver identifier for methods ("" for functions).
 	// Literals inherit their enclosing declaration's receiver, since they
@@ -83,7 +72,7 @@ func buildCallGraph(prog *Program) *callGraph {
 			// A literal's fb.decl is its enclosing declaration.
 			gf := &graphFunc{node: node, pkg: pkg, fb: fb, recvName: recvIdentName(fb.decl),
 				annotated: hasCallerHolds(fb.decl.Doc.Text())}
-			cg.collectEdges(gf, prog.ModPath)
+			cg.collectOwnCalls(gf, prog.ModPath)
 			cg.funcs[node] = gf
 			cg.order = append(cg.order, node)
 		}
@@ -107,52 +96,33 @@ func moduleFunc(fn *types.Func, modPath string) bool {
 		(fn.Pkg().Path() == modPath || strings.HasPrefix(fn.Pkg().Path(), modPath+"/"))
 }
 
-// collectEdges walks one body for callees: resolved calls and function
-// references (outside nested literals), directly-nested literals, and the
-// own-receiver call edges effect propagation rides on.
-func (cg *callGraph) collectEdges(gf *graphFunc, modPath string) {
-	seen := map[funcNode]bool{}
-	add := func(n funcNode) {
-		if !seen[n] {
-			seen[n] = true
-			gf.callees = append(gf.callees, n)
-		}
+// collectOwnCalls fills gf.ownCalls, for a method declaration only, over
+// its full body including nested literals, deduplicated, in first-occurrence
+// source order.
+func (cg *callGraph) collectOwnCalls(gf *graphFunc, modPath string) {
+	if gf.fb.lit != nil || gf.recvName == "" {
+		return
 	}
-	inspectNoFuncLit(gf.fb.body, func(m ast.Node) bool {
-		if id, ok := m.(*ast.Ident); ok {
-			if fn, ok := gf.pkg.Info.Uses[id].(*types.Func); ok && moduleFunc(fn, modPath) {
-				add(funcNode{Fn: fn})
-			}
+	seen := map[funcNode]bool{}
+	ast.Inspect(gf.fb.body, func(m ast.Node) bool {
+		call, ok := m.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok || exprKey(gf.pkg.fset, sel.X) != gf.recvName {
+			return true
+		}
+		fn := calleeFunc(gf.pkg.Info, call)
+		if !moduleFunc(fn, modPath) {
+			return true
+		}
+		if n := (funcNode{Fn: fn}); !seen[n] {
+			seen[n] = true
+			gf.ownCalls = append(gf.ownCalls, n)
 		}
 		return true
 	})
-	for _, lit := range directLits(gf.fb.body) {
-		add(funcNode{Lit: lit})
-	}
-	// Own-receiver calls: full body including literals, declarations only.
-	if gf.fb.lit == nil && gf.recvName != "" {
-		ownSeen := map[funcNode]bool{}
-		ast.Inspect(gf.fb.body, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok || exprKey(gf.pkg.fset, sel.X) != gf.recvName {
-				return true
-			}
-			fn := calleeFunc(gf.pkg.Info, call)
-			if !moduleFunc(fn, modPath) {
-				return true
-			}
-			n := funcNode{Fn: fn}
-			if !ownSeen[n] {
-				ownSeen[n] = true
-				gf.ownCalls = append(gf.ownCalls, n)
-			}
-			return true
-		})
-	}
 }
 
 // unionFixpoint solves a monotone union problem along the own-receiver
@@ -195,18 +165,4 @@ func (cg *callGraph) unionFixpoint(absorb func(n, callee funcNode) bool) {
 			}
 		}
 	}
-}
-
-// directLits lists the literals nested immediately in body (not inside a
-// deeper literal), each of which is its own graph node.
-func directLits(body *ast.BlockStmt) []*ast.FuncLit {
-	var out []*ast.FuncLit
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			out = append(out, lit)
-			return false
-		}
-		return true
-	})
-	return out
 }

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/ast"
 	"go/types"
 	"path/filepath"
 	"testing"
@@ -85,32 +84,35 @@ func TestSummaryBooleanFixpointThroughHelpers(t *testing.T) {
 	}
 }
 
+// TestCallGraphMethodValuesAndFuncLits pins what lockflow relies on: a
+// method's edges are its calls on its own receiver, those in its nested
+// literals included, and a method value is no call, so no edge; a nested
+// literal is a node of its own, carrying its method's receiver.
 func TestCallGraphMethodValuesAndFuncLits(t *testing.T) {
 	_, pkg, sums := loadSummaryFixture(t)
 	start := fixtureFunc(t, pkg, "rec.Start")
-	tick := fixtureFunc(t, pkg, "rec.Tick")
+	helper := fixtureFunc(t, pkg, "rec.LockHelper")
 	gf := sums.cg.funcs[funcNode{Fn: start}]
 	if gf == nil {
 		t.Fatal("rec.Start has no graph node")
 	}
-	var sawTick, sawLit bool
-	var lit *ast.FuncLit
-	for _, c := range gf.callees {
-		if c.Fn == tick {
-			sawTick = true
+	if len(gf.ownCalls) != 1 || gf.ownCalls[0].Fn != helper {
+		t.Errorf("rec.Start: own calls %v, want rec.LockHelper alone (the method value rec.Tick is no call)", gf.ownCalls)
+	}
+	if !sums.ofFunc(start).locksOwnMu {
+		t.Error("rec.Start: want locksOwnMu=true through the call in its literal")
+	}
+	var lits []*graphFunc
+	for _, n := range sums.cg.order {
+		if lit := sums.cg.funcs[n]; n.Lit != nil && lit.fb.decl == gf.fb.decl {
+			lits = append(lits, lit)
 		}
-		if c.Lit != nil {
-			sawLit = true
-			lit = c.Lit
-		}
 	}
-	if !sawTick {
-		t.Error("rec.Start: want a reference edge to rec.Tick (method value)")
+	if len(lits) != 1 {
+		t.Fatalf("rec.Start: %d literal nodes, want its one nested literal", len(lits))
 	}
-	if !sawLit {
-		t.Fatal("rec.Start: want an edge to its nested literal")
-	}
-	if sums.cg.funcs[funcNode{Lit: lit}] == nil {
-		t.Error("nested literal: want its own call-graph node")
+	if lits[0].recvName != "r" || len(lits[0].ownCalls) != 0 {
+		t.Errorf("rec.Start's literal: receiver %q and own calls %v, want r and none (its calls are Start's)",
+			lits[0].recvName, lits[0].ownCalls)
 	}
 }

@@ -33,11 +33,12 @@ func (r *rec) Pong(n int) {
 func (r *rec) LockViaHelper() { r.LockHelper() }
 func (r *rec) LockHelper()    { r.mu.Lock(); r.mu.Unlock() }
 
-// Start references Tick as a method value and nests a literal: the graph
-// needs an edge for the reference and a separate node for the literal.
+// Start takes Tick as a method value, which is no call and so no edge, and
+// calls LockHelper in a nested literal: an own-receiver edge of Start's,
+// through which Start locks, while the literal is a node of its own.
 func (r *rec) Start() func() {
 	h := r.Tick
-	defer func() { h() }()
+	defer func() { r.LockHelper() }()
 	return h
 }
 

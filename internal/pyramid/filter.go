@@ -4,11 +4,11 @@ import (
 	"purity/internal/tuple"
 )
 
-// A patch's key filter answers the one question a point lookup asks a patch
-// first: can it hold this key? It is a blocked Bloom filter — each key hashes
-// to one 64-bit word and sets filterProbes bits in it — so a probe is one
-// hash, one word load and one compare, and a missed dedup probe (§4.7: every
-// block of unique data misses) opens no page.
+// A key filter answers the one question a point lookup asks a level first:
+// can it hold this key? It is a blocked Bloom filter — each key hashes to
+// one 64-bit word and sets filterProbes bits in it — so a probe is one hash,
+// one word load and one compare, and a missed dedup probe (§4.7: every
+// block of unique data misses) opens no page and searches no memtable run.
 //
 // At 11 bits per key and 5 bits set, about 1.3 % of absent keys pass: a
 // word's load varies from word to word, which costs a one-word filter
@@ -16,16 +16,19 @@ import (
 // 1.7 %, and a miss against the six patches a dedup probe typically visits
 // would open 0.1 pages.
 //
-// Filters live only in memory, like the page cache: writePatch builds one
-// from the sorted run it encodes, and a patch rebuilt from its descriptor
-// (UnmarshalPatch) has a nil filter, which admits every key, until a
-// merge rewrites it.
+// Every patch has one, and so does the memtable. Filters live only in
+// memory, like the page cache: writePatch builds a patch's from the sorted
+// run it encodes, and a patch rebuilt from its descriptor (UnmarshalPatch)
+// has a nil filter, which admits every key, until a merge rewrites it. The
+// memtable's is sized for a number of facts and grows with it
+// (Pyramid.addMemKeysLocked); a lookup hashes its key once and asks every
+// level with that hash.
 const (
 	filterBitsPerKey = 11
 	filterProbes     = 5
 )
 
-// keyFilter is a patch's filter words; nil admits every key.
+// keyFilter is a level's filter words; nil admits every key.
 type keyFilter []uint64
 
 // mix64 is a fixed 64-bit finalizer (MurmurHash3's): volume, medium and
@@ -72,17 +75,25 @@ func buildFilter(sorted []tuple.Fact, k int) keyFilter {
 	if keys == 0 {
 		return nil
 	}
-	f := make(keyFilter, (keys*filterBitsPerKey+63)/64)
+	f := make(keyFilter, filterWords(keys))
 	for i := range sorted {
 		if i == 0 || tuple.CompareKeys(sorted[i].Cols, sorted[i-1].Cols, k) != 0 {
-			w, mask := filterWord(keyHash(sorted[i].Cols, k), len(f))
-			f[w] |= mask
+			f.add(keyHash(sorted[i].Cols, k))
 		}
 	}
 	return f
 }
 
-// mayContain reports whether the key hashed to h may be in the patch; false
+// filterWords is the size, in words, of a filter for n keys.
+func filterWords(n int) int { return (n*filterBitsPerKey + 63) / 64 }
+
+// add sets the bits of the key hashed to h.
+func (f keyFilter) add(h uint64) {
+	w, mask := filterWord(h, len(f))
+	f[w] |= mask
+}
+
+// mayContain reports whether the key hashed to h may be in the level; false
 // is definite.
 func (f keyFilter) mayContain(h uint64) bool {
 	if f == nil {

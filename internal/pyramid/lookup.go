@@ -53,23 +53,23 @@ func (p *Pyramid) Get(at sim.Time, key []uint64) (tuple.Fact, bool, sim.Time, er
 // lies in the memtable or a cached page, nobody writes through it, and a
 // caller that keeps any of it keeps a copy.
 func (p *Pyramid) GetRow(at sim.Time, key, cols []uint64) (tuple.Fact, bool, sim.Time, error) {
+	h := keyHash(key, p.cfg.Schema.KeyCols)
 	var versionBuf [4]tuple.Fact
-	versions, patches := p.memRun(versionBuf[:0], key, exact)
+	versions, patches := p.memRun(versionBuf[:0], key, h, exact)
 	for _, f := range versions {
 		if !p.elided(f) {
 			return f, true, at, nil
 		}
 	}
-	return p.getFromPatches(at, patches, key, cols)
+	return p.getFromPatches(at, patches, key, h, cols)
 }
 
 // getFromPatches is an exact lookup's patch walk, newest patch first, and
 // the one copy of its rule: a patch whose key filter rules key out opens no
 // page, and the first patch holding a live version of key holds the newest
-// (patches hold disjoint, ordered sequence ranges). The fact found is
-// decoded into cols.
-func (p *Pyramid) getFromPatches(at sim.Time, patches []*Patch, key, cols []uint64) (tuple.Fact, bool, sim.Time, error) {
-	h := keyHash(key, p.cfg.Schema.KeyCols)
+// (patches hold disjoint, ordered sequence ranges). h is key's keyHash. The
+// fact found is decoded into cols.
+func (p *Pyramid) getFromPatches(at sim.Time, patches []*Patch, key []uint64, h uint64, cols []uint64) (tuple.Fact, bool, sim.Time, error) {
 	s := patchSource{p: p}
 	for _, patch := range patches {
 		if !patch.filter.mayContain(h) {
@@ -88,9 +88,9 @@ func (p *Pyramid) getFromPatches(at sim.Time, patches []*Patch, key, cols []uint
 // memRun is memRunLocked under mu in read mode, with the patch list's
 // header: the list is copy-on-write, so the header is the snapshot. The rows
 // are copied out (a later Insert reorders the memtable's headers in place).
-func (p *Pyramid) memRun(dst []tuple.Fact, tk []uint64, d direction) ([]tuple.Fact, []*Patch) {
+func (p *Pyramid) memRun(dst []tuple.Fact, tk []uint64, h uint64, d direction) ([]tuple.Fact, []*Patch) {
 	p.mu.RLock()
-	dst = p.memRunLocked(dst, tk, d)
+	dst = p.memRunLocked(dst, tk, h, d)
 	patches := p.patches
 	p.mu.RUnlock()
 	return dst, patches
@@ -148,7 +148,7 @@ func (p *Pyramid) search(at sim.Time, tk []uint64, d direction) (tuple.Fact, boo
 	cand := rowBuf(candBuf[:], p.cfg.Schema.Cols)
 	bestCols := rowBuf(bestBuf[:], p.cfg.Schema.Cols)
 	for {
-		versions, patches := p.memRun(versionBuf[:0], tk, d)
+		versions, patches := p.memRun(versionBuf[:0], tk, 0, d)
 
 		var best tuple.Fact
 		found := len(versions) > 0
@@ -191,13 +191,18 @@ func (p *Pyramid) search(at sim.Time, tk []uint64, d direction) (tuple.Fact, boo
 
 // memRunLocked appends to dst the memtable's versions of the key d lands on
 // from tk: for exact all of them, newest first, and for floor and ceil only
-// the newest. Each run is binary-searched twice: for floor and ceil first to
-// find the key it lands on, the nearest over all runs winning, and then for
-// that key's versions. The order is (seq desc, insertion asc), as one stable
-// sort of the memtable would give: runs are visited oldest first, each holds
-// its versions of a key in that order, and the sort below is stable. Caller
+// the newest. An exact search of a key the memtable's filter rules out ends
+// there; h is tk's keyHash, and only exact reads it. Each run is
+// binary-searched twice: for floor and ceil first to find the key it lands
+// on, the nearest over all runs winning, and then for that key's versions.
+// The order is (seq desc, insertion asc), as one stable sort of the
+// memtable would give: runs are visited oldest first, each holds its
+// versions of a key in that order, and the sort below is stable. Caller
 // holds mu.
-func (p *Pyramid) memRunLocked(dst []tuple.Fact, tk []uint64, d direction) []tuple.Fact {
+func (p *Pyramid) memRunLocked(dst []tuple.Fact, tk []uint64, h uint64, d direction) []tuple.Fact {
+	if d == exact && !p.memFilter.mayContain(h) {
+		return dst
+	}
 	k := p.cfg.Schema.KeyCols
 	land := tk
 	if d != exact {

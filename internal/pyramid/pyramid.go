@@ -72,12 +72,15 @@ func (pt *Patch) unfiltered() bool { return pt.filter == nil && pt.Rows > 0 }
 
 // Pyramid is one LSM index. Its levels are the memtable and the patches,
 // newest first. The memtable is a stack of sorted runs laid end to end in
-// mem, oldest first; only the mutators reorder it. The point lookups read
-// the levels in one way: memRunLocked (or, for a batch of keys, GetBatch)
-// binary-searches each run, then patchSource.find searches each patch —
-// Get, GetRow and Batch.Get through one exact patch walk (getFromPatches),
-// GetFloor and GetCeil through one directed search; Visit, which Scan and
-// ScanVersions wrap, and merges step the same patch cursor forward. The
+// mem, oldest first; only the mutators reorder it. Every level has a key
+// filter (filter.go), and an exact lookup asks it first, with one hash of
+// its key: a level the filter rules out is not searched. The point lookups
+// read the levels in one way: memRunLocked (or, for a batch of keys,
+// GetBatch) binary-searches each run, then patchSource.find searches each
+// patch — Get, GetRow and Batch.Get through one exact patch walk
+// (getFromPatches), GetFloor and GetCeil through one directed search;
+// Visit, which Scan and ScanVersions wrap, and merges step the same patch
+// cursor forward. The
 // readers (the lookups and the scans) are safe to run concurrently with
 // each other and with a mutator. A reader holds mu in read mode only, to
 // copy out the memtable rows it needs and the patch list's header; the list
@@ -97,10 +100,18 @@ type Pyramid struct {
 	// first: run i is mem[runEnds[i-1]:runEnds[i]] (run 0 starts at 0).
 	// Each run is in (key asc, seq desc, insertion asc) order and more than
 	// twice the size of the next.
-	mem            []tuple.Fact
-	runEnds        []int
-	memScratch     []tuple.Fact // reused copy of the newer run in a merge
-	patches        []*Patch     // sorted by SeqHi descending (newest first)
+	mem        []tuple.Fact
+	runEnds    []int
+	memScratch []tuple.Fact // reused copy of the newer run in a merge
+	// memFilter holds the key of every fact in mem, and is sized for
+	// memFilterFacts facts: Insert adds each new fact's key, a memtable
+	// that outgrows it gets one of double the size, and setMemLocked
+	// rebuilds it, at the same size, over what a flush retained. Carry
+	// merges move facts, not keys, so they leave it alone. Nil (before the
+	// first Insert) admits every key.
+	memFilter      keyFilter
+	memFilterFacts int
+	patches        []*Patch // sorted by SeqHi descending (newest first)
 	flushedThrough tuple.Seq
 
 	cache *pageCache
@@ -150,7 +161,8 @@ func (e *SchemaError) Error() string {
 // a binary counter's carry (Bentley and Saxe's logarithmic method), so a
 // memtable of n facts holds at most ⌊log₂ n⌋ + 1 runs and each fact moves
 // O(log n) times. Every fact is validated against the schema before any is
-// appended, so a SchemaError leaves the memtable untouched.
+// appended, so a SchemaError leaves the memtable untouched; each appended
+// fact's key goes into the memtable's filter.
 func (p *Pyramid) Insert(facts []tuple.Fact) error {
 	if len(facts) == 0 {
 		return nil
@@ -164,6 +176,7 @@ func (p *Pyramid) Insert(facts []tuple.Fact) error {
 	defer p.mu.Unlock()
 	start := len(p.mem)
 	p.mem = append(p.mem, facts...)
+	p.addMemKeysLocked(start)
 	slices.SortStableFunc(p.mem[start:], factOrder(p.cfg.Schema.KeyCols))
 	p.runEnds = append(p.runEnds, len(p.mem))
 	for n := len(p.runEnds); n > 1 && len(p.run(n-2)) <= 2*len(p.run(n-1)); n-- {
@@ -211,13 +224,49 @@ func factBefore(a, b *tuple.Fact, k int) bool {
 	return c < 0 || c == 0 && a.Seq > b.Seq
 }
 
-// setMemLocked makes facts, which are sorted, the memtable's one run.
-// Caller holds mu exclusively.
+// setMemLocked makes facts, which are sorted, the memtable's one run, and
+// rebuilds the memtable's filter over them. The filter keeps its size: the
+// memtable refills to about what it held before a flush, and a smaller
+// filter would be outgrown and rebuilt on the way. Caller holds mu
+// exclusively.
 func (p *Pyramid) setMemLocked(facts []tuple.Fact) {
 	p.mem, p.runEnds = facts, p.runEnds[:0]
 	if len(facts) > 0 {
 		p.runEnds = append(p.runEnds, len(facts))
 	}
+	p.clearMemFilterLocked(max(p.memFilterFacts, memFilterMinFacts))
+	p.addMemKeysLocked(0)
+}
+
+// memFilterMinFacts is the fewest facts the memtable's filter is sized for.
+const memFilterMinFacts = 1024
+
+// addMemKeysLocked adds the keys of mem[start:] to the memtable's filter.
+// A memtable that has outgrown its filter gets one for twice the facts,
+// filled with every key, so each fact is hashed O(1) times amortised.
+// Caller holds mu exclusively.
+func (p *Pyramid) addMemKeysLocked(start int) {
+	if len(p.mem) > p.memFilterFacts {
+		p.clearMemFilterLocked(max(2*p.memFilterFacts, len(p.mem), memFilterMinFacts))
+		start = 0
+	}
+	k := p.cfg.Schema.KeyCols
+	for i := start; i < len(p.mem); i++ {
+		p.memFilter.add(keyHash(p.mem[i].Cols, k))
+	}
+}
+
+// clearMemFilterLocked makes the memtable's filter an empty one for facts
+// facts, in its old storage where that is large enough. Caller holds mu
+// exclusively.
+func (p *Pyramid) clearMemFilterLocked(facts int) {
+	if n := filterWords(facts); cap(p.memFilter) >= n {
+		p.memFilter = p.memFilter[:n]
+		clear(p.memFilter)
+	} else {
+		p.memFilter = make(keyFilter, n)
+	}
+	p.memFilterFacts = facts
 }
 
 // MemRows returns the number of facts in the memtable.

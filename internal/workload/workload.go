@@ -85,7 +85,10 @@ func (g *Gen) Block(dst []byte, idx uint64) {
 			dst[i] = 0
 		}
 	case ClassRandom:
-		sim.NewRand(g.Seed ^ idx*0x9e3779b97f4a7c15 ^ 0x5152).Bytes(dst)
+		// Each block's stream starts from an independent draw. Seeded with
+		// idx times sim.Rand's own increment, neighbouring blocks' streams
+		// would overlap, and the compressor would find matches between them.
+		sim.NewRand(sim.NewRand(g.Seed ^ idx*0x9e3779b97f4a7c15 ^ 0x5152).Uint64()).Bytes(dst)
 	case ClassDatabase:
 		// Structured rows with a unique key per block: compressible but
 		// not duplicate.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"purity/internal/cblock"
+	"purity/internal/compress"
 	"purity/internal/core"
 	"purity/internal/sim"
 )
@@ -35,6 +36,26 @@ func TestGenZero(t *testing.T) {
 		if b != 0 {
 			t.Fatalf("zero class byte %d = %#x", i, b)
 		}
+	}
+}
+
+// TestGenRandomIncompressible: the incompressible class is that, extent by
+// extent as the array compresses it: 64 extents of 32 KiB compress to no
+// better than 1.01× in all. Blocks seeded one sim.Rand increment apart
+// shared stream tails, and compressed to 1.14× through the array.
+func TestGenRandomIncompressible(t *testing.T) {
+	g := NewGen(1, ClassRandom)
+	extent := make([]byte, 32<<10)
+	var in, out int
+	var frame []byte
+	for e := uint64(0); e < 64; e++ {
+		g.Fill(extent, e*uint64(len(extent)/cblock.SectorSize))
+		frame = compress.Compress(frame[:0], extent)
+		in += len(extent)
+		out += len(frame)
+	}
+	if ratio := float64(in) / float64(out); ratio > 1.01 {
+		t.Fatalf("incompressible class compressed %.4f×, want ≤ 1.01×", ratio)
 	}
 }
 

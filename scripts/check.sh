@@ -12,7 +12,9 @@
 # per-connection goroutines, the allocator/shelf locking,
 # layout's Reader, its pooled scratch and its seeded fault property test
 # (TestReadRangeUnderFaults), the three packages whose types promise
-# concurrent use: pyramid, iosched, erasure, and the lock-order check's
+# concurrent use: pyramid (its GetBatch readers beside the inserts and
+# flushes that resize the memtable's key filter among them), iosched,
+# erasure, and the lock-order check's
 # per-goroutine held sets),
 # and a smoke run of every program under examples/.
 #
@@ -165,8 +167,9 @@ echo "== go test -race (concurrency-bearing packages)"
 go test -race -short ./internal/wire/ ./internal/server/ ./internal/dedup/ ./internal/layout/ ./internal/shelf/ ./internal/pyramid/ ./internal/iosched/ ./internal/erasure/ ./internal/lockrank/
 go test -race -short -run 'TestConcurrentWriters|TestConcurrentScrubRebuildForeground|TestConcurrentReadersWriterGC|TestReadsAcrossSealWindow|TestStatsMarshalBesideLanes|TestDedupSearchBesideLanes|TestDedupTier' ./internal/core/
 
-echo "== kernel benchmarks (one iteration each, so they cannot rot: dedup's hash and byte-verify, erasure's dot product, the codec per content class)"
+echo "== kernel benchmarks (one iteration each, so they cannot rot: dedup's hash and byte-verify, the dedup memtable pass on absent keys, erasure's dot product, the codec per content class)"
 go test -run '^$' -bench 'HashBlocks32K|ExtendAnchor32K' -benchtime 1x ./internal/dedup/
+go test -run '^$' -bench 'GetBatchMiss' -benchtime 1x ./internal/pyramid/
 go test -run '^$' -bench 'Dot7x128K' -benchtime 1x ./internal/erasure/
 go test -run '^$' -bench 'CompressClass' -benchtime 1x ./internal/compress/
 
